@@ -212,33 +212,56 @@ enum RtUnit {
 #[derive(Default)]
 struct RtQueues {
     queues: Vec<VecDeque<Pending>>,
+    /// Head-arrival column behind [`QueueView::head_arrivals`]; an empty
+    /// unit keeps its last value.
+    heads: Vec<Nanos>,
+    /// Unordered list of units with pending records.
     nonempty: Vec<UnitId>,
+    /// `pos[u] = i+1` when `nonempty[i] == u`; 0 when absent.
+    pos: Vec<u32>,
+    pending: usize,
 }
 
 impl RtQueues {
     fn add_unit(&mut self) {
         self.queues.push(VecDeque::new());
+        self.heads.push(Nanos::ZERO);
+        self.pos.push(0);
     }
 
     fn push(&mut self, unit: UnitId, pending: Pending) {
         let q = &mut self.queues[unit as usize];
         if q.is_empty() {
+            self.heads[unit as usize] = pending.arrival;
             self.nonempty.push(unit);
+            self.pos[unit as usize] = self.nonempty.len() as u32;
         }
         q.push_back(pending);
+        self.pending += 1;
     }
 
     fn pop(&mut self, unit: UnitId) -> Pending {
         let q = &mut self.queues[unit as usize];
         let p = q.pop_front().expect("pop from empty runtime queue");
-        if q.is_empty() {
-            self.nonempty.retain(|&u| u != unit);
+        self.pending -= 1;
+        match q.front() {
+            Some(front) => self.heads[unit as usize] = front.arrival,
+            None => {
+                // Swap-remove from the unordered index: O(1).
+                let i = self.pos[unit as usize] as usize - 1;
+                let last = self.nonempty.pop().expect("indexed unit is listed");
+                if last != unit {
+                    self.nonempty[i] = last;
+                    self.pos[last as usize] = i as u32 + 1;
+                }
+                self.pos[unit as usize] = 0;
+            }
         }
         p
     }
 
     fn pending(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.pending
     }
 }
 
@@ -246,8 +269,8 @@ impl QueueView for RtQueues {
     fn len(&self, unit: UnitId) -> usize {
         self.queues[unit as usize].len()
     }
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        self.queues[unit as usize].front().map(|p| p.arrival)
+    fn head_arrivals(&self) -> &[Nanos] {
+        &self.heads
     }
     fn nonempty(&self) -> &[UnitId] {
         &self.nonempty
@@ -815,6 +838,41 @@ fn plan_from_estimates(
                 b = op_spec(b, mon, op);
             }
             b.build().expect("validated at registration")
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The swap-remove index, the pending counter and the head-arrival
+        /// column always match the actual queue contents.
+        #[test]
+        fn rt_queues_index_consistent(ops in proptest::collection::vec((0u32..5, any::<bool>()), 1..200)) {
+            let mut q = RtQueues::default();
+            (0..5).for_each(|_| q.add_unit());
+            let mut clock = 0u64;
+            for (unit, push) in ops {
+                if push {
+                    clock += 1;
+                    let arrival = Nanos::from_nanos(clock);
+                    q.push(unit, Pending { record: Record::new(vec![]), arrival });
+                } else if q.len(unit) > 0 {
+                    q.pop(unit);
+                }
+                let expect: Vec<UnitId> = (0..5).filter(|&u| q.len(u) > 0).collect();
+                let mut got = q.nonempty().to_vec();
+                got.sort();
+                prop_assert_eq!(got, expect);
+                prop_assert_eq!(q.pending(), (0..5).map(|u| q.len(u)).sum::<usize>());
+                for u in 0..5 {
+                    let front = q.queues[u as usize].front().map(|p| p.arrival);
+                    prop_assert_eq!(q.head_arrival(u), front);
+                }
+            }
         }
     }
 }

@@ -45,6 +45,9 @@ pub const QS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 /// q-dependent cost around the policy under test.
 #[derive(Debug)]
 pub struct SaturatedQueues {
+    /// The head-arrival column, served as is through
+    /// [`QueueView::head_arrivals`]: the scan under test reads the same kind
+    /// of array the engine's queues hand it.
     heads: Vec<Nanos>,
     nonempty: Vec<UnitId>,
 }
@@ -70,8 +73,8 @@ impl QueueView for SaturatedQueues {
     fn len(&self, _unit: UnitId) -> usize {
         1
     }
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        Some(self.heads[unit as usize])
+    fn head_arrivals(&self) -> &[Nanos] {
+        &self.heads
     }
     fn nonempty(&self) -> &[UnitId] {
         &self.nonempty

@@ -222,7 +222,7 @@ pub fn spread_units(n: usize) -> Vec<UnitStatics> {
 #[derive(Debug, Default)]
 pub struct BenchQueues {
     lens: Vec<usize>,
-    heads: Vec<Option<Nanos>>,
+    heads: Vec<Nanos>,
     nonempty: Vec<UnitId>,
 }
 
@@ -231,7 +231,7 @@ impl BenchQueues {
     pub fn new(n: usize) -> Self {
         BenchQueues {
             lens: vec![0; n],
-            heads: vec![None; n],
+            heads: vec![Nanos::ZERO; n],
             nonempty: Vec::new(),
         }
     }
@@ -240,7 +240,7 @@ impl BenchQueues {
     pub fn push(&mut self, unit: UnitId, arrival: Nanos) {
         if self.lens[unit as usize] == 0 {
             self.nonempty.push(unit);
-            self.heads[unit as usize] = Some(arrival);
+            self.heads[unit as usize] = arrival;
         }
         self.lens[unit as usize] += 1;
     }
@@ -252,9 +252,8 @@ impl BenchQueues {
         *len -= 1;
         if *len == 0 {
             self.nonempty.retain(|&u| u != unit);
-            self.heads[unit as usize] = None;
-        } else if let Some(h) = self.heads[unit as usize].as_mut() {
-            *h += Nanos::from_millis(1);
+        } else {
+            self.heads[unit as usize] += Nanos::from_millis(1);
         }
     }
 }
@@ -263,8 +262,8 @@ impl QueueView for BenchQueues {
     fn len(&self, unit: UnitId) -> usize {
         self.lens[unit as usize]
     }
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        self.heads[unit as usize]
+    fn head_arrivals(&self) -> &[Nanos] {
+        &self.heads
     }
     fn nonempty(&self) -> &[UnitId] {
         &self.nonempty

@@ -19,78 +19,14 @@
 //! sequence to the shortest failing prefix so the artifact names the
 //! smallest reproduction.
 
-use std::collections::VecDeque;
-
 use hcq_common::{det, Nanos, TupleId};
 use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Policy, QueueView, UnitId, UnitStatics};
 
 use crate::invariants::Violation;
-use crate::policyfuzz::degenerate_units;
+use crate::policyfuzz::{degenerate_units, FuzzQueues};
 
 /// Hard cap on units after growth, keeping cases tiny and fast to shrink.
 const MAX_UNITS: usize = 12;
-
-/// Queue state shared by the incremental policy and its rebuilt reference.
-/// Cloneable so the reference drains an identical copy.
-#[derive(Clone, Default)]
-struct DiffQueues {
-    queues: Vec<VecDeque<(TupleId, Nanos)>>,
-    nonempty: Vec<UnitId>,
-}
-
-impl DiffQueues {
-    fn new(n: usize) -> Self {
-        DiffQueues {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            nonempty: Vec::new(),
-        }
-    }
-
-    fn refresh(&mut self) {
-        self.nonempty = (0..self.queues.len() as UnitId)
-            .filter(|&u| !self.queues[u as usize].is_empty())
-            .collect();
-    }
-
-    fn add_unit(&mut self) {
-        self.queues.push(VecDeque::new());
-    }
-
-    fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
-        self.queues[unit as usize].push_back((tuple, arrival));
-        self.refresh();
-    }
-
-    fn pop(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
-        let head = self.queues[unit as usize].pop_front();
-        self.refresh();
-        head
-    }
-
-    fn pop_back(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
-        let tail = self.queues[unit as usize].pop_back();
-        self.refresh();
-        tail
-    }
-
-    fn pending(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-}
-
-impl QueueView for DiffQueues {
-    fn len(&self, unit: UnitId) -> usize {
-        self.queues[unit as usize].len()
-    }
-
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        self.queues[unit as usize].front().map(|&(_, a)| a)
-    }
-
-    fn nonempty(&self) -> &[UnitId] {
-        &self.nonempty
-    }
-}
 
 /// The clustered variants under differential test.
 fn variants(m: usize) -> Vec<(String, ClusterConfig)> {
@@ -121,7 +57,7 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
     let units = degenerate_units(seed, case ^ 0xc105);
     let mut policy = ClusteredBsdPolicy::new(cfg);
     policy.on_register(&units);
-    let mut queues = DiffQueues::new(units.len());
+    let mut queues = FuzzQueues::new(units.len());
     let mut retired = vec![false; units.len()];
     let mut now = Nanos::ZERO;
     let mut next_tuple = 0u64;

@@ -27,38 +27,69 @@ use hcq_core::{
 use crate::invariants::Violation;
 
 /// Engine-style queue state for hand-driven policies: one FIFO per unit,
-/// every arrival copied to every unit (as a shared stream fan-out would).
-struct FuzzQueues {
+/// with the head-arrival column kept by the engine's write rule (a push onto
+/// an empty queue, a pop that exposes a new front; never a tail removal).
+/// Cloneable so a reference policy can drain an identical copy.
+#[derive(Clone)]
+pub(crate) struct FuzzQueues {
     queues: Vec<VecDeque<(TupleId, Nanos)>>,
+    heads: Vec<Nanos>,
     nonempty: Vec<UnitId>,
 }
 
 impl FuzzQueues {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         FuzzQueues {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
+            heads: vec![Nanos::ZERO; n],
             nonempty: Vec::new(),
         }
     }
 
+    /// Re-derive the ready list (id order) and check the column against the
+    /// queues: every fuzzed mutation sequence exercises the write rule.
     fn refresh(&mut self) {
         self.nonempty = (0..self.queues.len() as UnitId)
             .filter(|&u| !self.queues[u as usize].is_empty())
             .collect();
+        for (u, q) in self.queues.iter().enumerate() {
+            let front = q.front().map(|&(_, a)| a);
+            assert_eq!(self.head_arrival(u as UnitId), front, "head column");
+        }
     }
 
-    fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
-        self.queues[unit as usize].push_back((tuple, arrival));
+    pub(crate) fn add_unit(&mut self) {
+        self.queues.push(VecDeque::new());
+        self.heads.push(Nanos::ZERO);
+    }
+
+    pub(crate) fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
+        let q = &mut self.queues[unit as usize];
+        if q.is_empty() {
+            self.heads[unit as usize] = arrival;
+        }
+        q.push_back((tuple, arrival));
         self.refresh();
     }
 
-    fn pop(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
-        let head = self.queues[unit as usize].pop_front();
+    pub(crate) fn pop(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
+        let q = &mut self.queues[unit as usize];
+        let head = q.pop_front();
+        if let Some(&(_, arrival)) = q.front() {
+            self.heads[unit as usize] = arrival;
+        }
         self.refresh();
         head
     }
 
-    fn pending(&self) -> usize {
+    /// Remove the unit's tail tuple (models the engine shedding).
+    pub(crate) fn pop_back(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
+        let tail = self.queues[unit as usize].pop_back();
+        self.refresh();
+        tail
+    }
+
+    pub(crate) fn pending(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
     }
 }
@@ -68,8 +99,8 @@ impl QueueView for FuzzQueues {
         self.queues[unit as usize].len()
     }
 
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        self.queues[unit as usize].front().map(|&(_, a)| a)
+    fn head_arrivals(&self) -> &[Nanos] {
+        &self.heads
     }
 
     fn nonempty(&self) -> &[UnitId] {

@@ -39,8 +39,8 @@ impl QueueView for SaturatedQueues {
     fn len(&self, _unit: UnitId) -> usize {
         1
     }
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        Some(self.heads[unit as usize])
+    fn head_arrivals(&self) -> &[Nanos] {
+        &self.heads
     }
     fn nonempty(&self) -> &[UnitId] {
         &self.nonempty

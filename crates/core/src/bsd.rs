@@ -11,8 +11,8 @@
 
 use hcq_common::{Nanos, TupleId};
 
-use crate::policy::{Policy, QueueView, SchedStats, Selection, UnitId};
-use crate::soa::StaticsTable;
+use crate::policy::{Policy, QueueView, Selection, UnitId};
+use crate::soa::{scan_argmax, StaticsTable};
 use crate::unit::UnitStatics;
 
 /// Naive BSD: full scan, exact priorities.
@@ -64,35 +64,8 @@ impl Policy for BsdPolicy {
     }
 
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
-        let mut best: Option<(f64, UnitId)> = None;
-        let mut ops = 0;
-        let phi = self.statics.phi();
-        for &unit in queues.nonempty() {
-            let arrival = queues.head_arrival(unit).expect("nonempty unit has a head");
-            let wait = now.saturating_since(arrival).as_nanos() as f64;
-            let priority = wait * phi[unit as usize];
-            ops += 2; // priority computation + comparison
-            let better = match best {
-                None => true,
-                Some((b, bu)) => priority > b || (priority == b && unit < bu),
-            };
-            if better {
-                best = Some((priority, unit));
-            }
-        }
-        best.map(|(_, unit)| {
-            // The scan evaluates and compares one exact priority per ready
-            // unit: this O(q) profile is what `ext_overhead` measures against
-            // the clustered implementations.
-            let n = ops / 2;
-            let stats = SchedStats {
-                candidates_scanned: n,
-                priority_evals: n,
-                comparisons: n,
-                ..SchedStats::default()
-            };
-            Selection::one(unit, ops).with_stats(stats)
-        })
+        let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
+        scan_argmax(ready, heads, self.statics.phi(), now, |wait| wait)
     }
 }
 

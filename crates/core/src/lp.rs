@@ -24,7 +24,8 @@
 
 use hcq_common::{Nanos, TupleId};
 
-use crate::policy::{Policy, QueueView, SchedStats, Selection, UnitId};
+use crate::policy::{Policy, QueueView, Selection, UnitId};
+use crate::soa::scan_argmax;
 use crate::unit::UnitStatics;
 
 /// The generalized ℓp slowdown policy.
@@ -70,34 +71,11 @@ impl Policy for LpPolicy {
     fn on_enqueue(&mut self, _unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {}
 
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
-        let mut best: Option<(f64, UnitId)> = None;
-        let mut ops = 0;
+        let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
         let w_exp = self.p - 1.0;
-        for &unit in queues.nonempty() {
-            let arrival = queues.head_arrival(unit).expect("nonempty unit has a head");
-            let wait = now.saturating_since(arrival).as_nanos() as f64;
-            // W^0 = 1 even at W = 0 (p = 1 must reduce to pure HNR order).
-            let w_term = if w_exp == 0.0 { 1.0 } else { wait.powf(w_exp) };
-            let priority = w_term * self.phi_p[unit as usize];
-            ops += 2;
-            let better = match best {
-                None => true,
-                Some((b, bu)) => priority > b || (priority == b && unit < bu),
-            };
-            if better {
-                best = Some((priority, unit));
-            }
-        }
-        best.map(|(_, unit)| {
-            let n = ops / 2;
-            let stats = SchedStats {
-                candidates_scanned: n,
-                priority_evals: n,
-                comparisons: n,
-                ..SchedStats::default()
-            };
-            Selection::one(unit, ops).with_stats(stats)
-        })
+        // W^0 = 1 even at W = 0 (p = 1 must reduce to pure HNR order).
+        let w_term = |wait: f64| if w_exp == 0.0 { 1.0 } else { wait.powf(w_exp) };
+        scan_argmax(ready, heads, &self.phi_p, now, w_term)
     }
 }
 

@@ -10,7 +10,8 @@
 
 use hcq_common::{Nanos, TupleId};
 
-use crate::policy::{Policy, QueueView, SchedStats, Selection, UnitId};
+use crate::policy::{Policy, QueueView, Selection, UnitId};
+use crate::soa::scan_argmax;
 use crate::unit::UnitStatics;
 
 /// LSF: run the unit whose head tuple has the largest current slowdown.
@@ -54,32 +55,8 @@ impl Policy for LsfPolicy {
     }
 
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
-        let mut best: Option<(f64, UnitId)> = None;
-        let mut ops = 0;
-        for &unit in queues.nonempty() {
-            let arrival = queues.head_arrival(unit).expect("nonempty unit has a head");
-            let wait = now.saturating_since(arrival).as_nanos() as f64;
-            let priority = wait * self.slope[unit as usize];
-            ops += 2; // one computation + one comparison
-                      // Ties broken toward the lower unit id for determinism.
-            let better = match best {
-                None => true,
-                Some((b, bu)) => priority > b || (priority == b && unit < bu),
-            };
-            if better {
-                best = Some((priority, unit));
-            }
-        }
-        best.map(|(_, unit)| {
-            let n = ops / 2;
-            let stats = SchedStats {
-                candidates_scanned: n,
-                priority_evals: n,
-                comparisons: n,
-                ..SchedStats::default()
-            };
-            Selection::one(unit, ops).with_stats(stats)
-        })
+        let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
+        scan_argmax(ready, heads, &self.slope, now, |wait| wait)
     }
 }
 

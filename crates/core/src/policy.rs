@@ -8,12 +8,27 @@ use crate::unit::UnitStatics;
 pub type UnitId = u32;
 
 /// Read access to the engine's queue state, passed to `select`.
+///
+/// The head arrivals are served as one dense column so that a scanning
+/// policy pays one virtual call per *decision* and one contiguous gather per
+/// ready unit ([`crate::soa::scan_argmax`]), not a call and a queue-header
+/// chase per unit. The implementor owns the column and keeps it current as
+/// heads change; [`QueueView::head_arrival`] is derived from it, so there is
+/// a single source of truth.
 pub trait QueueView {
     /// Number of pending tuples in the unit's input queue.
     fn len(&self, unit: UnitId) -> usize;
-    /// System-arrival time of the unit's head tuple, if any. For composite
-    /// tuples this is the §5.1.1 arrival (max over constituents).
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos>;
+    /// System-arrival time of every unit's head tuple, indexed by unit id
+    /// and covering the whole unit space. For composite tuples this is the
+    /// §5.1.1 arrival (max over constituents). Only the entries of
+    /// [`QueueView::nonempty`] units are meaningful: an empty unit's entry
+    /// is unspecified (typically the stale arrival of its last head), so
+    /// readers index it through `nonempty()` or use `head_arrival`.
+    fn head_arrivals(&self) -> &[Nanos];
+    /// System-arrival time of the unit's head tuple, if any.
+    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
+        (self.len(unit) > 0).then(|| self.head_arrivals()[unit as usize])
+    }
     /// Units with at least one pending tuple (unordered).
     fn nonempty(&self) -> &[UnitId];
     /// Per-unit queue capacity when the engine bounds its queues; `None`
@@ -415,6 +430,7 @@ pub(crate) mod testkit {
     #[derive(Default)]
     pub struct MockQueues {
         queues: Vec<VecDeque<(TupleId, Nanos)>>,
+        heads: Vec<Nanos>,
         nonempty: Vec<UnitId>,
     }
 
@@ -422,6 +438,7 @@ pub(crate) mod testkit {
         pub fn new(n: usize) -> Self {
             MockQueues {
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
+                heads: vec![Nanos::ZERO; n],
                 nonempty: Vec::new(),
             }
         }
@@ -430,6 +447,7 @@ pub(crate) mod testkit {
             let q = &mut self.queues[unit as usize];
             if q.is_empty() {
                 self.nonempty.push(unit);
+                self.heads[unit as usize] = arrival;
             }
             q.push_back((tuple, arrival));
         }
@@ -437,8 +455,9 @@ pub(crate) mod testkit {
         pub fn pop(&mut self, unit: UnitId) -> (TupleId, Nanos) {
             let q = &mut self.queues[unit as usize];
             let item = q.pop_front().expect("pop from empty queue");
-            if q.is_empty() {
-                self.nonempty.retain(|&u| u != unit);
+            match q.front() {
+                Some(&(_, arrival)) => self.heads[unit as usize] = arrival,
+                None => self.nonempty.retain(|&u| u != unit),
             }
             item
         }
@@ -458,8 +477,8 @@ pub(crate) mod testkit {
         fn len(&self, unit: UnitId) -> usize {
             self.queues[unit as usize].len()
         }
-        fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-            self.queues[unit as usize].front().map(|&(_, a)| a)
+        fn head_arrivals(&self) -> &[Nanos] {
+            &self.heads
         }
         fn nonempty(&self) -> &[UnitId] {
             &self.nonempty
@@ -549,8 +568,8 @@ mod tests {
             fn len(&self, _unit: UnitId) -> usize {
                 self.0
             }
-            fn head_arrival(&self, _unit: UnitId) -> Option<Nanos> {
-                None
+            fn head_arrivals(&self) -> &[Nanos] {
+                &[]
             }
             fn nonempty(&self) -> &[UnitId] {
                 &[]

@@ -2,52 +2,14 @@
 //! always maximizes `pseudo_priority × head wait`, regardless of the
 //! enqueue/execute interleaving, for both the scan and the Fagin paths.
 
-use std::collections::VecDeque;
-
 use hcq_common::{Nanos, TupleId};
 use hcq_core::{
     ClusterConfig, ClusteredBsdPolicy, Clustering, Policy, QueueView, UnitId, UnitStatics,
 };
 use proptest::prelude::*;
 
-#[derive(Default)]
-struct Queues {
-    queues: Vec<VecDeque<(TupleId, Nanos)>>,
-    nonempty: Vec<UnitId>,
-}
-
-impl Queues {
-    fn new(n: usize) -> Self {
-        Queues {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            nonempty: Vec::new(),
-        }
-    }
-    fn push(&mut self, unit: UnitId, t: TupleId, a: Nanos) {
-        if self.queues[unit as usize].is_empty() {
-            self.nonempty.push(unit);
-        }
-        self.queues[unit as usize].push_back((t, a));
-    }
-    fn pop(&mut self, unit: UnitId) {
-        self.queues[unit as usize].pop_front().expect("nonempty");
-        if self.queues[unit as usize].is_empty() {
-            self.nonempty.retain(|&u| u != unit);
-        }
-    }
-}
-
-impl QueueView for Queues {
-    fn len(&self, unit: UnitId) -> usize {
-        self.queues[unit as usize].len()
-    }
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        self.queues[unit as usize].front().map(|&(_, a)| a)
-    }
-    fn nonempty(&self) -> &[UnitId] {
-        &self.nonempty
-    }
-}
+mod common;
+use common::Queues;
 
 fn units(n: usize) -> Vec<UnitStatics> {
     (0..n)

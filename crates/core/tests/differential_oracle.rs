@@ -15,8 +15,6 @@
 //!    cluster — sub-linear in `q` by construction, confirmed from the
 //!    [`SchedStats`] counters, never from wall time.
 
-use std::collections::VecDeque;
-
 use hcq_common::{Nanos, TupleId};
 use hcq_core::{
     BsdPolicy, ClusterConfig, ClusteredBsdPolicy, Clustering, Policy, QueueView, SchedStats,
@@ -24,44 +22,8 @@ use hcq_core::{
 };
 use proptest::prelude::*;
 
-#[derive(Default)]
-struct Queues {
-    queues: Vec<VecDeque<(TupleId, Nanos)>>,
-    nonempty: Vec<UnitId>,
-}
-
-impl Queues {
-    fn new(n: usize) -> Self {
-        Queues {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            nonempty: Vec::new(),
-        }
-    }
-    fn push(&mut self, unit: UnitId, t: TupleId, a: Nanos) {
-        if self.queues[unit as usize].is_empty() {
-            self.nonempty.push(unit);
-        }
-        self.queues[unit as usize].push_back((t, a));
-    }
-    fn pop(&mut self, unit: UnitId) {
-        self.queues[unit as usize].pop_front().expect("nonempty");
-        if self.queues[unit as usize].is_empty() {
-            self.nonempty.retain(|&u| u != unit);
-        }
-    }
-}
-
-impl QueueView for Queues {
-    fn len(&self, unit: UnitId) -> usize {
-        self.queues[unit as usize].len()
-    }
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        self.queues[unit as usize].front().map(|&(_, a)| a)
-    }
-    fn nonempty(&self) -> &[UnitId] {
-        &self.nonempty
-    }
-}
+mod common;
+use common::Queues;
 
 /// Units whose `Φ` values span several decades.
 fn units(n: usize) -> Vec<UnitStatics> {

@@ -1,54 +1,12 @@
 //! Property tests: every policy's `select` matches its paper-defined argmax
 //! on randomized queue states, across arbitrary enqueue/execute interleavings.
 
-use std::collections::VecDeque;
-
 use hcq_common::{Nanos, TupleId};
-use hcq_core::{
-    BsdPolicy, FcfsPolicy, LsfPolicy, Policy, QueueView, StaticPolicy, UnitId, UnitStatics,
-};
+use hcq_core::{BsdPolicy, FcfsPolicy, LsfPolicy, Policy, QueueView, StaticPolicy, UnitStatics};
 use proptest::prelude::*;
 
-#[derive(Default)]
-struct Queues {
-    queues: Vec<VecDeque<(TupleId, Nanos)>>,
-    nonempty: Vec<UnitId>,
-}
-
-impl Queues {
-    fn new(n: usize) -> Self {
-        Queues {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            nonempty: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
-        if self.queues[unit as usize].is_empty() {
-            self.nonempty.push(unit);
-        }
-        self.queues[unit as usize].push_back((tuple, arrival));
-    }
-
-    fn pop(&mut self, unit: UnitId) {
-        self.queues[unit as usize].pop_front().expect("nonempty");
-        if self.queues[unit as usize].is_empty() {
-            self.nonempty.retain(|&u| u != unit);
-        }
-    }
-}
-
-impl QueueView for Queues {
-    fn len(&self, unit: UnitId) -> usize {
-        self.queues[unit as usize].len()
-    }
-    fn head_arrival(&self, unit: UnitId) -> Option<Nanos> {
-        self.queues[unit as usize].front().map(|&(_, a)| a)
-    }
-    fn nonempty(&self) -> &[UnitId] {
-        &self.nonempty
-    }
-}
+mod common;
+use common::Queues;
 
 /// Random unit populations: cost ms in 1..=32, selectivity 0.05..1,
 /// ideal time = 1–3× cost.
