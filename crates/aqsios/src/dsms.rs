@@ -1,12 +1,14 @@
-//! The runtime.
-
-use std::collections::VecDeque;
+//! The runtime: the third front end on the executor core's parts — its
+//! queues are the engine's [`UnitQueues`] over records, its policy a
+//! [`RuntimePolicy::build`] instance refreshed through
+//! [`Policy::on_statics_update`], its slowdown [`exec::slowdown`]. Its own:
+//! real records and operators, online monitors, and the whole-fan-out
+//! `max_pending` valve (a stream-level rule, so not a queue admission mode).
 
 use hcq_common::{HcqError, Nanos, QueryId, Result, StreamId, TupleId};
-use hcq_core::{
-    BsdPolicy, EwmaEstimator, FcfsPolicy, LsfPolicy, Policy, QueueView, RoundRobinPolicy,
-    StaticPolicy, StaticRank, UnitId, UnitStatics,
-};
+use hcq_core::{EwmaEstimator, Policy, UnitId, UnitStatics};
+use hcq_engine::exec;
+use hcq_engine::queues::{Queued, UnitQueues};
 use hcq_join::{JoinItem, Side, SymmetricHashJoin};
 use hcq_metrics::{QosAccumulator, QosSummary};
 use hcq_plan::{CompiledQuery, PlanStats, QueryBuilder, StreamRates};
@@ -15,24 +17,8 @@ use crate::clock::{Clock, SystemClock};
 use crate::ops::{RtOp, RtPlan};
 use crate::record::Record;
 
-/// Which scheduling policy drives the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimePolicy {
-    /// First-come-first-served.
-    Fcfs,
-    /// Round-robin over ready segments.
-    RoundRobin,
-    /// Shortest ideal processing time.
-    Srpt,
-    /// Highest Rate (average response time).
-    Hr,
-    /// Highest Normalized Rate (average slowdown) — the paper's §3.3.
-    Hnr,
-    /// Longest Stretch First (maximum slowdown).
-    Lsf,
-    /// Balance Slowdown (ℓ2 norm) — the paper's §4.2.2.
-    Bsd,
-}
+/// Which scheduling policy drives the runtime: the core's policy factory.
+pub use hcq_core::PolicyKind as RuntimePolicy;
 
 /// Runtime configuration.
 pub struct DsmsConfig {
@@ -127,6 +113,12 @@ struct Pending {
     arrival: Nanos,
 }
 
+impl Queued for Pending {
+    fn arrival(&self) -> Nanos {
+        self.arrival
+    }
+}
+
 /// Join-table entry.
 #[derive(Debug, Clone)]
 struct Keyed {
@@ -159,122 +151,11 @@ struct QueryRuntime {
     alone: Vec<Nanos>,
 }
 
-enum PolicyImpl {
-    Static(StaticPolicy, StaticRank),
-    Bsd(BsdPolicy),
-    Lsf(LsfPolicy),
-    Fcfs(FcfsPolicy),
-    Rr(RoundRobinPolicy),
-}
-
-impl PolicyImpl {
-    fn new(kind: RuntimePolicy) -> Self {
-        match kind {
-            RuntimePolicy::Fcfs => PolicyImpl::Fcfs(FcfsPolicy::new()),
-            RuntimePolicy::RoundRobin => PolicyImpl::Rr(RoundRobinPolicy::new()),
-            RuntimePolicy::Srpt => PolicyImpl::Static(StaticPolicy::srpt(), StaticRank::Srpt),
-            RuntimePolicy::Hr => PolicyImpl::Static(StaticPolicy::hr(), StaticRank::Hr),
-            RuntimePolicy::Hnr => PolicyImpl::Static(StaticPolicy::hnr(), StaticRank::Hnr),
-            RuntimePolicy::Lsf => PolicyImpl::Lsf(LsfPolicy::new()),
-            RuntimePolicy::Bsd => PolicyImpl::Bsd(BsdPolicy::new()),
-        }
-    }
-
-    fn as_policy(&mut self) -> &mut dyn Policy {
-        match self {
-            PolicyImpl::Static(p, _) => p,
-            PolicyImpl::Bsd(p) => p,
-            PolicyImpl::Lsf(p) => p,
-            PolicyImpl::Fcfs(p) => p,
-            PolicyImpl::Rr(p) => p,
-        }
-    }
-
-    /// Install refreshed statics for one unit (static-priority policies and
-    /// BSD only; the others read queue state directly).
-    fn refresh_unit(&mut self, unit: UnitId, statics: &UnitStatics) {
-        match self {
-            PolicyImpl::Static(p, rank) => p.set_priority(unit, rank.priority(statics)),
-            PolicyImpl::Bsd(p) => p.set_phi(unit, statics.bsd_static()),
-            _ => {}
-        }
-    }
-}
-
 /// What a schedulable unit executes.
 #[derive(Debug, Clone, Copy)]
 enum RtUnit {
     Single { query: usize },
     JoinLeaf { query: usize, side: Side },
-}
-
-/// The FIFO queue set (mirrors the engine's `UnitQueues`, over records).
-#[derive(Default)]
-struct RtQueues {
-    queues: Vec<VecDeque<Pending>>,
-    /// Head-arrival column behind [`QueueView::head_arrivals`]; an empty
-    /// unit keeps its last value.
-    heads: Vec<Nanos>,
-    /// Unordered list of units with pending records.
-    nonempty: Vec<UnitId>,
-    /// `pos[u] = i+1` when `nonempty[i] == u`; 0 when absent.
-    pos: Vec<u32>,
-    pending: usize,
-}
-
-impl RtQueues {
-    fn add_unit(&mut self) {
-        self.queues.push(VecDeque::new());
-        self.heads.push(Nanos::ZERO);
-        self.pos.push(0);
-    }
-
-    fn push(&mut self, unit: UnitId, pending: Pending) {
-        let q = &mut self.queues[unit as usize];
-        if q.is_empty() {
-            self.heads[unit as usize] = pending.arrival;
-            self.nonempty.push(unit);
-            self.pos[unit as usize] = self.nonempty.len() as u32;
-        }
-        q.push_back(pending);
-        self.pending += 1;
-    }
-
-    fn pop(&mut self, unit: UnitId) -> Pending {
-        let q = &mut self.queues[unit as usize];
-        let p = q.pop_front().expect("pop from empty runtime queue");
-        self.pending -= 1;
-        match q.front() {
-            Some(front) => self.heads[unit as usize] = front.arrival,
-            None => {
-                // Swap-remove from the unordered index: O(1).
-                let i = self.pos[unit as usize] as usize - 1;
-                let last = self.nonempty.pop().expect("indexed unit is listed");
-                if last != unit {
-                    self.nonempty[i] = last;
-                    self.pos[last as usize] = i as u32 + 1;
-                }
-                self.pos[unit as usize] = 0;
-            }
-        }
-        p
-    }
-
-    fn pending(&self) -> usize {
-        self.pending
-    }
-}
-
-impl QueueView for RtQueues {
-    fn len(&self, unit: UnitId) -> usize {
-        self.queues[unit as usize].len()
-    }
-    fn head_arrivals(&self) -> &[Nanos] {
-        &self.heads
-    }
-    fn nonempty(&self) -> &[UnitId] {
-        &self.nonempty
-    }
 }
 
 /// The online DSMS.
@@ -283,12 +164,12 @@ pub struct Dsms {
     ewma_alpha: f64,
     auto_refresh_every: Option<u64>,
     max_pending: Option<usize>,
-    policy: PolicyImpl,
+    policy: Box<dyn Policy>,
     queries: Vec<QueryRuntime>,
     units: Vec<RtUnit>,
     /// `(unit, ...)` fed by each stream index.
     routes: Vec<Vec<UnitId>>,
-    queues: RtQueues,
+    queues: UnitQueues<Pending>,
     /// Per-stream inter-arrival EWMA (for §5 window-occupancy priorities).
     stream_gaps: Vec<Option<EwmaEstimator>>,
     last_arrival: Vec<Option<Nanos>>,
@@ -312,11 +193,11 @@ impl Dsms {
             ewma_alpha: cfg.ewma_alpha,
             auto_refresh_every: cfg.auto_refresh_every,
             max_pending: cfg.max_pending,
-            policy: PolicyImpl::new(cfg.policy),
+            policy: cfg.policy.build(),
             queries: Vec::new(),
             units: Vec::new(),
             routes: Vec::new(),
-            queues: RtQueues::default(),
+            queues: UnitQueues::new(0),
             stream_gaps: Vec::new(),
             last_arrival: Vec::new(),
             tuple_counter: 0,
@@ -416,7 +297,7 @@ impl Dsms {
         });
         // (Re-)derive statics and register with the policy.
         let statics = self.derive_statics()?;
-        self.policy.as_policy().on_register(&statics);
+        self.policy.on_register(&statics);
         Ok(id)
     }
 
@@ -457,7 +338,6 @@ impl Dsms {
                 },
             );
             self.policy
-                .as_policy()
                 .on_enqueue(unit, TupleId::new(self.tuple_counter), now, now);
         }
     }
@@ -466,18 +346,14 @@ impl Dsms {
     /// produced, or `None` when nothing is pending.
     pub fn run_once(&mut self) -> Option<Vec<Emission>> {
         let now = self.clock.now();
-        if self.queues.nonempty.is_empty() {
+        if self.queues.all_empty() {
             return None;
         }
-        let selection = self
-            .policy
-            .as_policy()
-            .select(&self.queues, now)
-            .expect("work pending");
+        let selection = self.policy.select(&self.queues, now).expect("work pending");
         self.decisions += 1;
         let mut out = Vec::new();
         for unit in selection.units {
-            let pending = self.queues.pop(unit);
+            let pending = self.queues.pop(unit).expect("selected units are non-empty");
             match self.units[unit as usize] {
                 RtUnit::Single { query } => self.run_single(query, pending, &mut out),
                 RtUnit::JoinLeaf { query, side } => {
@@ -503,12 +379,13 @@ impl Dsms {
         all
     }
 
-    /// Recompute every unit's statics from the online monitors and install
-    /// the resulting priorities (static-priority policies and BSD).
+    /// Recompute every unit's statics from the online monitors and hand
+    /// them to the policy (every policy that reads statics after
+    /// registration refreshes; FCFS and RR ignore them).
     pub fn refresh_priorities(&mut self) -> Result<()> {
         let statics = self.derive_statics()?;
         for (unit, s) in statics.iter().enumerate() {
-            self.policy.refresh_unit(unit as UnitId, s);
+            self.policy.on_statics_update(unit as UnitId, s);
         }
         Ok(())
     }
@@ -762,14 +639,9 @@ impl Dsms {
         let now = self.clock.now();
         let ideal = self.queries[query].ideal_time;
         let response = now.saturating_since(arrival);
-        // §5.1.2 form; with a manual clock `now` can precede the estimated
-        // ideal departure, in which case the tuple was "faster than ideal"
-        // and slowdown clamps at 1.
-        let slowdown = if now > ideal_depart {
-            1.0 + (now - ideal_depart).ratio(ideal)
-        } else {
-            1.0
-        };
+        // With a manual clock `now` can precede the estimated ideal
+        // departure; the tuple was "faster than ideal" and clamps at 1.
+        let slowdown = exec::slowdown(now, ideal_depart, ideal);
         self.qos.record(response, slowdown);
         self.emitted += 1;
         out.push(Emission {
@@ -845,34 +717,42 @@ fn plan_from_estimates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::clock::ManualClock;
+    use crate::record::{Cmp, Predicate};
 
-    proptest! {
-        /// The swap-remove index, the pending counter and the head-arrival
-        /// column always match the actual queue contents.
-        #[test]
-        fn rt_queues_index_consistent(ops in proptest::collection::vec((0u32..5, any::<bool>()), 1..200)) {
-            let mut q = RtQueues::default();
-            (0..5).for_each(|_| q.add_unit());
-            let mut clock = 0u64;
-            for (unit, push) in ops {
-                if push {
-                    clock += 1;
-                    let arrival = Nanos::from_nanos(clock);
-                    q.push(unit, Pending { record: Record::new(vec![]), arrival });
-                } else if q.len(unit) > 0 {
-                    q.pop(unit);
-                }
-                let expect: Vec<UnitId> = (0..5).filter(|&u| q.len(u) > 0).collect();
-                let mut got = q.nonempty().to_vec();
-                got.sort();
-                prop_assert_eq!(got, expect);
-                prop_assert_eq!(q.pending(), (0..5).map(|u| q.len(u)).sum::<usize>());
-                for u in 0..5 {
-                    let front = q.queues[u as usize].front().map(|p| p.arrival);
-                    prop_assert_eq!(q.head_arrival(u), front);
-                }
-            }
+    /// `refresh_priorities` reaches every policy that reads statics, LSF
+    /// included (the old per-policy refresh table skipped it). The `Dsms`
+    /// loop itself learns selectivities only, and `T` is a sum of costs, so
+    /// the test plays the part of a cost monitor: it teaches the estimators
+    /// costs that invert the two queries' ideal times.
+    #[test]
+    fn lsf_refresh_follows_learned_ideal_times() {
+        let clock = ManualClock::new();
+        let cfg = DsmsConfig::new(RuntimePolicy::Lsf).with_clock(Box::new(clock.clone()));
+        let mut dsms = Dsms::new(cfg).unwrap();
+        let mut register = |cost_ms| {
+            let pass = Predicate::new(0, Cmp::Ge, 0);
+            let op = RtOp::select(pass, Nanos::from_millis(cost_ms), 1.0);
+            dsms.register(RtPlan::single(StreamId::new(0), vec![op]))
+                .unwrap()
+        };
+        let (q0, q1) = (register(2), register(10));
+        let first_pick = |dsms: &mut Dsms| {
+            dsms.push(StreamId::new(0), Record::new(vec![1]));
+            clock.advance(Nanos::from_micros(10));
+            let first = dsms.run_once().unwrap()[0].query;
+            dsms.run_until_idle();
+            first
+        };
+        // Equal waits: LSF (W/T) runs the query with the smaller T first.
+        assert_eq!(first_pick(&mut dsms), q0);
+        for _ in 0..200 {
+            dsms.queries[0].monitors[0].observe(Nanos::from_millis(20), 1.0);
+            dsms.queries[1].monitors[0].observe(Nanos::from_millis(1), 1.0);
         }
+        assert_eq!(first_pick(&mut dsms), q0, "nothing refreshed yet");
+        dsms.refresh_priorities().unwrap();
+        assert!(dsms.estimated_ideal_time(q0) > dsms.estimated_ideal_time(q1));
+        assert_eq!(first_pick(&mut dsms), q1);
     }
 }

@@ -12,10 +12,11 @@
 //!   time and slowdown.
 //! * Time comes from a pluggable [`Clock`] — [`SystemClock`] for live use,
 //!   [`ManualClock`] for deterministic tests and replays.
-//! * Operator costs and selectivities are *estimated online* (EWMA, §10's
-//!   "dynamic environment" hook): every execution updates the estimates and
-//!   [`Dsms::refresh_priorities`] re-derives the scheduling priorities from
-//!   them — no a-priori knowledge required.
+//! * Operator selectivities and stream rates are *estimated online* (EWMA,
+//!   §10's "dynamic environment" hook): every execution updates the
+//!   estimates and [`Dsms::refresh_priorities`] hands the re-derived statics
+//!   to the policy. Operator costs keep their declared estimates — a manual
+//!   or replay clock cannot time an operator — so a query's `T` is fixed.
 //! * Queries can be written in a tiny SQL-like dialect ([`cql`]):
 //!   `SELECT f0 FROM s0 WHERE f1 >= 100`, including window joins with
 //!   `JOIN … ON … WITHIN 5s`.

@@ -13,7 +13,7 @@
 //! sequence — interleaved enqueues (single and fanned-out), selects, sheds,
 //! statics updates, unit additions and retirements — applies it to an
 //! incremental policy, rebuilds the reference, and drains both side by
-//! side. Every [`Selection`] must match exactly: units, charged ops, and
+//! side. Every [`hcq_core::Selection`] must match exactly: units, charged ops, and
 //! the full [`hcq_core::SchedStats`] itemization. A mismatch is reported as
 //! an `incremental-equivalence` violation, after **shrinking** the mutation
 //! sequence to the shortest failing prefix so the artifact names the

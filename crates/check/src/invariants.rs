@@ -9,7 +9,7 @@
 //!
 //! | invariant | statement |
 //! |---|---|
-//! | `engine-ok` | the engine returns a report, not an [`EngineError`] wedge |
+//! | `engine-ok` | the engine returns a report, not an [`hcq_common::EngineError`] wedge |
 //! | `conservation` | `arrivals × queries = emitted + dropped + shed + expired + pending` (single-stream unary plans: every admitted copy meets exactly one fate; quarantined tuples count as pending) |
 //! | `no-shed-unbounded` | `shed = 0` under [`AdmissionMode::Unbounded`] with the governor off |
 //! | `governor-dwell` | mode transitions ≤ `end_time / min_dwell + 1` when governed; 0 otherwise |

@@ -26,7 +26,7 @@
 //!   API (statics updates, unit add/retire, sheds): after any mutation
 //!   stream, the incrementally-maintained clustered BSD must drain
 //!   byte-identically to a from-scratch rebuild of the same state.
-//! * [`shrink`] — greedy minimization of failing scenarios to replayable
+//! * [`mod@shrink`] — greedy minimization of failing scenarios to replayable
 //!   `fuzz-repro-<seed>-<case>.json` artifacts.
 //! * [`runner`] — the sweep: a jobs-invariant parallel map whose digest
 //!   folds every per-policy report fingerprint, so one string comparison

@@ -5,7 +5,7 @@
 //! This module drives every policy directly through the [`Policy`] trait
 //! with the statics the validation layer is *protecting* them from — exact
 //! zero costs and ideal times, zero selectivity, NaN selectivity — exactly
-//! the corners the `MIN_TIME_NS` clamp, the NaN-last [`PriorityKey`] order,
+//! the corners the `MIN_TIME_NS` clamp, the NaN-last [`hcq_core::PriorityKey`] order,
 //! and the degenerate-domain clustering guards exist for.
 //!
 //! Checked per scenario and policy:

@@ -13,7 +13,7 @@
 //! comparing two digests compares tens of thousands of counters and
 //! bit-exact floats at once.
 //!
-//! A failing case is shrunk ([`crate::shrink`]) against the engine-level
+//! A failing case is shrunk ([`mod@crate::shrink`]) against the engine-level
 //! suite and written as a replayable `fuzz-repro-<seed>-<case>.json`
 //! artifact; policy-level failures replay from the `(seed, case)` identity
 //! the artifact preserves, so one file reproduces either kind.

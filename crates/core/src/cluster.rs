@@ -24,20 +24,22 @@
 //!
 //! * statics live in a struct-of-arrays [`StaticsTable`] so re-bucketing
 //!   scans touch one contiguous `Φ` column;
-//! * pending entries live in one slab ([`crate::waitlist`]) threaded by
+//! * pending entries live in one slab (`crate::waitlist`) threaded by
 //!   intrusive per-cluster FIFOs and per-unit chains — O(1) enqueue, O(1)
 //!   shed, slot reuse, no allocation per decision at steady state;
-//! * the `Φ` **domain is frozen at `on_register`**: [`Self::add_unit`],
-//!   [`Self::retire_unit`] and [`Self::update_unit_statics`] re-bucket only
-//!   the affected unit against the frozen ranges (a `Φ` outside the
-//!   registered domain clamps to the edge cluster), and a unit whose bucket
-//!   changes drags only *its own* pending entries into the destination
-//!   cluster — never a full priority-domain rebuild.
+//! * the `Φ` **domain is frozen at `on_register`**:
+//!   [`add_unit`](ClusteredBsdPolicy::add_unit),
+//!   [`retire_unit`](ClusteredBsdPolicy::retire_unit) and
+//!   [`update_unit_statics`](ClusteredBsdPolicy::update_unit_statics)
+//!   re-bucket only the affected unit against the frozen ranges (a `Φ`
+//!   outside the registered domain clamps to the edge cluster), and a unit
+//!   whose bucket changes drags only *its own* pending entries into the
+//!   destination cluster — never a full priority-domain rebuild.
 //!
 //! The incremental path is held to the from-scratch semantics by
-//! [`Self::rebuild_reference`] plus a fuzzed differential invariant in
-//! `hcq-check`: after any mutation sequence, the incremental policy and a
-//! rebuilt one must produce byte-identical selections and
+//! [`ClusteredBsdPolicy::rebuild_reference`] plus a fuzzed differential
+//! invariant in `hcq-check`: after any mutation sequence, the incremental
+//! policy and a rebuilt one must produce byte-identical selections and
 //! [`SchedStats`].
 
 use hcq_common::{Nanos, TupleId};

@@ -31,17 +31,6 @@ pub trait QueueView {
     }
     /// Units with at least one pending tuple (unordered).
     fn nonempty(&self) -> &[UnitId];
-    /// Per-unit queue capacity when the engine bounds its queues; `None`
-    /// means unbounded (the default — every pre-overload engine state).
-    fn capacity(&self, _unit: UnitId) -> Option<usize> {
-        None
-    }
-    /// True when the unit's queue is at (or past) its capacity bound, i.e.
-    /// the next admission to this unit would trigger the overload policy.
-    /// Always false for unbounded queues.
-    fn is_full(&self, unit: UnitId) -> bool {
-        self.capacity(unit).is_some_and(|cap| self.len(unit) >= cap)
-    }
 }
 
 /// Itemized scheduler work behind one decision (§6 overhead accounting).
@@ -131,13 +120,13 @@ const SELECTION_INLINE: usize = 4;
 ///
 /// `select` runs once per scheduling point — millions of times per
 /// simulation — and almost always returns exactly one unit, so a `Vec` here
-/// means a heap allocation per decision. Up to [`SELECTION_INLINE`] units
+/// means a heap allocation per decision. Up to `SELECTION_INLINE` units
 /// live inline; only clustered-processing batches larger than that spill to
 /// a `Vec`. Dereferences to `[UnitId]`, iterates by value and by reference,
 /// and compares against `Vec<UnitId>` so call sites read like a `Vec`.
 #[derive(Clone)]
 pub enum SelectionUnits {
-    /// At most [`SELECTION_INLINE`] units, no heap allocation.
+    /// At most `SELECTION_INLINE` units, no heap allocation.
     Inline {
         /// Number of live entries in `buf`.
         len: u8,
@@ -550,36 +539,5 @@ mod tests {
             let p = kind.build();
             assert_eq!(p.name(), kind.name());
         }
-    }
-
-    #[test]
-    fn queue_view_defaults_are_unbounded() {
-        let mut q = testkit::MockQueues::new(2);
-        q.push(0, TupleId::new(1), Nanos::ZERO);
-        assert_eq!(q.capacity(0), None);
-        assert!(!q.is_full(0));
-        assert!(!q.is_full(1));
-    }
-
-    #[test]
-    fn is_full_follows_capacity_override() {
-        struct Bounded(usize);
-        impl QueueView for Bounded {
-            fn len(&self, _unit: UnitId) -> usize {
-                self.0
-            }
-            fn head_arrivals(&self) -> &[Nanos] {
-                &[]
-            }
-            fn nonempty(&self) -> &[UnitId] {
-                &[]
-            }
-            fn capacity(&self, _unit: UnitId) -> Option<usize> {
-                Some(2)
-            }
-        }
-        assert!(!Bounded(1).is_full(0));
-        assert!(Bounded(2).is_full(0));
-        assert!(Bounded(3).is_full(0));
     }
 }

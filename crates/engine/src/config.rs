@@ -39,6 +39,28 @@ pub enum AdmissionMode {
     QosShed,
 }
 
+impl AdmissionMode {
+    /// Position on the ladder `Unbounded → DropTail → QosShed` the governors
+    /// walk: 0 is the most permissive, each rung up sheds more aggressively.
+    pub fn rung(self) -> u8 {
+        self as u8
+    }
+
+    /// The mode at `rung` (anything past the top rung is `QosShed`).
+    pub fn from_rung(rung: u8) -> Self {
+        [Self::Unbounded, Self::DropTail, Self::QosShed][usize::from(rung.min(2))]
+    }
+
+    /// Stable mode name for trace events.
+    pub fn name(self) -> &'static str {
+        match self {
+            AdmissionMode::Unbounded => "Unbounded",
+            AdmissionMode::DropTail => "DropTail",
+            AdmissionMode::QosShed => "QosShed",
+        }
+    }
+}
+
 /// Bounded-queue / load-shedding configuration (off by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OverloadConfig {
@@ -519,6 +541,20 @@ mod tests {
         assert_eq!(c.faults.op_failure_prob, 0.0);
         assert!(!c.governor.enabled);
         assert_eq!(c.telemetry_cadence, Nanos::from_millis(100));
+    }
+
+    #[test]
+    fn admission_ladder_round_trips() {
+        let ladder = [
+            AdmissionMode::Unbounded,
+            AdmissionMode::DropTail,
+            AdmissionMode::QosShed,
+        ];
+        for (rung, mode) in ladder.into_iter().enumerate() {
+            assert_eq!(mode.rung(), rung as u8);
+            assert_eq!(AdmissionMode::from_rung(rung as u8), mode);
+            assert_eq!(mode.name(), format!("{mode:?}"));
+        }
     }
 
     #[test]

@@ -1,16 +1,49 @@
-//! Per-unit FIFO input queues with an O(1) non-empty index.
+//! Per-unit FIFO input queues with an O(1) non-empty index, generic over
+//! the payload, and the workspace's one admission function.
 
 use std::collections::VecDeque;
 
 use hcq_common::{EngineError, Nanos};
 use hcq_core::{QueueView, UnitId};
 
+use crate::config::AdmissionMode;
+use crate::exec;
 use crate::tuple::SimTuple;
 
-/// The engine's queue state; implements [`QueueView`] for policies.
-#[derive(Debug, Default)]
-pub struct UnitQueues {
-    queues: Vec<VecDeque<SimTuple>>,
+/// What a queue payload must expose: its system arrival, which feeds the
+/// head column.
+pub trait Queued {
+    /// System-arrival time (the `W` origin of every policy).
+    fn arrival(&self) -> Nanos;
+}
+
+impl Queued for SimTuple {
+    fn arrival(&self) -> Nanos {
+        self.arrival
+    }
+}
+
+/// What [`UnitQueues::admit`] did with an arrival.
+#[derive(Debug, PartialEq)]
+pub enum Admission<T> {
+    /// Queued; nothing was lost.
+    Queued,
+    /// Refused and handed back; the queues are untouched.
+    Rejected(T),
+    /// Queued after shedding `shed`, the tail of `victim`'s queue.
+    Displaced {
+        /// The unit that lost its tail.
+        victim: UnitId,
+        /// The tuple it lost.
+        shed: T,
+    },
+}
+
+/// The queue state of every executor (simulator, wall-clock runtime,
+/// `Dsms`); implements [`QueueView`] for policies.
+#[derive(Debug)]
+pub struct UnitQueues<T = SimTuple> {
+    queues: Vec<VecDeque<T>>,
     /// `heads[u]` is the arrival of `queues[u]`'s front tuple — the dense
     /// column behind [`QueueView::head_arrivals`]. Written when a push makes
     /// the queue non-empty and when a pop exposes a new front; an emptied
@@ -22,14 +55,9 @@ pub struct UnitQueues {
     /// `pos[u] = i+1` when `nonempty[i] == u`; 0 when absent.
     pos: Vec<u32>,
     pending: usize,
-    /// Per-unit capacity advertised through [`QueueView`]; `None` means
-    /// unbounded. The bound is advisory — admission control lives in the
-    /// simulator, which may deliberately overfill a queue (QoS shedding
-    /// keeps the *global* load bounded, not each queue).
-    capacity: Option<usize>,
 }
 
-impl UnitQueues {
+impl<T: Queued> UnitQueues<T> {
     /// Unbounded queues for `n` units.
     ///
     /// Each queue gets a small initial capacity and keeps whatever it grows
@@ -42,15 +70,54 @@ impl UnitQueues {
             nonempty: Vec::with_capacity(n),
             pos: vec![0; n],
             pending: 0,
-            capacity: None,
         }
     }
 
-    /// Queues for `n` units advertising a per-unit capacity bound.
-    pub fn bounded(n: usize, capacity: usize) -> Self {
-        let mut q = UnitQueues::new(n);
-        q.capacity = Some(capacity);
-        q
+    /// Grow the unit space by one (empty) unit — the `Dsms` registers
+    /// queries one at a time.
+    pub fn add_unit(&mut self) {
+        self.queues.push(VecDeque::with_capacity(4));
+        self.heads.push(Nanos::ZERO);
+        self.pos.push(0);
+    }
+
+    /// Admission control — the only place an [`AdmissionMode`] decides what
+    /// happens to an arrival. `DropTail` refuses it at a full queue;
+    /// `QosShed`, at a full queue with total load at or above `watermark`,
+    /// sheds the tail of the [`exec::shed_victim`] unit (lowest
+    /// `shed_priority`) to make room, or refuses the arrival when its own
+    /// unit is the least valuable (an O(non-empty units) scan that only runs
+    /// past the watermark). The caller owns the bookkeeping: shed counters,
+    /// trace events, the policy's `on_shed`/`on_enqueue`. Inlined: out of
+    /// line, handing the tuple in and an [`Admission`] back cost `sim_hnr`
+    /// about 4 % (benchmark, alternating pairs against the parent commit).
+    #[inline]
+    pub fn admit(
+        &mut self,
+        mode: AdmissionMode,
+        capacity: usize,
+        watermark: usize,
+        shed_priority: &[f64],
+        unit: UnitId,
+        item: T,
+    ) -> Admission<T> {
+        let full = mode != AdmissionMode::Unbounded && self.len(unit) >= capacity;
+        let outcome = match mode {
+            AdmissionMode::DropTail if full => return Admission::Rejected(item),
+            AdmissionMode::QosShed if full && self.pending >= watermark => {
+                let Some(victim) = exec::shed_victim(&self.nonempty, shed_priority, unit) else {
+                    return Admission::Rejected(item);
+                };
+                let Some(shed) = self.shed_tail(victim) else {
+                    debug_assert!(false, "victim came from the non-empty index");
+                    return Admission::Rejected(item);
+                };
+                Admission::Displaced { victim, shed }
+            }
+            _ => Admission::Queued,
+        };
+        self.push(unit, item);
+        outcome
     }
 
     /// Enqueue a tuple.
@@ -61,10 +128,10 @@ impl UnitQueues {
     /// `sim_join`, 30 alternating slices); the call itself is not measurable
     /// on `sim_hnr` or `sim_bsd`.
     #[inline(never)]
-    pub fn push(&mut self, unit: UnitId, tuple: SimTuple) {
+    pub fn push(&mut self, unit: UnitId, tuple: T) {
         let q = &mut self.queues[unit as usize];
         if q.is_empty() {
-            self.heads[unit as usize] = tuple.arrival;
+            self.heads[unit as usize] = tuple.arrival();
             self.nonempty.push(unit);
             self.pos[unit as usize] = self.nonempty.len() as u32;
         }
@@ -116,7 +183,7 @@ impl UnitQueues {
     /// Errors (instead of panicking) on an empty queue or an out-of-range
     /// unit id — both are policy/engine contract violations that a robust
     /// engine surfaces as values.
-    pub fn pop(&mut self, unit: UnitId) -> Result<SimTuple, EngineError> {
+    pub fn pop(&mut self, unit: UnitId) -> Result<T, EngineError> {
         let q = self
             .queues
             .get_mut(unit as usize)
@@ -127,7 +194,7 @@ impl UnitQueues {
         let t = q.pop_front().ok_or(EngineError::EmptyQueuePop { unit })?;
         self.pending -= 1;
         match q.front() {
-            Some(front) => self.heads[unit as usize] = front.arrival,
+            Some(front) => self.heads[unit as usize] = front.arrival(),
             None => self.unindex(unit)?,
         }
         Ok(t)
@@ -136,7 +203,7 @@ impl UnitQueues {
     /// Remove and return the unit's *tail* tuple (load shedding: the newest
     /// tuple has waited least, so dropping it costs the least sunk QoS).
     /// Returns `None` when the queue is empty.
-    pub fn shed_tail(&mut self, unit: UnitId) -> Option<SimTuple> {
+    pub fn shed_tail(&mut self, unit: UnitId) -> Option<T> {
         let t = self.queues.get_mut(unit as usize)?.pop_back()?;
         self.pending -= 1;
         if self.queues[unit as usize].is_empty() && self.unindex(unit).is_err() {
@@ -157,7 +224,7 @@ impl UnitQueues {
     /// Iterate the unit's queued tuples in FIFO order (head first) without
     /// disturbing them — the policy-switch resync path reads the full
     /// backlog to replay it into a freshly built policy.
-    pub fn tuples(&self, unit: UnitId) -> impl Iterator<Item = &SimTuple> {
+    pub fn tuples(&self, unit: UnitId) -> impl Iterator<Item = &T> {
         self.queues[unit as usize].iter()
     }
 
@@ -172,7 +239,7 @@ impl UnitQueues {
     }
 }
 
-impl QueueView for UnitQueues {
+impl<T> QueueView for UnitQueues<T> {
     fn len(&self, unit: UnitId) -> usize {
         self.queues[unit as usize].len()
     }
@@ -184,10 +251,6 @@ impl QueueView for UnitQueues {
     fn nonempty(&self) -> &[UnitId] {
         &self.nonempty
     }
-
-    fn capacity(&self, _unit: UnitId) -> Option<usize> {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -197,13 +260,21 @@ mod tests {
     use proptest::prelude::*;
 
     fn tuple(id: u64, arrival_ms: u64) -> SimTuple {
-        SimTuple {
-            id: TupleId::new(id),
-            arrival: Nanos::from_millis(arrival_ms),
-            ts: Nanos::from_millis(arrival_ms),
-            key: 1,
-            ideal_depart: Nanos::from_millis(arrival_ms),
-            lineage: TupleId::new(id),
+        SimTuple::base(
+            TupleId::new(id),
+            Nanos::from_millis(arrival_ms),
+            1,
+            Nanos::ZERO,
+        )
+    }
+
+    /// A payload that is neither `Copy` nor a `SimTuple`.
+    #[derive(Debug, PartialEq)]
+    struct Owned(Nanos, String);
+
+    impl Queued for Owned {
+        fn arrival(&self) -> Nanos {
+            self.0
         }
     }
 
@@ -231,13 +302,13 @@ mod tests {
 
     #[test]
     fn popping_empty_is_a_typed_error() {
-        let mut q = UnitQueues::new(1);
+        let mut q = UnitQueues::<SimTuple>::new(1);
         assert_eq!(q.pop(0), Err(EngineError::EmptyQueuePop { unit: 0 }));
     }
 
     #[test]
     fn popping_unknown_unit_is_a_typed_error() {
-        let mut q = UnitQueues::new(2);
+        let mut q = UnitQueues::<SimTuple>::new(2);
         assert_eq!(
             q.pop(7),
             Err(EngineError::UnknownUnit {
@@ -247,19 +318,80 @@ mod tests {
         );
     }
 
+    /// `admit` over mode × arriving-queue-full × load-at-watermark ×
+    /// arriving-unit-is-least-valuable, capacity 1, one tuple pending in
+    /// each of the two other units.
     #[test]
-    fn capacity_surfaces_through_queue_view() {
-        let mut q = UnitQueues::bounded(2, 2);
-        assert_eq!(q.capacity(0), Some(2));
-        assert!(!q.is_full(0));
-        q.push(0, tuple(1, 1));
-        q.push(0, tuple(2, 2));
-        assert!(q.is_full(0));
-        assert!(!q.is_full(1));
-        // Unbounded queues never report full.
-        let u = UnitQueues::new(1);
-        assert_eq!(u.capacity(0), None);
-        assert!(!u.is_full(0));
+    fn admit_decides_per_mode() {
+        use AdmissionMode::{DropTail, QosShed, Unbounded};
+        // Unit 1 is the least valuable; arriving at unit 0 makes it the
+        // victim, arriving at unit 1 leaves nobody to displace.
+        let pri = [2.0, 1.0, 3.0];
+        for mode in [Unbounded, DropTail, QosShed] {
+            for bits in 0..8u8 {
+                let (full, at_watermark, least) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+                let case = format!("{mode:?} full={full} wm={at_watermark} least={least}");
+                let arriving: UnitId = if least { 1 } else { 0 };
+                let mut q = UnitQueues::new(3);
+                for u in 0..3 {
+                    if u != arriving || full {
+                        q.push(u, tuple(u64::from(u), 10 + u64::from(u)));
+                    }
+                }
+                let before = q.pending();
+                let watermark = if at_watermark { before } else { before + 1 };
+                let item = tuple(9, 99);
+                let got = q.admit(mode, 1, watermark, &pri, arriving, item);
+                let want = match mode {
+                    DropTail if full => Admission::Rejected(item),
+                    QosShed if full && at_watermark && least => Admission::Rejected(item),
+                    QosShed if full && at_watermark => Admission::Displaced {
+                        victim: 1,
+                        shed: tuple(1, 11),
+                    },
+                    _ => Admission::Queued,
+                };
+                assert_eq!(got, want, "{case}");
+                let queued = usize::from(want == Admission::Queued);
+                assert_eq!(q.pending(), before + queued, "{case}");
+                let displaced = matches!(want, Admission::Displaced { .. });
+                let mut ne = q.nonempty().to_vec();
+                ne.sort();
+                assert_eq!(
+                    ne,
+                    if displaced { vec![0, 2] } else { vec![0, 1, 2] },
+                    "{case}"
+                );
+                // A full queue keeps its front; an empty one takes the
+                // arrival's; a displaced victim reads as empty.
+                let head = if full { 10 + u64::from(arriving) } else { 99 };
+                assert_eq!(
+                    q.head_arrival(arriving),
+                    Some(Nanos::from_millis(head)),
+                    "{case}"
+                );
+                assert_eq!(
+                    q.head_arrivals()[arriving as usize],
+                    Nanos::from_millis(head)
+                );
+                assert_eq!(q.head_arrival(1).is_none(), displaced, "{case}");
+            }
+        }
+    }
+
+    /// A victim named by the index whose queue turns out empty (index
+    /// corruption) rejects the arrival — in every executor, and loudly where
+    /// debug assertions are on.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "non-empty index"))]
+    fn admit_rejects_when_the_victim_has_no_tail() {
+        let mut q = UnitQueues::new(2);
+        q.push(0, tuple(1, 10));
+        q.nonempty.push(1);
+        let item = tuple(2, 20);
+        let got = q.admit(AdmissionMode::QosShed, 1, 0, &[2.0, 1.0], 0, item);
+        assert_eq!(got, Admission::Rejected(item));
+        assert_eq!((q.pending(), q.len(0)), (1, 1));
     }
 
     #[test]
@@ -309,44 +441,66 @@ mod tests {
         assert!(q.nonempty().is_empty());
     }
 
-    proptest! {
-        /// The non-empty index and the head-arrival column always match the
-        /// actual queue contents, with shedding interleaved among pushes and
-        /// pops.
-        #[test]
-        fn nonempty_index_consistent(ops in proptest::collection::vec((0u32..6, 0u8..4), 1..200)) {
-            let mut q = UnitQueues::new(6);
-            let mut id = 0u64;
-            for (unit, op) in ops {
-                match op {
-                    0 | 1 => {
-                        id += 1;
-                        q.push(unit, tuple(id, id));
-                    }
-                    2 => {
-                        if q.len(unit) > 0 {
-                            q.pop(unit).unwrap();
-                        } else {
-                            prop_assert!(q.pop(unit).is_err());
-                        }
-                    }
-                    _ => {
-                        let had = q.len(unit);
-                        prop_assert_eq!(q.shed_tail(unit).is_some(), had > 0);
-                    }
+    /// Drive `ops` (unit, op) against queues of `make`-built payloads and
+    /// check, after every step, that the non-empty index, the pending count
+    /// and the head-arrival column match the actual queue contents.
+    fn check_index_consistent<T: Queued>(
+        ops: &[(u32, u8)],
+        make: impl Fn(u64) -> T,
+    ) -> Result<(), TestCaseError> {
+        let mut q = UnitQueues::new(3);
+        let mut pri = vec![1.0, 0.5, 2.0];
+        let mut id = 0u64;
+        for &(unit, op) in ops {
+            let n = pri.len() as u32;
+            let unit = unit % n;
+            let (had, before) = (q.len(unit), q.pending());
+            match op {
+                0 | 1 => {
+                    id += 1;
+                    q.push(unit, make(id));
                 }
-                let expect: Vec<u32> = (0..6).filter(|&u| q.len(u) > 0).collect();
-                let mut got = q.nonempty().to_vec();
-                got.sort();
-                prop_assert_eq!(got, expect);
-                let total: usize = (0..6).map(|u| q.len(u)).sum();
-                prop_assert_eq!(total, q.pending());
-                for u in 0..6 {
-                    let front = q.tuples(u).next().map(|t| t.arrival);
-                    prop_assert_eq!(q.head_arrival(u), front);
-                    prop_assert!(front.is_none_or(|a| q.head_arrivals()[u as usize] == a));
+                2 => prop_assert_eq!(q.pop(unit).is_ok(), had > 0),
+                3 => prop_assert_eq!(q.shed_tail(unit).is_some(), had > 0),
+                4 | 5 => {
+                    id += 1;
+                    let mode = AdmissionMode::from_rung(op - 3);
+                    let queued = match q.admit(mode, 2, 4, &pri, unit, make(id)) {
+                        Admission::Queued => 1,
+                        Admission::Rejected(_) | Admission::Displaced { .. } => 0,
+                    };
+                    prop_assert_eq!(q.pending(), before + queued);
+                }
+                _ => {
+                    q.add_unit();
+                    pri.push(f64::from(n % 4));
                 }
             }
+            let n = pri.len() as u32;
+            let expect: Vec<u32> = (0..n).filter(|&u| q.len(u) > 0).collect();
+            let mut got = q.nonempty().to_vec();
+            got.sort();
+            prop_assert_eq!(got, expect);
+            let total: usize = (0..n).map(|u| q.len(u)).sum();
+            prop_assert_eq!(total, q.pending());
+            prop_assert_eq!(q.head_arrivals().len(), n as usize);
+            for u in 0..n {
+                let front = q.tuples(u).next().map(|t| t.arrival());
+                prop_assert_eq!(q.head_arrival(u), front);
+                prop_assert!(front.is_none_or(|a| q.head_arrivals()[u as usize] == a));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Pushes, pops, sheds, bounded admissions and unit-space growth
+        /// interleaved, for the simulator's `Copy` tuple and for an owned
+        /// payload.
+        #[test]
+        fn nonempty_index_consistent(ops in proptest::collection::vec((0u32..8, 0u8..7), 1..200)) {
+            check_index_consistent(&ops, |id| tuple(id, id))?;
+            check_index_consistent(&ops, |id| Owned(Nanos::from_millis(id), id.to_string()))?;
         }
     }
 }

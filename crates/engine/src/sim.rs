@@ -17,7 +17,7 @@ use crate::config::{
 };
 use crate::exec;
 use crate::model::{SimModel, UnitKind};
-use crate::queues::UnitQueues;
+use crate::queues::{Admission, UnitQueues};
 use crate::report::SimReport;
 use crate::telemetry::{EngineTelemetry, MetricsSink, NoTelemetry};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
@@ -71,32 +71,6 @@ pub fn simulate_monitored<M: MetricsSink>(
     Simulator::with_instrumentation(plan, rates, sources, policy, cfg, NoTrace, metrics)?
         .run_instrumented()
         .map(|(report, _, metrics)| (report, metrics))
-}
-
-/// The admission-mode ladder the governor walks. Level 0 is the most
-/// permissive; each escalation step sheds load more aggressively.
-const LADDER: [AdmissionMode; 3] = [
-    AdmissionMode::Unbounded,
-    AdmissionMode::DropTail,
-    AdmissionMode::QosShed,
-];
-
-/// Ladder level of a mode (its index in [`LADDER`]).
-fn ladder_level(mode: AdmissionMode) -> u8 {
-    match mode {
-        AdmissionMode::Unbounded => 0,
-        AdmissionMode::DropTail => 1,
-        AdmissionMode::QosShed => 2,
-    }
-}
-
-/// Stable mode names for trace events.
-fn mode_name(mode: AdmissionMode) -> &'static str {
-    match mode {
-        AdmissionMode::Unbounded => "Unbounded",
-        AdmissionMode::DropTail => "DropTail",
-        AdmissionMode::QosShed => "QosShed",
-    }
 }
 
 /// Live state of the closed-loop overload governor. Boxed behind an
@@ -521,8 +495,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 cfg: cfg.governor,
                 next_decision: cfg.governor.cadence,
                 last_transition: None,
-                floor: ladder_level(cfg.overload.mode),
-                level: ladder_level(cfg.overload.mode),
+                floor: cfg.overload.mode.rung(),
+                level: cfg.overload.mode.rung(),
                 window_overload: Nanos::ZERO,
                 window_start: Nanos::ZERO,
                 transitions: 0,
@@ -561,11 +535,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             state.reanchor_phi_span();
             state
         });
-        let queues = if cfg.overload.mode != AdmissionMode::Unbounded || cfg.governor.enabled {
-            UnitQueues::bounded(n_units, admission_capacity)
-        } else {
-            UnitQueues::new(n_units)
-        };
+        let queues = UnitQueues::new(n_units);
         let telemetry = if M::ENABLED {
             Some(Box::new(EngineTelemetry::new(
                 n_units,
@@ -911,10 +881,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         );
         reg.set_gauge(t.pending, self.queues.pending() as f64);
         reg.set_gauge(t.peak_pending, self.peak_pending as f64);
-        reg.set_gauge(
-            t.governor_mode,
-            f64::from(ladder_level(self.admission_mode)),
-        );
+        reg.set_gauge(t.governor_mode, f64::from(self.admission_mode.rung()));
         let utilization = if self.clock.is_zero() {
             0.0
         } else {
@@ -1008,7 +975,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 Some(last) => at.saturating_since(last) >= g.cfg.min_dwell,
             };
             if dwell_ok {
-                let want_up = g.level < ladder_level(AdmissionMode::QosShed)
+                let want_up = g.level < AdmissionMode::QosShed.rung()
                     && ((g.cfg.escalate_pending > 0 && pending >= g.cfg.escalate_pending)
                         || share >= g.cfg.escalate_share);
                 let want_down = g.level > g.floor
@@ -1017,8 +984,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     && share <= g.cfg.deescalate_share;
                 if want_up || want_down {
                     let next_level = if want_up { g.level + 1 } else { g.level - 1 };
-                    let from = LADDER[g.level as usize];
-                    let to = LADDER[next_level as usize];
+                    let from = AdmissionMode::from_rung(g.level);
+                    let to = AdmissionMode::from_rung(next_level);
                     g.level = next_level;
                     g.last_transition = Some(at);
                     g.transitions += 1;
@@ -1029,8 +996,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                         // stays monotone.
                         self.trace(TraceEvent::GovernorTransition {
                             at: self.clock,
-                            from: mode_name(from),
-                            to: mode_name(to),
+                            from: from.name(),
+                            to: to.name(),
                             pending: pending as u64,
                             share,
                         });
@@ -1258,98 +1225,47 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let si = stream.index();
         for r in 0..self.model.routes[si].len() {
             let route = self.model.routes[si][r];
-            let tuple = SimTuple {
-                id,
-                arrival: at,
-                ts: at,
-                key,
-                ideal_depart: at + route.alone,
-                lineage: id,
-            };
-            self.admit(route.unit, tuple);
+            self.admit(route.unit, SimTuple::base(id, at, key, route.alone));
         }
     }
 
     /// Admission control: every tuple entering a unit queue — source
     /// arrivals, shared-group deferred copies, operator-level handoffs —
-    /// goes through here. Applies the configured [`AdmissionMode`], counts
-    /// shed tuples, and notifies the policy of enqueues and sheds.
+    /// goes through here. [`UnitQueues::admit`] decides under the live
+    /// [`AdmissionMode`]; this counts and traces what was shed and notifies
+    /// the policy of enqueues and sheds.
     fn admit(&mut self, unit: u32, tuple: SimTuple) {
-        match self.admission_mode {
-            AdmissionMode::Unbounded => {}
-            AdmissionMode::DropTail => {
-                if self.queues.len(unit) >= self.admission_capacity {
-                    self.shed += 1;
-                    if S::ENABLED {
-                        self.trace(TraceEvent::Shed {
-                            at: self.clock,
-                            unit,
-                            tuple: tuple.id.raw(),
-                            lineage: tuple.lineage.raw(),
-                            arrival: tuple.arrival,
-                        });
-                    }
-                    return;
-                }
-            }
-            AdmissionMode::QosShed => {
-                if self.queues.len(unit) >= self.admission_capacity
-                    && self.queues.pending() >= self.admission_watermark
-                    && !self.shed_lowest_priority(unit)
-                {
-                    // The arriving unit is itself the least valuable:
-                    // reject the arrival rather than displace anyone.
-                    self.shed += 1;
-                    if S::ENABLED {
-                        self.trace(TraceEvent::Shed {
-                            at: self.clock,
-                            unit,
-                            tuple: tuple.id.raw(),
-                            lineage: tuple.lineage.raw(),
-                            arrival: tuple.arrival,
-                        });
-                    }
-                    return;
-                }
+        match self.queues.admit(
+            self.admission_mode,
+            self.admission_capacity,
+            self.admission_watermark,
+            &self.shed_priority,
+            unit,
+            tuple,
+        ) {
+            Admission::Queued => {}
+            Admission::Rejected(arrival) => return self.count_shed(unit, arrival),
+            Admission::Displaced { victim, shed } => {
+                self.policy.on_shed(victim, shed.id);
+                self.count_shed(victim, shed);
             }
         }
-        self.queues.push(unit, tuple);
         self.peak_pending = self.peak_pending.max(self.queues.pending());
         self.policy
             .on_enqueue(unit, tuple.id, tuple.arrival, self.clock);
     }
 
-    /// QoS-aware victim selection: shed the tail tuple of the pending unit
-    /// with the lowest static HNR priority `S/(C̄·T)` (ties broken by lower
-    /// unit id), provided it is valued strictly below — or tied with and
-    /// id-before — the arriving unit. Returns false when the arriving unit
-    /// itself is the least valuable, i.e. the arrival should be rejected.
-    /// O(non-empty units) per overloaded admission; the scan only runs past
-    /// the watermark, so the uncongested path never pays it.
-    fn shed_lowest_priority(&mut self, arriving: u32) -> bool {
-        let Some(victim) = exec::shed_victim(self.queues.nonempty(), &self.shed_priority, arriving)
-        else {
-            return false;
-        };
-        match self.queues.shed_tail(victim) {
-            Some(t) => {
-                self.shed += 1;
-                self.policy.on_shed(victim, t.id);
-                if S::ENABLED {
-                    self.trace(TraceEvent::Shed {
-                        at: self.clock,
-                        unit: victim,
-                        tuple: t.id.raw(),
-                        lineage: t.lineage.raw(),
-                        arrival: t.arrival,
-                    });
-                }
-                true
-            }
-            None => {
-                debug_assert!(false, "victim came from the non-empty index");
-                false
-            }
+    /// Count and trace one tuple lost to admission control.
+    fn count_shed(&mut self, unit: u32, tuple: SimTuple) {
+        self.shed += 1;
+        if S::ENABLED {
+            self.trace(TraceEvent::Shed {
+                at: self.clock,
+                unit,
+                tuple: tuple.id.raw(),
+                lineage: tuple.lineage.raw(),
+                arrival: tuple.arrival,
+            });
         }
     }
 

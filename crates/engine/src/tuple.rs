@@ -36,6 +36,20 @@ pub struct SimTuple {
 }
 
 impl SimTuple {
+    /// A base tuple entering one route at `at`: `id` is the arrival's global
+    /// ordinal (also its lineage), `key` its §8 attribute, and `alone` the
+    /// route's alone-path cost, so `ideal_depart = at + alone`.
+    pub fn base(id: TupleId, at: Nanos, key: u64, alone: Nanos) -> SimTuple {
+        SimTuple {
+            id,
+            arrival: at,
+            ts: at,
+            key,
+            ideal_depart: at + alone,
+            lineage: id,
+        }
+    }
+
     /// Combine two join inputs into a composite tuple (Definition 5 arrival;
     /// ideal departures take the max — each constituent's own path work
     /// bounds the composite from below).

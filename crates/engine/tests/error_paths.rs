@@ -160,7 +160,7 @@ fn popping_an_empty_queue_is_a_typed_error() {
 
 #[test]
 fn popping_an_unknown_unit_is_a_typed_error() {
-    let mut q = UnitQueues::new(2);
+    let mut q = UnitQueues::<SimTuple>::new(2);
     assert_eq!(
         q.pop(9),
         Err(EngineError::UnknownUnit {

@@ -12,7 +12,7 @@
 //! - [`starve`] — starvation diagnosis: longest-waiting head tuples that sat
 //!   through scheduling decisions, and per-unit selection-share vs
 //!   demand-share skew.
-//! - [`diff`] — run-vs-run decision diffing at scheduling-point granularity:
+//! - [`mod@diff`] — run-vs-run decision diffing at scheduling-point granularity:
 //!   the first decision where two runs chose different units, plus per-query
 //!   QoS deltas.
 //! - [`perfetto`] — Chrome trace-event / Perfetto export with one track per

@@ -10,7 +10,7 @@
 //! [`check_exposition`] is a small hand-written validator of the grammar
 //! (no network, no regex crate): CI uses it to prove exported files parse
 //! before anything scrapes them. The optional `http-export` feature adds a
-//! minimal std-only scrape endpoint in [`http`].
+//! minimal std-only scrape endpoint in the `http` module.
 
 use crate::telemetry::{escape, MetricValue, TelemetrySnapshot};
 

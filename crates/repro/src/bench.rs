@@ -829,7 +829,7 @@ fn render_json(
 /// Run the baseline benchmark and write the next `BENCH_<n>.json` snapshot
 /// at the repository root. Returns the path written. When a previous
 /// snapshot exists, this run's per-policy throughput is compared against it
-/// first (see [`check_against_previous`]). With `large_q_max`, the large-q
+/// first (see `check_against_previous`). With `large_q_max`, the large-q
 /// scheduling-point sweep runs too (q ≤ the cap), its sub-linearity gates
 /// are enforced, and its cells land in the snapshot's `large_q` section.
 pub fn bench(cfg: &ExpConfig, large_q_max: Option<usize>) -> Result<PathBuf> {

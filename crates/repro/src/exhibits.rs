@@ -1238,10 +1238,10 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
     let boundaries: std::collections::BTreeSet<u64> =
         per_cell.iter().flat_map(|m| m.keys().copied()).collect();
 
-    let mode_name = |governed: bool| if governed { "gov" } else { "static" };
+    let regime_name = |governed: bool| if governed { "gov" } else { "static" };
     let mut columns = vec!["window_end_ms".to_string()];
     for &(scenario_idx, governed) in &cells {
-        let label = format!("{}_{}", scenarios[scenario_idx].0, mode_name(governed));
+        let label = format!("{}_{}", scenarios[scenario_idx].0, regime_name(governed));
         columns.push(format!("{label}_pending"));
         columns.push(format!("{label}_p95"));
     }
@@ -1283,7 +1283,7 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
     for (&(scenario_idx, governed), (r, _)) in cells.iter().zip(&runs) {
         totals.row(vec![
             scenarios[scenario_idx].0.to_string(),
-            mode_name(governed).to_string(),
+            regime_name(governed).to_string(),
             r.emitted.to_string(),
             r.dropped.to_string(),
             r.shed.to_string(),

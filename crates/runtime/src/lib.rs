@@ -30,11 +30,11 @@
 //!   tuple directly. Unary pipeline outcomes are pure functions of the
 //!   tuple ([`hcq_engine::exec`]), so a stolen execution emits exactly what
 //!   the owner would have emitted.
-//! - **Admission**: the simulator's ladder — `Unbounded`, `DropTail`,
-//!   [`exec::shed_victim`]-driven `QosShed` — applies when a shard moves an
-//!   inbox item into its unit queue, and an optional closed-loop governor
-//!   walks the ladder from global backlog, mapping the engine's overload
-//!   machinery onto the real queues.
+//! - **Admission**: a shard moves an inbox item into its unit queue through
+//!   [`UnitQueues::admit`] — the same function, hence the same `Unbounded` /
+//!   `DropTail` / `QosShed` ladder, as the simulator. An optional
+//!   closed-loop governor walks the ladder's rungs from the global in-flight
+//!   backlog (its own signal; the rung arithmetic is [`AdmissionMode`]'s).
 //!
 //! ## Determinism contract (and its limits)
 //!
@@ -57,9 +57,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
-use hcq_core::{Policy, PolicyKind, QueueView, UnitId};
+use hcq_core::{Policy, PolicyKind, UnitId};
 use hcq_engine::exec;
-use hcq_engine::queues::UnitQueues;
+use hcq_engine::queues::{Admission, Queued, UnitQueues};
 use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitKind};
 use hcq_metrics::{QosAccumulator, QosSummary, TelemetryRegistry, TelemetrySnapshot};
 use hcq_plan::{CompiledOpKind, GlobalPlan, StreamRates};
@@ -67,14 +67,20 @@ use hcq_streams::ArrivalSource;
 
 use ring::Ring;
 
-/// One queued tuple crossing a ring: the target unit, the tuple, and the
-/// wall-clock enqueue instant (nanoseconds since run start) that anchors
-/// the runtime's response-time measurement.
+/// One tuple crossing a ring and then waiting in a unit queue: the target
+/// unit, the tuple, and the wall-clock instant (nanoseconds since run start)
+/// it entered the ring, which anchors the response-time measurement.
 #[derive(Debug, Clone, Copy)]
 struct RtItem {
     unit: UnitId,
     tuple: SimTuple,
-    enq_ns: u64,
+    ring_ns: u64,
+}
+
+impl Queued for RtItem {
+    fn arrival(&self) -> Nanos {
+        self.tuple.arrival
+    }
 }
 
 /// Closed-loop admission governor thresholds: the ingest thread walks the
@@ -200,21 +206,6 @@ impl RuntimeReport {
     }
 }
 
-/// The admission ladder as an atomic (governor-walkable) position.
-const LADDER: [AdmissionMode; 3] = [
-    AdmissionMode::Unbounded,
-    AdmissionMode::DropTail,
-    AdmissionMode::QosShed,
-];
-
-fn ladder_index(mode: AdmissionMode) -> u8 {
-    match mode {
-        AdmissionMode::Unbounded => 0,
-        AdmissionMode::DropTail => 1,
-        AdmissionMode::QosShed => 2,
-    }
-}
-
 /// State shared by the ingest thread and every shard.
 struct Shared<'a> {
     model: &'a SimModel,
@@ -223,7 +214,7 @@ struct Shared<'a> {
     /// Injected copies not yet emitted/dropped/shed.
     in_flight: AtomicUsize,
     ingest_done: AtomicBool,
-    /// Current ladder position (index into [`LADDER`]).
+    /// Current ladder position ([`AdmissionMode::rung`]).
     mode: AtomicU8,
     transitions: AtomicU64,
     /// A worker hit an engine error; everyone winds down.
@@ -238,7 +229,7 @@ struct Shared<'a> {
 
 impl Shared<'_> {
     fn mode(&self) -> AdmissionMode {
-        LADDER[self.mode.load(Ordering::Relaxed) as usize]
+        AdmissionMode::from_rung(self.mode.load(Ordering::Relaxed))
     }
 
     fn now_ns(&self) -> u64 {
@@ -283,14 +274,11 @@ impl ShardStats {
 struct Shard<'a> {
     id: usize,
     policy: Box<dyn Policy>,
-    queues: UnitQueues,
+    queues: UnitQueues<RtItem>,
     /// Virtual watermark: max arrival admitted so far. Policies receive it
     /// as `now`, keeping priority arithmetic in the virtual-time domain the
     /// arrival timestamps live in (see DESIGN §14 for the caveat).
     watermark: Nanos,
-    /// Wall enqueue instants, per unit FIFO — parallel to `queues` so
-    /// responses are measured from ring enqueue to emission.
-    enq_ns: Vec<std::collections::VecDeque<u64>>,
     stats: ShardStats,
     shared: &'a Shared<'a>,
 }
@@ -305,9 +293,6 @@ impl<'a> Shard<'a> {
             policy,
             queues: UnitQueues::new(n_units),
             watermark: Nanos::ZERO,
-            enq_ns: (0..n_units)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
             stats: ShardStats::new(shared.model.compiled.len()),
             shared,
         }
@@ -323,7 +308,7 @@ impl<'a> Shard<'a> {
             while drained < DRAIN_BATCH {
                 match self.shared.inboxes[self.id].try_pop() {
                     Some(item) => {
-                        self.admit(item)?;
+                        self.admit(item);
                         drained += 1;
                     }
                     None => break,
@@ -342,7 +327,7 @@ impl<'a> Shard<'a> {
                 if let Some(item) = self.try_steal() {
                     idle_spins = 0;
                     self.stats.stolen += 1;
-                    self.execute(item.unit, item.tuple, item.enq_ns)?;
+                    self.execute(item)?;
                     continue;
                 }
             }
@@ -365,52 +350,35 @@ impl<'a> Shard<'a> {
     }
 
     /// Move one ring item into the local queues under the current
-    /// admission mode (the simulator's `admit`, on real queues).
-    fn admit(&mut self, item: RtItem) -> Result<(), EngineError> {
-        let unit = item.unit;
-        match self.shared.mode() {
-            AdmissionMode::Unbounded => {}
-            AdmissionMode::DropTail => {
-                if self.queues.len(unit) >= self.shared.capacity {
-                    self.stats.shed += 1;
-                    self.shared.complete_one();
-                    return Ok(());
-                }
-            }
-            AdmissionMode::QosShed => {
-                if self.queues.len(unit) >= self.shared.capacity
-                    && self.queues.pending() >= self.shared.watermark
-                {
-                    match exec::shed_victim(
-                        self.queues.nonempty(),
-                        &self.shared.shed_priority,
-                        unit,
-                    ) {
-                        Some(victim) => {
-                            if let Some(t) = self.queues.shed_tail(victim) {
-                                self.enq_ns[victim as usize].pop_back();
-                                self.policy.on_shed(victim, t.id);
-                                self.stats.shed += 1;
-                                self.shared.complete_one();
-                            }
-                        }
-                        None => {
-                            // The arriving unit is itself the least
-                            // valuable: reject the arrival.
-                            self.stats.shed += 1;
-                            self.shared.complete_one();
-                            return Ok(());
-                        }
-                    }
-                }
+    /// admission mode: [`UnitQueues::admit`] decides, this does the shard's
+    /// bookkeeping.
+    fn admit(&mut self, item: RtItem) {
+        let shared = self.shared;
+        match self.queues.admit(
+            shared.mode(),
+            shared.capacity,
+            shared.watermark,
+            &shared.shed_priority,
+            item.unit,
+            item,
+        ) {
+            Admission::Queued => {}
+            Admission::Rejected(_) => return self.count_shed(),
+            Admission::Displaced { victim, shed } => {
+                self.policy.on_shed(victim, shed.tuple.id);
+                self.count_shed();
             }
         }
-        self.watermark = self.watermark.max(item.tuple.arrival);
-        self.queues.push(unit, item.tuple);
-        self.enq_ns[unit as usize].push_back(item.enq_ns);
+        let tuple = item.tuple;
+        self.watermark = self.watermark.max(tuple.arrival);
         self.policy
-            .on_enqueue(unit, item.tuple.id, item.tuple.arrival, self.watermark);
-        Ok(())
+            .on_enqueue(item.unit, tuple.id, tuple.arrival, self.watermark);
+    }
+
+    /// One tuple copy was lost to admission control.
+    fn count_shed(&mut self) {
+        self.stats.shed += 1;
+        self.shared.complete_one();
     }
 
     /// One scheduling point: ask the policy, execute every selected unit.
@@ -423,11 +391,8 @@ impl<'a> Shard<'a> {
                 })?;
         self.stats.selections += 1;
         for unit in selection.units {
-            let tuple = self.queues.pop(unit)?;
-            let enq = self.enq_ns[unit as usize]
-                .pop_front()
-                .unwrap_or_else(|| self.shared.now_ns());
-            self.execute(unit, tuple, enq)?;
+            let item = self.queues.pop(unit)?;
+            self.execute(item)?;
         }
         Ok(())
     }
@@ -445,7 +410,8 @@ impl<'a> Shard<'a> {
     }
 
     /// Run one tuple through its unit's unary pipeline to the root.
-    fn execute(&mut self, unit: UnitId, tuple: SimTuple, enq_ns: u64) -> Result<(), EngineError> {
+    fn execute(&mut self, item: RtItem) -> Result<(), EngineError> {
+        let (unit, tuple) = (item.unit, item.tuple);
         let model = self.shared.model;
         let desc = model
             .units
@@ -490,14 +456,13 @@ impl<'a> Shard<'a> {
         self.stats.emitted += 1;
         self.stats.per_query[query] += 1;
         self.stats.fingerprint = exec::fold_emission(self.stats.fingerprint, query, tuple.lineage);
-        let response = Nanos::from_nanos(self.shared.now_ns().saturating_sub(enq_ns));
+        // Wall time since the ring, against an ideal departure one `T` after
+        // it: §5.1.2 with the ring entry as the arrival instant.
+        let response = Nanos::from_nanos(self.shared.now_ns().saturating_sub(item.ring_ns));
         let ideal = model.stats[query].ideal_time;
-        let slowdown = if ideal.is_zero() {
-            1.0
-        } else {
-            (response.as_nanos() as f64 / ideal.as_nanos() as f64).max(1.0)
-        };
-        self.stats.qos.record(response, slowdown);
+        self.stats
+            .qos
+            .record(response, exec::slowdown(response, ideal, ideal));
         self.shared.complete_one();
         Ok(())
     }
@@ -534,17 +499,7 @@ fn build_schedule(
             continue;
         }
         for route in &model.routes[s] {
-            out.push((
-                route.unit,
-                SimTuple {
-                    id,
-                    arrival: t,
-                    ts: t,
-                    key,
-                    ideal_depart: t + route.alone,
-                    lineage: id,
-                },
-            ));
+            out.push((route.unit, SimTuple::base(id, t, key, route.alone)));
         }
     }
     (injected, out)
@@ -613,7 +568,7 @@ pub fn run(
             .collect(),
         in_flight: AtomicUsize::new(0),
         ingest_done: AtomicBool::new(false),
-        mode: AtomicU8::new(ladder_index(cfg.overload.mode)),
+        mode: AtomicU8::new(cfg.overload.mode.rung()),
         transitions: AtomicU64::new(0),
         failed: AtomicBool::new(false),
         capacity: cfg.overload.capacity,
@@ -651,7 +606,7 @@ pub fn run(
             let mut item = RtItem {
                 unit: *unit,
                 tuple: *tuple,
-                enq_ns: shared.now_ns(),
+                ring_ns: shared.now_ns(),
             };
             loop {
                 match shared.inboxes[target].try_push(item) {
@@ -671,7 +626,7 @@ pub fn run(
                 if since_transition >= g.min_dwell_items {
                     let backlog = shared.in_flight.load(Ordering::Relaxed);
                     let rung = shared.mode.load(Ordering::Relaxed);
-                    if backlog > g.escalate_pending && (rung as usize) < LADDER.len() - 1 {
+                    if backlog > g.escalate_pending && rung < AdmissionMode::QosShed.rung() {
                         shared.mode.store(rung + 1, Ordering::Relaxed);
                         shared.transitions.fetch_add(1, Ordering::Relaxed);
                         since_transition = 0;
