@@ -9,11 +9,11 @@
 //! ```text
 //!  ingest thread                     worker threads (shards)
 //!  ─────────────                     ───────────────────────
-//!  pre-generated arrival schedule       ┌─ shard 0: Policy + UnitQueues
-//!  (same ids/keys/ideal departures  ──► │  inbox Ring (MPMC)
-//!   as the simulator's inject)          ├─ shard 1: Policy + UnitQueues
-//!                                   ──► │  inbox Ring (MPMC)   ▲
-//!                                       └─ ...                 │ steal
+//!  pre-generated source arrivals        ┌─ shard 0: routes → Policy + UnitQueues
+//!  (same ids/keys as the            ──► │  inbox Ring (MPMC) of arrivals
+//!   simulator's inject), one            ├─ shard 1: routes → Policy + UnitQueues
+//!   push per arrival and shard      ──► │  inbox Ring (MPMC)   ▲
+//!   that owns a unit on its stream      └─ ...                 │ steal
 //!                                          idle shards ────────┘
 //! ```
 //!
@@ -22,24 +22,29 @@
 //!   policy instance, so the scheduling hot path (enqueue callbacks,
 //!   `select`, pop) is single-threaded per shard — exactly the contract the
 //!   simulator gives a policy, replicated per thread.
-//! - **Rings**: cross-thread tuple movement happens only through bounded
-//!   lock-free MPMC rings ([`ring::Ring`]); a full inbox backpressures the
-//!   ingest thread rather than growing unboundedly.
-//! - **Work stealing**: a shard with nothing queued locally pops from
-//!   sibling *inboxes* (MPMC pop by a non-owner) and executes the stolen
-//!   tuple directly. Unary pipeline outcomes are pure functions of the
-//!   tuple ([`hcq_engine::exec`]), so a stolen execution emits exactly what
-//!   the owner would have emitted.
-//! - **Admission**: a shard moves an inbox item into its unit queue through
-//!   [`UnitQueues::admit`] — the same function, hence the same `Unbounded` /
-//!   `DropTail` / `QosShed` ladder, as the simulator. An optional
-//!   closed-loop governor walks the ladder's rungs from the global in-flight
+//! - **Rings**: what crosses a thread boundary is the *source arrival*, once
+//!   per shard owning a unit on its stream, through bounded lock-free MPMC
+//!   rings ([`ring::Ring`]); the per-query fan-out happens on the owning
+//!   shard. A full inbox backpressures ingest rather than growing unboundedly.
+//! - **Work stealing**: a shard with nothing queued locally pops an arrival
+//!   from a sibling *inbox* (MPMC pop by a non-owner) and executes the
+//!   victim's routes for it directly. Unary pipeline outcomes are pure
+//!   functions of the tuple ([`hcq_engine::exec`]), so a stolen execution
+//!   emits exactly what the owner would have emitted.
+//! - **Admission**: a shard moves each copy of an inbox arrival into its unit
+//!   queue through [`UnitQueues::admit`] — the same function, hence the same
+//!   `Unbounded` / `DropTail` / `QosShed` ladder, as the simulator. An
+//!   optional closed-loop governor walks the ladder's rungs from the global
 //!   backlog (its own signal; the rung arithmetic is [`AdmissionMode`]'s).
+//! - **Progress**: copies injected (written by ingest alone) minus copies
+//!   completed (one counter per shard, written by that shard alone) is the
+//!   governor's backlog and, once ingest is done, the exit test
+//!   ([`progress::Progress`]).
 //!
 //! ## Determinism contract (and its limits)
 //!
-//! The arrival schedule (ids, keys, virtual arrival timestamps, ideal
-//! departures) is pre-generated exactly as the simulator's `inject`, and
+//! The arrival schedule (ids, keys, virtual arrival timestamps) is
+//! pre-generated exactly as the simulator's `inject`, and
 //! every drop/emit decision is a pure function of `(tuple, operator,
 //! seed)`. Therefore, for workloads where nothing is shed, the **multiset
 //! of emissions** — total and per-query emitted counts, and the
@@ -49,50 +54,64 @@
 //! order, wall-clock QoS (response/slowdown), and which tuples are shed
 //! once bounded queues actually overflow.
 
+pub mod progress;
 pub mod ring;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
 use hcq_core::{Policy, PolicyKind, UnitId};
 use hcq_engine::exec;
+use hcq_engine::model::EntryRoute;
 use hcq_engine::queues::{Admission, Queued, UnitQueues};
 use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitKind};
 use hcq_metrics::{QosAccumulator, QosSummary, TelemetryRegistry, TelemetrySnapshot};
 use hcq_plan::{CompiledOpKind, GlobalPlan, StreamRates};
 use hcq_streams::ArrivalSource;
 
+use progress::Progress;
 use ring::Ring;
 
-/// One tuple crossing a ring and then waiting in a unit queue: the target
-/// unit, the tuple, and the wall-clock instant (nanoseconds since run start)
-/// it entered the ring, which anchors the response-time measurement.
+/// One copy of an arrival waiting in a unit queue (which names the unit):
+/// what [`SimTuple::base`] needs besides the unit's alone-path cost, and the
+/// wall-clock instant (nanoseconds since run start) the arrival entered the
+/// ring, which anchors the response-time measurement.
 #[derive(Debug, Clone, Copy)]
 struct RtItem {
-    unit: UnitId,
-    tuple: SimTuple,
+    id: TupleId,
+    arrival: Nanos,
+    key: u64,
     ring_ns: u64,
 }
 
 impl Queued for RtItem {
     fn arrival(&self) -> Nanos {
-        self.tuple.arrival
+        self.arrival
     }
+}
+
+/// One source arrival crossing a ring: its stream and the item every unit
+/// registered on that stream gets a copy of.
+#[derive(Debug, Clone, Copy)]
+struct RtArrival {
+    stream: u32,
+    item: RtItem,
 }
 
 /// Closed-loop admission governor thresholds: the ingest thread walks the
 /// `Unbounded → DropTail → QosShed` ladder one rung at a time from the
-/// global in-flight backlog.
+/// global backlog (tuple copies injected and not yet emitted/dropped/shed).
 #[derive(Debug, Clone, Copy)]
 pub struct GovernorThresholds {
-    /// Escalate one rung when the in-flight backlog exceeds this.
+    /// Escalate one rung when the backlog exceeds this.
     pub escalate_pending: usize,
     /// De-escalate one rung when it falls below this.
     pub deescalate_pending: usize,
-    /// Minimum injected items between transitions (hysteresis dwell).
+    /// Minimum injected tuple *copies* (arrivals × fan-out) between
+    /// transitions (hysteresis dwell), checked after each source arrival.
     pub min_dwell_items: u64,
 }
 
@@ -101,7 +120,9 @@ pub struct GovernorThresholds {
 pub struct RuntimeConfig {
     /// Worker (shard) threads.
     pub threads: usize,
-    /// Per-shard inbox ring capacity (rounded up to a power of two).
+    /// Per-shard inbox ring capacity in source *arrivals* (rounded up to a
+    /// power of two): ingest backpressure starts at `ring_capacity ×
+    /// fan-out` tuple copies per shard.
     pub ring_capacity: usize,
     /// Admission ladder position and per-unit queue bounds, with the same
     /// semantics as the simulator's [`OverloadConfig`].
@@ -210,20 +231,18 @@ impl RuntimeReport {
 struct Shared<'a> {
     model: &'a SimModel,
     shed_priority: Vec<f64>,
-    inboxes: Vec<Ring<RtItem>>,
-    /// Injected copies not yet emitted/dropped/shed.
-    in_flight: AtomicUsize,
-    ingest_done: AtomicBool,
+    inboxes: Vec<Ring<RtArrival>>,
+    /// `routes[shard][stream]`: the stream's entry routes into units the
+    /// shard owns (`unit % threads == shard`), in model order.
+    routes: Vec<Vec<Vec<EntryRoute>>>,
+    /// Alone-path cost of each unit's entry route ([`SimTuple::base`]).
+    alone: Vec<Nanos>,
+    progress: Progress,
     /// Current ladder position ([`AdmissionMode::rung`]).
     mode: AtomicU8,
-    transitions: AtomicU64,
-    /// A worker hit an engine error; everyone winds down.
+    /// A worker returned an error or panicked; everyone winds down.
     failed: AtomicBool,
-    capacity: usize,
-    watermark: usize,
-    steal: bool,
-    seed: u64,
-    threads: usize,
+    cfg: &'a RuntimeConfig,
     start: Instant,
 }
 
@@ -235,14 +254,23 @@ impl Shared<'_> {
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
+}
 
-    /// A tuple copy reached its final outcome.
-    fn complete_one(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Release);
+/// Raises `failed` on drop unless disarmed — on an `Err` return and on
+/// unwind alike, so a panicking worker cannot leave ingest spinning on a full
+/// ring or its siblings on the backlog.
+struct FailGuard<'a>(Option<&'a AtomicBool>);
+
+impl Drop for FailGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(failed) = self.0 {
+            failed.store(true, Ordering::Release);
+        }
     }
 }
 
 /// Per-shard tallies, merged into the [`RuntimeReport`] after join.
+#[derive(Default)]
 struct ShardStats {
     emitted: u64,
     dropped: u64,
@@ -252,21 +280,6 @@ struct ShardStats {
     per_query: Vec<u64>,
     fingerprint: (u64, u64),
     qos: QosAccumulator,
-}
-
-impl ShardStats {
-    fn new(queries: usize) -> Self {
-        ShardStats {
-            emitted: 0,
-            dropped: 0,
-            shed: 0,
-            stolen: 0,
-            selections: 0,
-            per_query: vec![0; queries],
-            fingerprint: (0, 0),
-            qos: QosAccumulator::new(),
-        }
-    }
 }
 
 /// One shard's scheduling state: a private policy instance over private
@@ -284,35 +297,50 @@ struct Shard<'a> {
 }
 
 impl<'a> Shard<'a> {
-    fn new(id: usize, kind: PolicyKind, shared: &'a Shared<'a>) -> Self {
+    fn new(id: usize, mut policy: Box<dyn Policy>, shared: &'a Shared<'a>) -> Self {
         let n_units = shared.model.unit_count();
-        let mut policy = kind.build();
         policy.on_register(&shared.model.unit_statics());
+        let stats = ShardStats {
+            per_query: vec![0; shared.model.compiled.len()],
+            ..ShardStats::default()
+        };
         Shard {
             id,
             policy,
             queues: UnitQueues::new(n_units),
             watermark: Nanos::ZERO,
-            stats: ShardStats::new(shared.model.compiled.len()),
+            stats,
             shared,
         }
     }
 
-    /// The worker loop: drain the inbox, schedule, execute; steal when
-    /// idle; exit when ingest is done and nothing is in flight anywhere.
+    /// The worker loop: publish progress, drain the inbox (fanning each
+    /// arrival out to the owned units on its stream), schedule, execute;
+    /// steal when idle; exit when ingest is done and the backlog is zero.
     fn run(mut self) -> Result<ShardStats, EngineError> {
+        /// Copies admitted per turn before the policy gets a say.
         const DRAIN_BATCH: usize = 64;
+        let shared = self.shared;
         let mut idle_spins: u32 = 0;
+        let mut published = 0;
         loop {
+            // One store per turn to a line only this shard writes; an idle
+            // turn (the only one that can exit) has nothing unpublished.
+            let done = self.stats.emitted + self.stats.dropped + self.stats.shed;
+            if done != published {
+                shared.progress.publish(self.id, done);
+                published = done;
+            }
             let mut drained = 0;
             while drained < DRAIN_BATCH {
-                match self.shared.inboxes[self.id].try_pop() {
-                    Some(item) => {
-                        self.admit(item);
-                        drained += 1;
-                    }
-                    None => break,
+                let Some(arrival) = shared.inboxes[self.id].try_pop() else {
+                    break;
+                };
+                let routes = &shared.routes[self.id][arrival.stream as usize];
+                for route in routes {
+                    self.admit(route.unit, arrival.item);
                 }
+                drained += routes.len();
             }
             if self.queues.pending() > 0 {
                 idle_spins = 0;
@@ -323,20 +351,11 @@ impl<'a> Shard<'a> {
                 idle_spins = 0;
                 continue;
             }
-            if self.shared.steal && self.shared.threads > 1 {
-                if let Some(item) = self.try_steal() {
-                    idle_spins = 0;
-                    self.stats.stolen += 1;
-                    self.execute(item)?;
-                    continue;
-                }
+            if shared.cfg.steal && shared.cfg.threads > 1 && self.try_steal()? {
+                idle_spins = 0;
+                continue;
             }
-            if self.shared.failed.load(Ordering::Relaxed) {
-                break;
-            }
-            if self.shared.ingest_done.load(Ordering::Acquire)
-                && self.shared.in_flight.load(Ordering::Acquire) == 0
-            {
+            if shared.failed.load(Ordering::Relaxed) || shared.progress.drained() {
                 break;
             }
             idle_spins = idle_spins.saturating_add(1);
@@ -349,36 +368,32 @@ impl<'a> Shard<'a> {
         Ok(self.stats)
     }
 
-    /// Move one ring item into the local queues under the current
+    /// Move one copy of an arrival into `unit`'s queue under the current
     /// admission mode: [`UnitQueues::admit`] decides, this does the shard's
     /// bookkeeping.
-    fn admit(&mut self, item: RtItem) {
+    fn admit(&mut self, unit: UnitId, item: RtItem) {
         let shared = self.shared;
         match self.queues.admit(
             shared.mode(),
-            shared.capacity,
-            shared.watermark,
+            shared.cfg.overload.capacity,
+            shared.cfg.overload.watermark,
             &shared.shed_priority,
-            item.unit,
+            unit,
             item,
         ) {
             Admission::Queued => {}
-            Admission::Rejected(_) => return self.count_shed(),
+            Admission::Rejected(_) => {
+                self.stats.shed += 1;
+                return;
+            }
             Admission::Displaced { victim, shed } => {
-                self.policy.on_shed(victim, shed.tuple.id);
-                self.count_shed();
+                self.policy.on_shed(victim, shed.id);
+                self.stats.shed += 1;
             }
         }
-        let tuple = item.tuple;
-        self.watermark = self.watermark.max(tuple.arrival);
+        self.watermark = self.watermark.max(item.arrival);
         self.policy
-            .on_enqueue(item.unit, tuple.id, tuple.arrival, self.watermark);
-    }
-
-    /// One tuple copy was lost to admission control.
-    fn count_shed(&mut self) {
-        self.stats.shed += 1;
-        self.shared.complete_one();
+            .on_enqueue(unit, item.id, item.arrival, self.watermark);
     }
 
     /// One scheduling point: ask the policy, execute every selected unit.
@@ -392,26 +407,32 @@ impl<'a> Shard<'a> {
         self.stats.selections += 1;
         for unit in selection.units {
             let item = self.queues.pop(unit)?;
-            self.execute(item)?;
+            self.execute(unit, item)?;
         }
         Ok(())
     }
 
-    /// Pop one item from a sibling inbox (MPMC pop by a non-owner).
-    fn try_steal(&self) -> Option<RtItem> {
+    /// Pop one arrival from a sibling inbox (MPMC pop by a non-owner) and
+    /// execute the victim's share of it — one copy per route the victim owns
+    /// on its stream — bypassing both policies.
+    fn try_steal(&mut self) -> Result<bool, EngineError> {
+        let shared = self.shared;
         // Start from a shard-dependent offset so thieves spread out.
-        for off in 1..self.shared.threads {
-            let victim = (self.id + off) % self.shared.threads;
-            if let Some(item) = self.shared.inboxes[victim].try_pop() {
-                return Some(item);
+        for off in 1..shared.cfg.threads {
+            let victim = (self.id + off) % shared.cfg.threads;
+            if let Some(arrival) = shared.inboxes[victim].try_pop() {
+                for route in &shared.routes[victim][arrival.stream as usize] {
+                    self.stats.stolen += 1;
+                    self.execute(route.unit, arrival.item)?;
+                }
+                return Ok(true);
             }
         }
-        None
+        Ok(false)
     }
 
-    /// Run one tuple through its unit's unary pipeline to the root.
-    fn execute(&mut self, item: RtItem) -> Result<(), EngineError> {
-        let (unit, tuple) = (item.unit, item.tuple);
+    /// Run one copy of an arrival through `unit`'s unary pipeline to the root.
+    fn execute(&mut self, unit: UnitId, item: RtItem) -> Result<(), EngineError> {
         let model = self.shared.model;
         let desc = model
             .units
@@ -427,6 +448,8 @@ impl<'a> Shard<'a> {
                 unit_count: model.unit_count(),
             });
         };
+        let alone = self.shared.alone[unit as usize];
+        let tuple = SimTuple::base(item.id, item.arrival, item.key, alone);
         let cq = &model.compiled[query];
         let mut cursor = Some(cq.leaves[leaf.index()].entry);
         while let Some((oi, _port)) = cursor {
@@ -434,7 +457,7 @@ impl<'a> Shard<'a> {
             match op.kind {
                 CompiledOpKind::Unary(spec) => {
                     if !exec::unary_passes(
-                        self.shared.seed,
+                        self.shared.cfg.seed,
                         query,
                         oi,
                         &spec,
@@ -442,7 +465,6 @@ impl<'a> Shard<'a> {
                         &tuple,
                     ) {
                         self.stats.dropped += 1;
-                        self.shared.complete_one();
                         return Ok(());
                     }
                     cursor = op.downstream;
@@ -463,20 +485,20 @@ impl<'a> Shard<'a> {
         self.stats
             .qos
             .record(response, exec::slowdown(response, ideal, ideal));
-        self.shared.complete_one();
         Ok(())
     }
 }
 
-/// Pre-generate the full injection schedule: the same merge over sources,
-/// the same global arrival ordinals, keys, and per-route ideal departures
-/// as the simulator's `inject`.
+/// Pre-generate the injection schedule, one entry per source arrival on a
+/// routed stream: the same merge over sources, the same global arrival
+/// ordinals and keys as the simulator's `inject` (`ring_ns` is stamped at
+/// the push). Returns the arrivals drawn alongside.
 fn build_schedule(
     model: &SimModel,
     mut sources: Vec<Box<dyn ArrivalSource>>,
     seed: u64,
     max_arrivals: u64,
-) -> (u64, Vec<(UnitId, SimTuple)>) {
+) -> (u64, Vec<RtArrival>) {
     let mut heap = BinaryHeap::new();
     for (s, src) in sources.iter_mut().enumerate() {
         if let Some(t) = src.next_arrival() {
@@ -495,14 +517,27 @@ fn build_schedule(
         let id = TupleId::new(injected);
         injected += 1;
         let key = exec::arrival_key(seed, id);
-        if s >= model.routes.len() {
-            continue;
-        }
-        for route in &model.routes[s] {
-            out.push((route.unit, SimTuple::base(id, t, key, route.alone)));
+        if model.routes.get(s).is_some_and(|r| !r.is_empty()) {
+            out.push(RtArrival {
+                stream: s as u32,
+                item: RtItem {
+                    id,
+                    arrival: t,
+                    key,
+                    ring_ns: 0,
+                },
+            });
         }
     }
     (injected, out)
+}
+
+/// A worker's panic payload as a typed error.
+fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> HcqError {
+    let msg = payload.downcast_ref::<String>().map(String::as_str);
+    let msg = msg.or(payload.downcast_ref::<&str>().copied());
+    let text = format!("runtime worker panicked: {}", msg.unwrap_or("(no message)"));
+    HcqError::Io(std::io::Error::other(text))
 }
 
 /// Execute `plan` on `cfg.threads` OS threads under `kind` scheduling.
@@ -515,6 +550,18 @@ pub fn run(
     rates: &StreamRates,
     sources: Vec<Box<dyn ArrivalSource>>,
     kind: PolicyKind,
+    cfg: &RuntimeConfig,
+) -> Result<RuntimeReport> {
+    run_with(|| kind.build(), plan, rates, sources, cfg)
+}
+
+/// [`run`] with each shard's policy instance built by `build` on the shard's
+/// own thread.
+fn run_with(
+    build: impl Fn() -> Box<dyn Policy> + Sync,
+    plan: &GlobalPlan,
+    rates: &StreamRates,
+    sources: Vec<Box<dyn ArrivalSource>>,
     cfg: &RuntimeConfig,
 ) -> Result<RuntimeReport> {
     if cfg.threads == 0 {
@@ -554,7 +601,15 @@ pub fn run(
     }
 
     let (arrivals, schedule) = build_schedule(&model, sources, cfg.seed, cfg.max_arrivals);
-    let injected = schedule.len() as u64;
+    let mut alone = vec![Nanos::ZERO; model.unit_count()];
+    for route in model.routes.iter().flatten() {
+        alone[route.unit as usize] = route.alone;
+    }
+    let owned_by = |shard: usize| {
+        let owned = |r: &&EntryRoute| r.unit as usize % cfg.threads == shard;
+        let of_stream = |routes: &Vec<EntryRoute>| routes.iter().filter(owned).copied().collect();
+        model.routes.iter().map(of_stream).collect()
+    };
 
     let shared = Shared {
         model: &model,
@@ -566,83 +621,77 @@ pub fn run(
         inboxes: (0..cfg.threads)
             .map(|_| Ring::new(cfg.ring_capacity))
             .collect(),
-        in_flight: AtomicUsize::new(0),
-        ingest_done: AtomicBool::new(false),
+        routes: (0..cfg.threads).map(owned_by).collect(),
+        alone,
+        progress: Progress::new(cfg.threads),
         mode: AtomicU8::new(cfg.overload.mode.rung()),
-        transitions: AtomicU64::new(0),
         failed: AtomicBool::new(false),
-        capacity: cfg.overload.capacity,
-        watermark: cfg.overload.watermark,
-        steal: cfg.steal,
-        seed: cfg.seed,
-        threads: cfg.threads,
+        cfg,
         start: Instant::now(),
     };
 
-    let mut shard_results: Vec<Result<ShardStats, EngineError>> = Vec::new();
+    let mut shard_results = Vec::new();
+    let mut transitions = 0u64;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|i| {
-                let shared = &shared;
+                let (shared, build) = (&shared, &build);
                 scope.spawn(move || {
-                    let result = Shard::new(i, kind, shared).run();
-                    if result.is_err() {
-                        shared.failed.store(true, Ordering::Release);
+                    let mut guard = FailGuard(Some(&shared.failed));
+                    let result = Shard::new(i, build(), shared).run();
+                    if result.is_ok() {
+                        guard.0 = None;
                     }
                     result
                 })
             })
             .collect();
 
-        // Ingest: push every scheduled copy to its owner shard's inbox,
-        // walking the governor ladder from the global backlog.
+        // Ingest: one clock read per arrival, one push per shard owning a
+        // unit on its stream; the governor ladder walks on the global backlog.
+        let mut injected = 0u64;
         let mut since_transition = 0u64;
-        for (unit, tuple) in &schedule {
+        'ingest: for scheduled in &schedule {
             if shared.failed.load(Ordering::Relaxed) {
                 break;
             }
-            let target = (*unit as usize) % cfg.threads;
-            shared.in_flight.fetch_add(1, Ordering::Release);
-            let mut item = RtItem {
-                unit: *unit,
-                tuple: *tuple,
-                ring_ns: shared.now_ns(),
-            };
-            loop {
-                match shared.inboxes[target].try_push(item) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        item = back;
-                        if shared.failed.load(Ordering::Relaxed) {
-                            shared.complete_one();
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
+            let mut arrival = *scheduled;
+            arrival.item.ring_ns = shared.now_ns();
+            for (inbox, routes) in shared.inboxes.iter().zip(&shared.routes) {
+                let copies = routes[arrival.stream as usize].len() as u64;
+                if copies == 0 {
+                    continue;
                 }
+                injected += copies;
+                shared.progress.set_injected(injected);
+                while inbox.try_push(arrival).is_err() {
+                    if shared.failed.load(Ordering::Relaxed) {
+                        // Never pushed: take its copies back out.
+                        shared.progress.set_injected(injected - copies);
+                        break 'ingest;
+                    }
+                    std::thread::yield_now();
+                }
+                since_transition += copies;
             }
-            since_transition += 1;
             if let Some(g) = cfg.govern {
                 if since_transition >= g.min_dwell_items {
-                    let backlog = shared.in_flight.load(Ordering::Relaxed);
+                    let backlog = shared.progress.backlog() as usize;
                     let rung = shared.mode.load(Ordering::Relaxed);
                     if backlog > g.escalate_pending && rung < AdmissionMode::QosShed.rung() {
                         shared.mode.store(rung + 1, Ordering::Relaxed);
-                        shared.transitions.fetch_add(1, Ordering::Relaxed);
+                        transitions += 1;
                         since_transition = 0;
                     } else if backlog < g.deescalate_pending && rung > 0 {
                         shared.mode.store(rung - 1, Ordering::Relaxed);
-                        shared.transitions.fetch_add(1, Ordering::Relaxed);
+                        transitions += 1;
                         since_transition = 0;
                     }
                 }
             }
         }
-        shared.ingest_done.store(true, Ordering::Release);
-        shard_results = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect();
+        shared.progress.finish_ingest();
+        shard_results = handles.into_iter().map(|h| h.join()).collect();
     });
 
     let wall_ns = shared.now_ns().max(1);
@@ -655,7 +704,7 @@ pub fn run(
     let mut fingerprint = (0u64, 0u64);
     let mut qos = QosAccumulator::new();
     for r in shard_results {
-        let s = r.map_err(HcqError::Engine)?;
+        let s = r.map_err(worker_panicked)?.map_err(HcqError::Engine)?;
         emitted += s.emitted;
         dropped += s.dropped;
         shed += s.shed;
@@ -688,7 +737,7 @@ pub fn run(
     Ok(RuntimeReport {
         threads: cfg.threads,
         arrivals,
-        injected,
+        injected: shared.progress.injected(),
         emitted,
         dropped,
         shed,
@@ -699,7 +748,7 @@ pub fn run(
         qos: qos.summary(),
         wall_ns,
         tuples_per_sec: completed as f64 / (wall_ns as f64 / 1e9),
-        governor_transitions: shared.transitions.load(Ordering::Relaxed),
+        governor_transitions: transitions,
         final_mode: shared.mode(),
         telemetry,
     })
@@ -892,6 +941,65 @@ mod tests {
             report.governor_transitions > 0,
             "backlog of hundreds of tuples must trip the escalate threshold"
         );
+    }
+
+    /// Delegates to FCFS until its `select` budget runs out, then panics.
+    struct PanicAfter {
+        inner: Box<dyn Policy>,
+        selects_left: u32,
+    }
+
+    impl Policy for PanicAfter {
+        fn name(&self) -> &'static str {
+            "panic-after"
+        }
+        fn on_register(&mut self, units: &[hcq_core::UnitStatics]) {
+            self.inner.on_register(units);
+        }
+        fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, now: Nanos) {
+            self.inner.on_enqueue(unit, tuple, arrival, now);
+        }
+        fn select(
+            &mut self,
+            queues: &dyn hcq_core::QueueView,
+            now: Nanos,
+        ) -> Option<hcq_core::Selection> {
+            assert!(self.selects_left > 0, "select budget exhausted");
+            self.selects_left -= 1;
+            self.inner.select(queues, now)
+        }
+    }
+
+    #[test]
+    fn panicking_worker_fails_the_run_instead_of_hanging_it() {
+        for threads in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let build = || -> Box<dyn Policy> {
+                    Box::new(PanicAfter {
+                        inner: PolicyKind::Fcfs.build(),
+                        selects_left: 50,
+                    })
+                };
+                // A ring far smaller than the run: ingest is parked on a
+                // full inbox when the worker dies.
+                let mut cfg = RuntimeConfig::new(20_000)
+                    .with_seed(3)
+                    .with_threads(threads);
+                cfg.ring_capacity = 4;
+                let result = run_with(build, &small_plan(), &StreamRates::none(), sources(), &cfg);
+                tx.send(result.map(|r| r.emitted)).ok();
+            });
+            let result = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{threads} thread(s): run_with hung on a dead worker"));
+            runner.join().expect("the run returned");
+            let err = result.expect_err("a panicking worker must fail the run");
+            assert!(
+                err.to_string().contains("select budget exhausted"),
+                "{threads} thread(s): {err}"
+            );
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl<T> PayloadCell<T> {
 /// Pad to a cache line so the producer and consumer cursors do not
 /// false-share.
 #[repr(align(64))]
-struct CacheAligned<T>(T);
+pub(crate) struct CacheAligned<T>(pub(crate) T);
 
 struct Slot<T> {
     /// Slot state: `seq == lap` ⇒ free for the producer whose tail is

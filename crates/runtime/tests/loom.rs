@@ -1,5 +1,6 @@
 //! Model-checked (or, with the in-repo shim, stress-checked) concurrency
-//! tests for the bounded MPMC ring: push/pop/steal handoffs.
+//! tests for the bounded MPMC ring (push/pop/steal handoffs) and for the
+//! single-writer progress counters the run terminates on.
 //!
 //! Written against the `loom` API: each test wraps a tiny concurrent body
 //! in `loom::model`. With upstream loom (swap the workspace path dependency
@@ -9,6 +10,7 @@
 //! to ≤3 threads and a handful of operations so exhaustive exploration
 //! stays tractable when the real checker is in play.
 
+use hcq_runtime::progress::Progress;
 use hcq_runtime::ring::Ring;
 use loom::sync::Arc;
 use loom::thread;
@@ -107,5 +109,61 @@ fn concurrent_producers_conserve_into_one_consumer() {
         got.sort_unstable();
         assert_eq!(got, [100, 200], "each push consumed exactly once");
         assert_eq!(ring.try_pop(), None);
+    });
+}
+
+/// `Shard::run`'s protocol on shard 0's inbox, every arrival fanning out to
+/// `COPIES` copies: publish at the top of the turn, pop (the owner draining,
+/// the thief stealing — the same ring operation), exit on `drained()`.
+/// Returns the copies this worker completed.
+fn worker(shard: usize, inbox: &Ring<u32>, progress: &Progress) -> u64 {
+    let (mut done, mut published) = (0, 0);
+    loop {
+        if done != published {
+            progress.publish(shard, done);
+            published = done;
+        }
+        if inbox.try_pop().is_some() {
+            // Popped and completed, but unpublished until the next turn.
+            done += COPIES;
+            continue;
+        }
+        if progress.drained() {
+            // Legal only once every copy of the run has a published outcome
+            // — in particular not while the sibling holds a popped arrival.
+            assert_eq!((progress.injected(), progress.backlog()), (TOTAL, 0));
+            return done;
+        }
+        thread::yield_now();
+    }
+}
+
+const COPIES: u64 = 2;
+const TOTAL: u64 = 2 * COPIES;
+
+#[test]
+fn workers_exit_exactly_when_every_injected_copy_is_published() {
+    loom::model(|| {
+        let inbox: Arc<Ring<u32>> = Arc::new(Ring::new(2));
+        let progress = Arc::new(Progress::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|shard| {
+                let (inbox, progress) = (inbox.clone(), progress.clone());
+                thread::spawn(move || worker(shard, &inbox, &progress))
+            })
+            .collect();
+        // Ingest: account for an arrival's copies, then push it.
+        for arrival in 0..2 {
+            progress.set_injected((arrival as u64 + 1) * COPIES);
+            let mut item = arrival;
+            while let Err(back) = inbox.try_push(item) {
+                item = back;
+                thread::yield_now();
+            }
+        }
+        progress.finish_ingest();
+        let completed: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert_eq!(completed, progress.injected(), "every worker exited");
+        assert_eq!(progress.backlog(), 0);
     });
 }

@@ -1,5 +1,5 @@
 //! Tier-1 smoke test across the three executors: one small unary plan
-//! through the simulator, the wall-clock runtime (1 and 2 threads) and a
+//! through the simulator, the wall-clock runtime (1, 2 and 3 threads) and a
 //! `Dsms` on real records — all three built on `hcq-engine`'s queue set, its
 //! one `admit`, and `hcq-core`'s policy factory.
 
@@ -53,7 +53,8 @@ fn simulator_and_runtime_emit_the_same_multiset_unbounded() {
         .unwrap();
     assert_eq!((want.emitted, want.dropped), (sim.emitted, sim.dropped));
     assert!(want.per_query_emitted.iter().all(|&n| n > 0));
-    for threads in [1, 2] {
+    // 3 threads split the 4 units unevenly.
+    for threads in [1, 2, 3] {
         let rt_cfg = RuntimeConfig::new(ARRIVALS)
             .with_seed(SEED)
             .with_threads(threads);
