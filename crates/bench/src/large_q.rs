@@ -19,19 +19,17 @@
 //!   identical across hosts and `--jobs` values, which is what the CI smoke
 //!   compares.
 //!
-//! The queue fixture is O(1) per operation (unlike [`crate::BenchQueues`],
-//! whose `pop` is a linear retain), so the harness itself stays flat while
-//! q grows five orders of magnitude — whatever slope shows up is the
-//! policy's.
+//! The queue fixture is O(1) per operation, so the harness itself stays
+//! flat while q grows five orders of magnitude — whatever slope shows up is
+//! the policy's.
 
 use std::time::Instant;
 
 use hcq_common::{Nanos, TupleId};
 use hcq_core::{
     BsdPolicy, ClusterConfig, ClusteredBsdPolicy, Policy, QueueView, SchedStats, UnitId,
+    UnitStatics,
 };
-
-use crate::spread_units;
 
 /// Cluster count for the clustered variants; large enough that the m-sized
 /// front index is exercised, small against every swept q.
@@ -39,6 +37,16 @@ pub const CLUSTERS: usize = 64;
 
 /// The default q sweep: one decade per step up to a million queries.
 pub const QS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
+
+/// A heterogeneous unit population with Φ spread over several decades.
+fn spread_units(n: usize) -> Vec<UnitStatics> {
+    (0..n)
+        .map(|i| {
+            let c = Nanos::from_millis(1 << (i % 5));
+            UnitStatics::new(0.15 + 0.1 * (i % 8) as f64, c, c * 3)
+        })
+        .collect()
+}
 
 /// Saturated one-tuple-per-unit queues: every unit is always ready with
 /// exactly one pending tuple. `refill` is O(1), so the fixture adds no

@@ -39,7 +39,6 @@
 pub mod estimator;
 pub mod incremental;
 pub mod invariants;
-pub mod json;
 pub mod policyfuzz;
 pub mod runner;
 pub mod scenario;
@@ -48,7 +47,6 @@ pub mod shrink;
 pub use estimator::fuzz_estimators;
 pub use incremental::fuzz_incremental;
 pub use invariants::{check_scenario, check_scenario_full, fingerprint, ScenarioCheck, Violation};
-pub use json::Json;
 pub use policyfuzz::fuzz_policies;
 pub use runner::{replay, run_fuzz, write_artifact, CaseResult, FuzzConfig, FuzzOutcome};
 pub use scenario::{

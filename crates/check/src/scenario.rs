@@ -26,6 +26,7 @@
 //! Exact-zero costs and NaN statics cannot pass plan validation, so those
 //! live in the policy-level fuzzer ([`crate::policyfuzz`]) instead.
 
+use hcq_common::json::JsonValue;
 use hcq_common::{det, Nanos, Result, StreamId};
 use hcq_engine::{AdaptConfig, AdaptMode, AdmissionMode, DriftStep, GovernorConfig, SimConfig};
 use hcq_plan::{GlobalPlan, QueryBuilder};
@@ -33,8 +34,6 @@ use hcq_streams::{
     ArrivalSource, ConstantSource, DisconnectSource, DisconnectSpec, FaultSpec, FaultySource,
     OnOffSource, PoissonSource,
 };
-
-use crate::json::Json;
 
 /// Artifact schema identifier (current version).
 pub const SCHEMA: &str = "hcq-fuzz-v2";
@@ -584,236 +583,157 @@ impl Scenario {
         cfg
     }
 
-    /// Serialize to the `hcq-fuzz-v1` artifact document.
-    pub fn to_json(&self) -> Json {
-        let queries = self
-            .queries
-            .iter()
-            .map(|q| {
-                Json::Arr(
-                    q.ops
-                        .iter()
-                        .map(|o| {
-                            Json::Obj(vec![
-                                ("kind".into(), Json::Num(o.kind as f64)),
-                                ("cost_ns".into(), Json::Num(o.cost_ns as f64)),
-                                ("sel".into(), Json::Num(o.sel)),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("seed".into(), Json::Str(self.seed.to_string())),
-            ("case".into(), Json::Str(self.case.to_string())),
-            ("queries".into(), Json::Arr(queries)),
-            ("mean_gap_ns".into(), Json::Num(self.mean_gap_ns as f64)),
-            ("arrivals".into(), Json::Num(self.arrivals as f64)),
+    /// Serialize to the `hcq-fuzz-v2` artifact document. Layout only: every
+    /// string and number is spelled by [`hcq_common::json`] — integer fields
+    /// as plain decimals, float fields in `{:?}` text (`1.0`, `1e-6`), and
+    /// full-width integers (seeds) as decimal strings.
+    pub fn to_json(&self) -> JsonValue {
+        let (int, float, text) = (JsonValue::from_u64, JsonValue::from_f64, JsonValue::Str);
+        let flag = |b: bool| int(b as u64);
+        let queries = self.queries.iter().map(|q| {
+            let ops = q.ops.iter().map(|o| {
+                obj(vec![
+                    ("kind", int(o.kind as u64)),
+                    ("cost_ns", int(o.cost_ns)),
+                    ("sel", float(o.sel)),
+                ])
+            });
+            JsonValue::Arr(ops.collect())
+        });
+        let source = match self.source {
+            SourceKind::Constant => "constant",
+            SourceKind::Poisson => "poisson",
+            SourceKind::OnOff => "onoff",
+        };
+        let (f, a, g) = (&self.faults, &self.admission, &self.governor);
+        let (o, d, ad) = (&self.op_failures, &self.disconnect, &self.adapt);
+        let drift = self.drift.iter().map(|d| {
+            obj(vec![
+                ("at_ns", int(d.at_ns)),
+                ("cost_factor", float(d.cost_factor)),
+                ("sel_factor", float(d.sel_factor)),
+            ])
+        });
+        obj(vec![
+            ("schema", text(SCHEMA.into())),
+            ("seed", text(self.seed.to_string())),
+            ("case", text(self.case.to_string())),
+            ("queries", JsonValue::Arr(queries.collect())),
+            ("mean_gap_ns", int(self.mean_gap_ns)),
+            ("arrivals", int(self.arrivals)),
+            ("source", text(source.into())),
             (
-                "source".into(),
-                Json::Str(
-                    match self.source {
-                        SourceKind::Constant => "constant",
-                        SourceKind::Poisson => "poisson",
-                        SourceKind::OnOff => "onoff",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "faults".into(),
-                Json::Obj(vec![
-                    ("burst_prob".into(), Json::Num(self.faults.burst_prob)),
-                    ("burst_len".into(), Json::Num(self.faults.burst_len as f64)),
-                    (
-                        "burst_spread_ns".into(),
-                        Json::Num(self.faults.burst_spread_ns as f64),
-                    ),
-                    ("stall_prob".into(), Json::Num(self.faults.stall_prob)),
-                    (
-                        "stall_len_ns".into(),
-                        Json::Num(self.faults.stall_len_ns as f64),
-                    ),
+                "faults",
+                obj(vec![
+                    ("burst_prob", float(f.burst_prob)),
+                    ("burst_len", int(f.burst_len as u64)),
+                    ("burst_spread_ns", int(f.burst_spread_ns)),
+                    ("stall_prob", float(f.stall_prob)),
+                    ("stall_len_ns", int(f.stall_len_ns)),
                 ]),
             ),
             (
-                "admission".into(),
-                Json::Obj(vec![
-                    ("mode".into(), Json::Num(self.admission.mode as f64)),
-                    ("capacity".into(), Json::Num(self.admission.capacity as f64)),
-                    (
-                        "watermark".into(),
-                        Json::Num(self.admission.watermark as f64),
-                    ),
+                "admission",
+                obj(vec![
+                    ("mode", int(a.mode as u64)),
+                    ("capacity", int(a.capacity as u64)),
+                    ("watermark", int(a.watermark as u64)),
                 ]),
             ),
-            ("clusters".into(), Json::Num(self.clusters as f64)),
-            ("sim_seed".into(), Json::Str(self.sim_seed.to_string())),
+            ("clusters", int(self.clusters as u64)),
+            ("sim_seed", text(self.sim_seed.to_string())),
+            ("cost_miscalibration", float(self.cost_miscalibration)),
+            ("cost_jitter", float(self.cost_jitter)),
             (
-                "cost_miscalibration".into(),
-                Json::Num(self.cost_miscalibration),
-            ),
-            ("cost_jitter".into(), Json::Num(self.cost_jitter)),
-            (
-                "governor".into(),
-                Json::Obj(vec![
-                    (
-                        "enabled".into(),
-                        Json::Num(if self.governor.enabled { 1.0 } else { 0.0 }),
-                    ),
-                    (
-                        "cadence_ns".into(),
-                        Json::Num(self.governor.cadence_ns as f64),
-                    ),
-                    (
-                        "min_dwell_ns".into(),
-                        Json::Num(self.governor.min_dwell_ns as f64),
-                    ),
-                    (
-                        "escalate_pending".into(),
-                        Json::Num(self.governor.escalate_pending as f64),
-                    ),
-                    (
-                        "deescalate_pending".into(),
-                        Json::Num(self.governor.deescalate_pending as f64),
-                    ),
-                    ("capacity".into(), Json::Num(self.governor.capacity as f64)),
-                    (
-                        "watermark".into(),
-                        Json::Num(self.governor.watermark as f64),
-                    ),
-                    (
-                        "switch_policy".into(),
-                        Json::Num(if self.governor.switch_policy {
-                            1.0
-                        } else {
-                            0.0
-                        }),
-                    ),
+                "governor",
+                obj(vec![
+                    ("enabled", flag(g.enabled)),
+                    ("cadence_ns", int(g.cadence_ns)),
+                    ("min_dwell_ns", int(g.min_dwell_ns)),
+                    ("escalate_pending", int(g.escalate_pending as u64)),
+                    ("deescalate_pending", int(g.deescalate_pending as u64)),
+                    ("capacity", int(g.capacity as u64)),
+                    ("watermark", int(g.watermark as u64)),
+                    ("switch_policy", flag(g.switch_policy)),
                 ]),
             ),
             (
-                "deadline_ns".into(),
-                match self.deadline_ns {
-                    // -1 encodes "no deadline": 0 is a meaningful budget.
-                    None => Json::Num(-1.0),
-                    Some(d) => Json::Num(d as f64),
-                },
+                "deadline_ns",
+                // -1 encodes "no deadline": 0 is a meaningful budget.
+                self.deadline_ns.map_or(JsonValue::Num("-1".into()), int),
             ),
             (
-                "op_failures".into(),
-                Json::Obj(vec![
-                    ("prob".into(), Json::Num(self.op_failures.prob)),
-                    (
-                        "cooldown_ns".into(),
-                        Json::Num(self.op_failures.cooldown_ns as f64),
-                    ),
-                    ("retries".into(), Json::Num(self.op_failures.retries as f64)),
+                "op_failures",
+                obj(vec![
+                    ("prob", float(o.prob)),
+                    ("cooldown_ns", int(o.cooldown_ns)),
+                    ("retries", int(o.retries as u64)),
                 ]),
             ),
             (
-                "disconnect".into(),
-                Json::Obj(vec![
-                    ("prob".into(), Json::Num(self.disconnect.prob)),
-                    (
-                        "retry_base_ns".into(),
-                        Json::Num(self.disconnect.retry_base_ns as f64),
-                    ),
-                    (
-                        "max_retries".into(),
-                        Json::Num(self.disconnect.max_retries as f64),
-                    ),
-                    (
-                        "reconnect_prob".into(),
-                        Json::Num(self.disconnect.reconnect_prob),
-                    ),
+                "disconnect",
+                obj(vec![
+                    ("prob", float(d.prob)),
+                    ("retry_base_ns", int(d.retry_base_ns)),
+                    ("max_retries", int(d.max_retries as u64)),
+                    ("reconnect_prob", float(d.reconnect_prob)),
                 ]),
             ),
             (
-                "adapt".into(),
-                Json::Obj(vec![
-                    (
-                        "enabled".into(),
-                        Json::Num(if self.adapt.enabled { 1.0 } else { 0.0 }),
-                    ),
-                    ("mode".into(), Json::Num(self.adapt.mode as f64)),
-                    ("alpha".into(), Json::Num(self.adapt.alpha)),
-                    ("cadence_ns".into(), Json::Num(self.adapt.cadence_ns as f64)),
-                    (
-                        "min_observations".into(),
-                        Json::Num(self.adapt.min_observations as f64),
-                    ),
-                    (
-                        "publish".into(),
-                        Json::Num(if self.adapt.publish { 1.0 } else { 0.0 }),
-                    ),
+                "adapt",
+                obj(vec![
+                    ("enabled", flag(ad.enabled)),
+                    ("mode", int(ad.mode as u64)),
+                    ("alpha", float(ad.alpha)),
+                    ("cadence_ns", int(ad.cadence_ns)),
+                    ("min_observations", int(ad.min_observations)),
+                    ("publish", flag(ad.publish)),
                 ]),
             ),
-            (
-                "drift".into(),
-                Json::Arr(
-                    self.drift
-                        .iter()
-                        .map(|d| {
-                            Json::Obj(vec![
-                                ("at_ns".into(), Json::Num(d.at_ns as f64)),
-                                ("cost_factor".into(), Json::Num(d.cost_factor)),
-                                ("sel_factor".into(), Json::Num(d.sel_factor)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("drift", JsonValue::Arr(drift.collect())),
         ])
     }
 
     /// Parse an artifact document (`hcq-fuzz-v2`, or `hcq-fuzz-v1` with the
     /// robustness dimensions defaulting to "off").
-    pub fn from_json(doc: &Json) -> Result<Scenario, String> {
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+    pub fn from_json(doc: &JsonValue) -> Result<Scenario, String> {
+        let schema = doc.get("schema").and_then(JsonValue::as_str).unwrap_or("");
         if schema != SCHEMA && schema != SCHEMA_V1 {
             return Err(format!("unsupported artifact schema {schema:?}"));
         }
         let num = |key: &str| -> Result<f64, String> {
             doc.get(key)
-                .and_then(Json::as_f64)
+                .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("missing numeric field {key:?}"))
         };
-        // Full-width integers (seeds) are serialized as decimal strings:
-        // JSON numbers round-trip through f64, which cannot hold a u64.
+        // Full-width integers (seeds) are serialized as decimal strings
+        // (`hcq-fuzz-v1` predates a number type that could hold a u64).
         let int = |key: &str| -> Result<u64, String> {
             match doc.get(key) {
-                Some(Json::Str(s)) => s
+                Some(JsonValue::Str(s)) => s
                     .parse::<u64>()
                     .map_err(|e| format!("bad integer field {key:?}: {e}")),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| format!("bad integer field {key:?}")),
+                Some(v) => uint(v).ok_or_else(|| format!("bad integer field {key:?}")),
                 None => Err(format!("missing integer field {key:?}")),
             }
         };
         let mut queries = Vec::new();
         for q in doc
             .get("queries")
-            .and_then(Json::as_arr)
+            .and_then(JsonValue::as_arr)
             .ok_or("missing queries array")?
         {
             let mut ops = Vec::new();
             for o in q.as_arr().ok_or("query is not an operator array")? {
                 ops.push(OpSpec {
-                    kind: o.get("kind").and_then(Json::as_u64).ok_or("op kind")? as u8,
-                    cost_ns: o
-                        .get("cost_ns")
-                        .and_then(Json::as_u64)
-                        .ok_or("op cost_ns")?,
-                    sel: o.get("sel").and_then(Json::as_f64).ok_or("op sel")?,
+                    kind: o.get("kind").and_then(uint).ok_or("op kind")? as u8,
+                    cost_ns: o.get("cost_ns").and_then(uint).ok_or("op cost_ns")?,
+                    sel: o.get("sel").and_then(JsonValue::as_f64).ok_or("op sel")?,
                 });
             }
             queries.push(QuerySpec { ops });
         }
-        let source = match doc.get("source").and_then(Json::as_str).unwrap_or("") {
+        let source = match doc.get("source").and_then(JsonValue::as_str).unwrap_or("") {
             "constant" => SourceKind::Constant,
             "poisson" => SourceKind::Poisson,
             "onoff" => SourceKind::OnOff,
@@ -821,9 +741,9 @@ impl Scenario {
         };
         let f = doc.get("faults").ok_or("missing faults object")?;
         let a = doc.get("admission").ok_or("missing admission object")?;
-        let sub_num = |obj: &Json, key: &str| -> Result<f64, String> {
+        let sub_num = |obj: &JsonValue, key: &str| -> Result<f64, String> {
             obj.get(key)
-                .and_then(Json::as_f64)
+                .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("missing field {key:?}"))
         };
         Ok(Scenario {
@@ -861,11 +781,14 @@ impl Scenario {
                     watermark: sub_num(g, "watermark")? as usize,
                     // Absent in artifacts written before the meta-scheduler
                     // existed: parse as "never switch".
-                    switch_policy: g.get("switch_policy").and_then(Json::as_f64).unwrap_or(0.0)
+                    switch_policy: g
+                        .get("switch_policy")
+                        .and_then(JsonValue::as_f64)
+                        .unwrap_or(0.0)
                         != 0.0,
                 },
             },
-            deadline_ns: match doc.get("deadline_ns").and_then(Json::as_f64) {
+            deadline_ns: match doc.get("deadline_ns").and_then(JsonValue::as_f64) {
                 None => None,
                 Some(d) if d < 0.0 => None,
                 Some(d) => Some(d as u64),
@@ -900,7 +823,7 @@ impl Scenario {
                     publish: sub_num(a, "publish")? != 0.0,
                 },
             },
-            drift: match doc.get("drift").and_then(Json::as_arr) {
+            drift: match doc.get("drift").and_then(JsonValue::as_arr) {
                 None => Vec::new(),
                 Some(steps) => {
                     let mut drift = Vec::with_capacity(steps.len());
@@ -918,9 +841,30 @@ impl Scenario {
     }
 }
 
+/// An object from `(key, value)` pairs, in the given order.
+fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    JsonValue::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A non-negative integer field: plain decimal text (exact), or an
+/// integer-valued float such as `16.0` — how artifacts written before the
+/// workspace had one JSON codec spelled it.
+fn uint(v: &JsonValue) -> Option<u64> {
+    v.as_u64().or_else(|| {
+        let n = v.as_f64()?;
+        (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcq_common::json;
 
     #[test]
     fn generation_is_a_pure_function() {
@@ -951,18 +895,75 @@ mod tests {
         for case in 0..16 {
             let s = Scenario::generate(3, case);
             let doc = s.to_json().to_string();
-            let back = Scenario::from_json(&Json::parse(&doc).unwrap()).unwrap();
+            let back = Scenario::from_json(&json::parse(&doc).unwrap()).unwrap();
             assert_eq!(back, s, "artifact round-trip changed case {case}");
             // And byte-stable: re-serializing the parsed value is identical.
             assert_eq!(back.to_json().to_string(), doc);
         }
     }
 
+    /// The artifact text is a format: float fields keep their `{:?}` spelling,
+    /// integer fields are plain decimals, seeds are decimal strings.
+    #[test]
+    fn serialization_is_pinned() {
+        let doc = Scenario::generate(3, 28).to_json().to_string();
+        assert_eq!(doc, GOLDEN_3_28);
+        assert_eq!(
+            json::parse(GOLDEN_3_28).unwrap(),
+            Scenario::generate(3, 28).to_json()
+        );
+        // "No deadline" stays the integer -1 (0 is a meaningful budget).
+        let open_ended = Scenario::generate(3, 5);
+        assert_eq!(open_ended.deadline_ns, None);
+        assert!(open_ended
+            .to_json()
+            .to_string()
+            .contains("\"deadline_ns\":-1,"));
+    }
+
+    const GOLDEN_3_28: &str = concat!(
+        r#"{"schema":"hcq-fuzz-v2","#,
+        r#""seed":"3","#,
+        r#""case":"28","#,
+        r#""queries":[[{"kind":2,"cost_ns":1,"sel":1.0}],"#,
+        r#"[{"kind":3,"cost_ns":2232,"sel":1.0},"#,
+        r#"{"kind":0,"cost_ns":295320,"sel":0.8819668399503656},"#,
+        r#"{"kind":0,"cost_ns":1414,"sel":0.7944099184197531},"#,
+        r#"{"kind":2,"cost_ns":4422,"sel":1.0}],"#,
+        r#"[{"kind":0,"cost_ns":612354,"sel":1e-6},"#,
+        r#"{"kind":3,"cost_ns":1,"sel":1.0},"#,
+        r#"{"kind":3,"cost_ns":1,"sel":0.11966853837621792},"#,
+        r#"{"kind":3,"cost_ns":921520,"sel":0.7966768124670931}],"#,
+        r#"[{"kind":1,"cost_ns":1,"sel":1.0},"#,
+        r#"{"kind":1,"cost_ns":289663,"sel":0.11688977859586495},"#,
+        r#"{"kind":1,"cost_ns":87464,"sel":1.0},"#,
+        r#"{"kind":3,"cost_ns":23032,"sel":1.0}],"#,
+        r#"[{"kind":2,"cost_ns":4091,"sel":1.0},"#,
+        r#"{"kind":0,"cost_ns":19855,"sel":0.15210738365136292}]],"#,
+        r#""mean_gap_ns":2363194,"#,
+        r#""arrivals":98,"#,
+        r#""source":"onoff","#,
+        r#""faults":{"burst_prob":0.0,"burst_len":0,"burst_spread_ns":0,"stall_prob":0.0,"stall_len_ns":0},"#,
+        r#""admission":{"mode":0,"capacity":0,"watermark":0},"#,
+        r#""clusters":5,"#,
+        r#""sim_seed":"6913860088021234467","#,
+        r#""cost_miscalibration":0.1750031645271043,"#,
+        r#""cost_jitter":0.0,"#,
+        r#""governor":{"enabled":1,"cadence_ns":3618640,"min_dwell_ns":25330480,"escalate_pending":54,"deescalate_pending":13,"capacity":3,"watermark":27,"switch_policy":0},"#,
+        r#""deadline_ns":103980536,"#,
+        r#""op_failures":{"prob":0.0648545359115584,"cooldown_ns":47263880,"retries":2},"#,
+        r#""disconnect":{"prob":0.0,"retry_base_ns":0,"max_retries":0,"reconnect_prob":0.0},"#,
+        r#""adapt":{"enabled":1,"mode":0,"alpha":0.12313292462615778,"cadence_ns":7985965,"min_observations":2,"publish":1},"#,
+        r#""drift":[{"at_ns":57898253,"cost_factor":0.7188701002477403,"sel_factor":1.2543385675615537},"#,
+        r#"{"at_ns":115796506,"cost_factor":1.448912581953669,"sel_factor":1.2759695550946613},"#,
+        r#"{"at_ns":173694759,"cost_factor":0.5825906008604842,"sel_factor":0.890789972614677}]}"#
+    );
+
     #[test]
     fn rejects_unknown_schema() {
         let mut s = Scenario::generate(0, 0).to_json();
-        if let Json::Obj(pairs) = &mut s {
-            pairs[0].1 = Json::Str("hcq-fuzz-v0".into());
+        if let JsonValue::Obj(pairs) = &mut s {
+            pairs[0].1 = JsonValue::Str("hcq-fuzz-v0".into());
         }
         assert!(Scenario::from_json(&s).is_err());
     }
@@ -971,8 +972,8 @@ mod tests {
     fn v1_artifacts_parse_with_robustness_dimensions_off() {
         // Strip the v2 fields and relabel: the document a v1 fuzzer wrote.
         let mut s = Scenario::generate(3, 5).to_json();
-        if let Json::Obj(pairs) = &mut s {
-            pairs[0].1 = Json::Str(SCHEMA_V1.into());
+        if let JsonValue::Obj(pairs) = &mut s {
+            pairs[0].1 = JsonValue::Str(SCHEMA_V1.into());
             pairs.retain(|(k, _)| {
                 !matches!(
                     k.as_str(),

@@ -11,8 +11,8 @@
 //! violations) that `crates/check/tests/replay.rs` re-runs forever after.
 
 use crate::invariants::Violation;
-use crate::json::Json;
 use crate::scenario::{FaultPlan, Scenario, SourceKind};
+use hcq_common::json::{self, JsonValue};
 
 /// One shrinking transformation: returns a strictly simpler candidate, or
 /// `None` when it no longer applies.
@@ -189,13 +189,13 @@ pub fn artifact_name(seed: u64, case: u64) -> String {
 /// condemned it (informational — replay re-derives them).
 pub fn render_artifact(scenario: &Scenario, violations: &[Violation]) -> String {
     let mut doc = scenario.to_json();
-    if let Json::Obj(pairs) = &mut doc {
+    if let JsonValue::Obj(pairs) = &mut doc {
         pairs.push((
             "violations".into(),
-            Json::Arr(
+            JsonValue::Arr(
                 violations
                     .iter()
-                    .map(|v| Json::Str(v.to_string()))
+                    .map(|v| JsonValue::Str(v.to_string()))
                     .collect(),
             ),
         ));
@@ -206,9 +206,11 @@ pub fn render_artifact(scenario: &Scenario, violations: &[Violation]) -> String 
 }
 
 /// Parse an artifact document back into its scenario (the `violations`
-/// field, and any other unknown field, is ignored).
+/// field, and any other unknown field, is ignored). The document must be
+/// strict JSON: a malformed number (`+4`, `1.`) or a duplicated key is
+/// refused with its byte offset rather than guessed at.
 pub fn parse_artifact(text: &str) -> Result<Scenario, String> {
-    let doc = Json::parse(text)?;
+    let doc = json::parse(text).map_err(|e| format!("artifact is not valid JSON: {e}"))?;
     Scenario::from_json(&doc)
 }
 

@@ -74,3 +74,49 @@ fn broken_invariant_shrinks_to_a_replayable_artifact() {
     // invariant suite accepts it.
     assert!(replay(&back).is_empty());
 }
+
+/// The replayer's parser is the workspace's strict one: a malformed number
+/// or a duplicated key is refused with its byte offset, not guessed at.
+#[test]
+fn malformed_numbers_and_duplicate_keys_are_refused_with_an_offset() {
+    let text = std::fs::read_to_string(artifact_dir().join("fuzz-repro-4242-0.json")).unwrap();
+    assert!(parse_artifact(&text).is_ok());
+
+    let plus = text.replace("\"arrivals\":4", "\"arrivals\":+4");
+    assert_ne!(plus, text);
+    let offset = plus.find("+4").unwrap();
+    let err = parse_artifact(&plus).unwrap_err();
+    assert!(err.contains(&format!("at byte {offset}")), "{err}");
+
+    let dup = text.replace("\"seed\":\"4242\"", "\"seed\":\"4242\",\"seed\":\"7\"");
+    assert_ne!(dup, text);
+    let err = parse_artifact(&dup).unwrap_err();
+    assert!(
+        err.contains("duplicate key \"seed\"") && err.contains("at byte"),
+        "{err}"
+    );
+
+    for (from, to) in [("\"sel\":1.0", "\"sel\":1."), ("\"sel\":1.0", "\"sel\":.5")] {
+        let bad = text.replace(from, to);
+        assert_ne!(bad, text);
+        assert!(parse_artifact(&bad).is_err(), "accepted {to}");
+    }
+}
+
+/// Artifacts the previous writer produced spelled integer fields as
+/// integer-valued floats (`"arrivals":4.0`); they still replay.
+#[test]
+fn integer_fields_spelled_as_floats_still_parse() {
+    let text = std::fs::read_to_string(artifact_dir().join("fuzz-repro-4242-0.json")).unwrap();
+    let legacy = text
+        .replace("\"arrivals\":4", "\"arrivals\":4.0")
+        .replace("\"kind\":0", "\"kind\":0.0")
+        .replace("\"clusters\":8", "\"clusters\":8.0");
+    assert_ne!(legacy, text);
+    assert_eq!(
+        parse_artifact(&legacy).unwrap(),
+        parse_artifact(&text).unwrap()
+    );
+    let fractional = text.replace("\"arrivals\":4", "\"arrivals\":4.5");
+    assert!(parse_artifact(&fractional).is_err());
+}

@@ -11,10 +11,12 @@
 //!   selectivities as a pure function of `(tuple, operator)`, which guarantees
 //!   every scheduling policy observes the *same* workload realization.
 //! * [`HcqError`] — the workspace error type.
+//! * [`json`] — the one JSON value, strict parser and writer primitives.
 
 pub mod det;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod time;
 
 pub use error::{EngineError, HcqError, Result};

@@ -1,429 +1,4 @@
-//! A minimal strict JSON parser that preserves number text.
-//!
-//! Trace ids use the full `u64` range — composite tuple ids have the top
-//! bit set, which is far past the 2^53 integer ceiling of `f64`. A parser
-//! that funnels every number through a float would silently corrupt them,
-//! so numbers are kept as their raw source text and converted on access:
-//! [`JsonValue::as_u64`] for ids and timestamps (exact), [`JsonValue::as_f64`]
-//! for metric values (shortest-roundtrip text parses back to the identical
-//! bits the producer formatted).
-//!
-//! The grammar is full JSON minus two producer-side simplifications we keep
-//! strict on purpose: duplicate object keys are rejected (the trace writer
-//! never emits them, and silently taking one would mask a malformed line),
-//! and input must be UTF-8 text already (`&str`).
+//! The workspace's strict, number-text-preserving JSON codec, re-exported
+//! under the path this crate has always offered (see [`hcq_common::json`]).
 
-use std::fmt;
-
-/// A parsed JSON value. Numbers keep their raw text (see module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, as the exact source text.
-    Num(String),
-    /// A string, with escapes resolved.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source key order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup (None on missing key or non-object).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number as an exact `u64` (None for non-numbers, negatives,
-    /// fractions, or exponent forms).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as an `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The string content.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The array elements.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The object fields.
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// A parse failure: what went wrong and the byte offset it happened at.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError {
-    /// Human-readable description.
-    pub message: String,
-    /// Byte offset into the input.
-    pub offset: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parse one complete JSON value; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
-        JsonError {
-            message: message.to_string(),
-            offset: self.pos,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, JsonValue)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate key \"{key}\"")));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid; find the next char's byte length).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid UTF-8 in string"))?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, JsonError> {
-        let hex4 = |p: &mut Self| -> Result<u32, JsonError> {
-            let mut v = 0u32;
-            for _ in 0..4 {
-                let d = p.peek().ok_or_else(|| p.err("truncated \\u escape"))?;
-                let d = (d as char)
-                    .to_digit(16)
-                    .ok_or_else(|| p.err("non-hex digit in \\u escape"))?;
-                v = v * 16 + d;
-                p.pos += 1;
-            }
-            Ok(v)
-        };
-        let hi = hex4(self)?;
-        if (0xD800..0xDC00).contains(&hi) {
-            // Surrogate pair: require \uXXXX low half.
-            if self.peek() == Some(b'\\') {
-                self.pos += 1;
-                self.expect(b'u')?;
-                let lo = hex4(self)?;
-                if (0xDC00..0xE000).contains(&lo) {
-                    let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                    return char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"));
-                }
-            }
-            return Err(self.err("unpaired surrogate in \\u escape"));
-        }
-        char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
-            return Err(self.err("expected digits in number"));
-        }
-        // Leading zeros: JSON allows "0" and "0.x" but not "01".
-        if self.bytes[digits_start] == b'0' && self.pos - digits_start > 1 {
-            return Err(self.err("leading zero in number"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let frac_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == frac_start {
-                return Err(self.err("expected digits after decimal point"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let exp_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
-                return Err(self.err("expected digits in exponent"));
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number spans are ASCII");
-        Ok(JsonValue::Num(text.to_string()))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), JsonValue::Null);
-        assert_eq!(parse("true").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse(" false ").unwrap(), JsonValue::Bool(false));
-        assert_eq!(parse("\"a\\nb\"").unwrap(), JsonValue::Str("a\nb".into()));
-    }
-
-    #[test]
-    fn numbers_keep_raw_text() {
-        // 2^63 | 5: unrepresentable in f64; raw text must survive.
-        let big = (1u64 << 63) | 5;
-        let v = parse(&big.to_string()).unwrap();
-        assert_eq!(v.as_u64(), Some(big));
-        // Floats parse back bit-exactly from shortest-roundtrip text.
-        let f = 0.1f64 + 0.2;
-        let v = parse(&format!("{f}")).unwrap();
-        assert_eq!(v.as_f64().unwrap().to_bits(), f.to_bits());
-        assert_eq!(v.as_u64(), None);
-    }
-
-    #[test]
-    fn parses_nested_structures() {
-        let v = parse(r#"{"a":[1,{"b":true},"x"],"c":{"d":null}}"#).unwrap();
-        let a = v.get("a").unwrap().as_arr().unwrap();
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[1].get("b").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("c").unwrap().get("d").unwrap(), &JsonValue::Null);
-        assert!(v.get("missing").is_none());
-    }
-
-    #[test]
-    fn unicode_escapes() {
-        assert_eq!(
-            parse("\"\\u0041\\u00e9\"").unwrap(),
-            JsonValue::Str("Aé".into())
-        );
-        // Surrogate pair: U+1F600.
-        assert_eq!(
-            parse("\"\\ud83d\\ude00\"").unwrap(),
-            JsonValue::Str("😀".into())
-        );
-        assert!(parse("\"\\ud83d\"").is_err());
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "01",
-            "1.",
-            "1e",
-            "nul",
-            "\"\\x\"",
-            "1 2",
-            "{\"a\":1,\"a\":2}",
-        ] {
-            assert!(parse(bad).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn error_carries_offset() {
-        let e = parse("[1, x]").unwrap_err();
-        assert_eq!(e.offset, 4);
-        assert!(e.to_string().contains("byte 4"));
-    }
-}
+pub use hcq_common::json::*;

@@ -16,10 +16,8 @@
 //! Timestamps are microseconds (the format's fixed unit) with the
 //! nanosecond remainder as three fixed decimals, so virtual-time precision
 //! survives the unit change. [`validate`] re-parses rendered output with
-//! this crate's own JSON parser and checks the schema — the CI smoke job's
+//! the workspace's strict JSON parser and checks the schema — the CI smoke job's
 //! "serde round-trip".
-
-use std::fmt::Write as _;
 
 use crate::event::{InspectEvent, TraceLog};
 use crate::json::{self, JsonValue};
@@ -30,18 +28,17 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    let mut out = String::new();
+    json::write_str(&mut out, s);
+    out
+}
+
+/// `x` under the codec's float rule (`null` when non-finite).
+fn float(x: f64) -> String {
+    let mut out = String::new();
+    json::write_f64(&mut out, x);
     out
 }
 
@@ -108,17 +105,17 @@ pub fn render(log: &TraceLog) -> Result<String, String> {
             )),
             InspectEvent::Governor { at, from, to, .. } => events.push(format!(
                 "{{\"name\":\"governor\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\
-                 \"ts\":{},\"args\":{{\"from\":\"{}\",\"to\":\"{}\"}}}}",
+                 \"ts\":{},\"args\":{{\"from\":{},\"to\":{}}}}}",
                 us(*at),
-                escape(from),
-                escape(to),
+                quoted(from),
+                quoted(to),
             )),
             InspectEvent::PolicySwitch { at, from, to, .. } => events.push(format!(
                 "{{\"name\":\"policy_switch\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\
-                 \"ts\":{},\"args\":{{\"from\":\"{}\",\"to\":\"{}\"}}}}",
+                 \"ts\":{},\"args\":{{\"from\":{},\"to\":{}}}}}",
                 us(*at),
-                escape(from),
-                escape(to),
+                quoted(from),
+                quoted(to),
             )),
             InspectEvent::Fault {
                 at,
@@ -126,9 +123,10 @@ pub fn render(log: &TraceLog) -> Result<String, String> {
                 magnitude,
             } => events.push(format!(
                 "{{\"name\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\
-                 \"ts\":{},\"args\":{{\"kind\":\"{}\",\"magnitude\":{magnitude}}}}}",
+                 \"ts\":{},\"args\":{{\"kind\":{},\"magnitude\":{}}}}}",
                 us(*at),
-                escape(kind),
+                quoted(kind),
+                float(*magnitude),
             )),
             InspectEvent::Expire {
                 at,
@@ -177,7 +175,7 @@ pub fn render(log: &TraceLog) -> Result<String, String> {
             us(s.run_start),
             us(s.end - s.run_start),
             s.tuple,
-            s.slowdown,
+            float(s.slowdown),
         ));
     }
 

@@ -12,7 +12,7 @@
 //! before anything scrapes them. The optional `http-export` feature adds a
 //! minimal std-only scrape endpoint in the `http` module.
 
-use crate::telemetry::{escape, MetricValue, TelemetrySnapshot};
+use crate::telemetry::{MetricValue, TelemetrySnapshot};
 
 /// Render a snapshot in Prometheus text exposition format. Each family gets
 /// `# HELP` and `# TYPE` lines at its first sample; families must be
@@ -84,6 +84,21 @@ fn labels(pairs: &[(&'static str, String)], quantile: Option<&str>) -> String {
         out.push('"');
     }
     out.push('}');
+    out
+}
+
+/// Escape a label value the way the exposition format's grammar asks:
+/// backslash, double quote, and newline — nothing else (this is not JSON).
+fn escape(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
     out
 }
 
@@ -441,6 +456,12 @@ mod tests {
     use super::*;
     use crate::telemetry::TelemetryRegistry;
     use hcq_common::Nanos;
+
+    #[test]
+    fn escape_is_the_exposition_formats_three_rules() {
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\te");
+    }
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let mut reg = TelemetryRegistry::new();

@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use hcq_common::Nanos;
+use hcq_common::{json, Nanos};
 
 use crate::histogram::SlowdownHistogram;
 
@@ -351,64 +351,46 @@ impl TelemetrySnapshot {
     /// `{"type":"telemetry","at":…,"seq":…,"metrics":[…]}` — the same
     /// self-describing one-object-per-line convention as the scheduling
     /// trace, so PR-3 trace tooling can interleave both streams. Byte-
-    /// deterministic: field order is fixed and floats use shortest-roundtrip
-    /// formatting.
+    /// deterministic: field order is fixed, and every string and float is
+    /// written by [`hcq_common::json`] (non-finite values render as `null`).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let w = &mut out;
-        write!(
-            w,
+        let mut out = format!(
             "{{\"type\":\"telemetry\",\"at\":{},\"seq\":{},\"metrics\":[",
             self.at.as_nanos(),
             self.seq
-        )
-        .unwrap();
+        );
+        let w = &mut out;
         for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                w.push(',');
+            w.push_str(if i > 0 { ",{\"name\":" } else { "{\"name\":" });
+            json::write_str(w, m.name);
+            for (j, (k, v)) in m.labels.iter().enumerate() {
+                w.push_str(if j > 0 { "," } else { ",\"labels\":{" });
+                json::write_str(w, k);
+                w.push(':');
+                json::write_str(w, v);
             }
-            write!(w, "{{\"name\":\"{}\"", m.name).unwrap();
             if !m.labels.is_empty() {
-                w.push_str(",\"labels\":{");
-                for (j, (k, v)) in m.labels.iter().enumerate() {
-                    if j > 0 {
-                        w.push(',');
-                    }
-                    write!(w, "\"{}\":\"{}\"", k, escape(v)).unwrap();
-                }
                 w.push('}');
             }
             write!(w, ",\"kind\":\"{}\",\"value\":", m.kind().name()).unwrap();
             match &m.value {
                 MetricValue::Counter(c) => write!(w, "{c}").unwrap(),
-                MetricValue::Gauge(g) => write!(w, "{g}").unwrap(),
-                MetricValue::Summary(s) => write!(
-                    w,
-                    "{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-                    s.count, s.sum, s.p50, s.p95, s.p99, s.max
-                )
-                .unwrap(),
+                MetricValue::Gauge(g) => json::write_f64(w, *g),
+                MetricValue::Summary(s) => {
+                    write!(w, "{{\"count\":{}", s.count).unwrap();
+                    let floats = [s.sum, s.p50, s.p95, s.p99, s.max];
+                    for (key, x) in ["sum", "p50", "p95", "p99", "max"].iter().zip(floats) {
+                        write!(w, ",\"{key}\":").unwrap();
+                        json::write_f64(w, x);
+                    }
+                    w.push('}');
+                }
             }
             w.push('}');
         }
         w.push_str("]}");
         out
     }
-}
-
-/// Escape a label value for embedding in a double-quoted JSON or Prometheus
-/// string: backslash, double quote, and newline.
-pub(crate) fn escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -518,10 +500,40 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    /// Regression: label values used to get three ad-hoc escapes, names and
+    /// label keys none, and floats a bare `{}` — so a tab in a label or a NaN
+    /// gauge produced a line the workspace's own strict parser rejected.
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn every_rendered_line_parses_back_to_the_same_strings_and_null() {
+        let ascii: Vec<String> = ('\u{0}'..='\u{7f}').map(|c| format!("a{c}b")).collect();
+        let all: String = ('\u{0}'..='\u{7f}').collect();
+        for value in ascii.iter().chain([&all]) {
+            for x in [1.5, -2.5e-7, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut reg = TelemetryRegistry::new();
+                let g = reg.gauge("g\t\"n\"", "h", vec![("k\\\n", value.clone())]);
+                let s = reg.summary("s", "", vec![]);
+                reg.set_gauge(g, x);
+                reg.observe(s, x);
+                let line = reg.snapshot(Nanos(5)).to_jsonl();
+                let doc = json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line:?}"));
+                let metrics = doc.get("metrics").and_then(|m| m.as_arr()).unwrap();
+                let gauge = &metrics[0];
+                assert_eq!(gauge.get("name").unwrap().as_str(), Some("g\t\"n\""));
+                let labels = gauge.get("labels").unwrap().as_obj().unwrap();
+                assert_eq!(labels.len(), 1);
+                assert_eq!(labels[0].0, "k\\\n");
+                assert_eq!(labels[0].1.as_str(), Some(value.as_str()));
+                let got = gauge.get("value").unwrap();
+                let sum = metrics[1].get("value").unwrap().get("sum").unwrap();
+                for v in [got, sum] {
+                    if x.is_finite() {
+                        assert_eq!(v.as_f64().map(f64::to_bits), Some(x.to_bits()));
+                    } else {
+                        assert_eq!(v, &json::JsonValue::Null, "{x} in {line}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

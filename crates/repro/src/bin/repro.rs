@@ -3,17 +3,17 @@
 //! ```text
 //! repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--serve ADDR]
 //!
-//! exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_transient ext_recovery monitor validate bench all
+//! exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_transient ext_recovery monitor validate all
 //! (fig5..fig11 share one sweep; requesting any of them runs the sweep once)
 //! ```
 //!
 //! `--jobs N` sets the worker-thread count for independent experiment cells
 //! (default: the machine's available parallelism). Outputs are byte-identical
-//! at any job count. `bench` times the reference workload and writes
-//! `BENCH_1.json` to the repository root (or `--out`'s parent). `--trace FILE`
-//! additionally runs the single-stream workload once (HNR, 0.9 utilization)
-//! with scheduling-event tracing on and writes the JSONL trace to `FILE`;
-//! the trace is a pure function of the configuration, so re-runs are
+//! at any job count. (The repository's benchmark is not a `repro` mode: see
+//! `benchmark/README.md` and `BENCHMARK.json`.) `--trace FILE` additionally
+//! runs the single-stream workload once (HNR, 0.9 utilization) with
+//! scheduling-event tracing on and writes the JSONL trace to `FILE`; the
+//! trace is a pure function of the configuration, so re-runs are
 //! byte-identical.
 //!
 //! `monitor` runs the same reference workload with telemetry sampling on
@@ -25,11 +25,9 @@
 //!
 //! `inspect TRACE` analyses a previously captured trace offline: per-query
 //! latency waterfalls, starvation diagnosis, `--diff TRACE2` decision
-//! diffing, and `--format perfetto` Chrome trace-event export. `bench
-//! --history` consolidates every `BENCH_<n>.json` at the repository root
-//! into one PR-over-PR trajectory table. Modes that write user-named files
-//! (`monitor`, `--trace`, `inspect --format perfetto`) refuse to overwrite
-//! existing outputs unless `--force` is given.
+//! diffing, and `--format perfetto` Chrome trace-event export. Modes that
+//! write user-named files (`monitor`, `--trace`, `inspect --format
+//! perfetto`) refuse to overwrite existing outputs unless `--force` is given.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,10 +35,10 @@ use std::process::ExitCode;
 use hcq_common::Nanos;
 use hcq_core::PolicyKind;
 use hcq_repro::{
-    bench, bench_history, ext_adaptive, ext_faults, ext_inspect, ext_large_q, ext_lp, ext_memory,
-    ext_overhead, ext_overload, ext_preemption, ext_recovery, ext_seeds, ext_transient, fig11,
-    fig12, fig13, fig14, fig5_to_10, fuzz, fuzz_replay, guard_overwrite, inspect_trace, monitor,
-    run_runtime, table1, table2, table3, validate, ExpConfig, InspectFormat,
+    ext_adaptive, ext_faults, ext_inspect, ext_large_q, ext_lp, ext_memory, ext_overhead,
+    ext_overload, ext_preemption, ext_recovery, ext_seeds, ext_transient, fig11, fig12, fig13,
+    fig14, fig5_to_10, fuzz, fuzz_replay, guard_overwrite, inspect_trace, monitor, run_runtime,
+    table1, table2, table3, validate, ExpConfig, InspectFormat,
 };
 
 fn main() -> ExitCode {
@@ -52,11 +50,10 @@ fn main() -> ExitCode {
     let mut serve_addr: Option<String> = None;
     let mut fuzz_cases: u64 = 200;
     let mut fuzz_replay_path: Option<PathBuf> = None;
-    let mut large_q: Option<usize> = None;
+    let mut large_q_max: usize = 1_000_000;
     let mut diff_path: Option<PathBuf> = None;
     let mut format = InspectFormat::Text;
     let mut force = false;
-    let mut history = false;
     let mut runtime = false;
     let mut threads: Option<usize> = None;
     let mut it = args.into_iter();
@@ -71,11 +68,9 @@ fn main() -> ExitCode {
                 }
             },
             "--force" => force = true,
-            "--history" => history = true,
             "--runtime" => runtime = true,
             "--threads" => threads = Some(parse(it.next(), "--threads")),
-            "--large-q" => large_q = large_q.or(Some(1_000_000)),
-            "--large-q-max" => large_q = Some(parse(it.next(), "--large-q-max")),
+            "--large-q-max" => large_q_max = parse(it.next(), "--large-q-max"),
             "--queries" => cfg.queries = parse(it.next(), "--queries"),
             "--arrivals" => cfg.arrivals = parse(it.next(), "--arrivals"),
             "--seed" => cfg.seed = parse(it.next(), "--seed"),
@@ -223,7 +218,7 @@ fn main() -> ExitCode {
                 ext_adaptive(&cfg);
             }
             "ext_large_q" => {
-                ext_large_q(&cfg, large_q.unwrap_or(1_000_000));
+                ext_large_q(&cfg, large_q_max);
             }
             "ext_transient" => {
                 ext_transient(&cfg);
@@ -293,22 +288,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "bench" if history => match bench_history(&hcq_repro::snapshot_dir()) {
-                Ok(table) => {
-                    println!("== bench trajectory ==\n{}", table.render());
-                }
-                Err(e) => {
-                    eprintln!("bench --history failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "bench" => match bench(&cfg, large_q) {
-                Ok(path) => println!("benchmark baseline written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("bench failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "ext_inspect" => {
                 ext_inspect(&cfg);
             }
@@ -364,10 +343,10 @@ fn parse<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--serve ADDR] [--cases K] [--replay FILE] [--large-q] [--large-q-max Q] [--force]\n\
+        "usage: repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--serve ADDR] [--cases K] [--replay FILE] [--large-q-max Q] [--force]\n\
          \x20      repro inspect TRACE [--diff TRACE2] [--format text|perfetto] [--out DIR] [--force]\n\
          \x20      repro run --runtime [--threads N] [--arrivals N] [--seed S]\n\
-         exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_large_q ext_transient ext_recovery ext_adaptive ext_inspect monitor validate bench fuzz run all\n\
+         exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_large_q ext_transient ext_recovery ext_adaptive ext_inspect monitor validate fuzz run all\n\
          --jobs N: worker threads for independent cells (default: available parallelism; outputs are byte-identical at any N)\n\
          --govern: arm the closed-loop overload governor on single-stream runs (admission ladder + hysteresis; ext_recovery compares it to static admission regardless of this flag)\n\
          --trace FILE: write a deterministic JSONL scheduling trace of one reference run (HNR, 0.9 utilization)\n\
@@ -375,9 +354,7 @@ fn print_usage() {
          --serve ADDR: after `monitor`, serve metrics.prom over HTTP (needs --features http-export)\n\
          --cases K: scenarios for `fuzz` (default 200; seeded by --seed, minimized artifacts land in --out)\n\
          --replay FILE: for `fuzz`, re-run one fuzz-repro-*.json artifact instead of sweeping\n\
-         --large-q: with `bench`, add the 10^3..10^6-query scheduling-point sweep and its sub-linearity gates to the snapshot\n\
-         --large-q-max Q: cap the large-q sweep at Q queries (implies --large-q; `ext_large_q` honours it too)\n\
-         --history: with `bench`, print the PR-over-PR trajectory consolidated from every BENCH_<n>.json instead of running the benchmark\n\
+         --large-q-max Q: cap the `ext_large_q` sweep at Q queries (default 1000000)\n\
          --diff TRACE2: with `inspect`, align a second trace at scheduling-point granularity and report the first divergent decision\n\
          --format text|perfetto: `inspect` output — text reports (default) or Chrome trace-event JSON into --out\n\
          --runtime: with `run`, execute the reference workload on real OS threads via hcq-runtime instead of the simulator\n\

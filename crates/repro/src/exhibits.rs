@@ -1428,8 +1428,8 @@ pub fn ext_overhead(cfg: &ExpConfig) -> ExhibitOutput {
         ("BSD-Log", clustered(Clustering::Logarithmic, false)),
         ("BSD-Log-Fagin", clustered(Clustering::Logarithmic, true)),
     ];
-    // One cell per (q, variant); counters don't need long runs, so cap the
-    // per-cell arrivals the same way `repro bench` caps its sweep.
+    // One cell per (q, variant); counters don't need long runs, so the
+    // per-cell arrivals are capped.
     let cells: Vec<(usize, usize)> = qs
         .iter()
         .flat_map(|&q| (0..variants.len()).map(move |v| (q, v)))

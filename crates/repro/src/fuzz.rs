@@ -109,4 +109,27 @@ mod tests {
         assert!(a.outcome.artifacts.is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }
+
+    #[test]
+    fn replay_accepts_checked_in_artifacts_and_refuses_lax_json() {
+        let artifact = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../check/tests/artifacts/fuzz-repro-4242-0.json");
+        assert!(fuzz_replay(&artifact));
+        let dir = std::env::temp_dir().join(format!("hcq-fuzz-strict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = std::fs::read_to_string(&artifact).unwrap();
+        for (name, from, to) in [
+            ("plus.json", "\"arrivals\":4", "\"arrivals\":+4"),
+            (
+                "dup.json",
+                "\"seed\":\"4242\"",
+                "\"seed\":\"4242\",\"seed\":\"1\"",
+            ),
+        ] {
+            let bad = dir.join(name);
+            std::fs::write(&bad, text.replace(from, to)).unwrap();
+            assert!(!fuzz_replay(&bad), "{name} must be refused");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

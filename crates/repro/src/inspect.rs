@@ -1,5 +1,5 @@
 //! `repro inspect`: the offline trace-analysis CLI mode, plus the
-//! `ext_inspect` exhibit and the `bench --history` trajectory view.
+//! `ext_inspect` exhibit.
 //!
 //! `repro inspect TRACE` parses a PR-3 JSONL scheduling trace (interleaved
 //! `repro monitor` telemetry lines are tolerated) and prints the per-query
@@ -218,122 +218,6 @@ pub fn ext_inspect(cfg: &ExpConfig) -> ExhibitOutput {
     .emit(cfg)
 }
 
-// ---------------------------------------------------------- bench --history
-
-/// One `BENCH_<n>.json` snapshot's trajectory row data.
-struct HistoryRow {
-    n: u32,
-    /// (policy, sim_tuples_per_s, sched_evals_per_point).
-    policies: Vec<(String, f64, Option<f64>)>,
-    /// `C-BSD-log` ns/point at the largest measured q, if the snapshot has
-    /// a large-q section.
-    large_q_ns: Option<(u64, f64)>,
-}
-
-fn read_snapshot(path: &Path, n: u32) -> Result<HistoryRow, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("could not read {}: {e}", path.display()))?;
-    let v = hcq_inspect::parse_json(&text)
-        .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
-    let mut policies = Vec::new();
-    if let Some(list) = v
-        .get("reference_workload")
-        .and_then(|r| r.get("policies"))
-        .and_then(|p| p.as_arr())
-    {
-        for p in list {
-            let name = p
-                .get("policy")
-                .and_then(|s| s.as_str())
-                .unwrap_or("?")
-                .to_string();
-            let tps = p
-                .get("sim_tuples_per_s")
-                .and_then(|x| x.as_f64())
-                .unwrap_or(0.0);
-            let evals = p.get("sched_evals_per_point").and_then(|x| x.as_f64());
-            policies.push((name, tps, evals));
-        }
-    }
-    let large_q_ns = v
-        .get("large_q")
-        .and_then(|l| l.get("cells"))
-        .and_then(|c| c.as_arr())
-        .and_then(|cells| {
-            cells
-                .iter()
-                .filter(|c| c.get("policy").and_then(|s| s.as_str()) == Some("C-BSD-log"))
-                .filter_map(|c| Some((c.get("q")?.as_u64()?, c.get("ns_per_point")?.as_f64()?)))
-                .max_by_key(|(q, _)| *q)
-        });
-    Ok(HistoryRow {
-        n,
-        policies,
-        large_q_ns,
-    })
-}
-
-/// Consolidate every `BENCH_<n>.json` in `dir` into one PR-over-PR table:
-/// per-policy reference throughput (tuples/s), BSD's priority evaluations
-/// per scheduling point, and the clustered-BSD large-q cost per point.
-pub fn bench_history(dir: &Path) -> Result<AsciiTable, String> {
-    let mut rows = Vec::new();
-    let mut n = 1u32;
-    loop {
-        let path = dir.join(format!("BENCH_{n}.json"));
-        if !path.exists() {
-            break;
-        }
-        rows.push(read_snapshot(&path, n)?);
-        n += 1;
-    }
-    if rows.is_empty() {
-        return Err(format!("no BENCH_<n>.json snapshots in {}", dir.display()));
-    }
-
-    // Stable policy column order: as first seen across the trajectory.
-    let mut names: Vec<String> = Vec::new();
-    for r in &rows {
-        for (name, _, _) in &r.policies {
-            if !names.contains(name) {
-                names.push(name.clone());
-            }
-        }
-    }
-    let mut header: Vec<String> = vec!["bench".into()];
-    header.extend(names.iter().map(|n| format!("{n}_tuples_per_s")));
-    header.push("bsd_evals_per_point".into());
-    header.push("largeq_cbsd_ns_per_point".into());
-    let mut table = AsciiTable::new(header);
-    for r in &rows {
-        let mut cells: Vec<String> = vec![r.n.to_string()];
-        for name in &names {
-            let cell = r
-                .policies
-                .iter()
-                .find(|(p, _, _)| p == name)
-                .map(|(_, tps, _)| fnum(*tps))
-                .unwrap_or_else(|| "-".into());
-            cells.push(cell);
-        }
-        let bsd_evals = r
-            .policies
-            .iter()
-            .find(|(p, _, _)| p == "BSD")
-            .and_then(|(_, _, e)| *e)
-            .map(fnum)
-            .unwrap_or_else(|| "-".into());
-        cells.push(bsd_evals);
-        cells.push(
-            r.large_q_ns
-                .map(|(q, ns)| format!("{} (q={q})", fnum(ns)))
-                .unwrap_or_else(|| "-".into()),
-        );
-        table.row(cells);
-    }
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,47 +307,6 @@ mod tests {
         let err = inspect_trace(&trace, None, InspectFormat::Perfetto, &dir, false).unwrap_err();
         assert!(err.contains("--force"), "{err}");
         inspect_trace(&trace, None, InspectFormat::Perfetto, &dir, true).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn history_consolidates_snapshots_in_order() {
-        let dir = tmp_dir("history");
-        std::fs::write(
-            dir.join("BENCH_1.json"),
-            r#"{"schema":"hcq-bench-v1","reference_workload":{"policies":[
-                {"policy":"FCFS","sim_tuples_per_s":100.5},
-                {"policy":"BSD","sim_tuples_per_s":50.25,"sched_evals_per_point":40.0}
-            ]}}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("BENCH_2.json"),
-            r#"{"schema":"hcq-bench-v1","reference_workload":{"policies":[
-                {"policy":"FCFS","sim_tuples_per_s":110.0},
-                {"policy":"BSD","sim_tuples_per_s":60.0,"sched_evals_per_point":33.0}
-            ]},"large_q":{"cells":[
-                {"policy":"C-BSD-log","q":1000,"ns_per_point":450.0},
-                {"policy":"C-BSD-log","q":100000,"ns_per_point":300.0},
-                {"policy":"BSD-Exact","q":100000,"ns_per_point":222072.0}
-            ]}}"#,
-        )
-        .unwrap();
-        let table = bench_history(&dir).unwrap();
-        let text = table.render();
-        assert!(text.contains("FCFS_tuples_per_s"), "{text}");
-        assert_eq!(table.len(), 2);
-        assert!(text.contains("(q=100000)"), "{text}");
-        // Gap in numbering stops the scan; BENCH_4 alone is invisible.
-        std::fs::write(dir.join("BENCH_4.json"), "{}").unwrap();
-        assert_eq!(bench_history(&dir).unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn history_errors_on_empty_dir() {
-        let dir = tmp_dir("history_empty");
-        assert!(bench_history(&dir).unwrap_err().contains("no BENCH_"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

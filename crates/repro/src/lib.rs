@@ -10,7 +10,6 @@
 //! model, trace substitute, scaled-down defaults); orderings, gaps and
 //! crossovers are the reproduction target.
 
-pub mod bench;
 pub mod exhibits;
 pub mod fuzz;
 pub mod harness;
@@ -21,7 +20,6 @@ pub mod runtime;
 pub mod table;
 pub mod validate;
 
-pub use bench::{bench, snapshot_dir};
 pub use exhibits::{
     ext_adaptive, ext_faults, ext_large_q, ext_lp, ext_memory, ext_overhead, ext_overload,
     ext_preemption, ext_recovery, ext_seeds, ext_transient, fig11, fig12, fig13, fig14, fig5_to_10,
@@ -29,7 +27,7 @@ pub use exhibits::{
 };
 pub use fuzz::{fuzz, fuzz_replay, FuzzSummary};
 pub use harness::{default_jobs, run_jobs, ExpConfig, SweepResults};
-pub use inspect::{bench_history, ext_inspect, guard_overwrite, inspect_trace, InspectFormat};
+pub use inspect::{ext_inspect, guard_overwrite, inspect_trace, InspectFormat};
 pub use monitor::{monitor, MonitorOutput};
 pub use plot::Chart;
 pub use runtime::run_runtime;
