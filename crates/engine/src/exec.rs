@@ -57,22 +57,21 @@ pub fn unary_passes(
     }
 }
 
-/// Join-predicate coin for a candidate pair: symmetric in the pair (the
-/// probing order is policy-dependent; the outcome must not be).
-pub fn pair_passes(
-    seed: u64,
-    query: usize,
-    op: usize,
-    selectivity: f64,
-    a: &SimTuple,
-    b: &SimTuple,
-) -> bool {
+/// The part of the join-predicate coin that does not depend on the pair:
+/// one value per `(seed, query, join operator)`, so a probe computes it once
+/// for all its candidates.
+pub fn pair_salt(seed: u64, query: usize, op: usize) -> u64 {
+    det::mix3(query as u64, op as u64, seed)
+}
+
+/// Join-predicate coin for a candidate pair under a [`pair_salt`]: symmetric
+/// in the pair (the probing order is policy-dependent; the outcome must not
+/// be).
+#[inline]
+pub fn pair_passes_salted(salt: u64, selectivity: f64, a: &SimTuple, b: &SimTuple) -> bool {
     let lo = a.id.raw().min(b.id.raw());
     let hi = a.id.raw().max(b.id.raw());
-    det::coin(
-        det::mix3(lo, hi, det::mix3(query as u64, op as u64, seed)),
-        selectivity,
-    )
+    det::coin(det::mix3(lo, hi, salt), selectivity)
 }
 
 /// §5.1.2 slowdown of an emission at `now`:
@@ -140,11 +139,37 @@ mod tests {
     #[test]
     fn pair_coin_is_symmetric() {
         let (a, b) = (tuple(3, 10), tuple(9, 20));
+        let salt = pair_salt(7, 0, 1);
         for sel in [0.1, 0.5, 0.9] {
             assert_eq!(
-                pair_passes(7, 0, 1, sel, &a, &b),
-                pair_passes(7, 0, 1, sel, &b, &a)
+                pair_passes_salted(salt, sel, &a, &b),
+                pair_passes_salted(salt, sel, &b, &a)
             );
+        }
+    }
+
+    /// The salted coin is `coin(mix3(lo, hi, mix3(query, op, seed)), s)`, the
+    /// formula every pinned result was produced with, in either probing
+    /// order.
+    #[test]
+    fn salted_coin_is_the_pair_coin() {
+        let mut x = 0x5EED_u64;
+        let mut next = || {
+            x = det::splitmix64(x);
+            x
+        };
+        for _ in 0..2_000 {
+            let (seed, query, op) = (next(), (next() % 1_000) as usize, (next() % 8) as usize);
+            let (a, b) = (tuple(next(), 1), tuple(next() | 1 << 63, 2));
+            let sel = det::unit_f64(next()) * 1.2 - 0.1;
+            let (lo, hi) = (a.id.raw().min(b.id.raw()), a.id.raw().max(b.id.raw()));
+            let want = det::coin(
+                det::mix3(lo, hi, det::mix3(query as u64, op as u64, seed)),
+                sel,
+            );
+            let salt = pair_salt(seed, query, op);
+            assert_eq!(pair_passes_salted(salt, sel, &a, &b), want);
+            assert_eq!(pair_passes_salted(salt, sel, &b, &a), want);
         }
     }
 

@@ -287,6 +287,8 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
 
     qos: QosAccumulator,
     classes: ClassBreakdown,
+    /// `class_slots[query]`: the query's slot in `classes`, resolved once.
+    class_slots: Vec<usize>,
     histogram: SlowdownHistogram,
     series: Option<QosTimeSeries>,
     emitted: u64,
@@ -474,6 +476,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let shed_priority = unit_statics.iter().map(|u| u.hnr_priority()).collect();
         let n_units = model.unit_count();
         let ideal_times = model.stats.iter().map(|s| s.ideal_time).collect();
+        let mut classes = ClassBreakdown::new();
+        let class_slots = model.tags.iter().map(|&tag| classes.slot(tag)).collect();
         let deadlines: Vec<Option<Nanos>> = plan.queries.iter().map(|q| q.deadline).collect();
         let any_deadline = deadlines.iter().any(|d| d.is_some());
         // Live admission state: the governor moves the mode along the
@@ -575,7 +579,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             composite_counter: 0,
             arrivals_injected: 0,
             qos: QosAccumulator::new(),
-            classes: ClassBreakdown::new(),
+            classes,
+            class_slots,
             histogram: SlowdownHistogram::default(),
             series,
             emitted: 0,
@@ -1483,13 +1488,14 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     shj.insert_probe_into(side, &tuple, &mut matches);
                     let mut produced = false;
                     let sel = self.drifted_selectivity(spec.selectivity);
-                    for &partner in &matches {
-                        if !exec::pair_passes(self.cfg.seed, query, oi, sel, &tuple, &partner) {
+                    let salt = exec::pair_salt(self.cfg.seed, query, oi);
+                    for partner in &matches {
+                        if !exec::pair_passes_salted(salt, sel, &tuple, partner) {
                             continue;
                         }
                         produced = true;
                         let id = self.next_composite_id();
-                        let composite = SimTuple::composite(id, &tuple, &partner);
+                        let composite = SimTuple::composite(id, &tuple, partner);
                         match downstream {
                             Some(next) => self.run_pipeline(query, next, composite)?,
                             None => self.emit(query, composite),
@@ -1645,7 +1651,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let slowdown = exec::slowdown(self.clock, t.ideal_depart, ideal);
         self.qos.record(response, slowdown);
         self.classes
-            .record(self.model.tags[query], response, slowdown);
+            .record_slot(self.class_slots[query], response, slowdown);
         self.histogram.record(slowdown);
         if let Some(series) = self.series.as_mut() {
             series.record(self.clock, response, slowdown);

@@ -6,35 +6,22 @@
 //! supports quantile estimates for reporting beyond the paper's headline
 //! metrics.
 
-/// Histogram over `[1, ∞)` with logarithmic buckets.
+/// Histogram over `[1, ∞)` with power-of-two buckets.
 ///
-/// Bucket `i` covers slowdowns in `[base^i, base^(i+1))`; slowdowns below 1
+/// Bucket `i` covers slowdowns in `[2^i, 2^(i+1))`; slowdowns below 1
 /// (possible only for composite tuples measured against generous ideals,
-/// and clamped here) land in bucket 0.
-#[derive(Debug, Clone)]
+/// and clamped here) and non-finite values land in bucket 0.
+#[derive(Debug, Clone, Default)]
 pub struct SlowdownHistogram {
-    base: f64,
-    ln_base: f64,
     counts: Vec<u64>,
     total: u64,
 }
 
 impl SlowdownHistogram {
-    /// Create a histogram with the given bucket growth factor (must exceed
-    /// 1; 2.0 gives power-of-two buckets).
-    pub fn new(base: f64) -> Self {
-        assert!(base > 1.0, "histogram base must exceed 1");
-        SlowdownHistogram {
-            base,
-            ln_base: base.ln(),
-            counts: Vec::new(),
-            total: 0,
-        }
-    }
-
     /// Record one slowdown observation.
+    #[inline]
     pub fn record(&mut self, slowdown: f64) {
-        let bucket = self.bucket_of(slowdown);
+        let bucket = Self::bucket_of(slowdown);
         if self.counts.len() <= bucket {
             self.counts.resize(bucket + 1, 0);
         }
@@ -42,16 +29,22 @@ impl SlowdownHistogram {
         self.total += 1;
     }
 
-    fn bucket_of(&self, slowdown: f64) -> usize {
-        if !slowdown.is_finite() || slowdown <= 1.0 {
-            return 0;
+    /// `⌊log2 x⌋` read off the exponent field: exact at every bucket edge,
+    /// where a quotient of logarithms rounds.
+    #[inline]
+    fn bucket_of(slowdown: f64) -> usize {
+        if slowdown.is_finite() && slowdown > 1.0 {
+            // Above 1 the sign bit is clear and the value is normal, so the
+            // top twelve bits are the biased exponent, at least 1023.
+            (slowdown.to_bits() >> 52) as usize - 1023
+        } else {
+            0
         }
-        (slowdown.ln() / self.ln_base).floor() as usize
     }
 
     /// Lower edge of bucket `i`.
     pub fn bucket_low(&self, i: usize) -> f64 {
-        self.base.powi(i as i32)
+        2f64.powi(i as i32)
     }
 
     /// Total observations.
@@ -96,12 +89,6 @@ impl SlowdownHistogram {
     }
 }
 
-impl Default for SlowdownHistogram {
-    fn default() -> Self {
-        SlowdownHistogram::new(2.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +96,7 @@ mod tests {
 
     #[test]
     fn buckets_are_log_spaced() {
-        let mut h = SlowdownHistogram::new(2.0);
+        let mut h = SlowdownHistogram::default();
         for &v in &[1.0, 1.5, 2.0, 3.9, 4.0, 100.0] {
             h.record(v);
         }
@@ -123,16 +110,28 @@ mod tests {
     }
 
     #[test]
-    fn sub_one_values_clamp_to_first_bucket() {
+    fn values_outside_one_to_infinity_clamp_to_first_bucket() {
+        let outside = [
+            0.2,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            -8.0,
+            0.0,
+            1.0,
+        ];
         let mut h = SlowdownHistogram::default();
-        h.record(0.2);
-        h.record(f64::NAN);
-        assert_eq!(h.buckets(), vec![(1.0, 2)]);
+        for v in outside {
+            h.record(v);
+        }
+        assert_eq!(h.buckets(), vec![(1.0, outside.len() as u64)]);
+        assert_eq!(SlowdownHistogram::bucket_of(f64::MAX), 1023);
     }
 
     #[test]
     fn quantiles_bracket_the_data() {
-        let mut h = SlowdownHistogram::new(2.0);
+        let mut h = SlowdownHistogram::default();
         for i in 1..=100 {
             h.record(i as f64);
         }
@@ -154,7 +153,7 @@ mod tests {
     #[test]
     fn quantile_edges_are_pinned() {
         // Known distribution: 3 in [1,2), 1 in [4,8), 1 in [64,128).
-        let mut h = SlowdownHistogram::new(2.0);
+        let mut h = SlowdownHistogram::default();
         for &v in &[1.0, 1.2, 1.9, 5.0, 100.0] {
             h.record(v);
         }
@@ -168,7 +167,7 @@ mod tests {
 
     #[test]
     fn out_of_range_q_clamps() {
-        let mut h = SlowdownHistogram::new(2.0);
+        let mut h = SlowdownHistogram::default();
         h.record(3.0);
         h.record(9.0);
         assert_eq!(h.quantile(-0.5), h.quantile(0.0));
@@ -176,22 +175,30 @@ mod tests {
         assert_eq!(h.quantile(f64::NAN), h.quantile(0.0));
     }
 
+    /// The documented `[2^k, 2^(k+1))`, to the ulp: the edge and its upper
+    /// neighbour open bucket `k`, its lower neighbour closes bucket `k − 1`
+    /// (a quotient of logarithms puts that one in bucket `k` from k = 2 on).
     #[test]
-    #[should_panic(expected = "base must exceed")]
-    fn rejects_base_one() {
-        let _ = SlowdownHistogram::new(1.0);
+    fn bucket_edges_are_exact_to_the_ulp() {
+        for k in 1..=60usize {
+            let edge = 2f64.powi(k as i32);
+            let (below, above) = (
+                f64::from_bits(edge.to_bits() - 1),
+                f64::from_bits(edge.to_bits() + 1),
+            );
+            assert_eq!(SlowdownHistogram::bucket_of(edge), k, "2^{k}");
+            assert_eq!(SlowdownHistogram::bucket_of(above), k, "next(2^{k})");
+            assert_eq!(SlowdownHistogram::bucket_of(below), k - 1, "prev(2^{k})");
+        }
     }
 
     proptest! {
         #[test]
-        fn bucket_contains_value(v in 1.0f64..1e12, base in 1.1f64..10.0) {
-            let h = SlowdownHistogram::new(base);
-            let b = h.bucket_of(v);
-            let lo = h.bucket_low(b);
-            let hi = h.bucket_low(b + 1);
-            // Floating-point edge: value may sit exactly on a boundary.
-            prop_assert!(lo <= v * (1.0 + 1e-12));
-            prop_assert!(v < hi * (1.0 + 1e-12));
+        fn bucket_contains_value(v in 1.0f64..1e12) {
+            let h = SlowdownHistogram::default();
+            let b = SlowdownHistogram::bucket_of(v);
+            prop_assert!(h.bucket_low(b) <= v);
+            prop_assert!(v < h.bucket_low(b + 1));
         }
 
         #[test]

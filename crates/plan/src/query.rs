@@ -8,8 +8,9 @@ use crate::node::PlanNode;
 ///
 /// The paper defines a query *class* by its operators' cost class and
 /// selectivity; tuples emitted by queries of the same class are aggregated
-/// together when reporting per-class slowdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// together when reporting per-class slowdowns. Tags order by cost class,
+/// then selectivity bucket — the order per-class reports list them in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueryTag {
     /// Cost class `i` where operator cost is `K · 2^i` (§8 uses `i ∈ [0,4]`).
     pub cost_class: u8,
