@@ -169,6 +169,13 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `s` as a JSON string literal, quotes included.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::new();
+    write_str(&mut out, s);
+    out
+}
+
 /// Append `x` under the float rule: `null` when non-finite, otherwise the
 /// shortest text that round-trips, in Rust's `{}` spelling.
 pub fn write_f64(out: &mut String, x: f64) {

@@ -282,22 +282,17 @@ pub struct SimConfig {
     /// Priority strategy for §7 shared-operator groups (ignored when the
     /// plan declares no sharing).
     pub sharing: SharingStrategy,
-    /// Charge `ops_counted × sched_op_cost` of virtual time per scheduling
-    /// point (§9.2's accounting). Off by default: the policy-comparison
-    /// figures (5–12) treat scheduling as free, as the paper does.
+    /// Charge `ops_counted × c_min` of virtual time per scheduling point,
+    /// `c_min` being the cost of the cheapest operator in the query plans
+    /// (§9.2's accounting). Off by default: the policy-comparison figures
+    /// (5–12) treat scheduling as free, as the paper does.
     pub charge_overhead: bool,
-    /// Cost of one priority computation/comparison; `None` means "the cost
-    /// of the cheapest operator in the query plans" (§9.2).
-    pub sched_op_cost: Option<Nanos>,
     /// Total source arrivals to inject (summed over all streams).
     pub max_arrivals: u64,
     /// Keep processing queued work after the last arrival.
     pub drain: bool,
     /// Master seed for attribute values and selectivity coins.
     pub seed: u64,
-    /// Collect a per-window QoS time series with this window width
-    /// (`None` = off). Useful for visualizing burst dynamics.
-    pub sample_window: Option<Nanos>,
     /// Per-execution operator-cost jitter: each execution's cost is scaled
     /// by a deterministic pseudo-random factor in `[1−j, 1+j]` (a pure
     /// function of tuple/operator/seed, so still policy-independent).
@@ -327,11 +322,9 @@ impl SimConfig {
             level: SchedulingLevel::Query,
             sharing: SharingStrategy::Pdt,
             charge_overhead: false,
-            sched_op_cost: None,
             max_arrivals,
             drain: true,
             seed: 0,
-            sample_window: None,
             cost_jitter: 0.0,
             overload: OverloadConfig::default(),
             faults: FaultConfig::default(),
@@ -481,12 +474,6 @@ impl SimConfig {
     pub fn with_cost_jitter(mut self, jitter: f64) -> Self {
         assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
         self.cost_jitter = jitter;
-        self
-    }
-
-    /// Enable per-window QoS sampling.
-    pub fn with_sample_window(mut self, window: Nanos) -> Self {
-        self.sample_window = Some(window);
         self
     }
 

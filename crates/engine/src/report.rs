@@ -2,7 +2,7 @@
 
 use hcq_common::Nanos;
 use hcq_core::UnitStatics;
-use hcq_metrics::{ClassBreakdown, OverheadTotals, QosSummary, QosTimeSeries, SlowdownHistogram};
+use hcq_metrics::{ClassBreakdown, OverheadTotals, QosSummary, SlowdownHistogram};
 
 /// Everything a simulation run reports.
 #[derive(Debug)]
@@ -13,8 +13,6 @@ pub struct SimReport {
     pub classes: ClassBreakdown,
     /// Log-bucketed slowdown distribution.
     pub histogram: SlowdownHistogram,
-    /// Optional per-window QoS trajectory (see `SimConfig::sample_window`).
-    pub series: Option<QosTimeSeries>,
     /// Source arrivals injected.
     pub arrivals: u64,
     /// Tuples emitted at query roots.
@@ -146,7 +144,6 @@ mod tests {
             qos: QosSummary::default(),
             classes: ClassBreakdown::new(),
             histogram: SlowdownHistogram::default(),
-            series: None,
             arrivals: 10,
             emitted: 5,
             dropped: 5,
@@ -194,7 +191,6 @@ mod tests {
             qos: QosSummary::default(),
             classes: ClassBreakdown::new(),
             histogram: SlowdownHistogram::default(),
-            series: None,
             arrivals: 0,
             emitted: 0,
             dropped: 0,

@@ -6,9 +6,7 @@ use std::collections::{BinaryHeap, HashMap};
 use hcq_common::{det, EngineError, HcqError, Nanos, Result, StreamId, TupleId};
 use hcq_core::{EwmaEstimator, Policy, QueueView, UnitStatics, WindowedEstimator};
 use hcq_join::{Side, SymmetricHashJoin};
-use hcq_metrics::{
-    ClassBreakdown, OverheadTotals, QosAccumulator, QosTimeSeries, SlowdownHistogram,
-};
+use hcq_metrics::{ClassBreakdown, OverheadTotals, QosAccumulator, SlowdownHistogram};
 use hcq_plan::{CompiledOpKind, GlobalPlan, OperatorSpec, Port, StreamRates};
 use hcq_streams::{ArrivalSource, SourceFaultStats};
 
@@ -290,7 +288,6 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     /// `class_slots[query]`: the query's slot in `classes`, resolved once.
     class_slots: Vec<usize>,
     histogram: SlowdownHistogram,
-    series: Option<QosTimeSeries>,
     emitted: u64,
     dropped: u64,
     shed: u64,
@@ -469,8 +466,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 }
             }
         }
-        let sched_cost = cfg.sched_op_cost.unwrap_or(model.min_op_cost);
-        let series = cfg.sample_window.map(QosTimeSeries::new);
+        let sched_cost = model.min_op_cost;
         let unit_statics = model.unit_statics();
         policy.on_register(&unit_statics);
         let shed_priority = unit_statics.iter().map(|u| u.hnr_priority()).collect();
@@ -582,7 +578,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             classes,
             class_slots,
             histogram: SlowdownHistogram::default(),
-            series,
             emitted: 0,
             dropped: 0,
             shed: 0,
@@ -781,7 +776,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             qos: self.qos.summary(),
             classes: self.classes,
             histogram: self.histogram,
-            series: self.series,
             arrivals: self.arrivals_injected,
             emitted: self.emitted,
             dropped: self.dropped,
@@ -1653,9 +1647,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         self.classes
             .record_slot(self.class_slots[query], response, slowdown);
         self.histogram.record(slowdown);
-        if let Some(series) = self.series.as_mut() {
-            series.record(self.clock, response, slowdown);
-        }
         if M::ENABLED {
             if let Some(t) = self.telemetry.as_mut() {
                 t.observe_emit(query, response, slowdown);

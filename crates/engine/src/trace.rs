@@ -14,17 +14,25 @@
 //! `--jobs` counts. That determinism is load-bearing — the golden-trace test
 //! pins the full JSONL stream of a small workload.
 //!
+//! This module is also the one home of the JSONL wire format — the nine
+//! `type` tags and their field names: [`TraceEvent::write_jsonl`] renders a
+//! line and [`TraceEvent::parse_line`] reads it back, so offline analysis
+//! (`hcq-inspect`) works on the same type the engine emits.
+//!
 //! Not to be confused with `hcq_streams::TraceReplay`, which *replays* a
 //! recorded arrival schedule into the simulator; this module records what
 //! the scheduler did with it.
 
 use std::io::{self, Write};
 
+use hcq_common::json::{self, JsonValue};
 use hcq_common::Nanos;
 
-/// One scheduler-visible event.
+/// One scheduler-visible event. `S` is the type of the five name fields:
+/// the engine emits `&'static str` (so events stay `Copy` and allocation
+/// free); a trace parsed back from JSONL owns them as `String`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
+pub enum TraceEvent<S = &'static str> {
     /// A scheduling decision, with the §6 work counters the policy reported
     /// and the virtual time charged for it (0 unless overhead charging on).
     SchedulingPoint {
@@ -100,7 +108,7 @@ pub enum TraceEvent {
         /// Virtual time (always 0 for run-scoped faults).
         at: Nanos,
         /// Fault family, e.g. `"cost_miscalibration"`.
-        kind: &'static str,
+        kind: S,
         /// The fault's configured magnitude.
         magnitude: f64,
     },
@@ -127,9 +135,9 @@ pub enum TraceEvent {
         /// overshot while the engine was busy).
         at: Nanos,
         /// Admission mode before the transition.
-        from: &'static str,
+        from: S,
         /// Admission mode after the transition.
-        to: &'static str,
+        to: S,
         /// Total pending tuples observed at the decision.
         pending: u64,
         /// Fraction of the last cadence window spent above the watermark.
@@ -141,9 +149,9 @@ pub enum TraceEvent {
         /// Virtual time at which the switch took effect.
         at: Nanos,
         /// Policy name before the switch.
-        from: &'static str,
+        from: S,
         /// Policy name after the switch.
-        to: &'static str,
+        to: S,
         /// Overload share of the window that completed the streak.
         share: f64,
     },
@@ -242,10 +250,15 @@ impl<W: Write> JsonlTrace<W> {
         self.writer.flush()?;
         Ok(self.writer)
     }
+}
 
-    fn write_event(&mut self, event: &TraceEvent) -> io::Result<()> {
-        let w = &mut self.writer;
-        match *event {
+impl<S: AsRef<str>> TraceEvent<S> {
+    /// Render the event as one JSONL line, newline included. Integer fields
+    /// are exact and floats use Rust's shortest-roundtrip formatting; the
+    /// name fields go through [`json::quoted`], so any policy name yields a
+    /// line [`parse_line`](TraceEvent::parse_line) reads back.
+    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        match self {
             TraceEvent::SchedulingPoint {
                 at,
                 candidates_scanned,
@@ -326,9 +339,9 @@ impl<W: Write> JsonlTrace<W> {
                 magnitude,
             } => writeln!(
                 w,
-                "{{\"type\":\"fault\",\"at\":{},\"kind\":\"{}\",\"magnitude\":{}}}",
+                "{{\"type\":\"fault\",\"at\":{},\"kind\":{},\"magnitude\":{}}}",
                 at.as_nanos(),
-                kind,
+                json::quoted(kind.as_ref()),
                 magnitude,
             ),
             TraceEvent::Expire {
@@ -357,11 +370,11 @@ impl<W: Write> JsonlTrace<W> {
                 share,
             } => writeln!(
                 w,
-                "{{\"type\":\"governor\",\"at\":{},\"from\":\"{}\",\"to\":\"{}\",\
+                "{{\"type\":\"governor\",\"at\":{},\"from\":{},\"to\":{},\
                  \"pending\":{},\"share\":{}}}",
                 at.as_nanos(),
-                from,
-                to,
+                json::quoted(from.as_ref()),
+                json::quoted(to.as_ref()),
                 pending,
                 share,
             ),
@@ -372,11 +385,11 @@ impl<W: Write> JsonlTrace<W> {
                 share,
             } => writeln!(
                 w,
-                "{{\"type\":\"policy_switch\",\"at\":{},\"from\":\"{}\",\"to\":\"{}\",\
+                "{{\"type\":\"policy_switch\",\"at\":{},\"from\":{},\"to\":{},\
                  \"share\":{}}}",
                 at.as_nanos(),
-                from,
-                to,
+                json::quoted(from.as_ref()),
+                json::quoted(to.as_ref()),
                 share,
             ),
             TraceEvent::OpFailure {
@@ -401,12 +414,140 @@ impl<W: Write> JsonlTrace<W> {
     }
 }
 
+fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
+    v.get(key).ok_or_else(|| format!("missing field \"{key}\""))
+}
+
+fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
+    field(v, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field \"{key}\" is not a u64"))
+}
+
+fn ns_field(v: &JsonValue, key: &str) -> Result<Nanos, String> {
+    u64_field(v, key).map(Nanos)
+}
+
+fn u32_field(v: &JsonValue, key: &str) -> Result<u32, String> {
+    u64_field(v, key)?
+        .try_into()
+        .map_err(|_| format!("field \"{key}\" exceeds u32"))
+}
+
+fn f64_field(v: &JsonValue, key: &str) -> Result<f64, String> {
+    field(v, key)?
+        .as_f64()
+        .ok_or_else(|| format!("field \"{key}\" is not a number"))
+}
+
+fn str_field(v: &JsonValue, key: &str) -> Result<String, String> {
+    Ok(field(v, key)?
+        .as_str()
+        .ok_or_else(|| format!("field \"{key}\" is not a string"))?
+        .to_string())
+}
+
+fn bool_field(v: &JsonValue, key: &str) -> Result<bool, String> {
+    field(v, key)?
+        .as_bool()
+        .ok_or_else(|| format!("field \"{key}\" is not a bool"))
+}
+
+impl TraceEvent<String> {
+    /// Parse one line [`write_jsonl`](TraceEvent::write_jsonl) rendered.
+    ///
+    /// A trace file may interleave lines of other types (`repro monitor`
+    /// telemetry snapshots, future event types): a JSON object whose string
+    /// `type` is not one of the nine event tags comes back as `Ok(Err(tag))`
+    /// for the caller to count or reject. Anything else — not an object, no
+    /// string `type`, a missing or mistyped field — is the outer `Err`.
+    /// Number text is kept verbatim, so composite tuple ids above 2^53
+    /// survive exactly.
+    pub fn parse_line(line: &str) -> Result<Result<Self, String>, String> {
+        let v = &json::parse(line).map_err(|e| e.to_string())?;
+        let ty = v
+            .get("type")
+            .and_then(JsonValue::as_str)
+            .ok_or("object has no string \"type\" field")?;
+        Ok(Ok(match ty {
+            "sched_point" => TraceEvent::SchedulingPoint {
+                at: ns_field(v, "at")?,
+                candidates_scanned: u64_field(v, "candidates")?,
+                priority_evals: u64_field(v, "evals")?,
+                comparisons: u64_field(v, "comparisons")?,
+                cluster_ops: u64_field(v, "cluster_ops")?,
+                heap_ops: u64_field(v, "heap_ops")?,
+                charged: ns_field(v, "charged")?,
+            },
+            "unit_run" => TraceEvent::UnitRun {
+                at: ns_field(v, "at")?,
+                unit: u32_field(v, "unit")?,
+                tuple: u64_field(v, "tuple")?,
+                arrival: ns_field(v, "arrival")?,
+                cost: ns_field(v, "cost")?,
+                tuples: u64_field(v, "tuples")?,
+            },
+            "emit" => TraceEvent::Emit {
+                at: ns_field(v, "at")?,
+                unit: u32_field(v, "unit")?,
+                query: u32_field(v, "query")?,
+                tuple: u64_field(v, "tuple")?,
+                lineage: u64_field(v, "lineage")?,
+                arrival: ns_field(v, "arrival")?,
+                slowdown: f64_field(v, "slowdown")?,
+            },
+            "shed" => TraceEvent::Shed {
+                at: ns_field(v, "at")?,
+                unit: u32_field(v, "unit")?,
+                tuple: u64_field(v, "tuple")?,
+                lineage: u64_field(v, "lineage")?,
+                arrival: ns_field(v, "arrival")?,
+            },
+            "fault" => TraceEvent::Fault {
+                at: ns_field(v, "at")?,
+                kind: str_field(v, "kind")?,
+                magnitude: f64_field(v, "magnitude")?,
+            },
+            "expire" => TraceEvent::Expire {
+                at: ns_field(v, "at")?,
+                unit: u32_field(v, "unit")?,
+                query: u32_field(v, "query")?,
+                tuple: u64_field(v, "tuple")?,
+                arrival: ns_field(v, "arrival")?,
+                late_by: ns_field(v, "late_by")?,
+            },
+            "governor" => TraceEvent::GovernorTransition {
+                at: ns_field(v, "at")?,
+                from: str_field(v, "from")?,
+                to: str_field(v, "to")?,
+                pending: u64_field(v, "pending")?,
+                share: f64_field(v, "share")?,
+            },
+            "policy_switch" => TraceEvent::PolicySwitch {
+                at: ns_field(v, "at")?,
+                from: str_field(v, "from")?,
+                to: str_field(v, "to")?,
+                share: f64_field(v, "share")?,
+            },
+            "op_failure" => TraceEvent::OpFailure {
+                at: ns_field(v, "at")?,
+                unit: u32_field(v, "unit")?,
+                tuple: u64_field(v, "tuple")?,
+                cost: ns_field(v, "cost")?,
+                attempt: u32_field(v, "attempt")?,
+                retrying: bool_field(v, "retrying")?,
+            },
+            other => return Ok(Err(other.to_string())),
+        }))
+    }
+}
+
 impl<W: Write> TraceSink for JsonlTrace<W> {
     fn event(&mut self, event: &TraceEvent) {
         if self.error.is_some() {
             return;
         }
-        if let Err(e) = self.write_event(event) {
+        if let Err(e) = event.write_jsonl(&mut self.writer) {
             self.error = Some(e);
         }
     }
@@ -488,6 +629,13 @@ mod tests {
         ]
     }
 
+    /// One event as its trace-file line, newline included.
+    fn render<S: AsRef<str>>(ev: &TraceEvent<S>) -> String {
+        let mut bytes = Vec::new();
+        ev.write_jsonl(&mut bytes).unwrap();
+        String::from_utf8(bytes).unwrap()
+    }
+
     #[test]
     fn jsonl_renders_one_line_per_event() {
         let mut sink = JsonlTrace::new(Vec::new());
@@ -541,6 +689,49 @@ mod tests {
             "{\"type\":\"op_failure\",\"at\":2200,\"unit\":3,\"tuple\":12,\
              \"cost\":900,\"attempt\":0,\"retrying\":true}"
         );
+        // The parser is the writer's inverse on every variant.
+        for line in lines {
+            let parsed = TraceEvent::parse_line(line).unwrap().unwrap();
+            assert_eq!(render(&parsed).trim_end(), line);
+        }
+    }
+
+    #[test]
+    fn names_are_escaped_so_any_policy_name_parses_back() {
+        // `StaticPolicy::custom` accepts any name; it reaches the trace as
+        // `PolicySwitch::from`.
+        let ev = TraceEvent::PolicySwitch {
+            at: Nanos(7),
+            from: "a\"b\\c",
+            to: "LSF",
+            share: 0.5,
+        };
+        let text = render(&ev);
+        let parsed = TraceEvent::parse_line(text.trim_end()).unwrap().unwrap();
+        assert_eq!(
+            parsed,
+            TraceEvent::PolicySwitch {
+                at: Nanos(7),
+                from: "a\"b\\c".to_string(),
+                to: "LSF".to_string(),
+                share: 0.5,
+            }
+        );
+        assert_eq!(render(&parsed), text);
+    }
+
+    #[test]
+    fn other_types_are_handed_back_and_malformed_lines_rejected() {
+        assert_eq!(
+            TraceEvent::parse_line("{\"type\":\"telemetry\",\"at\":0}"),
+            Ok(Err("telemetry".to_string()))
+        );
+        assert!(TraceEvent::parse_line("{\"at\":1}").is_err());
+        assert!(TraceEvent::parse_line("{\"type\":\"shed\",\"at\":1}").is_err());
+        let wide = "{\"type\":\"shed\",\"at\":1,\"unit\":4294967296,\"tuple\":1,\
+                    \"lineage\":1,\"arrival\":0}";
+        let err = TraceEvent::parse_line(wide).unwrap_err();
+        assert!(err.contains("exceeds u32"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use hcq_common::{det, Nanos, StreamId};
 use hcq_core::{ClusterConfig, ClusteredBsdPolicy, PolicyKind};
-use hcq_engine::{simulate, SchedulingLevel, SimConfig, SimReport};
+use hcq_engine::{
+    simulate, simulate_monitored, SchedulingLevel, SimConfig, SimReport, VecTelemetry,
+};
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_streams::{PoissonSource, TraceReplay};
 
@@ -524,23 +526,33 @@ fn memory_accounting_tracks_queue_population() {
 }
 
 #[test]
-fn sample_window_collects_trajectory() {
-    let r = simulate(
+fn telemetry_windows_collect_trajectory() {
+    let (r, sink) = simulate_monitored(
         &small_workload(),
         &StreamRates::none(),
         vec![Box::new(PoissonSource::new(ms(40), 99))],
         PolicyKind::Hnr.build(),
         SimConfig::new(500)
             .with_seed(5)
-            .with_sample_window(Nanos::from_secs(1)),
+            .with_telemetry_cadence(Nanos::from_secs(1)),
+        VecTelemetry::new(),
     )
     .unwrap();
-    let series = r.series.expect("sampling enabled");
-    let total: u64 = series.series().iter().map(|(_, s)| s.count).sum();
+    // Each snapshot drains the slowdown summary: exact count/sum per window.
+    let windows: Vec<_> = sink
+        .samples
+        .iter()
+        .map(|s| *s.summary("hcq_slowdown").expect("registered summary"))
+        .filter(|w| w.count > 0)
+        .collect();
+    let total: u64 = windows.iter().map(|w| w.count).sum();
     assert_eq!(total, r.qos.count, "every emission lands in some window");
-    assert!(series.len() > 1, "run spans multiple windows");
-    let (_, worst) = series.worst_window().expect("emissions exist");
-    assert!(worst.avg_slowdown >= r.qos.avg_slowdown * 0.99);
+    assert!(windows.len() > 1, "run spans multiple windows");
+    let worst = windows
+        .iter()
+        .map(|w| w.sum / w.count as f64)
+        .fold(0.0, f64::max);
+    assert!(worst >= r.qos.avg_slowdown * 0.99);
 }
 
 #[test]

@@ -14,7 +14,9 @@
 //! The per-query QoS delta table then quantifies what the divergence bought:
 //! emitted counts and mean/max slowdown per query in each run, side by side.
 
-use crate::event::{InspectEvent, TraceLog};
+use hcq_engine::TraceEvent;
+
+use crate::event::TraceLog;
 
 /// One scheduling decision and the units it consumed.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,14 +34,14 @@ pub fn decisions(log: &TraceLog) -> Vec<Decision> {
     let mut out: Vec<Decision> = Vec::new();
     for ev in &log.events {
         match ev {
-            InspectEvent::SchedPoint { at, .. } => out.push(Decision {
+            TraceEvent::SchedulingPoint { at, .. } => out.push(Decision {
                 ordinal: out.len() as u64,
-                at: *at,
+                at: at.as_nanos(),
                 units: Vec::new(),
             }),
-            InspectEvent::UnitRun { unit, .. }
-            | InspectEvent::Expire { unit, .. }
-            | InspectEvent::OpFailure { unit, .. } => {
+            TraceEvent::UnitRun { unit, .. }
+            | TraceEvent::Expire { unit, .. }
+            | TraceEvent::OpFailure { unit, .. } => {
                 if let Some(d) = out.last_mut() {
                     d.units.push(*unit);
                 }
@@ -100,7 +102,7 @@ pub struct DiffReport {
 
 fn per_query_qos(log: &TraceLog, out: &mut Vec<QueryDelta>, side_a: bool) {
     for ev in &log.events {
-        if let InspectEvent::Emit {
+        if let TraceEvent::Emit {
             query, slowdown, ..
         } = ev
         {

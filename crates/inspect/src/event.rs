@@ -1,10 +1,8 @@
-//! Parsed trace events and the JSONL stream reader.
+//! The JSONL stream reader.
 //!
-//! [`InspectEvent`] is the owned mirror of the engine's `TraceEvent`: same
-//! variants, same fields, `String` where the engine uses `&'static str` and
-//! plain `u64` nanoseconds where it uses `Nanos`. The mapping is exact —
-//! `parse(render(event)) == event` for every variant (property-tested in
-//! `tests/roundtrip.rs` via the `PartialEq<TraceEvent>` impl below).
+//! Events are the engine's own [`TraceEvent`], owned (`TraceEvent<String>`):
+//! the wire format — type tags and field names — lives beside the renderer
+//! in `hcq_engine::trace`, and this module only classifies lines.
 //!
 //! A trace file may interleave non-event lines: `repro monitor` telemetry
 //! snapshots (`"type":"telemetry"`) and future event types. [`parse_stream`]
@@ -12,326 +10,13 @@
 //! across trace-schema growth; anything that is not a JSON object with a
 //! string `type` is a hard error.
 
-use hcq_common::Nanos;
 use hcq_engine::TraceEvent;
-
-use crate::json::{self, JsonValue};
-
-/// One parsed scheduler-visible event. See `hcq_engine::trace::TraceEvent`
-/// for field semantics; times are virtual nanoseconds.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field semantics documented on hcq_engine::TraceEvent
-pub enum InspectEvent {
-    /// A scheduling decision with its itemized work counters.
-    SchedPoint {
-        at: u64,
-        candidates: u64,
-        evals: u64,
-        comparisons: u64,
-        cluster_ops: u64,
-        heap_ops: u64,
-        charged: u64,
-    },
-    /// One unit execution.
-    UnitRun {
-        at: u64,
-        unit: u32,
-        tuple: u64,
-        arrival: u64,
-        cost: u64,
-        tuples: u64,
-    },
-    /// A root emission.
-    Emit {
-        at: u64,
-        unit: u32,
-        query: u32,
-        tuple: u64,
-        lineage: u64,
-        arrival: u64,
-        slowdown: f64,
-    },
-    /// A shed tuple.
-    Shed {
-        at: u64,
-        unit: u32,
-        tuple: u64,
-        lineage: u64,
-        arrival: u64,
-    },
-    /// A run-scoped fault injection.
-    Fault {
-        at: u64,
-        kind: String,
-        magnitude: f64,
-    },
-    /// A deadline expiry at dequeue.
-    Expire {
-        at: u64,
-        unit: u32,
-        query: u32,
-        tuple: u64,
-        arrival: u64,
-        late_by: u64,
-    },
-    /// A governor admission-ladder step.
-    Governor {
-        at: u64,
-        from: String,
-        to: String,
-        pending: u64,
-        share: f64,
-    },
-    /// A governor policy switch.
-    PolicySwitch {
-        at: u64,
-        from: String,
-        to: String,
-        share: f64,
-    },
-    /// A transient operator failure.
-    OpFailure {
-        at: u64,
-        unit: u32,
-        tuple: u64,
-        cost: u64,
-        attempt: u32,
-        retrying: bool,
-    },
-}
-
-impl InspectEvent {
-    /// The event's virtual timestamp.
-    pub fn at(&self) -> u64 {
-        match self {
-            InspectEvent::SchedPoint { at, .. }
-            | InspectEvent::UnitRun { at, .. }
-            | InspectEvent::Emit { at, .. }
-            | InspectEvent::Shed { at, .. }
-            | InspectEvent::Fault { at, .. }
-            | InspectEvent::Expire { at, .. }
-            | InspectEvent::Governor { at, .. }
-            | InspectEvent::PolicySwitch { at, .. }
-            | InspectEvent::OpFailure { at, .. } => *at,
-        }
-    }
-}
-
-impl PartialEq<TraceEvent> for InspectEvent {
-    fn eq(&self, other: &TraceEvent) -> bool {
-        let ns = |n: &Nanos| n.as_nanos();
-        match (self, other) {
-            (
-                InspectEvent::SchedPoint {
-                    at,
-                    candidates,
-                    evals,
-                    comparisons,
-                    cluster_ops,
-                    heap_ops,
-                    charged,
-                },
-                TraceEvent::SchedulingPoint {
-                    at: at2,
-                    candidates_scanned,
-                    priority_evals,
-                    comparisons: comparisons2,
-                    cluster_ops: cluster_ops2,
-                    heap_ops: heap_ops2,
-                    charged: charged2,
-                },
-            ) => {
-                *at == ns(at2)
-                    && candidates == candidates_scanned
-                    && evals == priority_evals
-                    && comparisons == comparisons2
-                    && cluster_ops == cluster_ops2
-                    && heap_ops == heap_ops2
-                    && *charged == ns(charged2)
-            }
-            (
-                InspectEvent::UnitRun {
-                    at,
-                    unit,
-                    tuple,
-                    arrival,
-                    cost,
-                    tuples,
-                },
-                TraceEvent::UnitRun {
-                    at: at2,
-                    unit: unit2,
-                    tuple: tuple2,
-                    arrival: arrival2,
-                    cost: cost2,
-                    tuples: tuples2,
-                },
-            ) => {
-                *at == ns(at2)
-                    && unit == unit2
-                    && tuple == tuple2
-                    && *arrival == ns(arrival2)
-                    && *cost == ns(cost2)
-                    && tuples == tuples2
-            }
-            (
-                InspectEvent::Emit {
-                    at,
-                    unit,
-                    query,
-                    tuple,
-                    lineage,
-                    arrival,
-                    slowdown,
-                },
-                TraceEvent::Emit {
-                    at: at2,
-                    unit: unit2,
-                    query: query2,
-                    tuple: tuple2,
-                    lineage: lineage2,
-                    arrival: arrival2,
-                    slowdown: slowdown2,
-                },
-            ) => {
-                *at == ns(at2)
-                    && unit == unit2
-                    && query == query2
-                    && tuple == tuple2
-                    && lineage == lineage2
-                    && *arrival == ns(arrival2)
-                    && slowdown == slowdown2
-            }
-            (
-                InspectEvent::Shed {
-                    at,
-                    unit,
-                    tuple,
-                    lineage,
-                    arrival,
-                },
-                TraceEvent::Shed {
-                    at: at2,
-                    unit: unit2,
-                    tuple: tuple2,
-                    lineage: lineage2,
-                    arrival: arrival2,
-                },
-            ) => {
-                *at == ns(at2)
-                    && unit == unit2
-                    && tuple == tuple2
-                    && lineage == lineage2
-                    && *arrival == ns(arrival2)
-            }
-            (
-                InspectEvent::Fault {
-                    at,
-                    kind,
-                    magnitude,
-                },
-                TraceEvent::Fault {
-                    at: at2,
-                    kind: kind2,
-                    magnitude: magnitude2,
-                },
-            ) => *at == ns(at2) && kind == kind2 && magnitude == magnitude2,
-            (
-                InspectEvent::Expire {
-                    at,
-                    unit,
-                    query,
-                    tuple,
-                    arrival,
-                    late_by,
-                },
-                TraceEvent::Expire {
-                    at: at2,
-                    unit: unit2,
-                    query: query2,
-                    tuple: tuple2,
-                    arrival: arrival2,
-                    late_by: late_by2,
-                },
-            ) => {
-                *at == ns(at2)
-                    && unit == unit2
-                    && query == query2
-                    && tuple == tuple2
-                    && *arrival == ns(arrival2)
-                    && *late_by == ns(late_by2)
-            }
-            (
-                InspectEvent::Governor {
-                    at,
-                    from,
-                    to,
-                    pending,
-                    share,
-                },
-                TraceEvent::GovernorTransition {
-                    at: at2,
-                    from: from2,
-                    to: to2,
-                    pending: pending2,
-                    share: share2,
-                },
-            ) => {
-                *at == ns(at2)
-                    && from == from2
-                    && to == to2
-                    && pending == pending2
-                    && share == share2
-            }
-            (
-                InspectEvent::PolicySwitch {
-                    at,
-                    from,
-                    to,
-                    share,
-                },
-                TraceEvent::PolicySwitch {
-                    at: at2,
-                    from: from2,
-                    to: to2,
-                    share: share2,
-                },
-            ) => *at == ns(at2) && from == from2 && to == to2 && share == share2,
-            (
-                InspectEvent::OpFailure {
-                    at,
-                    unit,
-                    tuple,
-                    cost,
-                    attempt,
-                    retrying,
-                },
-                TraceEvent::OpFailure {
-                    at: at2,
-                    unit: unit2,
-                    tuple: tuple2,
-                    cost: cost2,
-                    attempt: attempt2,
-                    retrying: retrying2,
-                },
-            ) => {
-                *at == ns(at2)
-                    && unit == unit2
-                    && tuple == tuple2
-                    && *cost == ns(cost2)
-                    && attempt == attempt2
-                    && retrying == retrying2
-            }
-            _ => false,
-        }
-    }
-}
 
 /// One classified trace line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Line {
     /// A scheduler event.
-    Event(InspectEvent),
+    Event(TraceEvent<String>),
     /// A `repro monitor` telemetry snapshot (tolerated, not analyzed here).
     Telemetry,
     /// A JSON object with an unrecognized `type` (tolerated for forward
@@ -343,127 +28,20 @@ pub enum Line {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
     /// Scheduler events, in stream order.
-    pub events: Vec<InspectEvent>,
+    pub events: Vec<TraceEvent<String>>,
     /// Interleaved telemetry snapshot lines skipped.
     pub telemetry_lines: usize,
     /// Lines with an unrecognized `type` tag skipped.
     pub unknown_lines: usize,
 }
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing field \"{key}\""))
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field \"{key}\" is not a u64"))
-}
-
-fn u32_field(v: &JsonValue, key: &str) -> Result<u32, String> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| format!("field \"{key}\" exceeds u32"))
-}
-
-fn f64_field(v: &JsonValue, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field \"{key}\" is not a number"))
-}
-
-fn str_field(v: &JsonValue, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field \"{key}\" is not a string"))?
-        .to_string())
-}
-
-fn bool_field(v: &JsonValue, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field \"{key}\" is not a bool"))
-}
-
 /// Parse one JSONL line into an event, a tolerated non-event, or an error.
 pub fn parse_line(line: &str) -> Result<Line, String> {
-    let v = json::parse(line).map_err(|e| e.to_string())?;
-    let ty = v
-        .get("type")
-        .and_then(JsonValue::as_str)
-        .ok_or("object has no string \"type\" field")?;
-    let ev = match ty {
-        "sched_point" => InspectEvent::SchedPoint {
-            at: u64_field(&v, "at")?,
-            candidates: u64_field(&v, "candidates")?,
-            evals: u64_field(&v, "evals")?,
-            comparisons: u64_field(&v, "comparisons")?,
-            cluster_ops: u64_field(&v, "cluster_ops")?,
-            heap_ops: u64_field(&v, "heap_ops")?,
-            charged: u64_field(&v, "charged")?,
-        },
-        "unit_run" => InspectEvent::UnitRun {
-            at: u64_field(&v, "at")?,
-            unit: u32_field(&v, "unit")?,
-            tuple: u64_field(&v, "tuple")?,
-            arrival: u64_field(&v, "arrival")?,
-            cost: u64_field(&v, "cost")?,
-            tuples: u64_field(&v, "tuples")?,
-        },
-        "emit" => InspectEvent::Emit {
-            at: u64_field(&v, "at")?,
-            unit: u32_field(&v, "unit")?,
-            query: u32_field(&v, "query")?,
-            tuple: u64_field(&v, "tuple")?,
-            lineage: u64_field(&v, "lineage")?,
-            arrival: u64_field(&v, "arrival")?,
-            slowdown: f64_field(&v, "slowdown")?,
-        },
-        "shed" => InspectEvent::Shed {
-            at: u64_field(&v, "at")?,
-            unit: u32_field(&v, "unit")?,
-            tuple: u64_field(&v, "tuple")?,
-            lineage: u64_field(&v, "lineage")?,
-            arrival: u64_field(&v, "arrival")?,
-        },
-        "fault" => InspectEvent::Fault {
-            at: u64_field(&v, "at")?,
-            kind: str_field(&v, "kind")?,
-            magnitude: f64_field(&v, "magnitude")?,
-        },
-        "expire" => InspectEvent::Expire {
-            at: u64_field(&v, "at")?,
-            unit: u32_field(&v, "unit")?,
-            query: u32_field(&v, "query")?,
-            tuple: u64_field(&v, "tuple")?,
-            arrival: u64_field(&v, "arrival")?,
-            late_by: u64_field(&v, "late_by")?,
-        },
-        "governor" => InspectEvent::Governor {
-            at: u64_field(&v, "at")?,
-            from: str_field(&v, "from")?,
-            to: str_field(&v, "to")?,
-            pending: u64_field(&v, "pending")?,
-            share: f64_field(&v, "share")?,
-        },
-        "policy_switch" => InspectEvent::PolicySwitch {
-            at: u64_field(&v, "at")?,
-            from: str_field(&v, "from")?,
-            to: str_field(&v, "to")?,
-            share: f64_field(&v, "share")?,
-        },
-        "op_failure" => InspectEvent::OpFailure {
-            at: u64_field(&v, "at")?,
-            unit: u32_field(&v, "unit")?,
-            tuple: u64_field(&v, "tuple")?,
-            cost: u64_field(&v, "cost")?,
-            attempt: u32_field(&v, "attempt")?,
-            retrying: bool_field(&v, "retrying")?,
-        },
-        "telemetry" => return Ok(Line::Telemetry),
-        other => return Ok(Line::Unknown(other.to_string())),
-    };
-    Ok(Line::Event(ev))
+    Ok(match TraceEvent::parse_line(line)? {
+        Ok(ev) => Line::Event(ev),
+        Err(ty) if ty == "telemetry" => Line::Telemetry,
+        Err(ty) => Line::Unknown(ty),
+    })
 }
 
 /// Parse a whole JSONL trace. Empty lines are skipped; a malformed line
@@ -486,6 +64,7 @@ pub fn parse_stream(text: &str) -> Result<TraceLog, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcq_common::Nanos;
 
     #[test]
     fn parses_an_emit_line() {
@@ -493,13 +72,13 @@ mod tests {
                     \"tuple\":7,\"lineage\":7,\"arrival\":4,\"slowdown\":1.5}";
         assert_eq!(
             parse_line(line).unwrap(),
-            Line::Event(InspectEvent::Emit {
-                at: 1011,
+            Line::Event(TraceEvent::Emit {
+                at: Nanos(1011),
                 unit: 2,
                 query: 2,
                 tuple: 7,
                 lineage: 7,
-                arrival: 4,
+                arrival: Nanos(4),
                 slowdown: 1.5,
             })
         );
@@ -513,7 +92,7 @@ mod tests {
              \"lineage\":{id},\"arrival\":1}}"
         );
         match parse_line(&line).unwrap() {
-            Line::Event(InspectEvent::Shed { tuple, lineage, .. }) => {
+            Line::Event(TraceEvent::Shed { tuple, lineage, .. }) => {
                 assert_eq!(tuple, id);
                 assert_eq!(lineage, id);
             }

@@ -1,8 +1,9 @@
 //! # hcq-inspect — offline trace analysis
 //!
 //! Consumes the JSONL scheduling traces the engine's [`hcq_engine::JsonlTrace`]
-//! sink writes (and tolerates interleaved `repro monitor` telemetry lines) and
-//! turns them into answers:
+//! sink writes (and tolerates interleaved `repro monitor` telemetry lines),
+//! read back as the engine's own [`hcq_engine::TraceEvent`], and turns them
+//! into answers:
 //!
 //! - [`waterfall`] — per-query latency waterfalls: every emission's response
 //!   time decomposed into queue-wait, governor-induced wait, quarantine
@@ -36,7 +37,7 @@ pub mod starve;
 pub mod waterfall;
 
 pub use diff::{diff, DiffReport, Divergence};
-pub use event::{parse_stream, InspectEvent, TraceLog};
+pub use event::{parse_stream, TraceLog};
 pub use json::{parse as parse_json, JsonValue};
 pub use perfetto::PerfettoStats;
 pub use span::{reconstruct, Outcome, Span, SpanLog};

@@ -19,20 +19,15 @@
 //! the workspace's strict JSON parser and checks the schema — the CI smoke job's
 //! "serde round-trip".
 
-use crate::event::{InspectEvent, TraceLog};
-use crate::json::{self, JsonValue};
+use hcq_engine::TraceEvent;
+
+use crate::event::TraceLog;
+use crate::json::{self, quoted, JsonValue};
 use crate::span::{reconstruct, Outcome};
 
 /// Virtual ns → trace-event µs with exact ns remainder.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// `s` as a JSON string literal, quotes included.
-fn quoted(s: &str) -> String {
-    let mut out = String::new();
-    json::write_str(&mut out, s);
-    out
 }
 
 /// `x` under the codec's float rule (`null` when non-finite).
@@ -49,7 +44,7 @@ pub fn render(log: &TraceLog) -> Result<String, String> {
         .events
         .iter()
         .filter_map(|ev| match ev {
-            InspectEvent::Emit { query, .. } | InspectEvent::Expire { query, .. } => Some(*query),
+            TraceEvent::Emit { query, .. } | TraceEvent::Expire { query, .. } => Some(*query),
             _ => None,
         })
         .collect();
@@ -77,22 +72,25 @@ pub fn render(log: &TraceLog) -> Result<String, String> {
 
     for ev in &log.events {
         match ev {
-            InspectEvent::SchedPoint {
-                at, evals, charged, ..
+            TraceEvent::SchedulingPoint {
+                at,
+                priority_evals: evals,
+                charged,
+                ..
             } => events.push(format!(
                 "{{\"name\":\"sched\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{},\
                  \"dur\":{},\"args\":{{\"evals\":{evals}}}}}",
-                us(*at),
-                us(*charged),
+                us(at.as_nanos()),
+                us(charged.as_nanos()),
             )),
-            InspectEvent::Shed {
+            TraceEvent::Shed {
                 at, unit, tuple, ..
             } => events.push(format!(
                 "{{\"name\":\"shed\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\
                  \"ts\":{},\"args\":{{\"unit\":{unit},\"tuple\":{tuple}}}}}",
-                us(*at),
+                us(at.as_nanos()),
             )),
-            InspectEvent::OpFailure {
+            TraceEvent::OpFailure {
                 at,
                 unit,
                 tuple,
@@ -101,34 +99,34 @@ pub fn render(log: &TraceLog) -> Result<String, String> {
             } => events.push(format!(
                 "{{\"name\":\"op_failure\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\
                  \"ts\":{},\"args\":{{\"unit\":{unit},\"tuple\":{tuple},\"attempt\":{attempt}}}}}",
-                us(*at),
+                us(at.as_nanos()),
             )),
-            InspectEvent::Governor { at, from, to, .. } => events.push(format!(
+            TraceEvent::GovernorTransition { at, from, to, .. } => events.push(format!(
                 "{{\"name\":\"governor\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\
                  \"ts\":{},\"args\":{{\"from\":{},\"to\":{}}}}}",
-                us(*at),
+                us(at.as_nanos()),
                 quoted(from),
                 quoted(to),
             )),
-            InspectEvent::PolicySwitch { at, from, to, .. } => events.push(format!(
+            TraceEvent::PolicySwitch { at, from, to, .. } => events.push(format!(
                 "{{\"name\":\"policy_switch\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\
                  \"ts\":{},\"args\":{{\"from\":{},\"to\":{}}}}}",
-                us(*at),
+                us(at.as_nanos()),
                 quoted(from),
                 quoted(to),
             )),
-            InspectEvent::Fault {
+            TraceEvent::Fault {
                 at,
                 kind,
                 magnitude,
             } => events.push(format!(
                 "{{\"name\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\
                  \"ts\":{},\"args\":{{\"kind\":{},\"magnitude\":{}}}}}",
-                us(*at),
+                us(at.as_nanos()),
                 quoted(kind),
                 float(*magnitude),
             )),
-            InspectEvent::Expire {
+            TraceEvent::Expire {
                 at,
                 query,
                 tuple,
@@ -136,9 +134,10 @@ pub fn render(log: &TraceLog) -> Result<String, String> {
                 ..
             } => events.push(format!(
                 "{{\"name\":\"expire\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"args\":{{\"tuple\":{tuple},\"late_by\":{late_by}}}}}",
+                 \"ts\":{},\"args\":{{\"tuple\":{tuple},\"late_by\":{}}}}}",
                 query + 1,
-                us(*at),
+                us(at.as_nanos()),
+                late_by.as_nanos(),
             )),
             _ => {}
         }

@@ -32,7 +32,9 @@
 
 use std::collections::HashMap;
 
-use crate::event::{InspectEvent, TraceLog};
+use hcq_engine::TraceEvent;
+
+use crate::event::TraceLog;
 
 /// How a span ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,12 +123,12 @@ pub fn reconstruct(log: &TraceLog) -> Result<SpanLog, String> {
     let mut baseline: Option<&str> = None;
     let mut open: Option<u64> = None;
     for ev in &log.events {
-        if let InspectEvent::Governor { at, from, to, .. } = ev {
+        if let TraceEvent::GovernorTransition { at, from, to, .. } = ev {
             let base = *baseline.get_or_insert(from.as_str());
             match (open, to.as_str() != base) {
-                (None, true) => open = Some(*at),
+                (None, true) => open = Some(at.as_nanos()),
                 (Some(s), false) => {
-                    governed_windows.push((s, *at));
+                    governed_windows.push((s, at.as_nanos()));
                     open = None;
                 }
                 _ => {}
@@ -140,11 +142,13 @@ pub fn reconstruct(log: &TraceLog) -> Result<SpanLog, String> {
     // Pass 2: first failed-attempt time per (unit, tuple).
     let mut first_failure: HashMap<(u32, u64), u64> = HashMap::new();
     for ev in &log.events {
-        if let InspectEvent::OpFailure {
+        if let TraceEvent::OpFailure {
             at, unit, tuple, ..
         } = ev
         {
-            first_failure.entry((*unit, *tuple)).or_insert(*at);
+            first_failure
+                .entry((*unit, *tuple))
+                .or_insert(at.as_nanos());
         }
     }
 
@@ -153,10 +157,10 @@ pub fn reconstruct(log: &TraceLog) -> Result<SpanLog, String> {
     let mut last_run: Option<(u64, u32, u64)> = None; // (at, unit, tuple)
     for (i, ev) in log.events.iter().enumerate() {
         match ev {
-            InspectEvent::UnitRun {
+            TraceEvent::UnitRun {
                 at, unit, tuple, ..
-            } => last_run = Some((*at, *unit, *tuple)),
-            InspectEvent::Emit {
+            } => last_run = Some((at.as_nanos(), *unit, *tuple)),
+            TraceEvent::Emit {
                 at,
                 unit,
                 query,
@@ -165,6 +169,7 @@ pub fn reconstruct(log: &TraceLog) -> Result<SpanLog, String> {
                 arrival,
                 slowdown,
             } => {
+                let (at, arrival) = (at.as_nanos(), arrival.as_nanos());
                 let (run_at, run_unit, run_tuple) = last_run
                     .ok_or_else(|| format!("event {i}: emit with no preceding unit_run"))?;
                 if run_unit != *unit {
@@ -176,54 +181,55 @@ pub fn reconstruct(log: &TraceLog) -> Result<SpanLog, String> {
                     .get(&(run_unit, run_tuple))
                     .copied()
                     .unwrap_or(run_at)
-                    .clamp(*arrival, run_at);
-                let governed = governed_overlap(&governed_windows, *arrival, f);
+                    .clamp(arrival, run_at);
+                let governed = governed_overlap(&governed_windows, arrival, f);
                 spans.push(Span {
                     outcome: Outcome::Emitted,
                     query: Some(*query),
                     unit: *unit,
                     tuple: *tuple,
                     lineage: *lineage,
-                    arrival: *arrival,
+                    arrival,
                     run_start: run_at,
-                    end: *at,
+                    end: at,
                     slowdown: *slowdown,
-                    wait: (f - *arrival) - governed,
+                    wait: (f - arrival) - governed,
                     governed,
                     quarantine: run_at - f,
-                    service: *at - run_at,
+                    service: at - run_at,
                 });
             }
-            InspectEvent::Shed {
+            TraceEvent::Shed {
                 at,
                 unit,
                 tuple,
                 lineage,
                 arrival,
             } => {
+                let (at, arrival) = (at.as_nanos(), arrival.as_nanos());
                 let f = first_failure
                     .get(&(*unit, *tuple))
                     .copied()
-                    .unwrap_or(*at)
-                    .clamp(*arrival, *at);
-                let governed = governed_overlap(&governed_windows, *arrival, f);
+                    .unwrap_or(at)
+                    .clamp(arrival, at);
+                let governed = governed_overlap(&governed_windows, arrival, f);
                 spans.push(Span {
                     outcome: Outcome::Shed,
                     query: None,
                     unit: *unit,
                     tuple: *tuple,
                     lineage: *lineage,
-                    arrival: *arrival,
-                    run_start: *at,
-                    end: *at,
+                    arrival,
+                    run_start: at,
+                    end: at,
                     slowdown: 0.0,
-                    wait: (f - *arrival) - governed,
+                    wait: (f - arrival) - governed,
                     governed,
-                    quarantine: *at - f,
+                    quarantine: at - f,
                     service: 0,
                 });
             }
-            InspectEvent::Expire {
+            TraceEvent::Expire {
                 at,
                 unit,
                 query,
@@ -231,25 +237,26 @@ pub fn reconstruct(log: &TraceLog) -> Result<SpanLog, String> {
                 arrival,
                 ..
             } => {
+                let (at, arrival) = (at.as_nanos(), arrival.as_nanos());
                 let f = first_failure
                     .get(&(*unit, *tuple))
                     .copied()
-                    .unwrap_or(*at)
-                    .clamp(*arrival, *at);
-                let governed = governed_overlap(&governed_windows, *arrival, f);
+                    .unwrap_or(at)
+                    .clamp(arrival, at);
+                let governed = governed_overlap(&governed_windows, arrival, f);
                 spans.push(Span {
                     outcome: Outcome::Expired,
                     query: Some(*query),
                     unit: *unit,
                     tuple: *tuple,
                     lineage: *tuple,
-                    arrival: *arrival,
-                    run_start: *at,
-                    end: *at,
+                    arrival,
+                    run_start: at,
+                    end: at,
                     slowdown: 0.0,
-                    wait: (f - *arrival) - governed,
+                    wait: (f - arrival) - governed,
                     governed,
-                    quarantine: *at - f,
+                    quarantine: at - f,
                     service: 0,
                 });
             }

@@ -19,7 +19,9 @@
 //!   deliberately does not carry; demand share is the observable proxy.)
 //! - **Longest-wait timeline**: per unit, the maximum observed head wait.
 
-use crate::event::{InspectEvent, TraceLog};
+use hcq_engine::TraceEvent;
+
+use crate::event::TraceLog;
 
 /// Per-unit selection accounting.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -88,8 +90,8 @@ pub fn starvation(log: &TraceLog, threshold: Option<u64>) -> Starvation {
     // retry's UnitRun).
     let mut sched_points: Vec<u64> = Vec::new();
     for ev in &log.events {
-        if let InspectEvent::SchedPoint { at, .. } = ev {
-            sched_points.push(*at);
+        if let TraceEvent::SchedulingPoint { at, .. } = ev {
+            sched_points.push(at.as_nanos());
         }
     }
 
@@ -119,7 +121,7 @@ pub fn starvation(log: &TraceLog, threshold: Option<u64>) -> Starvation {
     };
     for ev in &log.events {
         match ev {
-            InspectEvent::UnitRun {
+            TraceEvent::UnitRun {
                 at,
                 unit,
                 tuple,
@@ -132,12 +134,12 @@ pub fn starvation(log: &TraceLog, threshold: Option<u64>) -> Starvation {
                 selections.push(Sel {
                     unit: *unit,
                     tuple: *tuple,
-                    arrival: *arrival,
-                    at: *at,
+                    arrival: arrival.as_nanos(),
+                    at: at.as_nanos(),
                     expired: false,
                 });
             }
-            InspectEvent::Expire {
+            TraceEvent::Expire {
                 at,
                 unit,
                 tuple,
@@ -150,12 +152,12 @@ pub fn starvation(log: &TraceLog, threshold: Option<u64>) -> Starvation {
                 selections.push(Sel {
                     unit: *unit,
                     tuple: *tuple,
-                    arrival: *arrival,
-                    at: *at,
+                    arrival: arrival.as_nanos(),
+                    at: at.as_nanos(),
                     expired: true,
                 });
             }
-            InspectEvent::Shed { unit, .. } | InspectEvent::OpFailure { unit, .. } => {
+            TraceEvent::Shed { unit, .. } | TraceEvent::OpFailure { unit, .. } => {
                 let i = unit_row(&mut units, *unit);
                 units[i].demand += 1;
             }

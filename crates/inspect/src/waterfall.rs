@@ -9,11 +9,10 @@
 //! replaying the emission stream through the same `QosAccumulator` the
 //! engine used (same Kahan summation, same order ⇒ bit-identical floats).
 
-use hcq_common::Nanos;
-use hcq_engine::SimReport;
+use hcq_engine::{SimReport, TraceEvent};
 use hcq_metrics::QosAccumulator;
 
-use crate::event::{InspectEvent, TraceLog};
+use crate::event::TraceLog;
 use crate::span::{Outcome, SpanLog};
 
 /// One query's waterfall rollup.
@@ -263,42 +262,42 @@ pub fn reconcile(log: &TraceLog, report: &SimReport) -> Reconciliation {
     let mut qos = QosAccumulator::new();
     for ev in &log.events {
         match ev {
-            InspectEvent::Emit {
+            TraceEvent::Emit {
                 at,
                 arrival,
                 slowdown,
                 ..
             } => {
                 emits += 1;
-                qos.record(Nanos(at.saturating_sub(*arrival)), *slowdown);
+                qos.record(at.saturating_since(*arrival), *slowdown);
             }
-            InspectEvent::Shed { .. } => sheds += 1,
-            InspectEvent::Expire { .. } => expires += 1,
-            InspectEvent::OpFailure { cost, .. } => {
+            TraceEvent::Shed { .. } => sheds += 1,
+            TraceEvent::Expire { .. } => expires += 1,
+            TraceEvent::OpFailure { cost, .. } => {
                 failures += 1;
-                busy += cost;
+                busy += cost.as_nanos();
             }
-            InspectEvent::UnitRun { cost, .. } => busy += cost,
-            InspectEvent::SchedPoint {
+            TraceEvent::UnitRun { cost, .. } => busy += cost.as_nanos(),
+            TraceEvent::SchedulingPoint {
                 charged,
-                candidates: c,
-                evals: e,
+                candidates_scanned,
+                priority_evals,
                 comparisons: cmp,
                 cluster_ops: cl,
                 heap_ops: h,
                 ..
             } => {
                 sched_points += 1;
-                overhead += charged;
-                candidates += c;
-                evals += e;
+                overhead += charged.as_nanos();
+                candidates += candidates_scanned;
+                evals += priority_evals;
                 comparisons += cmp;
                 cluster_ops += cl;
                 heap_ops += h;
             }
-            InspectEvent::Governor { .. } => governor += 1,
-            InspectEvent::PolicySwitch { .. } => switches += 1,
-            InspectEvent::Fault { .. } => {}
+            TraceEvent::GovernorTransition { .. } => governor += 1,
+            TraceEvent::PolicySwitch { .. } => switches += 1,
+            TraceEvent::Fault { .. } => {}
         }
     }
 

@@ -1,183 +1,80 @@
-//! The JSONL contract between engine and inspector: for every `TraceEvent`
-//! variant and arbitrary field values, rendering through the engine's
-//! [`JsonlTrace`] sink and parsing back through [`hcq_inspect::event`] yields
-//! an equal event (`parse(render(event)) == event`, compared field for field
-//! via the crate's `PartialEq<TraceEvent>` impl). Integer fields round-trip
-//! textually — including composite tuple ids above 2^53, which would corrupt
-//! through f64 — and finite floats round-trip exactly because Rust's `{}`
-//! formatting is shortest-round-trip.
+//! The JSONL contract between engine and inspector, as bytes: for every
+//! `TraceEvent` variant and arbitrary field values, the line the engine
+//! renders parses back (through [`hcq_inspect::event::parse_line`]) to an
+//! event that renders to the same line — `render(parse(render(e))) ==
+//! render(e)` through the single writer. Integer fields round-trip textually
+//! (composite tuple ids above 2^53 would corrupt through f64), finite floats
+//! because Rust's `{}` formatting is shortest-round-trip, and names because
+//! the writer escapes them.
 
 use hcq_common::Nanos;
-use hcq_engine::{JsonlTrace, TraceEvent, TraceSink};
+use hcq_engine::TraceEvent;
 use hcq_inspect::event::{parse_line, Line};
 use proptest::prelude::*;
 
-/// Render one event exactly as a trace file line (newline trimmed).
-fn render(ev: &TraceEvent) -> String {
-    let mut sink = JsonlTrace::new(Vec::new());
-    sink.event(ev);
-    let bytes = sink.finish().expect("Vec<u8> writes cannot fail");
-    String::from_utf8(bytes)
-        .expect("trace lines are UTF-8")
-        .trim_end()
-        .to_string()
+/// One event as a trace-file line.
+fn render<S: AsRef<str>>(ev: &TraceEvent<S>) -> String {
+    let mut bytes = Vec::new();
+    ev.write_jsonl(&mut bytes)
+        .expect("Vec<u8> writes cannot fail");
+    String::from_utf8(bytes).expect("trace lines are UTF-8")
 }
 
-/// Assert the parse(render(event)) == event law for one event.
-fn assert_roundtrip(ev: TraceEvent) -> Result<(), proptest::test_runner::TestCaseError> {
-    let line = render(&ev);
-    let parsed = parse_line(&line).expect("rendered lines parse");
-    match parsed {
-        Line::Event(ie) => prop_assert!(
-            ie == ev,
-            "round-trip mismatch:\n  line:   {line}\n  parsed: {ie:?}\n  event:  {ev:?}"
-        ),
-        other => prop_assert!(false, "rendered event classified as {other:?}"),
-    }
-    Ok(())
-}
-
-const FAULT_KINDS: [&str; 3] = ["cost_miscalibration", "cost_jitter", "op_failure"];
-const MODES: [&str; 3] = ["DropTail", "QosShed", "PriorityShed"];
-const POLICIES: [&str; 4] = ["FCFS", "HR", "BSD-Logarithmic", "LSF"];
+/// Policy, admission-mode and fault names, including ones only
+/// `StaticPolicy::custom` could produce.
+const NAMES: [&str; 6] = [
+    "BSD-Logarithmic",
+    "DropTail",
+    "cost_miscalibration",
+    "a\"b\\c",
+    "line\nbreak\ttab",
+    "λ/µ",
+];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn sched_point_roundtrips(
-        (at, candidates, evals) in (any::<u64>(), any::<u64>(), any::<u64>()),
-        (comparisons, cluster_ops, heap_ops, charged)
-            in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+    fn every_variant_rerenders_to_the_bytes_it_was_parsed_from(
+        (at, arrival, cost, tuple) in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (lineage, n, m) in (any::<u64>(), any::<u64>(), any::<u64>()),
+        (unit, query, attempt, retrying) in (any::<u32>(), any::<u32>(), any::<u32>(), any::<bool>()),
+        (x, share) in (1.0f64..=1e9, 0.0f64..=1.0),
+        (from, to) in (0usize..NAMES.len(), 0usize..NAMES.len()),
     ) {
-        assert_roundtrip(TraceEvent::SchedulingPoint {
-            at: Nanos(at),
-            candidates_scanned: candidates,
-            priority_evals: evals,
-            comparisons,
-            cluster_ops,
-            heap_ops,
-            charged: Nanos(charged),
-        })?;
-    }
-
-    #[test]
-    fn unit_run_roundtrips(
-        (at, unit, tuple) in (any::<u64>(), any::<u32>(), any::<u64>()),
-        (arrival, cost, tuples) in (any::<u64>(), any::<u64>(), any::<u64>()),
-    ) {
-        assert_roundtrip(TraceEvent::UnitRun {
-            at: Nanos(at),
-            unit,
-            tuple,
-            arrival: Nanos(arrival),
-            cost: Nanos(cost),
-            tuples,
-        })?;
-    }
-
-    #[test]
-    fn emit_roundtrips(
-        (at, unit, query) in (any::<u64>(), any::<u32>(), any::<u32>()),
-        // Composite ids have the top bit set — well above 2^53, so this
-        // exercises the raw-text number path.
-        (tuple, lineage, arrival) in (any::<u64>(), any::<u64>(), any::<u64>()),
-        slowdown in 1.0f64..=1e9,
-    ) {
-        assert_roundtrip(TraceEvent::Emit {
-            at: Nanos(at),
-            unit,
-            query,
-            tuple: tuple | (1 << 63),
-            lineage,
-            arrival: Nanos(arrival),
-            slowdown,
-        })?;
-    }
-
-    #[test]
-    fn shed_roundtrips(
-        (at, unit, tuple, lineage, arrival)
-            in (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
-    ) {
-        assert_roundtrip(TraceEvent::Shed {
-            at: Nanos(at),
-            unit,
-            tuple,
-            lineage,
-            arrival: Nanos(arrival),
-        })?;
-    }
-
-    #[test]
-    fn fault_roundtrips(
-        at in any::<u64>(),
-        kind in 0usize..FAULT_KINDS.len(),
-        magnitude in 0.0f64..=1e6,
-    ) {
-        assert_roundtrip(TraceEvent::Fault {
-            at: Nanos(at),
-            kind: FAULT_KINDS[kind],
-            magnitude,
-        })?;
-    }
-
-    #[test]
-    fn expire_roundtrips(
-        (at, unit, query) in (any::<u64>(), any::<u32>(), any::<u32>()),
-        (tuple, arrival, late_by) in (any::<u64>(), any::<u64>(), any::<u64>()),
-    ) {
-        assert_roundtrip(TraceEvent::Expire {
-            at: Nanos(at),
-            unit,
-            query,
-            tuple,
-            arrival: Nanos(arrival),
-            late_by: Nanos(late_by),
-        })?;
-    }
-
-    #[test]
-    fn governor_transition_roundtrips(
-        (at, pending) in (any::<u64>(), any::<u64>()),
-        (from, to) in (0usize..MODES.len(), 0usize..MODES.len()),
-        share in 0.0f64..=1.0,
-    ) {
-        assert_roundtrip(TraceEvent::GovernorTransition {
-            at: Nanos(at),
-            from: MODES[from],
-            to: MODES[to],
-            pending,
-            share,
-        })?;
-    }
-
-    #[test]
-    fn policy_switch_roundtrips(
-        at in any::<u64>(),
-        (from, to) in (0usize..POLICIES.len(), 0usize..POLICIES.len()),
-        share in 0.0f64..=1.0,
-    ) {
-        assert_roundtrip(TraceEvent::PolicySwitch {
-            at: Nanos(at),
-            from: POLICIES[from],
-            to: POLICIES[to],
-            share,
-        })?;
-    }
-
-    #[test]
-    fn op_failure_roundtrips(
-        (at, unit, tuple) in (any::<u64>(), any::<u32>(), any::<u64>()),
-        (cost, attempt, retrying) in (any::<u64>(), any::<u32>(), any::<bool>()),
-    ) {
-        assert_roundtrip(TraceEvent::OpFailure {
-            at: Nanos(at),
-            unit,
-            tuple,
-            cost: Nanos(cost),
-            attempt,
-            retrying,
-        })?;
+        let (at, arrival, cost) = (Nanos(at), Nanos(arrival), Nanos(cost));
+        // Composite ids have the top bit set — well above 2^53.
+        let composite = tuple | (1 << 63);
+        let (from, to) = (NAMES[from], NAMES[to]);
+        let events = [
+            TraceEvent::SchedulingPoint {
+                at,
+                candidates_scanned: n,
+                priority_evals: m,
+                comparisons: lineage,
+                cluster_ops: tuple,
+                heap_ops: n ^ m,
+                charged: cost,
+            },
+            TraceEvent::UnitRun { at, unit, tuple, arrival, cost, tuples: n },
+            TraceEvent::Emit {
+                at, unit, query, tuple: composite, lineage, arrival, slowdown: x,
+            },
+            TraceEvent::Shed { at, unit, tuple: composite, lineage, arrival },
+            TraceEvent::Fault { at, kind: from, magnitude: x },
+            TraceEvent::Expire { at, unit, query, tuple, arrival, late_by: cost },
+            TraceEvent::GovernorTransition { at, from, to, pending: n, share },
+            TraceEvent::PolicySwitch { at, from, to, share },
+            TraceEvent::OpFailure { at, unit, tuple, cost, attempt, retrying },
+        ];
+        for ev in &events {
+            let line = render(ev);
+            match parse_line(line.trim_end()) {
+                Ok(Line::Event(parsed)) => prop_assert_eq!(
+                    render(&parsed), line.clone(), "parsed as {:?}", parsed
+                ),
+                other => prop_assert!(false, "{line} classified as {other:?}"),
+            }
+        }
     }
 }

@@ -12,8 +12,7 @@
 //! [`QosAccumulator`] ingests one record per emitted tuple and reports all
 //! of these in a [`QosSummary`]; [`ClassBreakdown`] keeps one accumulator
 //! per query class for the Figure 11 analysis; [`SlowdownHistogram`] gives
-//! log-bucketed distribution shape and quantile estimates;
-//! [`QosTimeSeries`] tracks the trajectory through bursts.
+//! log-bucketed distribution shape and quantile estimates.
 //!
 //! For live observation, [`TelemetryRegistry`] holds typed instruments
 //! (counters, gauges, windowed quantile summaries) that snapshot into
@@ -40,7 +39,6 @@ pub mod kahan;
 pub mod overhead;
 pub mod prometheus;
 pub mod telemetry;
-pub mod timeseries;
 
 pub use accumulator::{QosAccumulator, QosSummary};
 pub use class::ClassBreakdown;
@@ -52,4 +50,3 @@ pub use telemetry::{
     InstrumentId, InstrumentKind, MetricSample, MetricValue, SummaryValue, TelemetryRegistry,
     TelemetrySnapshot,
 };
-pub use timeseries::QosTimeSeries;

@@ -9,8 +9,7 @@
 //!
 //! [`check_exposition`] is a small hand-written validator of the grammar
 //! (no network, no regex crate): CI uses it to prove exported files parse
-//! before anything scrapes them. The optional `http-export` feature adds a
-//! minimal std-only scrape endpoint in the `http` module.
+//! before anything scrapes them.
 
 use crate::telemetry::{MetricValue, TelemetrySnapshot};
 
@@ -338,117 +337,6 @@ fn check_label_name(name: &str) -> Result<(), String> {
 
 fn is_valid_value(value: &str) -> bool {
     matches!(value, "+Inf" | "-Inf" | "NaN") || value.parse::<f64>().is_ok()
-}
-
-/// Minimal std-only HTTP scrape endpoint (feature `http-export`).
-///
-/// A [`http::ScrapeServer`] binds a `TcpListener`, serves the most recently
-/// [`http::ScrapeServer::publish`]ed exposition text to every request, and
-/// shuts its accept thread down on drop. No dependencies, no TLS, no
-/// routing — just enough for `prometheus` or `curl` to scrape a live run.
-#[cfg(feature = "http-export")]
-pub mod http {
-    use std::io::{self, Read, Write};
-    use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::thread::JoinHandle;
-
-    /// A background thread serving the last published exposition text.
-    pub struct ScrapeServer {
-        addr: SocketAddr,
-        body: Arc<Mutex<String>>,
-        stop: Arc<AtomicBool>,
-        handle: Option<JoinHandle<()>>,
-    }
-
-    impl ScrapeServer {
-        /// Bind and start serving. Use port 0 to let the OS pick.
-        pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
-            let listener = TcpListener::bind(addr)?;
-            let addr = listener.local_addr()?;
-            let body = Arc::new(Mutex::new(String::new()));
-            let stop = Arc::new(AtomicBool::new(false));
-            let handle = {
-                let body = Arc::clone(&body);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    for stream in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        if let Ok(mut stream) = stream {
-                            let text = body.lock().map(|b| b.clone()).unwrap_or_default();
-                            let _ = serve_one(&mut stream, &text);
-                        }
-                    }
-                })
-            };
-            Ok(ScrapeServer {
-                addr,
-                body,
-                stop,
-                handle: Some(handle),
-            })
-        }
-
-        /// The bound address (useful with port 0).
-        pub fn addr(&self) -> SocketAddr {
-            self.addr
-        }
-
-        /// Replace the served exposition text.
-        pub fn publish(&self, text: String) {
-            if let Ok(mut body) = self.body.lock() {
-                *body = text;
-            }
-        }
-    }
-
-    /// Read the request line, answer with the body. HTTP/1.0, connection
-    /// closed per request — the simplest thing a scraper accepts.
-    fn serve_one(stream: &mut TcpStream, text: &str) -> io::Result<()> {
-        let mut buf = [0u8; 1024];
-        let _ = stream.read(&mut buf)?;
-        write!(
-            stream,
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\n\r\n{}",
-            text.len(),
-            text
-        )?;
-        stream.flush()
-    }
-
-    impl Drop for ScrapeServer {
-        fn drop(&mut self) {
-            self.stop.store(true, Ordering::SeqCst);
-            // Wake the accept loop with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            if let Some(handle) = self.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn serves_published_text_and_shuts_down() {
-            let server = ScrapeServer::bind("127.0.0.1:0").unwrap();
-            server.publish("# TYPE x gauge\nx 1\n".to_string());
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            assert!(response.starts_with("HTTP/1.0 200 OK\r\n"));
-            assert!(response.contains("text/plain; version=0.0.4"));
-            assert!(response.ends_with("# TYPE x gauge\nx 1\n"));
-            drop(server); // must not hang
-        }
-    }
 }
 
 #[cfg(test)]

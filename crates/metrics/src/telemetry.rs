@@ -9,8 +9,7 @@
 //! * **summaries** — *windowed* quantile summaries backed by a
 //!   [`SlowdownHistogram`]: each [`TelemetryRegistry::snapshot`] reports
 //!   p50/p95/p99 estimates plus the exact count/sum/max of the observations
-//!   made since the previous snapshot, then resets the window (the same
-//!   per-window convention as [`crate::QosTimeSeries`]).
+//!   made since the previous snapshot, then resets the window.
 //!
 //! A snapshot is plain data ([`TelemetrySnapshot`]) so exporters — the
 //! Prometheus text renderer in [`crate::prometheus`] and the JSONL stream

@@ -16,11 +16,10 @@
 //!   `S_other · V/τ_other`.
 //! * [`GlobalPlan`] — a registered multi-query workload, with §7-style shared
 //!   select operators.
-//! * [`builder`] — ergonomic construction, and [`dot`] — Graphviz export.
+//! * [`builder`] — ergonomic construction.
 
 pub mod builder;
 pub mod compiled;
-pub mod dot;
 pub mod global;
 pub mod node;
 pub mod operator;
@@ -30,7 +29,6 @@ mod query;
 
 pub use builder::QueryBuilder;
 pub use compiled::{CompiledLeaf, CompiledOp, CompiledOpKind, CompiledQuery, Port};
-pub use dot::{global_to_dot, to_dot};
 pub use global::{GlobalPlan, SharedSelect};
 pub use node::{LeafIndex, PlanNode};
 pub use operator::{JoinSpec, OpKind, OperatorSpec};

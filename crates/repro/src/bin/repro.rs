@@ -1,7 +1,7 @@
 //! CLI entry point: regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--serve ADDR]
+//! repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS]
 //!
 //! exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_transient ext_recovery monitor validate all
 //! (fig5..fig11 share one sweep; requesting any of them runs the sweep once)
@@ -19,9 +19,7 @@
 //! `monitor` runs the same reference workload with telemetry sampling on
 //! (`--cadence MS` of virtual time per snapshot, default 250) and writes
 //! `telemetry.jsonl` plus `metrics.prom` (Prometheus text exposition format)
-//! into `--out`. With the `http-export` cargo feature, `--serve ADDR`
-//! additionally serves the exposition text at `http://ADDR/metrics` until
-//! Enter is pressed.
+//! into `--out`.
 //!
 //! `inspect TRACE` analyses a previously captured trace offline: per-query
 //! latency waterfalls, starvation diagnosis, `--diff TRACE2` decision
@@ -47,7 +45,6 @@ fn main() -> ExitCode {
     let mut exhibits: Vec<String> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
     let mut cadence_ms: u64 = 250;
-    let mut serve_addr: Option<String> = None;
     let mut fuzz_cases: u64 = 200;
     let mut fuzz_replay_path: Option<PathBuf> = None;
     let mut large_q_max: usize = 1_000_000;
@@ -80,7 +77,6 @@ fn main() -> ExitCode {
             "--jobs" => cfg.jobs = parse(it.next(), "--jobs"),
             "--trace" => trace_out = Some(PathBuf::from(expect(it.next(), "--trace"))),
             "--cadence" => cadence_ms = parse(it.next(), "--cadence"),
-            "--serve" => serve_addr = Some(expect(it.next(), "--serve")),
             "--cases" => fuzz_cases = parse(it.next(), "--cases"),
             "--replay" => fuzz_replay_path = Some(PathBuf::from(expect(it.next(), "--replay"))),
             "--help" | "-h" => {
@@ -231,19 +227,9 @@ fn main() -> ExitCode {
                     eprintln!("--cadence must be positive");
                     return ExitCode::FAILURE;
                 }
-                match monitor(&cfg, Nanos::from_millis(cadence_ms), force) {
-                    Ok(out) => {
-                        if let Some(addr) = &serve_addr {
-                            if let Err(e) = serve_metrics(addr, &out.prom_path) {
-                                eprintln!("{e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("monitor failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                if let Err(e) = monitor(&cfg, Nanos::from_millis(cadence_ms), force) {
+                    eprintln!("monitor failed: {e}");
+                    return ExitCode::FAILURE;
                 }
             }
             "run" => {
@@ -304,29 +290,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Serve the exported exposition file over HTTP until Enter is pressed.
-#[cfg(feature = "http-export")]
-fn serve_metrics(addr: &str, prom_path: &std::path::Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(prom_path)
-        .map_err(|e| format!("could not read {}: {e}", prom_path.display()))?;
-    let server = hcq_metrics::prometheus::http::ScrapeServer::bind(addr)
-        .map_err(|e| format!("could not bind {addr}: {e}"))?;
-    server.publish(text);
-    println!(
-        "serving metrics at http://{}/metrics (press Enter to stop)",
-        server.addr()
-    );
-    let mut line = String::new();
-    let _ = std::io::stdin().read_line(&mut line);
-    Ok(())
-}
-
-/// Without the `http-export` feature there is nothing to bind.
-#[cfg(not(feature = "http-export"))]
-fn serve_metrics(_addr: &str, _prom_path: &std::path::Path) -> Result<(), String> {
-    Err("--serve requires building with --features http-export".to_string())
-}
-
 fn expect(v: Option<String>, flag: &str) -> String {
     v.unwrap_or_else(|| {
         eprintln!("{flag} needs a value");
@@ -343,7 +306,7 @@ fn parse<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--serve ADDR] [--cases K] [--replay FILE] [--large-q-max Q] [--force]\n\
+        "usage: repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--cases K] [--replay FILE] [--large-q-max Q] [--force]\n\
          \x20      repro inspect TRACE [--diff TRACE2] [--format text|perfetto] [--out DIR] [--force]\n\
          \x20      repro run --runtime [--threads N] [--arrivals N] [--seed S]\n\
          exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_large_q ext_transient ext_recovery ext_adaptive ext_inspect monitor validate fuzz run all\n\
@@ -351,7 +314,6 @@ fn print_usage() {
          --govern: arm the closed-loop overload governor on single-stream runs (admission ladder + hysteresis; ext_recovery compares it to static admission regardless of this flag)\n\
          --trace FILE: write a deterministic JSONL scheduling trace of one reference run (HNR, 0.9 utilization)\n\
          --cadence MS: virtual-time telemetry sampling interval for `monitor` (default 250)\n\
-         --serve ADDR: after `monitor`, serve metrics.prom over HTTP (needs --features http-export)\n\
          --cases K: scenarios for `fuzz` (default 200; seeded by --seed, minimized artifacts land in --out)\n\
          --replay FILE: for `fuzz`, re-run one fuzz-repro-*.json artifact instead of sweeping\n\
          --large-q-max Q: cap the `ext_large_q` sweep at Q queries (default 1000000)\n\

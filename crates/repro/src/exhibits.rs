@@ -199,18 +199,20 @@ pub fn fig5_to_10(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
     ]
 }
 
+/// Figure 11's three policies, in column order.
+const FIG11_POLICIES: [PolicyKind; 3] = [PolicyKind::Hr, PolicyKind::Hnr, PolicyKind::Bsd];
+
 /// Figure 11: per-class slowdown of the low-cost queries (cost class 0) by
-/// selectivity bucket, at 0.9 utilization.
-fn fig11_from_sweep(cfg: &ExpConfig, sweep: &SweepResults) -> ExhibitOutput {
-    let policies = [PolicyKind::Hr, PolicyKind::Hnr, PolicyKind::Bsd];
+/// selectivity bucket, at 0.9 utilization. `reports` are the 0.9 cells of
+/// [`FIG11_POLICIES`], in that order.
+fn fig11_table(cfg: &ExpConfig, reports: &[&SimReport]) -> ExhibitOutput {
     let mut header = vec!["selectivity".to_string()];
-    header.extend(policies.iter().map(|p| p.name().to_string()));
+    header.extend(FIG11_POLICIES.iter().map(|p| p.name().to_string()));
     let mut t = AsciiTable::new(header);
     for bucket in 0..10u8 {
         let mut row = vec![format!("{:.2}", 0.05 + 0.1 * f64::from(bucket))];
         let mut any = false;
-        for &p in &policies {
-            let r = sweep.get(p, 0.9);
+        for r in reports {
             let cell = r
                 .classes
                 .by_cost_class(0)
@@ -234,43 +236,19 @@ fn fig11_from_sweep(cfg: &ExpConfig, sweep: &SweepResults) -> ExhibitOutput {
     .emit(cfg)
 }
 
+fn fig11_from_sweep(cfg: &ExpConfig, sweep: &SweepResults) -> ExhibitOutput {
+    fig11_table(cfg, &FIG11_POLICIES.map(|p| sweep.get(p, 0.9)))
+}
+
 /// Figure 11 standalone entry point (runs just the three needed cells).
 pub fn fig11(cfg: &ExpConfig) -> ExhibitOutput {
-    let policies = [PolicyKind::Hr, PolicyKind::Hnr, PolicyKind::Bsd];
     let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, policies.len(), |i| {
-        let r = cfg.run_single(0.9, policies[i].build());
-        print_tick(&done, policies.len(), "fig11");
+    let reports: Vec<SimReport> = run_jobs(cfg.jobs, FIG11_POLICIES.len(), |i| {
+        let r = cfg.run_single(0.9, FIG11_POLICIES[i].build());
+        print_tick(&done, FIG11_POLICIES.len(), "fig11");
         r
     });
-    let mut header = vec!["selectivity".to_string()];
-    header.extend(policies.iter().map(|p| p.name().to_string()));
-    let mut t = AsciiTable::new(header);
-    for bucket in 0..10u8 {
-        let mut row = vec![format!("{:.2}", 0.05 + 0.1 * f64::from(bucket))];
-        let mut any = false;
-        for r in &reports {
-            let cell = r
-                .classes
-                .by_cost_class(0)
-                .into_iter()
-                .find(|(b, _)| *b == bucket)
-                .map(|(_, s)| {
-                    any = true;
-                    fnum(s.avg_slowdown)
-                })
-                .unwrap_or_else(|| "-".into());
-            row.push(cell);
-        }
-        if any {
-            t.row(row);
-        }
-    }
-    ExhibitOutput {
-        name: "fig11",
-        table: t,
-    }
-    .emit(cfg)
+    fig11_table(cfg, &reports.iter().collect::<Vec<_>>())
 }
 
 // -------------------------------------------------------------- Figure 12

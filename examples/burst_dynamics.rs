@@ -1,5 +1,5 @@
 //! Burst dynamics: how slowdown evolves through ON/OFF traffic bursts, per
-//! policy, using the engine's per-window QoS time series. The bursty source
+//! policy, read from telemetry snapshots taken once per window. The bursty source
 //! is where the policies differ most — backlogs build at 5× the mean rate
 //! during ON periods and the scheduler decides who suffers.
 //!
@@ -10,7 +10,7 @@
 
 use hcq::common::Nanos;
 use hcq::core::PolicyKind;
-use hcq::engine::{simulate, SimConfig};
+use hcq::engine::{simulate_monitored, SimConfig, VecTelemetry};
 use hcq::streams::OnOffSource;
 use hcq::workload::{single_stream, SingleStreamConfig};
 
@@ -34,22 +34,30 @@ fn main() {
         PolicyKind::Bsd,
         PolicyKind::Lsf,
     ] {
-        let r = simulate(
+        let (_, sink) = simulate_monitored(
             &w.plan,
             &w.rates,
             vec![Box::new(OnOffSource::lbl_like(mean_gap, 3))],
             kind.build(),
             SimConfig::new(6_000)
                 .with_seed(12)
-                .with_sample_window(window),
+                .with_telemetry_cadence(window),
+            VecTelemetry::new(),
         )
         .expect("valid simulation");
-        let series = r.series.expect("sampling enabled");
-        let values: Vec<f64> = series
-            .series()
-            .iter()
-            .map(|(_, s)| s.avg_slowdown)
-            .collect();
+        // A snapshot at `at` drains the slowdown summary of the window
+        // ending there (exact count and sum); the end-of-run snapshot closes
+        // the last, partial window.
+        let mut values: Vec<f64> = Vec::new();
+        for s in &sink.samples {
+            let slowdown = s.summary("hcq_slowdown").expect("registered summary");
+            if slowdown.count == 0 {
+                continue;
+            }
+            let i = (s.at.as_nanos().saturating_sub(1) / window.as_nanos()) as usize;
+            values.resize(values.len().max(i + 1), 0.0);
+            values[i] = slowdown.sum / slowdown.count as f64;
+        }
         rows.push((kind.name().to_string(), values));
     }
 

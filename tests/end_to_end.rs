@@ -138,3 +138,75 @@ fn offered_load_is_public() {
     let load = workload_shim::offered_load(&w.plan, &w.rates);
     assert!((load - 0.6).abs() < 0.01, "{load}");
 }
+
+/// `hcq-inspect` on a real trace: a governed run with operator failures and
+/// deadlines is traced to JSONL; the parsed events re-render to the bytes
+/// the engine wrote, every span decomposes, and the trace reconciles with
+/// the run's own report.
+#[test]
+fn governed_faulty_trace_reparses_to_its_bytes_and_reconciles() {
+    use hcq::common::StreamId;
+    use hcq::engine::{simulate_traced, GovernorConfig, JsonlTrace};
+    use hcq::inspect::{parse_stream, reconcile, reconstruct, waterfalls};
+    use hcq::plan::{GlobalPlan, QueryBuilder, StreamRates};
+
+    let ms = Nanos::from_millis;
+    let mut plan = GlobalPlan::default();
+    for i in 0..6u64 {
+        let b = QueryBuilder::on(StreamId::new(0))
+            .select(ms(1 + i), 0.4 + 0.1 * (i % 4) as f64)
+            .project(ms(1));
+        let b = if i % 2 == 0 {
+            b.with_deadline(ms(30 + 10 * i))
+        } else {
+            b
+        };
+        plan.add_query(b.build().unwrap());
+    }
+    let governor = GovernorConfig {
+        enabled: true,
+        cadence: ms(25),
+        min_dwell: ms(50),
+        escalate_pending: 24,
+        deescalate_pending: 4,
+        escalate_share: 0.4,
+        deescalate_share: 0.1,
+        capacity: 8,
+        watermark: 16,
+        switch_policy: true,
+        switch_sustain: 1,
+        ..GovernorConfig::default()
+    };
+    let (report, sink) = simulate_traced(
+        &plan,
+        &StreamRates::none(),
+        vec![Box::new(PoissonSource::new(ms(4), 7))],
+        PolicyKind::Bsd.build(),
+        SimConfig::new(300)
+            .with_seed(23)
+            .with_governor(governor)
+            .with_op_failures(0.08, ms(5), 2)
+            .with_overhead(true),
+        JsonlTrace::new(Vec::new()),
+    )
+    .unwrap();
+    assert!(report.op_failures > 0 && report.expired > 0);
+    assert!(report.governor_transitions > 0 && report.policy_switches > 0);
+
+    let written = sink.finish().unwrap();
+    let log = parse_stream(std::str::from_utf8(&written).unwrap()).unwrap();
+    let mut rendered = Vec::new();
+    for ev in &log.events {
+        ev.write_jsonl(&mut rendered).unwrap();
+    }
+    assert!(
+        rendered == written,
+        "re-rendered trace differs from the bytes written"
+    );
+
+    let w = waterfalls(&reconstruct(&log).unwrap());
+    assert!(w.total_spans > 0);
+    assert_eq!(w.conserved_spans, w.total_spans);
+    let rec = reconcile(&log, &report);
+    assert!(rec.all_ok(), "{:?}", rec.failures());
+}
