@@ -16,6 +16,13 @@
 //! * `epsilon-bound` — for logarithmically clustered BSD on an all-positive
 //!   `Φ` domain, the executed choice is within `ε = (Φ_max/Φ_min)^(1/m)` of
 //!   the exact BSD maximum (§6.2.1's approximation guarantee).
+//!
+//! The module's tests also hold the static policies (HR, HNR, SRPT, custom)
+//! to the lazy max-heap they ran on before the rank-ordered ready bitmap,
+//! kept there as a reference: over fuzzed enqueue / pop / shed / refill
+//! sequences on these statics every `Selection` must agree field by field,
+//! and the selected units must still agree once priorities are overridden
+//! mid-sequence.
 
 use std::collections::VecDeque;
 
@@ -338,6 +345,179 @@ fn drain_with_checks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcq_core::{PriorityKey, SchedStats, Selection, StaticPolicy, StaticRank};
+    use std::collections::BinaryHeap;
+
+    /// The lazy max-heap behind HR/HNR/SRPT before the rank-ordered ready
+    /// bitmap replaced it, kept verbatim as the oracle: a unit is pushed
+    /// when its queue turns non-empty and popped once observed empty at the
+    /// top; a re-prioritised ready unit is pushed again and its old entry
+    /// discarded when it surfaces.
+    struct LazyHeapStatic {
+        priorities: Vec<PriorityKey>,
+        heap: BinaryHeap<(PriorityKey, UnitId)>,
+        in_heap: Vec<bool>,
+        pending_heap_ops: u64,
+        pending_evals: u64,
+    }
+
+    impl LazyHeapStatic {
+        fn new(priorities: &[f64], evals: u64) -> Self {
+            LazyHeapStatic {
+                priorities: priorities.iter().map(|&p| PriorityKey(p)).collect(),
+                heap: BinaryHeap::new(),
+                in_heap: vec![false; priorities.len()],
+                pending_heap_ops: 0,
+                pending_evals: evals,
+            }
+        }
+
+        fn set_priority(&mut self, unit: UnitId, priority: f64) {
+            self.priorities[unit as usize] = PriorityKey(priority);
+            self.pending_evals += 1;
+            if self.in_heap[unit as usize] {
+                self.heap.push((PriorityKey(priority), unit));
+                self.pending_heap_ops += 1;
+            }
+        }
+
+        fn on_enqueue(&mut self, unit: UnitId) {
+            if !std::mem::replace(&mut self.in_heap[unit as usize], true) {
+                self.heap.push((self.priorities[unit as usize], unit));
+                self.pending_heap_ops += 1;
+            }
+        }
+
+        fn select(&mut self, queues: &dyn QueueView) -> Option<Selection> {
+            let mut ops = 0;
+            let mut heap_ops = 0;
+            loop {
+                let &(key, unit) = self.heap.peek()?;
+                ops += 1;
+                heap_ops += 1;
+                let stale = queues.len(unit) == 0 || key != self.priorities[unit as usize];
+                if stale {
+                    self.heap.pop();
+                    heap_ops += 1;
+                    if queues.len(unit) == 0 {
+                        self.in_heap[unit as usize] = false;
+                    } else if !self.heap.iter().any(|&(_, u)| u == unit) {
+                        self.heap.push((self.priorities[unit as usize], unit));
+                        heap_ops += 1;
+                    }
+                    continue;
+                }
+                let stats = SchedStats {
+                    candidates_scanned: ops,
+                    priority_evals: std::mem::take(&mut self.pending_evals),
+                    comparisons: ops,
+                    heap_ops: heap_ops + std::mem::take(&mut self.pending_heap_ops),
+                    ..SchedStats::default()
+                };
+                return Some(Selection::one(unit, ops).with_stats(stats));
+            }
+        }
+    }
+
+    /// Degenerate statics for one differential case: a handful of units, or
+    /// (every third case) enough to cross a 64-rank word of the bitmap.
+    fn oracle_units(case: u64) -> Vec<UnitStatics> {
+        let want = if case.is_multiple_of(3) { 130 } else { 1 };
+        let mut units = degenerate_units(31, case);
+        for part in 32.. {
+            if units.len() >= want {
+                break;
+            }
+            units.extend(degenerate_units(part, case));
+        }
+        units
+    }
+
+    /// Drive the production policy and the heap oracle through one fuzzed
+    /// enqueue / pop / shed / refill sequence. With `reprioritise` the
+    /// sequence also overrides priorities, after which only the chosen units
+    /// are comparable (the heap charges pops for its stale duplicates).
+    fn differential(rank: StaticRank, case: u64, reprioritise: bool) {
+        const CORNERS: [f64; 7] = [f64::NAN, 0.0, -0.0, 1.0, 1.0, f64::INFINITY, -2.5];
+        let corner = |h: u64| CORNERS[(h % CORNERS.len() as u64) as usize];
+        let units = oracle_units(case);
+        let n = units.len() as u64;
+        let (mut policy, priorities, evals) = if rank == StaticRank::Custom {
+            let p: Vec<f64> = (0..n).map(|u| corner(det::mix3(case, u, 5))).collect();
+            (StaticPolicy::custom("CUSTOM", p.clone()), p, 0)
+        } else {
+            let p = units.iter().map(|u| rank.priority(u)).collect();
+            (StaticPolicy::new(rank), p, n)
+        };
+        policy.on_register(&units);
+        let mut oracle = LazyHeapStatic::new(&priorities, evals);
+        let mut queues = FuzzQueues::new(units.len());
+        let tag = format!("{rank:?} case {case}");
+        for step in 0..(40 * n).clamp(200, 2_000) {
+            let h = det::mix3(case, step, 0x0a11);
+            let unit = (det::mix2(h, 1) % n) as UnitId;
+            // Bursts of arrivals, then bursts of service, so the ready set
+            // both fills up and drains to empty.
+            let arriving = (step / 64).is_multiple_of(2);
+            match h % 8 {
+                0 if reprioritise => {
+                    let p = corner(det::mix2(h, 2));
+                    policy.set_priority(unit, p);
+                    oracle.set_priority(unit, p);
+                }
+                1 if queues.len(unit) > 0 => {
+                    // Shed the tail: a unit can empty behind the policy's back.
+                    let (tuple, _) = queues.pop_back(unit).unwrap();
+                    policy.on_shed(unit, tuple);
+                }
+                k if (k < 5) == arriving => {
+                    let tuple = TupleId::new(step);
+                    queues.push(unit, tuple, Nanos::from_nanos(step));
+                    policy.on_enqueue(unit, tuple, Nanos::from_nanos(step), Nanos::ZERO);
+                    oracle.on_enqueue(unit);
+                }
+                _ => {
+                    let got = policy.select(&queues, Nanos::ZERO);
+                    let want = oracle.select(&queues);
+                    assert_eq!(got.is_none(), queues.pending() == 0, "{tag} step {step}");
+                    if reprioritise {
+                        let chosen = |s: &Option<Selection>| s.as_ref().map(|s| s.units.to_vec());
+                        assert_eq!(chosen(&got), chosen(&want), "{tag} step {step}");
+                    } else {
+                        assert_eq!(got, want, "{tag} step {step}");
+                    }
+                    for &u in got.iter().flat_map(|s| s.units.as_slice()) {
+                        queues.pop(u).expect("selected units are non-empty");
+                    }
+                }
+            }
+        }
+    }
+
+    const RANKS: [StaticRank; 4] = [
+        StaticRank::Srpt,
+        StaticRank::Hr,
+        StaticRank::Hnr,
+        StaticRank::Custom,
+    ];
+
+    #[test]
+    fn static_policy_matches_the_lazy_heap_field_by_field() {
+        for rank in RANKS {
+            for case in 0..48 {
+                differential(rank, case, false);
+            }
+        }
+    }
+
+    #[test]
+    fn static_policy_matches_the_lazy_heap_units_under_reprioritisation() {
+        for rank in RANKS {
+            for case in 0..48 {
+                differential(rank, case, true);
+            }
+        }
+    }
 
     #[test]
     fn degenerate_statics_are_generated_deterministically() {

@@ -36,6 +36,10 @@ use crate::unit::UnitStatics;
 /// once: `ops_counted = 2·|ready|`, itemized as `|ready|` candidates,
 /// evaluations and comparisons — the O(q) profile of §6 that `ext_overhead`
 /// measures against the clustered implementations.
+// Inlined into each policy's `select` whatever rustc's codegen-unit merge
+// does with the rest of the crate: out of line, the loop came out with a
+// branch-free tie-break (six more instructions per unit), `sim_bsd` ×0.71.
+#[inline]
 pub fn scan_argmax(
     ready: &[UnitId],
     heads: &[Nanos],

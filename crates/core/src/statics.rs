@@ -2,11 +2,19 @@
 //!
 //! All three assign each unit a priority that never changes (§6.1: "under
 //! HNR, the priority given to each operator is static over time"), so the
-//! scheduler keeps a max-heap of ready units with lazy cleanup: a unit is
-//! pushed when its queue turns non-empty and popped lazily once observed
-//! empty. Each `select` is O(log n) amortized.
-
-use std::collections::BinaryHeap;
+//! whole order is known before the first tuple arrives. The scheduler ranks
+//! the units once — rank 0 is the highest `(priority, unit id)` — and keeps
+//! the ready ones as bits of a `RankSet` indexed by rank: `on_enqueue` sets
+//! a bit, `select` finds the first set bit, both O(1) at any realistic q
+//! (one 64-way level per factor of 64). Cleanup is lazy: a bit is set when
+//! the unit's queue turns non-empty and cleared only once `select` observes
+//! the unit empty at the front, so a scheduling point is charged one
+//! operation per unit it looks at, exactly as by a lazily cleaned max-heap.
+//!
+//! Ranks are built on demand: `on_register` and a priority change only mark
+//! them stale, and the next `on_enqueue`/`select` sorts once per batch (an
+//! embedding that registers queries one at a time re-registers the full unit
+//! table each time and never pays for the ranks in between).
 
 use hcq_common::{Nanos, TupleId};
 
@@ -40,6 +48,94 @@ impl StaticRank {
     }
 }
 
+/// Deepest [`RankSet`]: ranks are `u32`, and six 64-way levels cover 2³⁶.
+const MAX_DEPTH: usize = 6;
+
+/// A set of ranks `0..n` as a hierarchical bitmap: level 0 has one bit per
+/// rank, and bit `w` of each level above says "word `w` of the level below
+/// is non-zero", up to a single root word. All levels share one allocation
+/// (level 0 first). Two levels cover q = 4096, four cover 10⁶.
+#[derive(Debug, Default)]
+struct RankSet {
+    words: Vec<u64>,
+    /// Index in `words` of each level's first word; the root is the last.
+    starts: [u32; MAX_DEPTH],
+    depth: usize,
+}
+
+impl RankSet {
+    /// The empty set over ranks `0..n`.
+    fn new(n: usize) -> Self {
+        let mut set = RankSet::default();
+        set.reset(n);
+        set
+    }
+
+    /// Empty the set and size it for ranks `0..n` (one word at least).
+    fn reset(&mut self, n: usize) {
+        assert!(u32::try_from(n).is_ok(), "ranks are u32");
+        self.words.clear();
+        self.depth = 0;
+        let mut level = n.div_ceil(64).max(1);
+        loop {
+            self.starts[self.depth] = self.words.len() as u32;
+            self.depth += 1;
+            self.words.resize(self.words.len() + level, 0);
+            if level == 1 {
+                return;
+            }
+            level = level.div_ceil(64);
+        }
+    }
+
+    fn contains(&self, rank: u32) -> bool {
+        self.words[(rank >> 6) as usize] & (1 << (rank & 63)) != 0
+    }
+
+    /// Add `rank`; false if it was already present.
+    fn insert(&mut self, rank: u32) -> bool {
+        let mut i = rank;
+        for (level, &start) in self.starts[..self.depth].iter().enumerate() {
+            let word = &mut self.words[(start + (i >> 6)) as usize];
+            let (before, bit) = (*word, 1 << (i & 63));
+            *word |= bit;
+            if before != 0 {
+                // The levels above already know this word is non-zero.
+                return level > 0 || before & bit == 0;
+            }
+            i >>= 6;
+        }
+        true
+    }
+
+    /// Remove `rank` (a no-op if absent).
+    fn remove(&mut self, rank: u32) {
+        let mut i = rank;
+        for &start in &self.starts[..self.depth] {
+            let word = &mut self.words[(start + (i >> 6)) as usize];
+            *word &= !(1 << (i & 63));
+            if *word != 0 {
+                break;
+            }
+            i >>= 6;
+        }
+    }
+
+    /// The smallest rank present.
+    fn first(&self) -> Option<u32> {
+        let mut i = 0;
+        for &start in self.starts[..self.depth].iter().rev() {
+            let word = self.words[(start + i) as usize];
+            if word == 0 {
+                // Only the root: a summary bit means a non-zero word below.
+                return None;
+            }
+            i = (i << 6) | word.trailing_zeros();
+        }
+        Some(i)
+    }
+}
+
 /// A static-priority scheduler parameterized by [`StaticRank`].
 #[derive(Debug)]
 pub struct StaticPolicy {
@@ -47,9 +143,18 @@ pub struct StaticPolicy {
     name: &'static str,
     custom: Vec<f64>,
     priorities: Vec<PriorityKey>,
-    heap: BinaryHeap<(PriorityKey, UnitId)>,
-    in_heap: Vec<bool>,
-    /// Heap pushes since the last `select`, reported on the next decision.
+    /// Units by descending `(priority, id)`, `order[r]` at rank `r`: equal
+    /// priorities rank the higher id first, NaN last ([`PriorityKey`]).
+    order: Vec<UnitId>,
+    /// Inverse of `order`.
+    rank_of: Vec<u32>,
+    /// Ranks of the units to look at: every unit with a non-empty queue,
+    /// plus those that drained since `select` last saw them in front.
+    ready: RankSet,
+    /// `priorities` changed since `order`/`rank_of` were built. `ready`
+    /// stays in terms of the old ranks until [`StaticPolicy::rerank`].
+    stale: bool,
+    /// Bits set in `ready` since the last `select`, reported on the next one.
     pending_heap_ops: u64,
     /// Priority-formula evaluations since the last `select` (registration
     /// computes one per unit, overrides one each), reported on the next
@@ -74,8 +179,10 @@ impl StaticPolicy {
             name,
             custom: Vec::new(),
             priorities: Vec::new(),
-            heap: BinaryHeap::new(),
-            in_heap: Vec::new(),
+            order: Vec::new(),
+            rank_of: Vec::new(),
+            ready: RankSet::new(0),
+            stale: false,
             pending_heap_ops: 0,
             pending_evals: 0,
         }
@@ -87,14 +194,9 @@ impl StaticPolicy {
     /// slopes (Babcock et al., SIGMOD'03; the paper's Table 3).
     pub fn custom(name: &'static str, priorities: Vec<f64>) -> Self {
         StaticPolicy {
-            rank: StaticRank::Custom,
             name,
             custom: priorities,
-            priorities: Vec::new(),
-            heap: BinaryHeap::new(),
-            in_heap: Vec::new(),
-            pending_heap_ops: 0,
-            pending_evals: 0,
+            ..Self::new(StaticRank::Custom)
         }
     }
 
@@ -116,21 +218,56 @@ impl StaticPolicy {
     /// Override one unit's priority (used by the engine for shared-operator
     /// groups, whose §7 priority is not a plain segment formula; and by the
     /// adaptive extension when estimates drift).
+    ///
+    /// Counts one priority evaluation per call and one ready-set operation
+    /// per re-prioritised ready unit; an unchanged value leaves the ranks
+    /// alone. This is the one path whose counted ops differ from the lazy
+    /// max-heap this structure replaced, which kept a re-prioritised unit's
+    /// old entry until it surfaced, charged a pop for it, and grew by an
+    /// entry per call. No pinned exhibit or trace charges overhead on a run
+    /// that re-prioritises.
     pub fn set_priority(&mut self, unit: UnitId, priority: f64) {
-        self.priorities[unit as usize] = PriorityKey(priority);
         self.pending_evals += 1;
-        // If the unit is currently queued in the heap, its stored key is
-        // stale; re-push so the new value takes effect (the stale entry is
-        // discarded lazily when popped).
-        if self.in_heap[unit as usize] {
-            self.heap.push((PriorityKey(priority), unit));
-            self.pending_heap_ops += 1;
+        let rank = self.rank_of.get(unit as usize);
+        let ready = rank.is_some_and(|&r| self.ready.contains(r));
+        self.pending_heap_ops += u64::from(ready);
+        let key = PriorityKey(priority);
+        if key != self.priorities[unit as usize] {
+            self.priorities[unit as usize] = key;
+            self.stale = true;
         }
     }
 
     /// The current priority of a unit.
     pub fn priority(&self, unit: UnitId) -> f64 {
         self.priorities[unit as usize].0
+    }
+
+    /// Rebuild `order`/`rank_of` from `priorities` and carry the ready
+    /// units over to their new ranks.
+    #[cold]
+    fn rerank(&mut self) {
+        let mut ready = Vec::new();
+        while let Some(r) = self.ready.first() {
+            self.ready.remove(r);
+            ready.push(self.order[r as usize]);
+        }
+        let n = self.priorities.len();
+        // A surviving order is kept: it is nearly sorted already.
+        if self.order.len() != n {
+            self.order = (0..n as UnitId).collect();
+        }
+        let key = |&u: &UnitId| std::cmp::Reverse((self.priorities[u as usize], u));
+        self.order.sort_unstable_by_key(key);
+        self.rank_of.resize(n, 0);
+        for (r, &u) in self.order.iter().enumerate() {
+            self.rank_of[u as usize] = r as u32;
+        }
+        self.ready.reset(n);
+        for u in ready {
+            self.ready.insert(self.rank_of[u as usize]);
+        }
+        self.stale = false;
     }
 }
 
@@ -159,8 +296,10 @@ impl Policy for StaticPolicy {
                     .collect()
             }
         };
-        self.in_heap = vec![false; units.len()];
-        self.heap.clear();
+        // Nothing is ready and nothing is ranked until the first enqueue.
+        self.rank_of.clear();
+        self.ready.reset(0);
+        self.stale = true;
     }
 
     fn on_statics_update(&mut self, unit: UnitId, statics: &UnitStatics) {
@@ -172,43 +311,39 @@ impl Policy for StaticPolicy {
     }
 
     fn memory_footprint(&self) -> Option<usize> {
-        let key = std::mem::size_of::<PriorityKey>();
         Some(
-            self.priorities.capacity() * key
-                + self.heap.capacity() * std::mem::size_of::<(PriorityKey, UnitId)>()
-                + self.in_heap.capacity()
-                + self.custom.capacity() * std::mem::size_of::<f64>(),
+            self.priorities.capacity() * size_of::<PriorityKey>()
+                + self.order.capacity() * size_of::<UnitId>()
+                + self.rank_of.capacity() * size_of::<u32>()
+                + self.ready.words.capacity() * size_of::<u64>()
+                + self.custom.capacity() * size_of::<f64>(),
         )
     }
 
     fn on_enqueue(&mut self, unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {
-        if !std::mem::replace(&mut self.in_heap[unit as usize], true) {
-            self.heap.push((self.priorities[unit as usize], unit));
+        if self.stale {
+            self.rerank();
+        }
+        if self.ready.insert(self.rank_of[unit as usize]) {
             self.pending_heap_ops += 1;
         }
     }
 
     fn select(&mut self, queues: &dyn QueueView, _now: Nanos) -> Option<Selection> {
+        if self.stale {
+            self.rerank();
+        }
         let mut ops = 0;
         let mut heap_ops = 0;
         loop {
-            let &(key, unit) = self.heap.peek()?;
+            let rank = self.ready.first()?;
+            let unit = self.order[rank as usize];
             ops += 1;
             heap_ops += 1;
-            // Discard stale entries: emptied queues, or re-pushed units whose
-            // stored key no longer matches the live priority.
-            let stale = queues.len(unit) == 0 || key != self.priorities[unit as usize];
-            if stale {
-                self.heap.pop();
+            if queues.len(unit) == 0 {
+                // Drained since it was enqueued: clear it and look further.
+                self.ready.remove(rank);
                 heap_ops += 1;
-                if queues.len(unit) == 0 {
-                    self.in_heap[unit as usize] = false;
-                } else if !self.heap.iter().any(|&(_, u)| u == unit) {
-                    // Removed the only remaining entry of a still-ready unit
-                    // (priority changed twice); reinsert the live key.
-                    self.heap.push((self.priorities[unit as usize], unit));
-                    heap_ops += 1;
-                }
                 continue;
             }
             let stats = SchedStats {
@@ -227,6 +362,7 @@ impl Policy for StaticPolicy {
 mod tests {
     use super::*;
     use crate::policy::testkit::{drain_order, MockQueues};
+    use hcq_common::det;
 
     fn ms(n: u64) -> Nanos {
         Nanos::from_millis(n)
@@ -369,5 +505,118 @@ mod tests {
         // Initially Q2 (unit 1) wins under HNR; demote it below Q1.
         p.set_priority(1, 1e-30);
         assert_eq!(p.select(&q, Nanos::ZERO).unwrap().units, vec![0]);
+    }
+
+    /// Satellite of the ready-bitmap replace: re-prioritising ready units
+    /// used to leave one stale heap entry per call. With one bit per unit
+    /// the footprint cannot move, and the front is always the argmax.
+    #[test]
+    fn repeated_statics_updates_keep_footprint_and_argmax() {
+        const UNITS: usize = 70; // crosses a 64-rank word
+        let statics = |round: u64, u: usize| {
+            // A few priority classes (ties are the norm), drifting per round;
+            // every fourth unit never changes (the no-op path).
+            let h = det::mix2(if u.is_multiple_of(4) { 0 } else { round }, u as u64);
+            UnitStatics::new(0.25 * (1 + h % 4) as f64, ms(1 + (h >> 8) % 3), ms(4))
+        };
+        let mut p = StaticPolicy::hnr();
+        p.on_register(&(0..UNITS).map(|u| statics(0, u)).collect::<Vec<_>>());
+        let mut q = MockQueues::new(UNITS);
+        let mut next = 0;
+        let mut feed = |p: &mut StaticPolicy, q: &mut MockQueues, u: UnitId| {
+            q.push(u, TupleId::new(next), Nanos::ZERO);
+            p.on_enqueue(u, TupleId::new(next), Nanos::ZERO, Nanos::ZERO);
+            next += 1;
+        };
+        for u in 0..UNITS as UnitId {
+            feed(&mut p, &mut q, u);
+        }
+        let footprint = p.memory_footprint();
+        for round in 1..=10_000u64 {
+            let now: Vec<UnitStatics> = (0..UNITS).map(|u| statics(round, u)).collect();
+            for (u, s) in now.iter().enumerate() {
+                p.on_statics_update(u as UnitId, s);
+            }
+            let expect = q
+                .nonempty()
+                .iter()
+                .map(|&u| (PriorityKey(now[u as usize].hnr_priority()), u))
+                .max()
+                .unwrap();
+            let sel = p.select(&q, Nanos::ZERO).unwrap();
+            assert_eq!(sel.units, vec![expect.1], "round {round}");
+            q.pop(expect.1);
+            // The first ten units are permanently ready; the rest drain and
+            // refill at random, so emptied units sit in the set too.
+            let refill = det::mix2(round, 99) % UNITS as u64;
+            for u in [expect.1, refill as UnitId] {
+                if q.len(u) == 0 && (u < 10 || u == refill as UnitId) {
+                    feed(&mut p, &mut q, u);
+                }
+            }
+        }
+        assert_eq!(p.memory_footprint(), footprint);
+    }
+
+    #[test]
+    fn rank_set_matches_btreeset_at_level_boundaries() {
+        use std::collections::BTreeSet;
+        for (n, depth) in [
+            (0usize, 1),
+            (1, 1),
+            (63, 1),
+            (64, 1),
+            (65, 2),
+            (500, 2),
+            (4095, 2),
+            (4096, 2),
+            (4097, 3),
+            (262_145, 4),
+            (1_000_000, 4),
+        ] {
+            let mut set = RankSet::new(n);
+            assert_eq!(set.depth, depth, "n = {n}");
+            assert_eq!(set.first(), None, "empty, n = {n}");
+            if n == 0 {
+                continue;
+            }
+            let mut model = BTreeSet::new();
+            for step in 0..4_000u64 {
+                let h = det::mix3(n as u64, step, 7);
+                // Half the draws land on a word or level edge.
+                let edges = [0, 63, 64, 65, 4095, 4096, 4097, 262_143, 262_144];
+                let rank = if h.is_multiple_of(2) {
+                    edges[(h >> 8) as usize % edges.len()].min(n - 1)
+                } else {
+                    (h >> 8) as usize % n
+                } as u32;
+                if (h >> 4).is_multiple_of(3) {
+                    set.remove(rank);
+                    model.remove(&rank);
+                } else {
+                    assert_eq!(set.insert(rank), model.insert(rank), "n = {n}, rank {rank}");
+                }
+                assert_eq!(set.contains(rank), model.contains(&rank));
+                assert_eq!(set.first(), model.first().copied(), "n = {n}, step {step}");
+            }
+            // Drain in order, then rebuild under a re-ranking (reversal): the
+            // members come back, and a reset set is empty at every level.
+            let mut drained = Vec::new();
+            while let Some(r) = set.first() {
+                set.remove(r);
+                drained.push(r);
+            }
+            assert!(drained.iter().copied().eq(model.iter().copied()));
+            assert!(set.words.iter().all(|&w| w == 0), "n = {n}");
+            set.reset(n);
+            for &r in &drained {
+                assert!(set.insert(n as u32 - 1 - r));
+            }
+            for &r in drained.iter().rev() {
+                assert_eq!(set.first(), Some(n as u32 - 1 - r));
+                set.remove(n as u32 - 1 - r);
+            }
+            assert_eq!(set.first(), None);
+        }
     }
 }

@@ -210,3 +210,69 @@ fn governed_faulty_trace_reparses_to_its_bytes_and_reconciles() {
     let rec = reconcile(&log, &report);
     assert!(rec.all_ok(), "{:?}", rec.failures());
 }
+
+/// The static policies' counted scheduling work, pinned: 140 units (their
+/// ranks span three 64-bit words of the ready set) at 0.9 load with §9.2
+/// overhead charging on, so the counted ops feed back into virtual time
+/// and the slowdowns. Constants captured on the lazy max-heap these
+/// policies used before the rank-ordered ready bitmap; any change to which
+/// units a scheduling point looks at, or in what order, moves them.
+#[test]
+fn static_policy_counted_ops_are_pinned() {
+    let w = single_stream(&SingleStreamConfig {
+        queries: 140,
+        cost_classes: 5,
+        utilization: 0.9,
+        mean_gap: Nanos::from_millis(10),
+        seed: 24,
+    })
+    .unwrap();
+    // Per policy: (sched_points, sched_ops, heap_ops, overhead ns, emitted,
+    // avg_slowdown bits, l2_slowdown bits).
+    let pins = [
+        (
+            PolicyKind::Hnr,
+            (
+                280_000,
+                459_653,
+                818_960,
+                2_233_453_927,
+                104_707,
+                0x4066_2c9b_7e9b_4f30,
+                0x4119_d644_02ed_86d1,
+            ),
+        ),
+        (
+            PolicyKind::Srpt,
+            (
+                280_000,
+                473_100,
+                859_301,
+                2_298_792_900,
+                104_707,
+                0x4084_7e8f_8a19_b1d1,
+                0x4131_0f42_8d26_87a0,
+            ),
+        ),
+    ];
+    for (kind, want) in pins {
+        let r = simulate(
+            &w.plan,
+            &w.rates,
+            vec![Box::new(PoissonSource::new(Nanos::from_millis(10), 24))],
+            kind.build(),
+            SimConfig::new(2_000).with_seed(24).with_overhead(true),
+        )
+        .unwrap();
+        let got = (
+            r.sched_points,
+            r.sched_ops,
+            r.overhead.heap_ops,
+            r.overhead_time.as_nanos(),
+            r.emitted,
+            r.qos.avg_slowdown.to_bits(),
+            r.qos.l2_slowdown.to_bits(),
+        );
+        assert_eq!(got, want, "{}", kind.name());
+    }
+}
