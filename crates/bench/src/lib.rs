@@ -1,7 +1,7 @@
 //! Measurement fixtures shared by the repository's front ends.
 //!
 //! * [`pipeline`] — the 60-query reference workload the runtime ⇄ simulator
-//!   differential test and `repro run --runtime` both execute.
+//!   differential test and `repro run` both execute.
 //! * [`large_q`] — the 10³…10⁶-query scheduling-point sweep behind
 //!   `repro ext_large_q`, the CI sub-linearity gates and the `q100k` cells
 //!   of `benchmark/` (see `BENCHMARK.json`).

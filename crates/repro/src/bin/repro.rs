@@ -1,20 +1,18 @@
 //! CLI entry point: regenerate the paper's tables and figures.
 //!
-//! ```text
-//! repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS]
-//!
-//! exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_transient ext_recovery monitor validate all
-//! (fig5..fig11 share one sweep; requesting any of them runs the sweep once)
-//! ```
+//! `repro <name>... [flags]` runs each named exhibit of the registry
+//! ([`hcq_repro::EXHIBITS`]) and mode ([`hcq_repro::MODES`]) in request
+//! order; `all` stands for the whole registry. Every name is resolved before
+//! anything runs; `repro --help` lists them and the flags.
 //!
 //! `--jobs N` sets the worker-thread count for independent experiment cells
-//! (default: the machine's available parallelism). Outputs are byte-identical
-//! at any job count. (The repository's benchmark is not a `repro` mode: see
-//! `benchmark/README.md` and `BENCHMARK.json`.) `--trace FILE` additionally
-//! runs the single-stream workload once (HNR, 0.9 utilization) with
-//! scheduling-event tracing on and writes the JSONL trace to `FILE`; the
-//! trace is a pure function of the configuration, so re-runs are
-//! byte-identical.
+//! and for `run` (default: the machine's available parallelism). Outputs are
+//! byte-identical at any job count. (The repository's benchmark is not a
+//! `repro` mode: see `benchmark/README.md` and `BENCHMARK.json`.) `--trace
+//! FILE` additionally runs the single-stream workload once (HNR, 0.9
+//! utilization) with scheduling-event tracing on and writes the JSONL trace
+//! to `FILE`; the trace is a pure function of the configuration, so re-runs
+//! are byte-identical.
 //!
 //! `monitor` runs the same reference workload with telemetry sampling on
 //! (`--cadence MS` of virtual time per snapshot, default 250) and writes
@@ -33,16 +31,14 @@ use std::process::ExitCode;
 use hcq_common::Nanos;
 use hcq_core::PolicyKind;
 use hcq_repro::{
-    ext_adaptive, ext_faults, ext_inspect, ext_large_q, ext_lp, ext_memory, ext_overhead,
-    ext_overload, ext_preemption, ext_recovery, ext_seeds, ext_transient, fig11, fig12, fig13,
-    fig14, fig5_to_10, fuzz, fuzz_replay, guard_overwrite, inspect_trace, monitor, run_runtime,
-    table1, table2, table3, validate, ExpConfig, InspectFormat,
+    ext_large_q, fuzz, fuzz_replay, guard_overwrite, inspect_trace, monitor, request_names,
+    resolve, run_runtime, validate, ExpConfig, InspectFormat, Step, EXHIBITS,
 };
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExpConfig::default();
-    let mut exhibits: Vec<String> = Vec::new();
+    let mut requests: Vec<String> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
     let mut cadence_ms: u64 = 250;
     let mut fuzz_cases: u64 = 200;
@@ -51,8 +47,6 @@ fn main() -> ExitCode {
     let mut diff_path: Option<PathBuf> = None;
     let mut format = InspectFormat::Text;
     let mut force = false;
-    let mut runtime = false;
-    let mut threads: Option<usize> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -65,8 +59,6 @@ fn main() -> ExitCode {
                 }
             },
             "--force" => force = true,
-            "--runtime" => runtime = true,
-            "--threads" => threads = Some(parse(it.next(), "--threads")),
             "--large-q-max" => large_q_max = parse(it.next(), "--large-q-max"),
             "--queries" => cfg.queries = parse(it.next(), "--queries"),
             "--arrivals" => cfg.arrivals = parse(it.next(), "--arrivals"),
@@ -88,22 +80,22 @@ fn main() -> ExitCode {
                 print_usage();
                 return ExitCode::FAILURE;
             }
-            other => exhibits.push(other.to_string()),
+            other => requests.push(other.to_string()),
         }
     }
-    if exhibits.is_empty() && trace_out.is_none() {
+    if requests.is_empty() && trace_out.is_none() {
         print_usage();
         return ExitCode::FAILURE;
     }
-    if exhibits.first().map(String::as_str) == Some("inspect") {
-        if exhibits.len() != 2 {
+    if requests.first().map(String::as_str) == Some("inspect") {
+        if requests.len() != 2 {
             eprintln!(
                 "usage: repro inspect TRACE [--diff TRACE2] [--format text|perfetto] \
                  [--out DIR] [--force]"
             );
             return ExitCode::FAILURE;
         }
-        let trace = PathBuf::from(&exhibits[1]);
+        let trace = PathBuf::from(&requests[1]);
         return match inspect_trace(&trace, diff_path.as_deref(), format, &cfg.out_dir, force) {
             Ok(_) => ExitCode::SUCCESS,
             Err(e) => {
@@ -112,6 +104,14 @@ fn main() -> ExitCode {
             }
         };
     }
+    let steps = match resolve(&requests) {
+        Ok(steps) => steps,
+        Err(e) => {
+            eprintln!("{e}");
+            print_usage();
+            return ExitCode::FAILURE;
+        }
+    };
     if let Some(path) = &trace_out {
         if let Err(e) = guard_overwrite(path, force) {
             eprintln!("{e}");
@@ -131,98 +131,18 @@ fn main() -> ExitCode {
             path.display()
         );
     }
-    if exhibits.iter().any(|e| e == "all") {
-        exhibits = vec![
-            "table1".into(),
-            "sweep".into(),
-            "fig12".into(),
-            "fig13".into(),
-            "fig14".into(),
-            "table2".into(),
-            "table3".into(),
-            "ext_memory".into(),
-            "ext_lp".into(),
-            "ext_preemption".into(),
-            "ext_seeds".into(),
-            "ext_overload".into(),
-            "ext_faults".into(),
-            "ext_overhead".into(),
-            "ext_transient".into(),
-            "ext_recovery".into(),
-            "ext_adaptive".into(),
-            "ext_inspect".into(),
-        ];
-    }
-    // fig5..fig11 are slices of one sweep; dedupe to a single run.
-    let wants_sweep = exhibits.iter().any(|e| {
-        matches!(
-            e.as_str(),
-            "sweep" | "fig5" | "fig6" | "fig7" | "fig8" | "fig9" | "fig10"
-        )
-    });
-    let mut ran_fig11 = false;
-    if wants_sweep {
-        fig5_to_10(&cfg);
-        ran_fig11 = true;
-    }
-    for e in &exhibits {
-        match e.as_str() {
-            "sweep" | "fig5" | "fig6" | "fig7" | "fig8" | "fig9" | "fig10" => {}
-            "fig11" => {
-                if !ran_fig11 {
-                    fig11(&cfg);
-                    ran_fig11 = true;
-                }
+    let mut wrote_csv = false;
+    for step in steps {
+        match step {
+            Step::Exhibit(i) => {
+                (EXHIBITS[i].run)(&cfg);
+                wrote_csv = true;
             }
-            "table1" => {
-                table1(&cfg);
-            }
-            "fig12" => {
-                fig12(&cfg);
-            }
-            "fig13" => {
-                fig13(&cfg);
-            }
-            "fig14" => {
-                fig14(&cfg);
-            }
-            "table2" => {
-                table2(&cfg);
-            }
-            "ext_memory" => {
-                ext_memory(&cfg);
-            }
-            "ext_lp" => {
-                ext_lp(&cfg);
-            }
-            "ext_preemption" => {
-                ext_preemption(&cfg);
-            }
-            "ext_seeds" => {
-                ext_seeds(&cfg);
-            }
-            "ext_overload" => {
-                ext_overload(&cfg);
-            }
-            "ext_faults" => {
-                ext_faults(&cfg);
-            }
-            "ext_overhead" => {
-                ext_overhead(&cfg);
-            }
-            "ext_adaptive" => {
-                ext_adaptive(&cfg);
-            }
-            "ext_large_q" => {
+            Step::LargeQ => {
                 ext_large_q(&cfg, large_q_max);
+                wrote_csv = true;
             }
-            "ext_transient" => {
-                ext_transient(&cfg);
-            }
-            "ext_recovery" => {
-                ext_recovery(&cfg);
-            }
-            "monitor" => {
+            Step::Monitor => {
                 if cadence_ms == 0 {
                     eprintln!("--cadence must be positive");
                     return ExitCode::FAILURE;
@@ -232,26 +152,17 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            "run" => {
-                if !runtime {
-                    eprintln!("`repro run` currently requires --runtime (wall-clock execution)");
-                    return ExitCode::FAILURE;
-                }
-                let n = threads.unwrap_or_else(hcq_repro::default_jobs).max(1);
-                if !run_runtime(&cfg, n) {
+            Step::Run => {
+                if !run_runtime(&cfg, cfg.jobs.max(1)) {
                     return ExitCode::FAILURE;
                 }
             }
-            "table3" => {
-                table3(&cfg);
-            }
-            "validate" => {
-                let results = validate(&cfg);
-                if results.iter().any(|r| !r.pass) {
+            Step::Validate => {
+                if validate(&cfg).iter().any(|r| !r.pass) {
                     return ExitCode::FAILURE;
                 }
             }
-            "fuzz" => {
+            Step::Fuzz => {
                 if let Some(path) = &fuzz_replay_path {
                     if !fuzz_replay(path) {
                         return ExitCode::FAILURE;
@@ -262,11 +173,8 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                     match fuzz(&cfg, fuzz_cases, force) {
-                        Ok(summary) => {
-                            if !summary.clean {
-                                return ExitCode::FAILURE;
-                            }
-                        }
+                        Ok(summary) if summary.clean => {}
+                        Ok(_) => return ExitCode::FAILURE,
                         Err(e) => {
                             eprintln!("fuzz failed: {e}");
                             return ExitCode::FAILURE;
@@ -274,17 +182,9 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "ext_inspect" => {
-                ext_inspect(&cfg);
-            }
-            other => {
-                eprintln!("unknown exhibit {other}");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
         }
     }
-    if !exhibits.is_empty() {
+    if wrote_csv {
         println!("CSV output in {}", cfg.out_dir.display());
     }
     ExitCode::SUCCESS
@@ -308,9 +208,9 @@ fn print_usage() {
     eprintln!(
         "usage: repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--cases K] [--replay FILE] [--large-q-max Q] [--force]\n\
          \x20      repro inspect TRACE [--diff TRACE2] [--format text|perfetto] [--out DIR] [--force]\n\
-         \x20      repro run --runtime [--threads N] [--arrivals N] [--seed S]\n\
-         exhibits: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ext_memory ext_lp ext_preemption ext_seeds ext_overload ext_faults ext_overhead ext_large_q ext_transient ext_recovery ext_adaptive ext_inspect monitor validate fuzz run all\n\
-         --jobs N: worker threads for independent cells (default: available parallelism; outputs are byte-identical at any N)\n\
+         \x20      repro run [--jobs N] [--arrivals N] [--seed S]\n\
+         exhibits: {} all\n\
+         --jobs N: worker threads for independent cells and for `run` (default: available parallelism; outputs are byte-identical at any N)\n\
          --govern: arm the closed-loop overload governor on single-stream runs (admission ladder + hysteresis; ext_recovery compares it to static admission regardless of this flag)\n\
          --trace FILE: write a deterministic JSONL scheduling trace of one reference run (HNR, 0.9 utilization)\n\
          --cadence MS: virtual-time telemetry sampling interval for `monitor` (default 250)\n\
@@ -319,8 +219,7 @@ fn print_usage() {
          --large-q-max Q: cap the `ext_large_q` sweep at Q queries (default 1000000)\n\
          --diff TRACE2: with `inspect`, align a second trace at scheduling-point granularity and report the first divergent decision\n\
          --format text|perfetto: `inspect` output — text reports (default) or Chrome trace-event JSON into --out\n\
-         --runtime: with `run`, execute the reference workload on real OS threads via hcq-runtime instead of the simulator\n\
-         --threads N: worker threads for `run --runtime` (default: available parallelism)\n\
-         --force: allow `monitor`, `--trace`, `inspect --format perfetto`, and `fuzz` artifacts to overwrite existing output files"
+         --force: allow `monitor`, `--trace`, `inspect --format perfetto`, and `fuzz` artifacts to overwrite existing output files",
+        request_names().join(" ")
     );
 }

@@ -1,40 +1,170 @@
-//! One function per table/figure of §9.
+//! One function per table/figure of §9, and [`EXHIBITS`], the registry
+//! `repro` resolves its request names against.
 //!
 //! Every multi-cell exhibit fans its independent `(policy, load, seed, ...)`
-//! cells out over [`run_jobs`] with `cfg.jobs` workers. Cells are pure
+//! cells out over `harness::run_cells` with `cfg.jobs` workers. Cells are pure
 //! functions of the configuration and rows are assembled from the
 //! index-ordered results, so the emitted tables and CSVs are byte-identical
 //! at any job count.
+//!
+//! Adding an exhibit is one function plus one [`EXHIBITS`] row: `repro
+//! <name>`, `repro all`, `repro --help` and the jobs-invariance test all read
+//! the registry.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicUsize;
 
 use hcq_common::{det, Nanos, StreamId};
-use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Clustering, PolicyKind, SharingStrategy};
+use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, SharingStrategy};
 use hcq_engine::{
     simulate, simulate_monitored, AdaptConfig, AdaptMode, AdmissionMode, SimConfig, SimReport,
     Simulator, VecTelemetry,
 };
+use hcq_metrics::TelemetrySnapshot;
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_streams::{
-    DisconnectSource, DisconnectSpec, FaultSpec, FaultySource, PoissonSource, TraceReplay,
+    ArrivalSource, DisconnectSource, DisconnectSpec, FaultSpec, FaultySource, PoissonSource,
+    TraceReplay,
 };
 use hcq_workload::{multi_stream, shared, MultiStreamConfig, SharedConfig};
 
-use crate::harness::{run_jobs, tick_progress, ExpConfig, SweepResults};
+use crate::harness::{print_tick, run_cells, ExpConfig, SweepResults};
+use crate::inspect::ext_inspect;
 use crate::plot::Chart;
 use crate::table::{fnum, AsciiTable};
 
-/// A named policy factory: exhibits that fan variant runs out to worker
-/// threads cannot move a prebuilt `Box<dyn Policy>` into a job (policies are
-/// not `Send`), so each job builds its own instance from one of these.
-type PolicyFactory = Box<dyn Fn() -> Box<dyn hcq_core::Policy> + Sync>;
+// --------------------------------------------------------------- Registry
 
-/// Print one whole `  what: done/total cells done` line per finished cell.
-/// Shared by the parallel exhibits below; whole-line writes keyed by a
-/// completed-cell counter stay readable when workers finish concurrently.
-fn print_tick(done: &AtomicUsize, total: usize, what: &str) {
-    tick_progress(&|msg: &str| println!("{msg}"), done, total, what);
+/// One row of [`EXHIBITS`].
+pub struct Exhibit {
+    /// The request names the row answers; the first is its own.
+    pub names: &'static [&'static str],
+    /// Runs the exhibit: prints each table and writes its CSV.
+    pub run: ExhibitFn,
 }
+
+/// How an [`Exhibit`] runs.
+pub type ExhibitFn = fn(&ExpConfig) -> Vec<ExhibitOutput>;
+
+const fn row(names: &'static [&'static str], run: ExhibitFn) -> Exhibit {
+    Exhibit { names, run }
+}
+
+/// Every exhibit, in the order `repro all` runs them. `fig5`…`fig10` are
+/// slices of one sweep, which writes `fig11` as well; a standalone `fig11`
+/// runs only its three cells.
+pub const EXHIBITS: &[Exhibit] = &[
+    row(
+        &["fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"],
+        fig5_to_10,
+    ),
+    row(&["fig11"], |c| vec![fig11(c)]),
+    row(&["table1"], |c| vec![table1(c)]),
+    row(&["fig12"], |c| vec![fig12(c)]),
+    row(&["fig13"], |c| vec![fig13(c)]),
+    row(&["fig14"], |c| vec![fig14(c)]),
+    row(&["table2"], |c| vec![table2(c)]),
+    row(&["table3"], |c| vec![table3(c)]),
+    row(&["ext_memory"], |c| vec![ext_memory(c)]),
+    row(&["ext_lp"], |c| vec![ext_lp(c)]),
+    row(&["ext_preemption"], |c| vec![ext_preemption(c)]),
+    row(&["ext_seeds"], |c| vec![ext_seeds(c)]),
+    row(&["ext_overload"], |c| vec![ext_overload(c)]),
+    row(&["ext_faults"], |c| vec![ext_faults(c)]),
+    row(&["ext_overhead"], |c| vec![ext_overhead(c)]),
+    row(&["ext_transient"], ext_transient),
+    row(&["ext_recovery"], ext_recovery),
+    row(&["ext_adaptive"], |c| vec![ext_adaptive(c)]),
+    row(&["ext_inspect"], |c| vec![ext_inspect(c)]),
+];
+
+/// One resolved `repro` request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The [`EXHIBITS`] row at this index.
+    Exhibit(usize),
+    /// `ext_large_q`: not a registry row, as it takes `--large-q-max` and
+    /// writes a wall-clock column.
+    LargeQ,
+    /// `monitor`: one telemetry-sampled reference run.
+    Monitor,
+    /// `validate`: the §9 scorecard.
+    Validate,
+    /// `fuzz`: the invariant fuzzer.
+    Fuzz,
+    /// `run`: the reference workload on `hcq-runtime`'s threads.
+    Run,
+}
+
+/// The request names of the steps that are not registry rows.
+pub const MODES: [(&str, Step); 5] = [
+    ("ext_large_q", Step::LargeQ),
+    ("monitor", Step::Monitor),
+    ("validate", Step::Validate),
+    ("fuzz", Step::Fuzz),
+    ("run", Step::Run),
+];
+
+/// Every name [`resolve`] accepts besides `all`, once each, in registry
+/// order and then [`MODES`].
+pub fn request_names() -> Vec<&'static str> {
+    let mut names = Vec::new();
+    for &name in EXHIBITS
+        .iter()
+        .flat_map(|e| e.names)
+        .chain(MODES.iter().map(|(n, _)| n))
+    {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// Resolve `repro`'s request names into the steps to run, before any of
+/// them runs. `all` expands in place to every registry row; a step runs
+/// once, at its first request; a row is dropped when another requested row
+/// also answers its own name (the sweep writes `fig11` anyway). An unknown
+/// name is an error.
+pub fn resolve(requests: &[String]) -> Result<Vec<Step>, String> {
+    let mut steps: Vec<Step> = Vec::new();
+    for req in requests.iter().map(String::as_str) {
+        let row = EXHIBITS
+            .iter()
+            .position(|e| e.names[0] == req)
+            .or_else(|| EXHIBITS.iter().position(|e| e.names.contains(&req)));
+        let found: Vec<Step> = if req == "all" {
+            (0..EXHIBITS.len()).map(Step::Exhibit).collect()
+        } else if let Some(i) = row {
+            vec![Step::Exhibit(i)]
+        } else if let Some(&(_, step)) = MODES.iter().find(|(name, _)| *name == req) {
+            vec![step]
+        } else {
+            return Err(format!("unknown exhibit {req}"));
+        };
+        for step in found {
+            if !steps.contains(&step) {
+                steps.push(step);
+            }
+        }
+    }
+    let rows: Vec<usize> = steps
+        .iter()
+        .filter_map(|s| match *s {
+            Step::Exhibit(i) => Some(i),
+            _ => None,
+        })
+        .collect();
+    steps.retain(|s| match *s {
+        Step::Exhibit(i) => !rows
+            .iter()
+            .any(|&j| j != i && EXHIBITS[j].names.contains(&EXHIBITS[i].names[0])),
+        _ => true,
+    });
+    Ok(steps)
+}
+
+// ---------------------------------------------------------------- Helpers
 
 /// A rendered exhibit: the table plus where its CSV landed.
 #[derive(Debug)]
@@ -45,15 +175,56 @@ pub struct ExhibitOutput {
     pub table: AsciiTable,
 }
 
-impl ExhibitOutput {
-    pub(crate) fn emit(self, cfg: &ExpConfig) -> ExhibitOutput {
-        let path = cfg.out_dir.join(format!("{}.csv", self.name));
-        self.table
-            .write_csv(&path)
-            .unwrap_or_else(|e| eprintln!("warning: could not write {path:?}: {e}"));
-        println!("== {} ==\n{}", self.name, self.table.render());
-        self
-    }
+/// Print `table` as exhibit `name` and write it to `<out>/<name>.csv`.
+pub(crate) fn emit(cfg: &ExpConfig, name: &'static str, table: AsciiTable) -> ExhibitOutput {
+    let path = cfg.out_dir.join(format!("{name}.csv"));
+    table
+        .write_csv(&path)
+        .unwrap_or_else(|e| eprintln!("warning: could not write {path:?}: {e}"));
+    println!("== {name} ==\n{}", table.render());
+    ExhibitOutput { name, table }
+}
+
+/// A policy factory: exhibits that fan variant runs out to worker threads
+/// cannot move a prebuilt `Box<dyn Policy>` into a job (policies are not
+/// `Send`), so each job builds its own instance from one of these.
+type PolicyFactory = Box<dyn Fn() -> Box<dyn Policy> + Sync>;
+
+fn builtin(kind: PolicyKind) -> PolicyFactory {
+    Box::new(move || kind.build())
+}
+
+/// Clustered BSD under `config`: fig13, fig14, `ext_overhead` and
+/// `ext_adaptive` build their variants through this one factory.
+fn clustered(config: ClusterConfig) -> PolicyFactory {
+    Box::new(move || Box::new(ClusteredBsdPolicy::new(config)))
+}
+
+/// A table whose first column is `first` and then one column per policy.
+fn policy_columns(first: &str, policies: &[PolicyKind]) -> AsciiTable {
+    AsciiTable::new(
+        [first]
+            .into_iter()
+            .chain(policies.iter().map(|p| p.name()))
+            .collect(),
+    )
+}
+
+/// The `conserved` column: `yes` when every run accounts for each per-query
+/// work unit. Each source arrival fans out to one unit per registered
+/// query, and each such unit must end the run as exactly one of emitted,
+/// dropped, shed, expired (missed its deadline), or still pending (queued
+/// or quarantined after an operator failure — both are folded into
+/// `pending_end`).
+fn conserved(cfg: &ExpConfig, runs: &[&SimReport]) -> String {
+    yes_no(runs.iter().all(|r| {
+        r.emitted + r.dropped + r.shed + r.expired + r.pending_end as u64
+            == r.arrivals * cfg.queries as u64
+    }))
+}
+
+fn yes_no(ok: bool) -> String {
+    if ok { "yes" } else { "NO" }.to_string()
 }
 
 // ---------------------------------------------------------------- Table 1
@@ -82,11 +253,7 @@ pub fn table1(cfg: &ExpConfig) -> ExhibitOutput {
             fnum(r.qos.avg_slowdown),
         ]);
     }
-    ExhibitOutput {
-        name: "table1",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "table1", t)
 }
 
 fn run_example1(kind: PolicyKind) -> SimReport {
@@ -127,7 +294,8 @@ fn run_example1(kind: PolicyKind) -> SimReport {
 
 // ----------------------------------------------------------- Figures 5–10
 
-/// Figures 5–10 share one policy × utilization sweep; regenerate them all.
+/// Figures 5–10 share one policy × utilization sweep; regenerate them all
+/// (and Figure 11, which reads the sweep's 0.9 cells).
 pub fn fig5_to_10(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
     println!(
         "running policy x load sweep ({} queries, {} arrivals per cell)...",
@@ -138,9 +306,7 @@ pub fn fig5_to_10(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
                   policies: &[PolicyKind],
                   metric: fn(&SimReport) -> f64|
      -> ExhibitOutput {
-        let mut header = vec!["utilization".to_string()];
-        header.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut t = AsciiTable::new(header);
+        let mut t = policy_columns("utilization", policies);
         for &util in &ExpConfig::UTILIZATIONS {
             let mut row = vec![format!("{util:.2}")];
             for &p in policies {
@@ -165,7 +331,7 @@ pub fn fig5_to_10(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
                     .collect(),
             );
         }
-        let out = ExhibitOutput { name, table: t }.emit(cfg);
+        let out = emit(cfg, name, t);
         println!("{}", chart.render(12));
         out
     };
@@ -195,7 +361,7 @@ pub fn fig5_to_10(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
         series("fig8", &slowdown_trio, max_sd),
         series("fig9", &slowdown_trio, avg_sd),
         series("fig10", &slowdown_trio, l2),
-        fig11_from_sweep(cfg, &sweep),
+        fig11_table(cfg, &FIG11_POLICIES.map(|p| sweep.get(p, 0.9))),
     ]
 }
 
@@ -206,9 +372,7 @@ const FIG11_POLICIES: [PolicyKind; 3] = [PolicyKind::Hr, PolicyKind::Hnr, Policy
 /// selectivity bucket, at 0.9 utilization. `reports` are the 0.9 cells of
 /// [`FIG11_POLICIES`], in that order.
 fn fig11_table(cfg: &ExpConfig, reports: &[&SimReport]) -> ExhibitOutput {
-    let mut header = vec!["selectivity".to_string()];
-    header.extend(FIG11_POLICIES.iter().map(|p| p.name().to_string()));
-    let mut t = AsciiTable::new(header);
+    let mut t = policy_columns("selectivity", &FIG11_POLICIES);
     for bucket in 0..10u8 {
         let mut row = vec![format!("{:.2}", 0.05 + 0.1 * f64::from(bucket))];
         let mut any = false;
@@ -229,29 +393,47 @@ fn fig11_table(cfg: &ExpConfig, reports: &[&SimReport]) -> ExhibitOutput {
             t.row(row);
         }
     }
-    ExhibitOutput {
-        name: "fig11",
-        table: t,
-    }
-    .emit(cfg)
-}
-
-fn fig11_from_sweep(cfg: &ExpConfig, sweep: &SweepResults) -> ExhibitOutput {
-    fig11_table(cfg, &FIG11_POLICIES.map(|p| sweep.get(p, 0.9)))
+    emit(cfg, "fig11", t)
 }
 
 /// Figure 11 standalone entry point (runs just the three needed cells).
 pub fn fig11(cfg: &ExpConfig) -> ExhibitOutput {
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, FIG11_POLICIES.len(), |i| {
-        let r = cfg.run_single(0.9, FIG11_POLICIES[i].build());
-        print_tick(&done, FIG11_POLICIES.len(), "fig11");
-        r
+    let reports = run_cells(cfg, "fig11", &FIG11_POLICIES, |p| {
+        cfg.run_single(0.9, p.build())
     });
     fig11_table(cfg, &reports.iter().collect::<Vec<_>>())
 }
 
 // -------------------------------------------------------------- Figure 12
+
+/// One Figure 12 cell: the §8 multi-stream (window-join) workload at
+/// `utilization` under `kind`. The scorecard's `fig12` claim runs it too.
+pub(crate) fn fig12_cell(cfg: &ExpConfig, utilization: f64, kind: PolicyKind) -> SimReport {
+    // Window joins fan out; scale the population down and the inter-arrival
+    // up so window occupancies stay in the paper's regime.
+    let mean_gap = Nanos::from_millis(500);
+    let w = multi_stream(&MultiStreamConfig {
+        queries: (cfg.queries / 3).max(10),
+        cost_classes: 5,
+        utilization,
+        mean_gap,
+        window_range: (Nanos::from_secs(1), Nanos::from_secs(10)),
+        seed: cfg.seed,
+    })
+    .expect("valid multi-stream config");
+    let sources: Vec<Box<dyn ArrivalSource>> = vec![
+        Box::new(PoissonSource::new(mean_gap, cfg.seed ^ 0xA)),
+        Box::new(PoissonSource::new(mean_gap, cfg.seed ^ 0xB)),
+    ];
+    simulate(
+        &w.plan,
+        &w.rates,
+        sources,
+        kind.build(),
+        SimConfig::new(cfg.arrivals).with_seed(cfg.seed),
+    )
+    .expect("valid simulation")
+}
 
 /// Figure 12: ℓ2 norm of slowdowns for multi-stream (window-join) queries.
 pub fn fig12(cfg: &ExpConfig) -> ExhibitOutput {
@@ -261,59 +443,23 @@ pub fn fig12(cfg: &ExpConfig) -> ExhibitOutput {
         PolicyKind::Hnr,
         PolicyKind::Bsd,
     ];
-    // Window joins fan out; scale the population down and the inter-arrival
-    // up so window occupancies stay in the paper's regime.
-    let queries = (cfg.queries / 3).max(10);
-    let mean_gap = Nanos::from_millis(500);
-    let mut header = vec!["utilization".to_string()];
-    header.extend(policies.iter().map(|p| p.name().to_string()));
-    let mut t = AsciiTable::new(header);
     let utils = [0.5, 0.6, 0.7, 0.8, 0.9];
     // One cell per (utilization, policy); each job rebuilds its (fully
     // deterministic) workload so cells stay independent.
     let cells: Vec<(f64, PolicyKind)> = utils
         .iter()
-        .flat_map(|&u| policies.iter().map(move |&p| (u, p)))
+        .flat_map(|&u| policies.map(|p| (u, p)))
         .collect();
-    let done = AtomicUsize::new(0);
-    let l2s: Vec<f64> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (util, p) = cells[i];
-        let w = multi_stream(&MultiStreamConfig {
-            queries,
-            cost_classes: 5,
-            utilization: util,
-            mean_gap,
-            window_range: (Nanos::from_secs(1), Nanos::from_secs(10)),
-            seed: cfg.seed,
-        })
-        .expect("valid multi-stream config");
-        let sources: Vec<Box<dyn hcq_streams::ArrivalSource>> = vec![
-            Box::new(PoissonSource::new(mean_gap, cfg.seed ^ 0xA)),
-            Box::new(PoissonSource::new(mean_gap, cfg.seed ^ 0xB)),
-        ];
-        let r = simulate(
-            &w.plan,
-            &w.rates,
-            sources,
-            p.build(),
-            SimConfig::new(cfg.arrivals).with_seed(cfg.seed),
-        )
-        .expect("valid simulation");
-        print_tick(&done, cells.len(), "fig12");
-        r.qos.l2_slowdown
+    let l2s = run_cells(cfg, "fig12", &cells, |&(util, p)| {
+        fig12_cell(cfg, util, p).qos.l2_slowdown
     });
-    for (ui, &util) in utils.iter().enumerate() {
+    let mut t = policy_columns("utilization", &policies);
+    for (util, row_l2s) in utils.iter().zip(l2s.chunks(policies.len())) {
         let mut row = vec![format!("{util:.2}")];
-        for pi in 0..policies.len() {
-            row.push(fnum(l2s[ui * policies.len() + pi]));
-        }
+        row.extend(row_l2s.iter().map(|&v| fnum(v)));
         t.row(row);
     }
-    ExhibitOutput {
-        name: "fig12",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "fig12", t)
 }
 
 // -------------------------------------------------------------- Figure 13
@@ -321,8 +467,21 @@ pub fn fig12(cfg: &ExpConfig) -> ExhibitOutput {
 /// Figure 13: ℓ2 vs number of clusters at 0.95 utilization, with scheduling
 /// overhead charged at the cheapest operator's cost.
 pub fn fig13(cfg: &ExpConfig) -> ExhibitOutput {
-    let util = 0.95;
-    let ms: Vec<usize> = vec![2, 4, 6, 8, 10, 12, 16, 24, 32];
+    let ms = [2, 4, 6, 8, 10, 12, 16, 24, 32];
+    // (policy, charge overhead): the HNR reference, hypothetical (free)
+    // BSD, then uniform and logarithmic clustering per m.
+    let mut cells: Vec<(PolicyFactory, bool)> = vec![
+        (builtin(PolicyKind::Hnr), true),
+        (builtin(PolicyKind::Bsd), false),
+    ];
+    for m in ms {
+        cells.push((clustered(ClusterConfig::uniform(m)), true));
+        cells.push((clustered(ClusterConfig::logarithmic(m)), true));
+    }
+    let l2s = run_cells(cfg, "fig13", &cells, |(make, charge)| {
+        let r = cfg.run_single_with(0.95, make(), |c| c.with_overhead(*charge));
+        r.qos.l2_slowdown
+    });
     let mut t = AsciiTable::new(vec![
         "clusters",
         "HNR",
@@ -330,55 +489,16 @@ pub fn fig13(cfg: &ExpConfig) -> ExhibitOutput {
         "BSD-Uniform",
         "BSD-Logarithmic",
     ]);
-    /// One fig13 cell: which run a job performs.
-    #[derive(Clone, Copy)]
-    enum Cell {
-        HnrRef,
-        Hypothetical,
-        Uniform(usize),
-        Logarithmic(usize),
-    }
-    let mut cells = vec![Cell::HnrRef, Cell::Hypothetical];
-    for &m in &ms {
-        cells.push(Cell::Uniform(m));
-        cells.push(Cell::Logarithmic(m));
-    }
-    let done = AtomicUsize::new(0);
-    let l2s: Vec<f64> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let r = match cells[i] {
-            Cell::HnrRef => {
-                cfg.run_single_with(util, PolicyKind::Hnr.build(), |c| c.with_overhead(true))
-            }
-            Cell::Hypothetical => cfg.run_single(util, PolicyKind::Bsd.build()),
-            Cell::Uniform(m) => cfg.run_single_with(
-                util,
-                Box::new(ClusteredBsdPolicy::new(ClusterConfig::uniform(m))),
-                |c| c.with_overhead(true),
-            ),
-            Cell::Logarithmic(m) => cfg.run_single_with(
-                util,
-                Box::new(ClusteredBsdPolicy::new(ClusterConfig::logarithmic(m))),
-                |c| c.with_overhead(true),
-            ),
-        };
-        print_tick(&done, cells.len(), "fig13");
-        r.qos.l2_slowdown
-    });
-    let (hnr, hypo) = (l2s[0], l2s[1]);
-    for (mi, &m) in ms.iter().enumerate() {
+    for (m, pair) in ms.iter().zip(l2s[2..].chunks(2)) {
         t.row(vec![
             m.to_string(),
-            fnum(hnr),
-            fnum(hypo),
-            fnum(l2s[2 + 2 * mi]),
-            fnum(l2s[3 + 2 * mi]),
+            fnum(l2s[0]),
+            fnum(l2s[1]),
+            fnum(pair[0]),
+            fnum(pair[1]),
         ]);
     }
-    ExhibitOutput {
-        name: "fig13",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "fig13", t)
 }
 
 // -------------------------------------------------------------- Figure 14
@@ -386,45 +506,38 @@ pub fn fig13(cfg: &ExpConfig) -> ExhibitOutput {
 /// Figure 14: incremental implementation gains of the §6 techniques at
 /// m = 12 logarithmic clusters, 0.95 utilization.
 pub fn fig14(cfg: &ExpConfig) -> ExhibitOutput {
-    let util = 0.95;
-    let m = 12;
-    let clustered = |use_fagin: bool, batch: bool| -> PolicyFactory {
-        Box::new(move || {
-            Box::new(ClusteredBsdPolicy::new(ClusterConfig {
-                clustering: Clustering::Logarithmic,
-                clusters: m,
-                use_fagin,
-                batch,
-            }))
-        })
-    };
-    // Factories, not prebuilt policies: each worker thread builds its own
-    // instance (`Box<dyn Policy>` cannot move across threads).
-    type Variant = (&'static str, PolicyFactory, bool);
-    let variants: Vec<Variant> = vec![
-        ("BSD-Naive", Box::new(|| PolicyKind::Bsd.build()), true),
-        ("+Log-Clustering", clustered(false, false), true),
-        ("+FA-Pruning", clustered(true, false), true),
-        ("+Clustered-Processing", clustered(true, true), true),
+    let log12 = ClusterConfig::logarithmic(12);
+    let variants: [(&str, PolicyFactory, bool); 5] = [
+        ("BSD-Naive", builtin(PolicyKind::Bsd), true),
         (
-            "BSD-Hypothetical",
-            Box::new(|| PolicyKind::Bsd.build()),
-            false,
+            "+Log-Clustering",
+            clustered(ClusterConfig {
+                use_fagin: false,
+                batch: false,
+                ..log12
+            }),
+            true,
         ),
+        (
+            "+FA-Pruning",
+            clustered(ClusterConfig {
+                batch: false,
+                ..log12
+            }),
+            true,
+        ),
+        ("+Clustered-Processing", clustered(log12), true),
+        ("BSD-Hypothetical", builtin(PolicyKind::Bsd), false),
     ];
+    let reports = run_cells(cfg, "fig14", &variants, |(_, make, charge)| {
+        cfg.run_single_with(0.95, make(), |c| c.with_overhead(*charge))
+    });
     let mut t = AsciiTable::new(vec![
         "variant",
         "l2_slowdown",
         "ops_per_point",
         "overhead_share",
     ]);
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, variants.len(), |i| {
-        let (_, factory, charge) = &variants[i];
-        let r = cfg.run_single_with(util, factory(), |c| c.with_overhead(*charge));
-        print_tick(&done, variants.len(), "fig14");
-        r
-    });
     for ((name, _, _), r) in variants.iter().zip(&reports) {
         let share = r.overhead_time.ratio(r.end_time.max(Nanos(1)));
         t.row(vec![
@@ -434,62 +547,60 @@ pub fn fig14(cfg: &ExpConfig) -> ExhibitOutput {
             fnum(share),
         ]);
     }
-    ExhibitOutput {
-        name: "fig14",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "fig14", t)
 }
 
 // --------------------------------------------------------------- Table 2
 
+/// One Table 2 cell: the shared-operator workload (groups of ten queries
+/// sharing their select) at 0.9 utilization under `kind`, with `strategy`
+/// pricing the shared operators. The scorecard's `table2` claim runs it too.
+pub(crate) fn table2_cell(
+    cfg: &ExpConfig,
+    strategy: SharingStrategy,
+    kind: PolicyKind,
+) -> SimReport {
+    let w = shared(&SharedConfig {
+        groups: (cfg.queries / 10).max(3),
+        group_size: 10,
+        cost_classes: 5,
+        utilization: 0.9,
+        mean_gap: cfg.mean_gap,
+        seed: cfg.seed,
+    })
+    .expect("valid shared config");
+    simulate(
+        &w.plan,
+        &w.rates,
+        vec![cfg.source(0)],
+        kind.build(),
+        SimConfig::new(cfg.arrivals)
+            .with_seed(cfg.seed)
+            .with_sharing(strategy),
+    )
+    .expect("valid simulation")
+}
+
 /// Table 2: operator sharing — Max vs Sum vs PDT priorities, measured on
 /// the metric each policy optimizes.
 pub fn table2(cfg: &ExpConfig) -> ExhibitOutput {
-    let util = 0.9;
-    let groups = (cfg.queries / 10).max(3);
-    let mut t = AsciiTable::new(vec!["metric", "policy", "Max", "Sum", "PDT"]);
-    let build = || {
-        shared(&SharedConfig {
-            groups,
-            group_size: 10,
-            cost_classes: 5,
-            utilization: util,
-            mean_gap: cfg.mean_gap,
-            seed: cfg.seed,
-        })
-        .expect("valid shared config")
-    };
-    let strategies = [
+    // One cell per (strategy, policy); row-major by strategy, HNR then BSD.
+    let cells: Vec<(SharingStrategy, PolicyKind)> = [
         SharingStrategy::Max,
         SharingStrategy::Sum,
         SharingStrategy::Pdt,
-    ];
-    // One cell per (strategy, policy); row-major by strategy, HNR then BSD.
-    let cells: Vec<(SharingStrategy, PolicyKind)> = strategies
-        .iter()
-        .flat_map(|&s| [PolicyKind::Hnr, PolicyKind::Bsd].map(move |p| (s, p)))
-        .collect();
-    let done = AtomicUsize::new(0);
-    let values: Vec<f64> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (strat, kind) = cells[i];
-        let w = build();
-        let r = simulate(
-            &w.plan,
-            &w.rates,
-            vec![cfg.source(0)],
-            kind.build(),
-            SimConfig::new(cfg.arrivals)
-                .with_seed(cfg.seed)
-                .with_sharing(strat),
-        )
-        .expect("valid simulation");
-        print_tick(&done, cells.len(), "table2");
+    ]
+    .into_iter()
+    .flat_map(|s| [PolicyKind::Hnr, PolicyKind::Bsd].map(move |p| (s, p)))
+    .collect();
+    let values = run_cells(cfg, "table2", &cells, |&(strategy, kind)| {
+        let r = table2_cell(cfg, strategy, kind);
         match kind {
             PolicyKind::Hnr => r.qos.avg_slowdown,
             _ => r.qos.l2_slowdown,
         }
     });
+    let mut t = AsciiTable::new(vec!["metric", "policy", "Max", "Sum", "PDT"]);
     for (ri, (metric, policy)) in [("avg_slowdown", "HNR"), ("l2_norm", "BSD")]
         .into_iter()
         .enumerate()
@@ -502,11 +613,7 @@ pub fn table2(cfg: &ExpConfig) -> ExhibitOutput {
             fnum(values[4 + ri]),
         ]);
     }
-    ExhibitOutput {
-        name: "table2",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "table2", t)
 }
 
 // ------------------------------------------------- Extension: memory ablation
@@ -520,8 +627,7 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
     use hcq_core::StaticPolicy;
     use hcq_engine::{SchedulingLevel, SimModel};
 
-    let util = 0.9;
-    let w = cfg.workload(util);
+    let w = cfg.workload(0.9);
     let model = SimModel::build(
         &w.plan,
         &w.rates,
@@ -530,7 +636,30 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
     )
     .expect("valid model");
     let chain_priorities = model.chain_priorities();
-
+    let mut variants: Vec<(&str, PolicyFactory)> = vec![(
+        "Chain",
+        Box::new(move || Box::new(StaticPolicy::custom("Chain", chain_priorities.clone()))),
+    )];
+    variants.extend(
+        [
+            PolicyKind::Fcfs,
+            PolicyKind::RoundRobin,
+            PolicyKind::Hr,
+            PolicyKind::Hnr,
+            PolicyKind::Bsd,
+        ]
+        .map(|k| (k.name(), builtin(k))),
+    );
+    let reports = run_cells(cfg, "ext_memory", &variants, |(_, make)| {
+        simulate(
+            &w.plan,
+            &w.rates,
+            vec![cfg.source(0)],
+            make(),
+            SimConfig::new(cfg.arrivals).with_seed(cfg.seed),
+        )
+        .expect("valid simulation")
+    });
     let mut t = AsciiTable::new(vec![
         "policy",
         "avg_pending",
@@ -538,30 +667,6 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
         "avg_slowdown",
         "l2_slowdown",
     ]);
-    let variants: Vec<(&'static str, PolicyFactory)> = vec![
-        (
-            "Chain",
-            Box::new(move || Box::new(StaticPolicy::custom("Chain", chain_priorities.clone()))),
-        ),
-        ("FCFS", Box::new(|| PolicyKind::Fcfs.build())),
-        ("RR", Box::new(|| PolicyKind::RoundRobin.build())),
-        ("HR", Box::new(|| PolicyKind::Hr.build())),
-        ("HNR", Box::new(|| PolicyKind::Hnr.build())),
-        ("BSD", Box::new(|| PolicyKind::Bsd.build())),
-    ];
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, variants.len(), |i| {
-        let r = simulate(
-            &w.plan,
-            &w.rates,
-            vec![cfg.source(0)],
-            variants[i].1(),
-            SimConfig::new(cfg.arrivals).with_seed(cfg.seed),
-        )
-        .expect("valid simulation");
-        print_tick(&done, variants.len(), "ext_memory");
-        r
-    });
     for ((name, _), r) in variants.iter().zip(&reports) {
         t.row(vec![
             name.to_string(),
@@ -571,11 +676,7 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
             fnum(r.qos.l2_slowdown),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_memory",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_memory", t)
 }
 
 // ------------------------------------------------ Extension: the ℓp knob
@@ -586,23 +687,19 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
 /// shows the single knob trading average slowdown against maximum slowdown.
 pub fn ext_lp(cfg: &ExpConfig) -> ExhibitOutput {
     use hcq_core::LpPolicy;
-    let util = 0.95;
-    let mut t = AsciiTable::new(vec!["policy", "avg_slowdown", "max_slowdown", "l2_norm"]);
     let mut variants: Vec<(String, PolicyFactory)> =
-        vec![("HNR (=p1)".into(), Box::new(|| PolicyKind::Hnr.build()))];
+        vec![("HNR (=p1)".into(), builtin(PolicyKind::Hnr))];
     for p in [1.5, 2.0, 3.0, 6.0, 12.0] {
         variants.push((
             format!("Lp p={p}"),
             Box::new(move || Box::new(LpPolicy::new(p))),
         ));
     }
-    variants.push(("LSF (~p inf)".into(), Box::new(|| PolicyKind::Lsf.build())));
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, variants.len(), |i| {
-        let r = cfg.run_single(util, variants[i].1());
-        print_tick(&done, variants.len(), "ext_lp");
-        r
+    variants.push(("LSF (~p inf)".into(), builtin(PolicyKind::Lsf)));
+    let reports = run_cells(cfg, "ext_lp", &variants, |(_, make)| {
+        cfg.run_single(0.95, make())
     });
+    let mut t = AsciiTable::new(vec!["policy", "avg_slowdown", "max_slowdown", "l2_norm"]);
     for ((name, _), r) in variants.iter().zip(&reports) {
         t.row(vec![
             name.clone(),
@@ -611,11 +708,7 @@ pub fn ext_lp(cfg: &ExpConfig) -> ExhibitOutput {
             fnum(r.qos.l2_slowdown),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_lp",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_lp", t)
 }
 
 // ------------------------------------- Extension: scheduling granularity
@@ -626,14 +719,6 @@ pub fn ext_lp(cfg: &ExpConfig) -> ExhibitOutput {
 /// pipeline between operators, at the price of many more scheduling points.
 pub fn ext_preemption(cfg: &ExpConfig) -> ExhibitOutput {
     use hcq_engine::SchedulingLevel;
-    let util = 0.9;
-    let mut t = AsciiTable::new(vec![
-        "policy",
-        "level",
-        "avg_slowdown",
-        "max_slowdown",
-        "sched_points",
-    ]);
     let cells: Vec<(PolicyKind, &'static str, SchedulingLevel)> =
         [PolicyKind::Hnr, PolicyKind::Bsd, PolicyKind::Lsf]
             .into_iter()
@@ -645,13 +730,16 @@ pub fn ext_preemption(cfg: &ExpConfig) -> ExhibitOutput {
                 .map(move |(label, level)| (kind, label, level))
             })
             .collect();
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (kind, _, level) = cells[i];
-        let r = cfg.run_single_with(util, kind.build(), |c| c.with_level(level));
-        print_tick(&done, cells.len(), "ext_preemption");
-        r
+    let reports = run_cells(cfg, "ext_preemption", &cells, |&(kind, _, level)| {
+        cfg.run_single_with(0.9, kind.build(), |c| c.with_level(level))
     });
+    let mut t = AsciiTable::new(vec![
+        "policy",
+        "level",
+        "avg_slowdown",
+        "max_slowdown",
+        "sched_points",
+    ]);
     for ((kind, label, _), r) in cells.iter().zip(&reports) {
         t.row(vec![
             kind.name().to_string(),
@@ -661,11 +749,7 @@ pub fn ext_preemption(cfg: &ExpConfig) -> ExhibitOutput {
             r.sched_points.to_string(),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_preemption",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_preemption", t)
 }
 
 // --------------------------------------------------------------- Table 3
@@ -751,23 +835,10 @@ pub fn table3(cfg: &ExpConfig) -> ExhibitOutput {
     for (p, o, m, mc, jc, imp) in rows {
         t.row(vec![p, o, m, mc, jc, imp]);
     }
-    ExhibitOutput {
-        name: "table3",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "table3", t)
 }
 
 // --------------------------------------------- Extension: overload management
-
-/// True when every per-query work unit is accounted for: each source arrival
-/// fans out to one unit per registered query, and each such unit must end the
-/// run as exactly one of emitted, dropped, shed, expired (missed its
-/// deadline), or still pending (queued or quarantined after an operator
-/// failure — both are folded into `pending_end`).
-fn conserved(r: &SimReport, queries: usize) -> bool {
-    r.emitted + r.dropped + r.shed + r.expired + r.pending_end as u64 == r.arrivals * queries as u64
-}
 
 /// Per-unit queue bound used by the overload exhibits. Small enough that
 /// past-saturation runs at the default scale actually hit it, large enough
@@ -780,6 +851,16 @@ fn overload_watermark(cfg: &ExpConfig) -> usize {
     cfg.queries * 4
 }
 
+/// The single-stream source with seeded burst faults: a 5% chance per
+/// arrival of a 12-tuple volley inside one mean gap — instantaneous load
+/// far past the calibrated utilization (`ext_faults`, `ext_recovery`).
+fn bursty_source(cfg: &ExpConfig) -> Box<dyn ArrivalSource> {
+    Box::new(FaultySource::new(
+        cfg.source(0),
+        FaultSpec::bursts(0.05, 12, cfg.mean_gap, cfg.seed ^ 0xB0),
+    ))
+}
+
 /// Extension exhibit: overload management. Sweeps utilization from below to
 /// well past saturation under the bursty ON/OFF source and compares the
 /// three admission modes: `unbounded` (the paper's setting — backlog and
@@ -789,8 +870,7 @@ fn overload_watermark(cfg: &ExpConfig) -> usize {
 /// total pending load passes the watermark). The `conserved` column checks
 /// tuple conservation per cell and is asserted by the CI smoke job.
 pub fn ext_overload(cfg: &ExpConfig) -> ExhibitOutput {
-    const UTILS: [f64; 4] = [0.9, 1.1, 1.3, 1.5];
-    let modes: [(&'static str, AdmissionMode); 3] = [
+    let modes = [
         ("unbounded", AdmissionMode::Unbounded),
         ("droptail", AdmissionMode::DropTail),
         ("qos-shed", AdmissionMode::QosShed),
@@ -802,26 +882,22 @@ pub fn ext_overload(cfg: &ExpConfig) -> ExhibitOutput {
         PolicyKind::Bsd,
     ];
     let watermark = overload_watermark(cfg);
-    let mut cells: Vec<(f64, usize, PolicyKind)> = Vec::new();
-    for &u in &UTILS {
-        for m in 0..modes.len() {
-            for &p in &policies {
-                cells.push((u, m, p));
+    let mut cells: Vec<(f64, &str, AdmissionMode, PolicyKind)> = Vec::new();
+    for u in [0.9, 1.1, 1.3, 1.5] {
+        for (label, mode) in modes {
+            for p in policies {
+                cells.push((u, label, mode, p));
             }
         }
     }
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (util, mode_idx, kind) = cells[i];
-        let r = cfg.run_single_with(util, kind.build(), |c| match modes[mode_idx].1 {
+    let reports = run_cells(cfg, "ext_overload", &cells, |&(util, _, mode, kind)| {
+        cfg.run_single_with(util, kind.build(), |c| match mode {
             AdmissionMode::Unbounded => c,
-            AdmissionMode::DropTail => c.with_admission(AdmissionMode::DropTail, OVERLOAD_CAPACITY),
+            AdmissionMode::DropTail => c.with_admission(mode, OVERLOAD_CAPACITY),
             AdmissionMode::QosShed => c
-                .with_admission(AdmissionMode::QosShed, OVERLOAD_CAPACITY)
+                .with_admission(mode, OVERLOAD_CAPACITY)
                 .with_watermark(watermark),
-        });
-        print_tick(&done, cells.len(), "ext_overload");
-        r
+        })
     });
     let mut t = AsciiTable::new(vec![
         "utilization",
@@ -834,29 +910,20 @@ pub fn ext_overload(cfg: &ExpConfig) -> ExhibitOutput {
         "overload_share",
         "conserved",
     ]);
-    for ((util, mode_idx, kind), r) in cells.iter().zip(&reports) {
+    for ((util, label, _, kind), r) in cells.iter().zip(&reports) {
         t.row(vec![
             format!("{util:.2}"),
-            modes[*mode_idx].0.to_string(),
+            label.to_string(),
             kind.name().to_string(),
             fnum(r.qos.avg_slowdown),
             fnum(r.shed_fraction()),
             r.peak_pending.to_string(),
             r.pending_end.to_string(),
             fnum(r.overload_share()),
-            if conserved(r, cfg.queries) {
-                "yes"
-            } else {
-                "NO"
-            }
-            .to_string(),
+            conserved(cfg, &[r]),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_overload",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_overload", t)
 }
 
 // ------------------------------------------------ Extension: fault injection
@@ -869,60 +936,37 @@ pub fn ext_overload(cfg: &ExpConfig) -> ExhibitOutput {
 /// policies schedule on misestimates. Conservation must hold in every cell
 /// and nothing may panic — overload is absorbed by shedding instead.
 pub fn ext_faults(cfg: &ExpConfig) -> ExhibitOutput {
-    #[derive(Clone, Copy)]
-    enum Scenario {
-        Baseline,
-        Burst,
-        Stall,
-        Miscost,
-    }
-    let util = 0.9;
-    let scenarios: [(&'static str, Scenario); 4] = [
-        ("baseline", Scenario::Baseline),
-        ("burst", Scenario::Burst),
-        ("stall", Scenario::Stall),
-        ("miscost", Scenario::Miscost),
-    ];
+    let scenarios = ["baseline", "burst", "stall", "miscost"];
     let policies = [PolicyKind::Fcfs, PolicyKind::Hnr, PolicyKind::Bsd];
     let watermark = overload_watermark(cfg);
-    let cells: Vec<(usize, PolicyKind)> = (0..scenarios.len())
-        .flat_map(|s| policies.iter().map(move |&p| (s, p)))
+    let cells: Vec<(&str, PolicyKind)> = scenarios
+        .iter()
+        .flat_map(|&s| policies.map(|p| (s, p)))
         .collect();
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (scenario_idx, kind) = cells[i];
-        let scenario = scenarios[scenario_idx].1;
-        let w = cfg.workload(util);
+    let reports = run_cells(cfg, "ext_faults", &cells, |&(scenario, kind)| {
+        let w = cfg.workload(0.9);
         let mut sim_cfg = SimConfig::new(cfg.arrivals)
             .with_seed(cfg.seed)
             .with_admission(AdmissionMode::QosShed, OVERLOAD_CAPACITY)
             .with_watermark(watermark);
-        if let Scenario::Miscost = scenario {
+        if scenario == "miscost" {
             sim_cfg = sim_cfg.with_cost_miscalibration(0.3, cfg.seed ^ 0xFA);
         }
-        let source: Box<dyn hcq_streams::ArrivalSource> = match scenario {
-            // A 5% chance per arrival of a 12-tuple volley inside one mean
-            // gap: instantaneous load far past the calibrated utilization.
-            Scenario::Burst => Box::new(FaultySource::new(
-                cfg.source(0),
-                FaultSpec::bursts(0.05, 12, cfg.mean_gap, cfg.seed ^ 0xB0),
-            )),
+        let source: Box<dyn ArrivalSource> = match scenario {
+            "burst" => bursty_source(cfg),
             // A 1% chance per arrival that the source lags by 50 mean gaps.
-            Scenario::Stall => Box::new(FaultySource::new(
+            "stall" => Box::new(FaultySource::new(
                 cfg.source(0),
                 FaultSpec::stalls(0.01, cfg.mean_gap.scale(50.0), cfg.seed ^ 0x57),
             )),
             _ => cfg.source(0),
         };
-        let r =
-            simulate(&w.plan, &w.rates, vec![source], kind.build(), sim_cfg).unwrap_or_else(|e| {
-                panic!(
-                    "simulating fault scenario '{}' (seed={}): {e}",
-                    scenarios[scenario_idx].0, cfg.seed
-                )
-            });
-        print_tick(&done, cells.len(), "ext_faults");
-        r
+        simulate(&w.plan, &w.rates, vec![source], kind.build(), sim_cfg).unwrap_or_else(|e| {
+            panic!(
+                "simulating fault scenario '{scenario}' (seed={}): {e}",
+                cfg.seed
+            )
+        })
     });
     let mut t = AsciiTable::new(vec![
         "scenario",
@@ -934,28 +978,19 @@ pub fn ext_faults(cfg: &ExpConfig) -> ExhibitOutput {
         "overload_share",
         "conserved",
     ]);
-    for ((scenario_idx, kind), r) in cells.iter().zip(&reports) {
+    for ((scenario, kind), r) in cells.iter().zip(&reports) {
         t.row(vec![
-            scenarios[*scenario_idx].0.to_string(),
+            scenario.to_string(),
             kind.name().to_string(),
             fnum(r.qos.avg_slowdown),
             fnum(r.qos.max_slowdown),
             fnum(r.shed_fraction()),
             r.peak_pending.to_string(),
             fnum(r.overload_share()),
-            if conserved(r, cfg.queries) {
-                "yes"
-            } else {
-                "NO"
-            }
-            .to_string(),
+            conserved(cfg, &[r]),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_faults",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_faults", t)
 }
 
 // ------------------------------------------ Extension: transient dynamics
@@ -976,23 +1011,64 @@ fn burst_arrivals(arrivals: u64, mean_gap: Nanos) -> Vec<Nanos> {
         .collect()
 }
 
+/// A monitored run's report and its telemetry snapshots.
+type Monitored = (SimReport, Vec<TelemetrySnapshot>);
+
+/// The window table of `ext_transient` and `ext_recovery`. Rows are
+/// telemetry window boundaries; per labelled run, `<label>_pending` is the
+/// backlog gauge at the boundary and `<label>_p95` the 95th-percentile
+/// slowdown of the emissions in the window ending there (`-` once that run
+/// has finished). The final end-of-run snapshot can coincide with a
+/// boundary whose sample was already taken — its summary window is then
+/// empty, so the first (boundary-stamped) sample wins.
+fn timeline(window: Nanos, labels: &[String], runs: &[Monitored]) -> AsciiTable {
+    let per_run: Vec<BTreeMap<u64, (f64, f64)>> = runs
+        .iter()
+        .map(|(_, samples)| {
+            let mut map = BTreeMap::new();
+            for s in samples {
+                if s.at.as_nanos() % window.as_nanos() == 0 {
+                    let pending = s.gauge("hcq_pending_tuples").expect("registered gauge");
+                    let p95 = s.summary("hcq_slowdown").expect("registered summary").p95;
+                    map.entry(s.at.as_nanos()).or_insert((pending, p95));
+                }
+            }
+            map
+        })
+        .collect();
+    let boundaries: BTreeSet<u64> = per_run.iter().flat_map(|m| m.keys().copied()).collect();
+    let mut columns = vec!["window_end_ms".to_string()];
+    for label in labels {
+        columns.push(format!("{label}_pending"));
+        columns.push(format!("{label}_p95"));
+    }
+    let mut t = AsciiTable::new(columns);
+    for at in &boundaries {
+        let mut row = vec![(at / 1_000_000).to_string()];
+        for m in &per_run {
+            match m.get(at) {
+                Some(&(pending, p95)) => row.extend([(pending as u64).to_string(), fnum(p95)]),
+                None => row.extend(["-".to_string(), "-".to_string()]),
+            }
+        }
+        t.row(row);
+    }
+    t
+}
+
 /// Extension exhibit: transient dynamics through an ON/OFF burst cycle,
 /// rendered from sampled telemetry. Each policy runs the §8 workload at
 /// 0.85 average utilization against the deterministic burst schedule with
 /// telemetry sampled once per ON span (one fifth of a cycle), so every
-/// cycle contributes five windows: the burst peak and four drain windows.
-/// Rows are window boundaries; per policy, `pending` is the backlog gauge
-/// at the boundary and `p95` the 95th-percentile slowdown of the emissions
-/// in the window ending there (`-` once the policy's run has finished).
-/// The companion `ext_transient_totals` table carries per-policy run totals
-/// with the tuple-conservation check CI asserts on.
+/// cycle contributes five windows: the burst peak and four drain windows
+/// (one `timeline` column pair per policy). The companion
+/// `ext_transient_totals` table carries per-policy run totals with the
+/// tuple-conservation check CI asserts on.
 pub fn ext_transient(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
-    let util = 0.85;
     let policies = [PolicyKind::Hnr, PolicyKind::Lsf, PolicyKind::Bsd];
     let window = cfg.mean_gap * (BURST_PER_CYCLE / 5);
-    let done = AtomicUsize::new(0);
-    let runs = run_jobs(cfg.jobs, policies.len(), |i| {
-        let w = cfg.workload(util);
+    let runs = run_cells(cfg, "ext_transient", &policies, |&kind| {
+        let w = cfg.workload(0.85);
         let arrivals = burst_arrivals(cfg.arrivals, cfg.mean_gap);
         let replay = TraceReplay::from_arrivals(arrivals).expect("ordered arrivals");
         let sim_cfg = SimConfig::new(cfg.arrivals)
@@ -1002,66 +1078,19 @@ pub fn ext_transient(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
             &w.plan,
             &w.rates,
             vec![Box::new(replay)],
-            policies[i].build(),
+            kind.build(),
             sim_cfg,
             VecTelemetry::new(),
         )
         .unwrap_or_else(|e| {
             panic!(
                 "simulating transient workload ({}, seed={}): {e}",
-                policies[i].name(),
+                kind.name(),
                 cfg.seed
             )
         });
-        print_tick(&done, policies.len(), "ext_transient");
         (report, sink.samples)
     });
-
-    // Per policy: window boundary (ns) → (pending gauge, p95 slowdown of
-    // the window ending there). The final end-of-run snapshot can coincide
-    // with a boundary whose sample was already taken — its summary window
-    // is then empty, so the first (boundary-stamped) sample wins.
-    let per_policy: Vec<std::collections::BTreeMap<u64, (f64, f64)>> = runs
-        .iter()
-        .map(|(_, samples)| {
-            let mut map = std::collections::BTreeMap::new();
-            for s in samples {
-                if s.at.as_nanos() % window.as_nanos() != 0 {
-                    continue;
-                }
-                let pending = s.gauge("hcq_pending_tuples").expect("registered gauge");
-                let p95 = s.summary("hcq_slowdown").expect("registered summary").p95;
-                map.entry(s.at.as_nanos()).or_insert((pending, p95));
-            }
-            map
-        })
-        .collect();
-    let boundaries: std::collections::BTreeSet<u64> =
-        per_policy.iter().flat_map(|m| m.keys().copied()).collect();
-
-    let mut columns = vec!["window_end_ms".to_string()];
-    for p in &policies {
-        columns.push(format!("{}_pending", p.name()));
-        columns.push(format!("{}_p95", p.name()));
-    }
-    let mut t = AsciiTable::new(columns);
-    for at in &boundaries {
-        let mut row = vec![(at / 1_000_000).to_string()];
-        for m in &per_policy {
-            match m.get(at) {
-                Some(&(pending, p95)) => {
-                    row.push((pending as u64).to_string());
-                    row.push(fnum(p95));
-                }
-                None => {
-                    row.push("-".to_string());
-                    row.push("-".to_string());
-                }
-            }
-        }
-        t.row(row);
-    }
-
     let mut totals = AsciiTable::new(vec![
         "policy",
         "arrivals",
@@ -1081,26 +1110,13 @@ pub fn ext_transient(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
             r.shed.to_string(),
             r.pending_end.to_string(),
             r.peak_pending.to_string(),
-            if conserved(r, cfg.queries) {
-                "yes"
-            } else {
-                "NO"
-            }
-            .to_string(),
+            conserved(cfg, &[r]),
         ]);
     }
-
+    let labels = policies.map(|p| p.name().to_string());
     vec![
-        ExhibitOutput {
-            name: "ext_transient",
-            table: t,
-        }
-        .emit(cfg),
-        ExhibitOutput {
-            name: "ext_transient_totals",
-            table: totals,
-        }
-        .emit(cfg),
+        emit(cfg, "ext_transient", timeline(window, &labels, &runs)),
+        emit(cfg, "ext_transient_totals", totals),
     ]
 }
 
@@ -1117,53 +1133,34 @@ pub fn ext_transient(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
 /// the [`ExpConfig::governor`] feedback loop — under windowed telemetry.
 ///
 /// `ext_recovery` plots the backlog gauge and windowed p95 slowdown per
-/// (scenario, mode) column: the governed runs should shed through each
-/// episode and return to their pre-fault p95 band instead of compounding
-/// backlog. `ext_recovery_totals` carries run totals (expired, operator
-/// failures, governor transitions) with the conservation check the CI smoke
-/// job greps for.
+/// (scenario, mode) column (`timeline`): the governed runs should shed
+/// through each episode and return to their pre-fault p95 band instead of
+/// compounding backlog. `ext_recovery_totals` carries run totals (expired,
+/// operator failures, governor transitions) with the conservation check
+/// the CI smoke job greps for.
 pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
-    #[derive(Clone, Copy)]
-    enum Scenario {
-        Burst,
-        Disconnect,
-        Quarantine,
-    }
-    let util = 0.9;
     let window = cfg.mean_gap * (BURST_PER_CYCLE / 5);
-    let scenarios: [(&'static str, Scenario); 3] = [
-        ("burst", Scenario::Burst),
-        ("disconnect", Scenario::Disconnect),
-        ("quarantine", Scenario::Quarantine),
-    ];
-    let cells: Vec<(usize, bool)> = (0..scenarios.len())
+    let cells: Vec<(&str, bool)> = ["burst", "disconnect", "quarantine"]
+        .into_iter()
         .flat_map(|s| [false, true].map(move |governed| (s, governed)))
         .collect();
-    let done = AtomicUsize::new(0);
-    let runs = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (scenario_idx, governed) = cells[i];
-        let scenario = scenarios[scenario_idx].1;
-        let w = cfg.workload(util);
+    let runs = run_cells(cfg, "ext_recovery", &cells, |&(scenario, governed)| {
+        let w = cfg.workload(0.9);
         let mut sim_cfg = SimConfig::new(cfg.arrivals)
             .with_seed(cfg.seed)
             .with_telemetry_cadence(window);
-        if let Scenario::Quarantine = scenario {
+        if scenario == "quarantine" {
             sim_cfg = sim_cfg.with_op_failures(0.15, cfg.mean_gap * 4, 2);
         }
         if governed {
             sim_cfg = sim_cfg.with_governor(cfg.governor());
         }
-        let source: Box<dyn hcq_streams::ArrivalSource> = match scenario {
-            // A 5% chance per arrival of a 12-tuple volley inside one mean
-            // gap — the same episode shape `ext_faults` uses.
-            Scenario::Burst => Box::new(FaultySource::new(
-                cfg.source(0),
-                FaultSpec::bursts(0.05, 12, cfg.mean_gap, cfg.seed ^ 0xB0),
-            )),
+        let source: Box<dyn ArrivalSource> = match scenario {
+            "burst" => bursty_source(cfg),
             // A 1% chance per arrival that the feed drops; reconnection
             // backs off exponentially and only lands with probability 0.7
             // per attempt, so downtime windows vary in length.
-            Scenario::Disconnect => Box::new(DisconnectSource::new(
+            "disconnect" => Box::new(DisconnectSource::new(
                 cfg.source(0),
                 DisconnectSpec {
                     disconnect_prob: 0.01,
@@ -1175,7 +1172,7 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
                     seed: cfg.seed ^ 0xD15C,
                 },
             )),
-            Scenario::Quarantine => cfg.source(0),
+            _ => cfg.source(0),
         };
         let (report, sink) = simulate_monitored(
             &w.plan,
@@ -1187,60 +1184,13 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
         )
         .unwrap_or_else(|e| {
             panic!(
-                "simulating recovery scenario '{}' (governed={governed}, seed={}): {e}",
-                scenarios[scenario_idx].0, cfg.seed
+                "simulating recovery scenario '{scenario}' (governed={governed}, seed={}): {e}",
+                cfg.seed
             )
         });
-        print_tick(&done, cells.len(), "ext_recovery");
         (report, sink.samples)
     });
-
-    // Per cell: window boundary (ns) → (pending gauge, p95 slowdown of the
-    // window ending there); boundary-stamped samples win over the end-of-run
-    // snapshot, exactly as in `ext_transient`.
-    let per_cell: Vec<std::collections::BTreeMap<u64, (f64, f64)>> = runs
-        .iter()
-        .map(|(_, samples)| {
-            let mut map = std::collections::BTreeMap::new();
-            for s in samples {
-                if s.at.as_nanos() % window.as_nanos() != 0 {
-                    continue;
-                }
-                let pending = s.gauge("hcq_pending_tuples").expect("registered gauge");
-                let p95 = s.summary("hcq_slowdown").expect("registered summary").p95;
-                map.entry(s.at.as_nanos()).or_insert((pending, p95));
-            }
-            map
-        })
-        .collect();
-    let boundaries: std::collections::BTreeSet<u64> =
-        per_cell.iter().flat_map(|m| m.keys().copied()).collect();
-
     let regime_name = |governed: bool| if governed { "gov" } else { "static" };
-    let mut columns = vec!["window_end_ms".to_string()];
-    for &(scenario_idx, governed) in &cells {
-        let label = format!("{}_{}", scenarios[scenario_idx].0, regime_name(governed));
-        columns.push(format!("{label}_pending"));
-        columns.push(format!("{label}_p95"));
-    }
-    let mut t = AsciiTable::new(columns);
-    for at in &boundaries {
-        let mut row = vec![(at / 1_000_000).to_string()];
-        for m in &per_cell {
-            match m.get(at) {
-                Some(&(pending, p95)) => {
-                    row.push((pending as u64).to_string());
-                    row.push(fnum(p95));
-                }
-                None => {
-                    row.push("-".to_string());
-                    row.push("-".to_string());
-                }
-            }
-        }
-        t.row(row);
-    }
-
     let mut totals = AsciiTable::new(vec![
         "scenario",
         "mode",
@@ -1258,9 +1208,9 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
         "max_slowdown",
         "conserved",
     ]);
-    for (&(scenario_idx, governed), (r, _)) in cells.iter().zip(&runs) {
+    for (&(scenario, governed), (r, _)) in cells.iter().zip(&runs) {
         totals.row(vec![
-            scenarios[scenario_idx].0.to_string(),
+            scenario.to_string(),
             regime_name(governed).to_string(),
             r.emitted.to_string(),
             r.dropped.to_string(),
@@ -1274,26 +1224,16 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
             r.governor_transitions.to_string(),
             fnum(r.qos.avg_slowdown),
             fnum(r.qos.max_slowdown),
-            if conserved(r, cfg.queries) {
-                "yes"
-            } else {
-                "NO"
-            }
-            .to_string(),
+            conserved(cfg, &[r]),
         ]);
     }
-
+    let labels: Vec<String> = cells
+        .iter()
+        .map(|&(scenario, governed)| format!("{scenario}_{}", regime_name(governed)))
+        .collect();
     vec![
-        ExhibitOutput {
-            name: "ext_recovery",
-            table: t,
-        }
-        .emit(cfg),
-        ExhibitOutput {
-            name: "ext_recovery_totals",
-            table: totals,
-        }
-        .emit(cfg),
+        emit(cfg, "ext_recovery", timeline(window, &labels, &runs)),
+        emit(cfg, "ext_recovery_totals", totals),
     ]
 }
 
@@ -1304,14 +1244,6 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
 /// *and* arrivals); the orderings the paper reports should hold for every
 /// seed, not just a lucky one.
 pub fn ext_seeds(cfg: &ExpConfig) -> ExhibitOutput {
-    let util = 0.9;
-    let mut t = AsciiTable::new(vec![
-        "seed",
-        "hnr_best_avg",
-        "hr_best_resp",
-        "lsf_best_max",
-        "bsd_best_l2",
-    ]);
     let policies = [
         PolicyKind::Hnr,
         PolicyKind::Hr,
@@ -1323,45 +1255,34 @@ pub fn ext_seeds(cfg: &ExpConfig) -> ExhibitOutput {
     // One cell per (seed, policy): 25 independent simulations.
     let cells: Vec<(u64, PolicyKind)> = seeds
         .iter()
-        .flat_map(|&seed| policies.iter().map(move |&p| (seed, p)))
+        .flat_map(|&seed| policies.map(|p| (seed, p)))
         .collect();
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (seed, kind) = cells[i];
+    let reports = run_cells(cfg, "ext_seeds", &cells, |&(seed, kind)| {
         let seeded = ExpConfig {
             seed,
             ..cfg.clone()
         };
-        let r = seeded.run_single(util, kind.build());
-        print_tick(&done, cells.len(), "ext_seeds");
-        r
+        seeded.run_single(0.9, kind.build())
     });
-    for (si, &seed) in seeds.iter().enumerate() {
-        let by = |pi: usize| &reports[si * policies.len() + pi];
-        let (hnr, hr, lsf, bsd, fcfs) = (by(0), by(1), by(2), by(3), by(4));
-        let mark = |ok: bool| if ok { "yes" } else { "NO" }.to_string();
+    let mut t = AsciiTable::new(vec![
+        "seed",
+        "hnr_best_avg",
+        "hr_best_resp",
+        "lsf_best_max",
+        "bsd_best_l2",
+    ]);
+    for (seed, by) in seeds.iter().zip(reports.chunks(policies.len())) {
+        let (hnr, hr, lsf, bsd, fcfs) =
+            (&by[0].qos, &by[1].qos, &by[2].qos, &by[3].qos, &by[4].qos);
         t.row(vec![
             seed.to_string(),
-            mark(
-                hnr.qos.avg_slowdown < hr.qos.avg_slowdown
-                    && hnr.qos.avg_slowdown < fcfs.qos.avg_slowdown,
-            ),
-            mark(hr.qos.avg_response_ms <= hnr.qos.avg_response_ms),
-            mark(
-                lsf.qos.max_slowdown < hnr.qos.max_slowdown
-                    && lsf.qos.max_slowdown < bsd.qos.max_slowdown,
-            ),
-            mark(
-                bsd.qos.l2_slowdown < hnr.qos.l2_slowdown
-                    && bsd.qos.l2_slowdown < lsf.qos.l2_slowdown,
-            ),
+            yes_no(hnr.avg_slowdown < hr.avg_slowdown && hnr.avg_slowdown < fcfs.avg_slowdown),
+            yes_no(hr.avg_response_ms <= hnr.avg_response_ms),
+            yes_no(lsf.max_slowdown < hnr.max_slowdown && lsf.max_slowdown < bsd.max_slowdown),
+            yes_no(bsd.l2_slowdown < hnr.l2_slowdown && bsd.l2_slowdown < lsf.l2_slowdown),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_seeds",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_seeds", t)
 }
 
 // ---------------------------------------- Extension: scheduler overhead
@@ -1377,8 +1298,6 @@ pub fn ext_seeds(cfg: &ExpConfig) -> ExhibitOutput {
 /// machine-independent. The exact scan's evals/point grows ~linearly with
 /// `q`; the clustered variants stay bounded by the cluster count.
 pub fn ext_overhead(cfg: &ExpConfig) -> ExhibitOutput {
-    let util = 0.95;
-    let m = 12;
     let mut qs: Vec<usize> = [
         cfg.queries / 4,
         cfg.queries / 2,
@@ -1389,22 +1308,24 @@ pub fn ext_overhead(cfg: &ExpConfig) -> ExhibitOutput {
     .map(|q| q.max(5))
     .collect();
     qs.dedup();
-    let clustered = |clustering: Clustering, use_fagin: bool| -> PolicyFactory {
-        Box::new(move || {
-            Box::new(ClusteredBsdPolicy::new(ClusterConfig {
-                clustering,
-                clusters: m,
-                use_fagin,
-                batch: false,
-            }))
+    // Exact, uniform, logarithmic, logarithmic + Fagin; no batching.
+    let unbatched = |config: ClusterConfig| {
+        clustered(ClusterConfig {
+            batch: false,
+            ..config
         })
     };
-    type Variant = (&'static str, PolicyFactory);
-    let variants: Vec<Variant> = vec![
-        ("BSD-Exact", Box::new(|| PolicyKind::Bsd.build())),
-        ("BSD-Uniform", clustered(Clustering::Uniform, false)),
-        ("BSD-Log", clustered(Clustering::Logarithmic, false)),
-        ("BSD-Log-Fagin", clustered(Clustering::Logarithmic, true)),
+    let variants = [
+        builtin(PolicyKind::Bsd),
+        unbatched(ClusterConfig {
+            use_fagin: false,
+            ..ClusterConfig::uniform(12)
+        }),
+        unbatched(ClusterConfig {
+            use_fagin: false,
+            ..ClusterConfig::logarithmic(12)
+        }),
+        unbatched(ClusterConfig::logarithmic(12)),
     ];
     // One cell per (q, variant); counters don't need long runs, so the
     // per-cell arrivals are capped.
@@ -1412,17 +1333,13 @@ pub fn ext_overhead(cfg: &ExpConfig) -> ExhibitOutput {
         .iter()
         .flat_map(|&q| (0..variants.len()).map(move |v| (q, v)))
         .collect();
-    let done = AtomicUsize::new(0);
-    let reports: Vec<SimReport> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (q, v) = cells[i];
+    let reports = run_cells(cfg, "ext_overhead", &cells, |&(q, v)| {
         let scaled = ExpConfig {
             queries: q,
             arrivals: cfg.arrivals.min(1_000),
             ..cfg.clone()
         };
-        let r = scaled.run_single(util, variants[v].1());
-        print_tick(&done, cells.len(), "ext_overhead");
-        r
+        scaled.run_single(0.95, variants[v]())
     });
     let mut t = AsciiTable::new(vec![
         "queries",
@@ -1435,25 +1352,13 @@ pub fn ext_overhead(cfg: &ExpConfig) -> ExhibitOutput {
         "log_work",
         "fagin_work",
     ]);
-    for (qi, &q) in qs.iter().enumerate() {
-        let by = |v: usize| &reports[qi * variants.len() + v];
-        t.row(vec![
-            q.to_string(),
-            fnum(by(0).evals_per_sched_point()),
-            fnum(by(1).evals_per_sched_point()),
-            fnum(by(2).evals_per_sched_point()),
-            fnum(by(3).evals_per_sched_point()),
-            fnum(by(0).overhead.work_per_point()),
-            fnum(by(1).overhead.work_per_point()),
-            fnum(by(2).overhead.work_per_point()),
-            fnum(by(3).overhead.work_per_point()),
-        ]);
+    for (q, by) in qs.iter().zip(reports.chunks(variants.len())) {
+        let mut row = vec![q.to_string()];
+        row.extend(by.iter().map(|r| fnum(r.evals_per_sched_point())));
+        row.extend(by.iter().map(|r| fnum(r.overhead.work_per_point())));
+        t.row(row);
     }
-    ExhibitOutput {
-        name: "ext_overhead",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_overhead", t)
 }
 
 // ---------------------------------------------- Extension: large-q sweep
@@ -1497,11 +1402,7 @@ pub fn ext_large_q(cfg: &ExpConfig, max_q: usize) -> ExhibitOutput {
             c.digest.clone(),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_large_q",
-        table: t,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_large_q", t)
 }
 
 // ------------------------------------------- Extension: adaptive statistics
@@ -1525,31 +1426,12 @@ pub fn ext_large_q(cfg: &ExpConfig, max_q: usize) -> ExhibitOutput {
 /// clustered BSD at ≥ 0.5 in every cell. The exhibit ignores `--govern`:
 /// all three runs must differ only in estimation.
 pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
-    const UTILS: [f64; 3] = [0.9, 1.1, 1.3];
     const MISCALIBRATION: f64 = 3.0;
-    let policies: Vec<(&'static str, PolicyFactory)> = vec![
-        (
-            "C-BSD-log3",
-            Box::new(|| {
-                Box::new(ClusteredBsdPolicy::new(ClusterConfig::logarithmic(3)))
-                    as Box<dyn hcq_core::Policy>
-            }),
-        ),
-        (
-            "C-BSD-log8",
-            Box::new(|| {
-                Box::new(ClusteredBsdPolicy::new(ClusterConfig::logarithmic(8)))
-                    as Box<dyn hcq_core::Policy>
-            }),
-        ),
-        (
-            "C-BSD-log16",
-            Box::new(|| {
-                Box::new(ClusteredBsdPolicy::new(ClusterConfig::logarithmic(16)))
-                    as Box<dyn hcq_core::Policy>
-            }),
-        ),
-        ("HNR", Box::new(|| PolicyKind::Hnr.build())),
+    let policies: [(&str, PolicyFactory); 4] = [
+        ("C-BSD-log3", clustered(ClusterConfig::logarithmic(3))),
+        ("C-BSD-log8", clustered(ClusterConfig::logarithmic(8))),
+        ("C-BSD-log16", clustered(ClusterConfig::logarithmic(16))),
+        ("HNR", builtin(PolicyKind::Hnr)),
     ];
     // The probe never flushes (cadence beyond any horizon) and never
     // publishes; the online config is the tuned batch-mean EWMA.
@@ -1570,13 +1452,11 @@ pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
         ..probe
     };
 
-    let cells: Vec<(f64, usize)> = UTILS
-        .iter()
-        .flat_map(|&u| (0..policies.len()).map(move |p| (u, p)))
+    let cells: Vec<(f64, usize)> = [0.9, 1.1, 1.3]
+        .into_iter()
+        .flat_map(|u| (0..policies.len()).map(move |p| (u, p)))
         .collect();
-    let done = AtomicUsize::new(0);
-    let reports: Vec<(SimReport, SimReport, SimReport)> = run_jobs(cfg.jobs, cells.len(), |i| {
-        let (util, p) = cells[i];
+    let reports = run_cells(cfg, "ext_adaptive", &cells, |&(util, p)| {
         let make = &policies[p].1;
         let run = |adapt: Option<AdaptConfig>, preapply: Option<&[hcq_core::UnitStatics]>| {
             let w = cfg.workload(util);
@@ -1602,7 +1482,6 @@ pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
             .clone()
             .expect("the probe harvests estimates");
         let oracle = run(None, Some(&est));
-        print_tick(&done, cells.len(), "ext_adaptive");
         (stale, adaptive, oracle)
     });
 
@@ -1624,9 +1503,6 @@ pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
         } else {
             1.0
         };
-        let all_conserved = conserved(stale, cfg.queries)
-            && conserved(adaptive, cfg.queries)
-            && conserved(oracle, cfg.queries);
         t.row(vec![
             format!("{util:.2}"),
             policies[*p].0.to_string(),
@@ -1636,12 +1512,100 @@ pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
             adaptive.statics_updates.to_string(),
             adaptive.domain_refreezes.to_string(),
             fnum(recovery),
-            if all_conserved { "yes" } else { "NO" }.to_string(),
+            conserved(cfg, &[stale, adaptive, oracle]),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_adaptive",
-        table: t,
+    emit(cfg, "ext_adaptive", t)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The own names of what `requests` resolves to, in run order.
+    fn plan(requests: &[&str]) -> Result<Vec<&'static str>, String> {
+        let requests: Vec<String> = requests.iter().map(|r| r.to_string()).collect();
+        Ok(resolve(&requests)?
+            .into_iter()
+            .map(|step| match step {
+                Step::Exhibit(i) => EXHIBITS[i].names[0],
+                mode => MODES.iter().find(|(_, m)| *m == mode).unwrap().0,
+            })
+            .collect())
     }
-    .emit(cfg)
+
+    #[test]
+    fn all_expands_in_place_and_keeps_what_follows() {
+        // `all` runs in the order it always has: the sweep first, then the
+        // rest; the standalone fig11 is inside the sweep.
+        let all = [
+            "fig5",
+            "table1",
+            "fig12",
+            "fig13",
+            "fig14",
+            "table2",
+            "table3",
+            "ext_memory",
+            "ext_lp",
+            "ext_preemption",
+            "ext_seeds",
+            "ext_overload",
+            "ext_faults",
+            "ext_overhead",
+            "ext_transient",
+            "ext_recovery",
+            "ext_adaptive",
+            "ext_inspect",
+        ];
+        assert_eq!(plan(&["all"]).unwrap(), all);
+        let mut expected = vec!["monitor"];
+        expected.extend(all);
+        expected.push("validate");
+        assert_eq!(plan(&["monitor", "all", "validate"]).unwrap(), expected);
+        // A row named next to `all` still runs once, at its first request.
+        assert_eq!(plan(&["table3", "all"]).unwrap()[..2], ["table3", "fig5"]);
+    }
+
+    #[test]
+    fn an_unknown_name_is_an_error_before_any_run() {
+        assert_eq!(
+            plan(&["fig5", "fgi12"]),
+            Err("unknown exhibit fgi12".to_string())
+        );
+        assert!(plan(&["all", "validate", "sweep"]).is_err());
+        assert!(plan(&["inspect"]).is_err(), "inspect takes a trace first");
+        assert_eq!(plan(&[]), Ok(vec![]));
+    }
+
+    #[test]
+    fn sweep_figures_dedupe_to_one_sweep() {
+        let sweep = ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"];
+        assert_eq!(plan(&sweep).unwrap(), ["fig5"]);
+        assert_eq!(plan(&["fig11", "fig9"]).unwrap(), ["fig5"]);
+        assert_eq!(plan(&["fig11", "fig12"]).unwrap(), ["fig11", "fig12"]);
+        assert_eq!(
+            plan(&["fig12", "fig12", "validate", "validate"]).unwrap(),
+            ["fig12", "validate"]
+        );
+    }
+
+    #[test]
+    fn registry_names_are_unique() {
+        let mut own: Vec<&str> = EXHIBITS.iter().map(|e| e.names[0]).collect();
+        own.extend(MODES.map(|(name, _)| name));
+        own.extend(["all", "inspect"]);
+        for (i, name) in own.iter().enumerate() {
+            assert!(!own[..i].contains(name), "{name} is listed twice");
+        }
+        // Besides the row it names, a name is answered by at most one row
+        // (fig11: the sweep that covers it).
+        for name in request_names() {
+            let others = EXHIBITS
+                .iter()
+                .filter(|e| e.names[0] != name && e.names.contains(&name))
+                .count();
+            assert!(others <= 1, "{name} is answered by {others} rows");
+        }
+    }
 }

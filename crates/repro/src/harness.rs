@@ -130,6 +130,28 @@ pub fn tick_progress(
     progress(&format!("  {what}: {n}/{total} cells done"));
 }
 
+/// [`tick_progress`] to stdout.
+pub(crate) fn print_tick(done: &AtomicUsize, total: usize, what: &str) {
+    tick_progress(&|msg: &str| println!("{msg}"), done, total, what);
+}
+
+/// The one cell runner of the exhibits: `f` over every cell on `cfg.jobs`
+/// workers ([`run_jobs`]), results in cell order, and one
+/// `  what: done/total cells done` line printed per finished cell.
+pub(crate) fn run_cells<C: Sync, T: Send>(
+    cfg: &ExpConfig,
+    what: &str,
+    cells: &[C],
+    f: impl Fn(&C) -> T + Sync,
+) -> Vec<T> {
+    let done = AtomicUsize::new(0);
+    run_jobs(cfg.jobs, cells.len(), |i| {
+        let result = f(&cells[i]);
+        print_tick(&done, cells.len(), what);
+        result
+    })
+}
+
 impl ExpConfig {
     /// The load points the §9 figures sweep.
     pub const UTILIZATIONS: [f64; 7] = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97];
@@ -220,18 +242,8 @@ impl ExpConfig {
         utilization: f64,
         policy: Box<dyn Policy>,
     ) -> (SimReport, Vec<u8>) {
-        self.run_single_traced_with(utilization, policy, |c| c)
-    }
-
-    /// As [`ExpConfig::run_single_traced`] with a [`SimConfig`] tweak.
-    pub fn run_single_traced_with(
-        &self,
-        utilization: f64,
-        policy: Box<dyn Policy>,
-        tweak: impl FnOnce(SimConfig) -> SimConfig,
-    ) -> (SimReport, Vec<u8>) {
         let w = self.workload(utilization);
-        let cfg = self.armed(tweak(SimConfig::new(self.arrivals).with_seed(self.seed)));
+        let cfg = self.armed(SimConfig::new(self.arrivals).with_seed(self.seed));
         let sink = JsonlTrace::new(Vec::new());
         let (report, sink) =
             simulate_traced(&w.plan, &w.rates, vec![self.source(0)], policy, cfg, sink)
@@ -256,23 +268,12 @@ impl ExpConfig {
         policy: Box<dyn Policy>,
         cadence: Nanos,
     ) -> (SimReport, Vec<TelemetrySnapshot>) {
-        self.run_single_monitored_with(utilization, policy, cadence, |c| c)
-    }
-
-    /// As [`ExpConfig::run_single_monitored`] with a [`SimConfig`] tweak.
-    pub fn run_single_monitored_with(
-        &self,
-        utilization: f64,
-        policy: Box<dyn Policy>,
-        cadence: Nanos,
-        tweak: impl FnOnce(SimConfig) -> SimConfig,
-    ) -> (SimReport, Vec<TelemetrySnapshot>) {
         let w = self.workload(utilization);
-        let cfg = self.armed(tweak(
+        let cfg = self.armed(
             SimConfig::new(self.arrivals)
                 .with_seed(self.seed)
                 .with_telemetry_cadence(cadence),
-        ));
+        );
         let (report, sink) = simulate_monitored(
             &w.plan,
             &w.rates,

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use hcq_core::PolicyKind;
 use hcq_inspect::{diff, event, perfetto, starve, waterfall};
 
-use crate::exhibits::ExhibitOutput;
+use crate::exhibits::{emit, ExhibitOutput};
 use crate::harness::ExpConfig;
 use crate::table::{fnum, AsciiTable};
 
@@ -211,11 +211,7 @@ pub fn ext_inspect(cfg: &ExpConfig) -> ExhibitOutput {
             flagged(&starve_b, q.query).to_string(),
         ]);
     }
-    ExhibitOutput {
-        name: "ext_inspect",
-        table,
-    }
-    .emit(cfg)
+    emit(cfg, "ext_inspect", table)
 }
 
 #[cfg(test)]

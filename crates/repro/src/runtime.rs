@@ -1,12 +1,11 @@
-//! `repro run --runtime`: execute the reference pipeline workload on real
-//! OS threads through `hcq-runtime` instead of the virtual-time simulator.
+//! `repro run`: execute the reference pipeline workload on real OS threads
+//! through `hcq-runtime` instead of the virtual-time simulator.
 //!
-//! Runs every bench policy at the requested thread count, prints one row
-//! per policy (wall time, throughput, emission/shed/steal counts), and
-//! checks tuple conservation on every run. The emitted counts are also
-//! cross-checked against the simulator's on the same workload — the same
-//! invariant the `hcq-runtime` differential test suite enforces, surfaced
-//! here as a user-runnable exhibit.
+//! Runs every bench policy on `--jobs` worker threads, prints one row per
+//! policy (wall time, throughput, emission/shed/steal counts), and checks
+//! tuple conservation on every run. Agreement with the simulator's
+//! emissions is not checked here: [`hcq_runtime::differential`] does that,
+//! run by the `hcq-runtime` differential test suite.
 
 use hcq_bench::pipeline;
 use hcq_streams::{ArrivalSource, PoissonSource};

@@ -5,12 +5,10 @@
 //! figures. Checks are *orderings and relative gaps* — the reproduction
 //! targets — not absolute values.
 
-use hcq_common::Nanos;
 use hcq_core::{ClusterConfig, ClusteredBsdPolicy, PolicyKind, SharingStrategy};
-use hcq_engine::{simulate, SimConfig, SimReport};
-use hcq_streams::PoissonSource;
-use hcq_workload::{multi_stream, shared, MultiStreamConfig, SharedConfig};
+use hcq_engine::SimReport;
 
+use crate::exhibits::{fig12_cell, table1_values, table2_cell};
 use crate::harness::{run_jobs, ExpConfig};
 use crate::table::AsciiTable;
 
@@ -75,7 +73,7 @@ pub fn validate(cfg: &ExpConfig) -> Vec<ClaimResult> {
         "table1.exact",
         "Example 1 reproduces HR=(12.25, 3.875), HNR=(13.0, 2.9) exactly",
         {
-            let t1 = crate::exhibits::table1_values();
+            let t1 = table1_values();
             (t1.0 - 12.25).abs() < 1e-9
                 && (t1.1 - 3.875).abs() < 1e-9
                 && (t1.2 - 13.0).abs() < 1e-9
@@ -175,35 +173,10 @@ pub fn validate(cfg: &ExpConfig) -> Vec<ClaimResult> {
         ),
     }
 
-    // Figure 12: multi-stream.
+    // Figure 12: multi-stream, on the exhibit's own 0.9 cells.
     {
-        let mean_gap = Nanos::from_millis(500);
-        let w = multi_stream(&MultiStreamConfig {
-            queries: (cfg.queries / 3).max(10),
-            cost_classes: 5,
-            utilization: 0.9,
-            mean_gap,
-            window_range: (Nanos::from_secs(1), Nanos::from_secs(10)),
-            seed: cfg.seed,
-        })
-        .expect("valid workload");
-        let runj = |kind: PolicyKind| {
-            let sources: Vec<Box<dyn hcq_streams::ArrivalSource>> = vec![
-                Box::new(PoissonSource::new(mean_gap, cfg.seed ^ 0xA)),
-                Box::new(PoissonSource::new(mean_gap, cfg.seed ^ 0xB)),
-            ];
-            simulate(
-                &w.plan,
-                &w.rates,
-                sources,
-                kind.build(),
-                SimConfig::new(cfg.arrivals).with_seed(cfg.seed),
-            )
-            .expect("valid simulation")
-        };
-        let jb = runj(PolicyKind::Bsd);
-        let jh = runj(PolicyKind::Hnr);
-        let jr = runj(PolicyKind::RoundRobin);
+        let [jb, jh, jr] = [PolicyKind::Bsd, PolicyKind::Hnr, PolicyKind::RoundRobin]
+            .map(|k| fig12_cell(cfg, 0.9, k));
         check(
             "fig12.bsd_best_multistream",
             "BSD gives the lowest ℓ2 for window-join queries, far below RR",
@@ -241,32 +214,14 @@ pub fn validate(cfg: &ExpConfig) -> Vec<ClaimResult> {
         );
     }
 
-    // Table 2: sharing strategies.
+    // Table 2: sharing strategies, on the exhibit's own HNR cells.
     {
-        let w = shared(&SharedConfig {
-            groups: (cfg.queries / 10).max(3),
-            group_size: 10,
-            cost_classes: 5,
-            utilization: 0.9,
-            mean_gap: cfg.mean_gap,
-            seed: cfg.seed,
-        })
-        .expect("valid workload");
-        let runs = |strat: SharingStrategy| {
-            simulate(
-                &w.plan,
-                &w.rates,
-                vec![cfg.source(0)],
-                PolicyKind::Hnr.build(),
-                SimConfig::new(cfg.arrivals)
-                    .with_seed(cfg.seed)
-                    .with_sharing(strat),
-            )
-            .expect("valid simulation")
-        };
-        let max = runs(SharingStrategy::Max);
-        let sum = runs(SharingStrategy::Sum);
-        let pdt = runs(SharingStrategy::Pdt);
+        let [max, sum, pdt] = [
+            SharingStrategy::Max,
+            SharingStrategy::Sum,
+            SharingStrategy::Pdt,
+        ]
+        .map(|s| table2_cell(cfg, s, PolicyKind::Hnr));
         check(
             "table2.pdt_best",
             "the PDT strategy beats Max and Sum on HNR average slowdown",

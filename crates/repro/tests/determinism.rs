@@ -7,10 +7,7 @@
 
 use hcq_common::Nanos;
 use hcq_core::PolicyKind;
-use hcq_repro::{
-    ext_faults, ext_overhead, ext_overload, ext_recovery, ext_seeds, ext_transient, fig12,
-    fig5_to_10, monitor, ExpConfig,
-};
+use hcq_repro::{monitor, ExpConfig, EXHIBITS};
 
 fn cfg(jobs: usize, tag: &str) -> ExpConfig {
     ExpConfig {
@@ -41,46 +38,27 @@ fn assert_dirs_identical(serial: &ExpConfig, parallel: &ExpConfig) {
     }
 }
 
+/// Every registry row, under both sources, writes the same bytes at
+/// `--jobs 1` and `--jobs 4`. Fault draws, shedding and governor decisions
+/// and telemetry windows are keyed on virtual time and seeds, never on
+/// worker scheduling, so this covers the overload, fault, transient and
+/// recovery exhibits as much as the sweep.
 #[test]
-fn sweep_is_byte_identical_across_job_counts() {
-    let serial = cfg(1, "sweep_serial");
-    let parallel = cfg(4, "sweep_parallel");
-    fig5_to_10(&serial);
-    fig5_to_10(&parallel);
-    assert_dirs_identical(&serial, &parallel);
-    std::fs::remove_dir_all(&serial.out_dir).ok();
-    std::fs::remove_dir_all(&parallel.out_dir).ok();
-}
-
-#[test]
-fn multi_axis_exhibits_are_byte_identical_across_job_counts() {
-    let serial = cfg(1, "cells_serial");
-    let parallel = cfg(4, "cells_parallel");
-    fig12(&serial);
-    ext_seeds(&serial);
-    fig12(&parallel);
-    ext_seeds(&parallel);
-    assert_dirs_identical(&serial, &parallel);
-    std::fs::remove_dir_all(&serial.out_dir).ok();
-    std::fs::remove_dir_all(&parallel.out_dir).ok();
-}
-
-/// The overload and fault exhibits cover shedding and fault injection: both
-/// must stay deterministic under parallel cell execution (the fault draws
-/// and shedding decisions are pure functions of each cell's configuration,
-/// never of worker scheduling). Uses the bursty ON/OFF source like the real
-/// exhibit defaults.
-/// The scheduler-overhead exhibit reports pure operation counters; its CSV
-/// must not depend on how cells are spread over workers.
-#[test]
-fn overhead_exhibit_is_byte_identical_across_job_counts() {
-    let serial = cfg(1, "overhead_serial");
-    let parallel = cfg(4, "overhead_parallel");
-    ext_overhead(&serial);
-    ext_overhead(&parallel);
-    assert_dirs_identical(&serial, &parallel);
-    std::fs::remove_dir_all(&serial.out_dir).ok();
-    std::fs::remove_dir_all(&parallel.out_dir).ok();
+fn every_exhibit_is_byte_identical_across_job_counts() {
+    for bursty in [false, true] {
+        for e in EXHIBITS {
+            let tag = format!("{}_{bursty}", e.names[0]);
+            let mut serial = cfg(1, &format!("{tag}_serial"));
+            let mut parallel = cfg(4, &format!("{tag}_parallel"));
+            serial.bursty = bursty;
+            parallel.bursty = bursty;
+            (e.run)(&serial);
+            (e.run)(&parallel);
+            assert_dirs_identical(&serial, &parallel);
+            std::fs::remove_dir_all(&serial.out_dir).ok();
+            std::fs::remove_dir_all(&parallel.out_dir).ok();
+        }
+    }
 }
 
 /// A JSONL scheduling trace is a pure function of the configuration: the
@@ -98,23 +76,6 @@ fn traces_are_byte_identical_across_job_counts_and_runs() {
     assert_eq!(a, c, "trace differs between repeated runs");
     assert_eq!(ra.emitted, rb.emitted);
     assert_eq!(ra.overhead, rb.overhead);
-}
-
-/// Telemetry sampling is driven by virtual time, so the transient-dynamics
-/// exhibit (per-window queue depth and p95 slowdown read from telemetry
-/// snapshots) must be byte-identical at any worker count, like every other
-/// CSV. Uses the bursty default the real exhibit runs with.
-#[test]
-fn transient_exhibit_is_byte_identical_across_job_counts() {
-    let mut serial = cfg(1, "transient_serial");
-    let mut parallel = cfg(4, "transient_parallel");
-    serial.bursty = true;
-    parallel.bursty = true;
-    ext_transient(&serial);
-    ext_transient(&parallel);
-    assert_dirs_identical(&serial, &parallel);
-    std::fs::remove_dir_all(&serial.out_dir).ok();
-    std::fs::remove_dir_all(&parallel.out_dir).ok();
 }
 
 /// Both telemetry exports — the JSONL snapshot stream and the Prometheus
@@ -144,39 +105,6 @@ fn monitor_exports_are_byte_identical_across_job_counts_and_runs() {
         "telemetry.jsonl differs between repeated runs"
     );
     assert_eq!(a.report.emitted, b.report.emitted);
-    std::fs::remove_dir_all(&serial.out_dir).ok();
-    std::fs::remove_dir_all(&parallel.out_dir).ok();
-}
-
-/// The recovery exhibit mixes every robustness dimension — governed
-/// admission, source disconnects, operator quarantine, burst faults — and
-/// its fault draws and governor decisions are all keyed on virtual time and
-/// seeds, so its CSVs (including the conservation column) must be
-/// byte-identical at any worker count.
-#[test]
-fn recovery_exhibit_is_byte_identical_across_job_counts() {
-    let mut serial = cfg(1, "recovery_serial");
-    let mut parallel = cfg(4, "recovery_parallel");
-    serial.bursty = true;
-    parallel.bursty = true;
-    ext_recovery(&serial);
-    ext_recovery(&parallel);
-    assert_dirs_identical(&serial, &parallel);
-    std::fs::remove_dir_all(&serial.out_dir).ok();
-    std::fs::remove_dir_all(&parallel.out_dir).ok();
-}
-
-#[test]
-fn overload_and_fault_exhibits_are_byte_identical_across_job_counts() {
-    let mut serial = cfg(1, "overload_serial");
-    let mut parallel = cfg(4, "overload_parallel");
-    serial.bursty = true;
-    parallel.bursty = true;
-    ext_overload(&serial);
-    ext_faults(&serial);
-    ext_overload(&parallel);
-    ext_faults(&parallel);
-    assert_dirs_identical(&serial, &parallel);
     std::fs::remove_dir_all(&serial.out_dir).ok();
     std::fs::remove_dir_all(&parallel.out_dir).ok();
 }
