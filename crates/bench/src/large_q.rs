@@ -111,8 +111,10 @@ pub struct LargeQCell {
     pub digest: String,
 }
 
-/// The swept implementations: the exact O(q) scan and the three clustered
-/// variants whose cost §6 claims is sub-linear in q.
+/// The swept implementations: exact BSD (charged as the O(q) scan; here
+/// every head arrives at its own instant, so it evaluates one group per
+/// ready unit) and the three clustered variants whose cost §6 claims is
+/// sub-linear in q.
 pub fn variants() -> Vec<(&'static str, Box<dyn Policy>)> {
     let log = ClusterConfig::logarithmic(CLUSTERS);
     vec![
@@ -247,6 +249,7 @@ mod tests {
             assert_eq!(a.digest, b.digest, "{name}");
             assert_eq!(a.evals_per_point, b.evals_per_point, "{name}");
             assert_eq!(a.work_per_point, b.work_per_point, "{name}");
+            assert_eq!(a.bytes_per_query, b.bytes_per_query, "{name}");
         }
     }
 

@@ -22,7 +22,11 @@
 //! kept there as a reference: over fuzzed enqueue / pop / shed / refill
 //! sequences on these statics every `Selection` must agree field by field,
 //! and the selected units must still agree once priorities are overridden
-//! mid-sequence.
+//! mid-sequence. Likewise the wait-linear policies (BSD, LSF, ℓp), which
+//! select by head-arrival group, are held field by field to
+//! [`hcq_core::soa::scan_argmax`], the per-unit scan that defines them, on
+//! tie-heavy statics, non-monotone heads and clocks, factor changes and
+//! re-registrations with tuples pending.
 
 use std::collections::VecDeque;
 
@@ -345,7 +349,11 @@ fn drain_with_checks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcq_core::{PriorityKey, SchedStats, Selection, StaticPolicy, StaticRank};
+    use hcq_core::soa::scan_argmax;
+    use hcq_core::{
+        BsdPolicy, LpPolicy, LsfPolicy, PriorityKey, SchedStats, Selection, StaticPolicy,
+        StaticRank,
+    };
     use std::collections::BinaryHeap;
 
     /// The lazy max-heap behind HR/HNR/SRPT before the rank-ordered ready
@@ -490,6 +498,194 @@ mod tests {
                         queues.pop(u).expect("selected units are non-empty");
                     }
                 }
+            }
+        }
+    }
+
+    /// A wait-linear policy and the two halves of its priority, written
+    /// out as the policy computes them: the static factor and the wait term.
+    #[derive(Debug, Clone, Copy)]
+    enum WaitLinear {
+        Bsd,
+        Lsf,
+        Lp(f64),
+    }
+
+    impl WaitLinear {
+        fn factor(self, u: &UnitStatics) -> f64 {
+            match self {
+                WaitLinear::Bsd => u.bsd_static(),
+                WaitLinear::Lsf => u.lsf_slope(),
+                WaitLinear::Lp(p) => u.selectivity / (u.avg_cost_ns * u.ideal_time_ns.powf(p)),
+            }
+        }
+
+        fn wait_term(self, wait: f64) -> f64 {
+            match self {
+                WaitLinear::Lp(p) if p - 1.0 == 0.0 => 1.0,
+                WaitLinear::Lp(p) => wait.powf(p - 1.0),
+                _ => wait,
+            }
+        }
+    }
+
+    /// The adjacent larger float (`f64::next_up` for positive finite `x`).
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    /// Tie-heavy statics: repeated classes, `S = 0` and `S = −0`, a
+    /// selectivity and its float neighbour, and (some cases) `S = NaN` or
+    /// `S = ∞`, whose non-finite factors send selection to the scan.
+    fn tie_statics(h: u64, degenerate: bool) -> UnitStatics {
+        let ms = Nanos::from_millis;
+        let mut u = match h % 7 {
+            0 | 1 => UnitStatics::new(0.5, ms(2), ms(2)),
+            2 => UnitStatics::new(0.25, ms(1), ms(4)),
+            3 => UnitStatics::new(next_up(0.5), ms(2), ms(2)),
+            4 => UnitStatics::new(0.0, ms(1), ms(3)),
+            5 => UnitStatics::new(-0.0, ms(3), ms(2)),
+            _ => UnitStatics::new(0.9, ms(4), ms(1)),
+        };
+        if degenerate && (h >> 8).is_multiple_of(5) {
+            u.selectivity = if (h >> 12).is_multiple_of(2) {
+                f64::NAN
+            } else {
+                f64::INFINITY
+            };
+        }
+        u
+    }
+
+    /// `Φ` overrides for BSD: a factor and its float neighbour, ±0, a
+    /// negative factor, one so large that `W·Φ` overflows to `∞` (ties at
+    /// infinity), and NaN / ∞ (the scan fallback).
+    fn phi_corner(h: u64, degenerate: bool) -> f64 {
+        let corners = [
+            3.0e-12,
+            next_up(3.0e-12),
+            0.0,
+            -0.0,
+            -2.5e-12,
+            1.0e306,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let n = if degenerate { 8 } else { 6 };
+        corners[(h % n) as usize]
+    }
+
+    /// Drive one wait-linear policy and the scan over the same fuzzed
+    /// sequence: fan-out and single enqueues at a handful of instants (so
+    /// heads share arrivals, arrive out of order like composites, and lie
+    /// after `now`), selects at a clock that also moves backwards and lands
+    /// on arrival instants (`W = 0`), tail sheds down to empty and refills,
+    /// factor changes, and re-registration with tuples pending. Every
+    /// `Selection` must equal the scan's: unit, `ops_counted`, `SchedStats`.
+    fn wait_linear_differential<P: Policy>(
+        mut policy: P,
+        kind: WaitLinear,
+        set_phi: fn(&mut P, UnitId, f64),
+        case: u64,
+    ) {
+        let tag = format!("{kind:?} case {case}");
+        let degenerate = case % 4 == 3;
+        let n = det::unit_range(
+            det::mix2(case, 1),
+            1,
+            if case.is_multiple_of(3) { 40 } else { 8 },
+        );
+        let mut units: Vec<UnitStatics> = (0..n)
+            .map(|u| tie_statics(det::mix3(case, u, 2), degenerate))
+            .collect();
+        let mut factor: Vec<f64> = units.iter().map(|u| kind.factor(u)).collect();
+        policy.on_register(&units);
+        let mut queues = FuzzQueues::new(n as usize);
+        let instant = |h: u64| Nanos::from_nanos(1_000 * (h % 6));
+        let mut now = Nanos::ZERO;
+        let mut next_tuple = 0u64;
+        let mut enqueue = |p: &mut P, q: &mut FuzzQueues, unit: UnitId, at: Nanos, now: Nanos| {
+            let tuple = TupleId::new(next_tuple);
+            next_tuple += 1;
+            q.push(unit, tuple, at);
+            p.on_enqueue(unit, tuple, at, now);
+        };
+        for step in 0..400u64 {
+            let h = det::mix3(case, step, 0x0b5d);
+            let unit = (det::mix2(h, 1) % n) as UnitId;
+            if h.is_multiple_of(5) {
+                // The clock jumps anywhere on the grid, backwards included.
+                now = instant(h >> 40);
+            }
+            match (h >> 8) % 16 {
+                0..=3 => enqueue(&mut policy, &mut queues, unit, instant(h >> 20), now),
+                4 => {
+                    // One arrival fanned out to every unit, at `now`.
+                    for u in 0..n as UnitId {
+                        enqueue(&mut policy, &mut queues, u, now, now);
+                    }
+                }
+                5 | 6 if queues.len(unit) > 0 => {
+                    // Shed the tail; half the time down to empty and refill
+                    // at another instant.
+                    let drain = h.is_multiple_of(2);
+                    while let Some((tuple, _)) = queues.pop_back(unit) {
+                        policy.on_shed(unit, tuple);
+                        if !drain {
+                            break;
+                        }
+                    }
+                    if drain {
+                        enqueue(&mut policy, &mut queues, unit, instant(h >> 24), now);
+                    }
+                }
+                7 => {
+                    let fresh = tie_statics(det::mix2(h, 3), degenerate);
+                    if matches!(kind, WaitLinear::Bsd) && h.is_multiple_of(2) {
+                        let phi = phi_corner(h >> 28, degenerate);
+                        set_phi(&mut policy, unit, phi);
+                        factor[unit as usize] = phi;
+                    } else {
+                        policy.on_statics_update(unit, &fresh);
+                        units[unit as usize] = fresh;
+                        factor[unit as usize] = kind.factor(&fresh);
+                    }
+                }
+                8 if h.is_multiple_of(8) => {
+                    // Re-register with tuples pending and replay nothing.
+                    policy.on_register(&units);
+                    factor = units.iter().map(|u| kind.factor(u)).collect();
+                }
+                _ => {
+                    let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
+                    // `Nanos::saturating_since` asserts against heads after
+                    // `now` where debug assertions are on; release builds
+                    // select with the clock behind heads too (`W = 0`).
+                    let newest = ready.iter().map(|&u| heads[u as usize]).max();
+                    let now = match newest {
+                        Some(head) if cfg!(debug_assertions) => now.max(head),
+                        _ => now,
+                    };
+                    let want = scan_argmax(ready, heads, &factor, now, |w| kind.wait_term(w));
+                    let got = policy.select(&queues, now);
+                    assert_eq!(got, want, "{tag} step {step}");
+                    for &u in got.iter().flat_map(|s| s.units.as_slice()) {
+                        queues.pop(u).expect("selected units are non-empty");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wait_linear_policies_match_the_scan_field_by_field() {
+        fn no_phi<P>(_: &mut P, _: UnitId, _: f64) {}
+        for case in 0..120 {
+            let set_phi: fn(&mut BsdPolicy, UnitId, f64) = |p, u, phi| p.set_phi(u, phi);
+            wait_linear_differential(BsdPolicy::new(), WaitLinear::Bsd, set_phi, case);
+            wait_linear_differential(LsfPolicy::new(), WaitLinear::Lsf, no_phi, case);
+            for p in [1.0, 1.5, 2.0, 3.0, 16.0] {
+                wait_linear_differential(LpPolicy::new(p), WaitLinear::Lp(p), no_phi, case);
             }
         }
     }

@@ -1,28 +1,27 @@
-//! Balance Slowdown (§4.2.2) — the naive implementation.
+//! Balance Slowdown (§4.2.2) — the exact policy.
 //!
 //! BSD minimizes the ℓ2 norm of slowdowns with priority
 //! `V = (S/(C̄·T²)) · W = Φ · W` (Equation 6): the product of the unit's
 //! static normalized-rate-over-T factor `Φ` and the current wait of its head
 //! tuple. Because `W` advances continuously, the naive scheduler re-evaluates
 //! every ready unit at every scheduling point — the O(q) cost that §6's
-//! clustering ([`crate::cluster`]) exists to remove. This module is that
-//! naive scan: the reference for correctness and the "no optimizations" bar
-//! of Figure 14.
+//! clustering ([`crate::cluster`]) exists to remove, approximately. This
+//! policy selects exactly what that scan selects, through
+//! `headgroups`: one evaluation per distinct head arrival instead of
+//! one per ready unit. It is still *charged* as the naive scan
+//! (`ops_counted = 2·|ready|`): the "no optimizations" bar of Figure 14.
 
 use hcq_common::{Nanos, TupleId};
 
+use crate::headgroups::HeadGroups;
 use crate::policy::{Policy, QueueView, Selection, UnitId};
-use crate::soa::{scan_argmax, StaticsTable};
 use crate::unit::UnitStatics;
 
-/// Naive BSD: full scan, exact priorities.
-///
-/// Statics live in a [`StaticsTable`], so the O(q) scan reads one contiguous
-/// `Φ` column instead of striding through whole [`UnitStatics`] records.
+/// Exact BSD: the argmax of `Φ·W` over the ready units.
 #[derive(Debug, Default)]
 pub struct BsdPolicy {
-    /// SoA statics; the `Φ = S/(C̄·T²)` column drives the scan.
-    statics: StaticsTable,
+    /// Ready units by head arrival, over the `Φ = S/(C̄·T²)` column.
+    groups: HeadGroups,
 }
 
 impl BsdPolicy {
@@ -34,12 +33,19 @@ impl BsdPolicy {
     /// Override a unit's static factor (shared-operator groups, adaptive
     /// re-estimation).
     pub fn set_phi(&mut self, unit: UnitId, phi: f64) {
-        self.statics.set_phi(unit, phi);
+        self.groups.set_factor(unit, phi);
     }
 
     /// The unit's static factor `Φ`.
     pub fn phi(&self, unit: UnitId) -> f64 {
-        self.statics.phi_of(unit)
+        self.groups.factor(unit)
+    }
+
+    /// Times the ready units were regrouped from the queue view because the
+    /// callbacks had not announced all of them (a re-registration with
+    /// tuples pending does that once).
+    pub fn rebuilds(&self) -> u64 {
+        self.groups.rebuilds()
     }
 }
 
@@ -49,23 +55,28 @@ impl Policy for BsdPolicy {
     }
 
     fn on_register(&mut self, units: &[UnitStatics]) {
-        self.statics = StaticsTable::from_units(units);
+        self.groups
+            .reset(units.iter().map(UnitStatics::bsd_static).collect());
     }
 
-    fn on_enqueue(&mut self, _unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {}
+    fn on_enqueue(&mut self, unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {
+        self.groups.on_enqueue(unit);
+    }
+
+    fn on_shed(&mut self, unit: UnitId, _tuple: TupleId) {
+        self.groups.on_shed(unit);
+    }
 
     fn on_statics_update(&mut self, unit: UnitId, statics: &UnitStatics) {
-        // O(1): refresh the unit's columns; Φ is derived in the same call.
-        self.statics.set(unit, statics);
+        self.groups.set_factor(unit, statics.bsd_static());
     }
 
     fn memory_footprint(&self) -> Option<usize> {
-        Some(self.statics.heap_bytes())
+        Some(self.groups.heap_bytes())
     }
 
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
-        let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
-        scan_argmax(ready, heads, self.statics.phi(), now, |wait| wait)
+        self.groups.select(queues, now, |wait| wait)
     }
 }
 

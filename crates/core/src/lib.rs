@@ -46,6 +46,7 @@ pub mod bsd;
 pub mod cluster;
 pub mod fagin;
 pub mod fcfs;
+mod headgroups;
 pub mod lp;
 pub mod lsf;
 pub mod pdt;

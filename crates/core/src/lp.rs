@@ -24,16 +24,18 @@
 
 use hcq_common::{Nanos, TupleId};
 
+use crate::headgroups::HeadGroups;
 use crate::policy::{Policy, QueueView, Selection, UnitId};
-use crate::soa::scan_argmax;
 use crate::unit::UnitStatics;
 
-/// The generalized ℓp slowdown policy.
+/// The generalized ℓp slowdown policy, selecting through
+/// `headgroups`: `W^(p−1)` is evaluated once per distinct head
+/// arrival, not once per ready unit.
 #[derive(Debug)]
 pub struct LpPolicy {
     p: f64,
-    /// Static factor `S/(C̄·T^p)` per unit.
-    phi_p: Vec<f64>,
+    /// Ready units by head arrival, over the `S/(C̄·T^p)` column.
+    groups: HeadGroups,
 }
 
 impl LpPolicy {
@@ -42,13 +44,19 @@ impl LpPolicy {
         assert!(p.is_finite() && p >= 1.0, "p must be ≥ 1");
         LpPolicy {
             p,
-            phi_p: Vec::new(),
+            groups: HeadGroups::default(),
         }
     }
 
     /// The exponent.
     pub fn p(&self) -> f64 {
         self.p
+    }
+
+    /// Times the ready units were regrouped from the queue view (see
+    /// [`BsdPolicy::rebuilds`](crate::BsdPolicy::rebuilds)).
+    pub fn rebuilds(&self) -> u64 {
+        self.groups.rebuilds()
     }
 
     fn static_factor(p: f64, u: &UnitStatics) -> f64 {
@@ -62,20 +70,33 @@ impl Policy for LpPolicy {
     }
 
     fn on_register(&mut self, units: &[UnitStatics]) {
-        self.phi_p = units
-            .iter()
-            .map(|u| Self::static_factor(self.p, u))
-            .collect();
+        let p = self.p;
+        self.groups
+            .reset(units.iter().map(|u| Self::static_factor(p, u)).collect());
     }
 
-    fn on_enqueue(&mut self, _unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {}
+    fn on_enqueue(&mut self, unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {
+        self.groups.on_enqueue(unit);
+    }
+
+    fn on_shed(&mut self, unit: UnitId, _tuple: TupleId) {
+        self.groups.on_shed(unit);
+    }
+
+    fn on_statics_update(&mut self, unit: UnitId, statics: &UnitStatics) {
+        self.groups
+            .set_factor(unit, Self::static_factor(self.p, statics));
+    }
+
+    fn memory_footprint(&self) -> Option<usize> {
+        Some(self.groups.heap_bytes())
+    }
 
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
-        let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
         let w_exp = self.p - 1.0;
         // W^0 = 1 even at W = 0 (p = 1 must reduce to pure HNR order).
         let w_term = |wait: f64| if w_exp == 0.0 { 1.0 } else { wait.powf(w_exp) };
-        scan_argmax(ready, heads, &self.phi_p, now, w_term)
+        self.groups.select(queues, now, w_term)
     }
 }
 

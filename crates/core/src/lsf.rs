@@ -4,14 +4,16 @@
 //! broadcast scheduling work: the priority of a unit is the *current
 //! slowdown* of its head tuple, `W/T` (Equation 5). `W` grows with wall
 //! time at slope `1/T`, and the slopes differ across units, so the argmax
-//! can flip between any two scheduling points — the policy scans the
+//! can flip between any two scheduling points. The naive policy scans the
 //! non-empty units each time (`O(ready)` per decision; the clustering
-//! machinery of §6 exists precisely because dynamic priorities cost this).
+//! machinery of §6 exists precisely because dynamic priorities cost this);
+//! this one selects what that scan selects through `headgroups`,
+//! one evaluation per distinct head arrival, and is charged as the scan.
 
 use hcq_common::{Nanos, TupleId};
 
+use crate::headgroups::HeadGroups;
 use crate::policy::{Policy, QueueView, Selection, UnitId};
-use crate::soa::scan_argmax;
 use crate::unit::UnitStatics;
 
 /// LSF: run the unit whose head tuple has the largest current slowdown.
@@ -23,14 +25,20 @@ use crate::unit::UnitStatics;
 /// [`crate::unit::MIN_TIME_NS`], so every slope stored here is finite.
 #[derive(Debug, Default)]
 pub struct LsfPolicy {
-    /// `1/T` per unit, finite by the [`crate::unit::MIN_TIME_NS`] clamp.
-    slope: Vec<f64>,
+    /// Ready units by head arrival, over the `1/T` column.
+    groups: HeadGroups,
 }
 
 impl LsfPolicy {
     /// A fresh LSF policy.
     pub fn new() -> Self {
         LsfPolicy::default()
+    }
+
+    /// Times the ready units were regrouped from the queue view (see
+    /// [`BsdPolicy::rebuilds`](crate::BsdPolicy::rebuilds)).
+    pub fn rebuilds(&self) -> u64 {
+        self.groups.rebuilds()
     }
 }
 
@@ -40,23 +48,28 @@ impl Policy for LsfPolicy {
     }
 
     fn on_register(&mut self, units: &[UnitStatics]) {
-        self.slope = units.iter().map(UnitStatics::lsf_slope).collect();
+        self.groups
+            .reset(units.iter().map(UnitStatics::lsf_slope).collect());
     }
 
-    fn on_enqueue(&mut self, _unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {}
+    fn on_enqueue(&mut self, unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {
+        self.groups.on_enqueue(unit);
+    }
+
+    fn on_shed(&mut self, unit: UnitId, _tuple: TupleId) {
+        self.groups.on_shed(unit);
+    }
 
     fn on_statics_update(&mut self, unit: UnitId, statics: &UnitStatics) {
-        // O(1): only this unit's slope changes; the scan reads it next point.
-        self.slope[unit as usize] = statics.lsf_slope();
+        self.groups.set_factor(unit, statics.lsf_slope());
     }
 
     fn memory_footprint(&self) -> Option<usize> {
-        Some(self.slope.capacity() * std::mem::size_of::<f64>())
+        Some(self.groups.heap_bytes())
     }
 
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
-        let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
-        scan_argmax(ready, heads, &self.slope, now, |wait| wait)
+        self.groups.select(queues, now, |wait| wait)
     }
 }
 

@@ -42,6 +42,13 @@ pub trait QueueView {
 /// Maintenance done between scheduling points (cluster inserts, heap pushes,
 /// shed repairs) is accumulated by the policy and reported on the *next*
 /// decision, so summing per-point stats over a run covers all policy work.
+///
+/// The wait-linear policies (BSD, LSF, ℓp) are the exception: their
+/// itemization is by definition the naive scan's, `|ready|` candidates,
+/// evaluations and comparisons ([`crate::soa::naive_charge`]) — the §9.2
+/// model Fig. 14 and `ext_overhead` measure — not the work their grouped
+/// selection (`headgroups`) actually does, which is wall-clock
+/// only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Ready units (or non-empty clusters / sorted-list positions) inspected.
@@ -87,6 +94,8 @@ pub struct Selection {
     /// Priority computations + comparisons this decision cost; the engine
     /// charges `ops_counted × c_sched` of virtual time when overhead
     /// accounting is on (§9.2 sets `c_sched` to the cheapest operator cost).
+    /// For BSD, LSF and ℓp it is the naive scan's `2·|ready|` whatever the
+    /// policy computed (see [`SchedStats`]).
     pub ops_counted: u64,
     /// The same work itemized by kind for tracing/profiling. Never feeds
     /// back into scheduling or overhead charging, so a policy that leaves it
@@ -297,6 +306,14 @@ impl ExactSizeIterator for SelectionUnitsIter {}
 /// * `select` is called only when at least one queue is non-empty; it must
 ///   return units with non-empty queues. After `select`, the engine dequeues
 ///   exactly one head tuple from each returned unit and executes it.
+/// * Tuples leave a queue only those two ways: as the head of a unit a
+///   returned [`Selection`] named, or as a tail reported by `on_shed`.
+///   BSD, LSF and ℓp rely on it: they re-read a unit's head only after one
+///   of those events or an `on_enqueue` on a unit they hold no head for, so
+///   a dequeue they were not told about leaves them selecting on a stale
+///   head instant. (Debug builds catch that by asserting every selection
+///   against the scan; the count check in their `select` catches only
+///   ready units they were never told about.)
 pub trait Policy {
     /// Human-readable policy name for reports.
     fn name(&self) -> &'static str;
@@ -366,7 +383,8 @@ pub enum PolicyKind {
     Hnr,
     /// Longest Stretch First `W/T` (§4.1) — maximum slowdown.
     Lsf,
-    /// Balance Slowdown `Φ·W` (§4.2.2) — ℓ2 norm, naive O(q) implementation.
+    /// Balance Slowdown `Φ·W` (§4.2.2) — ℓ2 norm, exact, charged as the
+    /// naive O(q) scan.
     Bsd,
 }
 

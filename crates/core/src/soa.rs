@@ -1,7 +1,7 @@
 //! Struct-of-arrays statics storage for large unit populations.
 //!
 //! Every dynamic-priority hot path in this crate reduces to "multiply one
-//! per-unit static by the head wait and compare": BSD scans `Φ_x`, LSF scans
+//! per-unit static by the head wait and compare": BSD weighs `Φ_x`, LSF
 //! `1/T_k`, clustered BSD re-buckets on `Φ_x`. With 10⁵–10⁶ units, an
 //! array-of-structs layout drags the two unused `f64`s of every
 //! [`UnitStatics`] through the cache on each scan; this table stores each
@@ -15,7 +15,10 @@
 //!
 //! The queue side has the matching column: [`QueueView::head_arrivals`]
 //! serves every head arrival as one dense slice, and [`scan_argmax`] is the
-//! one exact O(ready) scan over the two columns that BSD, LSF and ℓp share.
+//! exact O(ready) scan over the two columns that defines what BSD, LSF and ℓp
+//! select. Their policies select through `headgroups`, which returns
+//! the same unit from one candidate per distinct head arrival; the scan is its
+//! fallback for non-finite inputs and its oracle.
 //!
 //! [`QueueView::head_arrivals`]: crate::policy::QueueView::head_arrivals
 
@@ -57,14 +60,22 @@ pub fn scan_argmax(
             best = (priority, unit);
         }
     }
-    let n = ready.len() as u64;
+    Some(naive_charge(best.1, ready.len()))
+}
+
+/// The decision for `unit` charged as the naive scan over `ready` units:
+/// `ops_counted = 2·ready`, itemized as `ready` candidates, evaluations and
+/// comparisons — the §9.2 cost model of naive BSD, whatever work the
+/// policy actually did to find `unit`.
+pub fn naive_charge(unit: UnitId, ready: usize) -> Selection {
+    let n = ready as u64;
     let stats = SchedStats {
         candidates_scanned: n,
         priority_evals: n,
         comparisons: n,
         ..SchedStats::default()
     };
-    Some(Selection::one(best.1, 2 * n).with_stats(stats))
+    Selection::one(unit, 2 * n).with_stats(stats)
 }
 
 /// Per-unit statics in struct-of-arrays layout: the §2 quantities

@@ -276,3 +276,114 @@ fn static_policy_counted_ops_are_pinned() {
         assert_eq!(got, want, "{}", kind.name());
     }
 }
+
+/// Forwards to a wait-linear policy (BSD, LSF, ℓp), which selects by
+/// head-arrival group, and holds every selection to `scan_argmax` over the
+/// same queue view; also holds its rebuilds from the view to at most one
+/// per registration.
+struct ScanChecked<P> {
+    inner: P,
+    factor: fn(&hcq::core::UnitStatics) -> f64,
+    wait_term: fn(f64) -> f64,
+    rebuilds: fn(&P) -> u64,
+    factors: Vec<f64>,
+    registrations: u64,
+}
+
+impl<P: hcq::core::Policy> hcq::core::Policy for ScanChecked<P> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn on_register(&mut self, units: &[hcq::core::UnitStatics]) {
+        self.registrations += 1;
+        self.factors = units.iter().map(self.factor).collect();
+        self.inner.on_register(units);
+    }
+    fn on_enqueue(&mut self, unit: u32, tuple: hcq::common::TupleId, arrival: Nanos, now: Nanos) {
+        self.inner.on_enqueue(unit, tuple, arrival, now);
+    }
+    fn on_shed(&mut self, unit: u32, tuple: hcq::common::TupleId) {
+        self.inner.on_shed(unit, tuple);
+    }
+    fn select(
+        &mut self,
+        queues: &dyn hcq::core::QueueView,
+        now: Nanos,
+    ) -> Option<hcq::core::Selection> {
+        let (ready, heads) = (queues.nonempty(), queues.head_arrivals());
+        let want = hcq::core::soa::scan_argmax(ready, heads, &self.factors, now, self.wait_term);
+        let got = self.inner.select(queues, now);
+        assert_eq!(got, want, "{} at {now}", self.inner.name());
+        let rebuilds = (self.rebuilds)(&self.inner);
+        assert!(
+            rebuilds <= self.registrations,
+            "{}: {rebuilds} rebuilds over {} registrations",
+            self.inner.name(),
+            self.registrations
+        );
+        got
+    }
+}
+
+/// BSD, LSF and ℓp(2.5) on a `sim_bsd`-shaped run (500 queries, one
+/// stream, 0.9 load): every scheduling point selects exactly what the
+/// per-unit scan selects, and the simulator's callbacks announce every ready
+/// unit (no rebuild from the queue view beyond one per registration).
+#[test]
+fn wait_linear_selection_equals_the_scan() {
+    use hcq::core::{BsdPolicy, LpPolicy, LsfPolicy, Policy, UnitStatics};
+    let w = single_stream(&SingleStreamConfig {
+        queries: 500,
+        cost_classes: 5,
+        utilization: 0.9,
+        mean_gap: Nanos::from_millis(10),
+        seed: 26,
+    })
+    .unwrap();
+    fn checked<P: Policy + 'static>(
+        inner: P,
+        factor: fn(&UnitStatics) -> f64,
+        wait_term: fn(f64) -> f64,
+        rebuilds: fn(&P) -> u64,
+    ) -> Box<dyn Policy> {
+        Box::new(ScanChecked {
+            inner,
+            factor,
+            wait_term,
+            rebuilds,
+            factors: Vec::new(),
+            registrations: 0,
+        })
+    }
+    let policies = [
+        checked(
+            BsdPolicy::new(),
+            UnitStatics::bsd_static,
+            |w| w,
+            BsdPolicy::rebuilds,
+        ),
+        checked(
+            LsfPolicy::new(),
+            UnitStatics::lsf_slope,
+            |w| w,
+            LsfPolicy::rebuilds,
+        ),
+        checked(
+            LpPolicy::new(2.5),
+            |u| u.selectivity / (u.avg_cost_ns * u.ideal_time_ns.powf(2.5)),
+            |w| w.powf(1.5),
+            LpPolicy::rebuilds,
+        ),
+    ];
+    for policy in policies {
+        let r = simulate(
+            &w.plan,
+            &w.rates,
+            vec![Box::new(PoissonSource::new(Nanos::from_millis(10), 26))],
+            policy,
+            SimConfig::new(120).with_seed(26),
+        )
+        .unwrap();
+        assert_eq!(r.sched_points, 120 * 500);
+    }
+}
