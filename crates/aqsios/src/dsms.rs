@@ -17,7 +17,7 @@ use crate::clock::{Clock, SystemClock};
 use crate::ops::{RtOp, RtPlan};
 use crate::record::Record;
 
-/// Which scheduling policy drives the runtime: the core's policy factory.
+/// Which scheduling policy drives the runtime: the core's policy spec.
 pub use hcq_core::PolicyKind as RuntimePolicy;
 
 /// Runtime configuration.
@@ -27,7 +27,7 @@ pub struct DsmsConfig {
     /// EWMA smoothing factor for online cost/selectivity monitoring.
     pub ewma_alpha: f64,
     /// Refresh scheduling priorities from the monitors automatically every
-    /// N scheduling decisions (`None` = only on explicit
+    /// N ≥ 1 scheduling decisions (`None` = only on explicit
     /// [`Dsms::refresh_priorities`] calls).
     pub auto_refresh_every: Option<u64>,
     /// Load shedding: cap on total pending tuples across all queues. When a
@@ -187,6 +187,9 @@ impl Dsms {
     pub fn new(cfg: DsmsConfig) -> Result<Self> {
         if !(cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0) {
             return Err(HcqError::config("ewma_alpha must be in (0, 1]"));
+        }
+        if cfg.auto_refresh_every == Some(0) {
+            return Err(HcqError::config("auto_refresh_every must be at least 1"));
         }
         Ok(Dsms {
             clock: cfg.clock,
@@ -719,6 +722,22 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use crate::record::{Cmp, Predicate};
+
+    /// A refresh period of zero decisions would never fire (`decisions` is
+    /// never a multiple of 0 once positive); like an α outside (0, 1], it
+    /// is a configuration error, not a silent no-op.
+    #[test]
+    fn rejects_degenerate_monitoring_config() {
+        let alpha_zero = DsmsConfig {
+            ewma_alpha: 0.0,
+            ..DsmsConfig::new(RuntimePolicy::Hnr)
+        };
+        let never = DsmsConfig::new(RuntimePolicy::Hnr).with_auto_refresh(0);
+        for cfg in [alpha_zero, never] {
+            assert!(matches!(Dsms::new(cfg), Err(HcqError::InvalidConfig(_))));
+        }
+        assert!(Dsms::new(DsmsConfig::new(RuntimePolicy::Hnr).with_auto_refresh(1)).is_ok());
+    }
 
     /// `refresh_priorities` reaches every policy that reads statics, LSF
     /// included (the old per-policy refresh table skipped it). The `Dsms`

@@ -26,10 +26,7 @@
 use std::time::Instant;
 
 use hcq_common::{Nanos, TupleId};
-use hcq_core::{
-    BsdPolicy, ClusterConfig, ClusteredBsdPolicy, Policy, QueueView, SchedStats, UnitId,
-    UnitStatics,
-};
+use hcq_core::{ClusterConfig, Policy, PolicyKind, QueueView, SchedStats, UnitId, UnitStatics};
 
 /// Cluster count for the clustered variants; large enough that the m-sized
 /// front index is exercised, small against every swept q.
@@ -111,37 +108,31 @@ pub struct LargeQCell {
     pub digest: String,
 }
 
-/// The swept implementations: exact BSD (charged as the O(q) scan; here
-/// every head arrives at its own instant, so it evaluates one group per
-/// ready unit) and the three clustered variants whose cost §6 claims is
-/// sub-linear in q.
-pub fn variants() -> Vec<(&'static str, Box<dyn Policy>)> {
+/// The swept implementations by name and spec, in sweep order.
+fn kinds() -> [(&'static str, PolicyKind); 4] {
     let log = ClusterConfig::logarithmic(CLUSTERS);
-    vec![
-        ("BSD-Exact", Box::new(BsdPolicy::new())),
-        ("C-BSD-log", Box::new(ClusteredBsdPolicy::new(log))),
-        (
-            "C-BSD-logscan",
-            Box::new(ClusteredBsdPolicy::new(ClusterConfig {
-                use_fagin: false,
-                batch: false,
-                ..log
-            })),
-        ),
+    let scan = ClusterConfig {
+        use_fagin: false,
+        batch: false,
+        ..log
+    };
+    [
+        ("BSD-Exact", PolicyKind::Bsd),
+        ("C-BSD-log", PolicyKind::Clustered(log)),
+        ("C-BSD-logscan", PolicyKind::Clustered(scan)),
         (
             "C-BSD-uni",
-            Box::new(ClusteredBsdPolicy::new(ClusterConfig::uniform(CLUSTERS))),
+            PolicyKind::Clustered(ClusterConfig::uniform(CLUSTERS)),
         ),
     ]
 }
 
-/// Names of the clustered variants (the sub-linear claimants).
-pub fn clustered_names() -> Vec<&'static str> {
-    variants()
-        .iter()
-        .map(|(n, _)| *n)
-        .filter(|n| n.starts_with("C-BSD"))
-        .collect()
+/// The swept implementations, freshly built, in sweep order: exact BSD
+/// (charged as the O(q) scan; here every head arrives at its own instant,
+/// so it evaluates one group per ready unit) and the three clustered
+/// variants whose cost §6 claims is sub-linear in q.
+pub fn variants() -> Vec<(&'static str, Box<dyn Policy>)> {
+    kinds().map(|(name, kind)| (name, kind.build())).into()
 }
 
 /// Timed scheduling points for a given q, budgeted so a full sweep stays
@@ -254,11 +245,11 @@ mod tests {
     }
 
     fn rebuild(name: &str) -> Box<dyn Policy> {
-        variants()
+        let (_, kind) = kinds()
             .into_iter()
             .find(|(n, _)| *n == name)
-            .map(|(_, p)| p)
-            .expect("known variant")
+            .expect("known variant");
+        kind.build()
     }
 
     #[test]
@@ -270,7 +261,10 @@ mod tests {
         // The exact scan evaluates every ready unit: evals/point == q.
         assert_eq!(exact_lo.evals_per_point, q_lo as f64);
         assert_eq!(exact_hi.evals_per_point, q_hi as f64);
-        for name in clustered_names() {
+        for (name, kind) in kinds() {
+            if !matches!(kind, PolicyKind::Clustered(_)) {
+                continue;
+            }
             let lo = run_cell(name, rebuild(name), q_lo);
             let hi = run_cell(name, rebuild(name), q_hi);
             let ratio = hi.evals_per_point / lo.evals_per_point.max(1.0);

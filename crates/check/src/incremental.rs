@@ -20,28 +20,15 @@
 //! smallest reproduction.
 
 use hcq_common::{det, Nanos, TupleId};
-use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Policy, QueueView, UnitId, UnitStatics};
+use hcq_core::{
+    ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, QueueView, UnitId, UnitStatics,
+};
 
-use crate::invariants::Violation;
+use crate::invariants::{cluster_variants, label, Violation};
 use crate::policyfuzz::{degenerate_units, FuzzQueues};
 
 /// Hard cap on units after growth, keeping cases tiny and fast to shrink.
 const MAX_UNITS: usize = 12;
-
-/// The clustered variants under differential test.
-fn variants(m: usize) -> Vec<(String, ClusterConfig)> {
-    let log = ClusterConfig::logarithmic(m);
-    let scan = ClusterConfig {
-        use_fagin: false,
-        batch: false,
-        ..log
-    };
-    vec![
-        (format!("C-BSD-log{m}"), log),
-        (format!("C-BSD-logscan{m}"), scan),
-        (format!("C-BSD-uni{m}"), ClusterConfig::uniform(m)),
-    ]
-}
 
 /// Fresh statics for growth/update ops: reuse the degenerate generator so
 /// NaN/zero corners also flow through the *incremental* paths.
@@ -55,6 +42,8 @@ fn gen_statics(h: u64) -> UnitStatics {
 fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<String> {
     let base = det::mix3(det::splitmix64(seed ^ 0x1ac4), case, 0x51de);
     let units = degenerate_units(seed, case ^ 0xc105);
+    // The concrete type, not `PolicyKind::build`: the sequence drives the
+    // maintenance API (`add_unit`, `retire_unit`, `rebuild_reference`).
     let mut policy = ClusteredBsdPolicy::new(cfg);
     policy.on_register(&units);
     let mut queues = FuzzQueues::new(units.len());
@@ -180,7 +169,7 @@ pub fn fuzz_incremental(seed: u64, case: u64) -> Vec<Violation> {
     let m = det::unit_range(det::mix2(base, 5), 1, 6) as usize;
     let steps = det::unit_range(det::mix2(base, 6), 4, 40);
     let mut violations = Vec::new();
-    for (name, cfg) in variants(m) {
+    for cfg in cluster_variants(m) {
         if let Some(detail) = run_sequence(seed, case, cfg, steps) {
             // Shrink: the shortest prefix of the same op stream that still
             // diverges (sequences are deterministic in (seed, case, len)).
@@ -189,7 +178,7 @@ pub fn fuzz_incremental(seed: u64, case: u64) -> Vec<Violation> {
                 .unwrap_or(steps);
             let detail_min = run_sequence(seed, case, cfg, minimal).unwrap_or(detail);
             violations.push(Violation {
-                policy: name,
+                policy: label(PolicyKind::Clustered(cfg)),
                 invariant: "incremental-equivalence",
                 detail: format!("minimal prefix {minimal}/{steps} ops: {detail_min}"),
             });

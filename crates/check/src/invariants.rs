@@ -24,7 +24,7 @@
 //! The clustered-BSD ε-bound (§6.2) needs per-decision wait times, so it is
 //! checked at the policy layer in [`crate::policyfuzz`], not here.
 
-use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind};
+use hcq_core::{ClusterConfig, Clustering, PolicyKind};
 use hcq_engine::{
     simulate, simulate_monitored, simulate_traced, AdmissionMode, SimReport, TraceEvent,
     VecTelemetry, VecTrace,
@@ -50,23 +50,40 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// Clustered BSD at `m` clusters as the check layers run it: logarithmic
+/// with Fagin pruning and batching, logarithmic as a plain scan, uniform.
+pub(crate) fn cluster_variants(m: usize) -> [ClusterConfig; 3] {
+    let log = ClusterConfig::logarithmic(m);
+    let scan = ClusterConfig {
+        use_fagin: false,
+        batch: false,
+        ..log
+    };
+    [log, scan, ClusterConfig::uniform(m)]
+}
+
 /// Every policy a scenario is checked under: the paper's seven plus
 /// clustered BSD with both §6 splitting strategies.
-pub fn policy_roster(clusters: usize) -> Vec<(String, Box<dyn Policy>)> {
-    let mut roster: Vec<(String, Box<dyn Policy>)> = PolicyKind::ALL
-        .iter()
-        .map(|k| (k.name().to_string(), k.build()))
-        .collect();
-    let m = clusters.max(1);
-    roster.push((
-        format!("C-BSD-log{m}"),
-        Box::new(ClusteredBsdPolicy::new(ClusterConfig::logarithmic(m))),
-    ));
-    roster.push((
-        format!("C-BSD-uni{m}"),
-        Box::new(ClusteredBsdPolicy::new(ClusterConfig::uniform(m))),
-    ));
-    roster
+pub(crate) fn roster(clusters: usize) -> Vec<PolicyKind> {
+    let [log, _, uni] = cluster_variants(clusters.max(1));
+    let clustered = [log, uni].map(PolicyKind::Clustered);
+    PolicyKind::ALL.into_iter().chain(clustered).collect()
+}
+
+/// The name a violation and a fingerprint carry: the paper's name for its
+/// seven, `C-BSD-{log,logscan,uni}{m}` for clustered BSD at `m` clusters.
+pub(crate) fn label(kind: PolicyKind) -> String {
+    match kind {
+        PolicyKind::Clustered(c) => {
+            let split = match (c.clustering, c.use_fagin) {
+                (Clustering::Uniform, _) => "uni",
+                (Clustering::Logarithmic, true) => "log",
+                (Clustering::Logarithmic, false) => "logscan",
+            };
+            format!("C-BSD-{split}{}", c.clusters)
+        }
+        kind => kind.name().to_string(),
+    }
 }
 
 /// Bit-exact fingerprint of a report: every counter, clock, and QoS figure,
@@ -184,28 +201,20 @@ pub fn check_scenario_full(scenario: &Scenario) -> ScenarioCheck {
         }
     };
     let rates = StreamRates::none();
-    for (name, _) in policy_roster(scenario.clusters) {
-        check_policy(scenario, &plan, &rates, &name, &mut check);
+    for kind in roster(scenario.clusters) {
+        check_policy(scenario, &plan, &rates, kind, &mut check);
     }
     check
-}
-
-/// Build a fresh policy instance by roster name.
-fn build_policy(scenario: &Scenario, name: &str) -> Box<dyn Policy> {
-    policy_roster(scenario.clusters)
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, p)| p)
-        .expect("roster name is stable")
 }
 
 fn check_policy(
     scenario: &Scenario,
     plan: &hcq_plan::GlobalPlan,
     rates: &StreamRates,
-    name: &str,
+    kind: PolicyKind,
     check: &mut ScenarioCheck,
 ) {
+    let name = label(kind);
     let violations = &mut check.violations;
     let fail = |violations: &mut Vec<Violation>, invariant: &'static str, detail: String| {
         violations.push(Violation {
@@ -220,7 +229,7 @@ fn check_policy(
         plan,
         rates,
         vec![scenario.source()],
-        build_policy(scenario, name),
+        kind.build(),
         scenario.config(),
     );
     let plain = match plain {
@@ -240,7 +249,7 @@ fn check_policy(
         plan,
         rates,
         vec![scenario.source()],
-        build_policy(scenario, name),
+        kind.build(),
         scenario.config(),
     ) {
         Ok(second) => {
@@ -366,7 +375,7 @@ fn check_policy(
                 plan,
                 rates,
                 vec![disabled.source()],
-                build_policy(&disabled, name),
+                kind.build(),
                 disabled.config(),
             ) {
                 Ok(r) => {
@@ -474,7 +483,7 @@ fn check_policy(
         plan,
         rates,
         vec![scenario.source()],
-        build_policy(scenario, name),
+        kind.build(),
         scenario.config(),
         VecTrace::new(),
     ) {
@@ -516,7 +525,7 @@ fn check_policy(
         plan,
         rates,
         vec![scenario.source()],
-        build_policy(scenario, name),
+        kind.build(),
         scenario.config(),
         VecTelemetry::new(),
     ) {
@@ -592,10 +601,26 @@ mod tests {
 
     #[test]
     fn roster_covers_paper_policies_plus_clustering() {
-        let roster = policy_roster(4);
-        assert_eq!(roster.len(), PolicyKind::ALL.len() + 2);
-        assert!(roster.iter().any(|(n, _)| n == "C-BSD-log4"));
-        assert!(roster.iter().any(|(n, _)| n == "C-BSD-uni4"));
+        let labels: Vec<String> = roster(4).into_iter().map(label).collect();
+        assert_eq!(
+            labels,
+            [
+                "FCFS",
+                "RR",
+                "SRPT",
+                "HR",
+                "HNR",
+                "LSF",
+                "BSD",
+                "C-BSD-log4",
+                "C-BSD-uni4"
+            ]
+        );
+        assert_eq!(label(roster(0)[7]), "C-BSD-log1");
+        assert_eq!(
+            cluster_variants(3).map(|c| label(PolicyKind::Clustered(c))),
+            ["C-BSD-log3", "C-BSD-logscan3", "C-BSD-uni3"]
+        );
     }
 
     #[test]

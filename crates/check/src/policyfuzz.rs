@@ -31,11 +31,9 @@
 use std::collections::VecDeque;
 
 use hcq_common::{det, Nanos, TupleId};
-use hcq_core::{
-    ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, QueueView, UnitId, UnitStatics,
-};
+use hcq_core::{Clustering, Policy, PolicyKind, QueueView, UnitId, UnitStatics};
 
-use crate::invariants::Violation;
+use crate::invariants::{cluster_variants, label, Violation};
 
 /// Engine-style queue state for hand-driven policies: one FIFO per unit,
 /// with the head-arrival column kept by the engine's write rule (a push onto
@@ -164,37 +162,9 @@ fn gen_nanos(h: u64) -> Nanos {
     }
 }
 
-/// The policy roster for the degenerate-statics drill: the paper's seven
-/// plus clustered BSD in logarithmic/uniform and scan/Fagin variants.
-fn roster(m: usize) -> Vec<(String, Box<dyn Policy>, bool)> {
-    let mut r: Vec<(String, Box<dyn Policy>, bool)> = PolicyKind::ALL
-        .iter()
-        .map(|k| (k.name().to_string(), k.build(), false))
-        .collect();
-    r.push((
-        format!("C-BSD-log{m}"),
-        Box::new(ClusteredBsdPolicy::new(ClusterConfig::logarithmic(m))),
-        true,
-    ));
-    let scan = ClusterConfig {
-        use_fagin: false,
-        batch: false,
-        ..ClusterConfig::logarithmic(m)
-    };
-    r.push((
-        format!("C-BSD-logscan{m}"),
-        Box::new(ClusteredBsdPolicy::new(scan)),
-        true,
-    ));
-    r.push((
-        format!("C-BSD-uni{m}"),
-        Box::new(ClusteredBsdPolicy::new(ClusterConfig::uniform(m))),
-        false,
-    ));
-    r
-}
-
-/// Fuzz one `(seed, case)` of degenerate statics through every policy.
+/// Fuzz one `(seed, case)` of degenerate statics through every policy: the
+/// paper's seven plus clustered BSD in each of `cluster_variants`.
+/// Logarithmic clustering is also held to its ε-bound.
 pub fn fuzz_policies(seed: u64, case: u64) -> Vec<Violation> {
     let base = det::mix3(det::splitmix64(seed ^ 0x7066_757a_7a21), case, 0xbeef);
     let units = degenerate_units(seed, case);
@@ -202,10 +172,13 @@ pub fn fuzz_policies(seed: u64, case: u64) -> Vec<Violation> {
     let gap = det::unit_range(det::mix2(base, 3), 1, 1_000_000);
     let m = det::unit_range(det::mix2(base, 4), 1, 6) as usize;
     let mut violations = Vec::new();
-    for (name, mut policy, check_eps) in roster(m) {
+    let clustered = cluster_variants(m).map(PolicyKind::Clustered);
+    for kind in PolicyKind::ALL.into_iter().chain(clustered) {
+        let check_eps =
+            matches!(kind, PolicyKind::Clustered(c) if c.clustering == Clustering::Logarithmic);
         drain_with_checks(
-            &name,
-            policy.as_mut(),
+            &label(kind),
+            kind.build().as_mut(),
             &units,
             arrivals,
             gap,

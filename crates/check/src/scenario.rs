@@ -28,6 +28,7 @@
 
 use hcq_common::json::JsonValue;
 use hcq_common::{det, Nanos, Result, StreamId};
+use hcq_core::PolicyKind;
 use hcq_engine::{AdaptConfig, AdaptMode, AdmissionMode, DriftStep, GovernorConfig, SimConfig};
 use hcq_plan::{GlobalPlan, QueryBuilder};
 use hcq_streams::{
@@ -134,8 +135,8 @@ pub struct GovernorPlan {
     pub capacity: usize,
     /// Pending watermark for the overload-share signal.
     pub watermark: usize,
-    /// Meta-scheduler: switch the scheduling policy itself under sustained
-    /// overload (hysteresis shares stay at the engine defaults).
+    /// Meta-scheduler: switch to LSF under sustained overload (hysteresis
+    /// shares stay at the engine defaults).
     pub switch_policy: bool,
 }
 
@@ -550,7 +551,7 @@ impl Scenario {
                 deescalate_pending: self.governor.deescalate_pending,
                 capacity: self.governor.capacity,
                 watermark: self.governor.watermark,
-                switch_policy: self.governor.switch_policy,
+                overload_policy: self.governor.switch_policy.then_some(PolicyKind::Lsf),
                 ..GovernorConfig::default()
             };
         }

@@ -116,6 +116,8 @@ pub enum HcqError {
     Io(io::Error),
     /// A scheduling-contract violation surfaced by the engine at run time.
     Engine(EngineError),
+    /// A wall-clock runtime worker thread panicked; holds the panic message.
+    WorkerPanicked(String),
 }
 
 impl HcqError {
@@ -143,6 +145,7 @@ impl fmt::Display for HcqError {
             HcqError::TraceFormat(m) => write!(f, "malformed trace: {m}"),
             HcqError::Io(e) => write!(f, "i/o error: {e}"),
             HcqError::Engine(e) => write!(f, "engine contract violation: {e}"),
+            HcqError::WorkerPanicked(m) => write!(f, "runtime worker panicked: {m}"),
         }
     }
 }

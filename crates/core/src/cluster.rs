@@ -540,10 +540,7 @@ impl ClusteredBsdPolicy {
 
 impl Policy for ClusteredBsdPolicy {
     fn name(&self) -> &'static str {
-        match (self.cfg.clustering, self.cfg.use_fagin, self.cfg.batch) {
-            (Clustering::Uniform, _, _) => "BSD-Uniform",
-            (Clustering::Logarithmic, _, _) => "BSD-Logarithmic",
-        }
+        crate::PolicyKind::Clustered(self.cfg).name()
     }
 
     fn on_register(&mut self, units: &[UnitStatics]) {

@@ -20,7 +20,9 @@
 //! Policies interact with the engine through the [`Policy`] trait: the engine
 //! reports enqueues, the policy answers `select` with the unit(s) to run and
 //! the number of priority computations/comparisons it spent (so the engine
-//! can charge scheduling overhead in virtual time, as §9.2 does).
+//! can charge scheduling overhead in virtual time, as §9.2 does). Callers
+//! name a policy by a [`PolicyKind`] value and build it with
+//! [`PolicyKind::build`].
 //!
 //! [`pdt`] implements the §7 Priority-Defining Tree for shared operators;
 //! [`adaptive`] adds the §10 "dynamic environment" hook: online EWMA

@@ -366,9 +366,12 @@ pub trait Policy {
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection>;
 }
 
-/// Factory enumeration of every policy in the paper — convenient for
-/// sweeping experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Every policy the repository runs, as a `Copy + Send + Sync` value: the
+/// paper's seven, the ℓp extension and the §6 clustered BSD variants.
+/// Experiments, fuzz rosters and executors name a policy by this spec and
+/// call [`PolicyKind::build`] where the instance is needed — a `Box<dyn
+/// Policy>` is not `Send`, a spec crosses threads freely.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
     /// First-come-first-served over system arrival times.
     Fcfs,
@@ -386,10 +389,15 @@ pub enum PolicyKind {
     /// Balance Slowdown `Φ·W` (§4.2.2) — ℓ2 norm, exact, charged as the
     /// naive O(q) scan.
     Bsd,
+    /// The ℓp-norm generalization of BSD at exponent `p ≥ 1`
+    /// ([`crate::LpPolicy`]; `build` panics on any other `p`).
+    Lp(f64),
+    /// BSD through §6 clustering ([`crate::ClusteredBsdPolicy`]).
+    Clustered(crate::cluster::ClusterConfig),
 }
 
 impl PolicyKind {
-    /// All kinds, in the order the paper's figures usually list them.
+    /// The paper's seven, in the order its figures usually list them.
     pub const ALL: [PolicyKind; 7] = [
         PolicyKind::Fcfs,
         PolicyKind::RoundRobin,
@@ -410,10 +418,13 @@ impl PolicyKind {
             PolicyKind::Hnr => Box::new(crate::statics::StaticPolicy::hnr()),
             PolicyKind::Lsf => Box::new(crate::lsf::LsfPolicy::new()),
             PolicyKind::Bsd => Box::new(crate::bsd::BsdPolicy::new()),
+            PolicyKind::Lp(p) => Box::new(crate::lp::LpPolicy::new(p)),
+            PolicyKind::Clustered(cfg) => Box::new(crate::cluster::ClusteredBsdPolicy::new(cfg)),
         }
     }
 
-    /// Display name matching the paper's figures.
+    /// Display name matching the paper's figures; the built policy's
+    /// [`Policy::name`].
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Fcfs => "FCFS",
@@ -423,6 +434,11 @@ impl PolicyKind {
             PolicyKind::Hnr => "HNR",
             PolicyKind::Lsf => "LSF",
             PolicyKind::Bsd => "BSD",
+            PolicyKind::Lp(_) => "LP",
+            PolicyKind::Clustered(cfg) => match cfg.clustering {
+                crate::cluster::Clustering::Uniform => "BSD-Uniform",
+                crate::cluster::Clustering::Logarithmic => "BSD-Logarithmic",
+            },
         }
     }
 }
@@ -553,9 +569,17 @@ mod tests {
 
     #[test]
     fn kind_names_and_build() {
-        for kind in PolicyKind::ALL {
+        use crate::cluster::ClusterConfig;
+        let extensions = [
+            PolicyKind::Lp(2.5),
+            PolicyKind::Clustered(ClusterConfig::logarithmic(8)),
+            PolicyKind::Clustered(ClusterConfig::uniform(4)),
+        ];
+        for kind in PolicyKind::ALL.into_iter().chain(extensions) {
             let p = kind.build();
             assert_eq!(p.name(), kind.name());
         }
+        let names = extensions.map(PolicyKind::name);
+        assert_eq!(names, ["LP", "BSD-Logarithmic", "BSD-Uniform"]);
     }
 }

@@ -140,16 +140,13 @@ pub struct GovernorConfig {
     /// Pending-tuple watermark the governor measures its window overload
     /// share against (and that arms QosShed while escalated).
     pub watermark: usize,
-    /// Arm the meta-scheduler: on sustained overload the governor swaps the
-    /// running policy for [`GovernorConfig::overload_policy`] (re-syncing it
-    /// to the live queue state), and swaps the original back once the
-    /// overload regime subsides. Off by default — the governor then only
-    /// walks the admission-mode ladder.
-    pub switch_policy: bool,
-    /// Policy engaged while the overload regime persists. LSF (max-slowdown
-    /// minimizing) is the natural overload triage choice: under saturation
-    /// the tail, not the average, is what degrades first.
-    pub overload_policy: PolicyKind,
+    /// The meta-scheduler: on sustained overload the governor swaps the
+    /// running policy for this one (re-syncing it to the live queue state),
+    /// and swaps the original back once the overload regime subsides. `None`
+    /// by default — the governor then only walks the admission-mode ladder.
+    /// LSF (max-slowdown minimizing) is the natural overload triage choice:
+    /// under saturation the tail, not the average, is what degrades first.
+    pub overload_policy: Option<PolicyKind>,
     /// Engage the overload policy when the window overload share is at or
     /// above this level for [`GovernorConfig::switch_sustain`] consecutive
     /// complete windows.
@@ -175,8 +172,7 @@ impl Default for GovernorConfig {
             deescalate_share: 0.1,
             capacity: 0,
             watermark: 0,
-            switch_policy: false,
-            overload_policy: PolicyKind::Lsf,
+            overload_policy: None,
             switch_share: 0.6,
             return_share: 0.15,
             switch_sustain: 2,
@@ -410,7 +406,7 @@ impl SimConfig {
             governor.escalate_share > governor.deescalate_share,
             "escalate_share must exceed deescalate_share (hysteresis band)"
         );
-        if governor.switch_policy {
+        if governor.overload_policy.is_some() {
             assert!(
                 governor.switch_share > governor.return_share,
                 "switch_share must exceed return_share (hysteresis band)"
@@ -605,8 +601,7 @@ mod tests {
     #[test]
     fn governor_switch_defaults_off_with_sane_band() {
         let g = GovernorConfig::default();
-        assert!(!g.switch_policy);
-        assert_eq!(g.overload_policy, PolicyKind::Lsf);
+        assert_eq!(g.overload_policy, None);
         assert!(g.switch_share > g.return_share);
         assert!(g.switch_sustain >= 1);
     }
@@ -619,7 +614,7 @@ mod tests {
             escalate_pending: 10,
             deescalate_pending: 2,
             capacity: 32,
-            switch_policy: true,
+            overload_policy: Some(PolicyKind::Lsf),
             switch_share: 0.1,
             return_share: 0.5,
             ..GovernorConfig::default()

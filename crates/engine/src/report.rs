@@ -35,7 +35,7 @@ pub struct SimReport {
     /// the governor is disabled.
     pub governor_transitions: u64,
     /// Policy switches taken by the governor's meta-scheduler (engage and
-    /// disengage each count). 0 unless `switch_policy` is armed.
+    /// disengage each count). 0 unless `overload_policy` is set.
     pub policy_switches: u64,
     /// Re-estimated statics publications the online estimator forwarded to
     /// the policy. 0 when adaptation is disabled or observe-only refinement

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use hcq_common::{det, EngineError, HcqError, Nanos, Result, StreamId, TupleId};
-use hcq_core::{EwmaEstimator, Policy, QueueView, UnitStatics, WindowedEstimator};
+use hcq_core::{EwmaEstimator, Policy, PolicyKind, QueueView, UnitStatics, WindowedEstimator};
 use hcq_join::{Side, SymmetricHashJoin};
 use hcq_metrics::{ClassBreakdown, OverheadTotals, QosAccumulator, SlowdownHistogram};
 use hcq_plan::{CompiledOpKind, GlobalPlan, OperatorSpec, Port, StreamRates};
@@ -387,7 +387,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     "governor cadence and min_dwell must be positive".to_string(),
                 ));
             }
-            if cfg.governor.switch_policy {
+            if cfg.governor.overload_policy.is_some() {
                 if cfg.governor.switch_share <= cfg.governor.return_share {
                     return Err(HcqError::config(
                         "policy switching needs switch_share > return_share \
@@ -1003,22 +1003,23 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     }
                 }
             }
-            if g.cfg.switch_policy {
-                self.meta_schedule(&mut g, at, share, window_complete);
+            if let Some(overload) = g.cfg.overload_policy {
+                self.meta_schedule(&mut g, overload, at, share, window_complete);
             }
         }
         self.governor = Some(g);
     }
 
     /// The meta-scheduler rung of the governor: swap the running policy for
-    /// the configured overload policy after `switch_sustain` consecutive
-    /// complete windows at or above `switch_share`, and back after as many
-    /// at or below `return_share`. The band between the thresholds resets
-    /// both streaks, and `min_dwell` applies between switches, so a share
-    /// oscillating around either threshold cannot thrash the policy.
+    /// `overload` after `switch_sustain` consecutive complete windows at or
+    /// above `switch_share`, and back after as many at or below
+    /// `return_share`. The band between the thresholds resets both streaks,
+    /// and `min_dwell` applies between switches, so a share oscillating
+    /// around either threshold cannot thrash the policy.
     fn meta_schedule(
         &mut self,
         g: &mut GovernorState,
+        overload: PolicyKind,
         at: Nanos,
         share: f64,
         window_complete: bool,
@@ -1046,11 +1047,11 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         if !engaged && g.high_streak >= g.cfg.switch_sustain {
             // Don't switch to what is already running (e.g. the base
             // policy IS the configured overload policy).
-            if self.policy.name() == g.cfg.overload_policy.name() {
+            if self.policy.name() == overload.name() {
                 g.high_streak = 0;
                 return;
             }
-            let mut next: Box<dyn Policy> = g.cfg.overload_policy.build();
+            let mut next: Box<dyn Policy> = overload.build();
             self.resync_policy(next.as_mut());
             let from = self.policy.name();
             g.standby = Some(std::mem::replace(&mut self.policy, next));

@@ -2,7 +2,7 @@
 //! statics fault model, and the governor's policy-switching meta-scheduler.
 
 use hcq_common::Nanos;
-use hcq_core::{ClusterConfig, ClusteredBsdPolicy, PolicyKind};
+use hcq_core::{ClusterConfig, PolicyKind};
 use hcq_engine::{
     simulate, simulate_traced, AdaptConfig, AdaptMode, DriftStep, GovernorConfig, SimConfig,
     SimReport, TraceEvent, VecTrace,
@@ -217,8 +217,8 @@ fn windowed_estimates_track_the_active_phase() {
 // Closed loop: adaptive clustered BSD under seeded miscalibration
 // ---------------------------------------------------------------------------
 
-fn clustered() -> Box<dyn hcq_core::Policy> {
-    Box::new(ClusteredBsdPolicy::new(ClusterConfig::logarithmic(3)))
+fn clustered_bsd() -> Box<dyn hcq_core::Policy> {
+    PolicyKind::Clustered(ClusterConfig::logarithmic(3)).build()
 }
 
 #[test]
@@ -243,8 +243,8 @@ fn adaptive_clustered_bsd_is_never_worse_under_miscalibration() {
         c
     };
     for gap in [14u64, 20, 25, 30, 40] {
-        let stale = run_with(cfg(false), clustered(), ms(gap));
-        let adaptive = run_with(cfg(true), clustered(), ms(gap));
+        let stale = run_with(cfg(false), clustered_bsd(), ms(gap));
+        let adaptive = run_with(cfg(true), clustered_bsd(), ms(gap));
         assert!(
             adaptive.statics_updates > 0,
             "gap {gap}ms: loop never closed"
@@ -272,7 +272,7 @@ fn adaptive_runs_are_deterministic() {
                 .with_seed(9)
                 .with_cost_miscalibration(2.0, 17)
                 .with_adaptation(ewma_adapt()),
-            clustered(),
+            clustered_bsd(),
             ms(14),
         )
     };
@@ -292,7 +292,7 @@ fn domain_refreeze_fires_when_estimates_leave_the_frozen_span() {
         &small_workload(),
         &StreamRates::none(),
         vec![Box::new(PoissonSource::new(ms(40), 99))],
-        clustered(),
+        clustered_bsd(),
         SimConfig::new(800)
             .with_seed(4)
             .with_drift(vec![DriftStep {
@@ -386,8 +386,7 @@ fn switching_governor() -> GovernorConfig {
         deescalate_share: 0.1,
         capacity: 16,
         watermark: 32,
-        switch_policy: true,
-        overload_policy: PolicyKind::Lsf,
+        overload_policy: Some(PolicyKind::Lsf),
         switch_share: 0.6,
         return_share: 0.15,
         switch_sustain: 2,
@@ -496,7 +495,7 @@ fn switching_to_the_already_running_policy_is_a_no_op() {
     // Base policy == overload policy: the meta-scheduler must not swap a
     // policy for itself, however overloaded the run gets.
     let mut g = switching_governor();
-    g.overload_policy = PolicyKind::Hnr;
+    g.overload_policy = Some(PolicyKind::Hnr);
     let r = run_with(
         SimConfig::new(2_000).with_seed(1).with_governor(g),
         PolicyKind::Hnr.build(),

@@ -117,7 +117,7 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        let (report, bytes) = cfg.run_single_traced(0.9, PolicyKind::Hnr.build());
+        let (report, bytes) = cfg.run_single_traced(0.9, PolicyKind::Hnr);
         if let Err(e) = std::fs::write(path, &bytes) {
             eprintln!("could not write trace {}: {e}", path.display());
             return ExitCode::FAILURE;

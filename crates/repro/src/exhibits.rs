@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicUsize;
 
 use hcq_common::{det, Nanos, StreamId};
-use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, SharingStrategy};
+use hcq_core::{ClusterConfig, PolicyKind, SharingStrategy};
 use hcq_engine::{
     simulate, simulate_monitored, AdaptConfig, AdaptMode, AdmissionMode, SimConfig, SimReport,
     Simulator, VecTelemetry,
@@ -183,21 +183,6 @@ pub(crate) fn emit(cfg: &ExpConfig, name: &'static str, table: AsciiTable) -> Ex
         .unwrap_or_else(|e| eprintln!("warning: could not write {path:?}: {e}"));
     println!("== {name} ==\n{}", table.render());
     ExhibitOutput { name, table }
-}
-
-/// A policy factory: exhibits that fan variant runs out to worker threads
-/// cannot move a prebuilt `Box<dyn Policy>` into a job (policies are not
-/// `Send`), so each job builds its own instance from one of these.
-type PolicyFactory = Box<dyn Fn() -> Box<dyn Policy> + Sync>;
-
-fn builtin(kind: PolicyKind) -> PolicyFactory {
-    Box::new(move || kind.build())
-}
-
-/// Clustered BSD under `config`: fig13, fig14, `ext_overhead` and
-/// `ext_adaptive` build their variants through this one factory.
-fn clustered(config: ClusterConfig) -> PolicyFactory {
-    Box::new(move || Box::new(ClusteredBsdPolicy::new(config)))
 }
 
 /// A table whose first column is `first` and then one column per policy.
@@ -398,9 +383,7 @@ fn fig11_table(cfg: &ExpConfig, reports: &[&SimReport]) -> ExhibitOutput {
 
 /// Figure 11 standalone entry point (runs just the three needed cells).
 pub fn fig11(cfg: &ExpConfig) -> ExhibitOutput {
-    let reports = run_cells(cfg, "fig11", &FIG11_POLICIES, |p| {
-        cfg.run_single(0.9, p.build())
-    });
+    let reports = run_cells(cfg, "fig11", &FIG11_POLICIES, |&p| cfg.run_single(0.9, p));
     fig11_table(cfg, &reports.iter().collect::<Vec<_>>())
 }
 
@@ -470,16 +453,13 @@ pub fn fig13(cfg: &ExpConfig) -> ExhibitOutput {
     let ms = [2, 4, 6, 8, 10, 12, 16, 24, 32];
     // (policy, charge overhead): the HNR reference, hypothetical (free)
     // BSD, then uniform and logarithmic clustering per m.
-    let mut cells: Vec<(PolicyFactory, bool)> = vec![
-        (builtin(PolicyKind::Hnr), true),
-        (builtin(PolicyKind::Bsd), false),
-    ];
+    let mut cells = vec![(PolicyKind::Hnr, true), (PolicyKind::Bsd, false)];
     for m in ms {
-        cells.push((clustered(ClusterConfig::uniform(m)), true));
-        cells.push((clustered(ClusterConfig::logarithmic(m)), true));
+        cells.push((PolicyKind::Clustered(ClusterConfig::uniform(m)), true));
+        cells.push((PolicyKind::Clustered(ClusterConfig::logarithmic(m)), true));
     }
-    let l2s = run_cells(cfg, "fig13", &cells, |(make, charge)| {
-        let r = cfg.run_single_with(0.95, make(), |c| c.with_overhead(*charge));
+    let l2s = run_cells(cfg, "fig13", &cells, |&(kind, charge)| {
+        let r = cfg.run_single_with(0.95, kind, |c| c.with_overhead(charge));
         r.qos.l2_slowdown
     });
     let mut t = AsciiTable::new(vec![
@@ -507,11 +487,11 @@ pub fn fig13(cfg: &ExpConfig) -> ExhibitOutput {
 /// m = 12 logarithmic clusters, 0.95 utilization.
 pub fn fig14(cfg: &ExpConfig) -> ExhibitOutput {
     let log12 = ClusterConfig::logarithmic(12);
-    let variants: [(&str, PolicyFactory, bool); 5] = [
-        ("BSD-Naive", builtin(PolicyKind::Bsd), true),
+    let variants = [
+        ("BSD-Naive", PolicyKind::Bsd, true),
         (
             "+Log-Clustering",
-            clustered(ClusterConfig {
+            PolicyKind::Clustered(ClusterConfig {
                 use_fagin: false,
                 batch: false,
                 ..log12
@@ -520,17 +500,17 @@ pub fn fig14(cfg: &ExpConfig) -> ExhibitOutput {
         ),
         (
             "+FA-Pruning",
-            clustered(ClusterConfig {
+            PolicyKind::Clustered(ClusterConfig {
                 batch: false,
                 ..log12
             }),
             true,
         ),
-        ("+Clustered-Processing", clustered(log12), true),
-        ("BSD-Hypothetical", builtin(PolicyKind::Bsd), false),
+        ("+Clustered-Processing", PolicyKind::Clustered(log12), true),
+        ("BSD-Hypothetical", PolicyKind::Bsd, false),
     ];
-    let reports = run_cells(cfg, "fig14", &variants, |(_, make, charge)| {
-        cfg.run_single_with(0.95, make(), |c| c.with_overhead(*charge))
+    let reports = run_cells(cfg, "fig14", &variants, |&(_, kind, charge)| {
+        cfg.run_single_with(0.95, kind, |c| c.with_overhead(charge))
     });
     let mut t = AsciiTable::new(vec![
         "variant",
@@ -624,7 +604,7 @@ pub fn table2(cfg: &ExpConfig) -> ExhibitOutput {
 /// the lowest time-averaged queue population; the slowdown-oriented policies
 /// pay some memory for their QoS.
 pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
-    use hcq_core::StaticPolicy;
+    use hcq_core::{Policy, StaticPolicy};
     use hcq_engine::{SchedulingLevel, SimModel};
 
     let w = cfg.workload(0.9);
@@ -636,26 +616,26 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
     )
     .expect("valid model");
     let chain_priorities = model.chain_priorities();
-    let mut variants: Vec<(&str, PolicyFactory)> = vec![(
-        "Chain",
-        Box::new(move || Box::new(StaticPolicy::custom("Chain", chain_priorities.clone()))),
-    )];
-    variants.extend(
-        [
-            PolicyKind::Fcfs,
-            PolicyKind::RoundRobin,
-            PolicyKind::Hr,
-            PolicyKind::Hnr,
-            PolicyKind::Bsd,
-        ]
-        .map(|k| (k.name(), builtin(k))),
-    );
-    let reports = run_cells(cfg, "ext_memory", &variants, |(_, make)| {
+    // `None` is Chain: its ranks come from the model, so it is the one cell
+    // not named by a `PolicyKind`.
+    let variants = [
+        None,
+        Some(PolicyKind::Fcfs),
+        Some(PolicyKind::RoundRobin),
+        Some(PolicyKind::Hr),
+        Some(PolicyKind::Hnr),
+        Some(PolicyKind::Bsd),
+    ];
+    let reports = run_cells(cfg, "ext_memory", &variants, |kind| {
+        let policy: Box<dyn Policy> = match kind {
+            Some(kind) => kind.build(),
+            None => Box::new(StaticPolicy::custom("Chain", chain_priorities.clone())),
+        };
         simulate(
             &w.plan,
             &w.rates,
             vec![cfg.source(0)],
-            make(),
+            policy,
             SimConfig::new(cfg.arrivals).with_seed(cfg.seed),
         )
         .expect("valid simulation")
@@ -667,9 +647,9 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
         "avg_slowdown",
         "l2_slowdown",
     ]);
-    for ((name, _), r) in variants.iter().zip(&reports) {
+    for (kind, r) in variants.iter().zip(&reports) {
         t.row(vec![
-            name.to_string(),
+            kind.map_or("Chain", PolicyKind::name).to_string(),
             fnum(r.avg_pending),
             r.peak_pending.to_string(),
             fnum(r.qos.avg_slowdown),
@@ -686,18 +666,13 @@ pub fn ext_memory(cfg: &ExpConfig) -> ExhibitOutput {
 /// interpolates HNR (p = 1) → BSD (p = 2) → LSF-like (p → ∞). Sweeping `p`
 /// shows the single knob trading average slowdown against maximum slowdown.
 pub fn ext_lp(cfg: &ExpConfig) -> ExhibitOutput {
-    use hcq_core::LpPolicy;
-    let mut variants: Vec<(String, PolicyFactory)> =
-        vec![("HNR (=p1)".into(), builtin(PolicyKind::Hnr))];
+    let mut variants = vec![("HNR (=p1)".to_string(), PolicyKind::Hnr)];
     for p in [1.5, 2.0, 3.0, 6.0, 12.0] {
-        variants.push((
-            format!("Lp p={p}"),
-            Box::new(move || Box::new(LpPolicy::new(p))),
-        ));
+        variants.push((format!("Lp p={p}"), PolicyKind::Lp(p)));
     }
-    variants.push(("LSF (~p inf)".into(), builtin(PolicyKind::Lsf)));
-    let reports = run_cells(cfg, "ext_lp", &variants, |(_, make)| {
-        cfg.run_single(0.95, make())
+    variants.push(("LSF (~p inf)".into(), PolicyKind::Lsf));
+    let reports = run_cells(cfg, "ext_lp", &variants, |&(_, kind)| {
+        cfg.run_single(0.95, kind)
     });
     let mut t = AsciiTable::new(vec!["policy", "avg_slowdown", "max_slowdown", "l2_norm"]);
     for ((name, _), r) in variants.iter().zip(&reports) {
@@ -731,7 +706,7 @@ pub fn ext_preemption(cfg: &ExpConfig) -> ExhibitOutput {
             })
             .collect();
     let reports = run_cells(cfg, "ext_preemption", &cells, |&(kind, _, level)| {
-        cfg.run_single_with(0.9, kind.build(), |c| c.with_level(level))
+        cfg.run_single_with(0.9, kind, |c| c.with_level(level))
     });
     let mut t = AsciiTable::new(vec![
         "policy",
@@ -891,7 +866,7 @@ pub fn ext_overload(cfg: &ExpConfig) -> ExhibitOutput {
         }
     }
     let reports = run_cells(cfg, "ext_overload", &cells, |&(util, _, mode, kind)| {
-        cfg.run_single_with(util, kind.build(), |c| match mode {
+        cfg.run_single_with(util, kind, |c| match mode {
             AdmissionMode::Unbounded => c,
             AdmissionMode::DropTail => c.with_admission(mode, OVERLOAD_CAPACITY),
             AdmissionMode::QosShed => c
@@ -1262,7 +1237,7 @@ pub fn ext_seeds(cfg: &ExpConfig) -> ExhibitOutput {
             seed,
             ..cfg.clone()
         };
-        seeded.run_single(0.9, kind.build())
+        seeded.run_single(0.9, kind)
     });
     let mut t = AsciiTable::new(vec![
         "seed",
@@ -1310,13 +1285,13 @@ pub fn ext_overhead(cfg: &ExpConfig) -> ExhibitOutput {
     qs.dedup();
     // Exact, uniform, logarithmic, logarithmic + Fagin; no batching.
     let unbatched = |config: ClusterConfig| {
-        clustered(ClusterConfig {
+        PolicyKind::Clustered(ClusterConfig {
             batch: false,
             ..config
         })
     };
     let variants = [
-        builtin(PolicyKind::Bsd),
+        PolicyKind::Bsd,
         unbatched(ClusterConfig {
             use_fagin: false,
             ..ClusterConfig::uniform(12)
@@ -1339,7 +1314,7 @@ pub fn ext_overhead(cfg: &ExpConfig) -> ExhibitOutput {
             arrivals: cfg.arrivals.min(1_000),
             ..cfg.clone()
         };
-        scaled.run_single(0.95, variants[v]())
+        scaled.run_single(0.95, variants[v])
     });
     let mut t = AsciiTable::new(vec![
         "queries",
@@ -1427,11 +1402,12 @@ pub fn ext_large_q(cfg: &ExpConfig, max_q: usize) -> ExhibitOutput {
 /// all three runs must differ only in estimation.
 pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
     const MISCALIBRATION: f64 = 3.0;
-    let policies: [(&str, PolicyFactory); 4] = [
-        ("C-BSD-log3", clustered(ClusterConfig::logarithmic(3))),
-        ("C-BSD-log8", clustered(ClusterConfig::logarithmic(8))),
-        ("C-BSD-log16", clustered(ClusterConfig::logarithmic(16))),
-        ("HNR", builtin(PolicyKind::Hnr)),
+    let log = |m| PolicyKind::Clustered(ClusterConfig::logarithmic(m));
+    let policies = [
+        ("C-BSD-log3", log(3)),
+        ("C-BSD-log8", log(8)),
+        ("C-BSD-log16", log(16)),
+        ("HNR", PolicyKind::Hnr),
     ];
     // The probe never flushes (cadence beyond any horizon) and never
     // publishes; the online config is the tuned batch-mean EWMA.
@@ -1457,7 +1433,7 @@ pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
         .flat_map(|u| (0..policies.len()).map(move |p| (u, p)))
         .collect();
     let reports = run_cells(cfg, "ext_adaptive", &cells, |&(util, p)| {
-        let make = &policies[p].1;
+        let kind = policies[p].1;
         let run = |adapt: Option<AdaptConfig>, preapply: Option<&[hcq_core::UnitStatics]>| {
             let w = cfg.workload(util);
             let mut sim_cfg = SimConfig::new(cfg.arrivals)
@@ -1466,8 +1442,14 @@ pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
             if let Some(a) = adapt {
                 sim_cfg = sim_cfg.with_adaptation(a);
             }
-            let mut sim = Simulator::new(&w.plan, &w.rates, vec![cfg.source(0)], make(), sim_cfg)
-                .expect("exhibit workloads are valid");
+            let mut sim = Simulator::new(
+                &w.plan,
+                &w.rates,
+                vec![cfg.source(0)],
+                kind.build(),
+                sim_cfg,
+            )
+            .expect("exhibit workloads are valid");
             if let Some(est) = preapply {
                 for (u, s) in est.iter().enumerate() {
                     sim.update_unit_statics(u as u32, *s);

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use hcq_common::Nanos;
-use hcq_core::{Policy, PolicyKind};
+use hcq_core::PolicyKind;
 use hcq_engine::{
     simulate, simulate_monitored, simulate_traced, GovernorConfig, JsonlTrace, SimConfig,
     SimReport, VecTelemetry,
@@ -211,7 +211,7 @@ impl ExpConfig {
     }
 
     /// Run one policy on the single-stream workload at one utilization.
-    pub fn run_single(&self, utilization: f64, policy: Box<dyn Policy>) -> SimReport {
+    pub fn run_single(&self, utilization: f64, policy: PolicyKind) -> SimReport {
         self.run_single_with(utilization, policy, |c| c)
     }
 
@@ -220,12 +220,12 @@ impl ExpConfig {
     pub fn run_single_with(
         &self,
         utilization: f64,
-        policy: Box<dyn Policy>,
+        policy: PolicyKind,
         tweak: impl FnOnce(SimConfig) -> SimConfig,
     ) -> SimReport {
         let w = self.workload(utilization);
         let cfg = self.armed(tweak(SimConfig::new(self.arrivals).with_seed(self.seed)));
-        simulate(&w.plan, &w.rates, vec![self.source(0)], policy, cfg).unwrap_or_else(|e| {
+        simulate(&w.plan, &w.rates, vec![self.source(0)], policy.build(), cfg).unwrap_or_else(|e| {
             panic!(
                 "simulating single-stream workload (utilization={:.2}, arrivals={}, seed={}): {e}",
                 utilization, self.arrivals, self.seed
@@ -237,23 +237,25 @@ impl ExpConfig {
     /// trace through a [`JsonlTrace`]; returns the report and the trace's
     /// JSONL bytes. The traced simulation makes identical decisions, so the
     /// report matches [`ExpConfig::run_single`] field for field.
-    pub fn run_single_traced(
-        &self,
-        utilization: f64,
-        policy: Box<dyn Policy>,
-    ) -> (SimReport, Vec<u8>) {
+    pub fn run_single_traced(&self, utilization: f64, policy: PolicyKind) -> (SimReport, Vec<u8>) {
         let w = self.workload(utilization);
         let cfg = self.armed(SimConfig::new(self.arrivals).with_seed(self.seed));
         let sink = JsonlTrace::new(Vec::new());
-        let (report, sink) =
-            simulate_traced(&w.plan, &w.rates, vec![self.source(0)], policy, cfg, sink)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "simulating traced single-stream workload (utilization={:.2}, \
-                         arrivals={}, seed={}): {e}",
-                        utilization, self.arrivals, self.seed
-                    )
-                });
+        let (report, sink) = simulate_traced(
+            &w.plan,
+            &w.rates,
+            vec![self.source(0)],
+            policy.build(),
+            cfg,
+            sink,
+        )
+        .unwrap_or_else(|e| {
+            panic!(
+                "simulating traced single-stream workload (utilization={:.2}, \
+                 arrivals={}, seed={}): {e}",
+                utilization, self.arrivals, self.seed
+            )
+        });
         let bytes = sink.finish().expect("in-memory trace writes cannot fail");
         (report, bytes)
     }
@@ -265,7 +267,7 @@ impl ExpConfig {
     pub fn run_single_monitored(
         &self,
         utilization: f64,
-        policy: Box<dyn Policy>,
+        policy: PolicyKind,
         cadence: Nanos,
     ) -> (SimReport, Vec<TelemetrySnapshot>) {
         let w = self.workload(utilization);
@@ -278,7 +280,7 @@ impl ExpConfig {
             &w.plan,
             &w.rates,
             vec![self.source(0)],
-            policy,
+            policy.build(),
             cfg,
             VecTelemetry::new(),
         )
@@ -315,9 +317,7 @@ impl SweepResults {
         let done = AtomicUsize::new(0);
         let reports = run_jobs(cfg.jobs, total, |i| {
             let (kind, util) = cells[i];
-            // The policy is built inside the job: `Box<dyn Policy>` is not
-            // `Send`, but `PolicyKind` is `Copy` and the report is plain data.
-            let report = cfg.run_single(util, kind.build());
+            let report = cfg.run_single(util, kind);
             tick_progress(&progress, &done, total, "sweep");
             report
         });
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn run_single_produces_emissions() {
-        let r = tiny().run_single(0.5, PolicyKind::Hnr.build());
+        let r = tiny().run_single(0.5, PolicyKind::Hnr);
         assert!(r.emitted > 0);
         assert!(r.qos.avg_slowdown >= 1.0);
     }
@@ -365,8 +365,8 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_and_yields_jsonl() {
         let cfg = tiny();
-        let plain = cfg.run_single(0.5, PolicyKind::Hnr.build());
-        let (traced, bytes) = cfg.run_single_traced(0.5, PolicyKind::Hnr.build());
+        let plain = cfg.run_single(0.5, PolicyKind::Hnr);
+        let (traced, bytes) = cfg.run_single_traced(0.5, PolicyKind::Hnr);
         // Tracing observes; it must not steer.
         assert_eq!(plain.emitted, traced.emitted);
         assert_eq!(plain.sched_points, traced.sched_points);
@@ -386,9 +386,9 @@ mod tests {
     #[test]
     fn monitored_run_matches_plain_and_yields_snapshots() {
         let cfg = tiny();
-        let plain = cfg.run_single(0.5, PolicyKind::Hnr.build());
+        let plain = cfg.run_single(0.5, PolicyKind::Hnr);
         let (monitored, samples) =
-            cfg.run_single_monitored(0.5, PolicyKind::Hnr.build(), Nanos::from_millis(100));
+            cfg.run_single_monitored(0.5, PolicyKind::Hnr, Nanos::from_millis(100));
         // Telemetry observes; it must not steer.
         assert_eq!(plain.emitted, monitored.emitted);
         assert_eq!(plain.sched_points, monitored.sched_points);
@@ -400,12 +400,12 @@ mod tests {
 
     #[test]
     fn govern_flag_is_inert_on_a_calm_workload() {
-        let plain = tiny().run_single(0.5, PolicyKind::Hnr.build());
+        let plain = tiny().run_single(0.5, PolicyKind::Hnr);
         let governed = ExpConfig {
             govern: true,
             ..tiny()
         }
-        .run_single(0.5, PolicyKind::Hnr.build());
+        .run_single(0.5, PolicyKind::Hnr);
         // Well under saturation the ladder never needs to move, so the
         // governed run matches the ungoverned one decision for decision.
         assert_eq!(governed.governor_transitions, 0);

@@ -156,8 +156,8 @@ pub fn ext_inspect(cfg: &ExpConfig) -> ExhibitOutput {
         "ext_inspect: tracing fcfs and bsd at utilization {util} ({} queries, {} arrivals)...",
         cfg.queries, cfg.arrivals
     );
-    let (_, bytes_a) = cfg.run_single_traced(util, PolicyKind::Fcfs.build());
-    let (_, bytes_b) = cfg.run_single_traced(util, PolicyKind::Bsd.build());
+    let (_, bytes_a) = cfg.run_single_traced(util, PolicyKind::Fcfs);
+    let (_, bytes_b) = cfg.run_single_traced(util, PolicyKind::Bsd);
     let log_a = event::parse_stream(&String::from_utf8(bytes_a).expect("trace is UTF-8"))
         .expect("engine traces parse");
     let log_b = event::parse_stream(&String::from_utf8(bytes_b).expect("trace is UTF-8"))
@@ -256,7 +256,7 @@ mod tests {
     fn inspect_text_reports_conservation_and_is_deterministic() {
         let dir = tmp_dir("text");
         let cfg = tiny();
-        let (_, bytes) = cfg.run_single_traced(0.9, PolicyKind::Hnr.build());
+        let (_, bytes) = cfg.run_single_traced(0.9, PolicyKind::Hnr);
         let trace = dir.join("trace.jsonl");
         std::fs::write(&trace, &bytes).unwrap();
         let a = inspect_trace(&trace, None, InspectFormat::Text, &dir, false).unwrap();
@@ -274,8 +274,8 @@ mod tests {
     fn inspect_diff_pinpoints_fcfs_vs_bsd_divergence() {
         let dir = tmp_dir("diff");
         let cfg = tiny();
-        let (_, a) = cfg.run_single_traced(0.95, PolicyKind::Fcfs.build());
-        let (_, b) = cfg.run_single_traced(0.95, PolicyKind::Bsd.build());
+        let (_, a) = cfg.run_single_traced(0.95, PolicyKind::Fcfs);
+        let (_, b) = cfg.run_single_traced(0.95, PolicyKind::Bsd);
         let ta = dir.join("fcfs.jsonl");
         let tb = dir.join("bsd.jsonl");
         std::fs::write(&ta, &a).unwrap();
@@ -292,7 +292,7 @@ mod tests {
     fn inspect_perfetto_writes_validated_json_and_respects_guard() {
         let dir = tmp_dir("perfetto");
         let cfg = tiny();
-        let (_, bytes) = cfg.run_single_traced(0.9, PolicyKind::Hnr.build());
+        let (_, bytes) = cfg.run_single_traced(0.9, PolicyKind::Hnr);
         let trace = dir.join("trace.jsonl");
         std::fs::write(&trace, &bytes).unwrap();
         inspect_trace(&trace, None, InspectFormat::Perfetto, &dir, false).unwrap();

@@ -46,7 +46,7 @@ pub fn monitor(cfg: &ExpConfig, cadence: Nanos, force: bool) -> std::io::Result<
         cfg.arrivals,
         cadence.as_nanos() / 1_000_000
     );
-    let (report, samples) = cfg.run_single_monitored(util, PolicyKind::Hnr.build(), cadence);
+    let (report, samples) = cfg.run_single_monitored(util, PolicyKind::Hnr, cadence);
     std::fs::create_dir_all(&cfg.out_dir)?;
 
     let mut jsonl = String::new();

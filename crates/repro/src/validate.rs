@@ -5,7 +5,7 @@
 //! figures. Checks are *orderings and relative gaps* — the reproduction
 //! targets — not absolute values.
 
-use hcq_core::{ClusterConfig, ClusteredBsdPolicy, PolicyKind, SharingStrategy};
+use hcq_core::{ClusterConfig, PolicyKind, SharingStrategy};
 use hcq_engine::SimReport;
 
 use crate::exhibits::{fig12_cell, table1_values, table2_cell};
@@ -46,10 +46,8 @@ pub fn validate(cfg: &ExpConfig) -> Vec<ClaimResult> {
         PolicyKind::Lsf,
         PolicyKind::Bsd,
     ];
-    let mut reports = run_jobs(cfg.jobs, kinds.len(), |i| {
-        cfg.run_single(util, kinds[i].build())
-    })
-    .into_iter();
+    let mut reports =
+        run_jobs(cfg.jobs, kinds.len(), |i| cfg.run_single(util, kinds[i])).into_iter();
     let (hnr, hr, srpt, rr, fcfs, lsf, bsd) = (
         reports.next().unwrap(),
         reports.next().unwrap(),
@@ -194,14 +192,10 @@ pub fn validate(cfg: &ExpConfig) -> Vec<ClaimResult> {
 
     // Figures 13–14: the implementation story under charged overhead.
     {
-        let charged = |policy: Box<dyn hcq_core::Policy>| {
-            cfg.run_single_with(util, policy, |c| c.with_overhead(true))
-        };
-        let naive = charged(PolicyKind::Bsd.build());
-        let best = charged(Box::new(ClusteredBsdPolicy::new(
-            ClusterConfig::logarithmic(8),
-        )));
-        let hypo = cfg.run_single(util, PolicyKind::Bsd.build());
+        let charged = |kind| cfg.run_single_with(util, kind, |c| c.with_overhead(true));
+        let naive = charged(PolicyKind::Bsd);
+        let best = charged(PolicyKind::Clustered(ClusterConfig::logarithmic(8)));
+        let hypo = cfg.run_single(util, PolicyKind::Bsd);
         check(
             "fig14.clustering_recovers_naive_loss",
             "charged naive BSD is far worse than hypothetical; the §6 machinery recovers most of it",

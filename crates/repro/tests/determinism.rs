@@ -68,9 +68,9 @@ fn every_exhibit_is_byte_identical_across_job_counts() {
 fn traces_are_byte_identical_across_job_counts_and_runs() {
     let serial = cfg(1, "trace_serial");
     let parallel = cfg(4, "trace_parallel");
-    let (ra, a) = serial.run_single_traced(0.9, PolicyKind::Hnr.build());
-    let (rb, b) = parallel.run_single_traced(0.9, PolicyKind::Hnr.build());
-    let (_, c) = serial.run_single_traced(0.9, PolicyKind::Hnr.build());
+    let (ra, a) = serial.run_single_traced(0.9, PolicyKind::Hnr);
+    let (rb, b) = parallel.run_single_traced(0.9, PolicyKind::Hnr);
+    let (_, c) = serial.run_single_traced(0.9, PolicyKind::Hnr);
     assert!(!a.is_empty(), "trace must carry events");
     assert_eq!(a, b, "trace differs between jobs=1 and jobs=4");
     assert_eq!(a, c, "trace differs between repeated runs");

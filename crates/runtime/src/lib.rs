@@ -108,7 +108,9 @@ struct RtArrival {
 pub struct GovernorThresholds {
     /// Escalate one rung when the backlog exceeds this.
     pub escalate_pending: usize,
-    /// De-escalate one rung when it falls below this.
+    /// De-escalate one rung when it falls below this (must be below
+    /// `escalate_pending`: without a hysteresis band the ladder flaps once
+    /// per dwell).
     pub deescalate_pending: usize,
     /// Minimum injected tuple *copies* (arrivals × fan-out) between
     /// transitions (hysteresis dwell), checked after each source arrival.
@@ -536,8 +538,7 @@ fn build_schedule(
 fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> HcqError {
     let msg = payload.downcast_ref::<String>().map(String::as_str);
     let msg = msg.or(payload.downcast_ref::<&str>().copied());
-    let text = format!("runtime worker panicked: {}", msg.unwrap_or("(no message)"));
-    HcqError::Io(std::io::Error::other(text))
+    HcqError::WorkerPanicked(msg.unwrap_or("(no message)").to_string())
 }
 
 /// Execute `plan` on `cfg.threads` OS threads under `kind` scheduling.
@@ -570,6 +571,14 @@ fn run_with(
     if cfg.overload.mode != AdmissionMode::Unbounded && cfg.overload.capacity == 0 {
         return Err(HcqError::config(
             "bounded admission needs a per-unit capacity of at least 1",
+        ));
+    }
+    if cfg
+        .govern
+        .is_some_and(|g| g.escalate_pending <= g.deescalate_pending)
+    {
+        return Err(HcqError::config(
+            "escalate_pending must exceed deescalate_pending (hysteresis band)",
         ));
     }
     let model = SimModel::build(
@@ -996,9 +1005,10 @@ mod tests {
             runner.join().expect("the run returned");
             let err = result.expect_err("a panicking worker must fail the run");
             assert!(
-                err.to_string().contains("select budget exhausted"),
+                matches!(&err, HcqError::WorkerPanicked(m) if m.contains("select budget exhausted")),
                 "{threads} thread(s): {err}"
             );
+            assert!(err.to_string().starts_with("runtime worker panicked: "));
         }
     }
 
@@ -1029,5 +1039,23 @@ mod tests {
             &RuntimeConfig::new(10).with_admission(AdmissionMode::DropTail, 0),
         )
         .is_err());
+        // A governor without a hysteresis band.
+        for deescalate_pending in [10, 11] {
+            let mut cfg = RuntimeConfig::new(10);
+            cfg.govern = Some(GovernorThresholds {
+                escalate_pending: 10,
+                deescalate_pending,
+                min_dwell_items: 1,
+            });
+            let err = run(
+                &plan,
+                &StreamRates::none(),
+                sources(),
+                PolicyKind::Fcfs,
+                &cfg,
+            )
+            .expect_err("no hysteresis band");
+            assert!(matches!(err, HcqError::InvalidConfig(_)), "{err}");
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! conservation on both sides; that path is covered separately.
 
 use hcq_common::{Nanos, StreamId};
-use hcq_core::PolicyKind;
+use hcq_core::{ClusterConfig, PolicyKind};
 use hcq_engine::{AdmissionMode, SimConfig};
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_runtime::differential::{runtime_aggregates, simulator_aggregates};
@@ -38,7 +38,11 @@ const MODES: [AdmissionMode; 3] = [
 #[test]
 fn runtime_matches_simulator_across_policies_and_admission_modes() {
     let w = hcq_bench::pipeline::workload();
-    for kind in hcq_bench::pipeline::POLICIES {
+    let extensions = [
+        PolicyKind::Lp(2.5),
+        PolicyKind::Clustered(ClusterConfig::logarithmic(8)),
+    ];
+    for kind in hcq_bench::pipeline::POLICIES.into_iter().chain(extensions) {
         for mode in MODES {
             let sim_cfg = SimConfig::new(ARRIVALS)
                 .with_seed(SEED)

@@ -173,7 +173,7 @@ fn governed_faulty_trace_reparses_to_its_bytes_and_reconciles() {
         deescalate_share: 0.1,
         capacity: 8,
         watermark: 16,
-        switch_policy: true,
+        overload_policy: Some(PolicyKind::Lsf),
         switch_sustain: 1,
         ..GovernorConfig::default()
     };
