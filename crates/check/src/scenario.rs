@@ -131,9 +131,9 @@ pub struct GovernorPlan {
     pub escalate_pending: usize,
     /// De-escalate at or below this depth.
     pub deescalate_pending: usize,
-    /// Per-unit capacity applied in bounded modes.
+    /// Per-unit capacity for the bounded rungs, if admission sets none.
     pub capacity: usize,
-    /// Pending watermark for the overload-share signal.
+    /// Overload watermark for the share signal, if admission sets none.
     pub watermark: usize,
     /// Meta-scheduler: switch to LSF under sustained overload (hysteresis
     /// shares stay at the engine defaults).
@@ -543,17 +543,23 @@ impl Scenario {
         cfg.faults.op_failure_cooldown = Nanos::from_nanos(self.op_failures.cooldown_ns);
         cfg.faults.op_failure_retries = self.op_failures.retries;
         if self.governor.enabled {
-            cfg.governor = GovernorConfig {
-                enabled: true,
-                cadence: Nanos::from_nanos(self.governor.cadence_ns),
-                min_dwell: Nanos::from_nanos(self.governor.min_dwell_ns),
-                escalate_pending: self.governor.escalate_pending,
-                deescalate_pending: self.governor.deescalate_pending,
-                capacity: self.governor.capacity,
-                watermark: self.governor.watermark,
-                overload_policy: self.governor.switch_policy.then_some(PolicyKind::Lsf),
+            let g = &self.governor;
+            // The plan's capacity and watermark fill an unset admission
+            // bound. A bounded base needs its own capacity, so it gets none.
+            if cfg.overload.mode == AdmissionMode::Unbounded && cfg.overload.capacity == 0 {
+                cfg.overload.capacity = g.capacity;
+            }
+            if cfg.overload.watermark == 0 {
+                cfg.overload.watermark = g.watermark;
+            }
+            cfg.governor = Some(GovernorConfig {
+                cadence: Nanos::from_nanos(g.cadence_ns),
+                min_dwell: Nanos::from_nanos(g.min_dwell_ns),
+                escalate_pending: g.escalate_pending,
+                deescalate_pending: g.deescalate_pending,
+                overload_policy: g.switch_policy.then_some(PolicyKind::Lsf),
                 ..GovernorConfig::default()
-            };
+            });
         }
         if self.adapt.enabled {
             cfg.adapt = AdaptConfig {
@@ -996,20 +1002,35 @@ mod tests {
         assert_eq!(back.faults, orig.faults);
     }
 
+    /// A plan's governor capacity and watermark fill unset admission bounds,
+    /// except the capacity of a bounded base, which the engine then rejects.
+    #[test]
+    fn governor_plan_fills_unset_admission_bounds() {
+        let mut s = Scenario::generate(3, 28);
+        let bounds = |s: &Scenario| {
+            let o = s.config().overload;
+            (o.capacity, o.watermark)
+        };
+        assert_eq!(bounds(&s), (3, 27));
+        s.admission.mode = 1;
+        assert_eq!(bounds(&s), (0, 27));
+        s.admission.capacity = 5;
+        assert_eq!(bounds(&s), (5, 27));
+    }
+
     #[test]
     fn robustness_dimensions_are_generated() {
         // Over 200 cases every new dimension must show up at least once,
-        // and every generated governor must satisfy the engine's hysteresis
-        // validation (escalate > deescalate, capacity ≥ 1).
+        // and every generated governor must pass the engine's validation.
         let (mut gov, mut dl, mut dl0, mut opf, mut disc) = (0, 0, 0, 0, 0);
         let (mut adp, mut probe, mut drift, mut switch) = (0, 0, 0, 0);
         for case in 0..200 {
             let s = Scenario::generate(11, case);
             if s.governor.enabled {
                 gov += 1;
-                assert!(s.governor.escalate_pending > s.governor.deescalate_pending);
-                assert!(s.governor.capacity >= 1);
-                assert!(s.governor.cadence_ns >= 1 && s.governor.min_dwell_ns >= 1);
+                let cfg = s.config();
+                let governor = cfg.governor.expect("an enabled plan arms the governor");
+                governor.validate(&cfg.overload).unwrap();
                 if s.governor.switch_policy {
                     switch += 1;
                 }

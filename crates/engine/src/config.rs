@@ -1,7 +1,9 @@
 //! Simulation configuration.
 
 use hcq_common::Nanos;
-use hcq_core::{PolicyKind, SharingStrategy};
+use hcq_core::SharingStrategy;
+
+use crate::governor::GovernorConfig;
 
 /// Where scheduling points fall (§6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +42,8 @@ pub enum AdmissionMode {
 }
 
 impl AdmissionMode {
-    /// Position on the ladder `Unbounded → DropTail → QosShed` the governors
-    /// walk: 0 is the most permissive, each rung up sheds more aggressively.
+    /// Position on the ladder `Unbounded → DropTail → QosShed` the governor
+    /// walks: 0 is the most permissive, each rung up sheds more aggressively.
     pub fn rung(self) -> u8 {
         self as u8
     }
@@ -67,12 +69,13 @@ pub struct OverloadConfig {
     /// Admission decision at a full queue.
     pub mode: AdmissionMode,
     /// Per-unit queue capacity (tuples). Ignored under
-    /// [`AdmissionMode::Unbounded`]; must be ≥ 1 otherwise.
+    /// [`AdmissionMode::Unbounded`]; must be ≥ 1 otherwise, and whenever a
+    /// governor may escalate to a bounded mode.
     pub capacity: usize,
-    /// Global pending-tuple threshold: above it the engine accrues
-    /// time-in-overload, and [`AdmissionMode::QosShed`] arms its shedder.
-    /// `0` disables both (no overload accounting, shedding armed whenever a
-    /// queue fills).
+    /// Global pending-tuple threshold: at or above it the engine accrues
+    /// time-in-overload (a governor's overload share), and
+    /// [`AdmissionMode::QosShed`] arms its shedder. `0` disables both (no
+    /// overload accounting, shedding armed whenever a queue fills).
     pub watermark: usize,
 }
 
@@ -104,80 +107,6 @@ pub struct FaultConfig {
     /// Retries after the first failure before the tuple is abandoned
     /// (counted as dropped). `0` means one attempt total.
     pub op_failure_retries: u32,
-}
-
-/// Closed-loop overload governor configuration (off by default).
-///
-/// When enabled, the engine samples its own queue-depth and overload-share
-/// signals every [`GovernorConfig::cadence`] of virtual time and walks the
-/// admission-mode ladder `Unbounded → DropTail → QosShed` (and back down)
-/// with hysteresis bands and a minimum dwell time so the mode never flaps.
-/// The configured [`OverloadConfig::mode`] is the ladder *floor*: the
-/// governor only escalates from there and never de-escalates below it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorConfig {
-    /// Master switch. When false the engine carries no governor state and
-    /// behaves bit-identically to an ungoverned run.
-    pub enabled: bool,
-    /// Virtual-time interval between governor decisions (must be positive
-    /// when enabled).
-    pub cadence: Nanos,
-    /// Minimum virtual time between two mode transitions (anti-flapping).
-    pub min_dwell: Nanos,
-    /// Escalate one ladder step when total pending tuples reach this level.
-    pub escalate_pending: usize,
-    /// De-escalate one step only when total pending tuples are at or below
-    /// this level (must be < `escalate_pending` for a real hysteresis band).
-    pub deescalate_pending: usize,
-    /// Escalate when the fraction of the last cadence window spent above
-    /// the governor watermark reaches this share.
-    pub escalate_share: f64,
-    /// De-escalate only when the window overload share is at or below this.
-    pub deescalate_share: f64,
-    /// Per-unit queue capacity the governor applies while in a bounded mode
-    /// (DropTail/QosShed); must be ≥ 1 when enabled.
-    pub capacity: usize,
-    /// Pending-tuple watermark the governor measures its window overload
-    /// share against (and that arms QosShed while escalated).
-    pub watermark: usize,
-    /// The meta-scheduler: on sustained overload the governor swaps the
-    /// running policy for this one (re-syncing it to the live queue state),
-    /// and swaps the original back once the overload regime subsides. `None`
-    /// by default — the governor then only walks the admission-mode ladder.
-    /// LSF (max-slowdown minimizing) is the natural overload triage choice:
-    /// under saturation the tail, not the average, is what degrades first.
-    pub overload_policy: Option<PolicyKind>,
-    /// Engage the overload policy when the window overload share is at or
-    /// above this level for [`GovernorConfig::switch_sustain`] consecutive
-    /// complete windows.
-    pub switch_share: f64,
-    /// Return to the base policy when the share is at or below this level
-    /// for the same number of consecutive complete windows (must be <
-    /// `switch_share` for a real hysteresis band).
-    pub return_share: f64,
-    /// Consecutive complete cadence windows required on either side of the
-    /// switch band (≥ 1) — incomplete windows never count.
-    pub switch_sustain: u32,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        GovernorConfig {
-            enabled: false,
-            cadence: Nanos::from_millis(50),
-            min_dwell: Nanos::from_millis(200),
-            escalate_pending: 0,
-            deescalate_pending: 0,
-            escalate_share: 0.5,
-            deescalate_share: 0.1,
-            capacity: 0,
-            watermark: 0,
-            overload_policy: None,
-            switch_share: 0.6,
-            return_share: 0.15,
-            switch_sustain: 2,
-        }
-    }
 }
 
 /// How the adaptive layer folds execution observations into estimates.
@@ -298,8 +227,8 @@ pub struct SimConfig {
     pub overload: OverloadConfig,
     /// Deterministic engine-side fault injection (default: none).
     pub faults: FaultConfig,
-    /// Closed-loop admission-mode governor (default: disabled).
-    pub governor: GovernorConfig,
+    /// Closed-loop admission-mode governor (default: `None`, ungoverned).
+    pub governor: Option<GovernorConfig>,
     /// Online statistics adaptation (default: disabled).
     pub adapt: AdaptConfig,
     /// Piecewise drifting-statics schedule, sorted by
@@ -324,7 +253,7 @@ impl SimConfig {
             cost_jitter: 0.0,
             overload: OverloadConfig::default(),
             faults: FaultConfig::default(),
-            governor: GovernorConfig::default(),
+            governor: None,
             adapt: AdaptConfig::default(),
             drift: Vec::new(),
             telemetry_cadence: Nanos::from_millis(100),
@@ -383,37 +312,11 @@ impl SimConfig {
         self
     }
 
-    /// Attach the closed-loop overload governor. `governor.enabled` must be
-    /// true, its cadence and dwell positive, its capacity ≥ 1, and its
-    /// hysteresis bands well-formed (escalate thresholds strictly above
-    /// their de-escalate counterparts).
+    /// Attach the closed-loop overload governor. The simulator checks it
+    /// against [`SimConfig::overload`] with [`GovernorConfig::validate`]
+    /// when it is built.
     pub fn with_governor(mut self, governor: GovernorConfig) -> Self {
-        assert!(governor.enabled, "with_governor requires enabled = true");
-        assert!(
-            !governor.cadence.is_zero(),
-            "governor cadence must be positive"
-        );
-        assert!(
-            !governor.min_dwell.is_zero(),
-            "governor min_dwell must be positive"
-        );
-        assert!(governor.capacity >= 1, "governor capacity must be >= 1");
-        assert!(
-            governor.escalate_pending > governor.deescalate_pending,
-            "escalate_pending must exceed deescalate_pending (hysteresis band)"
-        );
-        assert!(
-            governor.escalate_share > governor.deescalate_share,
-            "escalate_share must exceed deescalate_share (hysteresis band)"
-        );
-        if governor.overload_policy.is_some() {
-            assert!(
-                governor.switch_share > governor.return_share,
-                "switch_share must exceed return_share (hysteresis band)"
-            );
-            assert!(governor.switch_sustain >= 1, "switch_sustain must be >= 1");
-        }
-        self.governor = governor;
+        self.governor = Some(governor);
         self
     }
 
@@ -522,7 +425,7 @@ mod tests {
         assert_eq!(c.overload.watermark, 0);
         assert_eq!(c.faults.cost_miscalibration, 0.0);
         assert_eq!(c.faults.op_failure_prob, 0.0);
-        assert!(!c.governor.enabled);
+        assert!(c.governor.is_none());
         assert_eq!(c.telemetry_cadence, Nanos::from_millis(100));
     }
 
@@ -567,72 +470,6 @@ mod tests {
         assert_eq!(c.faults.op_failure_prob, 0.1);
         assert_eq!(c.faults.op_failure_cooldown, Nanos::from_millis(5));
         assert_eq!(c.faults.op_failure_retries, 3);
-    }
-
-    #[test]
-    fn governor_builder() {
-        let g = GovernorConfig {
-            enabled: true,
-            escalate_pending: 100,
-            deescalate_pending: 20,
-            capacity: 32,
-            watermark: 64,
-            ..GovernorConfig::default()
-        };
-        let c = SimConfig::new(1).with_governor(g);
-        assert!(c.governor.enabled);
-        assert_eq!(c.governor.escalate_pending, 100);
-        assert_eq!(c.governor.capacity, 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn governor_rejects_inverted_band() {
-        let g = GovernorConfig {
-            enabled: true,
-            escalate_pending: 10,
-            deescalate_pending: 10,
-            capacity: 32,
-            ..GovernorConfig::default()
-        };
-        let _ = SimConfig::new(1).with_governor(g);
-    }
-
-    #[test]
-    fn governor_switch_defaults_off_with_sane_band() {
-        let g = GovernorConfig::default();
-        assert_eq!(g.overload_policy, None);
-        assert!(g.switch_share > g.return_share);
-        assert!(g.switch_sustain >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "switch_share")]
-    fn governor_rejects_inverted_switch_band() {
-        let g = GovernorConfig {
-            enabled: true,
-            escalate_pending: 10,
-            deescalate_pending: 2,
-            capacity: 32,
-            overload_policy: Some(PolicyKind::Lsf),
-            switch_share: 0.1,
-            return_share: 0.5,
-            ..GovernorConfig::default()
-        };
-        let _ = SimConfig::new(1).with_governor(g);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn governor_rejects_zero_capacity() {
-        let g = GovernorConfig {
-            enabled: true,
-            escalate_pending: 10,
-            deescalate_pending: 2,
-            capacity: 0,
-            ..GovernorConfig::default()
-        };
-        let _ = SimConfig::new(1).with_governor(g);
     }
 
     #[test]

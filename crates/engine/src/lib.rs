@@ -51,6 +51,7 @@
 
 pub mod config;
 pub mod exec;
+pub mod governor;
 pub mod model;
 pub mod queues;
 pub mod report;
@@ -60,9 +61,10 @@ pub mod trace;
 pub mod tuple;
 
 pub use config::{
-    AdaptConfig, AdaptMode, AdmissionMode, DriftStep, FaultConfig, GovernorConfig, OverloadConfig,
-    SchedulingLevel, SimConfig,
+    AdaptConfig, AdaptMode, AdmissionMode, DriftStep, FaultConfig, OverloadConfig, SchedulingLevel,
+    SimConfig,
 };
+pub use governor::GovernorConfig;
 pub use hcq_metrics::TelemetrySnapshot;
 pub use model::{SimModel, UnitDesc, UnitKind};
 pub use report::SimReport;

@@ -4,16 +4,15 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use hcq_common::{det, EngineError, HcqError, Nanos, Result, StreamId, TupleId};
-use hcq_core::{EwmaEstimator, Policy, PolicyKind, QueueView, UnitStatics, WindowedEstimator};
+use hcq_core::{EwmaEstimator, Policy, QueueView, UnitStatics, WindowedEstimator};
 use hcq_join::{Side, SymmetricHashJoin};
 use hcq_metrics::{ClassBreakdown, OverheadTotals, QosAccumulator, SlowdownHistogram};
 use hcq_plan::{CompiledOpKind, GlobalPlan, OperatorSpec, Port, StreamRates};
 use hcq_streams::{ArrivalSource, SourceFaultStats};
 
-use crate::config::{
-    AdaptConfig, AdaptMode, AdmissionMode, GovernorConfig, SchedulingLevel, SimConfig,
-};
+use crate::config::{AdaptConfig, AdaptMode, AdmissionMode, SchedulingLevel, SimConfig};
 use crate::exec;
+use crate::governor::{Governor, Switch};
 use crate::model::{SimModel, UnitKind};
 use crate::queues::{Admission, UnitQueues};
 use crate::report::SimReport;
@@ -69,45 +68,6 @@ pub fn simulate_monitored<M: MetricsSink>(
     Simulator::with_instrumentation(plan, rates, sources, policy, cfg, NoTrace, metrics)?
         .run_instrumented()
         .map(|(report, _, metrics)| (report, metrics))
-}
-
-/// Live state of the closed-loop overload governor. Boxed behind an
-/// `Option` on the simulator so a governor-disabled run carries one null
-/// pointer and is bit-identical to an engine without the feature.
-struct GovernorState {
-    cfg: GovernorConfig,
-    /// Next cadence boundary at which to take a decision.
-    next_decision: Nanos,
-    /// Instant of the last mode transition (`None` before the first).
-    last_transition: Option<Nanos>,
-    /// Ladder floor: the configured base admission mode's level. The
-    /// governor never de-escalates below it.
-    floor: u8,
-    /// Current ladder level.
-    level: u8,
-    /// Virtual time spent at or above the watermark since the last
-    /// decision (the hysteresis signal's numerator).
-    window_overload: Nanos,
-    /// Instant the current accumulation window opened (the last time
-    /// `window_overload` was zeroed). A window is *complete* only once a
-    /// full cadence of observation has elapsed since then; caught-up
-    /// decision boundaries processed in one `govern` call all see the same
-    /// clock, so their windows are empty and must not be read as calm.
-    window_start: Nanos,
-    /// Mode transitions taken so far.
-    transitions: u64,
-    /// Consecutive complete windows with overload share at or above
-    /// [`GovernorConfig::switch_share`].
-    high_streak: u32,
-    /// Consecutive complete windows with overload share at or below
-    /// [`GovernorConfig::return_share`].
-    low_streak: u32,
-    /// The base policy, parked while the overload policy is engaged.
-    standby: Option<Box<dyn Policy>>,
-    /// Instant of the last policy switch (`None` before the first).
-    last_switch: Option<Nanos>,
-    /// Policy switches taken so far (engage and disengage each count).
-    switches: u64,
 }
 
 /// Live state of the online statistics estimator. Boxed behind an `Option`
@@ -251,13 +211,15 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     /// entirely for deadline-free workloads).
     any_deadline: bool,
 
-    /// Live admission state. Initialized from [`SimConfig::overload`]; the
-    /// governor (when enabled) moves `admission_mode` along the ladder.
+    /// Live admission mode. Initialized from [`SimConfig::overload`]; the
+    /// governor (when armed) moves it along the ladder.
     admission_mode: AdmissionMode,
-    admission_capacity: usize,
-    admission_watermark: usize,
-    /// The closed-loop governor; `None` when disabled.
-    governor: Option<Box<GovernorState>>,
+    /// The closed-loop governor, boxed so an ungoverned run carries one
+    /// null pointer and is bit-identical to an engine without the feature.
+    governor: Option<Box<Governor>>,
+    /// The base policy, parked while the governor's overload policy runs.
+    /// Only the governor's `Switch`es fill and empty it.
+    standby: Option<Box<dyn Policy>>,
     /// The online statistics estimator; `None` when disabled.
     adapt: Option<Box<AdaptState>>,
 
@@ -374,33 +336,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 cfg.overload.mode
             )));
         }
-        if cfg.governor.enabled {
-            if cfg.governor.capacity == 0 {
-                return Err(HcqError::config(
-                    "the governor needs a per-unit capacity of at least 1 \
-                     for its bounded modes"
-                        .to_string(),
-                ));
-            }
-            if cfg.governor.cadence.is_zero() || cfg.governor.min_dwell.is_zero() {
-                return Err(HcqError::config(
-                    "governor cadence and min_dwell must be positive".to_string(),
-                ));
-            }
-            if cfg.governor.overload_policy.is_some() {
-                if cfg.governor.switch_share <= cfg.governor.return_share {
-                    return Err(HcqError::config(
-                        "policy switching needs switch_share > return_share \
-                         (hysteresis band)"
-                            .to_string(),
-                    ));
-                }
-                if cfg.governor.switch_sustain == 0 {
-                    return Err(HcqError::config(
-                        "policy switching needs switch_sustain of at least 1".to_string(),
-                    ));
-                }
-            }
+        if let Some(g) = &cfg.governor {
+            g.validate(&cfg.overload)?;
         }
         if cfg.adapt.enabled {
             if cfg.adapt.cadence.is_zero() {
@@ -476,36 +413,11 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let class_slots = model.tags.iter().map(|&tag| classes.slot(tag)).collect();
         let deadlines: Vec<Option<Nanos>> = plan.queries.iter().map(|q| q.deadline).collect();
         let any_deadline = deadlines.iter().any(|d| d.is_some());
-        // Live admission state: the governor moves the mode along the
-        // ladder; capacity and watermark are fixed at the base values when
-        // set, else the governor's.
         let admission_mode = cfg.overload.mode;
-        let admission_capacity = if cfg.overload.capacity > 0 {
-            cfg.overload.capacity
-        } else {
-            cfg.governor.capacity
-        };
-        let admission_watermark = if cfg.overload.watermark > 0 {
-            cfg.overload.watermark
-        } else {
-            cfg.governor.watermark
-        };
-        let governor = cfg.governor.enabled.then(|| {
-            Box::new(GovernorState {
-                cfg: cfg.governor,
-                next_decision: cfg.governor.cadence,
-                last_transition: None,
-                floor: cfg.overload.mode.rung(),
-                level: cfg.overload.mode.rung(),
-                window_overload: Nanos::ZERO,
-                window_start: Nanos::ZERO,
-                transitions: 0,
-                high_streak: 0,
-                low_streak: 0,
-                standby: None,
-                last_switch: None,
-                switches: 0,
-            })
+        let governor = cfg.governor.map(|mut g| {
+            // Switching to the policy already running is no switch at all.
+            g.overload_policy = g.overload_policy.filter(|k| k.name() != policy.name());
+            Box::new(Governor::new(g, admission_mode))
         });
         let adapt = cfg.adapt.enabled.then(|| {
             let mut state = Box::new(AdaptState {
@@ -561,9 +473,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             deadlines,
             any_deadline,
             admission_mode,
-            admission_capacity,
-            admission_watermark,
             governor,
+            standby: None,
             adapt,
             drift_cost: 1.0,
             drift_sel: 1.0,
@@ -783,8 +694,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             expired: self.expired,
             op_failures: self.op_failures,
             quarantine_time: self.quarantine_time,
-            governor_transitions: self.governor.as_ref().map_or(0, |g| g.transitions),
-            policy_switches: self.governor.as_ref().map_or(0, |g| g.switches),
+            governor_transitions: self.governor.as_ref().map_or(0, |g| g.transitions()),
+            policy_switches: self.governor.as_ref().map_or(0, |g| g.switches()),
             statics_updates: self.adapt.as_ref().map_or(0, |a| a.statics_updates),
             domain_refreezes: self.adapt.as_ref().map_or(0, |a| a.refreezes),
             estimates: self.adapt.as_ref().map(|a| {
@@ -864,11 +775,11 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         reg.set_counter(t.quarantine_ns, self.quarantine_time.as_nanos());
         reg.set_counter(
             t.governor_transitions,
-            self.governor.as_ref().map_or(0, |g| g.transitions),
+            self.governor.as_ref().map_or(0, |g| g.transitions()),
         );
         reg.set_counter(
             t.policy_switches,
-            self.governor.as_ref().map_or(0, |g| g.switches),
+            self.governor.as_ref().map_or(0, |g| g.switches()),
         );
         reg.set_counter(
             t.statics_updates,
@@ -904,11 +815,11 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let span = target.saturating_since(self.clock);
         let pending = self.queues.pending();
         self.pending_area += pending as f64 * span.as_nanos() as f64;
-        let watermark = self.admission_watermark;
+        let watermark = self.cfg.overload.watermark;
         if watermark > 0 && pending >= watermark {
             self.overload_time += span;
             if let Some(g) = self.governor.as_mut() {
-                g.window_overload += span;
+                g.overloaded(span);
             }
         }
         self.clock = target;
@@ -943,147 +854,49 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         }
     }
 
-    /// Take a governor decision at every cadence boundary the clock has
-    /// reached: escalate one ladder step when either signal (pending depth
-    /// or window overload share) crosses its upper threshold, de-escalate
-    /// when *both* sit at or below their lower thresholds, and in either
-    /// direction only after `min_dwell` has elapsed since the last
-    /// transition. The governor state is taken out of `self` for the
-    /// duration because transitions re-borrow the simulator.
+    /// Apply the governor's decision at every cadence boundary the clock has
+    /// reached: move the admission mode, swap the policy (re-synced to the
+    /// live queues). Queues do not change here, so one depth serves all.
     fn govern(&mut self) {
-        let Some(mut g) = self.governor.take() else {
-            return;
-        };
-        while self.clock >= g.next_decision {
-            let at = g.next_decision;
-            g.next_decision = at + g.cfg.cadence;
-            let pending = self.queues.pending();
-            let share = g.window_overload.ratio(g.cfg.cadence).min(1.0);
-            // A window that accumulated for less than one cadence — the
-            // trailing boundaries of a catch-up batch, or the first
-            // boundary after a transition when min_dwell is shorter than
-            // the cadence — understates the overload share. Escalation may
-            // still act on it (a high share on a short window is a real
-            // signal, and pending depth is unaffected); de-escalation and
-            // switch-streak accounting must not mistake it for calm.
-            let window_complete = self.clock.saturating_since(g.window_start) >= g.cfg.cadence;
-            g.window_overload = Nanos::ZERO;
-            g.window_start = self.clock;
-            let dwell_ok = match g.last_transition {
-                None => true,
-                Some(last) => at.saturating_since(last) >= g.cfg.min_dwell,
-            };
-            if dwell_ok {
-                let want_up = g.level < AdmissionMode::QosShed.rung()
-                    && ((g.cfg.escalate_pending > 0 && pending >= g.cfg.escalate_pending)
-                        || share >= g.cfg.escalate_share);
-                let want_down = g.level > g.floor
-                    && window_complete
-                    && pending <= g.cfg.deescalate_pending
-                    && share <= g.cfg.deescalate_share;
-                if want_up || want_down {
-                    let next_level = if want_up { g.level + 1 } else { g.level - 1 };
-                    let from = AdmissionMode::from_rung(g.level);
-                    let to = AdmissionMode::from_rung(next_level);
-                    g.level = next_level;
-                    g.last_transition = Some(at);
-                    g.transitions += 1;
-                    self.admission_mode = to;
-                    if S::ENABLED {
-                        // Stamped with the clock, not the (possibly
-                        // caught-up past) cadence boundary, so the trace
-                        // stays monotone.
-                        self.trace(TraceEvent::GovernorTransition {
-                            at: self.clock,
-                            from: from.name(),
-                            to: to.name(),
-                            pending: pending as u64,
-                            share,
-                        });
-                    }
+        let (now, pending) = (self.clock, self.queues.pending());
+        while let Some(d) = self.governor.as_mut().and_then(|g| g.decide(now, pending)) {
+            if let Some(to) = d.mode {
+                let from = std::mem::replace(&mut self.admission_mode, to);
+                if S::ENABLED {
+                    // Stamped with the clock, not the (possibly caught-up
+                    // past) cadence boundary, so the trace stays monotone.
+                    self.trace(TraceEvent::GovernorTransition {
+                        at: now,
+                        from: from.name(),
+                        to: to.name(),
+                        pending: pending as u64,
+                        share: d.share,
+                    });
                 }
             }
-            if let Some(overload) = g.cfg.overload_policy {
-                self.meta_schedule(&mut g, overload, at, share, window_complete);
-            }
-        }
-        self.governor = Some(g);
-    }
-
-    /// The meta-scheduler rung of the governor: swap the running policy for
-    /// `overload` after `switch_sustain` consecutive complete windows at or
-    /// above `switch_share`, and back after as many at or below
-    /// `return_share`. The band between the thresholds resets both streaks,
-    /// and `min_dwell` applies between switches, so a share oscillating
-    /// around either threshold cannot thrash the policy.
-    fn meta_schedule(
-        &mut self,
-        g: &mut GovernorState,
-        overload: PolicyKind,
-        at: Nanos,
-        share: f64,
-        window_complete: bool,
-    ) {
-        if window_complete {
-            if share >= g.cfg.switch_share {
-                g.high_streak += 1;
-                g.low_streak = 0;
-            } else if share <= g.cfg.return_share {
-                g.low_streak += 1;
-                g.high_streak = 0;
-            } else {
-                g.high_streak = 0;
-                g.low_streak = 0;
-            }
-        }
-        let dwell_ok = match g.last_switch {
-            None => true,
-            Some(last) => at.saturating_since(last) >= g.cfg.min_dwell,
-        };
-        if !dwell_ok {
-            return;
-        }
-        let engaged = g.standby.is_some();
-        if !engaged && g.high_streak >= g.cfg.switch_sustain {
-            // Don't switch to what is already running (e.g. the base
-            // policy IS the configured overload policy).
-            if self.policy.name() == overload.name() {
-                g.high_streak = 0;
-                return;
-            }
-            let mut next: Box<dyn Policy> = overload.build();
-            self.resync_policy(next.as_mut());
-            let from = self.policy.name();
-            g.standby = Some(std::mem::replace(&mut self.policy, next));
-            self.record_switch(g, at, from, share);
-        } else if engaged && g.low_streak >= g.cfg.switch_sustain {
-            // `engaged` was computed from `standby.is_some()`; a missing
-            // standby here means the invariant broke — bail out rather
-            // than panic, leaving the current policy engaged.
-            let Some(mut base) = g.standby.take() else {
-                return;
+            let mut next = match d.switch {
+                Some(Switch::Engage(kind)) => kind.build(),
+                Some(Switch::Disengage) => self
+                    .standby
+                    .take()
+                    .expect("the governor disengages only after an engage"),
+                None => continue,
             };
-            self.resync_policy(base.as_mut());
-            let from = self.policy.name();
-            self.policy = base;
-            self.record_switch(g, at, from, share);
-        }
-    }
-
-    /// Bookkeeping and tracing common to both switch directions.
-    fn record_switch(&mut self, g: &mut GovernorState, at: Nanos, from: &'static str, share: f64) {
-        g.last_switch = Some(at);
-        g.switches += 1;
-        g.high_streak = 0;
-        g.low_streak = 0;
-        if S::ENABLED {
-            let to = self.policy.name();
-            self.trace(TraceEvent::PolicySwitch {
-                at: self.clock,
-                from,
-                to,
-                share,
-            });
+            self.resync_policy(next.as_mut());
+            let prev = std::mem::replace(&mut self.policy, next);
+            let from = prev.name();
+            if matches!(d.switch, Some(Switch::Engage(_))) {
+                self.standby = Some(prev);
+            }
+            if S::ENABLED {
+                let to = self.policy.name();
+                self.trace(TraceEvent::PolicySwitch {
+                    at: now,
+                    from,
+                    to,
+                    share: d.share,
+                });
+            }
         }
     }
 
@@ -1237,8 +1050,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     fn admit(&mut self, unit: u32, tuple: SimTuple) {
         match self.queues.admit(
             self.admission_mode,
-            self.admission_capacity,
-            self.admission_watermark,
+            self.cfg.overload.capacity,
+            self.cfg.overload.watermark,
             &self.shed_priority,
             unit,
             tuple,

@@ -4,8 +4,8 @@
 use hcq_common::Nanos;
 use hcq_core::{ClusterConfig, PolicyKind};
 use hcq_engine::{
-    simulate, simulate_traced, AdaptConfig, AdaptMode, DriftStep, GovernorConfig, SimConfig,
-    SimReport, TraceEvent, VecTrace,
+    simulate, simulate_traced, AdaptConfig, AdaptMode, AdmissionMode, DriftStep, GovernorConfig,
+    SimConfig, SimReport, TraceEvent, VecTrace,
 };
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_streams::PoissonSource;
@@ -377,15 +377,12 @@ fn drift_preserves_work_conservation() {
 
 fn switching_governor() -> GovernorConfig {
     GovernorConfig {
-        enabled: true,
         cadence: ms(50),
         min_dwell: ms(200),
         escalate_pending: 48,
         deescalate_pending: 8,
         escalate_share: 0.5,
         deescalate_share: 0.1,
-        capacity: 16,
-        watermark: 32,
         overload_policy: Some(PolicyKind::Lsf),
         switch_share: 0.6,
         return_share: 0.15,
@@ -404,6 +401,8 @@ fn sustained_overload_switches_the_policy() {
         PolicyKind::Hnr.build(),
         SimConfig::new(2_000)
             .with_seed(1)
+            .with_admission(AdmissionMode::Unbounded, 16)
+            .with_watermark(32)
             .with_governor(switching_governor()),
         VecTrace::new(),
     )
@@ -438,6 +437,8 @@ fn policy_switching_is_deterministic() {
         run_with(
             SimConfig::new(2_000)
                 .with_seed(1)
+                .with_admission(AdmissionMode::Unbounded, 16)
+                .with_watermark(32)
                 .with_governor(switching_governor()),
             PolicyKind::Hnr.build(),
             ms(12),
@@ -476,7 +477,11 @@ fn round_trip_switch_resets_the_standby_mirror() {
         &StreamRates::none(),
         vec![Box::new(OnOffSource::new(cfg, 11))],
         PolicyKind::Fcfs.build(),
-        SimConfig::new(3_000).with_seed(3).with_governor(g),
+        SimConfig::new(3_000)
+            .with_seed(3)
+            .with_admission(AdmissionMode::Unbounded, 16)
+            .with_watermark(32)
+            .with_governor(g),
     )
     .unwrap();
     assert!(
@@ -497,7 +502,11 @@ fn switching_to_the_already_running_policy_is_a_no_op() {
     let mut g = switching_governor();
     g.overload_policy = Some(PolicyKind::Hnr);
     let r = run_with(
-        SimConfig::new(2_000).with_seed(1).with_governor(g),
+        SimConfig::new(2_000)
+            .with_seed(1)
+            .with_admission(AdmissionMode::Unbounded, 16)
+            .with_watermark(32)
+            .with_governor(g),
         PolicyKind::Hnr.build(),
         ms(12),
     );
@@ -509,10 +518,11 @@ fn governed_adaptive_closed_loop_never_worse_than_worst_static() {
     // The full feedback stack — governor rungs, policy switching, and
     // statistics adaptation — must not lose to the worst static admission
     // mode on a calibrated overloaded workload.
-    use hcq_engine::AdmissionMode;
     let governed = run_with(
         SimConfig::new(2_000)
             .with_seed(1)
+            .with_admission(AdmissionMode::Unbounded, 16)
+            .with_watermark(32)
             .with_governor(switching_governor())
             .with_adaptation(ewma_adapt()),
         PolicyKind::Hnr.build(),
@@ -573,15 +583,12 @@ fn deescalation_waits_for_a_complete_window() {
             .unwrap(),
     );
     let g = GovernorConfig {
-        enabled: true,
         cadence: ms(50),
         min_dwell: ms(50),
         escalate_pending: 100,
         deescalate_pending: 8,
         escalate_share: 0.5,
         deescalate_share: 0.1,
-        capacity: 32,
-        watermark: 4,
         ..GovernorConfig::default()
     };
     let (r, sink) = simulate_traced(
@@ -589,7 +596,11 @@ fn deescalation_waits_for_a_complete_window() {
         &StreamRates::none(),
         vec![Box::new(PoissonSource::new(ms(5), 3))],
         PolicyKind::Fcfs.build(),
-        SimConfig::new(6).with_seed(1).with_governor(g),
+        SimConfig::new(6)
+            .with_seed(1)
+            .with_admission(AdmissionMode::Unbounded, 32)
+            .with_watermark(4)
+            .with_governor(g),
         VecTrace::new(),
     )
     .unwrap();

@@ -6,7 +6,7 @@
 use hcq_common::{EngineError, HcqError, Nanos, StreamId, TupleId};
 use hcq_core::{Policy, PolicyKind, QueueView, Selection, UnitId, UnitStatics};
 use hcq_engine::queues::UnitQueues;
-use hcq_engine::{simulate, AdmissionMode, SimConfig, SimTuple};
+use hcq_engine::{simulate, AdmissionMode, GovernorConfig, SimConfig, SimTuple};
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_streams::{PoissonSource, TraceReplay};
 
@@ -237,19 +237,40 @@ fn selecting_an_empty_queue_surfaces_as_engine_error() {
 }
 
 #[test]
-fn bounded_admission_requires_positive_capacity() {
-    for mode in [AdmissionMode::DropTail, AdmissionMode::QosShed] {
+fn unusable_admission_configs_are_rejected() {
+    let governed = |escalate_pending, deescalate_pending, deescalate_share| {
+        // Assigned directly, as a fuzz scenario sets it, not through the
+        // builder: the simulator itself must refuse it.
+        let mut cfg = SimConfig::new(2).with_admission(AdmissionMode::Unbounded, 4);
+        cfg.governor = Some(GovernorConfig {
+            escalate_pending,
+            deescalate_pending,
+            deescalate_share,
+            ..GovernorConfig::default()
+        });
+        cfg
+    };
+    let unusable = [
+        // Bounded modes without a capacity.
+        SimConfig::new(2).with_admission(AdmissionMode::DropTail, 0),
+        SimConfig::new(2).with_admission(AdmissionMode::QosShed, 0),
+        // Governors without a hysteresis band, which flap once per dwell.
+        governed(10, 10, 0.1),
+        governed(10, 2, 0.5),
+    ];
+    for cfg in unusable {
+        let (mode, governor) = (cfg.overload.mode, cfg.governor);
         let err = simulate(
             &tiny_plan(),
             &StreamRates::none(),
             vec![Box::new(PoissonSource::new(ms(1), 0))],
             PolicyKind::Fcfs.build(),
-            SimConfig::new(2).with_admission(mode, 0),
+            cfg,
         )
         .unwrap_err();
         assert!(
             matches!(err, HcqError::InvalidConfig(_)),
-            "expected InvalidConfig for {mode:?}, got {err}"
+            "expected InvalidConfig for {mode:?} / {governor:?}, got {err}"
         );
     }
 }

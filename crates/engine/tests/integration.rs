@@ -664,15 +664,12 @@ fn assert_conserved(r: &SimReport, queries: u64) {
 
 fn governor_cfg() -> GovernorConfig {
     GovernorConfig {
-        enabled: true,
         cadence: ms(50),
         min_dwell: ms(200),
         escalate_pending: 48,
         deescalate_pending: 8,
         escalate_share: 0.5,
         deescalate_share: 0.1,
-        capacity: 16,
-        watermark: 32,
         ..GovernorConfig::default()
     }
 }
@@ -701,6 +698,8 @@ fn governor_escalates_under_overload_and_sheds() {
         PolicyKind::Hnr.build(),
         SimConfig::new(2_000)
             .with_seed(1)
+            .with_admission(AdmissionMode::Unbounded, 16)
+            .with_watermark(32)
             .with_governor(governor_cfg()),
     )
     .unwrap();
@@ -717,7 +716,11 @@ fn governor_transition_rate_is_dwell_bounded() {
         &StreamRates::none(),
         vec![Box::new(PoissonSource::new(ms(12), 4))],
         PolicyKind::Hnr.build(),
-        SimConfig::new(2_000).with_seed(1).with_governor(cfg),
+        SimConfig::new(2_000)
+            .with_seed(1)
+            .with_admission(AdmissionMode::Unbounded, 16)
+            .with_watermark(32)
+            .with_governor(cfg),
     )
     .unwrap();
     let max = r.end_time.as_nanos() / cfg.min_dwell.as_nanos() + 1;
@@ -740,6 +743,8 @@ fn governor_runs_are_deterministic() {
             PolicyKind::Bsd.build(),
             SimConfig::new(2_000)
                 .with_seed(7)
+                .with_admission(AdmissionMode::Unbounded, 16)
+                .with_watermark(32)
                 .with_governor(governor_cfg()),
         )
         .unwrap()
@@ -769,6 +774,8 @@ fn governor_never_worse_than_worst_static_mode() {
     };
     let governed = run(SimConfig::new(2_000)
         .with_seed(1)
+        .with_admission(AdmissionMode::Unbounded, 16)
+        .with_watermark(32)
         .with_governor(governor_cfg()));
     let worst = [
         run(SimConfig::new(2_000).with_seed(1)),

@@ -60,19 +60,18 @@ fn faulty_governed() -> (SimReport, TraceLog) {
         plan.add_query(b.build().unwrap());
     }
     let governor = GovernorConfig {
-        enabled: true,
         cadence: ms(25),
         min_dwell: ms(50),
         escalate_pending: 24,
         deescalate_pending: 4,
         escalate_share: 0.4,
         deescalate_share: 0.1,
-        capacity: 8,
-        watermark: 16,
         ..GovernorConfig::default()
     };
     let cfg = SimConfig::new(400)
         .with_seed(23)
+        .with_admission(AdmissionMode::Unbounded, 8)
+        .with_watermark(16)
         .with_governor(governor)
         .with_op_failures(0.08, ms(5), 2)
         .with_overhead(true);

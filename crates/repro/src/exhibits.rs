@@ -1105,7 +1105,7 @@ pub fn ext_transient(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
 /// backoff, losing arrivals while down), and `quarantine` (transient
 /// operator failures park tuples for a cooldown before retrying). Each runs
 /// twice — `static` keeps the paper's unbounded admission, `governed` arms
-/// the [`ExpConfig::governor`] feedback loop — under windowed telemetry.
+/// the [`ExpConfig::governed`] feedback loop — under windowed telemetry.
 ///
 /// `ext_recovery` plots the backlog gauge and windowed p95 slowdown per
 /// (scenario, mode) column (`timeline`): the governed runs should shed
@@ -1128,7 +1128,7 @@ pub fn ext_recovery(cfg: &ExpConfig) -> Vec<ExhibitOutput> {
             sim_cfg = sim_cfg.with_op_failures(0.15, cfg.mean_gap * 4, 2);
         }
         if governed {
-            sim_cfg = sim_cfg.with_governor(cfg.governor());
+            sim_cfg = cfg.governed(sim_cfg);
         }
         let source: Box<dyn ArrivalSource> = match scenario {
             "burst" => bursty_source(cfg),

@@ -40,7 +40,7 @@ pub struct ExpConfig {
     pub jobs: usize,
     /// Arm the closed-loop overload governor (`--govern`) on every
     /// single-stream run: the admission ladder starts Unbounded and the
-    /// [`ExpConfig::governor`] feedback loop escalates/relaxes it. Off by
+    /// [`ExpConfig::governed`] feedback loop escalates/relaxes it. Off by
     /// default, in which case runs are byte-identical to ungoverned builds.
     pub govern: bool,
 }
@@ -182,29 +182,32 @@ impl ExpConfig {
         })
     }
 
-    /// The governor configuration `--govern` (and `ext_recovery`) arms,
+    /// Arm the governor `--govern` (and `ext_recovery`) uses on `cfg`,
     /// scaled to the experiment: a decision every five mean gaps, a dwell of
     /// four decisions, and a pending-tuple hysteresis band of
     /// `(queries, 4·queries)` — the upper edge matching the watermark the
-    /// static QoS-shedding exhibits use, so governed and static runs contend
-    /// with the same notion of "overloaded".
-    pub fn governor(&self) -> GovernorConfig {
-        GovernorConfig {
-            enabled: true,
+    /// static QoS-shedding exhibits use. Unset admission bounds become 32
+    /// tuples per unit queue and a watermark of `2·queries`.
+    pub fn governed(&self, mut cfg: SimConfig) -> SimConfig {
+        if cfg.overload.capacity == 0 {
+            cfg.overload.capacity = 32;
+        }
+        if cfg.overload.watermark == 0 {
+            cfg.overload.watermark = (self.queries * 2).max(1);
+        }
+        cfg.with_governor(GovernorConfig {
             cadence: self.mean_gap * 5,
             min_dwell: self.mean_gap * 20,
             escalate_pending: self.queries * 4,
             deescalate_pending: self.queries,
-            capacity: 32,
-            watermark: (self.queries * 2).max(1),
             ..GovernorConfig::default()
-        }
+        })
     }
 
     /// Apply the `--govern` switch to a finished [`SimConfig`].
     fn armed(&self, cfg: SimConfig) -> SimConfig {
         if self.govern {
-            cfg.with_governor(self.governor())
+            self.governed(cfg)
         } else {
             cfg
         }

@@ -33,12 +33,11 @@
 //!   emits exactly what the owner would have emitted.
 //! - **Admission**: a shard moves each copy of an inbox arrival into its unit
 //!   queue through [`UnitQueues::admit`] — the same function, hence the same
-//!   `Unbounded` / `DropTail` / `QosShed` ladder, as the simulator. An
-//!   optional closed-loop governor walks the ladder's rungs from the global
-//!   backlog (its own signal; the rung arithmetic is [`AdmissionMode`]'s).
+//!   `Unbounded` / `DropTail` / `QosShed` modes, as the simulator. The mode
+//!   is fixed for the run: the closed-loop governor is the simulator's alone.
 //! - **Progress**: copies injected (written by ingest alone) minus copies
 //!   completed (one counter per shard, written by that shard alone) is the
-//!   governor's backlog and, once ingest is done, the exit test
+//!   backlog and, once ingest is done, the exit test
 //!   ([`progress::Progress`]).
 //!
 //! ## Determinism contract (and its limits)
@@ -59,7 +58,7 @@ pub mod ring;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
@@ -101,22 +100,6 @@ struct RtArrival {
     item: RtItem,
 }
 
-/// Closed-loop admission governor thresholds: the ingest thread walks the
-/// `Unbounded → DropTail → QosShed` ladder one rung at a time from the
-/// global backlog (tuple copies injected and not yet emitted/dropped/shed).
-#[derive(Debug, Clone, Copy)]
-pub struct GovernorThresholds {
-    /// Escalate one rung when the backlog exceeds this.
-    pub escalate_pending: usize,
-    /// De-escalate one rung when it falls below this (must be below
-    /// `escalate_pending`: without a hysteresis band the ladder flaps once
-    /// per dwell).
-    pub deescalate_pending: usize,
-    /// Minimum injected tuple *copies* (arrivals × fan-out) between
-    /// transitions (hysteresis dwell), checked after each source arrival.
-    pub min_dwell_items: u64,
-}
-
 /// Wall-clock executor configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -129,16 +112,11 @@ pub struct RuntimeConfig {
     /// Admission ladder position and per-unit queue bounds, with the same
     /// semantics as the simulator's [`OverloadConfig`].
     pub overload: OverloadConfig,
-    /// Let idle shards pop from sibling inboxes.
-    pub steal: bool,
     /// Master seed for attribute values and selectivity coins (must match
     /// the simulator's seed for differential runs).
     pub seed: u64,
     /// Total source arrivals to inject (summed over all streams).
     pub max_arrivals: u64,
-    /// Closed-loop admission governor (`None` = the configured mode is
-    /// fixed for the whole run).
-    pub govern: Option<GovernorThresholds>,
 }
 
 impl RuntimeConfig {
@@ -148,10 +126,8 @@ impl RuntimeConfig {
             threads: 1,
             ring_capacity: 1024,
             overload: OverloadConfig::default(),
-            steal: true,
             seed: 0,
             max_arrivals,
-            govern: None,
         }
     }
 
@@ -213,10 +189,6 @@ pub struct RuntimeReport {
     pub wall_ns: u64,
     /// Completed tuple copies (emitted + dropped + shed) per wall second.
     pub tuples_per_sec: f64,
-    /// Governor ladder transitions.
-    pub governor_transitions: u64,
-    /// Admission mode at the end of the run.
-    pub final_mode: AdmissionMode,
     /// Counter snapshot in the engine's telemetry-registry format.
     pub telemetry: TelemetrySnapshot,
 }
@@ -240,8 +212,6 @@ struct Shared<'a> {
     /// Alone-path cost of each unit's entry route ([`SimTuple::base`]).
     alone: Vec<Nanos>,
     progress: Progress,
-    /// Current ladder position ([`AdmissionMode::rung`]).
-    mode: AtomicU8,
     /// A worker returned an error or panicked; everyone winds down.
     failed: AtomicBool,
     cfg: &'a RuntimeConfig,
@@ -249,10 +219,6 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    fn mode(&self) -> AdmissionMode {
-        AdmissionMode::from_rung(self.mode.load(Ordering::Relaxed))
-    }
-
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
@@ -353,7 +319,7 @@ impl<'a> Shard<'a> {
                 idle_spins = 0;
                 continue;
             }
-            if shared.cfg.steal && shared.cfg.threads > 1 && self.try_steal()? {
+            if shared.cfg.threads > 1 && self.try_steal()? {
                 idle_spins = 0;
                 continue;
             }
@@ -370,13 +336,13 @@ impl<'a> Shard<'a> {
         Ok(self.stats)
     }
 
-    /// Move one copy of an arrival into `unit`'s queue under the current
+    /// Move one copy of an arrival into `unit`'s queue under the configured
     /// admission mode: [`UnitQueues::admit`] decides, this does the shard's
     /// bookkeeping.
     fn admit(&mut self, unit: UnitId, item: RtItem) {
         let shared = self.shared;
         match self.queues.admit(
-            shared.mode(),
+            shared.cfg.overload.mode,
             shared.cfg.overload.capacity,
             shared.cfg.overload.watermark,
             &shared.shed_priority,
@@ -573,14 +539,6 @@ fn run_with(
             "bounded admission needs a per-unit capacity of at least 1",
         ));
     }
-    if cfg
-        .govern
-        .is_some_and(|g| g.escalate_pending <= g.deescalate_pending)
-    {
-        return Err(HcqError::config(
-            "escalate_pending must exceed deescalate_pending (hysteresis band)",
-        ));
-    }
     let model = SimModel::build(
         plan,
         rates,
@@ -633,14 +591,12 @@ fn run_with(
         routes: (0..cfg.threads).map(owned_by).collect(),
         alone,
         progress: Progress::new(cfg.threads),
-        mode: AtomicU8::new(cfg.overload.mode.rung()),
         failed: AtomicBool::new(false),
         cfg,
         start: Instant::now(),
     };
 
     let mut shard_results = Vec::new();
-    let mut transitions = 0u64;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|i| {
@@ -657,9 +613,8 @@ fn run_with(
             .collect();
 
         // Ingest: one clock read per arrival, one push per shard owning a
-        // unit on its stream; the governor ladder walks on the global backlog.
+        // unit on its stream.
         let mut injected = 0u64;
-        let mut since_transition = 0u64;
         'ingest: for scheduled in &schedule {
             if shared.failed.load(Ordering::Relaxed) {
                 break;
@@ -680,22 +635,6 @@ fn run_with(
                         break 'ingest;
                     }
                     std::thread::yield_now();
-                }
-                since_transition += copies;
-            }
-            if let Some(g) = cfg.govern {
-                if since_transition >= g.min_dwell_items {
-                    let backlog = shared.progress.backlog() as usize;
-                    let rung = shared.mode.load(Ordering::Relaxed);
-                    if backlog > g.escalate_pending && rung < AdmissionMode::QosShed.rung() {
-                        shared.mode.store(rung + 1, Ordering::Relaxed);
-                        transitions += 1;
-                        since_transition = 0;
-                    } else if backlog < g.deescalate_pending && rung > 0 {
-                        shared.mode.store(rung - 1, Ordering::Relaxed);
-                        transitions += 1;
-                        since_transition = 0;
-                    }
                 }
             }
         }
@@ -757,8 +696,6 @@ fn run_with(
         qos: qos.summary(),
         wall_ns,
         tuples_per_sec: completed as f64 / (wall_ns as f64 / 1e9),
-        governor_transitions: transitions,
-        final_mode: shared.mode(),
         telemetry,
     })
 }
@@ -925,33 +862,6 @@ mod tests {
         assert!(report.conserved());
     }
 
-    #[test]
-    fn governor_walks_the_ladder_under_backlog() {
-        let mut cfg = RuntimeConfig::new(500)
-            .with_seed(3)
-            .with_admission(AdmissionMode::Unbounded, 4)
-            .with_watermark(8);
-        cfg.govern = Some(GovernorThresholds {
-            escalate_pending: 10,
-            deescalate_pending: 2,
-            min_dwell_items: 20,
-        });
-        // A single slow shard guarantees backlog builds while ingest runs.
-        let report = run(
-            &small_plan(),
-            &StreamRates::none(),
-            sources(),
-            PolicyKind::RoundRobin,
-            &cfg,
-        )
-        .unwrap();
-        assert!(report.conserved());
-        assert!(
-            report.governor_transitions > 0,
-            "backlog of hundreds of tuples must trip the escalate threshold"
-        );
-    }
-
     /// Delegates to FCFS until its `select` budget runs out, then panics.
     struct PanicAfter {
         inner: Box<dyn Policy>,
@@ -1039,23 +949,5 @@ mod tests {
             &RuntimeConfig::new(10).with_admission(AdmissionMode::DropTail, 0),
         )
         .is_err());
-        // A governor without a hysteresis band.
-        for deescalate_pending in [10, 11] {
-            let mut cfg = RuntimeConfig::new(10);
-            cfg.govern = Some(GovernorThresholds {
-                escalate_pending: 10,
-                deescalate_pending,
-                min_dwell_items: 1,
-            });
-            let err = run(
-                &plan,
-                &StreamRates::none(),
-                sources(),
-                PolicyKind::Fcfs,
-                &cfg,
-            )
-            .expect_err("no hysteresis band");
-            assert!(matches!(err, HcqError::InvalidConfig(_)), "{err}");
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! Single-writer progress counters: the run's termination test and the
-//! governor's backlog signal, with no read-modify-write anywhere. `injected`
+//! Single-writer progress counters: the run's termination test, with no
+//! read-modify-write anywhere. `injected`
 //! is stored only by the ingest thread, *before* the ring push it accounts
 //! for; `completed[i]` only by shard `i`; each sits on its own cache line.
 //! Atomics route through `loom` under `--cfg loom`, as in [`crate::ring`].

@@ -146,7 +146,7 @@ fn offered_load_is_public() {
 #[test]
 fn governed_faulty_trace_reparses_to_its_bytes_and_reconciles() {
     use hcq::common::StreamId;
-    use hcq::engine::{simulate_traced, GovernorConfig, JsonlTrace};
+    use hcq::engine::{simulate_traced, AdmissionMode, GovernorConfig, JsonlTrace};
     use hcq::inspect::{parse_stream, reconcile, reconstruct, waterfalls};
     use hcq::plan::{GlobalPlan, QueryBuilder, StreamRates};
 
@@ -164,15 +164,12 @@ fn governed_faulty_trace_reparses_to_its_bytes_and_reconciles() {
         plan.add_query(b.build().unwrap());
     }
     let governor = GovernorConfig {
-        enabled: true,
         cadence: ms(25),
         min_dwell: ms(50),
         escalate_pending: 24,
         deescalate_pending: 4,
         escalate_share: 0.4,
         deescalate_share: 0.1,
-        capacity: 8,
-        watermark: 16,
         overload_policy: Some(PolicyKind::Lsf),
         switch_sustain: 1,
         ..GovernorConfig::default()
@@ -184,6 +181,8 @@ fn governed_faulty_trace_reparses_to_its_bytes_and_reconciles() {
         PolicyKind::Bsd.build(),
         SimConfig::new(300)
             .with_seed(23)
+            .with_admission(AdmissionMode::Unbounded, 8)
+            .with_watermark(16)
             .with_governor(governor)
             .with_op_failures(0.08, ms(5), 2)
             .with_overhead(true),
