@@ -9,8 +9,12 @@ use hcq_common::Nanos;
 /// A monotonic time source for the runtime.
 ///
 /// Everything QoS-related (arrival stamps, response times, window
-/// predicates, wait-based priorities) reads this clock, so swapping it
-/// swaps the runtime between live operation and deterministic replay.
+/// predicates) comes from this clock, so swapping it swaps the runtime
+/// between live operation and deterministic replay. The `Dsms` reads it
+/// once per push and once per emission, and once per scheduling decision
+/// only when the policy's priorities depend on `now` (LSF, BSD, ℓp and
+/// clustered BSD; see [`hcq_core::PolicyKind::reads_now`]). Any other
+/// policy selects at the last instant read.
 pub trait Clock {
     /// Current time. Must be monotone non-decreasing across calls.
     fn now(&self) -> Nanos;

@@ -4,6 +4,14 @@
 //! [`Policy::on_statics_update`], its slowdown [`exec::slowdown`]. Its own:
 //! real records and operators, online monitors, and the whole-fan-out
 //! `max_pending` valve (a stream-level rule, so not a queue admission mode).
+//!
+//! A decision does only the work it needs. The clock is read once per
+//! `push` (the arrival stamp) and once per emission, so every response is
+//! wall-true; a decision reads it only when the policy's choice depends on
+//! `now` ([`RuntimePolicy::reads_now`]), and otherwise selects at the last
+//! instant read. Its emissions come back as an [`Emissions`] batch, which
+//! holds one inline and spills to a `Vec` only for a join's fan-out, and a
+//! record passes through its unary chain by value.
 
 use hcq_common::{HcqError, Nanos, QueryId, Result, StreamId, TupleId};
 use hcq_core::{EwmaEstimator, Policy, UnitId, UnitStatics};
@@ -89,6 +97,64 @@ pub struct Emission {
     pub slowdown: f64,
 }
 
+/// The emissions of one decision, stored inline for the common case.
+///
+/// A decision runs one tuple through one unit, so it emits at most once
+/// unless a join probe matches several partners. As with
+/// [`hcq_core::SelectionUnits`], a `Vec` here would be a heap allocation
+/// per decision: one emission lives inline, and only a join's fan-out
+/// spills. Dereferences to `[Emission]` and iterates by value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Emissions {
+    /// No emission or one, no heap allocation.
+    Inline(Option<Emission>),
+    /// Two or more, from one join probe.
+    Spilled(Vec<Emission>),
+}
+
+impl Emissions {
+    fn push(&mut self, emission: Emission) {
+        match self {
+            Emissions::Inline(slot @ None) => *slot = Some(emission),
+            Emissions::Inline(first) => {
+                let first = first.take().expect("the inline slot is full");
+                *self = Emissions::Spilled(vec![first, emission]);
+            }
+            Emissions::Spilled(v) => v.push(emission),
+        }
+    }
+}
+
+impl Default for Emissions {
+    fn default() -> Self {
+        Emissions::Inline(None)
+    }
+}
+
+impl std::ops::Deref for Emissions {
+    type Target = [Emission];
+
+    fn deref(&self) -> &[Emission] {
+        match self {
+            Emissions::Inline(one) => one.as_slice(),
+            Emissions::Spilled(v) => v,
+        }
+    }
+}
+
+impl IntoIterator for Emissions {
+    type Item = Emission;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Emission>, std::vec::IntoIter<Emission>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self {
+            Emissions::Inline(one) => (one, Vec::new()),
+            Emissions::Spilled(many) => (None, many),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
 /// Aggregate runtime statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeStats {
@@ -158,13 +224,60 @@ enum RtUnit {
     JoinLeaf { query: usize, side: Side },
 }
 
+/// The clock and what an emission updates, apart from the queries so that
+/// a join probe can emit while it holds its query's state.
+struct Emitter {
+    clock: Box<dyn Clock>,
+    /// The last instant read from `clock`.
+    now: Nanos,
+    emitted: u64,
+    qos: QosAccumulator,
+}
+
+impl Emitter {
+    fn read_clock(&mut self) -> Nanos {
+        self.now = self.clock.now();
+        self.now
+    }
+
+    /// Stamp one result with a fresh clock read and account for it.
+    fn emit(
+        &mut self,
+        out: &mut Emissions,
+        query: usize,
+        record: Record,
+        arrival: Nanos,
+        ideal_depart: Nanos,
+        ideal: Nanos,
+    ) {
+        let now = self.read_clock();
+        let response = now.saturating_since(arrival);
+        // With a manual clock `now` can precede the estimated ideal
+        // departure; the tuple was "faster than ideal" and clamps at 1.
+        let slowdown = exec::slowdown(now, ideal_depart, ideal);
+        self.qos.record(response, slowdown);
+        self.emitted += 1;
+        out.push(Emission {
+            query: QueryId::new(query),
+            record,
+            arrival,
+            emitted_at: now,
+            response,
+            slowdown,
+        });
+    }
+}
+
 /// The online DSMS.
 pub struct Dsms {
-    clock: Box<dyn Clock>,
+    emitter: Emitter,
     ewma_alpha: f64,
     auto_refresh_every: Option<u64>,
     max_pending: Option<usize>,
     policy: Box<dyn Policy>,
+    /// [`RuntimePolicy::reads_now`] of the policy: whether a decision reads
+    /// the clock.
+    reads_now: bool,
     queries: Vec<QueryRuntime>,
     units: Vec<RtUnit>,
     /// `(unit, ...)` fed by each stream index.
@@ -175,11 +288,9 @@ pub struct Dsms {
     last_arrival: Vec<Option<Nanos>>,
     tuple_counter: u64,
     pushed: u64,
-    emitted: u64,
     dropped: u64,
     shed: u64,
     decisions: u64,
-    qos: QosAccumulator,
 }
 
 impl Dsms {
@@ -192,11 +303,17 @@ impl Dsms {
             return Err(HcqError::config("auto_refresh_every must be at least 1"));
         }
         Ok(Dsms {
-            clock: cfg.clock,
+            emitter: Emitter {
+                clock: cfg.clock,
+                now: Nanos::ZERO,
+                emitted: 0,
+                qos: QosAccumulator::new(),
+            },
             ewma_alpha: cfg.ewma_alpha,
             auto_refresh_every: cfg.auto_refresh_every,
             max_pending: cfg.max_pending,
             policy: cfg.policy.build(),
+            reads_now: cfg.policy.reads_now(),
             queries: Vec::new(),
             units: Vec::new(),
             routes: Vec::new(),
@@ -205,11 +322,9 @@ impl Dsms {
             last_arrival: Vec::new(),
             tuple_counter: 0,
             pushed: 0,
-            emitted: 0,
             dropped: 0,
             shed: 0,
             decisions: 0,
-            qos: QosAccumulator::new(),
         })
     }
 
@@ -306,7 +421,7 @@ impl Dsms {
 
     /// Push a record onto a stream, stamped with the current clock time.
     pub fn push(&mut self, stream: StreamId, record: Record) {
-        let now = self.clock.now();
+        let now = self.emitter.read_clock();
         self.pushed += 1;
         // Update the stream's inter-arrival monitor.
         if stream.index() < self.stream_gaps.len() {
@@ -347,14 +462,18 @@ impl Dsms {
 
     /// Take one scheduling decision and execute it; returns the emissions it
     /// produced, or `None` when nothing is pending.
-    pub fn run_once(&mut self) -> Option<Vec<Emission>> {
-        let now = self.clock.now();
+    pub fn run_once(&mut self) -> Option<Emissions> {
         if self.queues.all_empty() {
             return None;
         }
+        let now = if self.reads_now {
+            self.emitter.read_clock()
+        } else {
+            self.emitter.now
+        };
         let selection = self.policy.select(&self.queues, now).expect("work pending");
         self.decisions += 1;
-        let mut out = Vec::new();
+        let mut out = Emissions::default();
         for unit in selection.units {
             let pending = self.queues.pop(unit).expect("selected units are non-empty");
             match self.units[unit as usize] {
@@ -376,8 +495,8 @@ impl Dsms {
     /// Run decisions until no work is pending; returns all emissions.
     pub fn run_until_idle(&mut self) -> Vec<Emission> {
         let mut all = Vec::new();
-        while let Some(mut batch) = self.run_once() {
-            all.append(&mut batch);
+        while let Some(batch) = self.run_once() {
+            all.extend(batch);
         }
         all
     }
@@ -397,11 +516,11 @@ impl Dsms {
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
             pushed: self.pushed,
-            emitted: self.emitted,
+            emitted: self.emitter.emitted,
             dropped: self.dropped,
             shed: self.shed,
             decisions: self.decisions,
-            qos: self.qos.summary(),
+            qos: self.emitter.qos.summary(),
         }
     }
 
@@ -482,56 +601,35 @@ impl Dsms {
         Ok(statics)
     }
 
-    fn run_single(&mut self, query: usize, pending: Pending, out: &mut Vec<Emission>) {
-        let q = &mut self.queries[query];
+    fn run_single(&mut self, query: usize, pending: Pending, out: &mut Emissions) {
         let QueryRuntime {
             plan,
             monitors,
             ideal_time,
             ..
-        } = q;
+        } = &mut self.queries[query];
         let RtPlan::Single { ops, .. } = plan else {
             unreachable!("unit/plan mismatch");
         };
-        let mut record = pending.record;
-        let mut survived = true;
-        for (i, op) in ops.iter().enumerate() {
-            match op.apply(&record) {
-                Some(next) => {
-                    monitors[i].observe_selectivity(1.0);
-                    record = next;
-                }
-                None => {
-                    monitors[i].observe_selectivity(0.0);
-                    survived = false;
-                    break;
-                }
+        match run_chain(ops, monitors, pending.record) {
+            Some(record) => {
+                let (arrival, ideal) = (pending.arrival, *ideal_time);
+                self.emitter
+                    .emit(out, query, record, arrival, arrival + ideal, ideal);
             }
-        }
-        let ideal = *ideal_time;
-        if survived {
-            self.emit(query, record, pending.arrival, pending.arrival + ideal, out);
-        } else {
-            self.dropped += 1;
+            None => self.dropped += 1,
         }
     }
 
-    fn run_join_leaf(
-        &mut self,
-        query: usize,
-        side: Side,
-        pending: Pending,
-        out: &mut Vec<Emission>,
-    ) {
-        let q = &mut self.queries[query];
+    fn run_join_leaf(&mut self, query: usize, side: Side, pending: Pending, out: &mut Emissions) {
         let QueryRuntime {
             plan,
             monitors,
             join_monitor,
             join: join_table,
+            ideal_time,
             alone,
-            ..
-        } = q;
+        } = &mut self.queries[query];
         let RtPlan::Join {
             left_ops,
             right_ops,
@@ -547,22 +645,10 @@ impl Dsms {
             Side::Left => (&*left_ops, join.left_field, 0),
             Side::Right => (&*right_ops, join.right_field, n_left),
         };
-        // Own chain.
-        let mut record = pending.record;
-        for (i, op) in own_ops.iter().enumerate() {
-            let slot = mon_base + i;
-            match op.apply(&record) {
-                Some(next) => {
-                    monitors[slot].observe_selectivity(1.0);
-                    record = next;
-                }
-                None => {
-                    monitors[slot].observe_selectivity(0.0);
-                    self.dropped += 1;
-                    return;
-                }
-            }
-        }
+        let Some(record) = run_chain(own_ops, &mut monitors[mon_base..], pending.record) else {
+            self.dropped += 1;
+            return;
+        };
         // Join: key from the post-chain record. A record lacking the key
         // field cannot match anything.
         let Some(key) = record.get(key_field) else {
@@ -593,69 +679,35 @@ impl Dsms {
             Side::Left => (0usize, 1usize),
             Side::Right => (1, 0),
         };
-        let mut results = Vec::new();
-        let mut dropped = 0u64;
         for partner in matches {
             let (left_rec, right_rec) = match side {
                 Side::Left => (&record, &partner.record),
                 Side::Right => (&partner.record, &record),
             };
-            let mut composite = left_rec.concat(right_rec);
+            let composite = left_rec.concat(right_rec);
             let arrival = pending.arrival.max(partner.arrival);
             let ideal_depart =
                 (pending.arrival + alone[own_leaf]).max(partner.arrival + alone[other_leaf]);
-            let mut survived = true;
-            for (i, op) in common_ops.iter().enumerate() {
-                let slot = common_base + i;
-                match op.apply(&composite) {
-                    Some(next) => {
-                        monitors[slot].observe_selectivity(1.0);
-                        composite = next;
-                    }
-                    None => {
-                        monitors[slot].observe_selectivity(0.0);
-                        survived = false;
-                        break;
-                    }
+            match run_chain(common_ops, &mut monitors[common_base..], composite) {
+                Some(composite) => {
+                    self.emitter
+                        .emit(out, query, composite, arrival, ideal_depart, *ideal_time)
                 }
+                None => self.dropped += 1,
             }
-            if survived {
-                results.push((composite, arrival, ideal_depart));
-            } else {
-                dropped += 1;
-            }
-        }
-        self.dropped += dropped;
-        for (composite, arrival, ideal_depart) in results {
-            self.emit(query, composite, arrival, ideal_depart, out);
         }
     }
+}
 
-    fn emit(
-        &mut self,
-        query: usize,
-        record: Record,
-        arrival: Nanos,
-        ideal_depart: Nanos,
-        out: &mut Vec<Emission>,
-    ) {
-        let now = self.clock.now();
-        let ideal = self.queries[query].ideal_time;
-        let response = now.saturating_since(arrival);
-        // With a manual clock `now` can precede the estimated ideal
-        // departure; the tuple was "faster than ideal" and clamps at 1.
-        let slowdown = exec::slowdown(now, ideal_depart, ideal);
-        self.qos.record(response, slowdown);
-        self.emitted += 1;
-        out.push(Emission {
-            query: QueryId::new(query),
-            record,
-            arrival,
-            emitted_at: now,
-            response,
-            slowdown,
-        });
+/// Run `record` through a unary chain, teaching each operator's monitor
+/// whether the record passed it; `None` once an operator filters it out.
+fn run_chain(ops: &[RtOp], monitors: &mut [EwmaEstimator], mut record: Record) -> Option<Record> {
+    for (op, monitor) in ops.iter().zip(monitors) {
+        let next = op.apply_owned(record);
+        monitor.observe_selectivity(if next.is_some() { 1.0 } else { 0.0 });
+        record = next?;
     }
+    Some(record)
 }
 
 /// Translate runtime estimates into an `hcq-plan` query so the §2/§5

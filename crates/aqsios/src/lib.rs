@@ -53,6 +53,6 @@ pub mod record;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use cql::parse as parse_cql;
-pub use dsms::{Dsms, DsmsConfig, Emission, RuntimePolicy, RuntimeStats};
+pub use dsms::{Dsms, DsmsConfig, Emission, Emissions, RuntimePolicy, RuntimeStats};
 pub use ops::{RtJoin, RtOp, RtOpKind, RtPlan};
 pub use record::{Cmp, Predicate, Record};

@@ -51,8 +51,14 @@ impl RtOp {
 
     /// Apply to a record: `None` means filtered out.
     pub fn apply(&self, record: &Record) -> Option<Record> {
+        self.apply_owned(record.clone())
+    }
+
+    /// [`Self::apply`] on a record the caller gives up: a passing select
+    /// hands the same record on.
+    pub(crate) fn apply_owned(&self, record: Record) -> Option<Record> {
         match &self.kind {
-            RtOpKind::Select(p) => p.eval(record).then(|| record.clone()),
+            RtOpKind::Select(p) => p.eval(&record).then_some(record),
             RtOpKind::Project(keep) => Some(record.project(keep)),
         }
     }

@@ -39,7 +39,15 @@ impl Record {
     /// Keep only the given fields, in order (projection). Missing indexes
     /// are dropped silently — projections are validated at registration.
     pub fn project(&self, keep: &[usize]) -> Record {
-        Record::new(keep.iter().filter_map(|&i| self.get(i)).collect())
+        let fields = &*self.fields;
+        if keep.iter().all(|&i| i < fields.len()) {
+            // Exact size: one allocation, straight into the `Arc`.
+            Record {
+                fields: keep.iter().map(|&i| fields[i]).collect(),
+            }
+        } else {
+            Record::new(keep.iter().filter_map(|&i| self.get(i)).collect())
+        }
     }
 
     /// Concatenate two records (join output).
@@ -163,13 +171,21 @@ mod tests {
         }
 
         #[test]
-        fn projection_preserves_values(fields in proptest::collection::vec(any::<i64>(), 1..8)) {
+        fn projection_preserves_values(
+            fields in proptest::collection::vec(any::<i64>(), 1..8),
+            extra in proptest::collection::vec(0usize..12, 0..6),
+        ) {
             let r = Record::new(fields.clone());
             let keep: Vec<usize> = (0..fields.len()).rev().collect();
             let p = r.project(&keep);
             for (out_idx, &src_idx) in keep.iter().enumerate() {
                 prop_assert_eq!(p.get(out_idx), Some(fields[src_idx]));
             }
+            // Indexes past the arity take the filtering path; in range or
+            // not, the result is the kept fields that exist, in order.
+            let keep: Vec<usize> = keep.into_iter().chain(extra).collect();
+            let want: Vec<i64> = keep.iter().filter_map(|&i| fields.get(i).copied()).collect();
+            prop_assert_eq!(r.project(&keep), Record::new(want));
         }
     }
 }

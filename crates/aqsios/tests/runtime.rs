@@ -1,7 +1,11 @@
 //! End-to-end tests of the online mini-DSMS.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use hcq_aqsios::{
-    Cmp, Dsms, DsmsConfig, ManualClock, Predicate, Record, RtJoin, RtOp, RtPlan, RuntimePolicy,
+    Clock, Cmp, Dsms, DsmsConfig, ManualClock, Predicate, Record, RtJoin, RtOp, RtPlan,
+    RuntimePolicy,
 };
 use hcq_common::{Nanos, StreamId};
 
@@ -13,6 +17,154 @@ fn manual_dsms(policy: RuntimePolicy) -> (Dsms, ManualClock) {
     let clock = ManualClock::new();
     let dsms = Dsms::new(DsmsConfig::new(policy).with_clock(Box::new(clock.clone()))).unwrap();
     (dsms, clock)
+}
+
+/// A manual clock that counts its reads.
+#[derive(Clone, Default)]
+struct CountingClock {
+    time: ManualClock,
+    reads: Rc<Cell<u64>>,
+}
+
+impl Clock for CountingClock {
+    fn now(&self) -> Nanos {
+        self.reads.set(self.reads.get() + 1);
+        self.time.now()
+    }
+}
+
+/// The clock budget: one read per push and one per emission, none for a
+/// `run_once` on empty queues, and one per decision only under a policy
+/// whose choice depends on `now` (BSD), never under one that ignores it
+/// (HNR).
+#[test]
+fn clock_reads_per_push_per_emission_and_per_decision_only_when_now_matters() {
+    for (policy, reads_per_decision) in [(RuntimePolicy::Hnr, 0), (RuntimePolicy::Bsd, 1)] {
+        let clock = CountingClock::default();
+        let cfg = DsmsConfig::new(policy).with_clock(Box::new(clock.clone()));
+        let mut dsms = Dsms::new(cfg).unwrap();
+        // Passes everything, half, nothing.
+        for threshold in [0, 50, 200] {
+            dsms.register(RtPlan::single(
+                StreamId::new(0),
+                vec![
+                    RtOp::select(Predicate::new(0, Cmp::Ge, threshold), us(2), 0.5),
+                    RtOp::project(vec![1], us(1)),
+                ],
+            ))
+            .unwrap();
+        }
+        assert!(dsms.run_once().is_none());
+        assert_eq!(clock.reads.get(), 0, "{policy:?}: run_once on empty queues");
+        for v in 0..100 {
+            dsms.push(StreamId::new(0), Record::new(vec![v, v]));
+            clock.time.advance(us(3));
+        }
+        assert_eq!(clock.reads.get(), 100, "{policy:?}: one read per push");
+        let emitted = dsms.run_until_idle().len() as u64;
+        let stats = dsms.stats();
+        assert_eq!((emitted, stats.dropped, stats.decisions), (150, 150, 300));
+        assert_eq!(
+            clock.reads.get(),
+            100 + emitted + reads_per_decision * stats.decisions,
+            "{policy:?}"
+        );
+    }
+}
+
+/// BSD and LSF priorities grow with the wait, so a decision must see a
+/// fresh clock. Query 0 (10 ms) has waited since 0, query 1 (1 ms, the
+/// steeper priority) since 1 ms. Decided at once, query 0's longer wait
+/// wins; a second later, query 1's slope does. A decision at the instant
+/// of the last push would run query 0 both times.
+#[test]
+fn wait_based_policies_decide_on_a_fresh_clock() {
+    for policy in [RuntimePolicy::Bsd, RuntimePolicy::Lsf] {
+        for (idle, first) in [(Nanos::ZERO, 0), (Nanos::from_secs(1), 1)] {
+            let (mut dsms, clock) = manual_dsms(policy);
+            for (stream, cost_ms) in [(0, 10), (1, 1)] {
+                let pass = Predicate::new(0, Cmp::Ge, 0);
+                let op = RtOp::select(pass, Nanos::from_millis(cost_ms), 1.0);
+                dsms.register(RtPlan::single(StreamId::new(stream), vec![op]))
+                    .unwrap();
+            }
+            dsms.push(StreamId::new(0), Record::new(vec![1]));
+            clock.advance(Nanos::from_millis(1));
+            dsms.push(StreamId::new(1), Record::new(vec![1]));
+            clock.advance(idle);
+            let pick = dsms.run_once().unwrap()[0].query.index();
+            assert_eq!(
+                pick, first,
+                "{policy:?} deciding {idle} after the last push"
+            );
+        }
+    }
+}
+
+/// One probe that matches k = 3 partners emits all three from a single
+/// decision, in the join table's order, through the common segment.
+#[test]
+fn one_probe_emits_every_match_from_one_decision() {
+    let (mut dsms, clock) = manual_dsms(RuntimePolicy::Fcfs);
+    dsms.register(RtPlan::Join {
+        left_stream: StreamId::new(0),
+        right_stream: StreamId::new(1),
+        left_ops: vec![],
+        right_ops: vec![],
+        join: RtJoin::new(0, 0, Nanos::from_secs(1)),
+        common_ops: vec![RtOp::project(vec![1, 3], us(1))],
+    })
+    .unwrap();
+    for v in 1..=3 {
+        dsms.push(StreamId::new(0), Record::new(vec![7, v]));
+        clock.advance(us(10));
+    }
+    assert!(dsms.run_until_idle().is_empty(), "nothing to match yet");
+    dsms.push(StreamId::new(1), Record::new(vec![7, 9]));
+    let batch = dsms.run_once().unwrap();
+    let fields: Vec<&[i64]> = batch.iter().map(|e| e.record.fields()).collect();
+    assert_eq!(fields, [[1, 9], [2, 9], [3, 9]]);
+    assert!(dsms.run_once().is_none());
+}
+
+/// `run_until_idle` is its `run_once` batches end to end, join fan-outs
+/// (batches of more than one) included.
+#[test]
+fn run_until_idle_is_the_concatenation_of_run_once_batches() {
+    let loaded = || {
+        let (mut dsms, clock) = manual_dsms(RuntimePolicy::Hnr);
+        dsms.register(RtPlan::Join {
+            left_stream: StreamId::new(0),
+            right_stream: StreamId::new(1),
+            left_ops: vec![],
+            right_ops: vec![],
+            join: RtJoin::new(0, 0, Nanos::from_secs(1)),
+            common_ops: vec![],
+        })
+        .unwrap();
+        dsms.register(RtPlan::single(
+            StreamId::new(0),
+            vec![RtOp::select(Predicate::new(1, Cmp::Lt, 5), us(2), 0.5)],
+        ))
+        .unwrap();
+        for v in 0..12i64 {
+            dsms.push(
+                StreamId::new((v % 3 == 0) as usize),
+                Record::new(vec![v % 2, v]),
+            );
+            clock.advance(us(7));
+        }
+        dsms
+    };
+    let whole = loaded().run_until_idle();
+    let mut dsms = loaded();
+    let (mut parts, mut widest) = (Vec::new(), 0);
+    while let Some(batch) = dsms.run_once() {
+        widest = widest.max(batch.len());
+        parts.extend(batch);
+    }
+    assert!(widest >= 2, "no join fan-out in the script");
+    assert_eq!(whole, parts);
 }
 
 #[test]

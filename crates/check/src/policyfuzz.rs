@@ -663,6 +663,79 @@ mod tests {
         }
     }
 
+    /// Run one seeded enqueue / select script on two instances of `kind`:
+    /// one is called at `now` = the latest arrival, the other 10⁹ s later.
+    /// Returns whether some step picked different units. Until then both
+    /// see the same queues, and a kind that claims not to read `now` must
+    /// agree on the whole `Selection` (`ops_counted` and `SchedStats` too).
+    fn now_moves_a_pick(kind: PolicyKind, case: u64) -> bool {
+        let ms = Nanos::from_millis;
+        let n = det::unit_range(det::mix2(case, 1), 2, 8);
+        let units: Vec<UnitStatics> = (0..n)
+            .map(|u| {
+                let h = det::mix3(case, u, 0x0c10c);
+                let cost = ms(det::unit_range(det::mix2(h, 1), 1, 10));
+                let ideal = ms(det::unit_range(det::mix2(h, 2), 1, 40));
+                UnitStatics::new(0.1 + 0.9 * det::unit_f64(h), cost, ideal)
+            })
+            .collect();
+        let late_by = Nanos::from_secs(1_000_000_000);
+        let (mut early, mut late) = (kind.build(), kind.build());
+        early.on_register(&units);
+        late.on_register(&units);
+        let mut queues = FuzzQueues::new(units.len());
+        let mut latest = Nanos::ZERO;
+        for step in 0..200u64 {
+            let h = det::mix3(case, step, 0x0c10d);
+            if !h.is_multiple_of(3) {
+                // Arrivals never go back, and some share an instant.
+                latest += ms(det::unit_range(det::mix2(h, 1), 0, 4));
+                let unit = (det::mix2(h, 2) % n) as UnitId;
+                let tuple = TupleId::new(step);
+                queues.push(unit, tuple, latest);
+                early.on_enqueue(unit, tuple, latest, latest);
+                late.on_enqueue(unit, tuple, latest, latest + late_by);
+                continue;
+            }
+            let picked = early.select(&queues, latest);
+            let picked_late = late.select(&queues, latest + late_by);
+            let tag = format!("{} case {case} step {step}", label(kind));
+            if !kind.reads_now() {
+                assert_eq!(picked, picked_late, "{tag}");
+            }
+            let units_of = |s: &Option<Selection>| s.as_ref().map(|s| s.units.to_vec());
+            if units_of(&picked) != units_of(&picked_late) {
+                return true;
+            }
+            for &u in picked.iter().flat_map(|s| s.units.as_slice()) {
+                queues.pop(u).expect("selected units are non-empty");
+            }
+        }
+        false
+    }
+
+    /// An executor may skip its clock read before `select` when
+    /// `PolicyKind::reads_now` is false, so the flag must not lie either
+    /// way: such a kind selects identically at any `now` (checked inside
+    /// the script), and for a kind that claims to read `now` some script
+    /// has a step where `now` changes the pick.
+    #[test]
+    fn reads_now_is_true_exactly_when_now_changes_a_pick() {
+        let kinds = PolicyKind::ALL
+            .into_iter()
+            .chain([PolicyKind::Lp(2.5)])
+            .chain(cluster_variants(3).map(PolicyKind::Clustered));
+        for kind in kinds {
+            let moved = (0..24).filter(|&case| now_moves_a_pick(kind, case)).count();
+            assert_eq!(
+                moved > 0,
+                kind.reads_now(),
+                "{}: `now` changed the pick in {moved} of 24 scripts",
+                label(kind)
+            );
+        }
+    }
+
     const RANKS: [StaticRank; 4] = [
         StaticRank::Srpt,
         StaticRank::Hr,

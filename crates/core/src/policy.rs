@@ -423,6 +423,19 @@ impl PolicyKind {
         }
     }
 
+    /// Whether the built policy's choice depends on the `now` its `select`
+    /// is called at: true for the wait-based priorities (LSF, BSD, ℓp and
+    /// clustered BSD). FCFS, RR, SRPT, HR and HNR order by arrival, by a
+    /// cursor or by static priorities, so any instant at or after every
+    /// head arrival selects the same; an executor may skip reading its
+    /// clock for them.
+    pub fn reads_now(self) -> bool {
+        matches!(
+            self,
+            PolicyKind::Lsf | PolicyKind::Bsd | PolicyKind::Lp(_) | PolicyKind::Clustered(_)
+        )
+    }
+
     /// Display name matching the paper's figures; the built policy's
     /// [`Policy::name`].
     pub fn name(self) -> &'static str {
