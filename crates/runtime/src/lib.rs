@@ -26,6 +26,9 @@
 //!   per shard owning a unit on its stream, through bounded lock-free MPMC
 //!   rings ([`ring::Ring`]); the per-query fan-out happens on the owning
 //!   shard. A full inbox backpressures ingest rather than growing unboundedly.
+//!   The pre-generated schedule, which `run` owns for the whole thread
+//!   scope, holds the only copy of each arrival: a ring slot and a queued
+//!   copy are each an 8-byte reference to it.
 //! - **Work stealing**: a shard with nothing queued locally pops an arrival
 //!   from a sibling *inbox* (MPMC pop by a non-owner) and executes the
 //!   victim's routes for it directly. Unary pipeline outcomes are pure
@@ -58,7 +61,7 @@ pub mod ring;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
@@ -74,30 +77,27 @@ use hcq_streams::ArrivalSource;
 use progress::Progress;
 use ring::Ring;
 
-/// One copy of an arrival waiting in a unit queue (which names the unit):
-/// what [`SimTuple::base`] needs besides the unit's alone-path cost, and the
-/// wall-clock instant (nanoseconds since run start) the arrival entered the
-/// ring, which anchors the response-time measurement.
-#[derive(Debug, Clone, Copy)]
-struct RtItem {
+/// One source arrival on a routed stream: a pre-generated schedule entry,
+/// and the only copy of it there is. Rings carry `&RtArrival`, and so does
+/// every unit queue it is fanned out into; [`SimTuple::base`] needs these
+/// fields besides the unit's alone-path cost. `ring_ns` is the wall-clock
+/// instant (nanoseconds since run start) the arrival entered the rings,
+/// which anchors the response-time measurement: ingest stores it
+/// (`Relaxed`) before the first push, and each ring slot's Release/Acquire
+/// pair orders that store before any shard's (`Relaxed`) load.
+#[derive(Debug)]
+struct RtArrival {
+    stream: u32,
     id: TupleId,
     arrival: Nanos,
     key: u64,
-    ring_ns: u64,
+    ring_ns: AtomicU64,
 }
 
-impl Queued for RtItem {
+impl Queued for &RtArrival {
     fn arrival(&self) -> Nanos {
         self.arrival
     }
-}
-
-/// One source arrival crossing a ring: its stream and the item every unit
-/// registered on that stream gets a copy of.
-#[derive(Debug, Clone, Copy)]
-struct RtArrival {
-    stream: u32,
-    item: RtItem,
 }
 
 /// Wall-clock executor configuration.
@@ -205,7 +205,7 @@ impl RuntimeReport {
 struct Shared<'a> {
     model: &'a SimModel,
     shed_priority: Vec<f64>,
-    inboxes: Vec<Ring<RtArrival>>,
+    inboxes: Vec<Ring<&'a RtArrival>>,
     /// `routes[shard][stream]`: the stream's entry routes into units the
     /// shard owns (`unit % threads == shard`), in model order.
     routes: Vec<Vec<Vec<EntryRoute>>>,
@@ -255,7 +255,7 @@ struct ShardStats {
 struct Shard<'a> {
     id: usize,
     policy: Box<dyn Policy>,
-    queues: UnitQueues<RtItem>,
+    queues: UnitQueues<&'a RtArrival>,
     /// Virtual watermark: max arrival admitted so far. Policies receive it
     /// as `now`, keeping priority arithmetic in the virtual-time domain the
     /// arrival timestamps live in (see DESIGN §14 for the caveat).
@@ -306,7 +306,7 @@ impl<'a> Shard<'a> {
                 };
                 let routes = &shared.routes[self.id][arrival.stream as usize];
                 for route in routes {
-                    self.admit(route.unit, arrival.item);
+                    self.admit(route.unit, arrival);
                 }
                 drained += routes.len();
             }
@@ -339,7 +339,7 @@ impl<'a> Shard<'a> {
     /// Move one copy of an arrival into `unit`'s queue under the configured
     /// admission mode: [`UnitQueues::admit`] decides, this does the shard's
     /// bookkeeping.
-    fn admit(&mut self, unit: UnitId, item: RtItem) {
+    fn admit(&mut self, unit: UnitId, item: &'a RtArrival) {
         let shared = self.shared;
         match self.queues.admit(
             shared.cfg.overload.mode,
@@ -391,7 +391,7 @@ impl<'a> Shard<'a> {
             if let Some(arrival) = shared.inboxes[victim].try_pop() {
                 for route in &shared.routes[victim][arrival.stream as usize] {
                     self.stats.stolen += 1;
-                    self.execute(route.unit, arrival.item)?;
+                    self.execute(route.unit, arrival)?;
                 }
                 return Ok(true);
             }
@@ -400,7 +400,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Run one copy of an arrival through `unit`'s unary pipeline to the root.
-    fn execute(&mut self, unit: UnitId, item: RtItem) -> Result<(), EngineError> {
+    fn execute(&mut self, unit: UnitId, item: &RtArrival) -> Result<(), EngineError> {
         let model = self.shared.model;
         let desc = model
             .units
@@ -448,7 +448,8 @@ impl<'a> Shard<'a> {
         self.stats.fingerprint = exec::fold_emission(self.stats.fingerprint, query, tuple.lineage);
         // Wall time since the ring, against an ideal departure one `T` after
         // it: §5.1.2 with the ring entry as the arrival instant.
-        let response = Nanos::from_nanos(self.shared.now_ns().saturating_sub(item.ring_ns));
+        let ring_ns = item.ring_ns.load(Ordering::Relaxed);
+        let response = Nanos::from_nanos(self.shared.now_ns().saturating_sub(ring_ns));
         let ideal = model.stats[query].ideal_time;
         self.stats
             .qos
@@ -488,12 +489,10 @@ fn build_schedule(
         if model.routes.get(s).is_some_and(|r| !r.is_empty()) {
             out.push(RtArrival {
                 stream: s as u32,
-                item: RtItem {
-                    id,
-                    arrival: t,
-                    key,
-                    ring_ns: 0,
-                },
+                id,
+                arrival: t,
+                key,
+                ring_ns: AtomicU64::new(0),
             });
         }
     }
@@ -612,15 +611,15 @@ fn run_with(
             })
             .collect();
 
-        // Ingest: one clock read per arrival, one push per shard owning a
+        // Ingest: one clock read per arrival, stored before its first push
+        // (the push's Release publishes it), one push per shard owning a
         // unit on its stream.
         let mut injected = 0u64;
-        'ingest: for scheduled in &schedule {
+        'ingest: for arrival in &schedule {
             if shared.failed.load(Ordering::Relaxed) {
                 break;
             }
-            let mut arrival = *scheduled;
-            arrival.item.ring_ns = shared.now_ns();
+            arrival.ring_ns.store(shared.now_ns(), Ordering::Relaxed);
             for (inbox, routes) in shared.inboxes.iter().zip(&shared.routes) {
                 let copies = routes[arrival.stream as usize].len() as u64;
                 if copies == 0 {
@@ -779,13 +778,20 @@ mod tests {
     use hcq_common::Nanos;
     use hcq_plan::QueryBuilder;
     use hcq_streams::PoissonSource;
+    use std::collections::VecDeque;
+    use std::sync::Arc;
 
     fn small_plan() -> GlobalPlan {
+        plan_of(4)
+    }
+
+    /// `queries` unary queries on stream 0, costs and selectivities distinct.
+    fn plan_of(queries: u64) -> GlobalPlan {
         let mut plan = GlobalPlan::default();
-        for q in 0..4u64 {
+        for q in 0..queries {
             plan.add_query(
                 QueryBuilder::on(hcq_common::StreamId::new(0))
-                    .select(Nanos::from_micros(50 + 10 * q), 0.2 + 0.15 * q as f64)
+                    .select(Nanos::from_micros(50 + 10 * q), 0.2 + 0.15 * (q % 4) as f64)
                     .project(Nanos::from_micros(20))
                     .build()
                     .unwrap(),
@@ -920,6 +926,110 @@ mod tests {
             );
             assert!(err.to_string().starts_with("runtime worker panicked: "));
         }
+    }
+
+    /// Wraps a real policy and checks, at every `select`, that the queues
+    /// it is shown equal a shadow built only from what it was told:
+    /// `on_enqueue` appends the arrival to the unit's FIFO, `on_shed` pops
+    /// its tail, and each of its own selections pops the head. Stolen copies
+    /// never enter a queue, so stealing leaves the shadow alone.
+    struct Audit {
+        inner: Box<dyn Policy>,
+        shadow: Vec<VecDeque<Nanos>>,
+        sheds: Arc<AtomicU64>,
+    }
+
+    impl Policy for Audit {
+        fn name(&self) -> &'static str {
+            "audit"
+        }
+        fn on_register(&mut self, units: &[hcq_core::UnitStatics]) {
+            self.inner.on_register(units);
+            self.shadow = vec![VecDeque::new(); units.len()];
+        }
+        fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, now: Nanos) {
+            self.shadow[unit as usize].push_back(arrival);
+            self.inner.on_enqueue(unit, tuple, arrival, now);
+        }
+        fn on_shed(&mut self, unit: UnitId, tuple: TupleId) {
+            let shed = self.shadow[unit as usize].pop_back();
+            assert!(
+                shed.is_some(),
+                "on_shed for unit {unit}, empty in the shadow"
+            );
+            self.sheds.fetch_add(1, Ordering::Relaxed);
+            self.inner.on_shed(unit, tuple);
+        }
+        fn select(
+            &mut self,
+            queues: &dyn hcq_core::QueueView,
+            now: Nanos,
+        ) -> Option<hcq_core::Selection> {
+            let mut shown = queues.nonempty().to_vec();
+            shown.sort_unstable();
+            let told: Vec<UnitId> = (0..)
+                .zip(&self.shadow)
+                .filter_map(|(u, q)| (!q.is_empty()).then_some(u))
+                .collect();
+            assert_eq!(shown, told, "the non-empty set");
+            for (u, q) in self.shadow.iter().enumerate() {
+                assert_eq!(queues.len(u as UnitId), q.len(), "unit {u}'s length");
+                if let Some(&head) = q.front() {
+                    assert_eq!(queues.head_arrivals()[u], head, "unit {u}'s head");
+                }
+            }
+            let selection = self.inner.select(queues, now)?;
+            for &unit in selection.units.as_slice() {
+                let head = self.shadow[unit as usize].pop_front();
+                assert!(head.is_some(), "selected unit {unit}, empty in the shadow");
+            }
+            Some(selection)
+        }
+    }
+
+    #[test]
+    fn shards_schedule_by_their_policy() {
+        let policies = [
+            PolicyKind::Fcfs,
+            PolicyKind::RoundRobin,
+            PolicyKind::Hnr,
+            PolicyKind::Lsf,
+            PolicyKind::Bsd,
+        ];
+        let modes = [
+            AdmissionMode::Unbounded,
+            AdmissionMode::DropTail,
+            AdmissionMode::QosShed,
+        ];
+        let sheds = Arc::new(AtomicU64::new(0));
+        for kind in policies {
+            for mode in modes {
+                for threads in [1, 2, 4] {
+                    let build = || -> Box<dyn Policy> {
+                        Box::new(Audit {
+                            inner: kind.build(),
+                            shadow: Vec::new(),
+                            sheds: Arc::clone(&sheds),
+                        })
+                    };
+                    // Tight bounds, so both bounded rungs shed.
+                    let cfg = RuntimeConfig::new(2_000)
+                        .with_seed(3)
+                        .with_threads(threads)
+                        .with_admission(mode, 2)
+                        .with_watermark(4);
+                    let report =
+                        run_with(build, &plan_of(8), &StreamRates::none(), sources(), &cfg)
+                            .unwrap_or_else(|e| panic!("{kind:?}/{mode:?}/{threads}t: {e}"));
+                    assert!(report.conserved(), "{kind:?}/{mode:?}/{threads}t conserves");
+                    assert_eq!(report.injected, 16_000, "{kind:?}/{mode:?}/{threads}t");
+                }
+            }
+        }
+        assert!(
+            sheds.load(Ordering::Relaxed) > 0,
+            "QosShed displaced no tail"
+        );
     }
 
     #[test]

@@ -63,6 +63,16 @@ fn runtime_matches_simulator_across_policies_and_admission_modes() {
                     .with_watermark(GENEROUS_CAPACITY);
                 let report = run(&w.plan, &w.rates, sources(), kind, &rt_cfg).expect("runtime run");
                 assert!(report.conserved(), "{kind:?}/{mode:?}/{threads}t conserves");
+                // Every emission measured its response from the one ring
+                // stamp its arrival carries, read by every shard and thief
+                // that ran a copy of it.
+                let qos = &report.qos;
+                assert_eq!(qos.count, report.emitted, "{kind:?}/{mode:?}/{threads}t");
+                assert!(qos.avg_response_ms > 0.0, "{kind:?}/{mode:?}/{threads}t");
+                assert!(
+                    qos.max_response_ms * 1e6 <= report.wall_ns as f64,
+                    "{kind:?}/{mode:?}/{threads}t: a response outlasts the run"
+                );
                 let rt = runtime_aggregates(&report);
                 assert_eq!(
                     rt, sim,
