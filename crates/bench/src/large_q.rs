@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use hcq_common::{Nanos, TupleId};
+use hcq_common::{det, Nanos, TupleId};
 use hcq_core::{ClusterConfig, Policy, PolicyKind, QueueView, SchedStats, UnitId, UnitStatics};
 
 /// Cluster count for the clustered variants; large enough that the m-sized
@@ -141,15 +141,6 @@ pub fn points_for(q: usize) -> u64 {
     (4_000_000 / q as u64).clamp(16, 2_000)
 }
 
-/// 64-bit FNV-1a fold.
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// Run one (policy, q) cell: register q units, saturate the queues, then
 /// drive `points_for(q)` scheduling points of `select → consume →
 /// re-arrive`, timing the loop and accumulating the exact op counters.
@@ -189,7 +180,7 @@ pub fn run_cell(name: &'static str, mut policy: Box<dyn Policy>, q: usize) -> La
     let points = points_for(q);
     let mut evals = 0u64;
     let mut work = 0u64;
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = det::FNV_OFFSET;
     let t0 = Instant::now();
     for _ in 0..points {
         let (picked, _, stats) =
@@ -197,7 +188,7 @@ pub fn run_cell(name: &'static str, mut policy: Box<dyn Policy>, q: usize) -> La
         evals += stats.priority_evals;
         work += stats.total();
         for &u in &picked {
-            digest = fnv1a(&u.to_le_bytes(), digest);
+            digest = det::fnv1a(&u.to_le_bytes(), digest);
         }
         now += Nanos::from_nanos(1_000);
     }

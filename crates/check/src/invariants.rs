@@ -24,6 +24,7 @@
 //! The clustered-BSD ε-bound (§6.2) needs per-decision wait times, so it is
 //! checked at the policy layer in [`crate::policyfuzz`], not here.
 
+use hcq_common::det;
 use hcq_core::{ClusterConfig, Clustering, PolicyKind};
 use hcq_engine::{
     simulate, simulate_monitored, simulate_traced, AdmissionMode, SimReport, TraceEvent,
@@ -95,17 +96,11 @@ pub fn fingerprint(report: &SimReport) -> String {
     // token: the probe-inertness check compares everything before it.
     let mut est = 0u64;
     if let Some(estimates) = &report.estimates {
-        est = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |x: f64| {
-            for byte in x.to_bits().to_le_bytes() {
-                est ^= byte as u64;
-                est = est.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        est = det::FNV_OFFSET;
         for s in estimates {
-            fold(s.selectivity);
-            fold(s.avg_cost_ns);
-            fold(s.ideal_time_ns);
+            for x in [s.selectivity, s.avg_cost_ns, s.ideal_time_ns] {
+                est = det::fnv1a(&x.to_bits().to_le_bytes(), est);
+            }
         }
     }
     let b = |x: f64| format!("{:016x}", x.to_bits());

@@ -6,6 +6,10 @@
 //! to (zero costs, zero/NaN selectivities, degenerate priority domains) —
 //! deserve an adversary. This crate is that adversary:
 //!
+//! * [`audit`] — [`ContractAudit`], a policy wrapper that checks at every
+//!   `select` that the executor's queues match what the policy was told
+//!   (run through the simulator here, through the runtime's shards in
+//!   `hcq-runtime`'s tests).
 //! * [`scenario`] — seeded random workloads: query plans with extreme
 //!   costs/selectivities, bursty and stalling sources, every admission
 //!   mode, engine-side fault injection. Pure functions of
@@ -36,6 +40,7 @@
 //! land as artifacts that `crates/check/tests/replay.rs` re-runs as
 //! regression tests forever after.
 
+pub mod audit;
 pub mod estimator;
 pub mod incremental;
 pub mod invariants;
@@ -44,6 +49,7 @@ pub mod runner;
 pub mod scenario;
 pub mod shrink;
 
+pub use audit::ContractAudit;
 pub use estimator::fuzz_estimators;
 pub use incremental::fuzz_incremental;
 pub use invariants::{check_scenario, check_scenario_full, fingerprint, ScenarioCheck, Violation};

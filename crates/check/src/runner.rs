@@ -4,10 +4,9 @@
 //! check layers — the engine-level invariant suite ([`crate::invariants`]),
 //! the policy-level degenerate-statics drill ([`crate::policyfuzz`]), and
 //! the estimator differential oracle ([`crate::estimator`]) —
-//! optionally across a thread pool. Work distribution is a shared atomic
-//! cursor (identical to the repro harness's pattern, but dependency-free:
-//! `hcq-repro` depends on this crate, not the other way around), and results
-//! are keyed by case index, so the outcome — including the run digest — is
+//! optionally across a thread pool. Cases run through the workspace's one
+//! job pool ([`hcq_common::jobs::run_jobs`]), which returns results in case
+//! order, so the outcome — including the run digest — is
 //! **byte-identical for every `--jobs` value**. The digest itself is an
 //! FNV-1a fold over every per-policy report fingerprint in case order;
 //! comparing two digests compares tens of thousands of counters and
@@ -19,8 +18,9 @@
 //! the artifact preserves, so one file reproduces either kind.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+use hcq_common::det;
+use hcq_common::jobs::run_jobs;
 
 use crate::estimator::fuzz_estimators;
 use crate::incremental::fuzz_incremental;
@@ -119,51 +119,16 @@ fn run_case(seed: u64, case: u64) -> CaseResult {
     }
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// Run the sweep.
 pub fn run_fuzz(cfg: &FuzzConfig) -> std::io::Result<FuzzOutcome> {
-    let jobs = cfg.jobs.max(1);
-    let mut slots: Vec<Option<CaseResult>> = Vec::new();
-    slots.resize_with(cfg.cases as usize, || None);
-    if jobs == 1 {
-        for case in 0..cfg.cases {
-            slots[case as usize] = Some(run_case(cfg.seed, case));
-        }
-    } else {
-        let next = AtomicU64::new(0);
-        {
-            let shared = Mutex::new(&mut slots);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let case = next.fetch_add(1, Ordering::Relaxed);
-                        if case >= cfg.cases {
-                            return;
-                        }
-                        let result = run_case(cfg.seed, case);
-                        shared.lock().expect("result slots")[case as usize] = Some(result);
-                    });
-                }
-            });
-        }
-    }
-    let results: Vec<CaseResult> = slots
-        .into_iter()
-        .map(|r| r.expect("every case indexed"))
-        .collect();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let results = run_jobs(cfg.jobs, cfg.cases as usize, |case| {
+        run_case(cfg.seed, case as u64)
+    });
+    let mut digest = det::FNV_OFFSET;
     for r in &results {
         for (policy, fp) in &r.fingerprints {
-            digest = fnv1a(policy.as_bytes(), digest);
-            digest = fnv1a(fp.as_bytes(), digest);
+            digest = det::fnv1a(policy.as_bytes(), digest);
+            digest = det::fnv1a(fp.as_bytes(), digest);
         }
     }
     let digest = format!("{digest:016x}");

@@ -1,4 +1,4 @@
-//! Deterministic hashing utilities.
+//! Deterministic hashing and the seeded random stream.
 //!
 //! Operator selectivities are *realized* (a tuple passes a filter or it does
 //! not) through a pure function of `(tuple id, operator salt, run seed)`.
@@ -14,6 +14,10 @@
 //! The mixer is SplitMix64 (Steele et al., "Fast splittable pseudorandom
 //! number generators"), which passes BigCrush when used as a one-shot mixer
 //! and costs a handful of ALU ops.
+//!
+//! Sequential draws — arrival gaps, workload parameters, property-test
+//! cases — come from [`Rng`], a xoshiro256++ stream seeded through the same
+//! mixer; [`fnv1a`] is the workspace's one byte-string hash.
 
 /// One round of the SplitMix64 output mixer over an arbitrary 64-bit input.
 #[inline]
@@ -67,6 +71,80 @@ pub fn unit_range(hash: u64, lo: u64, hi: u64) -> u64 {
     lo + (unit_f64(hash) * span as f64) as u64
 }
 
+/// 64-bit FNV-1a offset basis: the `hash` to start a fresh [`fnv1a`] fold.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a running 64-bit FNV-1a `hash` (start from
+/// [`FNV_OFFSET`]). The workspace's one FNV-1a: fuzz digests, report
+/// fingerprints, the large-q selection digest and test-case seeds.
+#[inline]
+pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+/// The seeded stream behind workload and arrival generation: xoshiro256++
+/// (Blackman & Vigna), its state expanded from one `u64` seed through
+/// [`splitmix64`] as the xoshiro authors recommend.
+///
+/// Unlike the one-shot mixers above, draws depend on their order, so an
+/// `Rng` belongs to exactly one sequential generator (a source, a
+/// population build, a test case).
+#[derive(Debug, Clone)]
+pub struct Rng {
+    s: [u64; 4],
+}
+
+impl Rng {
+    /// The generator whose stream is a pure function of `seed`:
+    /// `s[i] = splitmix64(seed + i·γ)`.
+    pub fn new(seed: u64) -> Self {
+        let word = |i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        Rng {
+            s: [word(0), word(1), word(2), word(3)],
+        }
+    }
+
+    /// The next 64 random bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform draw in `[0, 1)`: [`unit_f64`] of the next 64 bits.
+    #[inline]
+    pub fn next_f64(&mut self) -> f64 {
+        unit_f64(self.next_u64())
+    }
+
+    /// A uniform integer in `[lo, hi]`, by widening multiply of the next
+    /// 64 bits; the full `[0, u64::MAX]` domain returns the raw draw.
+    ///
+    /// # Panics
+    /// Panics if `lo > hi`.
+    #[inline]
+    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
+        assert!(lo <= hi, "cannot sample empty range");
+        let raw = self.next_u64();
+        match (hi - lo).checked_add(1) {
+            Some(span) => lo + ((raw as u128 * span as u128) >> 64) as u64,
+            None => raw,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,6 +193,94 @@ mod tests {
             seen_hi |= v == 4;
         }
         assert!(seen_lo && seen_hi);
+    }
+
+    #[test]
+    fn rng_matches_the_pinned_xoshiro_stream() {
+        // Known answers of the xoshiro256++/SplitMix64 stream every
+        // workload, arrival process and property test draws from.
+        let mut r = Rng::new(42);
+        let first: Vec<u64> = (0..3).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0xd076_4d4f_4476_689f,
+                0x519e_4174_576f_3791,
+                0xfbe0_7cfb_0c24_ed8c
+            ]
+        );
+        assert_eq!(Rng::new(7).next_f64().to_bits(), 0x3fac_5834_0055_5d20);
+        let mut r = Rng::new(1);
+        let ranged: Vec<u64> = (0..5).map(|_| r.range_inclusive(10, 20)).collect();
+        assert_eq!(ranged, [18, 18, 11, 18, 12]);
+    }
+
+    #[test]
+    fn rng_streams_are_deterministic_per_seed() {
+        let mut a = Rng::new(42);
+        let mut b = Rng::new(42);
+        for _ in 0..64 {
+            assert_eq!(a.next_f64().to_bits(), b.next_f64().to_bits());
+        }
+        let mut c = Rng::new(43);
+        assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn rng_unit_floats_in_range() {
+        let mut r = Rng::new(7);
+        for _ in 0..10_000 {
+            assert!((0.0..1.0).contains(&r.next_f64()));
+        }
+    }
+
+    #[test]
+    fn rng_ranges_respect_bounds() {
+        let mut r = Rng::new(1);
+        for _ in 0..10_000 {
+            assert!((3..=8).contains(&r.range_inclusive(3, 8)));
+            assert!((10..=20).contains(&r.range_inclusive(10, 20)));
+            assert_eq!(r.range_inclusive(5, 5), 5);
+        }
+    }
+
+    #[test]
+    fn rng_ranges_cover_endpoints() {
+        let mut r = Rng::new(2);
+        let mut seen = [false; 4];
+        for _ in 0..1_000 {
+            seen[r.range_inclusive(0, 3) as usize] = true;
+        }
+        assert_eq!(seen, [true; 4]);
+    }
+
+    #[test]
+    fn rng_full_domain_is_the_raw_draw() {
+        // A span of 2^64 cannot be multiplied into; it is the draw itself.
+        let (mut a, mut b) = (Rng::new(3), Rng::new(3));
+        assert_eq!(a.range_inclusive(0, u64::MAX), b.next_u64());
+        assert_eq!(
+            a.range_inclusive(1, u64::MAX),
+            1 + ((b.next_u64() as u128 * u64::MAX as u128) >> 64) as u64
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn rng_empty_range_panics() {
+        Rng::new(4).range_inclusive(2, 1);
+    }
+
+    #[test]
+    fn fnv1a_known_vectors() {
+        // The reference FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b"", FNV_OFFSET), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a", FNV_OFFSET), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar", FNV_OFFSET), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(b"bar", fnv1a(b"foo", FNV_OFFSET)),
+            fnv1a(b"foobar", FNV_OFFSET)
+        );
     }
 
     proptest! {

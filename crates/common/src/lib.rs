@@ -9,13 +9,17 @@
 //!   that an operator index can never be confused with a query index.
 //! * [`det`] — deterministic hashing utilities used to realize operator
 //!   selectivities as a pure function of `(tuple, operator)`, which guarantees
-//!   every scheduling policy observes the *same* workload realization.
+//!   every scheduling policy observes the *same* workload realization, and
+//!   the seeded stream ([`det::Rng`]) workloads and arrivals are drawn from.
+//! * [`jobs`] — the parallel job pool whose output is independent of the
+//!   worker count.
 //! * [`HcqError`] — the workspace error type.
 //! * [`json`] — the one JSON value, strict parser and writer primitives.
 
 pub mod det;
 pub mod error;
 pub mod ids;
+pub mod jobs;
 pub mod json;
 pub mod time;
 

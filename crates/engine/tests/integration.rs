@@ -1,8 +1,9 @@
 //! End-to-end simulator tests, including the paper's worked Example 1
 //! (Table 1) reproduced exactly.
 
-use hcq_common::{det, Nanos, StreamId};
+use hcq_common::{Nanos, StreamId, TupleId};
 use hcq_core::{ClusterConfig, ClusteredBsdPolicy, PolicyKind};
+use hcq_engine::exec::arrival_key;
 use hcq_engine::{
     simulate, simulate_monitored, SchedulingLevel, SimConfig, SimReport, VecTelemetry,
 };
@@ -13,10 +14,10 @@ fn ms(n: u64) -> Nanos {
     Nanos::from_millis(n)
 }
 
-/// The key attribute the engine assigns to physical tuple `id` under `seed`
-/// (mirrors `Simulator::inject`).
+/// The key attribute the engine assigns to physical tuple `id` under `seed`:
+/// `Simulator::inject` draws it through the same function.
 fn key_of(seed: u64, id: u64) -> u64 {
-    det::unit_range(det::splitmix64(det::mix2(seed, id)), 1, 100)
+    arrival_key(seed, TupleId::new(id))
 }
 
 /// Example 1 needs the middle of three tuples (and only it) to satisfy the

@@ -14,8 +14,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicUsize;
 
-use hcq_common::{det, Nanos, StreamId};
+use hcq_common::{Nanos, StreamId, TupleId};
 use hcq_core::{ClusterConfig, PolicyKind, SharingStrategy};
+use hcq_engine::exec::arrival_key;
 use hcq_engine::{
     simulate, simulate_monitored, AdaptConfig, AdaptMode, AdmissionMode, SimConfig, SimReport,
     Simulator, VecTelemetry,
@@ -242,9 +243,7 @@ pub fn table1(cfg: &ExpConfig) -> ExhibitOutput {
 }
 
 fn run_example1(kind: PolicyKind) -> SimReport {
-    fn key_of(seed: u64, id: u64) -> u64 {
-        det::unit_range(det::splitmix64(det::mix2(seed, id)), 1, 100)
-    }
+    let key_of = |seed: u64, id: u64| arrival_key(seed, TupleId::new(id));
     // Example 1 needs exactly the middle tuple to pass Q2's 0.33-selective
     // predicate (`key ≤ 33`).
     let seed = (0..10_000u64)

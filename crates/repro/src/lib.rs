@@ -28,7 +28,7 @@ pub use exhibits::{
     request_names, resolve, table1, table2, table3, Exhibit, ExhibitOutput, Step, EXHIBITS, MODES,
 };
 pub use fuzz::{fuzz, fuzz_replay, FuzzSummary};
-pub use harness::{run_jobs, ExpConfig, SweepResults};
+pub use harness::{ExpConfig, SweepResults};
 pub use inspect::{ext_inspect, guard_overwrite, inspect_trace, InspectFormat};
 pub use monitor::{monitor, MonitorOutput};
 pub use plot::Chart;

@@ -5,11 +5,12 @@
 //! figures. Checks are *orderings and relative gaps* — the reproduction
 //! targets — not absolute values.
 
+use hcq_common::jobs::run_jobs;
 use hcq_core::{ClusterConfig, PolicyKind, SharingStrategy};
 use hcq_engine::SimReport;
 
 use crate::exhibits::{fig12_cell, table1_values, table2_cell};
-use crate::harness::{run_jobs, ExpConfig};
+use crate::harness::ExpConfig;
 use crate::table::AsciiTable;
 
 /// One claim's outcome.

@@ -775,10 +775,10 @@ pub mod differential {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use hcq_check::ContractAudit;
     use hcq_common::Nanos;
     use hcq_plan::QueryBuilder;
     use hcq_streams::PoissonSource;
-    use std::collections::VecDeque;
     use std::sync::Arc;
 
     fn small_plan() -> GlobalPlan {
@@ -928,65 +928,6 @@ mod tests {
         }
     }
 
-    /// Wraps a real policy and checks, at every `select`, that the queues
-    /// it is shown equal a shadow built only from what it was told:
-    /// `on_enqueue` appends the arrival to the unit's FIFO, `on_shed` pops
-    /// its tail, and each of its own selections pops the head. Stolen copies
-    /// never enter a queue, so stealing leaves the shadow alone.
-    struct Audit {
-        inner: Box<dyn Policy>,
-        shadow: Vec<VecDeque<Nanos>>,
-        sheds: Arc<AtomicU64>,
-    }
-
-    impl Policy for Audit {
-        fn name(&self) -> &'static str {
-            "audit"
-        }
-        fn on_register(&mut self, units: &[hcq_core::UnitStatics]) {
-            self.inner.on_register(units);
-            self.shadow = vec![VecDeque::new(); units.len()];
-        }
-        fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, now: Nanos) {
-            self.shadow[unit as usize].push_back(arrival);
-            self.inner.on_enqueue(unit, tuple, arrival, now);
-        }
-        fn on_shed(&mut self, unit: UnitId, tuple: TupleId) {
-            let shed = self.shadow[unit as usize].pop_back();
-            assert!(
-                shed.is_some(),
-                "on_shed for unit {unit}, empty in the shadow"
-            );
-            self.sheds.fetch_add(1, Ordering::Relaxed);
-            self.inner.on_shed(unit, tuple);
-        }
-        fn select(
-            &mut self,
-            queues: &dyn hcq_core::QueueView,
-            now: Nanos,
-        ) -> Option<hcq_core::Selection> {
-            let mut shown = queues.nonempty().to_vec();
-            shown.sort_unstable();
-            let told: Vec<UnitId> = (0..)
-                .zip(&self.shadow)
-                .filter_map(|(u, q)| (!q.is_empty()).then_some(u))
-                .collect();
-            assert_eq!(shown, told, "the non-empty set");
-            for (u, q) in self.shadow.iter().enumerate() {
-                assert_eq!(queues.len(u as UnitId), q.len(), "unit {u}'s length");
-                if let Some(&head) = q.front() {
-                    assert_eq!(queues.head_arrivals()[u], head, "unit {u}'s head");
-                }
-            }
-            let selection = self.inner.select(queues, now)?;
-            for &unit in selection.units.as_slice() {
-                let head = self.shadow[unit as usize].pop_front();
-                assert!(head.is_some(), "selected unit {unit}, empty in the shadow");
-            }
-            Some(selection)
-        }
-    }
-
     #[test]
     fn shards_schedule_by_their_policy() {
         let policies = [
@@ -1005,12 +946,10 @@ mod tests {
         for kind in policies {
             for mode in modes {
                 for threads in [1, 2, 4] {
+                    // Stolen copies never enter a queue, so stealing
+                    // leaves the audit's shadow alone.
                     let build = || -> Box<dyn Policy> {
-                        Box::new(Audit {
-                            inner: kind.build(),
-                            shadow: Vec::new(),
-                            sheds: Arc::clone(&sheds),
-                        })
+                        Box::new(ContractAudit::new(kind.build(), Arc::clone(&sheds)))
                     };
                     // Tight bounds, so both bounded rungs shed.
                     let cfg = RuntimeConfig::new(2_000)

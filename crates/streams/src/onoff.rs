@@ -11,9 +11,8 @@
 //! The *mean* arrival rate — the quantity utilization calibration needs — is
 //! `peak_rate · E[on] / (E[on] + E[off])`.
 
+use hcq_common::det::Rng;
 use hcq_common::Nanos;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::poisson::sample_exp;
 use crate::source::ArrivalSource;
@@ -78,7 +77,7 @@ impl OnOffConfig {
 #[derive(Debug, Clone)]
 pub struct OnOffSource {
     cfg: OnOffConfig,
-    rng: StdRng,
+    rng: Rng,
     clock: Nanos,
     /// End of the current ON period (when ON), i.e. the next state flip.
     on_until: Nanos,
@@ -91,7 +90,7 @@ impl OnOffSource {
         cfg.validate();
         OnOffSource {
             cfg,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             clock: Nanos::ZERO,
             on_until: Nanos::ZERO,
         }
@@ -112,7 +111,7 @@ impl OnOffSource {
         // `max_sojourn_factor · mean` (slightly lowering the realized mean —
         // acceptable, the burst *shape* is what matters here).
         let x_m = mean_ns * (alpha - 1.0) / alpha;
-        let u: f64 = self.rng.random::<f64>();
+        let u = self.rng.next_f64();
         let raw = x_m / (1.0 - u).powf(1.0 / alpha);
         let capped = raw.min(mean_ns * self.cfg.max_sojourn_factor);
         Nanos::from_nanos((capped.round() as u64).max(1))

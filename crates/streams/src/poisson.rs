@@ -1,8 +1,7 @@
 //! Memoryless and deterministic arrival processes.
 
+use hcq_common::det::Rng;
 use hcq_common::Nanos;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::source::ArrivalSource;
 
@@ -15,7 +14,7 @@ use crate::source::ArrivalSource;
 pub struct PoissonSource {
     mean_gap_ns: f64,
     clock: Nanos,
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl PoissonSource {
@@ -26,7 +25,7 @@ impl PoissonSource {
         PoissonSource {
             mean_gap_ns: mean_gap.as_nanos() as f64,
             clock: Nanos::ZERO,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
         }
     }
 }
@@ -74,8 +73,8 @@ impl ArrivalSource for ConstantSource {
 
 /// Sample an exponential gap with the given mean, rounded to ≥ 1 ns so time
 /// always advances.
-pub(crate) fn sample_exp(rng: &mut StdRng, mean_ns: f64) -> Nanos {
-    let u: f64 = rng.random::<f64>();
+pub(crate) fn sample_exp(rng: &mut Rng, mean_ns: f64) -> Nanos {
+    let u = rng.next_f64();
     // u ∈ [0,1); 1-u ∈ (0,1] so the log is finite.
     let gap = -(1.0 - u).ln() * mean_ns;
     Nanos::from_nanos((gap.round() as u64).max(1))

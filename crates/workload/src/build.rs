@@ -1,9 +1,8 @@
 //! Workload construction.
 
+use hcq_common::det::Rng;
 use hcq_common::{HcqError, Nanos, Result, StreamId};
 use hcq_plan::{GlobalPlan, QueryBuilder, QueryTag, StreamRates};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::calibrate::{offered_load, scale_for_utilization, PaperWorkload};
 
@@ -42,11 +41,11 @@ struct QueryDraw {
     cost_class: u8,
 }
 
-fn draw(rng: &mut StdRng, cost_classes: u8) -> QueryDraw {
+fn draw(rng: &mut Rng, cost_classes: u8) -> QueryDraw {
     QueryDraw {
         // Uniform in [0.1, 1.0] (§8 "Selectivities").
-        selectivity: 0.1 + 0.9 * rng.random::<f64>(),
-        cost_class: rng.random_range(0..cost_classes),
+        selectivity: 0.1 + 0.9 * rng.next_f64(),
+        cost_class: rng.range_inclusive(0, u64::from(cost_classes) - 1) as u8,
     }
 }
 
@@ -65,7 +64,7 @@ fn class_cost(k_ns: f64, class: u8) -> Nanos {
 /// offered load equals `cfg.utilization`.
 pub fn single_stream(cfg: &SingleStreamConfig) -> Result<PaperWorkload> {
     validate(cfg.queries, cfg.cost_classes, cfg.utilization)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let draws: Vec<QueryDraw> = (0..cfg.queries)
         .map(|_| draw(&mut rng, cfg.cost_classes))
         .collect();
@@ -144,11 +143,12 @@ pub fn multi_stream(cfg: &MultiStreamConfig) -> Result<PaperWorkload> {
     if cfg.window_range.0 > cfg.window_range.1 || cfg.window_range.0.is_zero() {
         return Err(HcqError::config("invalid window range"));
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let draws: Vec<(QueryDraw, Nanos)> = (0..cfg.queries)
         .map(|_| {
             let d = draw(&mut rng, cfg.cost_classes);
-            let w = rng.random_range(cfg.window_range.0.as_nanos()..=cfg.window_range.1.as_nanos());
+            let w =
+                rng.range_inclusive(cfg.window_range.0.as_nanos(), cfg.window_range.1.as_nanos());
             (d, Nanos::from_nanos(w))
         })
         .collect();
@@ -238,7 +238,7 @@ pub fn shared(cfg: &SharedConfig) -> Result<PaperWorkload> {
     if cfg.group_size == 0 {
         return Err(HcqError::config("group_size must be positive"));
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let group_draws: Vec<QueryDraw> = (0..cfg.groups)
         .map(|_| draw(&mut rng, cfg.cost_classes))
         .collect();

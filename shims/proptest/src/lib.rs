@@ -14,37 +14,34 @@
 //!
 //! Differences from upstream, by design: cases are generated from a seed
 //! derived deterministically from the test's module path and name (every run
-//! explores the same inputs), and there is **no shrinking** — a failing case
-//! panics with its full `Debug`-formatted input instead.
+//! explores the same inputs), drawn from the workspace's own seeded stream
+//! ([`hcq_common::det::Rng`]), and there is **no shrinking** — a failing
+//! case panics with its full `Debug`-formatted input instead.
 
 use std::fmt::Debug;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use hcq_common::det;
 
 pub mod strategy;
 pub mod test_runner;
 
 /// Per-case random source handed to [`strategy::Strategy::generate`].
 pub struct TestRng {
-    inner: StdRng,
+    inner: det::Rng,
 }
 
 impl TestRng {
     /// Deterministic generator for one case of one named test.
     pub fn for_case(test_name: &str, case: u64) -> Self {
         // FNV-1a over the test name, mixed with the case index.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in test_name.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = det::fnv1a(test_name.as_bytes(), det::FNV_OFFSET);
         TestRng {
-            inner: StdRng::seed_from_u64(h ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            inner: det::Rng::new(h ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         }
     }
 
-    /// The underlying generator (strategies sample through `rand`'s traits).
-    pub fn inner(&mut self) -> &mut StdRng {
+    /// The underlying generator every strategy samples from.
+    pub fn inner(&mut self) -> &mut det::Rng {
         &mut self.inner
     }
 }

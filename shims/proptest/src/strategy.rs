@@ -5,8 +5,6 @@
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
-use rand::Rng as _;
-
 use crate::TestRng;
 
 /// A recipe for generating values of `Self::Value`.
@@ -69,26 +67,53 @@ where
 }
 
 macro_rules! impl_any {
-    ($($t:ty),* $(,)?) => {$(
+    ($($t:ty => |$raw:ident| $sample:expr),* $(,)?) => {$(
         impl Strategy for Any<$t> {
             type Value = $t;
 
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.inner().random()
+                let $raw = rng.inner().next_u64();
+                $sample
             }
         }
     )*};
 }
 
-impl_any!(bool, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_any!(
+    bool => |raw| raw & 1 == 1,
+    u8 => |raw| raw as u8,
+    u16 => |raw| raw as u16,
+    u32 => |raw| raw as u32,
+    u64 => |raw| raw,
+    usize => |raw| raw as usize,
+    i8 => |raw| raw as i8,
+    i16 => |raw| raw as i16,
+    i32 => |raw| raw as i32,
+    i64 => |raw| raw as i64,
+    isize => |raw| raw as isize,
+    // 24 uniform mantissa bits in [0, 1).
+    f32 => |raw| (raw >> 40) as f32 * (1.0 / (1u32 << 24) as f32),
+    f64 => |raw| hcq_common::det::unit_f64(raw),
+);
 
-macro_rules! impl_range_strategy {
+/// A uniform integer in `[lo, hi]`, any integer type widened to `i128`.
+fn int_in(rng: &mut TestRng, lo: i128, hi: i128) -> i128 {
+    assert!(lo <= hi, "cannot sample empty range");
+    lo + rng.inner().range_inclusive(0, (hi - lo) as u64) as i128
+}
+
+/// A uniform float in `[lo, hi)` (`[lo, hi]` up to rounding).
+fn float_in(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
+    lo + rng.inner().next_f64() * (hi - lo)
+}
+
+macro_rules! impl_int_range {
     ($($t:ty),* $(,)?) => {$(
         impl Strategy for Range<$t> {
             type Value = $t;
 
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.inner().random_range(self.clone())
+                int_in(rng, self.start as i128, self.end as i128 - 1) as $t
             }
         }
 
@@ -96,13 +121,37 @@ macro_rules! impl_range_strategy {
             type Value = $t;
 
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.inner().random_range(self.clone())
+                int_in(rng, *self.start() as i128, *self.end() as i128) as $t
             }
         }
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+macro_rules! impl_float_range {
+    ($($t:ty),* $(,)?) => {$(
+        impl Strategy for Range<$t> {
+            type Value = $t;
+
+            fn generate(&self, rng: &mut TestRng) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                float_in(rng, self.start as f64, self.end as f64) as $t
+            }
+        }
+
+        impl Strategy for RangeInclusive<$t> {
+            type Value = $t;
+
+            fn generate(&self, rng: &mut TestRng) -> $t {
+                assert!(self.start() <= self.end(), "cannot sample empty range");
+                float_in(rng, *self.start() as f64, *self.end() as f64) as $t
+            }
+        }
+    )*};
+}
+
+impl_float_range!(f32, f64);
 
 macro_rules! impl_tuple_strategy {
     ($($s:ident/$idx:tt),+) => {
@@ -170,7 +219,7 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
     type Value = Vec<S::Value>;
 
     fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-        let len = rng.inner().random_range(self.size.lo..=self.size.hi);
+        let len = (self.size.lo..=self.size.hi).generate(rng);
         (0..len).map(|_| self.element.generate(rng)).collect()
     }
 }
@@ -191,7 +240,7 @@ impl<S: Strategy> Strategy for OptionStrategy<S> {
     type Value = Option<S::Value>;
 
     fn generate(&self, rng: &mut TestRng) -> Option<S::Value> {
-        if rng.inner().random::<f64>() < self.p_some {
+        if rng.inner().next_f64() < self.p_some {
             Some(self.inner.generate(rng))
         } else {
             None
