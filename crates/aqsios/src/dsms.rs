@@ -1,6 +1,7 @@
 //! The runtime: the third front end on the executor core's parts — its
 //! queues are the engine's [`UnitQueues`] over records, its policy a
-//! [`RuntimePolicy::build`] instance refreshed through
+//! [`RuntimePolicy::build`] instance (or one handed to
+//! [`Dsms::with_policy`], such as a contract audit) refreshed through
 //! [`Policy::on_statics_update`], its slowdown [`exec::slowdown`]. Its own:
 //! real records and operators, online monitors, and the whole-fan-out
 //! `max_pending` valve (a stream-level rule, so not a queue admission mode).
@@ -296,6 +297,14 @@ pub struct Dsms {
 impl Dsms {
     /// Create a runtime.
     pub fn new(cfg: DsmsConfig) -> Result<Self> {
+        let policy = cfg.policy.build();
+        Self::with_policy(cfg, policy)
+    }
+
+    /// Create a runtime around an already built policy, for a wrapper such
+    /// as a contract audit. `cfg.policy` must name its kind: whether a
+    /// decision reads the clock is derived from it.
+    pub fn with_policy(cfg: DsmsConfig, policy: Box<dyn Policy>) -> Result<Self> {
         if !(cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0) {
             return Err(HcqError::config("ewma_alpha must be in (0, 1]"));
         }
@@ -312,7 +321,7 @@ impl Dsms {
             ewma_alpha: cfg.ewma_alpha,
             auto_refresh_every: cfg.auto_refresh_every,
             max_pending: cfg.max_pending,
-            policy: cfg.policy.build(),
+            policy,
             reads_now: cfg.policy.reads_now(),
             queries: Vec::new(),
             units: Vec::new(),

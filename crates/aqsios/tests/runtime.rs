@@ -2,11 +2,14 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use hcq_aqsios::{
     Clock, Cmp, Dsms, DsmsConfig, ManualClock, Predicate, Record, RtJoin, RtOp, RtPlan,
     RuntimePolicy,
 };
+use hcq_check::ContractAudit;
 use hcq_common::{Nanos, StreamId};
 
 fn us(n: u64) -> Nanos {
@@ -535,4 +538,81 @@ fn load_shedding_caps_pending_work() {
     dsms.push(StreamId::new(0), Record::new(vec![9]));
     assert_eq!(dsms.pending(), 2);
     assert_eq!(dsms.stats().shed, 3, "no shedding once drained");
+}
+
+/// The `Dsms` keeps the executor contract: wrapped in
+/// [`ContractAudit`], every policy sees at each decision exactly the queues
+/// it was told about (`run_once` serves the unit it selected, every copy a
+/// push admits reaches `on_enqueue`). Two streams feed two filtering
+/// queries each and a window join across both, and pushes interleave with
+/// runs of `run_once`. Under `with_max_pending` the valve sheds whole
+/// fan-outs before they are queued, so no shed reaches the policy.
+#[test]
+fn dsms_serves_what_its_policy_selects() {
+    let policies = [
+        RuntimePolicy::Fcfs,
+        RuntimePolicy::RoundRobin,
+        RuntimePolicy::Hnr,
+        RuntimePolicy::Lsf,
+        RuntimePolicy::Bsd,
+    ];
+    for kind in policies {
+        for cap in [None, Some(8)] {
+            let at = format!("{kind:?}/{cap:?}");
+            let sheds = Arc::new(AtomicU64::new(0));
+            let clock = ManualClock::new();
+            let mut cfg = DsmsConfig::new(kind).with_clock(Box::new(clock.clone()));
+            if let Some(cap) = cap {
+                cfg = cfg.with_max_pending(cap);
+            }
+            let audit = ContractAudit::new(kind.build(), Arc::clone(&sheds));
+            let mut dsms = Dsms::with_policy(cfg, Box::new(audit)).unwrap();
+            for q in 0..4u64 {
+                dsms.register(RtPlan::single(
+                    StreamId::new(q as usize % 2),
+                    vec![
+                        RtOp::select(
+                            Predicate::new(0, Cmp::Ge, 20 * q as i64),
+                            us(2 + 3 * q),
+                            0.5,
+                        ),
+                        RtOp::project(vec![1], us(1 + q)),
+                    ],
+                ))
+                .unwrap();
+            }
+            dsms.register(RtPlan::Join {
+                left_stream: StreamId::new(0),
+                right_stream: StreamId::new(1),
+                left_ops: vec![],
+                right_ops: vec![],
+                join: RtJoin::new(0, 0, Nanos::from_millis(1)),
+                common_ops: vec![],
+            })
+            .unwrap();
+            for step in 0..600u64 {
+                let stream = StreamId::new((step % 3 % 2) as usize);
+                dsms.push(
+                    stream,
+                    Record::new(vec![(step * 37 % 100) as i64, step as i64]),
+                );
+                clock.advance(us(step % 5 + 1));
+                for _ in 0..step % 7 {
+                    if dsms.run_once().is_none() {
+                        break;
+                    }
+                }
+            }
+            dsms.run_until_idle();
+            let stats = dsms.stats();
+            assert_eq!(dsms.pending(), 0, "{at}");
+            assert_eq!(
+                sheds.load(Ordering::Relaxed),
+                0,
+                "{at}: a shed reached the policy"
+            );
+            assert_eq!(stats.shed > 0, cap.is_some(), "{at}: the valve sheds");
+            assert!(stats.emitted > 0, "{at}");
+        }
+    }
 }

@@ -10,6 +10,14 @@
 //! at every `select` asserts that the [`QueueView`] it is shown — lengths,
 //! the non-empty set and the head arrivals — equals that shadow.
 //!
+//! A selection that holds ([`Selection::holds`]) lets the executor pop
+//! further heads of its unit without asking: at the next `select` the held
+//! unit may be j ≥ 0 tuples shorter than the shadow, and the audit pops
+//! those j from the shadow's head before comparing. Every other unit must
+//! still match exactly. A hold kept past a change to the queues is beyond
+//! it (the shadow pops whatever the executor served from that unit); the
+//! runtime shard's debug-build re-select is what sees that.
+//!
 //! That catches what no emission-level differential can see: with
 //! schedule-independent coins, an executor that served some other unit than
 //! the one selected emits the same multiset, but leaves the queues it shows
@@ -28,6 +36,8 @@ pub struct ContractAudit {
     inner: Box<dyn Policy>,
     shadow: Vec<VecDeque<Nanos>>,
     sheds: Arc<AtomicU64>,
+    /// The unit of the last selection, if it held.
+    held: Option<UnitId>,
 }
 
 impl ContractAudit {
@@ -39,6 +49,7 @@ impl ContractAudit {
             inner,
             shadow: Vec::new(),
             sheds,
+            held: None,
         }
     }
 }
@@ -51,6 +62,7 @@ impl Policy for ContractAudit {
     fn on_register(&mut self, units: &[UnitStatics]) {
         self.inner.on_register(units);
         self.shadow = vec![VecDeque::new(); units.len()];
+        self.held = None;
     }
 
     fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, now: Nanos) {
@@ -77,6 +89,16 @@ impl Policy for ContractAudit {
     }
 
     fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
+        if let Some(unit) = self.held.take() {
+            let told = &mut self.shadow[unit as usize];
+            let shown = queues.len(unit);
+            assert!(
+                shown <= told.len(),
+                "held unit {unit} shows {shown} tuples, told {}",
+                told.len()
+            );
+            told.drain(..told.len() - shown);
+        }
         let mut shown = queues.nonempty().to_vec();
         shown.sort_unstable();
         let told: Vec<UnitId> = (0..)
@@ -94,6 +116,10 @@ impl Policy for ContractAudit {
         for &unit in selection.units.as_slice() {
             let head = self.shadow[unit as usize].pop_front();
             assert!(head.is_some(), "selected unit {unit}, empty in the shadow");
+        }
+        if selection.holds {
+            assert_eq!(selection.units.len(), 1, "a held selection names one unit");
+            self.held = Some(selection.units[0]);
         }
         Some(selection)
     }

@@ -395,7 +395,8 @@ mod tests {
                     heap_ops: heap_ops + std::mem::take(&mut self.pending_heap_ops),
                     ..SchedStats::default()
                 };
-                return Some(Selection::one(unit, ops).with_stats(stats));
+                // The heap's top stays on top while it has work: it holds.
+                return Some(Selection::one(unit, ops).with_stats(stats).held());
             }
         }
     }
@@ -733,6 +734,114 @@ mod tests {
                 "{}: `now` changed the pick in {moved} of 24 scripts",
                 label(kind)
             );
+        }
+    }
+
+    /// Run one seeded enqueue / select / pop script on `kind`. After a pop
+    /// that leaves the picked units non-empty, select again at a later
+    /// `now` with no callback in between, and keep doing so while the pick
+    /// holds: a held pick must be repeated. Now and then a statics update
+    /// comes between; that ends the hold, and the re-select must be the
+    /// pick of a fresh instance on the same queues. Returns whether some
+    /// re-select after a pick that did not hold picked differently, and
+    /// whether any pick held.
+    fn a_pop_moves_a_pick(kind: PolicyKind, case: u64) -> (bool, bool) {
+        let ms = Nanos::from_millis;
+        let n = det::unit_range(det::mix2(case, 1), 2, 8);
+        let statics = |h: u64| {
+            let cost = ms(det::unit_range(det::mix2(h, 1), 1, 10));
+            let ideal = ms(det::unit_range(det::mix2(h, 2), 1, 40));
+            UnitStatics::new(0.1 + 0.9 * det::unit_f64(h), cost, ideal)
+        };
+        let mut units: Vec<UnitStatics> = (0..n)
+            .map(|u| statics(det::mix3(case, u, 0x401d)))
+            .collect();
+        let mut policy = kind.build();
+        policy.on_register(&units);
+        let mut queues = FuzzQueues::new(units.len());
+        let (mut now, mut moved, mut held) = (Nanos::ZERO, false, false);
+        let units_of = |s: &Option<Selection>| s.as_ref().map(|s| s.units.to_vec());
+        for step in 0..200u64 {
+            let h = det::mix3(case, step, 0x401e);
+            if !h.is_multiple_of(3) {
+                now += ms(det::unit_range(det::mix2(h, 1), 0, 4));
+                let unit = (det::mix2(h, 2) % n) as UnitId;
+                let tuple = TupleId::new(step);
+                queues.push(unit, tuple, now);
+                policy.on_enqueue(unit, tuple, now, now);
+                continue;
+            }
+            let tag = format!("{} case {case} step {step}", label(kind));
+            let mut pick = policy.select(&queues, now);
+            for link in 0.. {
+                let Some(sel) = &pick else { break };
+                for &u in &sel.units {
+                    queues.pop(u).expect("selected units are non-empty");
+                }
+                let live = sel.units.iter().all(|&u| queues.len(u) > 0);
+                if !live || (link > 0 && !sel.holds) {
+                    break;
+                }
+                held |= sel.holds;
+                let hl = det::mix3(h, link, 0x401f);
+                now += ms(det::unit_range(det::mix2(hl, 1), 1, 50));
+                let update = sel.holds && det::mix2(hl, 2).is_multiple_of(4);
+                if update {
+                    let unit = (det::mix2(hl, 3) % n) as UnitId;
+                    units[unit as usize] = statics(det::mix2(hl, 4));
+                    policy.on_statics_update(unit, &units[unit as usize]);
+                }
+                let again = policy.select(&queues, now);
+                if update {
+                    let mut fresh = kind.build();
+                    fresh.on_register(&units);
+                    for (u, q) in (0..).zip(&queues.queues) {
+                        for &(tuple, arrival) in q {
+                            fresh.on_enqueue(u, tuple, arrival, now);
+                        }
+                    }
+                    let want = fresh.select(&queues, now);
+                    assert_eq!(units_of(&again), units_of(&want), "{tag}: after an update");
+                } else if sel.holds {
+                    assert_eq!(
+                        units_of(&again),
+                        units_of(&pick),
+                        "{tag}: a held pick moved"
+                    );
+                } else {
+                    moved |= units_of(&again) != units_of(&pick);
+                }
+                pick = again;
+            }
+        }
+        (moved, held)
+    }
+
+    /// An executor may serve a held unit without asking again, so
+    /// `Selection::holds` must not lie either way: a held pick is repeated
+    /// after its pop at any later instant (checked inside the script), and
+    /// every kind that never holds has a script where a pop moves its pick.
+    /// Exactly the static-priority kinds hold.
+    #[test]
+    fn holds_is_set_exactly_when_a_pick_survives_its_pop() {
+        let kinds = PolicyKind::ALL
+            .into_iter()
+            .chain([PolicyKind::Lp(2.5)])
+            .chain(cluster_variants(3).map(PolicyKind::Clustered));
+        for kind in kinds {
+            let (mut moved, mut held) = (0, 0);
+            for case in 0..24 {
+                let (m, h) = a_pop_moves_a_pick(kind, case);
+                moved += usize::from(m);
+                held += usize::from(h);
+            }
+            let statics = matches!(kind, PolicyKind::Srpt | PolicyKind::Hr | PolicyKind::Hnr);
+            let at = format!(
+                "{}: held in {held}, moved in {moved} of 24 scripts",
+                label(kind)
+            );
+            assert_eq!(held > 0, statics, "{at}");
+            assert_eq!(moved > 0, !statics, "{at}");
         }
     }
 

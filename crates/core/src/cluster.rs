@@ -683,6 +683,7 @@ impl Policy for ClusteredBsdPolicy {
             units,
             ops_counted: ops,
             stats,
+            holds: false,
         })
     }
 

@@ -101,6 +101,15 @@ pub struct Selection {
     /// back into scheduling or overhead charging, so a policy that leaves it
     /// at `SchedStats::default()` stays behaviorally identical.
     pub stats: SchedStats,
+    /// The choice holds: the policy would select this same single unit
+    /// again, for as long as the unit's queue is non-empty, until it next
+    /// receives `on_enqueue`, `on_shed`, `on_statics_update` or
+    /// `on_register`, or has its priorities changed. An executor may then
+    /// serve the unit's following heads without calling `select`. Only
+    /// the static-priority policies set it (serving the top-ranked unit's
+    /// head leaves it on top); the simulator ignores it, because §9.2
+    /// charges every scheduling point.
+    pub holds: bool,
 }
 
 impl Selection {
@@ -112,12 +121,19 @@ impl Selection {
             units,
             ops_counted,
             stats: SchedStats::default(),
+            holds: false,
         }
     }
 
     /// Attach itemized work counters (builder-style).
     pub fn with_stats(mut self, stats: SchedStats) -> Self {
         self.stats = stats;
+        self
+    }
+
+    /// Mark the choice as holding (builder-style; see [`Selection::holds`]).
+    pub fn held(mut self) -> Self {
+        self.holds = true;
         self
     }
 }
@@ -307,7 +323,11 @@ impl ExactSizeIterator for SelectionUnitsIter {}
 ///   return units with non-empty queues. After `select`, the engine dequeues
 ///   exactly one head tuple from each returned unit and executes it.
 /// * Tuples leave a queue only those two ways: as the head of a unit a
-///   returned [`Selection`] named, or as a tail reported by `on_shed`.
+///   returned [`Selection`] named, or as a tail reported by `on_shed`. A
+///   held unit's head may also leave: after a selection with
+///   [`Selection::holds`], the executor may pop further heads of that unit
+///   without calling `select` until the unit empties or it makes another
+///   callback, and the policy's next `select` sees the unit shorter.
 ///   BSD, LSF and ℓp rely on it: they re-read a unit's head only after one
 ///   of those events or an `on_enqueue` on a unit they hold no head for, so
 ///   a dequeue they were not told about leaves them selecting on a stale

@@ -15,6 +15,11 @@
 //! them stale, and the next `on_enqueue`/`select` sorts once per batch (an
 //! embedding that registers queries one at a time re-registers the full unit
 //! table each time and never pays for the ranks in between).
+//!
+//! Every selection holds ([`Selection::holds`]): the pick is the first set
+//! rank whose queue is non-empty, every rank before it was just cleared, and
+//! popping the pick's head clears nothing, so until the next callback or
+//! priority change the same unit comes first for as long as it has work.
 
 use hcq_common::{Nanos, TupleId};
 
@@ -353,7 +358,9 @@ impl Policy for StaticPolicy {
                 heap_ops: heap_ops + std::mem::take(&mut self.pending_heap_ops),
                 ..SchedStats::default()
             };
-            return Some(Selection::one(unit, ops).with_stats(stats));
+            // Popping the unit's head leaves every higher rank clear and
+            // this one set: the next `select` finds the same first bit.
+            return Some(Selection::one(unit, ops).with_stats(stats).held());
         }
     }
 }

@@ -21,7 +21,10 @@
 //!   `unit % threads`. A shard owns a private [`UnitQueues`] and its own
 //!   policy instance, so the scheduling hot path (enqueue callbacks,
 //!   `select`, pop) is single-threaded per shard — exactly the contract the
-//!   simulator gives a policy, replicated per thread.
+//!   simulator gives a policy, replicated per thread. A choice that holds
+//!   ([`hcq_core::Selection::holds`], the static-priority policies) is
+//!   served without asking again until its unit empties or the shard
+//!   admits anything; debug builds ask anyway and assert the same answer.
 //! - **Rings**: what crosses a thread boundary is the *source arrival*, once
 //!   per shard owning a unit on its stream, through bounded lock-free MPMC
 //!   rings ([`ring::Ring`]); the per-query fan-out happens on the owning
@@ -65,7 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
-use hcq_core::{Policy, PolicyKind, UnitId};
+use hcq_core::{Policy, PolicyKind, QueueView, UnitId};
 use hcq_engine::exec;
 use hcq_engine::model::EntryRoute;
 use hcq_engine::queues::{Admission, Queued, UnitQueues};
@@ -174,7 +177,9 @@ pub struct RuntimeReport {
     pub shed: u64,
     /// Tuples executed by a non-owner shard via work stealing.
     pub stolen: u64,
-    /// Scheduling points (policy `select` calls) across all shards.
+    /// Decisions the policies made (`select` calls) across all shards. A
+    /// copy served under a held choice ([`hcq_core::Selection::holds`]) is
+    /// not one, so static-priority runs count far fewer than copies.
     pub selections: u64,
     /// Emissions per query — ordering-insensitive, deterministic for
     /// no-shed workloads.
@@ -218,7 +223,39 @@ struct Shared<'a> {
     start: Instant,
 }
 
-impl Shared<'_> {
+impl<'a> Shared<'a> {
+    /// Route tables, inboxes and progress counters for `cfg.threads`
+    /// shards over `model`; the clock starts now.
+    fn new(model: &'a SimModel, cfg: &'a RuntimeConfig) -> Self {
+        let mut alone = vec![Nanos::ZERO; model.unit_count()];
+        for route in model.routes.iter().flatten() {
+            alone[route.unit as usize] = route.alone;
+        }
+        let owned_by = |shard: usize| {
+            let owned = |r: &&EntryRoute| r.unit as usize % cfg.threads == shard;
+            let of_stream =
+                |routes: &Vec<EntryRoute>| routes.iter().filter(owned).copied().collect();
+            model.routes.iter().map(of_stream).collect()
+        };
+        Shared {
+            model,
+            shed_priority: model
+                .unit_statics()
+                .iter()
+                .map(|u| u.hnr_priority())
+                .collect(),
+            inboxes: (0..cfg.threads)
+                .map(|_| Ring::new(cfg.ring_capacity))
+                .collect(),
+            routes: (0..cfg.threads).map(owned_by).collect(),
+            alone,
+            progress: Progress::new(cfg.threads),
+            failed: AtomicBool::new(false),
+            cfg,
+            start: Instant::now(),
+        }
+    }
+
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
@@ -260,6 +297,10 @@ struct Shard<'a> {
     /// as `now`, keeping priority arithmetic in the virtual-time domain the
     /// arrival timestamps live in (see DESIGN §14 for the caveat).
     watermark: Nanos,
+    /// The unit of the policy's last selection while that choice holds
+    /// ([`hcq_core::Selection::holds`]): served without asking the policy
+    /// again until it empties or the shard admits anything.
+    held: Option<UnitId>,
     stats: ShardStats,
     shared: &'a Shared<'a>,
 }
@@ -277,6 +318,7 @@ impl<'a> Shard<'a> {
             policy,
             queues: UnitQueues::new(n_units),
             watermark: Nanos::ZERO,
+            held: None,
             stats,
             shared,
         }
@@ -341,6 +383,8 @@ impl<'a> Shard<'a> {
     /// bookkeeping.
     fn admit(&mut self, unit: UnitId, item: &'a RtArrival) {
         let shared = self.shared;
+        // Rejections and displacements change the queues too.
+        self.held = None;
         match self.queues.admit(
             shared.cfg.overload.mode,
             shared.cfg.overload.capacity,
@@ -364,8 +408,22 @@ impl<'a> Shard<'a> {
             .on_enqueue(unit, item.id, item.arrival, self.watermark);
     }
 
-    /// One scheduling point: ask the policy, execute every selected unit.
+    /// One scheduling point: serve the held unit, or ask the policy and
+    /// execute every selected unit.
     fn schedule_once(&mut self) -> Result<(), EngineError> {
+        if let Some(unit) = self.held {
+            // Debug builds ask anyway: only this can see a hold that
+            // outlived a change to the queues.
+            debug_assert_eq!(
+                self.policy
+                    .select(&self.queues, self.watermark)
+                    .map(|s| s.units.to_vec()),
+                Some(vec![unit]),
+                "shard {}: a held choice changed",
+                self.id
+            );
+            return self.serve(unit);
+        }
         let selection =
             self.policy
                 .select(&self.queues, self.watermark)
@@ -373,11 +431,22 @@ impl<'a> Shard<'a> {
                     pending: self.queues.pending(),
                 })?;
         self.stats.selections += 1;
+        if selection.holds {
+            self.held = selection.units.first().copied();
+        }
         for unit in selection.units {
-            let item = self.queues.pop(unit)?;
-            self.execute(unit, item)?;
+            self.serve(unit)?;
         }
         Ok(())
+    }
+
+    /// Pop `unit`'s head and execute it; an emptied unit ends the hold.
+    fn serve(&mut self, unit: UnitId) -> Result<(), EngineError> {
+        let item = self.queues.pop(unit)?;
+        if self.queues.len(unit) == 0 {
+            self.held = None;
+        }
+        self.execute(unit, item)
     }
 
     /// Pop one arrival from a sibling inbox (MPMC pop by a non-owner) and
@@ -567,33 +636,7 @@ fn run_with(
     }
 
     let (arrivals, schedule) = build_schedule(&model, sources, cfg.seed, cfg.max_arrivals);
-    let mut alone = vec![Nanos::ZERO; model.unit_count()];
-    for route in model.routes.iter().flatten() {
-        alone[route.unit as usize] = route.alone;
-    }
-    let owned_by = |shard: usize| {
-        let owned = |r: &&EntryRoute| r.unit as usize % cfg.threads == shard;
-        let of_stream = |routes: &Vec<EntryRoute>| routes.iter().filter(owned).copied().collect();
-        model.routes.iter().map(of_stream).collect()
-    };
-
-    let shared = Shared {
-        model: &model,
-        shed_priority: model
-            .unit_statics()
-            .iter()
-            .map(|u| u.hnr_priority())
-            .collect(),
-        inboxes: (0..cfg.threads)
-            .map(|_| Ring::new(cfg.ring_capacity))
-            .collect(),
-        routes: (0..cfg.threads).map(owned_by).collect(),
-        alone,
-        progress: Progress::new(cfg.threads),
-        failed: AtomicBool::new(false),
-        cfg,
-        start: Instant::now(),
-    };
+    let shared = Shared::new(&model, cfg);
 
     let mut shard_results = Vec::new();
     std::thread::scope(|scope| {
@@ -969,6 +1012,81 @@ mod tests {
             sheds.load(Ordering::Relaxed) > 0,
             "QosShed displaced no tail"
         );
+    }
+
+    /// A shard asks its policy once per copy, except while a choice holds:
+    /// the static-priority policies serve a backlog in runs, the others
+    /// decide every copy. Holding changes no outcome: every run conserves
+    /// and emits what the simulator does.
+    #[test]
+    fn one_decision_per_copy_except_where_a_choice_holds() {
+        let arrivals = 20_000;
+        for kind in PolicyKind::ALL {
+            let cfg = RuntimeConfig::new(arrivals).with_seed(3);
+            let report = run(&small_plan(), &StreamRates::none(), sources(), kind, &cfg).unwrap();
+            assert!(report.conserved(), "{kind:?} conserves");
+            let served = report.emitted + report.dropped;
+            if matches!(kind, PolicyKind::Srpt | PolicyKind::Hr | PolicyKind::Hnr) {
+                assert!(
+                    report.selections < served / 2,
+                    "{kind:?}: {} decisions for {served} copies",
+                    report.selections
+                );
+            } else {
+                assert_eq!(report.selections, served, "{kind:?}");
+            }
+            let sim_cfg = hcq_engine::SimConfig::new(arrivals).with_seed(3);
+            let sim = differential::simulator_aggregates(
+                &small_plan(),
+                &StreamRates::none(),
+                sources(),
+                kind,
+                &sim_cfg,
+            )
+            .unwrap();
+            assert_eq!(differential::runtime_aggregates(&report), sim, "{kind:?}");
+        }
+    }
+
+    /// Every admission ends a hold, whichever unit it feeds: once a
+    /// higher-ranked unit has work, a shard still serving its held unit
+    /// would run the wrong one (debug builds' oracle fails it first).
+    #[test]
+    fn an_admission_ends_the_hold() {
+        let arrivals: Vec<RtArrival> = (0..3)
+            .map(|i| RtArrival {
+                stream: 0,
+                id: TupleId::new(i),
+                arrival: Nanos::from_micros(i),
+                key: 0,
+                ring_ns: AtomicU64::new(0),
+            })
+            .collect();
+        let model = SimModel::build(
+            &plan_of(2),
+            &StreamRates::none(),
+            hcq_engine::SchedulingLevel::Query,
+            hcq_core::SharingStrategy::Pdt,
+        )
+        .unwrap();
+        let cfg = RuntimeConfig::new(0);
+        let shared = Shared::new(&model, &cfg);
+        let mut shard = Shard::new(0, PolicyKind::Hnr.build(), &shared);
+        let statics = model.unit_statics();
+        let (top, low) = if statics[0].hnr_priority() > statics[1].hnr_priority() {
+            (0, 1)
+        } else {
+            (1, 0)
+        };
+        shard.admit(low, &arrivals[0]);
+        shard.admit(low, &arrivals[1]);
+        shard.schedule_once().unwrap();
+        assert_eq!(shard.held, Some(low), "HNR's only ready unit holds");
+        shard.admit(top, &arrivals[2]);
+        assert_eq!(shard.held, None);
+        shard.schedule_once().unwrap();
+        assert_eq!((shard.queues.len(top), shard.queues.len(low)), (0, 1));
+        assert_eq!(shard.stats.selections, 2);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The prose points at real files: every backticked repository path in the
-//! user-facing documents must exist, so a rename or deletion that leaves a
-//! document pointing at nothing fails here instead of misleading a reader.
+//! The prose points at real files and real benchmark cells: every
+//! backticked repository path in the user-facing documents must exist, and
+//! every backticked benchmark cell must be declared in `BENCHMARK.json`, so
+//! a rename or deletion that leaves a document pointing at nothing fails
+//! here instead of misleading a reader.
 //!
 //! ROADMAP.md and CHANGES.md record history (paths that existed once) and
 //! are not checked.
@@ -82,6 +84,91 @@ fn documented_paths_exist() {
         "documented paths that do not exist:\n{}",
         missing.join("\n")
     );
+}
+
+/// The per-layer cell names `BENCHMARK.json` declares.
+fn benchmark_cells(root: &Path) -> Vec<String> {
+    let text =
+        std::fs::read_to_string(root.join("BENCHMARK.json")).expect("reading BENCHMARK.json");
+    let json = hcq_common::json::parse(&text).expect("BENCHMARK.json parses");
+    let cells = json
+        .get("per_layer")
+        .and_then(|c| c.as_arr())
+        .expect("a per_layer list");
+    let name = |c: &hcq_common::json::JsonValue| c.get("name")?.as_str().map(str::to_string);
+    cells
+        .iter()
+        .map(|c| name(c).expect("a named cell"))
+        .collect()
+}
+
+/// Whether `name` matches `pattern`, in which `*` stands for any run of
+/// characters.
+fn glob_matches(pattern: &str, name: &str) -> bool {
+    let mut parts = pattern.split('*');
+    let Some(mut rest) = name.strip_prefix(parts.next().unwrap_or_default()) else {
+        return false;
+    };
+    let parts: Vec<&str> = parts.collect();
+    for (i, part) in parts.iter().enumerate() {
+        if i + 1 == parts.len() {
+            return rest.ends_with(part);
+        }
+        match rest.find(part) {
+            Some(at) => rest = &rest[at + part.len()..],
+            None => return false,
+        }
+    }
+    rest.is_empty()
+}
+
+/// Every backticked span whose first dot-separated segment is a
+/// `BENCHMARK.json` per-layer prefix (`core`, `runtime`, …), and which is
+/// not a file name (`metrics.prom`) or a command, names a declared cell; a
+/// span with `*` must match one.
+#[test]
+fn documented_benchmark_cells_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cells = benchmark_cells(root);
+    let prefix = |name: &str| name.split_once('.').map(|(p, _)| p.to_string());
+    let prefixes: Vec<String> = cells.iter().filter_map(|c| prefix(c)).collect();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("reading {doc}: {e}"));
+        for (n, line) in text.lines().enumerate() {
+            for span in line.split('`').skip(1).step_by(2) {
+                let cell = prefix(span).is_some_and(|p| prefixes.contains(&p))
+                    && !EXTENSIONS.iter().any(|e| span.ends_with(e))
+                    && !span.contains(char::is_whitespace);
+                if cell {
+                    checked += 1;
+                    if !cells.iter().any(|c| glob_matches(span, c)) {
+                        missing.push(format!("{doc}:{}: `{span}`", n + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no benchmark cells found; is the scan broken?");
+    assert!(
+        missing.is_empty(),
+        "documented benchmark cells that BENCHMARK.json does not declare:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn glob_shapes() {
+    assert!(glob_matches("core.hnr.select_ns", "core.hnr.select_ns"));
+    assert!(!glob_matches("core.hnr.select", "core.hnr.select_ns"));
+    assert!(glob_matches(
+        "core.*.point_ns.q100k",
+        "core.bsd.point_ns.q100k"
+    ));
+    assert!(glob_matches("loc.*", "loc.total"));
+    assert!(!glob_matches("core.*.q1m", "core.bsd.point_ns.q100k"));
 }
 
 #[test]
