@@ -11,11 +11,22 @@
 //! wall-true; a decision reads it only when the policy's choice depends on
 //! `now` ([`RuntimePolicy::reads_now`]), and otherwise selects at the last
 //! instant read. Its emissions come back as an [`Emissions`] batch, which
-//! holds one inline and spills to a `Vec` only for a join's fan-out, and a
-//! record passes through its unary chain by value.
+//! holds one inline and spills to a `Vec` only for a join's fan-out.
+//!
+//! A copy does only its own work. A push wraps its record once, in an `Rc`
+//! (the `Dsms` is not `Send`: it owns a `Box<dyn Clock>`), and every routed
+//! copy queues a reference to it, with no atomic count per copy. A unary
+//! chain runs on the borrowed record: a select evaluates in place, a
+//! projection allocates its output, and only a chain that ends still
+//! borrowed clones the record, when it emits. A choice that holds
+//! ([`hcq_core::Selection::holds`], the static-priority policies) is served
+//! without `select` until its unit empties or the policy's inputs change.
+
+use std::borrow::Cow;
+use std::rc::Rc;
 
 use hcq_common::{HcqError, Nanos, QueryId, Result, StreamId, TupleId};
-use hcq_core::{EwmaEstimator, Policy, UnitId, UnitStatics};
+use hcq_core::{EwmaEstimator, Policy, QueueView, Selection, UnitId, UnitStatics};
 use hcq_engine::exec;
 use hcq_engine::queues::{Queued, UnitQueues};
 use hcq_join::{JoinItem, Side, SymmetricHashJoin};
@@ -167,16 +178,18 @@ pub struct RuntimeStats {
     pub dropped: u64,
     /// Tuples shed at admission by the load-shedding valve.
     pub shed: u64,
-    /// Scheduling decisions taken.
+    /// Scheduling decisions taken: every `run_once` that served a tuple,
+    /// whether the policy was asked or a held choice was served.
     pub decisions: u64,
     /// QoS over all emissions.
     pub qos: QosSummary,
 }
 
-/// A pending tuple in a segment queue.
+/// A pending tuple in a segment queue: a reference to its push's one
+/// shared record.
 #[derive(Debug, Clone)]
 struct Pending {
-    record: Record,
+    record: Rc<Record>,
     arrival: Nanos,
 }
 
@@ -284,6 +297,11 @@ pub struct Dsms {
     /// `(unit, ...)` fed by each stream index.
     routes: Vec<Vec<UnitId>>,
     queues: UnitQueues<Pending>,
+    /// The unit of the policy's last selection while that choice holds
+    /// ([`hcq_core::Selection::holds`]): served without asking the policy
+    /// again until it empties, a push enqueues anything, the priorities
+    /// are refreshed or a query registers.
+    held: Option<UnitId>,
     /// Per-stream inter-arrival EWMA (for §5 window-occupancy priorities).
     stream_gaps: Vec<Option<EwmaEstimator>>,
     last_arrival: Vec<Option<Nanos>>,
@@ -327,6 +345,7 @@ impl Dsms {
             units: Vec::new(),
             routes: Vec::new(),
             queues: UnitQueues::new(0),
+            held: None,
             stream_gaps: Vec::new(),
             last_arrival: Vec::new(),
             tuple_counter: 0,
@@ -424,6 +443,7 @@ impl Dsms {
         });
         // (Re-)derive statics and register with the policy.
         let statics = self.derive_statics()?;
+        self.held = None;
         self.policy.on_register(&statics);
         Ok(id)
     }
@@ -444,23 +464,26 @@ impl Dsms {
             }
             self.last_arrival[stream.index()] = Some(now);
         }
-        let Some(routes) = self.routes.get(stream.index()) else {
+        let Some(routes) = self.routes.get(stream.index()).filter(|r| !r.is_empty()) else {
             return;
         };
         // Load shedding: admit the whole fan-out or none of it, so every
-        // query sees a consistent sub-stream.
+        // query sees a consistent sub-stream. A shed fan-out reaches no
+        // queue and leaves a hold standing.
         if let Some(cap) = self.max_pending {
             if self.queues.pending() + routes.len() > cap {
                 self.shed += 1;
                 return;
             }
         }
+        self.held = None;
+        let record = Rc::new(record);
         for &unit in routes {
             self.tuple_counter += 1;
             self.queues.push(
                 unit,
                 Pending {
-                    record: record.clone(),
+                    record: Rc::clone(&record),
                     arrival: now,
                 },
             );
@@ -470,28 +493,32 @@ impl Dsms {
     }
 
     /// Take one scheduling decision and execute it; returns the emissions it
-    /// produced, or `None` when nothing is pending.
+    /// produced, or `None` when nothing is pending. A held choice is served
+    /// without asking the policy.
     pub fn run_once(&mut self) -> Option<Emissions> {
         if self.queues.all_empty() {
             return None;
         }
-        let now = if self.reads_now {
-            self.emitter.read_clock()
-        } else {
-            self.emitter.now
-        };
-        let selection = self.policy.select(&self.queues, now).expect("work pending");
-        self.decisions += 1;
         let mut out = Emissions::default();
-        for unit in selection.units {
-            let pending = self.queues.pop(unit).expect("selected units are non-empty");
-            match self.units[unit as usize] {
-                RtUnit::Single { query } => self.run_single(query, pending, &mut out),
-                RtUnit::JoinLeaf { query, side } => {
-                    self.run_join_leaf(query, side, pending, &mut out)
-                }
+        if let Some(unit) = self.held {
+            // Debug builds ask anyway: only this can see a hold that
+            // outlived a change to the policy's inputs.
+            debug_assert_eq!(
+                self.select().units.to_vec(),
+                vec![unit],
+                "a held choice changed"
+            );
+            self.serve(unit, &mut out);
+        } else {
+            let selection = self.select();
+            if selection.holds {
+                self.held = selection.units.first().copied();
+            }
+            for unit in selection.units {
+                self.serve(unit, &mut out);
             }
         }
+        self.decisions += 1;
         if let Some(every) = self.auto_refresh_every {
             if self.decisions.is_multiple_of(every) {
                 self.refresh_priorities()
@@ -515,6 +542,7 @@ impl Dsms {
     /// registration refreshes; FCFS and RR ignore them).
     pub fn refresh_priorities(&mut self) -> Result<()> {
         let statics = self.derive_statics()?;
+        self.held = None;
         for (unit, s) in statics.iter().enumerate() {
             self.policy.on_statics_update(unit as UnitId, s);
         }
@@ -565,6 +593,28 @@ impl Dsms {
     }
 
     // ---------------------------------------------------------- internals
+
+    /// Ask the policy, at a fresh instant only if its choice depends on it.
+    fn select(&mut self) -> Selection {
+        let now = if self.reads_now {
+            self.emitter.read_clock()
+        } else {
+            self.emitter.now
+        };
+        self.policy.select(&self.queues, now).expect("work pending")
+    }
+
+    /// Pop `unit`'s head and execute it; an emptied unit ends the hold.
+    fn serve(&mut self, unit: UnitId, out: &mut Emissions) {
+        let pending = self.queues.pop(unit).expect("selected units are non-empty");
+        if self.queues.len(unit) == 0 {
+            self.held = None;
+        }
+        match self.units[unit as usize] {
+            RtUnit::Single { query } => self.run_single(query, pending, out),
+            RtUnit::JoinLeaf { query, side } => self.run_join_leaf(query, side, pending, out),
+        }
+    }
 
     /// Build plan-equivalent statistics from the current monitor estimates
     /// and derive per-unit statics plus per-query T / alone costs.
@@ -620,11 +670,17 @@ impl Dsms {
         let RtPlan::Single { ops, .. } = plan else {
             unreachable!("unit/plan mismatch");
         };
-        match run_chain(ops, monitors, pending.record) {
+        match run_chain(ops, monitors, Cow::Borrowed(&*pending.record)) {
             Some(record) => {
                 let (arrival, ideal) = (pending.arrival, *ideal_time);
-                self.emitter
-                    .emit(out, query, record, arrival, arrival + ideal, ideal);
+                self.emitter.emit(
+                    out,
+                    query,
+                    record.into_owned(),
+                    arrival,
+                    arrival + ideal,
+                    ideal,
+                );
             }
             None => self.dropped += 1,
         }
@@ -654,7 +710,8 @@ impl Dsms {
             Side::Left => (&*left_ops, join.left_field, 0),
             Side::Right => (&*right_ops, join.right_field, n_left),
         };
-        let Some(record) = run_chain(own_ops, &mut monitors[mon_base..], pending.record) else {
+        let own_chain = Cow::Borrowed(&*pending.record);
+        let Some(record) = run_chain(own_ops, &mut monitors[mon_base..], own_chain) else {
             self.dropped += 1;
             return;
         };
@@ -667,7 +724,7 @@ impl Dsms {
         let entry = Keyed {
             key: key as u64,
             ts: pending.arrival,
-            record: record.clone(),
+            record: record.into_owned(),
             arrival: pending.arrival,
         };
         let matches = join_table
@@ -690,18 +747,26 @@ impl Dsms {
         };
         for partner in matches {
             let (left_rec, right_rec) = match side {
-                Side::Left => (&record, &partner.record),
-                Side::Right => (&partner.record, &record),
+                Side::Left => (&entry.record, &partner.record),
+                Side::Right => (&partner.record, &entry.record),
             };
             let composite = left_rec.concat(right_rec);
             let arrival = pending.arrival.max(partner.arrival);
             let ideal_depart =
                 (pending.arrival + alone[own_leaf]).max(partner.arrival + alone[other_leaf]);
-            match run_chain(common_ops, &mut monitors[common_base..], composite) {
-                Some(composite) => {
-                    self.emitter
-                        .emit(out, query, composite, arrival, ideal_depart, *ideal_time)
-                }
+            match run_chain(
+                common_ops,
+                &mut monitors[common_base..],
+                Cow::Owned(composite),
+            ) {
+                Some(composite) => self.emitter.emit(
+                    out,
+                    query,
+                    composite.into_owned(),
+                    arrival,
+                    ideal_depart,
+                    *ideal_time,
+                ),
                 None => self.dropped += 1,
             }
         }
@@ -710,9 +775,14 @@ impl Dsms {
 
 /// Run `record` through a unary chain, teaching each operator's monitor
 /// whether the record passed it; `None` once an operator filters it out.
-fn run_chain(ops: &[RtOp], monitors: &mut [EwmaEstimator], mut record: Record) -> Option<Record> {
+/// A borrowed record stays borrowed through selects.
+fn run_chain<'a>(
+    ops: &[RtOp],
+    monitors: &mut [EwmaEstimator],
+    mut record: Cow<'a, Record>,
+) -> Option<Cow<'a, Record>> {
     for (op, monitor) in ops.iter().zip(monitors) {
-        let next = op.apply_owned(record);
+        let next = op.apply_cow(record);
         monitor.observe_selectivity(if next.is_some() { 1.0 } else { 0.0 });
         record = next?;
     }
@@ -798,6 +868,91 @@ mod tests {
             assert!(matches!(Dsms::new(cfg), Err(HcqError::InvalidConfig(_))));
         }
         assert!(Dsms::new(DsmsConfig::new(RuntimePolicy::Hnr).with_auto_refresh(1)).is_ok());
+    }
+
+    /// Register a query on `stream` that passes every record at `cost_ms`
+    /// per tuple: HNR ranks the cheaper of two such queries higher.
+    fn pass_all(dsms: &mut Dsms, stream: usize, cost_ms: u64) -> QueryId {
+        let pass = Predicate::new(0, Cmp::Ge, 0);
+        let op = RtOp::select(pass, Nanos::from_millis(cost_ms), 1.0);
+        dsms.register(RtPlan::single(StreamId::new(stream), vec![op]))
+            .unwrap()
+    }
+
+    /// A push that enqueues anything ends the hold, and the higher-ranked
+    /// query it fed runs next. A push whose whole fan-out the valve sheds
+    /// reaches no queue and leaves the hold standing.
+    #[test]
+    fn a_push_ends_the_hold() {
+        let cfg = DsmsConfig::new(RuntimePolicy::Hnr)
+            .with_clock(Box::new(ManualClock::new()))
+            .with_max_pending(3);
+        let mut dsms = Dsms::new(cfg).unwrap();
+        let low = pass_all(&mut dsms, 0, 10);
+        let high = pass_all(&mut dsms, 1, 1);
+        pass_all(&mut dsms, 1, 20);
+        for v in 0..3 {
+            dsms.push(StreamId::new(0), Record::new(vec![v]));
+        }
+        assert_eq!(dsms.run_once().unwrap()[0].query, low);
+        assert_eq!(dsms.held, Some(0), "HNR's only ready unit holds");
+        // Two pending plus a fan-out of two is past the cap of three.
+        dsms.push(StreamId::new(1), Record::new(vec![3]));
+        assert_eq!(dsms.stats().shed, 1);
+        assert_eq!(dsms.held, Some(0), "a shed fan-out changes no queue");
+        assert_eq!(dsms.run_once().unwrap()[0].query, low);
+        dsms.push(StreamId::new(1), Record::new(vec![4]));
+        assert_eq!(dsms.held, None);
+        assert_eq!(dsms.run_once().unwrap()[0].query, high);
+    }
+
+    /// A refresh ends the hold: taught costs that invert two queries'
+    /// ranks (as in `lsf_refresh_follows_learned_ideal_times`), the `Dsms`
+    /// runs the newly higher-ranked query next, not the held one.
+    #[test]
+    fn a_refresh_ends_the_hold() {
+        let cfg = DsmsConfig::new(RuntimePolicy::Hnr).with_clock(Box::new(ManualClock::new()));
+        let mut dsms = Dsms::new(cfg).unwrap();
+        let (q0, q1) = (pass_all(&mut dsms, 0, 2), pass_all(&mut dsms, 0, 10));
+        for v in 0..2 {
+            dsms.push(StreamId::new(0), Record::new(vec![v]));
+        }
+        assert_eq!(dsms.run_once().unwrap()[0].query, q0);
+        assert_eq!(dsms.held, Some(0));
+        for _ in 0..200 {
+            dsms.queries[0].monitors[0].observe(Nanos::from_millis(20), 1.0);
+            dsms.queries[1].monitors[0].observe(Nanos::from_millis(1), 1.0);
+        }
+        dsms.refresh_priorities().unwrap();
+        assert_eq!(dsms.held, None);
+        assert_eq!(dsms.run_once().unwrap()[0].query, q1);
+    }
+
+    /// A push shares one record among its copies, and a chain of selects
+    /// emits that same storage: the fields are never copied.
+    #[test]
+    fn a_select_only_chain_emits_the_pushed_storage() {
+        let cfg = DsmsConfig::new(RuntimePolicy::Fcfs).with_clock(Box::new(ManualClock::new()));
+        let mut dsms = Dsms::new(cfg).unwrap();
+        pass_all(&mut dsms, 0, 1);
+        pass_all(&mut dsms, 0, 2);
+        let record = Record::new(vec![1; 1000]);
+        dsms.push(StreamId::new(0), record.clone());
+        let out = dsms.run_until_idle();
+        assert_eq!(out.len(), 2);
+        for e in &out {
+            assert_eq!(e.record, record);
+            assert!(std::ptr::eq(
+                e.record.fields().as_ptr(),
+                record.fields().as_ptr()
+            ));
+        }
+    }
+
+    /// A queued copy is a reference to its push's record and an instant.
+    #[test]
+    fn a_queued_copy_is_two_words() {
+        assert_eq!(std::mem::size_of::<Pending>(), 16);
     }
 
     /// `refresh_priorities` reaches every policy that reads statics, LSF

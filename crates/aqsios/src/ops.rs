@@ -6,6 +6,8 @@
 //! schedulers and the online EWMA monitors; they do not affect what the
 //! operators compute.
 
+use std::borrow::Cow;
+
 use hcq_common::{HcqError, Nanos, Result, StreamId};
 
 use crate::record::{Predicate, Record};
@@ -51,15 +53,16 @@ impl RtOp {
 
     /// Apply to a record: `None` means filtered out.
     pub fn apply(&self, record: &Record) -> Option<Record> {
-        self.apply_owned(record.clone())
+        self.apply_cow(Cow::Borrowed(record)).map(Cow::into_owned)
     }
 
-    /// [`Self::apply`] on a record the caller gives up: a passing select
-    /// hands the same record on.
-    pub(crate) fn apply_owned(&self, record: Record) -> Option<Record> {
+    /// [`Self::apply`] without a copy: a select evaluates in place and
+    /// hands on what it was given, borrowed or owned; a projection
+    /// allocates its output.
+    pub(crate) fn apply_cow<'a>(&self, record: Cow<'a, Record>) -> Option<Cow<'a, Record>> {
         match &self.kind {
             RtOpKind::Select(p) => p.eval(&record).then_some(record),
-            RtOpKind::Project(keep) => Some(record.project(keep)),
+            RtOpKind::Project(keep) => Some(Cow::Owned(record.project(keep))),
         }
     }
 

@@ -6,8 +6,11 @@ use std::sync::Arc;
 ///
 /// Fields are `i64` — enough for identifiers, fixed-point prices, sensor
 /// readings and timestamps; the scheduling layer never interprets them.
-/// Records are cheaply cloneable (`Arc`-backed), since one arrival fans out
-/// to every registered query on its stream.
+/// A clone shares the fields (`Arc`-backed), so a record, and an emission
+/// that carries one, can cross threads. The count is atomic, though: one
+/// arrival fans out to every registered query on its stream, and the
+/// [`crate::Dsms`] queues those copies as `Rc` references to one record
+/// instead of one clone each. A select hands its input on uncopied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     fields: Arc<[i64]>,

@@ -6,11 +6,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hcq_aqsios::{
-    Clock, Cmp, Dsms, DsmsConfig, ManualClock, Predicate, Record, RtJoin, RtOp, RtPlan,
+    Clock, Cmp, Dsms, DsmsConfig, Emission, ManualClock, Predicate, Record, RtJoin, RtOp, RtPlan,
     RuntimePolicy,
 };
 use hcq_check::ContractAudit;
-use hcq_common::{Nanos, StreamId};
+use hcq_common::{Nanos, StreamId, TupleId};
+use hcq_core::{Policy, QueueView, Selection, UnitId, UnitStatics};
 
 fn us(n: u64) -> Nanos {
     Nanos::from_micros(n)
@@ -540,18 +541,76 @@ fn load_shedding_caps_pending_work() {
     assert_eq!(dsms.stats().shed, 3, "no shedding once drained");
 }
 
+/// Register the mixed plan: two streams feed two filtering queries each
+/// (select, then project) and a window join across both.
+fn register_mixed_plan(dsms: &mut Dsms) {
+    for q in 0..4u64 {
+        dsms.register(RtPlan::single(
+            StreamId::new(q as usize % 2),
+            vec![
+                RtOp::select(
+                    Predicate::new(0, Cmp::Ge, 20 * q as i64),
+                    us(2 + 3 * q),
+                    0.5,
+                ),
+                RtOp::project(vec![1], us(1 + q)),
+            ],
+        ))
+        .unwrap();
+    }
+    dsms.register(RtPlan::Join {
+        left_stream: StreamId::new(0),
+        right_stream: StreamId::new(1),
+        left_ops: vec![],
+        right_ops: vec![],
+        join: RtJoin::new(0, 0, Nanos::from_millis(1)),
+        common_ops: vec![],
+    })
+    .unwrap();
+}
+
+/// Record `step` of the mixed plan's input, and its stream.
+fn mixed_input(step: u64) -> (StreamId, Record) {
+    let stream = StreamId::new((step % 3 % 2) as usize);
+    (
+        stream,
+        Record::new(vec![(step * 37 % 100) as i64, step as i64]),
+    )
+}
+
+/// 600 pushes, each followed by up to six `run_once`, then a drain:
+/// every emission, in order.
+fn interleaved_script(dsms: &mut Dsms, clock: &ManualClock) -> Vec<Emission> {
+    let mut out = Vec::new();
+    for step in 0..600u64 {
+        let (stream, record) = mixed_input(step);
+        dsms.push(stream, record);
+        clock.advance(us(step % 5 + 1));
+        for _ in 0..step % 7 {
+            let Some(batch) = dsms.run_once() else {
+                break;
+            };
+            out.extend(batch);
+        }
+    }
+    out.extend(dsms.run_until_idle());
+    out
+}
+
 /// The `Dsms` keeps the executor contract: wrapped in
 /// [`ContractAudit`], every policy sees at each decision exactly the queues
-/// it was told about (`run_once` serves the unit it selected, every copy a
-/// push admits reaches `on_enqueue`). Two streams feed two filtering
-/// queries each and a window join across both, and pushes interleave with
-/// runs of `run_once`. Under `with_max_pending` the valve sheds whole
-/// fan-outs before they are queued, so no shed reaches the policy.
+/// it was told about (`run_once` serves the unit it selected or the one
+/// that holds, every copy a push admits reaches `on_enqueue`), on the
+/// mixed plan with pushes interleaved with runs of `run_once`. Under
+/// `with_max_pending` the valve sheds whole fan-outs before they are
+/// queued, so no shed reaches the policy.
 #[test]
 fn dsms_serves_what_its_policy_selects() {
     let policies = [
         RuntimePolicy::Fcfs,
         RuntimePolicy::RoundRobin,
+        RuntimePolicy::Srpt,
+        RuntimePolicy::Hr,
         RuntimePolicy::Hnr,
         RuntimePolicy::Lsf,
         RuntimePolicy::Bsd,
@@ -567,43 +626,8 @@ fn dsms_serves_what_its_policy_selects() {
             }
             let audit = ContractAudit::new(kind.build(), Arc::clone(&sheds));
             let mut dsms = Dsms::with_policy(cfg, Box::new(audit)).unwrap();
-            for q in 0..4u64 {
-                dsms.register(RtPlan::single(
-                    StreamId::new(q as usize % 2),
-                    vec![
-                        RtOp::select(
-                            Predicate::new(0, Cmp::Ge, 20 * q as i64),
-                            us(2 + 3 * q),
-                            0.5,
-                        ),
-                        RtOp::project(vec![1], us(1 + q)),
-                    ],
-                ))
-                .unwrap();
-            }
-            dsms.register(RtPlan::Join {
-                left_stream: StreamId::new(0),
-                right_stream: StreamId::new(1),
-                left_ops: vec![],
-                right_ops: vec![],
-                join: RtJoin::new(0, 0, Nanos::from_millis(1)),
-                common_ops: vec![],
-            })
-            .unwrap();
-            for step in 0..600u64 {
-                let stream = StreamId::new((step % 3 % 2) as usize);
-                dsms.push(
-                    stream,
-                    Record::new(vec![(step * 37 % 100) as i64, step as i64]),
-                );
-                clock.advance(us(step % 5 + 1));
-                for _ in 0..step % 7 {
-                    if dsms.run_once().is_none() {
-                        break;
-                    }
-                }
-            }
-            dsms.run_until_idle();
+            register_mixed_plan(&mut dsms);
+            interleaved_script(&mut dsms, &clock);
             let stats = dsms.stats();
             assert_eq!(dsms.pending(), 0, "{at}");
             assert_eq!(
@@ -614,5 +638,178 @@ fn dsms_serves_what_its_policy_selects() {
             assert_eq!(stats.shed > 0, cap.is_some(), "{at}: the valve sheds");
             assert!(stats.emitted > 0, "{at}");
         }
+    }
+}
+
+/// How often a [`HoldProbe`] was asked.
+#[derive(Default)]
+struct Selects {
+    /// Every `select` call.
+    all: Cell<u64>,
+    /// Calls while a hold the probe passed on was live: the debug-build
+    /// check on a held pop.
+    during_hold: Cell<u64>,
+}
+
+impl Selects {
+    /// The decisions the executor could not serve from a hold.
+    fn needed(&self) -> u64 {
+        self.all.get() - self.during_hold.get()
+    }
+}
+
+/// A test-local policy wrapper that passes [`Selection::holds`] on, or
+/// clears it so that its `Dsms` asks at every decision, and counts the
+/// `select` calls. A hold it passed on is live while the held unit has
+/// work and no callback that ends a hold has arrived.
+struct HoldProbe {
+    inner: Box<dyn Policy>,
+    keep_holds: bool,
+    live: Option<UnitId>,
+    selects: Rc<Selects>,
+}
+
+impl Policy for HoldProbe {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn on_register(&mut self, units: &[UnitStatics]) {
+        self.live = None;
+        self.inner.on_register(units);
+    }
+
+    fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, now: Nanos) {
+        self.live = None;
+        self.inner.on_enqueue(unit, tuple, arrival, now);
+    }
+
+    fn on_shed(&mut self, unit: UnitId, tuple: TupleId) {
+        self.live = None;
+        self.inner.on_shed(unit, tuple);
+    }
+
+    fn on_statics_update(&mut self, unit: UnitId, statics: &UnitStatics) {
+        self.live = None;
+        self.inner.on_statics_update(unit, statics);
+    }
+
+    fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
+        let all = &self.selects.all;
+        all.set(all.get() + 1);
+        if self.live.take().is_some_and(|unit| queues.len(unit) > 0) {
+            let during = &self.selects.during_hold;
+            during.set(during.get() + 1);
+        }
+        let mut selection = self.inner.select(queues, now)?;
+        selection.holds &= self.keep_holds;
+        if selection.holds {
+            self.live = selection.units.first().copied();
+        }
+        Some(selection)
+    }
+}
+
+/// A `Dsms` on a manual clock around a [`HoldProbe`] of `kind`.
+fn probed_dsms(
+    kind: RuntimePolicy,
+    cap: Option<usize>,
+    refresh: Option<u64>,
+    keep_holds: bool,
+) -> (Dsms, ManualClock, Rc<Selects>) {
+    let clock = ManualClock::new();
+    let mut cfg = DsmsConfig::new(kind).with_clock(Box::new(clock.clone()));
+    if let Some(cap) = cap {
+        cfg = cfg.with_max_pending(cap);
+    }
+    if let Some(every) = refresh {
+        cfg = cfg.with_auto_refresh(every);
+    }
+    let selects = Rc::new(Selects::default());
+    let probe = HoldProbe {
+        inner: kind.build(),
+        keep_holds,
+        live: None,
+        selects: Rc::clone(&selects),
+    };
+    let dsms = Dsms::with_policy(cfg, Box::new(probe)).unwrap();
+    (dsms, clock, selects)
+}
+
+/// The hold changes no emission. Under each static policy, bounded or
+/// not, with auto-refresh or without, a `Dsms` that serves held choices
+/// and one whose probe clears `holds` emit the same sequence, every field
+/// of every emission included, and end with the same statistics.
+#[test]
+fn a_held_choice_changes_no_emission() {
+    for kind in [RuntimePolicy::Srpt, RuntimePolicy::Hr, RuntimePolicy::Hnr] {
+        for cap in [None, Some(8)] {
+            for refresh in [None, Some(5)] {
+                let at = format!("{kind:?}/{cap:?}/{refresh:?}");
+                let run = |keep_holds| {
+                    let (mut dsms, clock, selects) = probed_dsms(kind, cap, refresh, keep_holds);
+                    register_mixed_plan(&mut dsms);
+                    let out = interleaved_script(&mut dsms, &clock);
+                    (out, dsms.stats(), selects.needed())
+                };
+                let (held, held_stats, held_selects) = run(true);
+                let (asked, asked_stats, asked_selects) = run(false);
+                assert!(!held.is_empty(), "{at}");
+                assert_eq!(held, asked, "{at}");
+                assert_eq!(held_stats, asked_stats, "{at}");
+                assert_eq!(asked_selects, asked_stats.decisions, "{at}");
+                assert!(held_selects < asked_selects, "{at}: no hold was served");
+            }
+        }
+    }
+}
+
+/// Only a static-priority choice skips `select`. Batches of 60 records,
+/// each drained before the next: FCFS, RR, LSF and BSD are asked at every
+/// decision, SRPT, HR and HNR at most at every second one. Release builds
+/// never ask while a hold is live; debug builds ask at every decision and
+/// assert the held unit.
+#[test]
+fn only_static_choices_skip_select() {
+    let policies = [
+        RuntimePolicy::Fcfs,
+        RuntimePolicy::RoundRobin,
+        RuntimePolicy::Srpt,
+        RuntimePolicy::Hr,
+        RuntimePolicy::Hnr,
+        RuntimePolicy::Lsf,
+        RuntimePolicy::Bsd,
+    ];
+    for kind in policies {
+        let (mut dsms, clock, selects) = probed_dsms(kind, None, None, true);
+        register_mixed_plan(&mut dsms);
+        for step in 0..600u64 {
+            let (stream, record) = mixed_input(step);
+            dsms.push(stream, record);
+            clock.advance(us(1));
+            if step % 60 == 59 {
+                dsms.run_until_idle();
+            }
+        }
+        let decisions = dsms.stats().decisions;
+        let holds = matches!(
+            kind,
+            RuntimePolicy::Srpt | RuntimePolicy::Hr | RuntimePolicy::Hnr
+        );
+        if holds {
+            assert!(
+                selects.needed() <= decisions / 2,
+                "{kind:?}: {} selects for {decisions} decisions",
+                selects.needed()
+            );
+        } else {
+            assert_eq!(selects.needed(), decisions, "{kind:?}");
+        }
+        let asked = if cfg!(debug_assertions) {
+            decisions
+        } else {
+            selects.needed()
+        };
+        assert_eq!(selects.all.get(), asked, "{kind:?}");
     }
 }

@@ -1,5 +1,6 @@
 //! The prose points at real files and real benchmark cells: every
-//! backticked repository path in the user-facing documents must exist, and
+//! backticked repository path in the user-facing documents must exist,
+//! every backticked bare Rust file name must name a source file, and
 //! every backticked benchmark cell must be declared in `BENCHMARK.json`, so
 //! a rename or deletion that leaves a document pointing at nothing fails
 //! here instead of misleading a reader.
@@ -82,6 +83,65 @@ fn documented_paths_exist() {
     assert!(
         missing.is_empty(),
         "documented paths that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// Directories whose files a bare file name in the prose may name.
+const SOURCE_DIRS: [&str; 6] = ["crates", "benchmark", "tests", "examples", "src", "shims"];
+
+/// Whether a backticked span is a bare Rust file name: it ends in `.rs`,
+/// has no `/` and no whitespace.
+fn is_bare_rs(span: &str) -> bool {
+    span.ends_with(".rs") && !span.contains(|c: char| c == '/' || c.is_whitespace())
+}
+
+/// The names of every file under `dir`, build output (`target/`) skipped.
+fn file_names(dir: &Path, names: &mut Vec<String>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            if entry.file_name() != "target" {
+                file_names(&path, names);
+            }
+        } else {
+            names.push(entry.file_name().to_string_lossy().into_owned());
+        }
+    }
+}
+
+/// Every backticked bare Rust file name (`statics.rs`) names a file
+/// somewhere under the source directories.
+#[test]
+fn documented_file_names_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut names = Vec::new();
+    for dir in SOURCE_DIRS {
+        file_names(&root.join(dir), &mut names);
+    }
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("reading {doc}: {e}"));
+        for (n, line) in text.lines().enumerate() {
+            for span in line.split('`').skip(1).step_by(2) {
+                if is_bare_rs(span) {
+                    checked += 1;
+                    if !names.iter().any(|name| name == span) {
+                        missing.push(format!("{doc}:{}: `{span}`", n + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no file names found; is the scan broken?");
+    assert!(
+        missing.is_empty(),
+        "documented file names that no source file has:\n{}",
         missing.join("\n")
     );
 }
@@ -184,4 +244,8 @@ fn path_shapes() {
         "a placeholder"
     );
     assert!(!is_repo_path("hcq_core::PolicyKind"));
+    assert!(is_bare_rs("statics.rs"));
+    assert!(!is_bare_rs("crates/core/src/statics.rs"), "a path");
+    assert!(!is_bare_rs("cargo test statics.rs"), "a command line");
+    assert!(!is_bare_rs("metrics.prom"));
 }
