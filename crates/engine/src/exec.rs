@@ -29,16 +29,89 @@ pub fn arrival_key(seed: u64, id: TupleId) -> u64 {
     det::unit_range(det::splitmix64(det::mix2(seed, id.raw())), 1, 100)
 }
 
-/// Key-predicate select: pass iff `key ≤ s·100` (the §8 predicate-over-an-
-/// attribute realization). Takes the *effective* selectivity so drifting
-/// statics shift the threshold.
-pub fn key_passes(selectivity: f64, t: &SimTuple) -> bool {
-    t.key <= (selectivity * 100.0).round() as u64
+/// One operator's pass/fail rule, compiled once per run (and again when
+/// drift moves the selectivity in force): a key predicate keeps its
+/// threshold `round(s·100)`, any other operator its coin's operator salt and
+/// the effective selectivity. [`UnaryGate::passes`] is then only the
+/// per-tuple work, and [`unary_passes`] is the same gate built for one call.
+#[derive(Debug, Clone, Copy)]
+pub struct UnaryGate {
+    /// The coin's operator half: `det::mix2(query, op)`, or a sharing
+    /// group's salt for its shared operator.
+    salt: u64,
+    seed: u64,
+    rule: Rule,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// Pass iff the tuple's key is at most this threshold.
+    Key(u64),
+    /// Pass iff `coin(mix3(id, salt, seed), s)`.
+    Coin(f64),
+}
+
+impl UnaryGate {
+    /// Operator `op` of query `query` at *effective* selectivity `s`: a key
+    /// predicate consults the tuple's attribute (`key ≤ s·100`, the §8
+    /// predicate-over-an-attribute realization), everything else flips a
+    /// coin that is a pure function of `(tuple, operator, seed)`.
+    pub fn new(seed: u64, query: usize, op: usize, spec: &OperatorSpec, s: f64) -> Self {
+        let rule = if spec.kind.is_key_predicate() {
+            Rule::Key((s * 100.0).round() as u64)
+        } else {
+            Rule::Coin(s)
+        };
+        UnaryGate {
+            salt: det::mix2(query as u64, op as u64),
+            seed,
+            rule,
+        }
+    }
+
+    /// The shared operator of sharing group `group`, whose members all lead
+    /// with the operator `leader` gates: physically one operator, so one
+    /// outcome for every member. A select is key-driven and thus identical
+    /// across members by construction; any other kind flips a coin salted
+    /// by the group.
+    pub fn shared(group: usize, leader: &UnaryGate) -> Self {
+        UnaryGate {
+            salt: 0xC0DE_5A17 ^ group as u64,
+            ..*leader
+        }
+    }
+
+    /// Window join `op` of query `query`: it passes every arriving tuple
+    /// (its output is decided pair by pair, [`pair_passes_salted`]); the gate
+    /// carries the operator salt the simulator charges the join under.
+    pub fn join(query: usize, op: usize) -> Self {
+        UnaryGate {
+            salt: det::mix2(query as u64, op as u64),
+            seed: 0,
+            rule: Rule::Coin(1.0),
+        }
+    }
+
+    /// Whether `t` passes the operator.
+    #[inline]
+    pub fn passes(&self, t: &SimTuple) -> bool {
+        match self.rule {
+            Rule::Key(threshold) => t.key <= threshold,
+            Rule::Coin(s) => det::coin(det::mix3(t.id.raw(), self.salt, self.seed), s),
+        }
+    }
+
+    /// The operator salt: the simulator's cost jitter and miscalibration
+    /// draws for this operator are keyed by it too.
+    #[inline]
+    pub fn salt(&self) -> u64 {
+        self.salt
+    }
 }
 
 /// Outcome of one unary operator on one tuple at *effective* selectivity
-/// `s`: key predicates consult the tuple's attribute, everything else flips
-/// a coin that is a pure function of `(tuple, operator, seed)`.
+/// `s`: [`UnaryGate::new`] and [`UnaryGate::passes`] in one call, the
+/// reference the executors' prebuilt gates are held to.
 pub fn unary_passes(
     seed: u64,
     query: usize,
@@ -47,14 +120,7 @@ pub fn unary_passes(
     s: f64,
     t: &SimTuple,
 ) -> bool {
-    if spec.kind.is_key_predicate() {
-        key_passes(s, t)
-    } else {
-        det::coin(
-            det::mix3(t.id.raw(), det::mix2(query as u64, op as u64), seed),
-            s,
-        )
-    }
+    UnaryGate::new(seed, query, op, spec, s).passes(t)
 }
 
 /// The part of the join-predicate coin that does not depend on the pair:
@@ -117,6 +183,7 @@ pub fn fold_emission(acc: (u64, u64), query: usize, lineage: TupleId) -> (u64, u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcq_plan::OpKind;
 
     fn tuple(id: u64, key: u64) -> SimTuple {
         SimTuple {
@@ -131,9 +198,78 @@ mod tests {
 
     #[test]
     fn key_predicate_thresholds() {
-        assert!(key_passes(0.5, &tuple(1, 50)));
-        assert!(!key_passes(0.5, &tuple(1, 51)));
-        assert!(key_passes(1.0, &tuple(1, 100)));
+        let select = OperatorSpec::new(OpKind::Select, Nanos::from_nanos(1), 0.5);
+        let passes = |s: f64, key: u64| UnaryGate::new(0, 0, 0, &select, s).passes(&tuple(1, key));
+        assert!(passes(0.5, 50));
+        assert!(!passes(0.5, 51));
+        assert!(passes(1.0, 100));
+    }
+
+    /// A gate decides exactly as the rule every pinned result was produced
+    /// with — `key ≤ round(s·100)` for a select, `coin(mix3(id, mix2(query,
+    /// op), seed), s)` for any other kind — and so does `unary_passes`,
+    /// across kinds, rounding-edge and random selectivities, seeds, operator
+    /// positions, keys at the threshold, and composite (top-bit) ids.
+    #[test]
+    fn gate_is_the_reference_rule() {
+        let kinds = [
+            OpKind::Select,
+            OpKind::Project,
+            OpKind::StoredJoin,
+            OpKind::Map,
+        ];
+        let edges = [1.0, 0.005, 0.015, 0.125, 0.285, 0.995];
+        let mut rng = det::Rng::new(0x6A7E);
+        for case in 0..40_000usize {
+            let kind = kinds[case % kinds.len()];
+            let s = match case % 3 {
+                0 => edges[(case / 3) % edges.len()],
+                _ => det::unit_f64(rng.next_u64()),
+            };
+            let (seed, query, op) = (
+                rng.next_u64(),
+                (rng.next_u64() % 1_000) as usize,
+                (rng.next_u64() % 8) as usize,
+            );
+            let threshold = (s * 100.0).round() as u64;
+            let key = match rng.next_u64() % 2 {
+                0 => 1 + rng.next_u64() % 100,
+                _ => (threshold + rng.next_u64() % 3).saturating_sub(1).max(1),
+            };
+            let id = (rng.next_u64() >> 1) | (rng.next_u64() & 1 << 63);
+            let t = tuple(id, key);
+            let spec = OperatorSpec::new(kind, Nanos::from_nanos(1), s);
+            let want = if kind == OpKind::Select {
+                key <= threshold
+            } else {
+                det::coin(det::mix3(id, det::mix2(query as u64, op as u64), seed), s)
+            };
+            let gate = UnaryGate::new(seed, query, op, &spec, s);
+            assert_eq!(
+                gate.passes(&t),
+                want,
+                "case {case}: {kind:?} s={s} key={key}"
+            );
+            assert_eq!(unary_passes(seed, query, op, &spec, s, &t), want);
+            assert_eq!(gate.salt(), det::mix2(query as u64, op as u64));
+
+            let group = query;
+            let want = if kind == OpKind::Select {
+                key <= threshold
+            } else {
+                det::coin(det::mix3(id, 0xC0DE_5A17 ^ group as u64, seed), s)
+            };
+            let shared = UnaryGate::shared(group, &gate);
+            assert_eq!(
+                shared.passes(&t),
+                want,
+                "case {case}: shared {kind:?} s={s}"
+            );
+
+            let join = UnaryGate::join(query, op);
+            assert!(join.passes(&t));
+            assert_eq!(join.salt(), det::mix2(query as u64, op as u64));
+        }
     }
 
     #[test]

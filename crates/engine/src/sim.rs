@@ -7,11 +7,11 @@ use hcq_common::{det, EngineError, HcqError, Nanos, Result, StreamId, TupleId};
 use hcq_core::{EwmaEstimator, Policy, QueueView, UnitStatics, WindowedEstimator};
 use hcq_join::{Side, SymmetricHashJoin};
 use hcq_metrics::{ClassBreakdown, OverheadTotals, QosAccumulator, SlowdownHistogram};
-use hcq_plan::{CompiledOpKind, GlobalPlan, OperatorSpec, Port, StreamRates};
+use hcq_plan::{CompiledOp, CompiledOpKind, GlobalPlan, Port, StreamRates};
 use hcq_streams::{ArrivalSource, SourceFaultStats};
 
 use crate::config::{AdaptConfig, AdaptMode, AdmissionMode, SchedulingLevel, SimConfig};
-use crate::exec;
+use crate::exec::{self, UnaryGate};
 use crate::governor::{Governor, Switch};
 use crate::model::{SimModel, UnitKind};
 use crate::queues::{Admission, UnitQueues};
@@ -191,6 +191,11 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     joins: Vec<Option<(usize, SymmetricHashJoin<SimTuple>)>>,
     /// Operator-level only: `op_units[query][op]` = unit id.
     op_units: Vec<Vec<u32>>,
+    /// `gates[query][op]`: each operator's pass/fail rule and charge salt
+    /// at the selectivity in force, rebuilt when drift moves it.
+    gates: Vec<Vec<UnaryGate>>,
+    /// `group_gates[group]`: each sharing group's shared operator.
+    group_gates: Vec<UnaryGate>,
     cfg: SimConfig,
     sched_cost: Nanos,
     /// `ideal_times[query]` = `T_k`, hoisted out of the per-emission path
@@ -457,7 +462,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         } else {
             None
         };
-        Ok(Simulator {
+        let mut sim = Simulator {
             model,
             policy,
             queues,
@@ -465,6 +470,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             upcoming,
             joins,
             op_units,
+            gates: Vec::new(),
+            group_gates: Vec::new(),
             cfg,
             sched_cost,
             ideal_times,
@@ -509,7 +516,9 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             current_unit: 0,
             metrics,
             telemetry,
-        })
+        };
+        sim.compile_gates();
+        Ok(sim)
     }
 
     /// Install fresh statics for one unit mid-run — the §10 adaptive path
@@ -832,6 +841,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     /// are validated sorted, so the factors in force are always those of
     /// the latest due step.
     fn apply_due_drift(&mut self) {
+        let sel = self.drift_sel;
         while self.drift_idx < self.cfg.drift.len() {
             let step = self.cfg.drift[self.drift_idx];
             if step.at > self.clock {
@@ -841,6 +851,31 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             self.drift_sel = step.selectivity_factor;
             self.drift_idx += 1;
         }
+        if self.drift_sel != sel {
+            self.compile_gates();
+        }
+    }
+
+    /// Build every operator's gate at the selectivity in force.
+    fn compile_gates(&mut self) {
+        let seed = self.cfg.seed;
+        let gates = self.model.compiled.iter().enumerate().map(|(query, cq)| {
+            let op_gate = |(op, compiled): (usize, &CompiledOp)| match compiled.kind {
+                CompiledOpKind::Unary(spec) => {
+                    let s = self.drifted_selectivity(spec.selectivity);
+                    UnaryGate::new(seed, query, op, &spec, s)
+                }
+                CompiledOpKind::Join(_) => UnaryGate::join(query, op),
+            };
+            cq.ops.iter().enumerate().map(op_gate).collect()
+        });
+        self.gates = gates.collect();
+        // The plan validates that every member leads with the group's
+        // operator, so the first member's gate is the group's but for the
+        // salt.
+        self.group_gates = (self.model.groups.iter().enumerate())
+            .map(|(group, g)| UnaryGate::shared(group, &self.gates[g.members[0]][0]))
+            .collect();
     }
 
     /// The selectivity actually in force for a nominal `s` under the
@@ -1237,11 +1272,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     /// matches.
     fn entry_charge(&self, kind: UnitKind) -> (Nanos, u64) {
         let op_cost = |query: usize, oi: usize| {
-            let salt = det::mix2(query as u64, oi as u64);
-            match self.model.compiled[query].ops[oi].kind {
-                CompiledOpKind::Unary(spec) => (spec.cost, salt),
-                CompiledOpKind::Join(spec) => (spec.cost, salt),
-            }
+            let cost = self.model.compiled[query].ops[oi].cost();
+            (cost, self.gates[query][oi].salt())
         };
         match kind {
             UnitKind::Leaf { query, leaf } => {
@@ -1271,15 +1303,16 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             let downstream = op.downstream;
             match op.kind {
                 CompiledOpKind::Unary(spec) => {
-                    self.charge_op(spec.cost, tuple.id, det::mix2(query as u64, oi as u64));
-                    if !self.unary_passes(query, oi, &spec, &tuple) {
+                    // The charge may cross a drift step: read the gate after.
+                    self.charge_op(spec.cost, tuple.id, self.gates[query][oi].salt());
+                    if !self.gates[query][oi].passes(&tuple) {
                         self.dropped += 1;
                         return Ok(());
                     }
                     cursor = downstream;
                 }
                 CompiledOpKind::Join(spec) => {
-                    self.charge_op(spec.cost, tuple.id, det::mix2(query as u64, oi as u64));
+                    self.charge_op(spec.cost, tuple.id, self.gates[query][oi].salt());
                     let side = match port {
                         Port::Left => Side::Left,
                         Port::Right => Side::Right,
@@ -1329,28 +1362,9 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let g = &self.model.groups[group];
         let shared_cost = g.shared_cost;
         let n_members = g.members.len();
-        let q0 = g.members[0];
         self.charge_op(shared_cost, tuple.id, 0xD00D ^ group as u64);
-        // The shared operator is physically one operator: one outcome. The
-        // §9.3 groups share a *select*, whose outcome is key-driven and thus
-        // identical across members by construction; for generality
-        // non-key-predicate shared ops use a group-salted coin.
-        let spec = match self.model.compiled[q0].ops[0].kind {
-            CompiledOpKind::Unary(spec) => spec,
-            CompiledOpKind::Join(_) => {
-                return Err(EngineError::UnexpectedJoin { query: q0, op: 0 })
-            }
-        };
-        let s = self.drifted_selectivity(spec.selectivity);
-        let pass = if spec.kind.is_key_predicate() {
-            exec::key_passes(s, &tuple)
-        } else {
-            det::coin(
-                det::mix3(tuple.id.raw(), 0xC0DE_5A17 ^ group as u64, self.cfg.seed),
-                s,
-            )
-        };
-        if !pass {
+        // The shared operator is physically one operator: one outcome.
+        if !self.group_gates[group].passes(&tuple) {
             self.dropped += n_members as u64;
             return Ok(());
         }
@@ -1388,8 +1402,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             CompiledOpKind::Join(_) => return Err(EngineError::UnexpectedJoin { query, op }),
         };
         let downstream = compiled_op.downstream;
-        self.charge_op(spec.cost, tuple.id, det::mix2(query as u64, op as u64));
-        if !self.unary_passes(query, op, &spec, &tuple) {
+        self.charge_op(spec.cost, tuple.id, self.gates[query][op].salt());
+        if !self.gates[query][op].passes(&tuple) {
             self.dropped += 1;
             return Ok(());
         }
@@ -1441,11 +1455,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             cost = cost.scale(factor).max(Nanos(1));
         }
         self.charge(cost);
-    }
-
-    fn unary_passes(&self, query: usize, op: usize, spec: &OperatorSpec, t: &SimTuple) -> bool {
-        let s = self.drifted_selectivity(spec.selectivity);
-        exec::unary_passes(self.cfg.seed, query, op, spec, s, t)
     }
 
     fn emit(&mut self, query: usize, t: SimTuple) {

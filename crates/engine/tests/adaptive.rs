@@ -1,14 +1,14 @@
 //! End-to-end tests for the online statistics estimator, the drifting
 //! statics fault model, and the governor's policy-switching meta-scheduler.
 
-use hcq_common::Nanos;
+use hcq_common::{Nanos, TupleId};
 use hcq_core::{ClusterConfig, PolicyKind};
 use hcq_engine::{
-    simulate, simulate_traced, AdaptConfig, AdaptMode, AdmissionMode, DriftStep, GovernorConfig,
-    SimConfig, SimReport, TraceEvent, VecTrace,
+    exec, simulate, simulate_traced, AdaptConfig, AdaptMode, AdmissionMode, DriftStep,
+    GovernorConfig, SimConfig, SimReport, SimTuple, TraceEvent, VecTrace,
 };
-use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
-use hcq_streams::PoissonSource;
+use hcq_plan::{GlobalPlan, OperatorSpec, QueryBuilder, StreamRates};
+use hcq_streams::{ConstantSource, PoissonSource};
 
 fn ms(n: u64) -> Nanos {
     Nanos::from_millis(n)
@@ -341,6 +341,106 @@ fn drift_changes_the_workload_realization() {
     );
     assert!(muted.emitted < base.emitted, "{muted:?}");
     assert!(muted.emitted > 0, "pre-drift phase still emits");
+}
+
+/// The gated fixture: one select-then-map query, 1 µs per operator, one
+/// arrival every 10 ms (arrival `i` lands at `(i + 1)·10 ms`, so every
+/// tuple is served alone), FCFS, 2,000 arrivals, seed 3.
+const GATED_N: u64 = 2_000;
+const GATED_SEED: u64 = 3;
+fn gated_ops() -> [OperatorSpec; 2] {
+    let cost = Nanos::from_micros(1);
+    [
+        OperatorSpec::select(cost, 0.5),
+        OperatorSpec::map(cost, 0.9),
+    ]
+}
+
+fn run_gated(drift: Vec<DriftStep>) -> SimReport {
+    let [select, map] = gated_ops();
+    let mut plan = GlobalPlan::default();
+    plan.add_query(
+        QueryBuilder::on(StreamId::new(0))
+            .select(select.cost, select.selectivity)
+            .map(map.cost, map.selectivity)
+            .build()
+            .unwrap(),
+    );
+    simulate(
+        &plan,
+        &StreamRates::none(),
+        vec![Box::new(ConstantSource::new(ms(10)))],
+        PolicyKind::Fcfs.build(),
+        SimConfig::new(GATED_N)
+            .with_seed(GATED_SEED)
+            .with_drift(drift),
+    )
+    .unwrap()
+}
+
+/// How many arrivals the gated fixture emits when arrival `i` meets the
+/// selectivity factor `factor(i)` at both operators, walked by hand with
+/// `exec::unary_passes`.
+fn gated_walk(factor: impl Fn(u64) -> f64) -> u64 {
+    let passes = |i: u64| {
+        let id = TupleId::new(i);
+        let key = exec::arrival_key(GATED_SEED, id);
+        let t = SimTuple::base(id, Nanos::ZERO, key, Nanos::ZERO);
+        (gated_ops().iter().enumerate()).all(|(op, spec)| {
+            let s = spec.selectivity * factor(i);
+            exec::unary_passes(GATED_SEED, 0, op, spec, s, &t)
+        })
+    };
+    (0..GATED_N).filter(|&i| passes(i)).count() as u64
+}
+
+/// A selectivity drift step rebuilds the compiled operator gates once it
+/// applies: the emitted count equals a hand walk at the nominal
+/// selectivities before the step and the drifted ones after it.
+#[test]
+fn drift_rebuilds_the_operator_gates() {
+    // Between arrivals 999 and 1000.
+    let r = run_gated(vec![DriftStep {
+        at: ms(10) * 1_000 + ms(5),
+        cost_factor: 1.0,
+        selectivity_factor: 0.6,
+    }]);
+    let drifted = gated_walk(|i| if i >= 1_000 { 0.6 } else { 1.0 });
+    assert_eq!(r.arrivals, GATED_N);
+    assert_eq!(r.emitted, drifted, "{r:?}");
+    assert_ne!(
+        drifted,
+        gated_walk(|_| 1.0),
+        "the step must change the realization"
+    );
+}
+
+/// A step that lands inside an operator's charge applies to that
+/// operator's own decision, which follows the charge: from arrival 1,000 on,
+/// a step 0.5 µs into the select's 1 µs drifts it, and a step 5 ms later
+/// undoes the drift before the next arrival.
+#[test]
+fn a_drift_step_inside_a_charge_moves_that_decision() {
+    let step = |at: Nanos, selectivity_factor: f64| DriftStep {
+        at,
+        cost_factor: 1.0,
+        selectivity_factor,
+    };
+    let drift = (1_000..GATED_N)
+        .flat_map(|i| {
+            let arrival = ms(10) * (i + 1);
+            [
+                step(arrival + Nanos::from_nanos(500), 0.6),
+                step(arrival + ms(5), 1.0),
+            ]
+        })
+        .collect();
+    let r = run_gated(drift);
+    assert_eq!(
+        r.emitted,
+        gated_walk(|i| if i >= 1_000 { 0.6 } else { 1.0 }),
+        "{r:?}"
+    );
 }
 
 #[test]

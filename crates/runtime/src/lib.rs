@@ -69,10 +69,10 @@ use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
 use hcq_core::{Policy, PolicyKind, QueueView, UnitId};
-use hcq_engine::exec;
+use hcq_engine::exec::{self, UnaryGate};
 use hcq_engine::model::EntryRoute;
 use hcq_engine::queues::{Admission, Queued, UnitQueues};
-use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitKind};
+use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitDesc, UnitKind};
 use hcq_metrics::{QosAccumulator, QosSummary, TelemetryRegistry, TelemetrySnapshot};
 use hcq_plan::{CompiledOpKind, GlobalPlan, StreamRates};
 use hcq_streams::ArrivalSource;
@@ -206,6 +206,15 @@ impl RuntimeReport {
     }
 }
 
+/// What executing a copy in one unit needs, resolved once per run.
+struct UnitPath {
+    query: usize,
+    /// Alone-path cost of the unit's entry route ([`SimTuple::base`]).
+    alone: Nanos,
+    /// The gate of every operator from the unit's entry to the root.
+    gates: Vec<UnaryGate>,
+}
+
 /// State shared by the ingest thread and every shard.
 struct Shared<'a> {
     model: &'a SimModel,
@@ -214,8 +223,8 @@ struct Shared<'a> {
     /// `routes[shard][stream]`: the stream's entry routes into units the
     /// shard owns (`unit % threads == shard`), in model order.
     routes: Vec<Vec<Vec<EntryRoute>>>,
-    /// Alone-path cost of each unit's entry route ([`SimTuple::base`]).
-    alone: Vec<Nanos>,
+    /// `paths[unit]`: what executing a copy in the unit needs.
+    paths: Vec<UnitPath>,
     progress: Progress,
     /// A worker returned an error or panicked; everyone winds down.
     failed: AtomicBool,
@@ -224,20 +233,50 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// Route tables, inboxes and progress counters for `cfg.threads`
-    /// shards over `model`; the clock starts now.
-    fn new(model: &'a SimModel, cfg: &'a RuntimeConfig) -> Self {
+    /// Route tables, unit paths, inboxes and progress counters for
+    /// `cfg.threads` shards over `model`, a query-level unary workload; the
+    /// clock starts now.
+    fn new(model: &'a SimModel, cfg: &'a RuntimeConfig) -> Result<Self, EngineError> {
         let mut alone = vec![Nanos::ZERO; model.unit_count()];
         for route in model.routes.iter().flatten() {
             alone[route.unit as usize] = route.alone;
         }
+        let path = |(unit, desc): (usize, &UnitDesc)| {
+            let UnitKind::Leaf { query, leaf } = desc.kind else {
+                return Err(EngineError::UnknownUnit {
+                    unit: unit as UnitId,
+                    unit_count: model.unit_count(),
+                });
+            };
+            let cq = &model.compiled[query];
+            let mut gates = Vec::new();
+            let mut cursor = Some(cq.leaves[leaf.index()].entry);
+            while let Some((op, _port)) = cursor {
+                let CompiledOpKind::Unary(spec) = cq.ops[op].kind else {
+                    return Err(EngineError::UnexpectedJoin { query, op });
+                };
+                gates.push(UnaryGate::new(cfg.seed, query, op, &spec, spec.selectivity));
+                cursor = cq.ops[op].downstream;
+            }
+            Ok(UnitPath {
+                query,
+                alone: alone[unit],
+                gates,
+            })
+        };
+        let paths = model
+            .units
+            .iter()
+            .enumerate()
+            .map(path)
+            .collect::<Result<_, _>>()?;
         let owned_by = |shard: usize| {
             let owned = |r: &&EntryRoute| r.unit as usize % cfg.threads == shard;
             let of_stream =
                 |routes: &Vec<EntryRoute>| routes.iter().filter(owned).copied().collect();
             model.routes.iter().map(of_stream).collect()
         };
-        Shared {
+        Ok(Shared {
             model,
             shed_priority: model
                 .unit_statics()
@@ -248,12 +287,12 @@ impl<'a> Shared<'a> {
                 .map(|_| Ring::new(cfg.ring_capacity))
                 .collect(),
             routes: (0..cfg.threads).map(owned_by).collect(),
-            alone,
+            paths,
             progress: Progress::new(cfg.threads),
             failed: AtomicBool::new(false),
             cfg,
             start: Instant::now(),
-        }
+        })
     }
 
     fn now_ns(&self) -> u64 {
@@ -470,56 +509,29 @@ impl<'a> Shard<'a> {
 
     /// Run one copy of an arrival through `unit`'s unary pipeline to the root.
     fn execute(&mut self, unit: UnitId, item: &RtArrival) -> Result<(), EngineError> {
-        let model = self.shared.model;
-        let desc = model
-            .units
+        let shared = self.shared;
+        let path = shared
+            .paths
             .get(unit as usize)
             .ok_or(EngineError::UnknownUnit {
                 unit,
-                unit_count: model.unit_count(),
+                unit_count: shared.paths.len(),
             })?;
-        let UnitKind::Leaf { query, leaf } = desc.kind else {
-            // `build` validated a pure query-level unary workload.
-            return Err(EngineError::UnknownUnit {
-                unit,
-                unit_count: model.unit_count(),
-            });
-        };
-        let alone = self.shared.alone[unit as usize];
-        let tuple = SimTuple::base(item.id, item.arrival, item.key, alone);
-        let cq = &model.compiled[query];
-        let mut cursor = Some(cq.leaves[leaf.index()].entry);
-        while let Some((oi, _port)) = cursor {
-            let op = &cq.ops[oi];
-            match op.kind {
-                CompiledOpKind::Unary(spec) => {
-                    if !exec::unary_passes(
-                        self.shared.cfg.seed,
-                        query,
-                        oi,
-                        &spec,
-                        spec.selectivity,
-                        &tuple,
-                    ) {
-                        self.stats.dropped += 1;
-                        return Ok(());
-                    }
-                    cursor = op.downstream;
-                }
-                CompiledOpKind::Join(_) => {
-                    return Err(EngineError::UnexpectedJoin { query, op: oi })
-                }
-            }
+        let tuple = SimTuple::base(item.id, item.arrival, item.key, path.alone);
+        if !path.gates.iter().all(|gate| gate.passes(&tuple)) {
+            self.stats.dropped += 1;
+            return Ok(());
         }
         // Root emission.
+        let query = path.query;
         self.stats.emitted += 1;
         self.stats.per_query[query] += 1;
         self.stats.fingerprint = exec::fold_emission(self.stats.fingerprint, query, tuple.lineage);
         // Wall time since the ring, against an ideal departure one `T` after
         // it: §5.1.2 with the ring entry as the arrival instant.
         let ring_ns = item.ring_ns.load(Ordering::Relaxed);
-        let response = Nanos::from_nanos(self.shared.now_ns().saturating_sub(ring_ns));
-        let ideal = model.stats[query].ideal_time;
+        let response = Nanos::from_nanos(shared.now_ns().saturating_sub(ring_ns));
+        let ideal = shared.model.stats[query].ideal_time;
         self.stats
             .qos
             .record(response, exec::slowdown(response, ideal, ideal));
@@ -636,7 +648,7 @@ fn run_with(
     }
 
     let (arrivals, schedule) = build_schedule(&model, sources, cfg.seed, cfg.max_arrivals);
-    let shared = Shared::new(&model, cfg);
+    let shared = Shared::new(&model, cfg)?;
 
     let mut shard_results = Vec::new();
     std::thread::scope(|scope| {
@@ -1070,7 +1082,7 @@ mod tests {
         )
         .unwrap();
         let cfg = RuntimeConfig::new(0);
-        let shared = Shared::new(&model, &cfg);
+        let shared = Shared::new(&model, &cfg).unwrap();
         let mut shard = Shard::new(0, PolicyKind::Hnr.build(), &shared);
         let statics = model.unit_statics();
         let (top, low) = if statics[0].hnr_priority() > statics[1].hnr_priority() {

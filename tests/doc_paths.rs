@@ -219,6 +219,123 @@ fn documented_benchmark_cells_exist() {
     );
 }
 
+/// The items a backticked `hcq_<crate>::…` span names, as `(crate, last
+/// segment)`: `hcq_core::{StaticPolicy::srpt, FcfsPolicy}` names `srpt` and
+/// `FcfsPolicy` in `core`; generic arguments are dropped.
+fn item_paths(span: &str) -> Vec<(&str, &str)> {
+    let Some((krate, rest)) = span.strip_prefix("hcq_").and_then(|s| s.split_once("::")) else {
+        return Vec::new();
+    };
+    let items = match rest.strip_prefix('{').and_then(|r| r.strip_suffix('}')) {
+        Some(list) => list.split(',').map(str::trim).collect(),
+        None => vec![rest],
+    };
+    items
+        .into_iter()
+        .filter(|item| !item.contains(char::is_whitespace))
+        .map(|item| (krate, last_segment(item)))
+        .collect()
+}
+
+/// `queues::UnitQueues<T>` → `UnitQueues`.
+fn last_segment(item: &str) -> &str {
+    let item = item.split(['<', '(']).next().unwrap_or_default();
+    item.rsplit("::").next().unwrap_or_default()
+}
+
+/// Whether `name` is declared in `source`: a `fn`, `struct`, `enum`,
+/// `trait`, `type`, `mod`, `const`, `static` or `macro_rules!` of that name.
+fn declares(source: &str, name: &str) -> bool {
+    const KEYWORDS: [&str; 9] = [
+        "fn",
+        "struct",
+        "enum",
+        "trait",
+        "type",
+        "mod",
+        "const",
+        "static",
+        "macro_rules",
+    ];
+    let words: Vec<&str> = source
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .collect();
+    words
+        .windows(2)
+        .any(|w| w[1] == name && KEYWORDS.contains(&w[0]))
+}
+
+/// The text of every Rust file under `dir`.
+fn rust_sources(dir: &Path, out: &mut String) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).unwrap_or_default());
+            out.push('\n');
+        }
+    }
+}
+
+/// Every backticked `hcq_<crate>::…` item path names a crate under
+/// `crates/`, and its last segment is declared in that crate's `src/`.
+#[test]
+fn documented_item_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = std::collections::HashMap::new();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("reading {doc}: {e}"));
+        for (n, line) in text.lines().enumerate() {
+            for span in line.split('`').skip(1).step_by(2) {
+                for (krate, name) in item_paths(span) {
+                    checked += 1;
+                    let source = sources.entry(krate.to_string()).or_insert_with(|| {
+                        let dir = root.join("crates").join(krate);
+                        let mut text = String::new();
+                        rust_sources(&dir.join("src"), &mut text);
+                        dir.is_dir().then_some(text)
+                    });
+                    if !source.as_deref().is_some_and(|s| declares(s, name)) {
+                        missing.push(format!("{doc}:{}: `{span}`", n + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no item paths found; is the scan broken?");
+    assert!(
+        missing.is_empty(),
+        "documented items that their crate does not declare:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn item_path_shapes() {
+    assert_eq!(item_paths("hcq_core::PolicyKind"), [("core", "PolicyKind")]);
+    assert_eq!(
+        item_paths("hcq_engine::queues::UnitQueues<T>"),
+        [("engine", "UnitQueues")]
+    );
+    assert_eq!(
+        item_paths("hcq_core::{StaticPolicy::srpt, FcfsPolicy}"),
+        [("core", "srpt"), ("core", "FcfsPolicy")]
+    );
+    assert!(item_paths("hcq-core").is_empty(), "a package name");
+    assert!(item_paths("hcq_core::Policy + Send").is_empty(), "a bound");
+    assert!(declares("pub(crate) fn run_cell(x: u8)", "run_cell"));
+    assert!(declares("macro_rules! pin {", "pin"));
+    assert!(!declares("let run_cell = 1;", "run_cell"));
+}
+
 #[test]
 fn glob_shapes() {
     assert!(glob_matches("core.hnr.select_ns", "core.hnr.select_ns"));
