@@ -1,8 +1,8 @@
 //! The runtime: the third front end on the executor core's parts — its
-//! queues are the engine's [`UnitQueues`] over records, its policy a
+//! scheduling step is the engine's [`Scheduler`] over records, driving a
 //! [`RuntimePolicy::build`] instance (or one handed to
 //! [`Dsms::with_policy`], such as a contract audit) refreshed through
-//! [`Policy::on_statics_update`], its slowdown [`exec::slowdown`]. Its own:
+//! [`Scheduler::update_statics`], its slowdown [`exec::slowdown`]. Its own:
 //! real records and operators, online monitors, and the whole-fan-out
 //! `max_pending` valve (a stream-level rule, so not a queue admission mode).
 //!
@@ -20,15 +20,16 @@
 //! projection allocates its output, and only a chain that ends still
 //! borrowed clones the record, when it emits. A choice that holds
 //! ([`hcq_core::Selection::holds`], the static-priority policies) is served
-//! without `select` until its unit empties or the policy's inputs change.
+//! without `select` until the `Scheduler` ends the hold: its unit empties
+//! or the policy's inputs change.
 
 use std::borrow::Cow;
 use std::rc::Rc;
 
 use hcq_common::{HcqError, Nanos, QueryId, Result, StreamId, TupleId};
-use hcq_core::{EwmaEstimator, Policy, QueueView, Selection, UnitId, UnitStatics};
+use hcq_core::{EwmaEstimator, Policy, UnitId, UnitStatics};
 use hcq_engine::exec;
-use hcq_engine::queues::{Queued, UnitQueues};
+use hcq_engine::queues::{Queued, Scheduler};
 use hcq_join::{JoinItem, Side, SymmetricHashJoin};
 use hcq_metrics::{QosAccumulator, QosSummary};
 use hcq_plan::{CompiledQuery, PlanStats, QueryBuilder, StreamRates};
@@ -288,7 +289,8 @@ pub struct Dsms {
     ewma_alpha: f64,
     auto_refresh_every: Option<u64>,
     max_pending: Option<usize>,
-    policy: Box<dyn Policy>,
+    /// The policy, the per-unit queues of records and the hold.
+    sched: Scheduler<Pending>,
     /// [`RuntimePolicy::reads_now`] of the policy: whether a decision reads
     /// the clock.
     reads_now: bool,
@@ -296,12 +298,6 @@ pub struct Dsms {
     units: Vec<RtUnit>,
     /// `(unit, ...)` fed by each stream index.
     routes: Vec<Vec<UnitId>>,
-    queues: UnitQueues<Pending>,
-    /// The unit of the policy's last selection while that choice holds
-    /// ([`hcq_core::Selection::holds`]): served without asking the policy
-    /// again until it empties, a push enqueues anything, the priorities
-    /// are refreshed or a query registers.
-    held: Option<UnitId>,
     /// Per-stream inter-arrival EWMA (for §5 window-occupancy priorities).
     stream_gaps: Vec<Option<EwmaEstimator>>,
     last_arrival: Vec<Option<Nanos>>,
@@ -339,13 +335,11 @@ impl Dsms {
             ewma_alpha: cfg.ewma_alpha,
             auto_refresh_every: cfg.auto_refresh_every,
             max_pending: cfg.max_pending,
-            policy,
+            sched: Scheduler::new(policy),
             reads_now: cfg.policy.reads_now(),
             queries: Vec::new(),
             units: Vec::new(),
             routes: Vec::new(),
-            queues: UnitQueues::new(0),
-            held: None,
             stream_gaps: Vec::new(),
             last_arrival: Vec::new(),
             tuple_counter: 0,
@@ -360,7 +354,7 @@ impl Dsms {
     /// (registration re-derives the whole unit table).
     pub fn register(&mut self, plan: RtPlan) -> Result<QueryId> {
         plan.validate()?;
-        if self.queues.pending() > 0 {
+        if self.sched.queues().pending() > 0 {
             return Err(HcqError::config(
                 "register queries before pushing data (or after draining)",
             ));
@@ -409,7 +403,6 @@ impl Dsms {
             RtPlan::Single { stream, .. } => {
                 let unit = self.units.len() as UnitId;
                 self.units.push(RtUnit::Single { query: qi });
-                self.queues.add_unit();
                 self.routes[stream.index()].push(unit);
             }
             RtPlan::Join {
@@ -422,14 +415,12 @@ impl Dsms {
                     query: qi,
                     side: Side::Left,
                 });
-                self.queues.add_unit();
                 self.routes[left_stream.index()].push(left);
                 let right = self.units.len() as UnitId;
                 self.units.push(RtUnit::JoinLeaf {
                     query: qi,
                     side: Side::Right,
                 });
-                self.queues.add_unit();
                 self.routes[right_stream.index()].push(right);
             }
         }
@@ -443,8 +434,7 @@ impl Dsms {
         });
         // (Re-)derive statics and register with the policy.
         let statics = self.derive_statics()?;
-        self.held = None;
-        self.policy.on_register(&statics);
+        self.sched.register(&statics);
         Ok(id)
     }
 
@@ -471,24 +461,20 @@ impl Dsms {
         // query sees a consistent sub-stream. A shed fan-out reaches no
         // queue and leaves a hold standing.
         if let Some(cap) = self.max_pending {
-            if self.queues.pending() + routes.len() > cap {
+            if self.sched.queues().pending() + routes.len() > cap {
                 self.shed += 1;
                 return;
             }
         }
-        self.held = None;
         let record = Rc::new(record);
         for &unit in routes {
             self.tuple_counter += 1;
-            self.queues.push(
-                unit,
-                Pending {
-                    record: Rc::clone(&record),
-                    arrival: now,
-                },
-            );
-            self.policy
-                .on_enqueue(unit, TupleId::new(self.tuple_counter), now, now);
+            let pending = Pending {
+                record: Rc::clone(&record),
+                arrival: now,
+            };
+            let id = TupleId::new(self.tuple_counter);
+            self.sched.enqueue(unit, id, pending, now);
         }
     }
 
@@ -496,26 +482,20 @@ impl Dsms {
     /// produced, or `None` when nothing is pending. A held choice is served
     /// without asking the policy.
     pub fn run_once(&mut self) -> Option<Emissions> {
-        if self.queues.all_empty() {
+        if self.sched.queues().pending() == 0 {
             return None;
         }
         let mut out = Emissions::default();
-        if let Some(unit) = self.held {
-            // Debug builds ask anyway: only this can see a hold that
-            // outlived a change to the policy's inputs.
-            debug_assert_eq!(
-                self.select().units.to_vec(),
-                vec![unit],
-                "a held choice changed"
-            );
-            self.serve(unit, &mut out);
-        } else {
-            let selection = self.select();
-            if selection.holds {
-                self.held = selection.units.first().copied();
-            }
-            for unit in selection.units {
-                self.serve(unit, &mut out);
+        // A decision reads the clock only if the policy's choice needs it.
+        let (fresh, e) = (self.reads_now, &mut self.emitter);
+        let now = || if fresh { e.read_clock() } else { e.now };
+        for unit in self.sched.next(now).expect("work pending") {
+            let pending = self.sched.pop(unit).expect("selected units are non-empty");
+            match self.units[unit as usize] {
+                RtUnit::Single { query } => self.run_single(query, pending, &mut out),
+                RtUnit::JoinLeaf { query, side } => {
+                    self.run_join_leaf(query, side, pending, &mut out)
+                }
             }
         }
         self.decisions += 1;
@@ -542,9 +522,8 @@ impl Dsms {
     /// registration refreshes; FCFS and RR ignore them).
     pub fn refresh_priorities(&mut self) -> Result<()> {
         let statics = self.derive_statics()?;
-        self.held = None;
         for (unit, s) in statics.iter().enumerate() {
-            self.policy.on_statics_update(unit as UnitId, s);
+            self.sched.update_statics(unit as UnitId, s);
         }
         Ok(())
     }
@@ -563,7 +542,7 @@ impl Dsms {
 
     /// Tuples currently queued.
     pub fn pending(&self) -> usize {
-        self.queues.pending()
+        self.sched.queues().pending()
     }
 
     /// Current online estimates for a query's unary operators, in plan
@@ -593,28 +572,6 @@ impl Dsms {
     }
 
     // ---------------------------------------------------------- internals
-
-    /// Ask the policy, at a fresh instant only if its choice depends on it.
-    fn select(&mut self) -> Selection {
-        let now = if self.reads_now {
-            self.emitter.read_clock()
-        } else {
-            self.emitter.now
-        };
-        self.policy.select(&self.queues, now).expect("work pending")
-    }
-
-    /// Pop `unit`'s head and execute it; an emptied unit ends the hold.
-    fn serve(&mut self, unit: UnitId, out: &mut Emissions) {
-        let pending = self.queues.pop(unit).expect("selected units are non-empty");
-        if self.queues.len(unit) == 0 {
-            self.held = None;
-        }
-        match self.units[unit as usize] {
-            RtUnit::Single { query } => self.run_single(query, pending, out),
-            RtUnit::JoinLeaf { query, side } => self.run_join_leaf(query, side, pending, out),
-        }
-    }
 
     /// Build plan-equivalent statistics from the current monitor estimates
     /// and derive per-unit statics plus per-query T / alone costs.
@@ -895,14 +852,22 @@ mod tests {
             dsms.push(StreamId::new(0), Record::new(vec![v]));
         }
         assert_eq!(dsms.run_once().unwrap()[0].query, low);
-        assert_eq!(dsms.held, Some(0), "HNR's only ready unit holds");
+        assert_eq!(
+            dsms.sched.held(|| Nanos::ZERO),
+            Some(0),
+            "HNR's only ready unit holds"
+        );
         // Two pending plus a fan-out of two is past the cap of three.
         dsms.push(StreamId::new(1), Record::new(vec![3]));
         assert_eq!(dsms.stats().shed, 1);
-        assert_eq!(dsms.held, Some(0), "a shed fan-out changes no queue");
+        assert_eq!(
+            dsms.sched.held(|| Nanos::ZERO),
+            Some(0),
+            "a shed fan-out changes no queue"
+        );
         assert_eq!(dsms.run_once().unwrap()[0].query, low);
         dsms.push(StreamId::new(1), Record::new(vec![4]));
-        assert_eq!(dsms.held, None);
+        assert_eq!(dsms.sched.held(|| Nanos::ZERO), None);
         assert_eq!(dsms.run_once().unwrap()[0].query, high);
     }
 
@@ -918,13 +883,13 @@ mod tests {
             dsms.push(StreamId::new(0), Record::new(vec![v]));
         }
         assert_eq!(dsms.run_once().unwrap()[0].query, q0);
-        assert_eq!(dsms.held, Some(0));
+        assert_eq!(dsms.sched.held(|| Nanos::ZERO), Some(0));
         for _ in 0..200 {
             dsms.queries[0].monitors[0].observe(Nanos::from_millis(20), 1.0);
             dsms.queries[1].monitors[0].observe(Nanos::from_millis(1), 1.0);
         }
         dsms.refresh_priorities().unwrap();
-        assert_eq!(dsms.held, None);
+        assert_eq!(dsms.sched.held(|| Nanos::ZERO), None);
         assert_eq!(dsms.run_once().unwrap()[0].query, q1);
     }
 

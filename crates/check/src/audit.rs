@@ -1,14 +1,15 @@
 //! The executor contract, audited from the policy's side.
 //!
 //! [`ContractAudit`] wraps a real policy and checks that the executor
-//! driving it — the simulator or a runtime shard — keeps the
-//! [`Policy`] contract: tuples leave a unit's queue only as the head of a
-//! unit the policy selected or as a tail reported through `on_shed`. It
-//! keeps a shadow of every unit's FIFO of arrival instants, built only from
-//! what the policy was told (`on_register` resets it, `on_enqueue` appends,
-//! `on_shed` pops the tail, each of its own selections pops the head), and
-//! at every `select` asserts that the [`QueueView`] it is shown — lengths,
-//! the non-empty set and the head arrivals — equals that shadow.
+//! driving it — the simulator, a runtime shard or the `Dsms`, each through
+//! the engine's one `Scheduler` — keeps the [`Policy`] contract: tuples
+//! leave a unit's queue only as the head of a unit the policy selected or
+//! as a tail reported through `on_shed`. It keeps a shadow of every unit's
+//! FIFO of arrival instants, built only from what the policy was told
+//! (`on_register` resets it, `on_enqueue` appends, `on_shed` pops the tail,
+//! each of its own selections pops the head), and at every `select`
+//! asserts that the [`QueueView`] it is shown — lengths, the non-empty set
+//! and the head arrivals — equals that shadow.
 //!
 //! A selection that holds ([`Selection::holds`]) lets the executor pop
 //! further heads of its unit without asking: at the next `select` the held
@@ -16,7 +17,7 @@
 //! those j from the shadow's head before comparing. Every other unit must
 //! still match exactly. A hold kept past a change to the queues is beyond
 //! it (the shadow pops whatever the executor served from that unit); the
-//! runtime shard's debug-build re-select is what sees that.
+//! debug-build re-select in `Scheduler::held` is what sees that.
 //!
 //! That catches what no emission-level differential can see: with
 //! schedule-independent coins, an executor that served some other unit than

@@ -1,12 +1,13 @@
 //! Per-unit FIFO input queues with an O(1) non-empty index, generic over
-//! the payload, and the workspace's one admission function.
+//! the payload, the workspace's one admission function, and the
+//! [`Scheduler`] every executor drives them through.
 
 use std::collections::VecDeque;
 
-use hcq_common::{EngineError, Nanos};
-use hcq_core::{QueueView, UnitId};
+use hcq_common::{EngineError, Nanos, TupleId};
+use hcq_core::{Policy, QueueView, Selection, SelectionUnits, UnitId, UnitStatics};
 
-use crate::config::AdmissionMode;
+use crate::config::{AdmissionMode, OverloadConfig};
 use crate::exec;
 use crate::tuple::SimTuple;
 
@@ -23,7 +24,20 @@ impl Queued for SimTuple {
     }
 }
 
-/// What [`UnitQueues::admit`] did with an arrival.
+/// A payload that carries its tuple id, which the policy is told when a
+/// bounded admission sheds it and when a policy swap replays it.
+pub trait Identified: Queued {
+    /// The id the policy was told at `on_enqueue`.
+    fn id(&self) -> TupleId;
+}
+
+impl Identified for SimTuple {
+    fn id(&self) -> TupleId {
+        self.id
+    }
+}
+
+/// What [`Scheduler::admit`] did with an arrival.
 #[derive(Debug, PartialEq)]
 pub enum Admission<T> {
     /// Queued; nothing was lost.
@@ -73,51 +87,12 @@ impl<T: Queued> UnitQueues<T> {
         }
     }
 
-    /// Grow the unit space by one (empty) unit — the `Dsms` registers
+    /// Grow the unit space by one (empty) unit, as the `Dsms` registers
     /// queries one at a time.
-    pub fn add_unit(&mut self) {
+    fn add_unit(&mut self) {
         self.queues.push(VecDeque::with_capacity(4));
         self.heads.push(Nanos::ZERO);
         self.pos.push(0);
-    }
-
-    /// Admission control — the only place an [`AdmissionMode`] decides what
-    /// happens to an arrival. `DropTail` refuses it at a full queue;
-    /// `QosShed`, at a full queue with total load at or above `watermark`,
-    /// sheds the tail of the [`exec::shed_victim`] unit (lowest
-    /// `shed_priority`) to make room, or refuses the arrival when its own
-    /// unit is the least valuable (an O(non-empty units) scan that only runs
-    /// past the watermark). The caller owns the bookkeeping: shed counters,
-    /// trace events, the policy's `on_shed`/`on_enqueue`. Inlined: out of
-    /// line, handing the tuple in and an [`Admission`] back cost `sim_hnr`
-    /// about 4 % (benchmark, alternating pairs against the parent commit).
-    #[inline]
-    pub fn admit(
-        &mut self,
-        mode: AdmissionMode,
-        capacity: usize,
-        watermark: usize,
-        shed_priority: &[f64],
-        unit: UnitId,
-        item: T,
-    ) -> Admission<T> {
-        let full = mode != AdmissionMode::Unbounded && self.len(unit) >= capacity;
-        let outcome = match mode {
-            AdmissionMode::DropTail if full => return Admission::Rejected(item),
-            AdmissionMode::QosShed if full && self.pending >= watermark => {
-                let Some(victim) = exec::shed_victim(&self.nonempty, shed_priority, unit) else {
-                    return Admission::Rejected(item);
-                };
-                let Some(shed) = self.shed_tail(victim) else {
-                    debug_assert!(false, "victim came from the non-empty index");
-                    return Admission::Rejected(item);
-                };
-                Admission::Displaced { victim, shed }
-            }
-            _ => Admission::Queued,
-        };
-        self.push(unit, item);
-        outcome
     }
 
     /// Enqueue a tuple.
@@ -203,7 +178,7 @@ impl<T: Queued> UnitQueues<T> {
     /// Remove and return the unit's *tail* tuple (load shedding: the newest
     /// tuple has waited least, so dropping it costs the least sunk QoS).
     /// Returns `None` when the queue is empty.
-    pub fn shed_tail(&mut self, unit: UnitId) -> Option<T> {
+    fn shed_tail(&mut self, unit: UnitId) -> Option<T> {
         let t = self.queues.get_mut(unit as usize)?.pop_back()?;
         self.pending -= 1;
         if self.queues[unit as usize].is_empty() && self.unindex(unit).is_err() {
@@ -221,21 +196,9 @@ impl<T: Queued> UnitQueues<T> {
         self.pos[unit as usize] = pos;
     }
 
-    /// Iterate the unit's queued tuples in FIFO order (head first) without
-    /// disturbing them — the policy-switch resync path reads the full
-    /// backlog to replay it into a freshly built policy.
-    pub fn tuples(&self, unit: UnitId) -> impl Iterator<Item = &T> {
-        self.queues[unit as usize].iter()
-    }
-
     /// Total pending tuples across all units.
     pub fn pending(&self) -> usize {
         self.pending
-    }
-
-    /// True when nothing is pending anywhere.
-    pub fn all_empty(&self) -> bool {
-        self.pending == 0
     }
 }
 
@@ -253,11 +216,190 @@ impl<T> QueueView for UnitQueues<T> {
     }
 }
 
+/// The scheduling step every executor (simulator, runtime shard, `Dsms`)
+/// shares: admit → policy callbacks → select or hold → pop. It owns the
+/// policy, the queues and the unit of a choice that holds
+/// ([`Selection::holds`]), and nothing else changes them, so every change
+/// the policy can see ends the hold here.
+pub struct Scheduler<T> {
+    policy: Box<dyn Policy>,
+    queues: UnitQueues<T>,
+    /// Per-unit HNR priority `S/(C̄·T)` of the statics last registered or
+    /// updated: the QoS-shedding victim metric.
+    shed_priority: Vec<f64>,
+    held: Option<UnitId>,
+    /// Decisions the policy made (debug re-selects aside).
+    selections: u64,
+}
+
+impl<T: Queued> Scheduler<T> {
+    /// `policy` over no units; [`Scheduler::register`] adds them.
+    pub fn new(policy: Box<dyn Policy>) -> Self {
+        Scheduler {
+            policy,
+            queues: UnitQueues::new(0),
+            shed_priority: Vec::new(),
+            held: None,
+            selections: 0,
+        }
+    }
+
+    /// The queues, as the policy sees them.
+    pub fn queues(&self) -> &UnitQueues<T> {
+        &self.queues
+    }
+
+    /// The unit a standing hold serves next, if any. Debug builds ask the
+    /// policy at `now()` anyway and assert the same answer: only this can
+    /// see a hold that outlived a change to the queues.
+    #[inline]
+    pub fn held(&mut self, now: impl FnOnce() -> Nanos) -> Option<UnitId> {
+        let unit = self.held?;
+        debug_assert_eq!(
+            self.policy
+                .select(&self.queues, now())
+                .map(|s| s.units.to_vec()),
+            Some(vec![unit]),
+            "a held choice changed"
+        );
+        Some(unit)
+    }
+
+    /// Decisions the policy made (the simulator's scheduling points).
+    pub fn selections(&self) -> u64 {
+        self.selections
+    }
+
+    /// Register every unit's statics, growing the queues to one per unit.
+    pub fn register(&mut self, statics: &[UnitStatics]) {
+        for _ in self.shed_priority.len()..statics.len() {
+            self.queues.add_unit();
+        }
+        self.shed_priority = statics.iter().map(|u| u.hnr_priority()).collect();
+        self.held = None;
+        self.policy.on_register(statics);
+    }
+
+    /// Install fresh statics for one unit.
+    pub fn update_statics(&mut self, unit: UnitId, statics: &UnitStatics) {
+        self.shed_priority[unit as usize] = statics.hnr_priority();
+        self.held = None;
+        self.policy.on_statics_update(unit, statics);
+    }
+
+    /// Ask the policy to refreeze its priority domain; true when it did.
+    pub fn refreeze(&mut self) -> bool {
+        self.held = None;
+        self.policy.on_domain_refreeze()
+    }
+
+    /// Queue `item` as tuple `id`, unbounded, and tell the policy at `now`.
+    pub fn enqueue(&mut self, unit: UnitId, id: TupleId, item: T, now: Nanos) {
+        self.held = None;
+        let arrival = item.arrival();
+        self.queues.push(unit, item);
+        self.policy.on_enqueue(unit, id, arrival, now);
+    }
+
+    /// Ask the policy, never holding: the simulator's path, because §9.2
+    /// charges every scheduling point.
+    #[inline]
+    pub fn select(&mut self, now: Nanos) -> Result<Selection, EngineError> {
+        self.selections += 1;
+        let pending = self.queues.pending;
+        let selection = self.policy.select(&self.queues, now);
+        selection.ok_or(EngineError::NoSelection { pending })
+    }
+
+    /// The units to serve next: the [`Scheduler::held`] unit while its
+    /// hold stands, else the policy's selection at `now()`, kept when it
+    /// holds.
+    #[inline]
+    pub fn next(&mut self, mut now: impl FnMut() -> Nanos) -> Result<SelectionUnits, EngineError> {
+        if let Some(unit) = self.held(&mut now) {
+            return Ok(SelectionUnits::from_iter([unit]));
+        }
+        let selection = self.select(now())?;
+        if selection.holds {
+            self.held = selection.units.first().copied();
+        }
+        Ok(selection.units)
+    }
+
+    /// Dequeue `unit`'s head; emptying the unit ends the hold.
+    #[inline]
+    pub fn pop(&mut self, unit: UnitId) -> Result<T, EngineError> {
+        let item = self.queues.pop(unit)?;
+        if self.queues.len(unit) == 0 {
+            self.held = None;
+        }
+        Ok(item)
+    }
+}
+
+impl<T: Identified> Scheduler<T> {
+    /// Admission control — the only place an [`AdmissionMode`] decides what
+    /// happens to an arrival: `DropTail` refuses it at a full queue;
+    /// `QosShed`, at a full queue with total load at or above the
+    /// watermark, sheds the tail of the [`exec::shed_victim`] unit or, when
+    /// its own unit is the least valuable, refuses it. The policy hears of
+    /// a shed tail and of the enqueue; the caller counts the outcome.
+    #[inline]
+    pub fn admit(&mut self, rule: OverloadConfig, unit: UnitId, t: T, now: Nanos) -> Admission<T> {
+        self.held = None;
+        let queues = &mut self.queues;
+        let full = rule.mode != AdmissionMode::Unbounded && queues.len(unit) >= rule.capacity;
+        let outcome = match rule.mode {
+            AdmissionMode::DropTail if full => return Admission::Rejected(t),
+            AdmissionMode::QosShed if full && queues.pending >= rule.watermark => {
+                let Some(victim) = exec::shed_victim(&queues.nonempty, &self.shed_priority, unit)
+                else {
+                    return Admission::Rejected(t);
+                };
+                let Some(shed) = queues.shed_tail(victim) else {
+                    debug_assert!(false, "victim came from the non-empty index");
+                    return Admission::Rejected(t);
+                };
+                self.policy.on_shed(victim, shed.id());
+                Admission::Displaced { victim, shed }
+            }
+            _ => Admission::Queued,
+        };
+        let (id, arrival) = (t.id(), t.arrival());
+        queues.push(unit, t);
+        self.policy.on_enqueue(unit, id, arrival, now);
+        outcome
+    }
+
+    /// Swap in `next`, registered with `statics` and told of every queued
+    /// tuple in global arrival order (unit order breaks ties); hands back
+    /// the policy it replaces. The shed priorities stay as they were.
+    pub fn replace_policy(
+        &mut self,
+        mut next: Box<dyn Policy>,
+        statics: &[UnitStatics],
+        now: Nanos,
+    ) -> Box<dyn Policy> {
+        next.on_register(statics);
+        let mut backlog: Vec<(Nanos, UnitId, TupleId)> = Vec::new();
+        for (unit, q) in (0..).zip(&self.queues.queues) {
+            backlog.extend(q.iter().map(|t| (t.arrival(), unit, t.id())));
+        }
+        backlog.sort_by_key(|&(arrival, unit, _)| (arrival, unit));
+        for (arrival, unit, id) in backlog {
+            next.on_enqueue(unit, id, arrival, now);
+        }
+        self.held = None;
+        std::mem::replace(&mut self.policy, next)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcq_common::TupleId;
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn tuple(id: u64, arrival_ms: u64) -> SimTuple {
         SimTuple::base(
@@ -278,10 +420,33 @@ mod tests {
         }
     }
 
+    impl Identified for Owned {
+        fn id(&self) -> TupleId {
+            TupleId::new(self.1.parse().unwrap())
+        }
+    }
+
+    /// A scheduler over `pri.len()` units with shed priorities `pri`,
+    /// whose policy logs what it is told to `log`.
+    fn sched<T: Queued>(pri: &[f64], log: &Rc<RefCell<Vec<Told>>>) -> Scheduler<T> {
+        let mut s = Scheduler::new(Box::new(Recorder(Rc::clone(log))));
+        s.register(&vec![UnitStatics::new(1.0, Nanos(1), Nanos(1)); pri.len()]);
+        s.shed_priority = pri.to_vec();
+        s
+    }
+
+    fn overload(mode: AdmissionMode, capacity: usize, watermark: usize) -> OverloadConfig {
+        OverloadConfig {
+            mode,
+            capacity,
+            watermark,
+        }
+    }
+
     #[test]
     fn fifo_order_and_index() {
         let mut q = UnitQueues::new(3);
-        assert!(q.all_empty());
+        assert_eq!(q.pending(), 0);
         q.push(1, tuple(1, 10));
         q.push(1, tuple(2, 20));
         q.push(0, tuple(3, 30));
@@ -296,7 +461,7 @@ mod tests {
         assert_eq!(q.pop(1).unwrap().id, TupleId::new(2));
         assert_eq!(q.nonempty(), &[0]);
         q.pop(0).unwrap();
-        assert!(q.all_empty());
+        assert_eq!(q.pending(), 0);
         assert!(q.nonempty().is_empty());
     }
 
@@ -320,7 +485,8 @@ mod tests {
 
     /// `admit` over mode × arriving-queue-full × load-at-watermark ×
     /// arriving-unit-is-least-valuable, capacity 1, one tuple pending in
-    /// each of the two other units.
+    /// each of the two other units; the policy hears of a displaced tail
+    /// and of every enqueue, and of nothing rejected.
     #[test]
     fn admit_decides_per_mode() {
         use AdmissionMode::{DropTail, QosShed, Unbounded};
@@ -332,16 +498,18 @@ mod tests {
                 let (full, at_watermark, least) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
                 let case = format!("{mode:?} full={full} wm={at_watermark} least={least}");
                 let arriving: UnitId = if least { 1 } else { 0 };
-                let mut q = UnitQueues::new(3);
+                let log = Rc::default();
+                let mut s = sched(&pri, &log);
                 for u in 0..3 {
                     if u != arriving || full {
-                        q.push(u, tuple(u64::from(u), 10 + u64::from(u)));
+                        s.queues.push(u, tuple(u64::from(u), 10 + u64::from(u)));
                     }
                 }
-                let before = q.pending();
+                let before = s.queues.pending();
                 let watermark = if at_watermark { before } else { before + 1 };
                 let item = tuple(9, 99);
-                let got = q.admit(mode, 1, watermark, &pri, arriving, item);
+                let got = s.admit(overload(mode, 1, watermark), arriving, item, Nanos::ZERO);
+                let q = s.queues();
                 let want = match mode {
                     DropTail if full => Admission::Rejected(item),
                     QosShed if full && at_watermark && least => Admission::Rejected(item),
@@ -352,6 +520,13 @@ mod tests {
                     _ => Admission::Queued,
                 };
                 assert_eq!(got, want, "{case}");
+                let enqueue = Told::Enqueue(arriving, 9, Nanos::from_millis(99));
+                let told = match &want {
+                    Admission::Queued => vec![enqueue],
+                    Admission::Rejected(_) => vec![],
+                    Admission::Displaced { .. } => vec![Told::Shed(1, 1), enqueue],
+                };
+                assert_eq!(*log.borrow(), told, "{case}");
                 let queued = usize::from(want == Admission::Queued);
                 assert_eq!(q.pending(), before + queued, "{case}");
                 let displaced = matches!(want, Admission::Displaced { .. });
@@ -385,13 +560,13 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "non-empty index"))]
     fn admit_rejects_when_the_victim_has_no_tail() {
-        let mut q = UnitQueues::new(2);
-        q.push(0, tuple(1, 10));
-        q.nonempty.push(1);
+        let mut s = sched(&[2.0, 1.0], &Rc::default());
+        s.queues.push(0, tuple(1, 10));
+        s.queues.nonempty.push(1);
         let item = tuple(2, 20);
-        let got = q.admit(AdmissionMode::QosShed, 1, 0, &[2.0, 1.0], 0, item);
+        let got = s.admit(overload(AdmissionMode::QosShed, 1, 0), 0, item, Nanos::ZERO);
         assert_eq!(got, Admission::Rejected(item));
-        assert_eq!((q.pending(), q.len(0)), (1, 1));
+        assert_eq!((s.queues.pending(), s.queues.len(0)), (1, 1));
     }
 
     #[test]
@@ -411,7 +586,7 @@ mod tests {
         assert_eq!(q.shed_tail(1), None);
         assert_eq!(q.shed_tail(9), None, "out-of-range unit sheds nothing");
         assert_eq!(q.pop(0).unwrap().id, TupleId::new(1));
-        assert!(q.all_empty());
+        assert_eq!(q.pending(), 0);
     }
 
     #[test]
@@ -437,21 +612,21 @@ mod tests {
         assert_eq!(q.shed_tail(0).unwrap().id, TupleId::new(1));
         assert_eq!(q.nonempty(), &[2]);
         assert_eq!(q.pop(2).unwrap().id, TupleId::new(2));
-        assert!(q.all_empty());
+        assert_eq!(q.pending(), 0);
         assert!(q.nonempty().is_empty());
     }
 
     /// Drive `ops` (unit, op) against queues of `make`-built payloads and
     /// check, after every step, that the non-empty index, the pending count
     /// and the head-arrival column match the actual queue contents.
-    fn check_index_consistent<T: Queued>(
+    fn check_index_consistent<T: Identified>(
         ops: &[(u32, u8)],
         make: impl Fn(u64) -> T,
     ) -> Result<(), TestCaseError> {
-        let mut q = UnitQueues::new(3);
-        let mut pri = vec![1.0, 0.5, 2.0];
+        let mut s = sched(&[1.0, 0.5, 2.0], &Rc::default());
         let mut id = 0u64;
         for &(unit, op) in ops {
+            let (q, pri) = (&mut s.queues, &mut s.shed_priority);
             let n = pri.len() as u32;
             let unit = unit % n;
             let (had, before) = (q.len(unit), q.pending());
@@ -465,18 +640,18 @@ mod tests {
                 4 | 5 => {
                     id += 1;
                     let mode = AdmissionMode::from_rung(op - 3);
-                    let queued = match q.admit(mode, 2, 4, &pri, unit, make(id)) {
+                    let queued = match s.admit(overload(mode, 2, 4), unit, make(id), Nanos::ZERO) {
                         Admission::Queued => 1,
                         Admission::Rejected(_) | Admission::Displaced { .. } => 0,
                     };
-                    prop_assert_eq!(q.pending(), before + queued);
+                    prop_assert_eq!(s.queues.pending(), before + queued);
                 }
                 _ => {
                     q.add_unit();
                     pri.push(f64::from(n % 4));
                 }
             }
-            let n = pri.len() as u32;
+            let (q, n) = (&s.queues, s.shed_priority.len() as u32);
             let expect: Vec<u32> = (0..n).filter(|&u| q.len(u) > 0).collect();
             let mut got = q.nonempty().to_vec();
             got.sort();
@@ -485,12 +660,70 @@ mod tests {
             prop_assert_eq!(total, q.pending());
             prop_assert_eq!(q.head_arrivals().len(), n as usize);
             for u in 0..n {
-                let front = q.tuples(u).next().map(|t| t.arrival());
+                let front = q.queues[u as usize].front().map(|t| t.arrival());
                 prop_assert_eq!(q.head_arrival(u), front);
                 prop_assert!(front.is_none_or(|a| q.head_arrivals()[u as usize] == a));
             }
         }
         Ok(())
+    }
+
+    /// A callback a [`Recorder`] was given: `on_enqueue`'s unit, tuple and
+    /// arrival, or `on_shed`'s unit and tuple.
+    #[derive(Debug, PartialEq)]
+    enum Told {
+        Enqueue(UnitId, u64, Nanos),
+        Shed(UnitId, u64),
+    }
+
+    /// Logs every `on_enqueue` and `on_shed`; selects the first non-empty
+    /// unit, holding.
+    struct Recorder(Rc<RefCell<Vec<Told>>>);
+
+    impl Policy for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn on_register(&mut self, _units: &[UnitStatics]) {}
+        fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, _now: Nanos) {
+            self.0
+                .borrow_mut()
+                .push(Told::Enqueue(unit, tuple.raw(), arrival));
+        }
+        fn on_shed(&mut self, unit: UnitId, tuple: TupleId) {
+            self.0.borrow_mut().push(Told::Shed(unit, tuple.raw()));
+        }
+        fn select(&mut self, queues: &dyn QueueView, _now: Nanos) -> Option<Selection> {
+            let unit = *queues.nonempty().first()?;
+            Some(Selection::one(unit, 1).held())
+        }
+    }
+
+    /// A policy swap (the governor's) ends the hold and replays the backlog
+    /// into the new policy in global arrival order, unit order breaking
+    /// ties — behaviour no front-end test pins on its own.
+    #[test]
+    fn replace_policy_replays_the_backlog_in_arrival_order() {
+        let log = Rc::default();
+        let mut s = sched(&[1.0; 3], &log);
+        for (unit, id, arrival_ms) in [(2, 1, 30), (0, 2, 20), (2, 3, 40), (1, 4, 30), (0, 5, 50)] {
+            s.enqueue(unit, TupleId::new(id), tuple(id, arrival_ms), Nanos::ZERO);
+        }
+        assert!(s.next(|| Nanos::ZERO).is_ok());
+        assert!(s.held(|| Nanos::ZERO).is_some());
+        let replayed = Rc::default();
+        let next = Box::new(Recorder(Rc::clone(&replayed)));
+        let statics = [UnitStatics::new(1.0, Nanos(1), Nanos(1)); 3];
+        let old = s.replace_policy(next, &statics, Nanos::ZERO);
+        assert_eq!(old.name(), "recorder");
+        assert_eq!(log.borrow().len(), 5, "the old policy is told nothing more");
+        assert_eq!(s.held(|| Nanos::ZERO), None);
+        let ms = Nanos::from_millis;
+        let order = [(0, 2, 20), (1, 4, 30), (2, 1, 30), (2, 3, 40), (0, 5, 50)];
+        let want: Vec<_> = order
+            .map(|(unit, id, arrival)| Told::Enqueue(unit, id, ms(arrival)))
+            .into();
+        assert_eq!(*replayed.borrow(), want);
     }
 
     proptest! {

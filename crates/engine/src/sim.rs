@@ -10,11 +10,13 @@ use hcq_metrics::{ClassBreakdown, OverheadTotals, QosAccumulator, SlowdownHistog
 use hcq_plan::{CompiledOp, CompiledOpKind, GlobalPlan, Port, StreamRates};
 use hcq_streams::{ArrivalSource, SourceFaultStats};
 
-use crate::config::{AdaptConfig, AdaptMode, AdmissionMode, SchedulingLevel, SimConfig};
+use crate::config::{
+    AdaptConfig, AdaptMode, AdmissionMode, OverloadConfig, SchedulingLevel, SimConfig,
+};
 use crate::exec::{self, UnaryGate};
 use crate::governor::{Governor, Switch};
 use crate::model::{SimModel, UnitKind};
-use crate::queues::{Admission, UnitQueues};
+use crate::queues::{Admission, Scheduler};
 use crate::report::SimReport;
 use crate::telemetry::{EngineTelemetry, MetricsSink, NoTelemetry};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
@@ -182,8 +184,8 @@ impl Ord for Parked {
 /// [`NoTelemetry`]) compile every emission and sampling site out.
 pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     model: SimModel,
-    policy: Box<dyn Policy>,
-    queues: UnitQueues,
+    /// The policy, the unit queues and the admission rule's victim metric.
+    sched: Scheduler<SimTuple>,
     sources: Vec<Box<dyn ArrivalSource>>,
     /// `(next arrival, stream)` min-heap.
     upcoming: BinaryHeap<Reverse<(Nanos, usize)>>,
@@ -201,10 +203,6 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     /// `ideal_times[query]` = `T_k`, hoisted out of the per-emission path
     /// (`stats` is indexed on every emit and every shared-group fan-out).
     ideal_times: Vec<Nanos>,
-    /// Per-unit static HNR priority `S/(C̄·T)` — the QoS-shedding victim
-    /// metric (the unit whose tuples contribute least slowdown QoS per unit
-    /// of work sheds first).
-    shed_priority: Vec<f64>,
     /// Scratch buffer for join probe results, reused across probes so the
     /// hot path does not allocate a fresh `Vec` per arriving tuple.
     probe_buf: Vec<SimTuple>,
@@ -216,9 +214,9 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     /// entirely for deadline-free workloads).
     any_deadline: bool,
 
-    /// Live admission mode. Initialized from [`SimConfig::overload`]; the
-    /// governor (when armed) moves it along the ladder.
-    admission_mode: AdmissionMode,
+    /// Live admission rule: [`SimConfig::overload`], whose mode the
+    /// governor (when armed) moves along the ladder.
+    overload: OverloadConfig,
     /// The closed-loop governor, boxed so an ungoverned run carries one
     /// null pointer and is bit-identical to an engine without the feature.
     governor: Option<Box<Governor>>,
@@ -264,7 +262,6 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     op_failures: u64,
     /// Total virtual time tuples spent quarantined after failures.
     quarantine_time: Nanos,
-    sched_points: u64,
     sched_ops: u64,
     /// Itemized scheduler work (per-kind counters), always accumulated —
     /// five integer adds per scheduling point, independent of tracing.
@@ -330,7 +327,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         plan: &GlobalPlan,
         rates: &StreamRates,
         mut sources: Vec<Box<dyn ArrivalSource>>,
-        mut policy: Box<dyn Policy>,
+        policy: Box<dyn Policy>,
         cfg: SimConfig,
         sink: S,
         metrics: M,
@@ -410,19 +407,15 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         }
         let sched_cost = model.min_op_cost;
         let unit_statics = model.unit_statics();
-        policy.on_register(&unit_statics);
-        let shed_priority = unit_statics.iter().map(|u| u.hnr_priority()).collect();
-        let n_units = model.unit_count();
         let ideal_times = model.stats.iter().map(|s| s.ideal_time).collect();
         let mut classes = ClassBreakdown::new();
         let class_slots = model.tags.iter().map(|&tag| classes.slot(tag)).collect();
         let deadlines: Vec<Option<Nanos>> = plan.queries.iter().map(|q| q.deadline).collect();
         let any_deadline = deadlines.iter().any(|d| d.is_some());
-        let admission_mode = cfg.overload.mode;
         let governor = cfg.governor.map(|mut g| {
             // Switching to the policy already running is no switch at all.
             g.overload_policy = g.overload_policy.filter(|k| k.name() != policy.name());
-            Box::new(Governor::new(g, admission_mode))
+            Box::new(Governor::new(g, cfg.overload.mode))
         });
         let adapt = cfg.adapt.enabled.then(|| {
             let mut state = Box::new(AdaptState {
@@ -452,10 +445,11 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             state.reanchor_phi_span();
             state
         });
-        let queues = UnitQueues::new(n_units);
+        let mut sched = Scheduler::new(policy);
+        sched.register(&unit_statics);
         let telemetry = if M::ENABLED {
             Some(Box::new(EngineTelemetry::new(
-                n_units,
+                model.unit_count(),
                 model.compiled.len(),
                 &cfg,
             )))
@@ -464,22 +458,20 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         };
         let mut sim = Simulator {
             model,
-            policy,
-            queues,
+            sched,
             sources,
             upcoming,
             joins,
             op_units,
             gates: Vec::new(),
             group_gates: Vec::new(),
+            overload: cfg.overload,
             cfg,
             sched_cost,
             ideal_times,
-            shed_priority,
             probe_buf: Vec::new(),
             deadlines,
             any_deadline,
-            admission_mode,
             governor,
             standby: None,
             adapt,
@@ -502,7 +494,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             expired: 0,
             op_failures: 0,
             quarantine_time: Nanos::ZERO,
-            sched_points: 0,
             sched_ops: 0,
             overhead: OverheadTotals::new(),
             overhead_time: Nanos::ZERO,
@@ -523,16 +514,15 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
 
     /// Install fresh statics for one unit mid-run — the §10 adaptive path
     /// (online cost/selectivity re-estimation) crossing the queue/policy
-    /// boundary. Refreshes the engine's own derived state (the QoS-shedding
-    /// victim priority) and forwards to the policy's incremental
+    /// boundary. [`Scheduler::update_statics`] refreshes the QoS-shedding
+    /// victim priority and forwards to the policy's incremental
     /// [`Policy::on_statics_update`] hook, so a clustered policy re-buckets
     /// only the affected unit instead of rebuilding its priority domain.
     pub fn update_unit_statics(&mut self, unit: u32, statics: UnitStatics) {
-        self.shed_priority[unit as usize] = statics.hnr_priority();
         if let Some(a) = self.adapt.as_mut() {
             a.current[unit as usize] = statics;
         }
-        self.policy.on_statics_update(unit, &statics);
+        self.sched.update_statics(unit, &statics);
     }
 
     /// Route an event: buffered while a unit executes, straight to the sink
@@ -600,7 +590,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             if self.adapt.is_some() {
                 self.adapt_flush();
             }
-            if self.queues.all_empty() {
+            if self.sched.queues().pending() == 0 {
                 // Idle: jump to the next event — an arrival or a parked
                 // release — or finish.
                 let next_arrival = if self.arrivals_injected < self.cfg.max_arrivals {
@@ -631,13 +621,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             if !self.cfg.drain && self.arrivals_injected >= self.cfg.max_arrivals {
                 break;
             }
-            let selection =
-                self.policy
-                    .select(&self.queues, self.clock)
-                    .ok_or(EngineError::NoSelection {
-                        pending: self.queues.pending(),
-                    })?;
-            self.sched_points += 1;
+            let selection = self.sched.select(self.clock)?;
             self.sched_ops += selection.ops_counted;
             let st = selection.stats;
             self.overhead.record(
@@ -717,7 +701,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             source_disconnects: source_stats.disconnects,
             source_retry_attempts: source_stats.retry_attempts,
             source_lost_arrivals: source_stats.lost_arrivals,
-            sched_points: self.sched_points,
+            sched_points: self.sched.selections(),
             sched_ops: self.sched_ops,
             overhead: self.overhead,
             overhead_time: self.overhead_time,
@@ -732,7 +716,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             peak_pending: self.peak_pending,
             // Quarantined tuples are still in flight: they count as pending
             // so conservation holds when a run ends mid-cooldown.
-            pending_end: self.queues.pending() + self.parked.len(),
+            pending_end: self.sched.queues().pending() + self.parked.len(),
         };
         Ok((report, self.sink, self.metrics))
     }
@@ -775,7 +759,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         reg.set_counter(t.emitted, self.emitted);
         reg.set_counter(t.dropped, self.dropped);
         reg.set_counter(t.shed, self.shed);
-        reg.set_counter(t.sched_points, self.sched_points);
+        reg.set_counter(t.sched_points, self.sched.selections());
         reg.set_counter(t.busy_ns, self.busy_time.as_nanos());
         reg.set_counter(t.overhead_ns, self.overhead_time.as_nanos());
         reg.set_counter(t.overload_ns, self.overload_time.as_nanos());
@@ -798,9 +782,9 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             t.domain_refreezes,
             self.adapt.as_ref().map_or(0, |a| a.refreezes),
         );
-        reg.set_gauge(t.pending, self.queues.pending() as f64);
+        reg.set_gauge(t.pending, self.sched.queues().pending() as f64);
         reg.set_gauge(t.peak_pending, self.peak_pending as f64);
-        reg.set_gauge(t.governor_mode, f64::from(self.admission_mode.rung()));
+        reg.set_gauge(t.governor_mode, f64::from(self.overload.mode.rung()));
         let utilization = if self.clock.is_zero() {
             0.0
         } else {
@@ -809,8 +793,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         reg.set_gauge(t.utilization, utilization);
         for u in 0..t.queue_depth.len() {
             let unit = u as u32;
-            reg.set_gauge(t.queue_depth[u], self.queues.len(unit) as f64);
-            let age = self.queues.head_arrival(unit).map_or(0.0, |a| {
+            reg.set_gauge(t.queue_depth[u], self.sched.queues().len(unit) as f64);
+            let age = self.sched.queues().head_arrival(unit).map_or(0.0, |a| {
                 self.clock.saturating_since(a).as_nanos() as f64 / 1e9
             });
             reg.set_gauge(t.backlog_age[u], age);
@@ -822,7 +806,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     fn advance_clock(&mut self, target: Nanos) {
         debug_assert!(target >= self.clock);
         let span = target.saturating_since(self.clock);
-        let pending = self.queues.pending();
+        let pending = self.sched.queues().pending();
         self.pending_area += pending as f64 * span.as_nanos() as f64;
         let watermark = self.cfg.overload.watermark;
         if watermark > 0 && pending >= watermark {
@@ -890,13 +874,13 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     }
 
     /// Apply the governor's decision at every cadence boundary the clock has
-    /// reached: move the admission mode, swap the policy (re-synced to the
-    /// live queues). Queues do not change here, so one depth serves all.
+    /// reached: move the admission mode, swap the policy through
+    /// [`Scheduler::replace_policy`]. One depth serves all.
     fn govern(&mut self) {
-        let (now, pending) = (self.clock, self.queues.pending());
+        let (now, pending) = (self.clock, self.sched.queues().pending());
         while let Some(d) = self.governor.as_mut().and_then(|g| g.decide(now, pending)) {
             if let Some(to) = d.mode {
-                let from = std::mem::replace(&mut self.admission_mode, to);
+                let from = std::mem::replace(&mut self.overload.mode, to);
                 if S::ENABLED {
                     // Stamped with the clock, not the (possibly caught-up
                     // past) cadence boundary, so the trace stays monotone.
@@ -909,7 +893,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     });
                 }
             }
-            let mut next = match d.switch {
+            let next = match d.switch {
                 Some(Switch::Engage(kind)) => kind.build(),
                 Some(Switch::Disengage) => self
                     .standby
@@ -917,14 +901,17 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     .expect("the governor disengages only after an engage"),
                 None => continue,
             };
-            self.resync_policy(next.as_mut());
-            let prev = std::mem::replace(&mut self.policy, next);
+            let statics = match self.adapt.as_ref() {
+                Some(a) => a.current.clone(),
+                None => self.model.unit_statics(),
+            };
+            let to = next.name();
+            let prev = self.sched.replace_policy(next, &statics, self.clock);
             let from = prev.name();
             if matches!(d.switch, Some(Switch::Engage(_))) {
                 self.standby = Some(prev);
             }
             if S::ENABLED {
-                let to = self.policy.name();
                 self.trace(TraceEvent::PolicySwitch {
                     at: now,
                     from,
@@ -932,31 +919,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     share: d.share,
                 });
             }
-        }
-    }
-
-    /// Bring a policy that has not been observing the run up to date:
-    /// register the statics as currently published (re-estimates when
-    /// adaptation is on, plan statics otherwise), then replay every queued
-    /// tuple in global arrival order. Quarantined tuples re-enter through
-    /// admission on release, so only live queue contents need replaying.
-    fn resync_policy(&self, policy: &mut dyn Policy) {
-        let statics = match self.adapt.as_ref() {
-            Some(a) => a.current.clone(),
-            None => self.model.unit_statics(),
-        };
-        policy.on_register(&statics);
-        let mut backlog: Vec<(Nanos, u32, TupleId)> = Vec::new();
-        for unit in 0..self.model.unit_count() as u32 {
-            for t in self.queues.tuples(unit) {
-                backlog.push((t.arrival, unit, t.id));
-            }
-        }
-        // Stable by arrival: per-unit FIFO order is preserved for ties,
-        // and the replay order is a pure function of queue contents.
-        backlog.sort_by_key(|&(arrival, unit, _)| (arrival, unit));
-        for (arrival, unit, id) in backlog {
-            policy.on_enqueue(unit, id, arrival, self.clock);
         }
     }
 
@@ -1002,8 +964,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             }
             a.current[u] = estimate;
             a.statics_updates += 1;
-            self.shed_priority[u] = estimate.hnr_priority();
-            self.policy.on_statics_update(u as u32, &estimate);
+            self.sched.update_statics(u as u32, &estimate);
             if a.phi_hi > 0.0 {
                 let phi = estimate.sanitized_phi();
                 if phi > a.phi_hi * a.cfg.refreeze_factor
@@ -1014,7 +975,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             }
         }
         if drifted {
-            if self.policy.on_domain_refreeze() {
+            if self.sched.refreeze() {
                 a.refreezes += 1;
             }
             // Re-anchor even when the policy declined (static policies
@@ -1079,28 +1040,16 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
 
     /// Admission control: every tuple entering a unit queue — source
     /// arrivals, shared-group deferred copies, operator-level handoffs —
-    /// goes through here. [`UnitQueues::admit`] decides under the live
-    /// [`AdmissionMode`]; this counts and traces what was shed and notifies
-    /// the policy of enqueues and sheds.
+    /// goes through here. [`Scheduler::admit`] decides under the live
+    /// [`AdmissionMode`] and tells the policy; this counts and traces what
+    /// was shed.
     fn admit(&mut self, unit: u32, tuple: SimTuple) {
-        match self.queues.admit(
-            self.admission_mode,
-            self.cfg.overload.capacity,
-            self.cfg.overload.watermark,
-            &self.shed_priority,
-            unit,
-            tuple,
-        ) {
+        match self.sched.admit(self.overload, unit, tuple, self.clock) {
             Admission::Queued => {}
             Admission::Rejected(arrival) => return self.count_shed(unit, arrival),
-            Admission::Displaced { victim, shed } => {
-                self.policy.on_shed(victim, shed.id);
-                self.count_shed(victim, shed);
-            }
+            Admission::Displaced { victim, shed } => self.count_shed(victim, shed),
         }
-        self.peak_pending = self.peak_pending.max(self.queues.pending());
-        self.policy
-            .on_enqueue(unit, tuple.id, tuple.arrival, self.clock);
+        self.peak_pending = self.peak_pending.max(self.sched.queues().pending());
     }
 
     /// Count and trace one tuple lost to admission control.
@@ -1126,7 +1075,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     fn execute_unit(&mut self, unit: u32) -> Result<(), EngineError> {
         // `pop` validates the unit id (dense, same space as `model.units`),
         // so the `kind` lookup below cannot be out of range.
-        let tuple = self.queues.pop(unit)?;
+        let tuple = self.sched.pop(unit)?;
         let kind = self.model.units[unit as usize].kind;
         self.current_unit = unit;
         // Deadline enforcement: a tuple already past its query's response

@@ -9,22 +9,24 @@
 //! ```text
 //!  ingest thread                     worker threads (shards)
 //!  ─────────────                     ───────────────────────
-//!  pre-generated source arrivals        ┌─ shard 0: routes → Policy + UnitQueues
+//!  pre-generated source arrivals        ┌─ shard 0: routes → Scheduler
 //!  (same ids/keys as the            ──► │  inbox Ring (MPMC) of arrivals
-//!   simulator's inject), one            ├─ shard 1: routes → Policy + UnitQueues
+//!   simulator's inject), one            ├─ shard 1: routes → Scheduler
 //!   push per arrival and shard      ──► │  inbox Ring (MPMC)   ▲
 //!   that owns a unit on its stream      └─ ...                 │ steal
 //!                                          idle shards ────────┘
 //! ```
 //!
 //! - **Shards**: each schedulable unit is pinned to the worker
-//!   `unit % threads`. A shard owns a private [`UnitQueues`] and its own
-//!   policy instance, so the scheduling hot path (enqueue callbacks,
-//!   `select`, pop) is single-threaded per shard — exactly the contract the
-//!   simulator gives a policy, replicated per thread. A choice that holds
-//!   ([`hcq_core::Selection::holds`], the static-priority policies) is
-//!   served without asking again until its unit empties or the shard
-//!   admits anything; debug builds ask anyway and assert the same answer.
+//!   `unit % threads`. A shard owns a private [`Scheduler`] (its own policy
+//!   instance over its own queues), so the scheduling hot path (enqueue
+//!   callbacks, `select`, pop) is single-threaded per shard — the same
+//!   step the simulator and the `Dsms` take, replicated per thread. The
+//!   shard serves [`Scheduler::held`] before asking [`Scheduler::next`], so
+//!   a choice that holds ([`hcq_core::Selection::holds`], the
+//!   static-priority policies) is served without asking again until the
+//!   `Scheduler` ends the hold: its unit empties or the shard admits
+//!   anything. Debug builds ask anyway and assert the same answer.
 //! - **Rings**: what crosses a thread boundary is the *source arrival*, once
 //!   per shard owning a unit on its stream, through bounded lock-free MPMC
 //!   rings ([`ring::Ring`]); the per-query fan-out happens on the owning
@@ -38,7 +40,7 @@
 //!   functions of the tuple ([`hcq_engine::exec`]), so a stolen execution
 //!   emits exactly what the owner would have emitted.
 //! - **Admission**: a shard moves each copy of an inbox arrival into its unit
-//!   queue through [`UnitQueues::admit`] — the same function, hence the same
+//!   queue through [`Scheduler::admit`] — the same function, hence the same
 //!   `Unbounded` / `DropTail` / `QosShed` modes, as the simulator. The mode
 //!   is fixed for the run: the closed-loop governor is the simulator's alone.
 //! - **Progress**: copies injected (written by ingest alone) minus copies
@@ -68,10 +70,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
-use hcq_core::{Policy, PolicyKind, QueueView, UnitId};
+use hcq_core::{Policy, PolicyKind, UnitId};
 use hcq_engine::exec::{self, UnaryGate};
 use hcq_engine::model::EntryRoute;
-use hcq_engine::queues::{Admission, Queued, UnitQueues};
+use hcq_engine::queues::{Admission, Identified, Queued, Scheduler};
 use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitDesc, UnitKind};
 use hcq_metrics::{QosAccumulator, QosSummary, TelemetryRegistry, TelemetrySnapshot};
 use hcq_plan::{CompiledOpKind, GlobalPlan, StreamRates};
@@ -100,6 +102,12 @@ struct RtArrival {
 impl Queued for &RtArrival {
     fn arrival(&self) -> Nanos {
         self.arrival
+    }
+}
+
+impl Identified for &RtArrival {
+    fn id(&self) -> TupleId {
+        self.id
     }
 }
 
@@ -218,7 +226,6 @@ struct UnitPath {
 /// State shared by the ingest thread and every shard.
 struct Shared<'a> {
     model: &'a SimModel,
-    shed_priority: Vec<f64>,
     inboxes: Vec<Ring<&'a RtArrival>>,
     /// `routes[shard][stream]`: the stream's entry routes into units the
     /// shard owns (`unit % threads == shard`), in model order.
@@ -278,11 +285,6 @@ impl<'a> Shared<'a> {
         };
         Ok(Shared {
             model,
-            shed_priority: model
-                .unit_statics()
-                .iter()
-                .map(|u| u.hnr_priority())
-                .collect(),
             inboxes: (0..cfg.threads)
                 .map(|_| Ring::new(cfg.ring_capacity))
                 .collect(),
@@ -327,37 +329,30 @@ struct ShardStats {
 }
 
 /// One shard's scheduling state: a private policy instance over private
-/// queues. Only this worker thread touches either.
+/// queues, in a [`Scheduler`]. Only this worker thread touches either.
 struct Shard<'a> {
     id: usize,
-    policy: Box<dyn Policy>,
-    queues: UnitQueues<&'a RtArrival>,
+    sched: Scheduler<&'a RtArrival>,
     /// Virtual watermark: max arrival admitted so far. Policies receive it
     /// as `now`, keeping priority arithmetic in the virtual-time domain the
     /// arrival timestamps live in (see DESIGN §14 for the caveat).
     watermark: Nanos,
-    /// The unit of the policy's last selection while that choice holds
-    /// ([`hcq_core::Selection::holds`]): served without asking the policy
-    /// again until it empties or the shard admits anything.
-    held: Option<UnitId>,
     stats: ShardStats,
     shared: &'a Shared<'a>,
 }
 
 impl<'a> Shard<'a> {
-    fn new(id: usize, mut policy: Box<dyn Policy>, shared: &'a Shared<'a>) -> Self {
-        let n_units = shared.model.unit_count();
-        policy.on_register(&shared.model.unit_statics());
+    fn new(id: usize, policy: Box<dyn Policy>, shared: &'a Shared<'a>) -> Self {
+        let mut sched = Scheduler::new(policy);
+        sched.register(&shared.model.unit_statics());
         let stats = ShardStats {
             per_query: vec![0; shared.model.compiled.len()],
             ..ShardStats::default()
         };
         Shard {
             id,
-            policy,
-            queues: UnitQueues::new(n_units),
+            sched,
             watermark: Nanos::ZERO,
-            held: None,
             stats,
             shared,
         }
@@ -391,7 +386,7 @@ impl<'a> Shard<'a> {
                 }
                 drained += routes.len();
             }
-            if self.queues.pending() > 0 {
+            if self.sched.queues().pending() > 0 {
                 idle_spins = 0;
                 self.schedule_once()?;
                 continue;
@@ -414,78 +409,35 @@ impl<'a> Shard<'a> {
                 std::thread::yield_now();
             }
         }
+        self.stats.selections = self.sched.selections();
         Ok(self.stats)
     }
 
-    /// Move one copy of an arrival into `unit`'s queue under the configured
-    /// admission mode: [`UnitQueues::admit`] decides, this does the shard's
-    /// bookkeeping.
+    /// Move one copy of an arrival into `unit`'s queue: [`Scheduler::admit`]
+    /// decides under the configured mode and tells the policy.
     fn admit(&mut self, unit: UnitId, item: &'a RtArrival) {
-        let shared = self.shared;
-        // Rejections and displacements change the queues too.
-        self.held = None;
-        match self.queues.admit(
-            shared.cfg.overload.mode,
-            shared.cfg.overload.capacity,
-            shared.cfg.overload.watermark,
-            &shared.shed_priority,
-            unit,
-            item,
-        ) {
+        let now = self.watermark.max(item.arrival);
+        match self.sched.admit(self.shared.cfg.overload, unit, item, now) {
             Admission::Queued => {}
-            Admission::Rejected(_) => {
-                self.stats.shed += 1;
-                return;
-            }
-            Admission::Displaced { victim, shed } => {
-                self.policy.on_shed(victim, shed.id);
-                self.stats.shed += 1;
-            }
+            Admission::Rejected(_) => return self.stats.shed += 1,
+            Admission::Displaced { .. } => self.stats.shed += 1,
         }
-        self.watermark = self.watermark.max(item.arrival);
-        self.policy
-            .on_enqueue(unit, item.id, item.arrival, self.watermark);
+        self.watermark = now;
     }
 
-    /// One scheduling point: serve the held unit, or ask the policy and
-    /// execute every selected unit.
+    /// One scheduling point: a held unit on its own path (through `next`'s
+    /// loop it read slower on `rt_saturate`), else each unit the policy names.
     fn schedule_once(&mut self) -> Result<(), EngineError> {
-        if let Some(unit) = self.held {
-            // Debug builds ask anyway: only this can see a hold that
-            // outlived a change to the queues.
-            debug_assert_eq!(
-                self.policy
-                    .select(&self.queues, self.watermark)
-                    .map(|s| s.units.to_vec()),
-                Some(vec![unit]),
-                "shard {}: a held choice changed",
-                self.id
-            );
-            return self.serve(unit);
+        let watermark = self.watermark;
+        if let Some(unit) = self.sched.held(|| watermark) {
+            let item = self.sched.pop(unit)?;
+            return self.execute(unit, item);
         }
-        let selection =
-            self.policy
-                .select(&self.queues, self.watermark)
-                .ok_or(EngineError::NoSelection {
-                    pending: self.queues.pending(),
-                })?;
-        self.stats.selections += 1;
-        if selection.holds {
-            self.held = selection.units.first().copied();
-        }
-        for unit in selection.units {
-            self.serve(unit)?;
+        for unit in self.sched.next(|| watermark)? {
+            let item = self.sched.pop(unit)?;
+            self.execute(unit, item)?;
         }
         Ok(())
-    }
-
-    /// Pop `unit`'s head and execute it; an emptied unit ends the hold.
-    fn serve(&mut self, unit: UnitId) -> Result<(), EngineError> {
-        let item = self.queues.pop(unit)?;
-        if self.queues.len(unit) == 0 {
-            self.held = None;
-        }
-        self.execute(unit, item)
     }
 
     /// Pop one arrival from a sibling inbox (MPMC pop by a non-owner) and
@@ -832,6 +784,7 @@ mod tests {
     use super::*;
     use hcq_check::ContractAudit;
     use hcq_common::Nanos;
+    use hcq_core::QueueView;
     use hcq_plan::QueryBuilder;
     use hcq_streams::PoissonSource;
     use std::sync::Arc;
@@ -1093,12 +1046,17 @@ mod tests {
         shard.admit(low, &arrivals[0]);
         shard.admit(low, &arrivals[1]);
         shard.schedule_once().unwrap();
-        assert_eq!(shard.held, Some(low), "HNR's only ready unit holds");
+        assert_eq!(
+            shard.sched.held(|| Nanos::ZERO),
+            Some(low),
+            "HNR's only ready unit holds"
+        );
         shard.admit(top, &arrivals[2]);
-        assert_eq!(shard.held, None);
+        assert_eq!(shard.sched.held(|| Nanos::ZERO), None);
         shard.schedule_once().unwrap();
-        assert_eq!((shard.queues.len(top), shard.queues.len(low)), (0, 1));
-        assert_eq!(shard.stats.selections, 2);
+        let queues = shard.sched.queues();
+        assert_eq!((queues.len(top), queues.len(low)), (0, 1));
+        assert_eq!(shard.sched.selections(), 2);
     }
 
     #[test]
