@@ -351,13 +351,26 @@ impl Dsms {
     }
 
     /// Register a continuous query. Must happen while no tuples are pending
-    /// (registration re-derives the whole unit table).
+    /// (registration re-derives the whole unit table), and must leave every
+    /// stream's fan-out within `max_pending`: the valve sheds a push's whole
+    /// fan-out, so a stream fanning out past the cap would shed every record.
     pub fn register(&mut self, plan: RtPlan) -> Result<QueryId> {
         plan.validate()?;
         if self.sched.queues().pending() > 0 {
             return Err(HcqError::config(
                 "register queries before pushing data (or after draining)",
             ));
+        }
+        let streams = plan.streams();
+        for &stream in &streams {
+            let fan_out = self.routes.get(stream.index()).map_or(0, Vec::len)
+                + streams.iter().filter(|&&s| s == stream).count();
+            if self.max_pending.is_some_and(|cap| fan_out > cap) {
+                return Err(HcqError::config(format!(
+                    "stream {stream} would fan out to {fan_out} queues, past max_pending; \
+                     every record on it would be shed"
+                )));
+            }
         }
         let id = QueryId::new(self.queries.len());
         let alpha = self.ewma_alpha;
@@ -869,6 +882,29 @@ mod tests {
         dsms.push(StreamId::new(1), Record::new(vec![4]));
         assert_eq!(dsms.sched.held(|| Nanos::ZERO), None);
         assert_eq!(dsms.run_once().unwrap()[0].query, high);
+    }
+
+    /// A registration that would fan a stream out past `max_pending` is
+    /// refused before it changes anything: every push on that stream would
+    /// be shed, even into empty queues.
+    #[test]
+    fn register_refuses_a_fan_out_past_max_pending() {
+        let cfg = DsmsConfig::new(RuntimePolicy::Fcfs)
+            .with_clock(Box::new(ManualClock::new()))
+            .with_max_pending(2);
+        let mut dsms = Dsms::new(cfg).unwrap();
+        let first = pass_all(&mut dsms, 0, 1);
+        pass_all(&mut dsms, 0, 1);
+        let pass = Predicate::new(0, Cmp::Ge, 0);
+        let op = RtOp::select(pass, Nanos::from_millis(1), 1.0);
+        let third = dsms.register(RtPlan::single(StreamId::new(0), vec![op]));
+        assert!(third.unwrap_err().to_string().contains("max_pending"));
+        // Another stream has its own fan-out.
+        pass_all(&mut dsms, 1, 1);
+        // Nothing changed: both queries on stream 0 receive every record.
+        dsms.push(StreamId::new(0), Record::new(vec![1]));
+        assert_eq!((dsms.pending(), dsms.stats().shed), (2, 0));
+        assert_eq!(dsms.run_once().unwrap()[0].query, first);
     }
 
     /// A refresh ends the hold: taught costs that invert two queries'

@@ -649,7 +649,7 @@ mod tests {
 
     #[test]
     fn governed_qos_never_worse_than_worst_static_mode_when_calibrated() {
-        // Calibrated overload workloads (no miscalibration/jitter/faults,
+        // Calibrated overload workloads (no miscalibration or faults,
         // utilization > 1): the governor's average slowdown must not exceed
         // the worst static admission mode's, with 5% discretization slack.
         // Scoped to calibrated scenarios — under arbitrary fuzz dimensions
@@ -660,7 +660,6 @@ mod tests {
         for case in 0..6u64 {
             let mut s = Scenario::generate(29, case);
             s.cost_miscalibration = 0.0;
-            s.cost_jitter = 0.0;
             s.faults = Default::default();
             s.op_failures = Default::default();
             s.disconnect = Default::default();
@@ -740,12 +739,10 @@ mod tests {
         for case in 0..4u64 {
             let mut s = Scenario::generate(31, case);
             s.cost_miscalibration = 0.0;
-            s.cost_jitter = 0.0;
             s.faults = Default::default();
             s.op_failures = Default::default();
             s.disconnect = Default::default();
             s.deadline_ns = None;
-            s.drift = Vec::new();
             s.mean_gap_ns = (s.mean_gap_ns / 2).max(1);
             s.admission = AdmissionPlan {
                 mode: 0,

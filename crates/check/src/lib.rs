@@ -55,7 +55,5 @@ pub use incremental::fuzz_incremental;
 pub use invariants::{check_scenario, check_scenario_full, fingerprint, ScenarioCheck, Violation};
 pub use policyfuzz::fuzz_policies;
 pub use runner::{replay, run_fuzz, write_artifact, CaseResult, FuzzConfig, FuzzOutcome};
-pub use scenario::{
-    AdaptPlan, AdmissionPlan, DriftStepPlan, FaultPlan, OpSpec, QuerySpec, Scenario, SourceKind,
-};
+pub use scenario::{AdaptPlan, AdmissionPlan, FaultPlan, OpSpec, QuerySpec, Scenario, SourceKind};
 pub use shrink::{artifact_name, parse_artifact, render_artifact, shrink};

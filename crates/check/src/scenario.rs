@@ -19,17 +19,19 @@
 //! transient operator failures, and source disconnect/reconnect schedules.
 //! v1 artifacts parse with all of those off, so historical regression
 //! artifacts keep replaying unchanged. The adaptive dimensions — the online
-//! statistics estimator (including its observe-only probe form), the
-//! drifting-statics fault schedule, and the governor's policy-switching
-//! meta-scheduler — are optional keys under the same schema: artifacts
-//! written before they existed parse with them off.
+//! statistics estimator (including its observe-only probe form) and the
+//! governor's policy-switching meta-scheduler — are optional keys under the
+//! same schema: artifacts written before they existed parse with them off.
+//! An artifact that sets a simulator feature that no longer exists (a
+//! non-zero `cost_jitter`, a non-empty `drift`) is refused by name rather
+//! than replayed as a different scenario; their neutral values still parse.
 //! Exact-zero costs and NaN statics cannot pass plan validation, so those
 //! live in the policy-level fuzzer ([`crate::policyfuzz`]) instead.
 
 use hcq_common::json::JsonValue;
 use hcq_common::{det, Nanos, Result, StreamId};
 use hcq_core::PolicyKind;
-use hcq_engine::{AdaptConfig, AdaptMode, AdmissionMode, DriftStep, GovernorConfig, SimConfig};
+use hcq_engine::{AdaptConfig, AdaptMode, AdmissionMode, GovernorConfig, SimConfig};
 use hcq_plan::{GlobalPlan, QueryBuilder};
 use hcq_streams::{
     ArrivalSource, ConstantSource, DisconnectSource, DisconnectSpec, FaultSpec, FaultySource,
@@ -171,18 +173,6 @@ pub struct AdaptPlan {
     pub publish: bool,
 }
 
-/// One step of the piecewise-constant drifting-statics schedule: from
-/// `at_ns` on, operator costs and selectivities scale by these factors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftStepPlan {
-    /// Virtual time the step takes effect.
-    pub at_ns: u64,
-    /// Multiplier on every operator cost from this step on.
-    pub cost_factor: f64,
-    /// Multiplier on every selectivity (clamped to 1.0 by the engine).
-    pub sel_factor: f64,
-}
-
 /// Source disconnect/reconnect schedule (zero prob = disabled).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DisconnectPlan {
@@ -222,8 +212,6 @@ pub struct Scenario {
     pub sim_seed: u64,
     /// Engine-side persistent cost miscalibration (0 = calibrated).
     pub cost_miscalibration: f64,
-    /// Per-execution cost jitter (0 = deterministic costs).
-    pub cost_jitter: f64,
     /// Closed-loop overload governor (disabled by default; v1 artifacts).
     pub governor: GovernorPlan,
     /// Per-query response deadline applied to every query (`None` = no
@@ -235,8 +223,6 @@ pub struct Scenario {
     pub disconnect: DisconnectPlan,
     /// Online statistics adaptation (disabled by default).
     pub adapt: AdaptPlan,
-    /// Drifting-statics schedule (empty = stationary environment).
-    pub drift: Vec<DriftStepPlan>,
 }
 
 /// Pick a cost: mostly µs-scale, over-sampling the 1 ns near-zero corner.
@@ -337,11 +323,6 @@ impl Scenario {
         } else {
             0.0
         };
-        let cost_jitter = if det::coin(det::mix2(base, 19), 0.3) {
-            0.3 * det::unit_f64(det::mix2(base, 20))
-        } else {
-            0.0
-        };
         // Robustness dimensions (salts ≥ 22): governor, deadlines, operator
         // failures, and source disconnects, each off most of the time so
         // plain scenarios stay the common case.
@@ -407,24 +388,6 @@ impl Scenario {
         } else {
             AdaptPlan::default()
         };
-        let rh = det::mix2(base, 33);
-        let drift = if det::coin(rh, 0.2) {
-            let steps = det::unit_range(det::mix2(rh, 1), 1, 3);
-            (0..steps)
-                .map(|i| {
-                    let sh = det::mix2(rh, 10 + i);
-                    DriftStepPlan {
-                        // Strictly increasing step times across the run.
-                        at_ns: run_ns / (steps + 1) * (i + 1),
-                        // Log-uniform over [0.25, 4].
-                        cost_factor: 4f64.powf(2.0 * det::unit_f64(det::mix2(sh, 1)) - 1.0),
-                        sel_factor: 0.5 + det::unit_f64(det::mix2(sh, 2)),
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let xh = det::mix2(base, 30);
         let disconnect = if det::coin(xh, 0.2) {
             DisconnectPlan {
@@ -450,13 +413,11 @@ impl Scenario {
             clusters,
             sim_seed: det::mix2(base, 21),
             cost_miscalibration,
-            cost_jitter,
             governor,
             deadline_ns,
             op_failures,
             disconnect,
             adapt,
-            drift,
         }
     }
 
@@ -533,7 +494,6 @@ impl Scenario {
     pub fn config(&self) -> SimConfig {
         let mut cfg = SimConfig::new(self.arrivals);
         cfg.seed = self.sim_seed;
-        cfg.cost_jitter = self.cost_jitter;
         cfg.overload.mode = self.admission.mode();
         cfg.overload.capacity = self.admission.capacity;
         cfg.overload.watermark = self.admission.watermark;
@@ -576,17 +536,6 @@ impl Scenario {
                 ..AdaptConfig::default()
             };
         }
-        if !self.drift.is_empty() {
-            cfg.drift = self
-                .drift
-                .iter()
-                .map(|d| DriftStep {
-                    at: Nanos::from_nanos(d.at_ns),
-                    cost_factor: d.cost_factor,
-                    selectivity_factor: d.sel_factor,
-                })
-                .collect();
-        }
         cfg
     }
 
@@ -614,13 +563,6 @@ impl Scenario {
         };
         let (f, a, g) = (&self.faults, &self.admission, &self.governor);
         let (o, d, ad) = (&self.op_failures, &self.disconnect, &self.adapt);
-        let drift = self.drift.iter().map(|d| {
-            obj(vec![
-                ("at_ns", int(d.at_ns)),
-                ("cost_factor", float(d.cost_factor)),
-                ("sel_factor", float(d.sel_factor)),
-            ])
-        });
         obj(vec![
             ("schema", text(SCHEMA.into())),
             ("seed", text(self.seed.to_string())),
@@ -650,7 +592,6 @@ impl Scenario {
             ("clusters", int(self.clusters as u64)),
             ("sim_seed", text(self.sim_seed.to_string())),
             ("cost_miscalibration", float(self.cost_miscalibration)),
-            ("cost_jitter", float(self.cost_jitter)),
             (
                 "governor",
                 obj(vec![
@@ -697,7 +638,6 @@ impl Scenario {
                     ("publish", flag(ad.publish)),
                 ]),
             ),
-            ("drift", JsonValue::Arr(drift.collect())),
         ])
     }
 
@@ -753,6 +693,17 @@ impl Scenario {
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("missing field {key:?}"))
         };
+        // Removed simulator features: their neutral values (written by
+        // every artifact of their time) parse, anything else would replay
+        // a different scenario and is refused by name.
+        let jitter = doc.get("cost_jitter").and_then(JsonValue::as_f64);
+        if jitter.is_some_and(|j| j != 0.0) {
+            return Err("artifact sets cost_jitter, a removed simulator feature".into());
+        }
+        let drift = doc.get("drift").and_then(JsonValue::as_arr);
+        if drift.is_some_and(|d| !d.is_empty()) {
+            return Err("artifact sets drift steps, a removed simulator feature".into());
+        }
         Ok(Scenario {
             seed: int("seed")?,
             case: int("case")?,
@@ -775,7 +726,6 @@ impl Scenario {
             clusters: int("clusters")? as usize,
             sim_seed: int("sim_seed")?,
             cost_miscalibration: num("cost_miscalibration")?,
-            cost_jitter: num("cost_jitter")?,
             governor: match doc.get("governor") {
                 None => GovernorPlan::default(),
                 Some(g) => GovernorPlan {
@@ -818,7 +768,7 @@ impl Scenario {
                 },
             },
             // Absent in artifacts written before the adaptive layer existed:
-            // parse with adaptation off and a stationary environment.
+            // parse with adaptation off.
             adapt: match doc.get("adapt") {
                 None => AdaptPlan::default(),
                 Some(a) => AdaptPlan {
@@ -829,20 +779,6 @@ impl Scenario {
                     min_observations: sub_num(a, "min_observations")? as u64,
                     publish: sub_num(a, "publish")? != 0.0,
                 },
-            },
-            drift: match doc.get("drift").and_then(JsonValue::as_arr) {
-                None => Vec::new(),
-                Some(steps) => {
-                    let mut drift = Vec::with_capacity(steps.len());
-                    for d in steps {
-                        drift.push(DriftStepPlan {
-                            at_ns: sub_num(d, "at_ns")? as u64,
-                            cost_factor: sub_num(d, "cost_factor")?,
-                            sel_factor: sub_num(d, "sel_factor")?,
-                        });
-                    }
-                    drift
-                }
             },
         })
     }
@@ -955,15 +891,11 @@ mod tests {
         r#""clusters":5,"#,
         r#""sim_seed":"6913860088021234467","#,
         r#""cost_miscalibration":0.1750031645271043,"#,
-        r#""cost_jitter":0.0,"#,
         r#""governor":{"enabled":1,"cadence_ns":3618640,"min_dwell_ns":25330480,"escalate_pending":54,"deescalate_pending":13,"capacity":3,"watermark":27,"switch_policy":0},"#,
         r#""deadline_ns":103980536,"#,
         r#""op_failures":{"prob":0.0648545359115584,"cooldown_ns":47263880,"retries":2},"#,
         r#""disconnect":{"prob":0.0,"retry_base_ns":0,"max_retries":0,"reconnect_prob":0.0},"#,
-        r#""adapt":{"enabled":1,"mode":0,"alpha":0.12313292462615778,"cadence_ns":7985965,"min_observations":2,"publish":1},"#,
-        r#""drift":[{"at_ns":57898253,"cost_factor":0.7188701002477403,"sel_factor":1.2543385675615537},"#,
-        r#"{"at_ns":115796506,"cost_factor":1.448912581953669,"sel_factor":1.2759695550946613},"#,
-        r#"{"at_ns":173694759,"cost_factor":0.5825906008604842,"sel_factor":0.890789972614677}]}"#
+        r#""adapt":{"enabled":1,"mode":0,"alpha":0.12313292462615778,"cadence_ns":7985965,"min_observations":2,"publish":1}}"#
     );
 
     #[test]
@@ -984,7 +916,7 @@ mod tests {
             pairs.retain(|(k, _)| {
                 !matches!(
                     k.as_str(),
-                    "governor" | "deadline_ns" | "op_failures" | "disconnect" | "adapt" | "drift"
+                    "governor" | "deadline_ns" | "op_failures" | "disconnect" | "adapt"
                 )
             });
         }
@@ -994,12 +926,32 @@ mod tests {
         assert_eq!(back.op_failures, OpFailurePlan::default());
         assert_eq!(back.disconnect, DisconnectPlan::default());
         assert_eq!(back.adapt, AdaptPlan::default());
-        assert!(back.drift.is_empty());
         // The shared v1 dimensions survive untouched.
         let orig = Scenario::generate(3, 5);
         assert_eq!(back.queries, orig.queries);
         assert_eq!(back.admission, orig.admission);
         assert_eq!(back.faults, orig.faults);
+    }
+
+    /// An artifact written while the simulator still had cost jitter and
+    /// drifting statics parses when it leaves both neutral, and is refused,
+    /// naming the feature, when it sets either: replaying it without them
+    /// would silently check a different scenario.
+    #[test]
+    fn removed_features_parse_neutral_and_are_refused_otherwise() {
+        let with = |key: &str, value: &str| {
+            let doc = Scenario::generate(3, 5).to_json().to_string();
+            let doc = doc.replacen("\"schema\"", &format!("\"{key}\":{value},\"schema\""), 1);
+            Scenario::from_json(&json::parse(&doc).unwrap())
+        };
+        for (key, neutral) in [("cost_jitter", "0.0"), ("drift", "[]")] {
+            assert_eq!(with(key, neutral).unwrap(), Scenario::generate(3, 5));
+        }
+        let step = r#"[{"at_ns":5,"cost_factor":2.0,"sel_factor":1.0}]"#;
+        for (key, set) in [("cost_jitter", "0.1"), ("drift", step)] {
+            let err = with(key, set).unwrap_err();
+            assert!(err.contains(key) && err.contains("removed"), "{err}");
+        }
     }
 
     /// A plan's governor capacity and watermark fill unset admission bounds,
@@ -1023,7 +975,7 @@ mod tests {
         // Over 200 cases every new dimension must show up at least once,
         // and every generated governor must pass the engine's validation.
         let (mut gov, mut dl, mut dl0, mut opf, mut disc) = (0, 0, 0, 0, 0);
-        let (mut adp, mut probe, mut drift, mut switch) = (0, 0, 0, 0);
+        let (mut adp, mut probe, mut switch) = (0, 0, 0);
         for case in 0..200 {
             let s = Scenario::generate(11, case);
             if s.governor.enabled {
@@ -1044,16 +996,6 @@ mod tests {
                 assert!(s.adapt.min_observations >= 1);
                 if !s.adapt.publish {
                     probe += 1;
-                }
-            }
-            if !s.drift.is_empty() {
-                drift += 1;
-                let mut last = 0;
-                for d in &s.drift {
-                    assert!(d.at_ns > last, "drift steps must be strictly increasing");
-                    last = d.at_ns;
-                    assert!(d.cost_factor >= 0.25 && d.cost_factor <= 4.0);
-                    assert!(d.sel_factor >= 0.5 && d.sel_factor <= 1.5);
                 }
             }
             match s.deadline_ns {
@@ -1077,7 +1019,6 @@ mod tests {
         assert!(disc > 10, "disconnects in {disc}/200 cases");
         assert!(adp > 20, "adaptation in {adp}/200 cases");
         assert!(probe > 0, "the observe-only probe never generated");
-        assert!(drift > 10, "drift in {drift}/200 cases");
         assert!(switch > 0, "policy switching never generated");
     }
 }

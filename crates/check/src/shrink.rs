@@ -101,11 +101,10 @@ fn flatten_source(s: &Scenario) -> Option<Scenario> {
 }
 
 fn calm_costs(s: &Scenario) -> Option<Scenario> {
-    if s.cost_jitter == 0.0 && s.cost_miscalibration == 0.0 {
+    if s.cost_miscalibration == 0.0 {
         return None;
     }
     let mut t = s.clone();
-    t.cost_jitter = 0.0;
     t.cost_miscalibration = 0.0;
     Some(t)
 }
@@ -116,17 +115,6 @@ fn single_cluster(s: &Scenario) -> Option<Scenario> {
     }
     let mut t = s.clone();
     t.clusters = 1;
-    Some(t)
-}
-
-fn strip_drift(s: &Scenario) -> Option<Scenario> {
-    // Drop drift steps from the back first (earlier steps dominate the
-    // run), then the whole schedule.
-    if s.drift.is_empty() {
-        return None;
-    }
-    let mut t = s.clone();
-    t.drift.pop();
     Some(t)
 }
 
@@ -150,7 +138,6 @@ const TRANSFORMS: &[Transform] = &[
     flatten_source,
     calm_costs,
     single_cluster,
-    strip_drift,
     disable_adaptation,
 ];
 
@@ -233,7 +220,6 @@ mod tests {
         assert_eq!(minimal.admission.mode, 0);
         assert_eq!(minimal.source, SourceKind::Constant);
         assert_eq!(minimal.clusters, 1);
-        assert!(minimal.drift.is_empty(), "drift schedule must shrink away");
         assert!(!minimal.adapt.enabled, "adaptation must shrink away");
         // Identity is preserved for replay.
         assert_eq!(minimal.seed, original.seed);

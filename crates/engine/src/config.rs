@@ -180,25 +180,6 @@ impl Default for AdaptConfig {
     }
 }
 
-/// One step of a piecewise drifting-statics schedule: from `at` onward,
-/// every operator's actual cost is additionally scaled by `cost_factor` and
-/// every selectivity decision by `selectivity_factor` (clamped into [0, 1]
-/// at the decision). Steps model environment drift — data distribution or
-/// load changes that move the *true* statistics away from whatever the plan
-/// (and any earlier observation) believed — and are policy-independent, so
-/// drifted runs remain comparable across policies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftStep {
-    /// Virtual time the step takes effect.
-    pub at: Nanos,
-    /// Multiplier on actual operator cost from `at` on (must be positive
-    /// and finite).
-    pub cost_factor: f64,
-    /// Multiplier on operator selectivity from `at` on (must be
-    /// non-negative and finite; the effective probability clamps to 1).
-    pub selectivity_factor: f64,
-}
-
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -218,11 +199,6 @@ pub struct SimConfig {
     pub drain: bool,
     /// Master seed for attribute values and selectivity coins.
     pub seed: u64,
-    /// Per-execution operator-cost jitter: each execution's cost is scaled
-    /// by a deterministic pseudo-random factor in `[1−j, 1+j]` (a pure
-    /// function of tuple/operator/seed, so still policy-independent).
-    /// 0 = the paper's deterministic costs.
-    pub cost_jitter: f64,
     /// Bounded queues and load shedding (default: unbounded, no shedding).
     pub overload: OverloadConfig,
     /// Deterministic engine-side fault injection (default: none).
@@ -231,9 +207,6 @@ pub struct SimConfig {
     pub governor: Option<GovernorConfig>,
     /// Online statistics adaptation (default: disabled).
     pub adapt: AdaptConfig,
-    /// Piecewise drifting-statics schedule, sorted by
-    /// [`DriftStep::at`] (default: empty — stationary true statistics).
-    pub drift: Vec<DriftStep>,
     /// Virtual-time cadence between telemetry snapshots (default 100 ms).
     /// Only read when a run is monitored (a [`crate::MetricsSink`] with
     /// `ENABLED = true` is attached); otherwise no sampling happens at all.
@@ -250,12 +223,10 @@ impl SimConfig {
             max_arrivals,
             drain: true,
             seed: 0,
-            cost_jitter: 0.0,
             overload: OverloadConfig::default(),
             faults: FaultConfig::default(),
             governor: None,
             adapt: AdaptConfig::default(),
-            drift: Vec::new(),
             telemetry_cadence: Nanos::from_millis(100),
         }
     }
@@ -340,39 +311,6 @@ impl SimConfig {
             adapt.refreeze_factor
         );
         self.adapt = adapt;
-        self
-    }
-
-    /// Attach a piecewise drifting-statics schedule. Steps must be sorted
-    /// by time with positive finite cost factors and non-negative finite
-    /// selectivity factors.
-    pub fn with_drift(mut self, steps: Vec<DriftStep>) -> Self {
-        for pair in steps.windows(2) {
-            assert!(
-                pair[0].at <= pair[1].at,
-                "drift steps must be sorted by time"
-            );
-        }
-        for s in &steps {
-            assert!(
-                s.cost_factor.is_finite() && s.cost_factor > 0.0,
-                "drift cost factor must be positive and finite, got {}",
-                s.cost_factor
-            );
-            assert!(
-                s.selectivity_factor.is_finite() && s.selectivity_factor >= 0.0,
-                "drift selectivity factor must be non-negative and finite, got {}",
-                s.selectivity_factor
-            );
-        }
-        self.drift = steps;
-        self
-    }
-
-    /// Enable operator-cost jitter (fraction in [0, 1)).
-    pub fn with_cost_jitter(mut self, jitter: f64) -> Self {
-        assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
-        self.cost_jitter = jitter;
         self
     }
 
@@ -476,7 +414,6 @@ mod tests {
     fn adaptation_defaults_off() {
         let c = SimConfig::new(10);
         assert!(!c.adapt.enabled);
-        assert!(c.drift.is_empty());
     }
 
     #[test]
@@ -521,51 +458,6 @@ mod tests {
             refreeze_factor: 0.5,
             ..AdaptConfig::default()
         });
-    }
-
-    #[test]
-    fn drift_builder_and_validation() {
-        let c = SimConfig::new(1).with_drift(vec![
-            DriftStep {
-                at: Nanos::from_millis(10),
-                cost_factor: 2.0,
-                selectivity_factor: 0.5,
-            },
-            DriftStep {
-                at: Nanos::from_millis(30),
-                cost_factor: 0.5,
-                selectivity_factor: 1.0,
-            },
-        ]);
-        assert_eq!(c.drift.len(), 2);
-        assert_eq!(c.drift[1].cost_factor, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn drift_rejects_unsorted_steps() {
-        let _ = SimConfig::new(1).with_drift(vec![
-            DriftStep {
-                at: Nanos::from_millis(30),
-                cost_factor: 2.0,
-                selectivity_factor: 1.0,
-            },
-            DriftStep {
-                at: Nanos::from_millis(10),
-                cost_factor: 2.0,
-                selectivity_factor: 1.0,
-            },
-        ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost factor")]
-    fn drift_rejects_non_positive_cost_factor() {
-        let _ = SimConfig::new(1).with_drift(vec![DriftStep {
-            at: Nanos::ZERO,
-            cost_factor: 0.0,
-            selectivity_factor: 1.0,
-        }]);
     }
 
     #[test]

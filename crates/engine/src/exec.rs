@@ -29,10 +29,9 @@ pub fn arrival_key(seed: u64, id: TupleId) -> u64 {
     det::unit_range(det::splitmix64(det::mix2(seed, id.raw())), 1, 100)
 }
 
-/// One operator's pass/fail rule, compiled once per run (and again when
-/// drift moves the selectivity in force): a key predicate keeps its
-/// threshold `round(s·100)`, any other operator its coin's operator salt and
-/// the effective selectivity. [`UnaryGate::passes`] is then only the
+/// One operator's pass/fail rule, compiled once per run: a key predicate
+/// keeps its threshold `round(s·100)`, any other operator its coin's
+/// operator salt and selectivity. [`UnaryGate::passes`] is then only the
 /// per-tuple work, and [`unary_passes`] is the same gate built for one call.
 #[derive(Debug, Clone, Copy)]
 pub struct UnaryGate {
@@ -52,11 +51,12 @@ enum Rule {
 }
 
 impl UnaryGate {
-    /// Operator `op` of query `query` at *effective* selectivity `s`: a key
+    /// Operator `op` of query `query` at its selectivity `s`: a key
     /// predicate consults the tuple's attribute (`key ≤ s·100`, the §8
     /// predicate-over-an-attribute realization), everything else flips a
     /// coin that is a pure function of `(tuple, operator, seed)`.
-    pub fn new(seed: u64, query: usize, op: usize, spec: &OperatorSpec, s: f64) -> Self {
+    pub fn new(seed: u64, query: usize, op: usize, spec: &OperatorSpec) -> Self {
+        let s = spec.selectivity;
         let rule = if spec.kind.is_key_predicate() {
             Rule::Key((s * 100.0).round() as u64)
         } else {
@@ -101,17 +101,17 @@ impl UnaryGate {
         }
     }
 
-    /// The operator salt: the simulator's cost jitter and miscalibration
-    /// draws for this operator are keyed by it too.
+    /// The operator salt: the simulator's miscalibration draw for this
+    /// operator is keyed by it too.
     #[inline]
     pub fn salt(&self) -> u64 {
         self.salt
     }
 }
 
-/// Outcome of one unary operator on one tuple at *effective* selectivity
-/// `s`: [`UnaryGate::new`] and [`UnaryGate::passes`] in one call, the
-/// reference the executors' prebuilt gates are held to.
+/// Outcome of one unary operator on one tuple at selectivity `s`:
+/// [`UnaryGate::new`] and [`UnaryGate::passes`] in one call, the reference
+/// the executors' prebuilt gates are held to.
 pub fn unary_passes(
     seed: u64,
     query: usize,
@@ -120,7 +120,11 @@ pub fn unary_passes(
     s: f64,
     t: &SimTuple,
 ) -> bool {
-    UnaryGate::new(seed, query, op, spec, s).passes(t)
+    let spec = OperatorSpec {
+        selectivity: s,
+        ..*spec
+    };
+    UnaryGate::new(seed, query, op, &spec).passes(t)
 }
 
 /// The part of the join-predicate coin that does not depend on the pair:
@@ -142,7 +146,8 @@ pub fn pair_passes_salted(salt: u64, selectivity: f64, a: &SimTuple, b: &SimTupl
 
 /// §5.1.2 slowdown of an emission at `now`:
 /// `H = 1 + (D_actual − D_ideal)/T`, clamped at 1 when the tuple beat its
-/// nominal ideal departure (possible under cost jitter).
+/// nominal ideal departure (possible when miscalibration makes an operator
+/// cheaper than its plan cost).
 pub fn slowdown(now: Nanos, ideal_depart: Nanos, ideal_time: Nanos) -> f64 {
     if now > ideal_depart {
         1.0 + (now - ideal_depart).ratio(ideal_time)
@@ -199,7 +204,13 @@ mod tests {
     #[test]
     fn key_predicate_thresholds() {
         let select = OperatorSpec::new(OpKind::Select, Nanos::from_nanos(1), 0.5);
-        let passes = |s: f64, key: u64| UnaryGate::new(0, 0, 0, &select, s).passes(&tuple(1, key));
+        let passes = |s: f64, key: u64| {
+            let spec = OperatorSpec {
+                selectivity: s,
+                ..select
+            };
+            UnaryGate::new(0, 0, 0, &spec).passes(&tuple(1, key))
+        };
         assert!(passes(0.5, 50));
         assert!(!passes(0.5, 51));
         assert!(passes(1.0, 100));
@@ -244,7 +255,7 @@ mod tests {
             } else {
                 det::coin(det::mix3(id, det::mix2(query as u64, op as u64), seed), s)
             };
-            let gate = UnaryGate::new(seed, query, op, &spec, s);
+            let gate = UnaryGate::new(seed, query, op, &spec);
             assert_eq!(
                 gate.passes(&t),
                 want,

@@ -61,8 +61,7 @@ pub mod trace;
 pub mod tuple;
 
 pub use config::{
-    AdaptConfig, AdaptMode, AdmissionMode, DriftStep, FaultConfig, OverloadConfig, SchedulingLevel,
-    SimConfig,
+    AdaptConfig, AdaptMode, AdmissionMode, FaultConfig, OverloadConfig, SchedulingLevel, SimConfig,
 };
 pub use governor::GovernorConfig;
 pub use hcq_metrics::TelemetrySnapshot;

@@ -11,7 +11,7 @@ use hcq_plan::{CompiledOp, CompiledOpKind, GlobalPlan, Port, StreamRates};
 use hcq_streams::{ArrivalSource, SourceFaultStats};
 
 use crate::config::{
-    AdaptConfig, AdaptMode, AdmissionMode, OverloadConfig, SchedulingLevel, SimConfig,
+    AdaptConfig, AdaptMode, AdmissionMode, FaultConfig, OverloadConfig, SchedulingLevel, SimConfig,
 };
 use crate::exec::{self, UnaryGate};
 use crate::governor::{Governor, Switch};
@@ -150,6 +150,34 @@ impl AdaptState {
     }
 }
 
+/// One operator as the run executes it: its pass/fail rule and what one
+/// execution charges. Both are run constants, built with the simulator.
+#[derive(Clone, Copy)]
+struct RunOp {
+    gate: UnaryGate,
+    cost: Nanos,
+}
+
+/// What one execution of an operator charges: its plan cost scaled by the
+/// run's persistent miscalibration, a factor drawn once per operator salt
+/// (a stale calibration, not noise; identical across policies).
+fn charged_cost(cost: Nanos, salt: u64, faults: &FaultConfig) -> Nanos {
+    let m = faults.cost_miscalibration;
+    if m > 0.0 {
+        let u = det::unit_f64(det::mix3(salt, 0xFA17_C057, faults.seed));
+        let mut factor = 1.0 + m * (2.0 * u - 1.0);
+        if m >= 1.0 {
+            // Magnitudes past 1 would otherwise drive the factor negative;
+            // floor at 1% so "wildly miscalibrated" still means a positive
+            // cost. Magnitudes below 1 keep their exact historical behavior.
+            factor = factor.max(0.01);
+        }
+        cost.scale(factor).max(Nanos(1))
+    } else {
+        cost
+    }
+}
+
 /// A tuple quarantined after a transient operator failure, waiting for its
 /// cooldown to elapse before re-admission.
 struct Parked {
@@ -193,11 +221,10 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     joins: Vec<Option<(usize, SymmetricHashJoin<SimTuple>)>>,
     /// Operator-level only: `op_units[query][op]` = unit id.
     op_units: Vec<Vec<u32>>,
-    /// `gates[query][op]`: each operator's pass/fail rule and charge salt
-    /// at the selectivity in force, rebuilt when drift moves it.
-    gates: Vec<Vec<UnaryGate>>,
-    /// `group_gates[group]`: each sharing group's shared operator.
-    group_gates: Vec<UnaryGate>,
+    /// `ops[query][op]`: each operator's gate and charged cost.
+    ops: Vec<Vec<RunOp>>,
+    /// `group_ops[group]`: each sharing group's shared operator.
+    group_ops: Vec<RunOp>,
     cfg: SimConfig,
     sched_cost: Nanos,
     /// `ideal_times[query]` = `T_k`, hoisted out of the per-emission path
@@ -225,14 +252,6 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     standby: Option<Box<dyn Policy>>,
     /// The online statistics estimator; `None` when disabled.
     adapt: Option<Box<AdaptState>>,
-
-    /// Drifting-statics runtime: the factors currently in force and the
-    /// next [`crate::config::DriftStep`] not yet applied. Both factors are
-    /// exactly `1.0` until a step installs them, so the drift-free hot path
-    /// is a single float compare.
-    drift_cost: f64,
-    drift_sel: f64,
-    drift_idx: usize,
 
     /// Tuples quarantined by transient operator failures, keyed by release
     /// time; min-heap.
@@ -405,6 +424,29 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 }
             }
         }
+        let (seed, faults) = (cfg.seed, &cfg.faults);
+        let ops: Vec<Vec<RunOp>> = (model.compiled.iter().enumerate())
+            .map(|(query, cq)| {
+                let op = |(op, compiled): (usize, &CompiledOp)| {
+                    let gate = match compiled.kind {
+                        CompiledOpKind::Unary(spec) => UnaryGate::new(seed, query, op, &spec),
+                        CompiledOpKind::Join(_) => UnaryGate::join(query, op),
+                    };
+                    let cost = charged_cost(compiled.cost(), gate.salt(), faults);
+                    RunOp { gate, cost }
+                };
+                cq.ops.iter().enumerate().map(op).collect()
+            })
+            .collect();
+        // The plan validates that every member leads with the group's
+        // operator, so the first member's gate is the group's but for the
+        // salt.
+        let group_ops = (model.groups.iter().enumerate())
+            .map(|(group, g)| RunOp {
+                gate: UnaryGate::shared(group, &ops[g.members[0]][0].gate),
+                cost: charged_cost(g.shared_cost, 0xD00D ^ group as u64, faults),
+            })
+            .collect();
         let sched_cost = model.min_op_cost;
         let unit_statics = model.unit_statics();
         let ideal_times = model.stats.iter().map(|s| s.ideal_time).collect();
@@ -456,15 +498,15 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         } else {
             None
         };
-        let mut sim = Simulator {
+        Ok(Simulator {
             model,
             sched,
             sources,
             upcoming,
             joins,
             op_units,
-            gates: Vec::new(),
-            group_gates: Vec::new(),
+            ops,
+            group_ops,
             overload: cfg.overload,
             cfg,
             sched_cost,
@@ -475,9 +517,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             governor,
             standby: None,
             adapt,
-            drift_cost: 1.0,
-            drift_sel: 1.0,
-            drift_idx: 0,
             parked: BinaryHeap::new(),
             park_seq: 0,
             fail_attempts: HashMap::new(),
@@ -507,9 +546,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             current_unit: 0,
             metrics,
             telemetry,
-        };
-        sim.compile_gates();
-        Ok(sim)
+        })
     }
 
     /// Install fresh statics for one unit mid-run — the §10 adaptive path
@@ -558,10 +595,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
 
     /// [`run`](Self::run), handing back both instrumentation sinks.
     pub fn run_instrumented(mut self) -> Result<(SimReport, S, M)> {
-        // Steps scheduled at t=0 are in force before the first charge.
-        if self.drift_idx < self.cfg.drift.len() {
-            self.apply_due_drift();
-        }
         if S::ENABLED && self.cfg.faults.cost_miscalibration > 0.0 {
             let magnitude = self.cfg.faults.cost_miscalibration;
             self.trace(TraceEvent::Fault {
@@ -816,61 +849,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             }
         }
         self.clock = target;
-        if self.drift_idx < self.cfg.drift.len() {
-            self.apply_due_drift();
-        }
-    }
-
-    /// Install every drift step whose instant the clock has reached. Steps
-    /// are validated sorted, so the factors in force are always those of
-    /// the latest due step.
-    fn apply_due_drift(&mut self) {
-        let sel = self.drift_sel;
-        while self.drift_idx < self.cfg.drift.len() {
-            let step = self.cfg.drift[self.drift_idx];
-            if step.at > self.clock {
-                break;
-            }
-            self.drift_cost = step.cost_factor;
-            self.drift_sel = step.selectivity_factor;
-            self.drift_idx += 1;
-        }
-        if self.drift_sel != sel {
-            self.compile_gates();
-        }
-    }
-
-    /// Build every operator's gate at the selectivity in force.
-    fn compile_gates(&mut self) {
-        let seed = self.cfg.seed;
-        let gates = self.model.compiled.iter().enumerate().map(|(query, cq)| {
-            let op_gate = |(op, compiled): (usize, &CompiledOp)| match compiled.kind {
-                CompiledOpKind::Unary(spec) => {
-                    let s = self.drifted_selectivity(spec.selectivity);
-                    UnaryGate::new(seed, query, op, &spec, s)
-                }
-                CompiledOpKind::Join(_) => UnaryGate::join(query, op),
-            };
-            cq.ops.iter().enumerate().map(op_gate).collect()
-        });
-        self.gates = gates.collect();
-        // The plan validates that every member leads with the group's
-        // operator, so the first member's gate is the group's but for the
-        // salt.
-        self.group_gates = (self.model.groups.iter().enumerate())
-            .map(|(group, g)| UnaryGate::shared(group, &self.gates[g.members[0]][0]))
-            .collect();
-    }
-
-    /// The selectivity actually in force for a nominal `s` under the
-    /// current drift factors.
-    #[inline]
-    fn drifted_selectivity(&self, s: f64) -> f64 {
-        if self.drift_sel == 1.0 {
-            s
-        } else {
-            (s * self.drift_sel).min(1.0)
-        }
     }
 
     /// Apply the governor's decision at every cadence boundary the clock has
@@ -1126,10 +1104,9 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 self.cfg.faults.seed ^ 0x00FA_11ED,
             );
             if det::coin(roll, self.cfg.faults.op_failure_prob) {
-                let (cost, salt) = self.entry_charge(kind);
+                let cost = self.entry_cost(kind);
                 let at = self.clock;
-                let busy0 = self.busy_time;
-                self.charge_op(cost, tuple.id, salt);
+                self.charge(cost);
                 self.op_failures += 1;
                 let retrying = attempt < self.cfg.faults.op_failure_retries;
                 if S::ENABLED {
@@ -1137,7 +1114,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                         at,
                         unit,
                         tuple: tuple.id.raw(),
-                        cost: self.busy_time.saturating_since(busy0),
+                        cost,
                         attempt,
                         retrying,
                     });
@@ -1215,27 +1192,19 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         Ok(())
     }
 
-    /// Nominal cost and charge salt of the unit's *entry* operator — what a
-    /// transient failure of the first processing step costs. Uses the same
-    /// salt as the real execution so the persistent miscalibration factor
-    /// matches.
-    fn entry_charge(&self, kind: UnitKind) -> (Nanos, u64) {
-        let op_cost = |query: usize, oi: usize| {
-            let cost = self.model.compiled[query].ops[oi].cost();
-            (cost, self.gates[query][oi].salt())
-        };
+    /// Charged cost of the unit's *entry* operator: what a transient
+    /// failure of the first processing step costs.
+    fn entry_cost(&self, kind: UnitKind) -> Nanos {
         match kind {
             UnitKind::Leaf { query, leaf } => {
                 let (oi, _) = self.model.compiled[query].leaves[leaf.index()].entry;
-                op_cost(query, oi)
+                self.ops[query][oi].cost
             }
-            UnitKind::Shared { group } => {
-                (self.model.groups[group].shared_cost, 0xD00D ^ group as u64)
-            }
+            UnitKind::Shared { group } => self.group_ops[group].cost,
             UnitKind::Remainder { group, member } => {
-                op_cost(self.model.groups[group].members[member], 1)
+                self.ops[self.model.groups[group].members[member]][1].cost
             }
-            UnitKind::Operator { query, op } => op_cost(query, op),
+            UnitKind::Operator { query, op } => self.ops[query][op].cost,
         }
     }
 
@@ -1251,17 +1220,17 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             let op = self.model.compiled[query].ops[oi];
             let downstream = op.downstream;
             match op.kind {
-                CompiledOpKind::Unary(spec) => {
-                    // The charge may cross a drift step: read the gate after.
-                    self.charge_op(spec.cost, tuple.id, self.gates[query][oi].salt());
-                    if !self.gates[query][oi].passes(&tuple) {
+                CompiledOpKind::Unary(_) => {
+                    let RunOp { gate, cost } = self.ops[query][oi];
+                    self.charge(cost);
+                    if !gate.passes(&tuple) {
                         self.dropped += 1;
                         return Ok(());
                     }
                     cursor = downstream;
                 }
                 CompiledOpKind::Join(spec) => {
-                    self.charge_op(spec.cost, tuple.id, self.gates[query][oi].salt());
+                    self.charge(self.ops[query][oi].cost);
                     let side = match port {
                         Port::Left => Side::Left,
                         Port::Right => Side::Right,
@@ -1277,10 +1246,9 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     debug_assert_eq!(*join_idx, oi);
                     shj.insert_probe_into(side, &tuple, &mut matches);
                     let mut produced = false;
-                    let sel = self.drifted_selectivity(spec.selectivity);
                     let salt = exec::pair_salt(self.cfg.seed, query, oi);
                     for partner in &matches {
-                        if !exec::pair_passes_salted(salt, sel, &tuple, partner) {
+                        if !exec::pair_passes_salted(salt, spec.selectivity, &tuple, partner) {
                             continue;
                         }
                         produced = true;
@@ -1308,12 +1276,11 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     fn run_shared(&mut self, group: usize, tuple: SimTuple) -> Result<(), EngineError> {
         // The group model is read through indices rather than cloned: its
         // member lists are heap-backed, and this runs once per shared tuple.
-        let g = &self.model.groups[group];
-        let shared_cost = g.shared_cost;
-        let n_members = g.members.len();
-        self.charge_op(shared_cost, tuple.id, 0xD00D ^ group as u64);
+        let n_members = self.model.groups[group].members.len();
+        let RunOp { gate, cost } = self.group_ops[group];
+        self.charge(cost);
         // The shared operator is physically one operator: one outcome.
-        if !self.group_gates[group].passes(&tuple) {
+        if !gate.passes(&tuple) {
             self.dropped += n_members as u64;
             return Ok(());
         }
@@ -1346,13 +1313,13 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         tuple: SimTuple,
     ) -> Result<(), EngineError> {
         let compiled_op = self.model.compiled[query].ops[op];
-        let spec = match compiled_op.kind {
-            CompiledOpKind::Unary(spec) => spec,
-            CompiledOpKind::Join(_) => return Err(EngineError::UnexpectedJoin { query, op }),
-        };
+        if let CompiledOpKind::Join(_) = compiled_op.kind {
+            return Err(EngineError::UnexpectedJoin { query, op });
+        }
         let downstream = compiled_op.downstream;
-        self.charge_op(spec.cost, tuple.id, self.gates[query][op].salt());
-        if !self.gates[query][op].passes(&tuple) {
+        let RunOp { gate, cost } = self.ops[query][op];
+        self.charge(cost);
+        if !gate.passes(&tuple) {
             self.dropped += 1;
             return Ok(());
         }
@@ -1371,49 +1338,14 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         self.busy_time += cost;
     }
 
-    /// Charge an operator execution, applying (1) the configured persistent
-    /// cost misestimation — the fault-injection scenario where the
-    /// calibrated `C̄_x` the policies prioritize on is wrong at run time —
-    /// and (2) the per-execution cost jitter. Both factors are deterministic
-    /// functions of `(operator, seed)` resp. `(tuple, operator, seed)` —
-    /// identical across policies, so faulted runs stay comparable.
-    fn charge_op(&mut self, cost: Nanos, tuple: TupleId, salt: u64) {
-        let mut cost = cost;
-        let m = self.cfg.faults.cost_miscalibration;
-        if m > 0.0 {
-            // Persistent per-operator factor: same salt → same factor for
-            // every execution of the operator, so this models a stale
-            // calibration rather than noise.
-            let u = det::unit_f64(det::mix3(salt, 0xFA17_C057, self.cfg.faults.seed));
-            let mut factor = 1.0 + m * (2.0 * u - 1.0);
-            if m >= 1.0 {
-                // Magnitudes past 1 would otherwise drive the factor
-                // negative; floor at 1% so "wildly miscalibrated" still
-                // means a positive cost. Magnitudes below 1 keep their
-                // exact historical behavior.
-                factor = factor.max(0.01);
-            }
-            cost = cost.scale(factor).max(Nanos(1));
-        }
-        if self.drift_cost != 1.0 {
-            cost = cost.scale(self.drift_cost).max(Nanos(1));
-        }
-        if self.cfg.cost_jitter > 0.0 {
-            let u = det::unit_f64(det::mix3(tuple.raw(), salt, self.cfg.seed ^ 0x1177));
-            let factor = 1.0 + self.cfg.cost_jitter * (2.0 * u - 1.0);
-            cost = cost.scale(factor).max(Nanos(1));
-        }
-        self.charge(cost);
-    }
-
     fn emit(&mut self, query: usize, t: SimTuple) {
         self.emitted += 1;
         let ideal = self.ideal_times[query];
         let response = self.clock.saturating_since(t.arrival);
         // H = 1 + (D_actual − D_ideal)/T (§5.1.2); for single-stream tuples
         // D_ideal = A + T, collapsing to Definition 2's R/T. Under cost
-        // jitter an execution can beat the nominal ideal; slowdown then
-        // clamps at 1 (the tuple was served ideally).
+        // miscalibration an execution can beat the nominal ideal; slowdown
+        // then clamps at 1 (the tuple was served ideally).
         let slowdown = exec::slowdown(self.clock, t.ideal_depart, ideal);
         self.qos.record(response, slowdown);
         self.classes

@@ -5,7 +5,8 @@ use hcq_common::{Nanos, StreamId, TupleId};
 use hcq_core::{ClusterConfig, ClusteredBsdPolicy, PolicyKind};
 use hcq_engine::exec::arrival_key;
 use hcq_engine::{
-    simulate, simulate_monitored, SchedulingLevel, SimConfig, SimReport, VecTelemetry,
+    simulate, simulate_monitored, simulate_traced, SchedulingLevel, SimConfig, SimReport,
+    TraceEvent, VecTelemetry, VecTrace,
 };
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_streams::{PoissonSource, TraceReplay};
@@ -106,15 +107,37 @@ fn run_small(policy: PolicyKind, seed: u64) -> SimReport {
 #[test]
 fn workload_realization_is_policy_independent() {
     // Every policy must see identical tuple outcomes: emitted and dropped
-    // counts agree across all seven policies.
-    let reference = run_small(PolicyKind::Fcfs, 5);
-    assert!(reference.emitted > 0);
-    for kind in PolicyKind::ALL {
-        let r = run_small(kind, 5);
-        assert_eq!(r.emitted, reference.emitted, "{}", kind.name());
-        assert_eq!(r.dropped, reference.dropped, "{}", kind.name());
-        assert_eq!(r.arrivals, reference.arrivals, "{}", kind.name());
+    // counts agree across all seven policies, and so does busy time, with
+    // calibrated costs and with every operator's cost miscalibrated (a
+    // property of the workload, not of the scheduler).
+    let run = |kind: PolicyKind, m: f64| {
+        simulate(
+            &small_workload(),
+            &StreamRates::none(),
+            vec![Box::new(PoissonSource::new(ms(40), 99))],
+            kind.build(),
+            SimConfig::new(500)
+                .with_seed(5)
+                .with_cost_miscalibration(m, 11),
+        )
+        .unwrap()
+    };
+    for m in [0.0, 0.3] {
+        let reference = run(PolicyKind::Fcfs, m);
+        assert!(reference.emitted > 0);
+        for kind in PolicyKind::ALL {
+            let r = run(kind, m);
+            assert_eq!(r.emitted, reference.emitted, "{} m={m}", kind.name());
+            assert_eq!(r.dropped, reference.dropped, "{} m={m}", kind.name());
+            assert_eq!(r.arrivals, reference.arrivals, "{} m={m}", kind.name());
+            assert_eq!(r.busy_time, reference.busy_time, "{} m={m}", kind.name());
+        }
     }
+    assert_ne!(
+        run(PolicyKind::Hnr, 0.3).busy_time,
+        run(PolicyKind::Hnr, 0.0).busy_time,
+        "miscalibration must change the charged costs"
+    );
 }
 
 #[test]
@@ -382,6 +405,46 @@ fn sharing_strategies_emit_identical_tuples() {
     assert_eq!(results[1].1, results[2].1);
 }
 
+/// A shared operator is one physical operator with its own persistent
+/// miscalibration factor, drawn under the group's salt `0xD00D ^ group`
+/// (the formula every pinned result was produced with), not a member's.
+#[test]
+fn a_shared_operator_is_miscalibrated_as_its_own_operator() {
+    use hcq_common::det;
+    let (m, fault_seed) = (0.5, 9);
+    let mut plan = GlobalPlan::default();
+    let members = (0..3)
+        .map(|_| {
+            let q = QueryBuilder::on(StreamId::new(0)).select(ms(2), 0.5);
+            plan.add_query(q.build().unwrap())
+        })
+        .collect();
+    plan.share_first_op(members).unwrap();
+    let (_, trace) = simulate_traced(
+        &plan,
+        &StreamRates::none(),
+        vec![Box::new(PoissonSource::new(ms(20), 5))],
+        PolicyKind::Hnr.build(),
+        SimConfig::new(100).with_cost_miscalibration(m, fault_seed),
+        VecTrace::default(),
+    )
+    .unwrap();
+    let u = det::unit_f64(det::mix3(0xD00D, 0xFA17_C057, fault_seed));
+    let charged = ms(2).scale(1.0 + m * (2.0 * u - 1.0));
+    assert_ne!(charged, ms(2), "miscalibration must move the cost");
+    let runs: Vec<Nanos> = (trace.events.iter())
+        .filter_map(|e| match *e {
+            TraceEvent::UnitRun { cost, .. } => Some(cost),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(runs.len(), 100, "one shared run per arrival");
+    assert!(
+        runs.iter().all(|&c| c == charged),
+        "{charged:?} vs {runs:?}"
+    );
+}
+
 #[test]
 fn drain_false_stops_at_last_arrival() {
     let mut cfg = SimConfig::new(200).with_seed(1);
@@ -554,52 +617,6 @@ fn telemetry_windows_collect_trajectory() {
         .map(|w| w.sum / w.count as f64)
         .fold(0.0, f64::max);
     assert!(worst >= r.qos.avg_slowdown * 0.99);
-}
-
-#[test]
-fn cost_jitter_zero_is_identical_to_baseline() {
-    let base = run_small(PolicyKind::Hnr, 5);
-    let zero = simulate(
-        &small_workload(),
-        &StreamRates::none(),
-        vec![Box::new(PoissonSource::new(ms(40), 99))],
-        PolicyKind::Hnr.build(),
-        SimConfig::new(500).with_seed(5).with_cost_jitter(0.0),
-    )
-    .unwrap();
-    assert_eq!(base.qos, zero.qos);
-    assert_eq!(base.end_time, zero.end_time);
-}
-
-#[test]
-fn cost_jitter_preserves_policy_independence_and_orderings() {
-    let run = |kind: PolicyKind| {
-        simulate(
-            &small_workload(),
-            &StreamRates::none(),
-            vec![Box::new(PoissonSource::new(ms(12), 4))],
-            kind.build(),
-            SimConfig::new(2_000).with_seed(1).with_cost_jitter(0.3),
-        )
-        .unwrap()
-    };
-    let hnr = run(PolicyKind::Hnr);
-    let fcfs = run(PolicyKind::Fcfs);
-    // Outcomes still agree (jitter is policy-independent) …
-    assert_eq!(hnr.emitted, fcfs.emitted);
-    assert_eq!(hnr.busy_time, fcfs.busy_time);
-    // … and the headline ordering survives ±30% per-execution noise.
-    assert!(hnr.qos.avg_slowdown < fcfs.qos.avg_slowdown);
-    // Jitter actually changed the timeline relative to the deterministic run.
-    let det = simulate(
-        &small_workload(),
-        &StreamRates::none(),
-        vec![Box::new(PoissonSource::new(ms(12), 4))],
-        PolicyKind::Hnr.build(),
-        SimConfig::new(2_000).with_seed(1),
-    )
-    .unwrap();
-    assert_ne!(det.busy_time, hnr.busy_time);
 }
 
 #[test]
@@ -893,6 +910,39 @@ fn op_failures_charge_time_and_conserve_tuples() {
     // Failed runs are charged: busy time exceeds the clean run's.
     assert!(faulty.busy_time > clean.busy_time);
     assert_eq!(clean.op_failures, 0);
+}
+
+#[test]
+fn a_failed_execution_charges_the_miscalibrated_cost() {
+    // One 5 ms select, miscalibrated: a failed attempt charges what a
+    // successful execution of the same operator charges, not the plan cost.
+    let (r, trace) = simulate_traced(
+        &deadline_plan(None),
+        &StreamRates::none(),
+        vec![Box::new(PoissonSource::new(ms(20), 3))],
+        PolicyKind::Fcfs.build(),
+        SimConfig::new(200)
+            .with_seed(2)
+            .with_cost_miscalibration(0.5, 7)
+            .with_op_failures(0.3, ms(10), 3),
+        VecTrace::default(),
+    )
+    .unwrap();
+    let costs = |failed: bool| -> Vec<Nanos> {
+        (trace.events.iter())
+            .filter_map(|e| match *e {
+                TraceEvent::OpFailure { cost, .. } if failed => Some(cost),
+                TraceEvent::UnitRun { cost, .. } if !failed => Some(cost),
+                _ => None,
+            })
+            .collect()
+    };
+    let (failed, ran) = (costs(true), costs(false));
+    assert_eq!(failed.len() as u64, r.op_failures);
+    assert!(!failed.is_empty() && !ran.is_empty(), "{r:?}");
+    let charged = ran[0];
+    assert_ne!(charged, ms(5), "miscalibration must move the cost");
+    assert!(failed.iter().chain(&ran).all(|&c| c == charged));
 }
 
 #[test]

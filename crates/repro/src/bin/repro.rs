@@ -31,8 +31,8 @@ use std::process::ExitCode;
 use hcq_common::Nanos;
 use hcq_core::PolicyKind;
 use hcq_repro::{
-    ext_large_q, fuzz, fuzz_replay, guard_overwrite, inspect_trace, monitor, request_names,
-    resolve, run_runtime, validate, ExpConfig, InspectFormat, Step, EXHIBITS,
+    ext_large_q, fuzz, fuzz_replay, guard_overwrite, inspect_trace, monitor, resolve, run_runtime,
+    usage, validate, ExpConfig, InspectFormat, Step, EXHIBITS,
 };
 
 fn main() -> ExitCode {
@@ -205,21 +205,5 @@ fn parse<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--cases K] [--replay FILE] [--large-q-max Q] [--force]\n\
-         \x20      repro inspect TRACE [--diff TRACE2] [--format text|perfetto] [--out DIR] [--force]\n\
-         \x20      repro run [--jobs N] [--arrivals N] [--seed S]\n\
-         exhibits: {} all\n\
-         --jobs N: worker threads for independent cells and for `run` (default: available parallelism; outputs are byte-identical at any N)\n\
-         --govern: arm the closed-loop overload governor on single-stream runs (admission ladder + hysteresis; ext_recovery compares it to static admission regardless of this flag)\n\
-         --trace FILE: write a deterministic JSONL scheduling trace of one reference run (HNR, 0.9 utilization)\n\
-         --cadence MS: virtual-time telemetry sampling interval for `monitor` (default 250)\n\
-         --cases K: scenarios for `fuzz` (default 200; seeded by --seed, minimized artifacts land in --out)\n\
-         --replay FILE: for `fuzz`, re-run one fuzz-repro-*.json artifact instead of sweeping\n\
-         --large-q-max Q: cap the `ext_large_q` sweep at Q queries (default 1000000)\n\
-         --diff TRACE2: with `inspect`, align a second trace at scheduling-point granularity and report the first divergent decision\n\
-         --format text|perfetto: `inspect` output — text reports (default) or Chrome trace-event JSON into --out\n\
-         --force: allow `monitor`, `--trace`, `inspect --format perfetto`, and `fuzz` artifacts to overwrite existing output files",
-        request_names().join(" ")
-    );
+    eprintln!("{}", usage());
 }

@@ -106,6 +106,29 @@ pub const MODES: [(&str, Step); 5] = [
     ("run", Step::Run),
 ];
 
+/// The text `repro --help` prints: the command forms, every request name
+/// and every flag.
+pub fn usage() -> String {
+    format!(
+        "usage: repro <exhibit>... [--queries N] [--arrivals N] [--seed S] [--out DIR] [--poisson] [--govern] [--jobs N] [--trace FILE] [--cadence MS] [--cases K] [--replay FILE] [--large-q-max Q] [--force]\n\
+         \x20      repro inspect TRACE [--diff TRACE2] [--format text|perfetto] [--out DIR] [--force]\n\
+         \x20      repro run [--jobs N] [--arrivals N] [--seed S]\n\
+         \x20      repro --help\n\
+         exhibits: {} all\n\
+         --jobs N: worker threads for independent cells and for `run` (default: available parallelism; outputs are byte-identical at any N)\n\
+         --govern: arm the closed-loop overload governor on single-stream runs (admission ladder + hysteresis; ext_recovery compares it to static admission regardless of this flag)\n\
+         --trace FILE: write a deterministic JSONL scheduling trace of one reference run (HNR, 0.9 utilization)\n\
+         --cadence MS: virtual-time telemetry sampling interval for `monitor` (default 250)\n\
+         --cases K: scenarios for `fuzz` (default 200; seeded by --seed, minimized artifacts land in --out)\n\
+         --replay FILE: for `fuzz`, re-run one fuzz-repro-*.json artifact instead of sweeping\n\
+         --large-q-max Q: cap the `ext_large_q` sweep at Q queries (default 1000000)\n\
+         --diff TRACE2: with `inspect`, align a second trace at scheduling-point granularity and report the first divergent decision\n\
+         --format text|perfetto: `inspect` output — text reports (default) or Chrome trace-event JSON into --out\n\
+         --force: allow `monitor`, `--trace`, `inspect --format perfetto`, and `fuzz` artifacts to overwrite existing output files",
+        request_names().join(" ")
+    )
+}
+
 /// Every name [`resolve`] accepts besides `all`, once each, in registry
 /// order and then [`MODES`].
 pub fn request_names() -> Vec<&'static str> {

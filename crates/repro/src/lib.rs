@@ -25,7 +25,8 @@ pub mod validate;
 pub use exhibits::{
     ext_adaptive, ext_faults, ext_large_q, ext_lp, ext_memory, ext_overhead, ext_overload,
     ext_preemption, ext_recovery, ext_seeds, ext_transient, fig11, fig12, fig13, fig14, fig5_to_10,
-    request_names, resolve, table1, table2, table3, Exhibit, ExhibitOutput, Step, EXHIBITS, MODES,
+    request_names, resolve, table1, table2, table3, usage, Exhibit, ExhibitOutput, Step, EXHIBITS,
+    MODES,
 };
 pub use fuzz::{fuzz, fuzz_replay, FuzzSummary};
 pub use harness::{ExpConfig, SweepResults};

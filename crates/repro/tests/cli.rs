@@ -2,7 +2,7 @@
 
 use std::process::Command;
 
-use hcq_repro::{EXHIBITS, MODES};
+use hcq_repro::{usage, EXHIBITS, MODES};
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -15,8 +15,9 @@ fn repro(args: &[&str]) -> std::process::Output {
 fn help_lists_every_registry_name() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
-    let usage = String::from_utf8(out.stderr).unwrap();
-    let listed: Vec<&str> = usage
+    let printed = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(printed, usage() + "\n", "--help prints `hcq_repro::usage`");
+    let listed: Vec<&str> = printed
         .lines()
         .find_map(|l| l.strip_prefix("exhibits: "))
         .expect("an exhibits line")

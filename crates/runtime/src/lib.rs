@@ -262,7 +262,7 @@ impl<'a> Shared<'a> {
                 let CompiledOpKind::Unary(spec) = cq.ops[op].kind else {
                     return Err(EngineError::UnexpectedJoin { query, op });
                 };
-                gates.push(UnaryGate::new(cfg.seed, query, op, &spec, spec.selectivity));
+                gates.push(UnaryGate::new(cfg.seed, query, op, &spec));
                 cursor = cq.ops[op].downstream;
             }
             Ok(UnitPath {
@@ -543,7 +543,8 @@ fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> HcqError {
 ///
 /// Supports the same workload family the differential harness certifies:
 /// query-level scheduling of unary pipelines (no window joins, no shared
-/// operators, no fault injection). Anything else is rejected up front.
+/// operators, no per-query deadlines, no fault injection). Anything else is
+/// rejected up front.
 pub fn run(
     plan: &GlobalPlan,
     rates: &StreamRates,
@@ -569,6 +570,11 @@ fn run_with(
     if cfg.overload.mode != AdmissionMode::Unbounded && cfg.overload.capacity == 0 {
         return Err(HcqError::config(
             "bounded admission needs a per-unit capacity of at least 1",
+        ));
+    }
+    if plan.queries.iter().any(|q| q.deadline.is_some()) {
+        return Err(HcqError::config(
+            "the wall-clock runtime does not expire tuples past a query deadline yet",
         ));
     }
     let model = SimModel::build(
@@ -1086,5 +1092,23 @@ mod tests {
             &RuntimeConfig::new(10).with_admission(AdmissionMode::DropTail, 0),
         )
         .is_err());
+        // A per-query deadline, which only the simulator enforces.
+        let mut late = GlobalPlan::default();
+        late.add_query(
+            QueryBuilder::on(hcq_common::StreamId::new(0))
+                .select(Nanos::from_micros(50), 0.5)
+                .with_deadline(Nanos::from_millis(1))
+                .build()
+                .unwrap(),
+        );
+        let err = run(
+            &late,
+            &StreamRates::none(),
+            sources(),
+            PolicyKind::Fcfs,
+            &RuntimeConfig::new(10),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("deadline"), "{err}");
     }
 }

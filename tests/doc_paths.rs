@@ -1,8 +1,9 @@
 //! The prose points at real files and real benchmark cells: every
 //! backticked repository path in the user-facing documents must exist,
-//! every backticked bare Rust file name must name a source file, and
-//! every backticked benchmark cell must be declared in `BENCHMARK.json`, so
-//! a rename or deletion that leaves a document pointing at nothing fails
+//! every backticked bare Rust file name must name a source file, every
+//! backticked benchmark cell must be declared in `BENCHMARK.json`, and
+//! every flag of a `repro` command line must be listed by `repro --help`,
+//! so a rename or deletion that leaves a document pointing at nothing fails
 //! here instead of misleading a reader.
 //!
 //! ROADMAP.md and CHANGES.md record history (paths that existed once) and
@@ -316,6 +317,82 @@ fn documented_item_paths_exist() {
         "documented items that their crate does not declare:\n{}",
         missing.join("\n")
     );
+}
+
+/// The flags of a `repro` command line (bare, or run by path as
+/// `./target/release/repro`), up to the first pipe, redirect or command
+/// separator; empty when `text` runs no `repro`.
+fn repro_flags(text: &str) -> Vec<&str> {
+    let words: Vec<&str> = text.split_whitespace().collect();
+    let Some(start) = words
+        .iter()
+        .position(|w| *w == "repro" || w.ends_with("/repro"))
+    else {
+        return Vec::new();
+    };
+    let command = words[start + 1..]
+        .iter()
+        .take_while(|w| !matches!(**w, "|" | ">" | "2>" | ";" | "&&" | "||"));
+    command
+        .filter(|w| w.starts_with("--") && w[2..].starts_with(|c: char| c.is_ascii_lowercase()))
+        .map(|w| w.trim_end_matches(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+        .collect()
+}
+
+/// Every flag of a backticked `repro` command line, inline or in a fenced
+/// block, appears in the text `repro --help` prints.
+#[test]
+fn documented_repro_flags_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let usage = hcq_repro::usage();
+    let listed: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .collect();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("reading {doc}: {e}"));
+        let mut fenced = false;
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let spans: Vec<&str> = if fenced {
+                vec![line]
+            } else {
+                line.split('`').skip(1).step_by(2).collect()
+            };
+            for flag in spans.into_iter().flat_map(repro_flags) {
+                checked += 1;
+                if !listed.contains(&flag) {
+                    missing.push(format!("{doc}:{}: `{flag}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no repro flags found; is the scan broken?");
+    assert!(
+        missing.is_empty(),
+        "documented repro flags that `repro --help` does not list:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn repro_flag_shapes() {
+    assert_eq!(
+        repro_flags("repro fig12 --queries 10 --out /tmp/a"),
+        ["--queries", "--out"]
+    );
+    assert_eq!(
+        repro_flags("./target/release/repro all --jobs 2 > /dev/null --not-a-flag"),
+        ["--jobs"]
+    );
+    assert_eq!(repro_flags("repro run --jobs N`,"), ["--jobs"]);
+    assert!(repro_flags("cargo test --release --test doc_paths").is_empty());
+    assert!(repro_flags("repro validate").is_empty());
 }
 
 #[test]
