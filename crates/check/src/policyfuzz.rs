@@ -323,10 +323,7 @@ fn drain_with_checks(
 mod tests {
     use super::*;
     use hcq_core::soa::scan_argmax;
-    use hcq_core::{
-        BsdPolicy, LpPolicy, LsfPolicy, PriorityKey, SchedStats, Selection, StaticPolicy,
-        StaticRank,
-    };
+    use hcq_core::{PriorityKey, SchedStats, Selection, StaticPolicy, StaticRank, WaitPolicy};
     use std::collections::BinaryHeap;
 
     /// The lazy max-heap behind HR/HNR/SRPT before the rank-ordered ready
@@ -556,12 +553,7 @@ mod tests {
     /// on arrival instants (`W = 0`), tail sheds down to empty and refills,
     /// factor changes, and re-registration with tuples pending. Every
     /// `Selection` must equal the scan's: unit, `ops_counted`, `SchedStats`.
-    fn wait_linear_differential<P: Policy>(
-        mut policy: P,
-        kind: WaitLinear,
-        set_phi: fn(&mut P, UnitId, f64),
-        case: u64,
-    ) {
+    fn wait_linear_differential(mut policy: WaitPolicy, kind: WaitLinear, case: u64) {
         let tag = format!("{kind:?} case {case}");
         let degenerate = case % 4 == 3;
         let n = det::unit_range(
@@ -578,12 +570,13 @@ mod tests {
         let instant = |h: u64| Nanos::from_nanos(1_000 * (h % 6));
         let mut now = Nanos::ZERO;
         let mut next_tuple = 0u64;
-        let mut enqueue = |p: &mut P, q: &mut FuzzQueues, unit: UnitId, at: Nanos, now: Nanos| {
-            let tuple = TupleId::new(next_tuple);
-            next_tuple += 1;
-            q.push(unit, tuple, at);
-            p.on_enqueue(unit, tuple, at, now);
-        };
+        let mut enqueue =
+            |p: &mut WaitPolicy, q: &mut FuzzQueues, unit: UnitId, at: Nanos, now: Nanos| {
+                let tuple = TupleId::new(next_tuple);
+                next_tuple += 1;
+                q.push(unit, tuple, at);
+                p.on_enqueue(unit, tuple, at, now);
+            };
         for step in 0..400u64 {
             let h = det::mix3(case, step, 0x0b5d);
             let unit = (det::mix2(h, 1) % n) as UnitId;
@@ -617,7 +610,7 @@ mod tests {
                     let fresh = tie_statics(det::mix2(h, 3), degenerate);
                     if matches!(kind, WaitLinear::Bsd) && h.is_multiple_of(2) {
                         let phi = phi_corner(h >> 28, degenerate);
-                        set_phi(&mut policy, unit, phi);
+                        policy.set_factor(unit, phi);
                         factor[unit as usize] = phi;
                     } else {
                         policy.on_statics_update(unit, &fresh);
@@ -653,13 +646,11 @@ mod tests {
 
     #[test]
     fn wait_linear_policies_match_the_scan_field_by_field() {
-        fn no_phi<P>(_: &mut P, _: UnitId, _: f64) {}
         for case in 0..120 {
-            let set_phi: fn(&mut BsdPolicy, UnitId, f64) = |p, u, phi| p.set_phi(u, phi);
-            wait_linear_differential(BsdPolicy::new(), WaitLinear::Bsd, set_phi, case);
-            wait_linear_differential(LsfPolicy::new(), WaitLinear::Lsf, no_phi, case);
+            wait_linear_differential(WaitPolicy::bsd(), WaitLinear::Bsd, case);
+            wait_linear_differential(WaitPolicy::lsf(), WaitLinear::Lsf, case);
             for p in [1.0, 1.5, 2.0, 3.0, 16.0] {
-                wait_linear_differential(LpPolicy::new(p), WaitLinear::Lp(p), no_phi, case);
+                wait_linear_differential(WaitPolicy::lp(p), WaitLinear::Lp(p), case);
             }
         }
     }

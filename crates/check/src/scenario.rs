@@ -522,8 +522,7 @@ impl Scenario {
             });
         }
         if self.adapt.enabled {
-            cfg.adapt = AdaptConfig {
-                enabled: true,
+            cfg.adapt = Some(AdaptConfig {
                 mode: if self.adapt.mode == 1 {
                     AdaptMode::Windowed
                 } else {
@@ -534,7 +533,7 @@ impl Scenario {
                 min_observations: self.adapt.min_observations,
                 publish: self.adapt.publish,
                 ..AdaptConfig::default()
-            };
+            });
         }
         cfg
     }

@@ -6,8 +6,8 @@
 //! whenever it is necessary". This module provides that monitoring: an
 //! exponentially-weighted moving average per operator, from which fresh
 //! [`crate::unit::UnitStatics`] — and hence fresh priorities — can be
-//! derived periodically (see `StaticPolicy::set_priority` /
-//! `BsdPolicy::set_phi`).
+//! derived periodically and handed to a policy through
+//! [`Policy::on_statics_update`](crate::Policy::on_statics_update).
 
 use hcq_common::Nanos;
 

@@ -22,8 +22,8 @@
 //!
 //! The implementation is sized for 10⁵–10⁶ concurrent units:
 //!
-//! * statics live in a struct-of-arrays [`StaticsTable`] so re-bucketing
-//!   scans touch one contiguous `Φ` column;
+//! * the policy keeps one statistic per unit, its sanitized `Φ`, in one
+//!   contiguous column, so re-bucketing scans touch eight bytes per unit;
 //! * pending entries live in one slab (`crate::waitlist`) threaded by
 //!   intrusive per-cluster FIFOs and per-unit chains — O(1) enqueue, O(1)
 //!   shed, slot reuse, no allocation per decision at steady state;
@@ -46,7 +46,6 @@ use hcq_common::{Nanos, TupleId};
 
 use crate::fagin::{fagin_top1_with, FaginScratch};
 use crate::policy::{Policy, QueueView, SchedStats, Selection, UnitId};
-use crate::soa::StaticsTable;
 use crate::unit::UnitStatics;
 use crate::waitlist::{SortedFronts, WaitEntry, WaitLists};
 
@@ -201,8 +200,8 @@ pub struct ClusteredBsdPolicy {
     cfg: ClusterConfig,
     /// Frozen `Φ` domain (see [`PhiDomain`]).
     domain: PhiDomain,
-    /// Struct-of-arrays statics; the `Φ` column holds *sanitized* values.
-    statics: StaticsTable,
+    /// Sanitized `Φ` per unit ([`UnitStatics::sanitized_phi`]).
+    phi: Vec<f64>,
     /// Cluster index per unit.
     cluster_of: Vec<u32>,
     /// Units retired via [`Self::retire_unit`] (backlog-free, no further
@@ -240,7 +239,7 @@ impl ClusteredBsdPolicy {
         ClusteredBsdPolicy {
             cfg,
             domain: PhiDomain::default(),
-            statics: StaticsTable::new(),
+            phi: Vec::new(),
             cluster_of: Vec::new(),
             retired: Vec::new(),
             pseudo: Vec::new(),
@@ -278,17 +277,17 @@ impl ClusteredBsdPolicy {
     /// *frozen* `Φ` domain (out-of-domain factors clamp to the edge
     /// clusters). O(1); no other cluster is touched. Returns the new id.
     pub fn add_unit(&mut self, statics: UnitStatics) -> UnitId {
-        let unit = self.statics.push(&statics);
-        self.statics.set_phi(unit, statics.sanitized_phi());
+        let unit = self.phi.len() as UnitId;
+        self.phi.push(statics.sanitized_phi());
         let c = self.domain.bucket(
             self.cfg.clustering,
             self.cfg.clusters,
-            self.statics.phi_of(unit),
+            self.phi[unit as usize],
         );
         self.cluster_of.push(c);
         self.retired.push(false);
         let from_lists = self.lists.add_unit();
-        debug_assert_eq!(from_lists, unit, "statics table and wait lists in step");
+        debug_assert_eq!(from_lists, unit, "Φ column and wait lists in step");
         self.pending_cluster_ops += 1;
         unit
     }
@@ -318,16 +317,14 @@ impl ClusteredBsdPolicy {
     /// two affected clusters' front keys are repaired — never a domain
     /// rebuild, never a scan over other units.
     pub fn update_unit_statics(&mut self, unit: UnitId, statics: &UnitStatics) {
-        self.statics.set(unit, statics);
-        self.statics.set_phi(unit, statics.sanitized_phi());
+        let phi = statics.sanitized_phi();
+        self.phi[unit as usize] = phi;
         // One re-bucket evaluation, charged whether or not the bucket moves.
         self.pending_cluster_ops += 1;
         let from = self.cluster_of[unit as usize];
-        let to = self.domain.bucket(
-            self.cfg.clustering,
-            self.cfg.clusters,
-            self.statics.phi_of(unit),
-        );
+        let to = self
+            .domain
+            .bucket(self.cfg.clustering, self.cfg.clusters, phi);
         if to == from {
             return;
         }
@@ -371,17 +368,16 @@ impl ClusteredBsdPolicy {
         let mut p = ClusteredBsdPolicy::new(self.cfg);
         let m = self.cfg.clusters;
         p.domain = self.domain;
-        p.statics = self.statics.clone();
-        p.cluster_of = (0..self.statics.len())
-            .map(|u| {
-                self.domain
-                    .bucket(self.cfg.clustering, m, self.statics.phi_of(u as UnitId))
-            })
+        p.phi = self.phi.clone();
+        p.cluster_of = self
+            .phi
+            .iter()
+            .map(|&phi| self.domain.bucket(self.cfg.clustering, m, phi))
             .collect();
         p.retired = self.retired.clone();
         p.pseudo = self.pseudo.clone();
         p.by_pseudo = self.by_pseudo.clone();
-        p.lists.reset(m, self.statics.len());
+        p.lists.reset(m, self.phi.len());
         p.by_wait.reserve(m);
         let mut live: Vec<WaitEntry> = Vec::with_capacity(self.lists.live());
         self.lists.collect_live(&mut live);
@@ -405,7 +401,7 @@ impl ClusteredBsdPolicy {
         p
     }
 
-    /// Thaw and refreeze the `Φ` domain from the *current* statics column
+    /// Thaw and refreeze the `Φ` domain from the *current* `Φ` column
     /// (§10 adaptive estimation). Incremental churn deliberately never moves
     /// the domain — [`Self::update_unit_statics`] clamps drifted `Φ` into
     /// the frozen edge clusters — so after sustained drift many units can
@@ -423,10 +419,9 @@ impl ClusteredBsdPolicy {
     /// refreezes.
     pub fn refreeze_domain(&mut self) -> bool {
         let m = self.cfg.clusters;
-        let domain = PhiDomain::compute(self.statics.phi());
+        let domain = PhiDomain::compute(&self.phi);
         let cluster_of: Vec<u32> = self
-            .statics
-            .phi()
+            .phi
             .iter()
             .map(|&p| domain.bucket(self.cfg.clustering, m, p))
             .collect();
@@ -445,7 +440,7 @@ impl ClusteredBsdPolicy {
         self.lists.collect_live(&mut live);
         live.sort_by_key(|e| e.seq);
         self.cluster_of = cluster_of;
-        self.lists.reset(m, self.statics.len());
+        self.lists.reset(m, self.phi.len());
         self.by_wait.clear();
         self.by_wait.reserve(m);
         for e in &live {
@@ -464,14 +459,14 @@ impl ClusteredBsdPolicy {
         }
         // Charge the rebuild like the §6 maintenance it is: one op per
         // re-bucketed unit plus one per replayed entry.
-        self.pending_cluster_ops += self.statics.len() as u64 + live.len() as u64;
+        self.pending_cluster_ops += self.phi.len() as u64 + live.len() as u64;
         true
     }
 
-    /// Heap bytes committed for unit, statics, and wait-list storage — the
+    /// Heap bytes committed for unit, `Φ`, and wait-list storage — the
     /// per-query memory figure the large-q bench reports.
     pub fn memory_footprint(&self) -> usize {
-        self.statics.heap_bytes()
+        self.phi.capacity() * std::mem::size_of::<f64>()
             + self.lists.heap_bytes()
             + self.by_wait.heap_bytes()
             + self.cluster_of.capacity() * std::mem::size_of::<u32>()
@@ -549,15 +544,11 @@ impl Policy for ClusteredBsdPolicy {
         // and +∞ saturates to f64::MAX, so every arithmetic step below stays
         // well-defined (see UnitStatics::sanitized_phi). The domain freezes
         // here; later churn re-buckets against these ranges.
-        self.statics = StaticsTable::from_units(units);
-        for (u, unit) in units.iter().enumerate() {
-            self.statics.set_phi(u as UnitId, unit.sanitized_phi());
-        }
+        self.phi = units.iter().map(UnitStatics::sanitized_phi).collect();
         let m = self.cfg.clusters;
-        self.domain = PhiDomain::compute(self.statics.phi());
+        self.domain = PhiDomain::compute(&self.phi);
         self.cluster_of = self
-            .statics
-            .phi()
+            .phi
             .iter()
             .map(|&p| self.domain.bucket(self.cfg.clustering, m, p))
             .collect();
@@ -703,8 +694,8 @@ impl Policy for ClusteredBsdPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsd::BsdPolicy;
     use crate::policy::testkit::MockQueues;
+    use crate::WaitPolicy;
 
     fn ms(n: u64) -> Nanos {
         Nanos::from_millis(n)
@@ -913,7 +904,7 @@ mod tests {
                 p.on_enqueue(i as UnitId, t, a, a);
             }
         };
-        let mut exact = BsdPolicy::new();
+        let mut exact = WaitPolicy::bsd();
         exact.on_register(&units);
         let mut qe = MockQueues::new(5);
         mk_queue_state(&mut qe, &mut exact);
@@ -1122,6 +1113,29 @@ mod tests {
         });
         pf.on_register(&units);
         assert_eq!(drain_all(&mut pf, 2).len(), 2);
+        // Units added or re-estimated with poisoned statics (Φ = ∞, Φ < 0)
+        // are stored sanitized too: a refreeze over the stored Φ column
+        // equals a fresh registration, and no pseudo-priority is NaN.
+        let (mut infinite, mut negative) = (units[1], units[1]);
+        infinite.selectivity = f64::INFINITY;
+        negative.selectivity = -1.0;
+        let mut all = spread_units(6);
+        let mut p = ClusteredBsdPolicy::new(ClusterConfig::uniform(4));
+        p.on_register(&all);
+        p.add_unit(infinite);
+        p.update_unit_statics(0, &negative);
+        p.refreeze_domain();
+        all.push(infinite);
+        all[0] = negative;
+        let mut fresh = ClusteredBsdPolicy::new(ClusterConfig::uniform(4));
+        fresh.on_register(&all);
+        for c in 0..4 {
+            assert!(!p.pseudo_priority(c).is_nan());
+            assert_eq!(p.pseudo_priority(c), fresh.pseudo_priority(c));
+        }
+        for u in 0..all.len() as UnitId {
+            assert_eq!(p.cluster_of(u), fresh.cluster_of(u));
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! Exact wait-linear selection by head-arrival group.
+//! The wait-linear policies: LSF (§4.1), BSD (§4.2.2) and the ℓp extension.
 //!
-//! BSD, LSF and ℓp all run the unit maximizing `wait_term(W_x) · factor_x`,
-//! where `W_x = now − a_x` is the wait of unit x's head tuple and `factor_x`
-//! is static (`Φ`, `1/T`, `S/(C̄·T^p)`). [`scan_argmax`] evaluates every
-//! ready unit. This kernel evaluates one candidate per distinct head
-//! *arrival instant* instead: units whose heads arrived at the same instant
-//! share one `W`, hence one `wait_term(W)`, and because IEEE rounding is
-//! monotone, multiplying by one finite non-negative `wait_term` preserves the
-//! order of the factors (up to ties). So a group's best unit is its first
-//! member under (factor descending, id ascending), whatever `now` is.
+//! Each runs the unit maximizing `wait_term(W_x) · factor_x`, where
+//! `W_x = now − a_x` is the wait of unit x's head tuple and `factor_x` is
+//! static; a [`WaitRank`] names the two terms. Because `W` advances
+//! continuously, the naive scheduler re-evaluates every ready unit at every
+//! scheduling point ([`scan_argmax`]) — the O(q) cost that §6's clustering
+//! ([`crate::cluster`]) exists to remove, approximately. [`WaitPolicy`]
+//! selects exactly what that scan selects, evaluating one candidate per
+//! distinct head *arrival instant* instead: units whose heads arrived at the
+//! same instant share one `W`, hence one `wait_term(W)`, and because IEEE
+//! rounding is monotone, multiplying by one finite non-negative `wait_term`
+//! preserves the order of the factors (up to ties). So a group's best unit
+//! is its first member under (factor descending, id ascending), whatever
+//! `now` is.
 //!
 //! The units are ranked once in that order (`±0` equal), and each group
 //! keeps the ranks of its members in a sorted `Vec` and caches its top
@@ -35,9 +39,9 @@
 //! tuples pending, a test that never calls `on_enqueue`), and the groups
 //! are rebuilt from the view. That check cannot see a grouped unit whose
 //! head moved while its queue stayed non-empty, which only a dequeue
-//! outside the [`Policy`](crate::Policy) contract (neither a returned
-//! selection nor a shed) can cause; debug builds catch it by asserting
-//! every selection against the scan.
+//! outside the [`Policy`] contract (neither a returned selection nor a
+//! shed) can cause; debug builds catch it by asserting every selection
+//! against the scan.
 //!
 //! A NaN or infinite factor, or a `wait_term` that is NaN, infinite or
 //! negative at some group's wait, makes the point fall back to
@@ -47,18 +51,61 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use hcq_common::Nanos;
+use hcq_common::{Nanos, TupleId};
 
-use crate::policy::{QueueView, Selection, UnitId};
+use crate::policy::{Policy, QueueView, Selection, UnitId};
 use crate::soa::{naive_charge, scan_argmax};
+use crate::unit::UnitStatics;
 
 /// `group_of` entry of a unit that is in no group.
 const NONE: u32 = u32::MAX;
 
-/// The ready units of a wait-linear policy, grouped by head-arrival instant.
+/// Which wait-linear priority `factor · wait_term(W)` to use.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum WaitRank {
+    /// Balance Slowdown (§4.2.2), the ℓ2 norm of slowdowns: `Φ·W` with
+    /// `Φ = S/(C̄·T²)` (Equation 6), the unit's static normalized rate over
+    /// `T` times the current wait of its head tuple.
+    #[default]
+    Bsd,
+    /// Longest Stretch First (§4.1), the greedy maximum-slowdown policy from
+    /// Acharya & Muthukrishnan's broadcast scheduling work: the *current
+    /// slowdown* `W/T` of the head tuple (Equation 5). `W` grows at slope
+    /// `1/T`, and the slopes differ across units, so the argmax can flip
+    /// between any two scheduling points. A zero `T` would make the slope
+    /// `∞` and let one degenerate unit capture every point (and `0/0 = NaN`
+    /// at zero wait would poison the argmax); [`UnitStatics`] clamps `T`
+    /// (and `C̄`) to [`crate::unit::MIN_TIME_NS`], so every slope is finite.
+    Lsf,
+    /// The ℓp norm of slowdowns at exponent `p ≥ 1`, an extension beyond
+    /// the paper (which evaluates only p = 2): §4.2.2's derivation of BSD —
+    /// compare two execution orders, drop lower-order terms — run for the
+    /// general ℓp norm (Bansal & Pruhs, "server scheduling in the ℓp norm")
+    /// gives `V = (S/(C̄·T^p))·W^(p−1)`. `p = 1` drops the wait term
+    /// (`W⁰ = 1`, even at `W = 0`) and is exactly HNR's order; `p = 2` is
+    /// BSD; as `p → ∞` the `W/T` ratio dominates and the rule approaches
+    /// LSF. The `ext_lp` exhibit sweeps `p`, trading average-case against
+    /// worst-case with the paper's three policies as anchors.
+    Lp(f64),
+}
+
+impl WaitRank {
+    /// The unit's static factor.
+    fn factor(self, u: &UnitStatics) -> f64 {
+        match self {
+            WaitRank::Bsd => u.bsd_static(),
+            WaitRank::Lsf => u.lsf_slope(),
+            WaitRank::Lp(p) => u.selectivity / (u.avg_cost_ns * u.ideal_time_ns.powf(p)),
+        }
+    }
+}
+
+/// A wait-linear policy: the exact argmax of `factor · wait_term(W)` over
+/// the ready units, ready units grouped by head-arrival instant.
 #[derive(Debug, Default)]
-pub(crate) struct HeadGroups {
-    /// The policy's static factor per unit.
+pub struct WaitPolicy {
+    rank: WaitRank,
+    /// The static factor per unit.
     factor: Vec<f64>,
     /// How many factors are NaN or infinite; while any are, `select` scans.
     nonfinite: usize,
@@ -83,7 +130,7 @@ pub(crate) struct HeadGroups {
     ranks: Vec<Vec<u32>>,
     /// Head instant → group index. The hasher has fixed keys so that the
     /// map's capacity, which hash-dependent tombstones decide, and so
-    /// [`HeadGroups::heap_bytes`], repeat from run to run.
+    /// [`Policy::memory_footprint`], repeat from run to run.
     index: HashMap<Nanos, u32, BuildHasherDefault<DefaultHasher>>,
     /// Units in groups.
     members: usize,
@@ -91,10 +138,33 @@ pub(crate) struct HeadGroups {
     rebuilds: u64,
 }
 
-impl HeadGroups {
+impl WaitPolicy {
+    fn new(rank: WaitRank) -> Self {
+        WaitPolicy {
+            rank,
+            ..WaitPolicy::default()
+        }
+    }
+
+    /// Balance Slowdown.
+    pub fn bsd() -> Self {
+        Self::new(WaitRank::Bsd)
+    }
+
+    /// Longest Stretch First.
+    pub fn lsf() -> Self {
+        Self::new(WaitRank::Lsf)
+    }
+
+    /// The ℓp slowdown policy; panics unless `p` is finite and `≥ 1`.
+    pub fn lp(p: f64) -> Self {
+        assert!(p.is_finite() && p >= 1.0, "p must be ≥ 1");
+        Self::new(WaitRank::Lp(p))
+    }
+
     /// Registration: install one factor per unit and forget every group.
     /// The ranks are built at the next `select`.
-    pub fn reset(&mut self, factor: Vec<f64>) {
+    fn reset(&mut self, factor: Vec<f64>) {
         let n = factor.len();
         self.clear_groups();
         self.nonfinite = factor.iter().filter(|f| !f.is_finite()).count();
@@ -120,13 +190,15 @@ impl HeadGroups {
         self.members = 0;
     }
 
-    /// One unit's factor.
+    /// One unit's static factor.
     pub fn factor(&self, unit: UnitId) -> f64 {
         self.factor[unit as usize]
     }
 
-    /// Replace one unit's factor; the units are re-ranked once, at the next
-    /// `select`, however many factors change before it.
+    /// Override one unit's static factor, decoupled from its statics
+    /// (shared-operator groups, adaptive re-estimation). The units are
+    /// re-ranked once, at the next `select`, however many factors change
+    /// before it.
     pub fn set_factor(&mut self, unit: UnitId, factor: f64) {
         let old = std::mem::replace(&mut self.factor[unit as usize], factor);
         if old.to_bits() != factor.to_bits() {
@@ -134,20 +206,6 @@ impl HeadGroups {
                 self.nonfinite + usize::from(!factor.is_finite()) - usize::from(!old.is_finite());
             self.stale = true;
         }
-    }
-
-    /// A tuple entered `unit`'s queue: only a unit outside every group can
-    /// have a new head (a non-empty queue keeps its front).
-    #[inline]
-    pub fn on_enqueue(&mut self, unit: UnitId) {
-        if self.group_of[unit as usize] == NONE {
-            self.mark(unit);
-        }
-    }
-
-    /// The tail of `unit`'s queue was shed; it may have emptied.
-    pub fn on_shed(&mut self, unit: UnitId) {
-        self.mark(unit);
     }
 
     #[inline]
@@ -159,27 +217,11 @@ impl HeadGroups {
         }
     }
 
-    /// How many times the groups were rebuilt from the view because the
-    /// callbacks had not accounted for every ready unit.
+    /// Times the ready units were regrouped from the queue view because the
+    /// callbacks had not announced all of them (a re-registration with
+    /// tuples pending does that once).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
-    }
-
-    /// Heap bytes held (capacities, as the allocator committed them).
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let per_unit = self.factor.capacity() * size_of::<f64>()
-            + (self.order.capacity() + self.rank_of.capacity()) * size_of::<u32>()
-            + self.group_of.capacity() * size_of::<u32>()
-            + self.dirty.capacity() * size_of::<UnitId>()
-            + self.is_dirty.capacity();
-        let per_group = self.keys.capacity() * size_of::<Nanos>()
-            + self.top.capacity() * size_of::<UnitId>()
-            + (self.top_factor.capacity() + self.runner_factor.capacity()) * size_of::<f64>()
-            + self.ranks.capacity() * size_of::<Vec<u32>>()
-            + self.ranks.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
-            + self.index.capacity() * (size_of::<(Nanos, u32)>() + 1);
-        per_unit + per_group
     }
 
     /// Rank the units by (factor descending, id ascending), `-0.0` equal to
@@ -346,7 +388,7 @@ impl HeadGroups {
     /// units, ties toward the lower id: [`scan_argmax`]'s unit, charge and
     /// itemization. The selected unit is re-read at the next call.
     #[inline]
-    pub fn select(
+    fn select_by(
         &mut self,
         queues: &dyn QueueView,
         now: Nanos,
@@ -373,16 +415,87 @@ impl HeadGroups {
     }
 }
 
+impl Policy for WaitPolicy {
+    fn name(&self) -> &'static str {
+        match self.rank {
+            WaitRank::Bsd => "BSD",
+            WaitRank::Lsf => "LSF",
+            WaitRank::Lp(_) => "LP",
+        }
+    }
+
+    fn on_register(&mut self, units: &[UnitStatics]) {
+        let rank = self.rank;
+        self.reset(units.iter().map(|u| rank.factor(u)).collect());
+    }
+
+    /// Only a unit outside every group can have a new head (a non-empty
+    /// queue keeps its front).
+    #[inline]
+    fn on_enqueue(&mut self, unit: UnitId, _tuple: TupleId, _arrival: Nanos, _now: Nanos) {
+        if self.group_of[unit as usize] == NONE {
+            self.mark(unit);
+        }
+    }
+
+    /// The unit's tail left; it may have emptied.
+    fn on_shed(&mut self, unit: UnitId, _tuple: TupleId) {
+        self.mark(unit);
+    }
+
+    fn on_statics_update(&mut self, unit: UnitId, statics: &UnitStatics) {
+        self.set_factor(unit, self.rank.factor(statics));
+    }
+
+    /// Heap bytes held (capacities, as the allocator committed them).
+    fn memory_footprint(&self) -> Option<usize> {
+        use std::mem::size_of;
+        let per_unit = self.factor.capacity() * size_of::<f64>()
+            + (self.order.capacity() + self.rank_of.capacity()) * size_of::<u32>()
+            + self.group_of.capacity() * size_of::<u32>()
+            + self.dirty.capacity() * size_of::<UnitId>()
+            + self.is_dirty.capacity();
+        let per_group = self.keys.capacity() * size_of::<Nanos>()
+            + self.top.capacity() * size_of::<UnitId>()
+            + (self.top_factor.capacity() + self.runner_factor.capacity()) * size_of::<f64>()
+            + self.ranks.capacity() * size_of::<Vec<u32>>()
+            + self.ranks.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
+            + self.index.capacity() * (size_of::<(Nanos, u32)>() + 1);
+        Some(per_unit + per_group)
+    }
+
+    fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
+        match self.rank {
+            WaitRank::Bsd | WaitRank::Lsf => self.select_by(queues, now, |wait| wait),
+            WaitRank::Lp(p) => {
+                let w_exp = p - 1.0;
+                // W^0 = 1 even at W = 0 (p = 1 must reduce to pure HNR order).
+                self.select_by(queues, now, |wait| {
+                    if w_exp == 0.0 {
+                        1.0
+                    } else {
+                        wait.powf(w_exp)
+                    }
+                })
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::testkit::MockQueues;
-    use hcq_common::TupleId;
+    use crate::policy::testkit::{drain_order, MockQueues};
+    use crate::statics::StaticPolicy;
 
-    fn push(q: &mut MockQueues, g: &mut HeadGroups, unit: UnitId, at_ms: u64) {
-        let at = Nanos::from_millis(at_ms);
+    fn ms(n: u64) -> Nanos {
+        Nanos::from_millis(n)
+    }
+
+    fn push(q: &mut MockQueues, p: &mut WaitPolicy, unit: UnitId, at_ms: u64) {
+        let at = ms(at_ms);
         q.push(unit, TupleId::new(u64::from(unit)), at);
-        g.on_enqueue(unit);
+        p.on_enqueue(unit, TupleId::new(u64::from(unit)), at, at);
     }
 
     /// Enqueues, pops and sheds reported through the callbacks keep the
@@ -391,27 +504,305 @@ mod tests {
     #[test]
     fn rebuilds_only_when_the_callbacks_missed_a_ready_unit() {
         let factor = vec![1.0, 4.0, 2.0, 4.0];
-        let (mut q, mut g) = (MockQueues::new(4), HeadGroups::default());
+        let (mut q, mut g) = (MockQueues::new(4), WaitPolicy::bsd());
         g.reset(factor.clone());
         for (unit, at) in [(0, 1), (1, 1), (2, 3), (3, 1)] {
             push(&mut q, &mut g, unit, at);
         }
-        let now = Nanos::from_millis(5);
+        let now = ms(5);
         let scan =
             |q: &MockQueues| scan_argmax(q.nonempty(), q.head_arrivals(), &factor, now, |w| w);
         for _ in 0..2 {
-            let sel = g.select(&q, now, |w| w).unwrap();
+            let sel = g.select(&q, now).unwrap();
             assert_eq!(Some(&sel), scan(&q).as_ref());
             q.pop(sel.units[0]);
         }
         q.pop_back(2);
-        g.on_shed(2);
-        assert_eq!(g.select(&q, now, |w| w), scan(&q));
+        g.on_shed(2, TupleId::new(2));
+        assert_eq!(g.select(&q, now), scan(&q));
         assert_eq!(g.rebuilds(), 0);
         // Re-registered with tuples pending, and told nothing about them.
         g.reset(factor.clone());
-        assert_eq!(g.select(&q, now, |w| w), scan(&q));
-        assert_eq!(g.select(&q, now, |w| w), scan(&q));
+        assert_eq!(g.select(&q, now), scan(&q));
+        assert_eq!(g.select(&q, now), scan(&q));
         assert_eq!(g.rebuilds(), 1);
+    }
+
+    // BSD.
+
+    #[test]
+    fn hybrid_behaviour_rate_vs_wait() {
+        // Unit 0 has a ~16× higher Φ (better normalized rate), unit 1 a
+        // 1000× older head tuple: the wait dominates first, Φ later.
+        let units = vec![
+            UnitStatics::new(1.0, ms(1), ms(1)),
+            UnitStatics::new(0.5, ms(2), ms(2)),
+        ];
+        let mut p = WaitPolicy::bsd();
+        p.on_register(&units);
+        assert!(p.factor(0) > p.factor(1));
+        let mut q = MockQueues::new(2);
+        // Fresh tuple on 0, ancient tuple on 1.
+        q.push(1, TupleId::new(0), ms(0));
+        q.push(0, TupleId::new(1), ms(1_000));
+        // Shortly after unit 0's arrival its W is tiny: unit 1 wins on wait.
+        let phi0 = p.factor(0);
+        let phi1 = p.factor(1);
+        let w0 = 1.0e6; // 1ms after unit-0 arrival, in ns
+        let w1 = 1_001.0e6;
+        assert!(phi1 * w1 > phi0 * w0, "sanity: aged tuple dominates");
+        assert_eq!(p.select(&q, ms(1_001)).unwrap().units, vec![1]);
+        // Much later the relative waits even out and Φ dominates.
+        q.pop(1);
+        q.push(1, TupleId::new(2), ms(1_000));
+        assert!(phi0 * 99_000.0e6 > phi1 * 99_000.0e6);
+        assert_eq!(p.select(&q, ms(100_000)).unwrap().units, vec![0]);
+    }
+
+    #[test]
+    fn equal_waits_reduce_to_hnr_over_t() {
+        // With equal W, BSD ranks by Φ = HNR/T: Example 1's Q2 wins (its Φ
+        // advantage over Q1 is even larger than its HNR advantage).
+        let units = vec![
+            UnitStatics::new(1.0, ms(5), ms(5)),
+            UnitStatics::new(0.33, ms(2), ms(2)),
+        ];
+        let mut p = WaitPolicy::bsd();
+        p.on_register(&units);
+        let mut q = MockQueues::new(2);
+        q.push(0, TupleId::new(0), ms(0));
+        q.push(1, TupleId::new(1), ms(0));
+        assert_eq!(p.select(&q, ms(10)).unwrap().units, vec![1]);
+    }
+
+    #[test]
+    fn ops_counted_scales_with_ready_units() {
+        let units: Vec<UnitStatics> = (1..=8)
+            .map(|c| UnitStatics::new(0.5, ms(c), ms(c)))
+            .collect();
+        let mut p = WaitPolicy::bsd();
+        p.on_register(&units);
+        let mut q = MockQueues::new(8);
+        for u in 0..5 {
+            q.push(u, TupleId::new(u as u64), ms(u as u64));
+        }
+        let sel = p.select(&q, ms(100)).unwrap();
+        assert_eq!(sel.ops_counted, 10, "2 ops per ready unit");
+    }
+
+    #[test]
+    fn statics_update_changes_the_scan_in_place() {
+        let units = vec![
+            UnitStatics::new(1.0, ms(1), ms(1)),
+            UnitStatics::new(0.5, ms(2), ms(2)),
+        ];
+        let mut p = WaitPolicy::bsd();
+        p.on_register(&units);
+        let mut q = MockQueues::new(2);
+        q.push(0, TupleId::new(0), ms(0));
+        q.push(1, TupleId::new(1), ms(0));
+        assert_eq!(p.select(&q, ms(10)).unwrap().units, vec![0], "Φ0 > Φ1");
+        // Re-estimate unit 1 as much cheaper: its Φ overtakes.
+        p.on_statics_update(
+            1,
+            &UnitStatics::new(1.0, Nanos::from_nanos(500_000), Nanos::from_nanos(500_000)),
+        );
+        assert!(p.factor(1) > p.factor(0));
+        assert_eq!(p.select(&q, ms(10)).unwrap().units, vec![1]);
+        assert!(p.memory_footprint().unwrap() >= 2 * 4 * 8);
+    }
+
+    #[test]
+    fn zero_wait_selects_lowest_id_deterministically() {
+        let units = vec![
+            UnitStatics::new(0.5, ms(2), ms(2)),
+            UnitStatics::new(0.5, ms(2), ms(2)),
+        ];
+        let mut p = WaitPolicy::bsd();
+        p.on_register(&units);
+        let mut q = MockQueues::new(2);
+        q.push(1, TupleId::new(0), ms(7));
+        q.push(0, TupleId::new(1), ms(7));
+        // W = 0 for both -> priorities equal 0 -> tie broken by id.
+        assert_eq!(p.select(&q, ms(7)).unwrap().units, vec![0]);
+    }
+
+    // LSF.
+
+    #[test]
+    fn prefers_highest_current_stretch() {
+        // Unit 0: T = 10ms, waited 20ms -> stretch 2.
+        // Unit 1: T = 2ms, waited 6ms  -> stretch 3.  LSF picks unit 1.
+        let units = vec![
+            UnitStatics::new(1.0, ms(10), ms(10)),
+            UnitStatics::new(1.0, ms(2), ms(2)),
+        ];
+        let mut p = WaitPolicy::lsf();
+        p.on_register(&units);
+        let mut q = MockQueues::new(2);
+        q.push(0, TupleId::new(0), ms(0));
+        q.push(1, TupleId::new(1), ms(14));
+        let sel = p.select(&q, ms(20)).unwrap();
+        assert_eq!(sel.units, vec![1]);
+        assert_eq!(sel.ops_counted, 4);
+    }
+
+    #[test]
+    fn priority_flips_as_time_passes() {
+        // Early on the long-T unit's tuple is older and wins; later the
+        // short-T unit's stretch overtakes it.
+        let units = vec![
+            UnitStatics::new(1.0, ms(100), ms(100)), // slope 0.01/ms
+            UnitStatics::new(1.0, ms(5), ms(5)),     // slope 0.2/ms
+        ];
+        let mut p = WaitPolicy::lsf();
+        p.on_register(&units);
+        let mut q = MockQueues::new(2);
+        q.push(0, TupleId::new(0), ms(0));
+        q.push(1, TupleId::new(1), ms(99));
+        // At t=100: unit0 stretch 1.0, unit1 stretch 0.2 -> unit 0.
+        assert_eq!(p.select(&q, ms(100)).unwrap().units, vec![0]);
+        // At t=125: unit0 stretch 1.25, unit1 stretch 5.2 -> unit 1.
+        assert_eq!(p.select(&q, ms(125)).unwrap().units, vec![1]);
+    }
+
+    #[test]
+    fn equal_ideal_times_reduce_to_fcfs() {
+        let units = vec![
+            UnitStatics::new(1.0, ms(4), ms(4)),
+            UnitStatics::new(1.0, ms(4), ms(4)),
+        ];
+        let order = drain_order(&mut WaitPolicy::lsf(), &units, &[(1, 0, 0), (0, 1, 2)]);
+        assert_eq!(order, vec![1, 0]);
+    }
+
+    #[test]
+    fn zero_ideal_time_unit_cannot_capture_the_scheduler() {
+        // A zero-T unit's slope is clamped finite (1/MIN_TIME_NS), so a
+        // normal unit with enough accumulated wait can still outrank it and
+        // the policy keeps draining both queues.
+        let units = vec![
+            UnitStatics::new(1.0, Nanos::ZERO, Nanos::ZERO),
+            UnitStatics::new(1.0, Nanos::from_nanos(2), Nanos::from_nanos(2)),
+        ];
+        let mut p = WaitPolicy::lsf();
+        p.on_register(&units);
+        assert!(units.iter().all(|u| u.lsf_slope().is_finite()));
+        let mut q = MockQueues::new(2);
+        q.push(0, TupleId::new(0), Nanos::from_nanos(10));
+        q.push(1, TupleId::new(1), Nanos::from_nanos(0));
+        // At t=12: unit0 stretch = 2ns·(1/1ns) = 2, unit1 stretch =
+        // 12ns·(1/2ns) = 6 -> the ordinary unit outranks the degenerate one.
+        let sel = p.select(&q, Nanos::from_nanos(12)).unwrap();
+        assert_eq!(sel.units, vec![1]);
+    }
+
+    #[test]
+    fn statics_update_changes_the_slope_in_place() {
+        let units = vec![
+            UnitStatics::new(1.0, ms(10), ms(10)),
+            UnitStatics::new(1.0, ms(10), ms(10)),
+        ];
+        let mut p = WaitPolicy::lsf();
+        p.on_register(&units);
+        let mut q = MockQueues::new(2);
+        q.push(0, TupleId::new(0), ms(0));
+        q.push(1, TupleId::new(1), ms(0));
+        assert_eq!(p.select(&q, ms(20)).unwrap().units, vec![0], "tie → id");
+        // Unit 1 is re-estimated much shorter: its stretch slope dominates.
+        p.on_statics_update(1, &UnitStatics::new(1.0, ms(1), ms(1)));
+        assert_eq!(p.select(&q, ms(20)).unwrap().units, vec![1]);
+        assert!(p.memory_footprint().unwrap() >= 2 * 8);
+    }
+
+    #[test]
+    fn zero_wait_everywhere_breaks_ties_by_id() {
+        let units = vec![
+            UnitStatics::new(1.0, ms(4), ms(4)),
+            UnitStatics::new(1.0, ms(4), ms(4)),
+        ];
+        let mut p = WaitPolicy::lsf();
+        p.on_register(&units);
+        let mut q = MockQueues::new(2);
+        q.push(1, TupleId::new(0), ms(5));
+        q.push(0, TupleId::new(1), ms(5));
+        assert_eq!(p.select(&q, ms(5)).unwrap().units, vec![0]);
+    }
+
+    // ℓp.
+
+    fn lp_units() -> Vec<UnitStatics> {
+        vec![
+            UnitStatics::new(1.0, ms(5), ms(5)),
+            UnitStatics::new(0.33, ms(2), ms(2)),
+            UnitStatics::new(0.6, ms(8), ms(12)),
+        ]
+    }
+
+    fn loaded(policy: &mut dyn Policy) -> MockQueues {
+        policy.on_register(&lp_units());
+        let mut q = MockQueues::new(3);
+        for (u, arrival) in [(0u32, 0u64), (1, 40), (2, 15)] {
+            q.push(u, TupleId::new(u as u64), ms(arrival));
+            policy.on_enqueue(u, TupleId::new(u as u64), ms(arrival), ms(arrival));
+        }
+        q
+    }
+
+    #[test]
+    fn p1_matches_hnr_ordering() {
+        let mut lp = WaitPolicy::lp(1.0);
+        let q = loaded(&mut lp);
+        let mut hnr = StaticPolicy::hnr();
+        let q2 = loaded(&mut hnr);
+        let now = ms(100);
+        assert_eq!(
+            lp.select(&q, now).unwrap().units,
+            hnr.select(&q2, now).unwrap().units
+        );
+    }
+
+    #[test]
+    fn p2_matches_bsd_decision() {
+        let mut lp = WaitPolicy::lp(2.0);
+        let q = loaded(&mut lp);
+        let mut bsd = WaitPolicy::bsd();
+        let q2 = loaded(&mut bsd);
+        for now_ms in [50u64, 100, 500, 5000] {
+            assert_eq!(
+                lp.select(&q, ms(now_ms)).unwrap().units,
+                bsd.select(&q2, ms(now_ms)).unwrap().units,
+                "diverged at t={now_ms}ms"
+            );
+        }
+    }
+
+    #[test]
+    fn large_p_chases_the_longest_normalized_wait() {
+        // As p grows the W/T ratio dominates: the unit whose head tuple has
+        // the largest stretch wins, like LSF.
+        let mut lp = WaitPolicy::lp(16.0);
+        let q = loaded(&mut lp);
+        let mut lsf = WaitPolicy::lsf();
+        let q2 = loaded(&mut lsf);
+        let now = ms(10_000);
+        assert_eq!(
+            lp.select(&q, now).unwrap().units,
+            lsf.select(&q2, now).unwrap().units
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be ≥ 1")]
+    fn sub_one_p_rejected() {
+        let _ = WaitPolicy::lp(0.5);
+    }
+
+    #[test]
+    fn empty_select_none() {
+        let mut lp = WaitPolicy::lp(2.0);
+        lp.on_register(&lp_units());
+        let q = MockQueues::new(3);
+        assert!(lp.select(&q, ms(1)).is_none());
     }
 }

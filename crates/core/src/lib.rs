@@ -13,8 +13,8 @@
 //! | [`StaticPolicy`] (SRPT) | `1/T` | response time, deterministic workloads |
 //! | [`StaticPolicy`] (HR) | `S/C̄` (Eq. 4) | average response time |
 //! | [`StaticPolicy`] (HNR) | `S/(C̄·T)` (Eq. 3) | average slowdown |
-//! | [`LsfPolicy`] | `W/T` (Eq. 5) | maximum slowdown |
-//! | [`BsdPolicy`] | `(S/(C̄·T²))·W` (Eq. 6) | ℓ2 norm of slowdowns |
+//! | [`WaitPolicy`] (LSF) | `W/T` (Eq. 5) | maximum slowdown |
+//! | [`WaitPolicy`] (BSD) | `(S/(C̄·T²))·W` (Eq. 6) | ℓ2 norm of slowdowns |
 //! | [`ClusteredBsdPolicy`] | BSD via §6 clustering + Fagin pruning | ℓ2, cheaply |
 //!
 //! Policies interact with the engine through the [`Policy`] trait: the engine
@@ -26,8 +26,8 @@
 //!
 //! [`pdt`] implements the §7 Priority-Defining Tree for shared operators;
 //! [`adaptive`] adds the §10 "dynamic environment" hook: online EWMA
-//! estimation of operator cost/selectivity; [`lp`] generalizes BSD to
-//! arbitrary ℓp norms (an extension beyond the paper).
+//! estimation of operator cost/selectivity; [`WaitRank::Lp`] generalizes
+//! BSD to arbitrary ℓp norms (an extension beyond the paper).
 //!
 //! Priorities can be evaluated directly from [`UnitStatics`]:
 //!
@@ -44,13 +44,10 @@
 //! ```
 
 pub mod adaptive;
-pub mod bsd;
 pub mod cluster;
 pub mod fagin;
 pub mod fcfs;
 mod headgroups;
-pub mod lp;
-pub mod lsf;
 pub mod pdt;
 pub mod policy;
 pub mod rr;
@@ -60,14 +57,11 @@ pub mod unit;
 mod waitlist;
 
 pub use adaptive::{EwmaEstimator, WindowedEstimator};
-pub use bsd::BsdPolicy;
 pub use cluster::{ClusterConfig, ClusteredBsdPolicy, Clustering};
 pub use fcfs::FcfsPolicy;
-pub use lp::LpPolicy;
-pub use lsf::LsfPolicy;
+pub use headgroups::{WaitPolicy, WaitRank};
 pub use pdt::{shared_priority, PdtSelection, SharingStrategy};
 pub use policy::{Policy, PolicyKind, QueueView, SchedStats, Selection, SelectionUnits, UnitId};
 pub use rr::RoundRobinPolicy;
-pub use soa::StaticsTable;
 pub use statics::{StaticPolicy, StaticRank};
 pub use unit::{PriorityKey, UnitStatics, MIN_TIME_NS};

@@ -43,12 +43,11 @@ pub trait QueueView {
 /// shed repairs) is accumulated by the policy and reported on the *next*
 /// decision, so summing per-point stats over a run covers all policy work.
 ///
-/// The wait-linear policies (BSD, LSF, ℓp) are the exception: their
-/// itemization is by definition the naive scan's, `|ready|` candidates,
-/// evaluations and comparisons ([`crate::soa::naive_charge`]) — the §9.2
-/// model Fig. 14 and `ext_overhead` measure — not the work their grouped
-/// selection (`headgroups`) actually does, which is wall-clock
-/// only.
+/// The wait-linear policies ([`crate::WaitPolicy`]: BSD, LSF, ℓp) are the
+/// exception: their itemization is by definition the naive scan's, `|ready|`
+/// candidates, evaluations and comparisons ([`crate::soa::naive_charge`]) —
+/// the §9.2 model Fig. 14 and `ext_overhead` measure — not the work their
+/// grouped selection actually does, which is wall-clock only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Ready units (or non-empty clusters / sorted-list positions) inspected.
@@ -418,7 +417,7 @@ pub enum PolicyKind {
     /// naive O(q) scan.
     Bsd,
     /// The ℓp-norm generalization of BSD at exponent `p ≥ 1`
-    /// ([`crate::LpPolicy`]; `build` panics on any other `p`).
+    /// ([`crate::WaitPolicy::lp`]; `build` panics on any other `p`).
     Lp(f64),
     /// BSD through §6 clustering ([`crate::ClusteredBsdPolicy`]).
     Clustered(crate::cluster::ClusterConfig),
@@ -444,9 +443,9 @@ impl PolicyKind {
             PolicyKind::Srpt => Box::new(crate::statics::StaticPolicy::srpt()),
             PolicyKind::Hr => Box::new(crate::statics::StaticPolicy::hr()),
             PolicyKind::Hnr => Box::new(crate::statics::StaticPolicy::hnr()),
-            PolicyKind::Lsf => Box::new(crate::lsf::LsfPolicy::new()),
-            PolicyKind::Bsd => Box::new(crate::bsd::BsdPolicy::new()),
-            PolicyKind::Lp(p) => Box::new(crate::lp::LpPolicy::new(p)),
+            PolicyKind::Lsf => Box::new(crate::WaitPolicy::lsf()),
+            PolicyKind::Bsd => Box::new(crate::WaitPolicy::bsd()),
+            PolicyKind::Lp(p) => Box::new(crate::WaitPolicy::lp(p)),
             PolicyKind::Clustered(cfg) => Box::new(crate::cluster::ClusteredBsdPolicy::new(cfg)),
         }
     }

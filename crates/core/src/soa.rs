@@ -1,31 +1,22 @@
-//! Struct-of-arrays statics storage for large unit populations.
+//! The exact dynamic-priority scan shared by the wait-linear policies.
 //!
 //! Every dynamic-priority hot path in this crate reduces to "multiply one
-//! per-unit static by the head wait and compare": BSD weighs `Φ_x`, LSF
-//! `1/T_k`, clustered BSD re-buckets on `Φ_x`. With 10⁵–10⁶ units, an
-//! array-of-structs layout drags the two unused `f64`s of every
-//! [`UnitStatics`] through the cache on each scan; this table stores each
-//! statistic in its own contiguous array so a `select` scan touches exactly
-//! the eight bytes per unit it needs.
-//!
-//! The table also carries the *derived* factors (`Φ = S/(C̄·T²)`, the LSF
-//! slope `1/T`) precomputed, so updating one unit's statics
-//! ([`StaticsTable::set`]) refreshes every derived column in O(1) and no
-//! scan ever divides.
-//!
-//! The queue side has the matching column: [`QueueView::head_arrivals`]
-//! serves every head arrival as one dense slice, and [`scan_argmax`] is the
-//! exact O(ready) scan over the two columns that defines what BSD, LSF and ℓp
-//! select. Their policies select through `headgroups`, which returns
-//! the same unit from one candidate per distinct head arrival; the scan is its
-//! fallback for non-finite inputs and its oracle.
+//! per-unit static factor by the head wait and compare": BSD weighs `Φ_x`,
+//! LSF `1/T_k`, ℓp `S/(C̄·T^p)`. Each policy keeps that factor in one dense
+//! column indexed by unit id (clustered BSD keeps only its sanitized `Φ`),
+//! so a scan touches exactly the eight bytes per unit it needs and never
+//! divides. The queue side has the matching column:
+//! [`QueueView::head_arrivals`] serves every head arrival as one dense
+//! slice, and [`scan_argmax`] is the exact O(ready) scan over the two
+//! columns that defines what BSD, LSF and ℓp select. [`crate::WaitPolicy`]
+//! returns the same unit from one candidate per distinct head arrival; the
+//! scan is its fallback for non-finite inputs and its oracle.
 //!
 //! [`QueueView::head_arrivals`]: crate::policy::QueueView::head_arrivals
 
 use hcq_common::Nanos;
 
 use crate::policy::{SchedStats, Selection, UnitId};
-use crate::unit::UnitStatics;
 
 /// The exact dynamic-priority argmax: over `ready`, maximize
 /// `wait_term(now − heads[u]) · factor[u]`, ties toward the lower unit id.
@@ -78,112 +69,13 @@ pub fn naive_charge(unit: UnitId, ready: usize) -> Selection {
     Selection::one(unit, 2 * n).with_stats(stats)
 }
 
-/// Per-unit statics in struct-of-arrays layout: the §2 quantities
-/// (`S_x`, `C̄_x`, `T_k`) plus the derived scan factors.
-#[derive(Debug, Clone, Default)]
-pub struct StaticsTable {
-    /// Global selectivity `S` per unit.
-    selectivity: Vec<f64>,
-    /// Global average cost `C̄` in nanoseconds per unit.
-    avg_cost_ns: Vec<f64>,
-    /// Ideal total processing time `T` in nanoseconds per unit.
-    ideal_time_ns: Vec<f64>,
-    /// Derived BSD factor `Φ = S/(C̄·T²)` per unit (Equation 6).
-    phi: Vec<f64>,
-}
-
-impl StaticsTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        StaticsTable::default()
-    }
-
-    /// Build from a registration slice.
-    pub fn from_units(units: &[UnitStatics]) -> Self {
-        let mut t = StaticsTable {
-            selectivity: Vec::with_capacity(units.len()),
-            avg_cost_ns: Vec::with_capacity(units.len()),
-            ideal_time_ns: Vec::with_capacity(units.len()),
-            phi: Vec::with_capacity(units.len()),
-        };
-        for u in units {
-            t.push(u);
-        }
-        t
-    }
-
-    /// Number of units stored.
-    pub fn len(&self) -> usize {
-        self.phi.len()
-    }
-
-    /// True when no units are stored.
-    pub fn is_empty(&self) -> bool {
-        self.phi.is_empty()
-    }
-
-    /// Append one unit, returning its id (dense, registration order).
-    pub fn push(&mut self, u: &UnitStatics) -> UnitId {
-        let id = self.phi.len() as UnitId;
-        self.selectivity.push(u.selectivity);
-        self.avg_cost_ns.push(u.avg_cost_ns);
-        self.ideal_time_ns.push(u.ideal_time_ns);
-        self.phi.push(u.bsd_static());
-        id
-    }
-
-    /// Replace one unit's statics, refreshing the derived columns.
-    pub fn set(&mut self, unit: UnitId, u: &UnitStatics) {
-        let i = unit as usize;
-        self.selectivity[i] = u.selectivity;
-        self.avg_cost_ns[i] = u.avg_cost_ns;
-        self.ideal_time_ns[i] = u.ideal_time_ns;
-        self.phi[i] = u.bsd_static();
-    }
-
-    /// Reassemble one unit's statics (round-trips the stored columns).
-    pub fn get(&self, unit: UnitId) -> UnitStatics {
-        let i = unit as usize;
-        UnitStatics {
-            selectivity: self.selectivity[i],
-            avg_cost_ns: self.avg_cost_ns[i],
-            ideal_time_ns: self.ideal_time_ns[i],
-        }
-    }
-
-    /// The contiguous `Φ` column — the clustered/naive BSD scan input.
-    pub fn phi(&self) -> &[f64] {
-        &self.phi
-    }
-
-    /// One unit's `Φ` factor.
-    pub fn phi_of(&self, unit: UnitId) -> f64 {
-        self.phi[unit as usize]
-    }
-
-    /// Override one unit's `Φ` directly, decoupled from `S`/`C̄`/`T`
-    /// (shared-operator groups install synthesized factors).
-    pub fn set_phi(&mut self, unit: UnitId, phi: f64) {
-        self.phi[unit as usize] = phi;
-    }
-
-    /// Heap bytes held by the table (capacity, not length — what the
-    /// allocator actually committed).
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<f64>()
-            * (self.selectivity.capacity()
-                + self.avg_cost_ns.capacity()
-                + self.ideal_time_ns.capacity()
-                + self.phi.capacity())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::testkit::MockQueues;
     use crate::policy::{Policy, QueueView};
-    use crate::{BsdPolicy, LpPolicy, LsfPolicy};
+    use crate::unit::UnitStatics;
+    use crate::WaitPolicy;
     use hcq_common::TupleId;
     use proptest::prelude::*;
 
@@ -280,59 +172,11 @@ mod tests {
                 }
                 Ok(())
             };
-            check(&bsd, 2.0, Some(&mut BsdPolicy::new()))?;
-            check(&lsf, 2.0, Some(&mut LsfPolicy::new()))?;
-            check(&lp_factor(1.0), 1.0, Some(&mut LpPolicy::new(1.0)))?;
-            check(&lp_factor(2.5), 2.5, Some(&mut LpPolicy::new(2.5)))?;
+            check(&bsd, 2.0, Some(&mut WaitPolicy::bsd()))?;
+            check(&lsf, 2.0, Some(&mut WaitPolicy::lsf()))?;
+            check(&lp_factor(1.0), 1.0, Some(&mut WaitPolicy::lp(1.0)))?;
+            check(&lp_factor(2.5), 2.5, Some(&mut WaitPolicy::lp(2.5)))?;
             check(&raw, 2.0, None)?;
         }
-    }
-
-    #[test]
-    fn columns_round_trip_and_derive() {
-        let units = vec![
-            UnitStatics::new(0.5, ms(4), ms(6)),
-            UnitStatics::new(1.0, ms(1), ms(2)),
-        ];
-        let t = StaticsTable::from_units(&units);
-        assert_eq!(t.len(), 2);
-        for (i, u) in units.iter().enumerate() {
-            assert_eq!(t.get(i as UnitId), *u);
-            assert_eq!(t.phi_of(i as UnitId), u.bsd_static());
-        }
-        assert_eq!(t.phi().len(), 2);
-    }
-
-    #[test]
-    fn set_refreshes_derived_columns() {
-        let mut t = StaticsTable::from_units(&[UnitStatics::new(0.5, ms(4), ms(6))]);
-        let next = UnitStatics::new(0.9, ms(1), ms(1));
-        t.set(0, &next);
-        assert_eq!(t.get(0), next);
-        assert_eq!(t.phi_of(0), next.bsd_static());
-    }
-
-    #[test]
-    fn push_assigns_dense_ids() {
-        let mut t = StaticsTable::new();
-        assert!(t.is_empty());
-        assert_eq!(t.push(&UnitStatics::new(0.5, ms(1), ms(1))), 0);
-        assert_eq!(t.push(&UnitStatics::new(0.5, ms(2), ms(2))), 1);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn phi_override_is_decoupled() {
-        let mut t = StaticsTable::from_units(&[UnitStatics::new(0.5, ms(4), ms(6))]);
-        t.set_phi(0, 42.0);
-        assert_eq!(t.phi_of(0), 42.0);
-        // The base columns are untouched.
-        assert_eq!(t.get(0).selectivity, 0.5);
-    }
-
-    #[test]
-    fn heap_bytes_tracks_columns() {
-        let t = StaticsTable::from_units(&[UnitStatics::new(0.5, ms(1), ms(1)); 10]);
-        assert!(t.heap_bytes() >= 4 * 10 * 8);
     }
 }

@@ -17,8 +17,8 @@
 
 use hcq_common::{Nanos, TupleId};
 use hcq_core::{
-    BsdPolicy, ClusterConfig, ClusteredBsdPolicy, Clustering, Policy, QueueView, SchedStats,
-    UnitId, UnitStatics,
+    ClusterConfig, ClusteredBsdPolicy, Clustering, Policy, QueueView, SchedStats, UnitId,
+    UnitStatics, WaitPolicy,
 };
 use proptest::prelude::*;
 
@@ -152,7 +152,7 @@ fn exact_counters_grow_linearly_clustered_stay_sublinear() {
     let run = |mk: &dyn Fn() -> Box<dyn Policy>, n: usize| -> SchedStats {
         drain_stats(mk().as_mut(), &units(n), ROUNDS)
     };
-    let exact: &dyn Fn() -> Box<dyn Policy> = &|| Box::new(BsdPolicy::new());
+    let exact: &dyn Fn() -> Box<dyn Policy> = &|| Box::new(WaitPolicy::bsd());
     let scan: &dyn Fn() -> Box<dyn Policy> = &|| {
         Box::new(ClusteredBsdPolicy::new(ClusterConfig {
             clustering: Clustering::Logarithmic,

@@ -2,7 +2,7 @@
 //! on randomized queue states, across arbitrary enqueue/execute interleavings.
 
 use hcq_common::{Nanos, TupleId};
-use hcq_core::{BsdPolicy, FcfsPolicy, LsfPolicy, Policy, QueueView, StaticPolicy, UnitStatics};
+use hcq_core::{FcfsPolicy, Policy, QueueView, StaticPolicy, UnitStatics, WaitPolicy};
 use proptest::prelude::*;
 
 mod common;
@@ -127,7 +127,7 @@ proptest! {
         script in script_strategy(6),
     ) {
         check_against_oracle(
-            Box::new(LsfPolicy::new()),
+            Box::new(WaitPolicy::lsf()),
             &units,
             &script,
             |u, arrival, now| {
@@ -142,7 +142,7 @@ proptest! {
         script in script_strategy(6),
     ) {
         check_against_oracle(
-            Box::new(BsdPolicy::new()),
+            Box::new(WaitPolicy::bsd()),
             &units,
             &script,
             |u, arrival, now| {

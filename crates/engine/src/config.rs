@@ -126,9 +126,10 @@ pub enum AdaptMode {
     Windowed,
 }
 
-/// Online statistics adaptation (§10 "dynamic environment"; off by default).
+/// Online statistics adaptation (§10 "dynamic environment"), attached with
+/// [`SimConfig::with_adaptation`].
 ///
-/// When enabled, the engine observes every unit execution's charged cost and
+/// The engine observes every unit execution's charged cost and
 /// root emissions — the same quantities the `UnitRun` trace event reports —
 /// and folds them into per-unit estimators. Every [`AdaptConfig::cadence`]
 /// of virtual time, units with at least [`AdaptConfig::min_observations`]
@@ -136,20 +137,16 @@ pub enum AdaptMode {
 /// `on_statics_update` path (O(1) per unit for clustered BSD), and when a
 /// published `Φ` drifts outside the policy's frozen priority domain by more
 /// than [`AdaptConfig::refreeze_factor`], the engine asks the policy to
-/// refreeze the domain. Disabled, the engine carries no estimator state and
-/// behaves bit-identically to a non-adaptive run.
+/// refreeze the domain. Without it ([`SimConfig::adapt`] `None`) the engine
+/// carries no estimator state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
-    /// Master switch. When false the engine allocates nothing and every
-    /// observation site compiles down to a null-pointer check.
-    pub enabled: bool,
     /// Estimate shape: EWMA or tumbling-window means.
     pub mode: AdaptMode,
     /// EWMA smoothing factor in (0, 1] (weight of the newest window mean);
     /// ignored under [`AdaptMode::Windowed`].
     pub alpha: f64,
-    /// Virtual-time interval between publications (must be positive when
-    /// enabled).
+    /// Virtual-time interval between publications (must be positive).
     pub cadence: Nanos,
     /// Minimum fresh samples a unit needs before its estimate is published
     /// at a cadence boundary — keeps one noisy execution from repricing a
@@ -169,7 +166,6 @@ pub struct AdaptConfig {
 impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {
-            enabled: false,
             mode: AdaptMode::Ewma,
             alpha: 0.2,
             cadence: Nanos::from_millis(50),
@@ -205,8 +201,8 @@ pub struct SimConfig {
     pub faults: FaultConfig,
     /// Closed-loop admission-mode governor (default: `None`, ungoverned).
     pub governor: Option<GovernorConfig>,
-    /// Online statistics adaptation (default: disabled).
-    pub adapt: AdaptConfig,
+    /// Online statistics adaptation (default: `None`, none).
+    pub adapt: Option<AdaptConfig>,
     /// Virtual-time cadence between telemetry snapshots (default 100 ms).
     /// Only read when a run is monitored (a [`crate::MetricsSink`] with
     /// `ENABLED = true` is attached); otherwise no sampling happens at all.
@@ -226,7 +222,7 @@ impl SimConfig {
             overload: OverloadConfig::default(),
             faults: FaultConfig::default(),
             governor: None,
-            adapt: AdaptConfig::default(),
+            adapt: None,
             telemetry_cadence: Nanos::from_millis(100),
         }
     }
@@ -291,26 +287,11 @@ impl SimConfig {
         self
     }
 
-    /// Attach online statistics adaptation. `adapt.enabled` must be true,
-    /// its cadence positive, its alpha in (0, 1], and its refreeze slack
-    /// ≥ 1.
+    /// Attach online statistics adaptation. The simulator refuses, when it
+    /// is built, a cadence that is not positive, an alpha outside (0, 1] and
+    /// a refreeze slack below 1.
     pub fn with_adaptation(mut self, adapt: AdaptConfig) -> Self {
-        assert!(adapt.enabled, "with_adaptation requires enabled = true");
-        assert!(
-            !adapt.cadence.is_zero(),
-            "adaptation cadence must be positive"
-        );
-        assert!(
-            adapt.alpha > 0.0 && adapt.alpha <= 1.0,
-            "adaptation alpha must be in (0, 1], got {}",
-            adapt.alpha
-        );
-        assert!(
-            adapt.refreeze_factor >= 1.0,
-            "refreeze factor must be >= 1, got {}",
-            adapt.refreeze_factor
-        );
-        self.adapt = adapt;
+        self.adapt = Some(adapt);
         self
     }
 
@@ -413,51 +394,20 @@ mod tests {
     #[test]
     fn adaptation_defaults_off() {
         let c = SimConfig::new(10);
-        assert!(!c.adapt.enabled);
+        assert!(c.adapt.is_none());
     }
 
     #[test]
     fn adaptation_builder() {
         let c = SimConfig::new(10).with_adaptation(AdaptConfig {
-            enabled: true,
             alpha: 0.3,
             cadence: Nanos::from_millis(20),
             ..AdaptConfig::default()
         });
-        assert!(c.adapt.enabled);
-        assert_eq!(c.adapt.alpha, 0.3);
-        assert_eq!(c.adapt.mode, AdaptMode::Ewma);
-        assert!(c.adapt.publish);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn adaptation_rejects_bad_alpha() {
-        let _ = SimConfig::new(1).with_adaptation(AdaptConfig {
-            enabled: true,
-            alpha: 1.5,
-            ..AdaptConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "cadence")]
-    fn adaptation_rejects_zero_cadence() {
-        let _ = SimConfig::new(1).with_adaptation(AdaptConfig {
-            enabled: true,
-            cadence: Nanos::ZERO,
-            ..AdaptConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "refreeze")]
-    fn adaptation_rejects_sub_unity_refreeze_slack() {
-        let _ = SimConfig::new(1).with_adaptation(AdaptConfig {
-            enabled: true,
-            refreeze_factor: 0.5,
-            ..AdaptConfig::default()
-        });
+        let adapt = c.adapt.expect("attached");
+        assert_eq!(adapt.alpha, 0.3);
+        assert_eq!(adapt.mode, AdaptMode::Ewma);
+        assert!(adapt.publish);
     }
 
     #[test]

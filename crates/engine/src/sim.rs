@@ -360,18 +360,18 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         if let Some(g) = &cfg.governor {
             g.validate(&cfg.overload)?;
         }
-        if cfg.adapt.enabled {
-            if cfg.adapt.cadence.is_zero() {
+        if let Some(adapt) = &cfg.adapt {
+            if adapt.cadence.is_zero() {
                 return Err(HcqError::config(
                     "adaptation cadence must be positive".to_string(),
                 ));
             }
-            if !(cfg.adapt.alpha > 0.0 && cfg.adapt.alpha <= 1.0) {
+            if !(adapt.alpha > 0.0 && adapt.alpha <= 1.0) {
                 return Err(HcqError::config(
                     "adaptation alpha must be in (0, 1]".to_string(),
                 ));
             }
-            if cfg.adapt.refreeze_factor < 1.0 || cfg.adapt.refreeze_factor.is_nan() {
+            if adapt.refreeze_factor < 1.0 || adapt.refreeze_factor.is_nan() {
                 return Err(HcqError::config(
                     "adaptation refreeze_factor must be at least 1".to_string(),
                 ));
@@ -459,16 +459,16 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             g.overload_policy = g.overload_policy.filter(|k| k.name() != policy.name());
             Box::new(Governor::new(g, cfg.overload.mode))
         });
-        let adapt = cfg.adapt.enabled.then(|| {
+        let adapt = cfg.adapt.map(|adapt| {
             let mut state = Box::new(AdaptState {
-                cfg: cfg.adapt,
-                next_flush: cfg.adapt.cadence,
-                ewma: match cfg.adapt.mode {
+                cfg: adapt,
+                next_flush: adapt.cadence,
+                ewma: match adapt.mode {
                     AdaptMode::Ewma => unit_statics
                         .iter()
                         .map(|s| {
                             EwmaEstimator::new(
-                                cfg.adapt.alpha,
+                                adapt.alpha,
                                 Nanos::from_nanos(s.avg_cost_ns.round() as u64),
                                 s.selectivity,
                             )

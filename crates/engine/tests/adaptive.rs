@@ -48,7 +48,6 @@ fn run_with(cfg: SimConfig, policy: Box<dyn hcq_core::Policy>, gap: Nanos) -> Si
 
 fn ewma_adapt() -> AdaptConfig {
     AdaptConfig {
-        enabled: true,
         mode: AdaptMode::Ewma,
         alpha: 0.3,
         cadence: ms(20),
@@ -62,7 +61,6 @@ fn ewma_adapt() -> AdaptConfig {
 /// cadence exceeds any run here), never published.
 fn probe_adapt() -> AdaptConfig {
     AdaptConfig {
-        enabled: true,
         mode: AdaptMode::Windowed,
         cadence: Nanos::from_millis(1 << 40),
         publish: false,

@@ -6,7 +6,7 @@
 use hcq_common::{EngineError, HcqError, Nanos, StreamId, TupleId};
 use hcq_core::{Policy, PolicyKind, QueueView, Selection, UnitId, UnitStatics};
 use hcq_engine::queues::UnitQueues;
-use hcq_engine::{simulate, AdmissionMode, GovernorConfig, SimConfig, SimTuple};
+use hcq_engine::{simulate, AdaptConfig, AdmissionMode, GovernorConfig, SimConfig, SimTuple};
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_streams::{PoissonSource, TraceReplay};
 
@@ -237,7 +237,7 @@ fn selecting_an_empty_queue_surfaces_as_engine_error() {
 }
 
 #[test]
-fn unusable_admission_configs_are_rejected() {
+fn unusable_admission_and_adaptation_configs_are_rejected() {
     let governed = |escalate_pending, deescalate_pending, deescalate_share| {
         // Assigned directly, as a fuzz scenario sets it, not through the
         // builder: the simulator itself must refuse it.
@@ -250,6 +250,7 @@ fn unusable_admission_configs_are_rejected() {
         });
         cfg
     };
+    let adapted = |adapt| SimConfig::new(2).with_adaptation(adapt);
     let unusable = [
         // Bounded modes without a capacity.
         SimConfig::new(2).with_admission(AdmissionMode::DropTail, 0),
@@ -257,9 +258,23 @@ fn unusable_admission_configs_are_rejected() {
         // Governors without a hysteresis band, which flap once per dwell.
         governed(10, 10, 0.1),
         governed(10, 2, 0.5),
+        // Adaptation with an alpha outside (0, 1], no cadence, or a
+        // refreeze slack below 1.
+        adapted(AdaptConfig {
+            alpha: 1.5,
+            ..AdaptConfig::default()
+        }),
+        adapted(AdaptConfig {
+            cadence: Nanos::ZERO,
+            ..AdaptConfig::default()
+        }),
+        adapted(AdaptConfig {
+            refreeze_factor: 0.5,
+            ..AdaptConfig::default()
+        }),
     ];
     for cfg in unusable {
-        let (mode, governor) = (cfg.overload.mode, cfg.governor);
+        let (mode, governor, adapt) = (cfg.overload.mode, cfg.governor, cfg.adapt);
         let err = simulate(
             &tiny_plan(),
             &StreamRates::none(),
@@ -270,7 +285,7 @@ fn unusable_admission_configs_are_rejected() {
         .unwrap_err();
         assert!(
             matches!(err, HcqError::InvalidConfig(_)),
-            "expected InvalidConfig for {mode:?} / {governor:?}, got {err}"
+            "expected InvalidConfig for {mode:?} / {governor:?} / {adapt:?}, got {err}"
         );
     }
 }

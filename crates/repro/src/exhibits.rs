@@ -803,14 +803,21 @@ pub fn table3(cfg: &ExpConfig) -> ExhibitOutput {
             "yes",
             "StaticPolicy::hnr",
         ),
-        ("LSF", "maximum", "slowdown", "yes", "yes", "LsfPolicy"),
+        (
+            "LSF",
+            "maximum",
+            "slowdown",
+            "yes",
+            "yes",
+            "WaitPolicy::lsf",
+        ),
         (
             "BSD",
             "l2",
             "slowdown",
             "yes",
             "yes",
-            "BsdPolicy / ClusteredBsdPolicy",
+            "WaitPolicy::bsd / ClusteredBsdPolicy",
         ),
         (
             "Chain",
@@ -1434,7 +1441,6 @@ pub fn ext_adaptive(cfg: &ExpConfig) -> ExhibitOutput {
     // The probe never flushes (cadence beyond any horizon) and never
     // publishes; the online config is the tuned batch-mean EWMA.
     let probe = AdaptConfig {
-        enabled: true,
         mode: AdaptMode::Windowed,
         alpha: 0.1,
         cadence: Nanos::from_millis(1 << 40),

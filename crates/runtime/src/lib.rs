@@ -75,7 +75,7 @@ use hcq_engine::exec::{self, UnaryGate};
 use hcq_engine::model::EntryRoute;
 use hcq_engine::queues::{Admission, Identified, Queued, Scheduler};
 use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitDesc, UnitKind};
-use hcq_metrics::{QosAccumulator, QosSummary, TelemetryRegistry, TelemetrySnapshot};
+use hcq_metrics::{QosAccumulator, QosSummary};
 use hcq_plan::{CompiledOpKind, GlobalPlan, StreamRates};
 use hcq_streams::ArrivalSource;
 
@@ -202,8 +202,6 @@ pub struct RuntimeReport {
     pub wall_ns: u64,
     /// Completed tuple copies (emitted + dropped + shed) per wall second.
     pub tuples_per_sec: f64,
-    /// Counter snapshot in the engine's telemetry-registry format.
-    pub telemetry: TelemetrySnapshot,
 }
 
 impl RuntimeReport {
@@ -679,20 +677,6 @@ fn run_with(
     }
 
     let completed = emitted + dropped + shed;
-    let mut reg = TelemetryRegistry::new();
-    let c_arrivals = reg.counter("hcq_arrivals_total", "source arrivals injected", vec![]);
-    let c_emitted = reg.counter("hcq_emitted_total", "root emissions", vec![]);
-    let c_dropped = reg.counter("hcq_dropped_total", "predicate drops", vec![]);
-    let c_shed = reg.counter("hcq_shed_total", "admission sheds", vec![]);
-    let c_stolen = reg.counter("hcq_stolen_total", "work-stolen executions", vec![]);
-    let g_threads = reg.gauge("hcq_runtime_threads", "worker threads", vec![]);
-    reg.set_counter(c_arrivals, arrivals);
-    reg.set_counter(c_emitted, emitted);
-    reg.set_counter(c_dropped, dropped);
-    reg.set_counter(c_shed, shed);
-    reg.set_counter(c_stolen, stolen);
-    reg.set_gauge(g_threads, cfg.threads as f64);
-    let telemetry = reg.snapshot(Nanos::from_nanos(wall_ns));
 
     Ok(RuntimeReport {
         threads: cfg.threads,
@@ -708,7 +692,6 @@ fn run_with(
         qos: qos.summary(),
         wall_ns,
         tuples_per_sec: completed as f64 / (wall_ns as f64 / 1e9),
-        telemetry,
     })
 }
 
@@ -833,10 +816,6 @@ mod tests {
         assert!(report.conserved(), "emitted+dropped+shed == injected");
         assert_eq!(report.shed, 0, "unbounded admission sheds nothing");
         assert!(report.emitted > 0);
-        assert_eq!(
-            report.telemetry.counter("hcq_emitted_total"),
-            Some(report.emitted)
-        );
         assert!(report.tuples_per_sec > 0.0);
     }
 

@@ -61,6 +61,6 @@ fn main() {
     }
     println!();
     println!("The scheduler needs no recompilation: refreshed UnitStatics feed");
-    println!("StaticPolicy::set_priority / BsdPolicy::set_phi and the priority");
+    println!("Policy::on_statics_update, the hook executors call, and the priority");
     println!("order follows the drift.");
 }

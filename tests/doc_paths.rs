@@ -220,15 +220,19 @@ fn documented_benchmark_cells_exist() {
     );
 }
 
-/// The items a backticked `hcq_<crate>::…` span names, as `(crate, last
-/// segment)`: `hcq_core::{StaticPolicy::srpt, FcfsPolicy}` names `srpt` and
-/// `FcfsPolicy` in `core`; generic arguments are dropped.
+/// The items a backticked `hcq_<crate>::…` or `hcq-<crate>::…` span names,
+/// as `(crate, last segment)`: `hcq_core::{StaticPolicy::srpt, FcfsPolicy}`
+/// names `srpt` and `FcfsPolicy` in `core`; generic arguments are dropped.
 fn item_paths(span: &str) -> Vec<(&str, &str)> {
-    let Some((krate, rest)) = span.strip_prefix("hcq_").and_then(|s| s.split_once("::")) else {
+    let crate_path = span
+        .strip_prefix("hcq_")
+        .or_else(|| span.strip_prefix("hcq-"));
+    let Some((krate, rest)) = crate_path.and_then(|s| s.split_once("::")) else {
         return Vec::new();
     };
-    let items = match rest.strip_prefix('{').and_then(|r| r.strip_suffix('}')) {
-        Some(list) => list.split(',').map(str::trim).collect(),
+    let list = rest.strip_suffix('}').and_then(|r| r.split_once('{'));
+    let items = match list {
+        Some((_, list)) => list.split(',').map(str::trim).collect(),
         None => vec![rest],
     };
     items
@@ -245,7 +249,8 @@ fn last_segment(item: &str) -> &str {
 }
 
 /// Whether `name` is declared in `source`: a `fn`, `struct`, `enum`,
-/// `trait`, `type`, `mod`, `const`, `static` or `macro_rules!` of that name.
+/// `trait`, `type`, `mod`, `const`, `static` or `macro_rules!` of that name,
+/// or a variant of an `enum`.
 fn declares(source: &str, name: &str) -> bool {
     const KEYWORDS: [&str; 9] = [
         "fn",
@@ -265,6 +270,31 @@ fn declares(source: &str, name: &str) -> bool {
     words
         .windows(2)
         .any(|w| w[1] == name && KEYWORDS.contains(&w[0]))
+        || enum_variants(source).contains(&name)
+}
+
+/// The variants of every `enum` in `source`, as rustfmt lays one out: an
+/// `enum … {` line opens the body, and at brace depth 1 each line that is
+/// not a comment, an attribute or the closing brace starts with a variant.
+fn enum_variants(source: &str) -> Vec<&str> {
+    let mut variants = Vec::new();
+    let mut depth = 0;
+    for line in source.lines() {
+        let code = line.split("//").next().unwrap_or_default().trim();
+        if depth == 0 {
+            let opens = code.ends_with('{') && code.split_whitespace().any(|w| w == "enum");
+            depth = i32::from(opens);
+            continue;
+        }
+        if depth == 1 && code.starts_with(char::is_alphabetic) {
+            let end = code
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(code.len());
+            variants.push(&code[..end]);
+        }
+        depth += code.matches('{').count() as i32 - code.matches('}').count() as i32;
+    }
+    variants
 }
 
 /// The text of every Rust file under `dir`.
@@ -283,8 +313,9 @@ fn rust_sources(dir: &Path, out: &mut String) {
     }
 }
 
-/// Every backticked `hcq_<crate>::…` item path names a crate under
-/// `crates/`, and its last segment is declared in that crate's `src/`.
+/// Every backticked `hcq_<crate>::…` or `hcq-<crate>::…` item path names a
+/// crate under `crates/`, and its last segment is declared in that crate's
+/// `src/` (a module file is declared by its `mod`).
 #[test]
 fn documented_item_paths_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -406,11 +437,26 @@ fn item_path_shapes() {
         item_paths("hcq_core::{StaticPolicy::srpt, FcfsPolicy}"),
         [("core", "srpt"), ("core", "FcfsPolicy")]
     );
+    assert_eq!(
+        item_paths("hcq-core::cluster::{Uniform,Logarithmic}"),
+        [("core", "Uniform"), ("core", "Logarithmic")]
+    );
     assert!(item_paths("hcq-core").is_empty(), "a package name");
+    assert!(item_paths("hcq-fuzz-v1").is_empty(), "a format name");
     assert!(item_paths("hcq_core::Policy + Send").is_empty(), "a bound");
     assert!(declares("pub(crate) fn run_cell(x: u8)", "run_cell"));
     assert!(declares("macro_rules! pin {", "pin"));
     assert!(!declares("let run_cell = 1;", "run_cell"));
+    let enumeration = "pub enum Rank {\n    /// `{ doc }`\n    #[default]\n    Bsd,\n    \
+                       Lp(f64),\n    Inline {\n        len: u8,\n    },\n}\nfn f() {}";
+    assert_eq!(enum_variants(enumeration), ["Bsd", "Lp", "Inline"]);
+    assert!(declares(enumeration, "Lp"));
+    assert!(!declares(enumeration, "len"), "a field, not a variant");
+    assert!(!declares(enumeration, "default"), "an attribute");
+    assert!(
+        !declares("struct Rank {\n    Bsd: u8,\n}", "Bsd"),
+        "not an enum"
+    );
 }
 
 #[test]

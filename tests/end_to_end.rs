@@ -280,16 +280,15 @@ fn static_policy_counted_ops_are_pinned() {
 /// head-arrival group, and holds every selection to `scan_argmax` over the
 /// same queue view; also holds its rebuilds from the view to at most one
 /// per registration.
-struct ScanChecked<P> {
-    inner: P,
+struct ScanChecked {
+    inner: hcq::core::WaitPolicy,
     factor: fn(&hcq::core::UnitStatics) -> f64,
     wait_term: fn(f64) -> f64,
-    rebuilds: fn(&P) -> u64,
     factors: Vec<f64>,
     registrations: u64,
 }
 
-impl<P: hcq::core::Policy> hcq::core::Policy for ScanChecked<P> {
+impl hcq::core::Policy for ScanChecked {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -313,7 +312,7 @@ impl<P: hcq::core::Policy> hcq::core::Policy for ScanChecked<P> {
         let want = hcq::core::soa::scan_argmax(ready, heads, &self.factors, now, self.wait_term);
         let got = self.inner.select(queues, now);
         assert_eq!(got, want, "{} at {now}", self.inner.name());
-        let rebuilds = (self.rebuilds)(&self.inner);
+        let rebuilds = self.inner.rebuilds();
         assert!(
             rebuilds <= self.registrations,
             "{}: {rebuilds} rebuilds over {} registrations",
@@ -330,7 +329,7 @@ impl<P: hcq::core::Policy> hcq::core::Policy for ScanChecked<P> {
 /// unit (no rebuild from the queue view beyond one per registration).
 #[test]
 fn wait_linear_selection_equals_the_scan() {
-    use hcq::core::{BsdPolicy, LpPolicy, LsfPolicy, Policy, UnitStatics};
+    use hcq::core::{Policy, UnitStatics, WaitPolicy};
     let w = single_stream(&SingleStreamConfig {
         queries: 500,
         cost_classes: 5,
@@ -339,39 +338,26 @@ fn wait_linear_selection_equals_the_scan() {
         seed: 26,
     })
     .unwrap();
-    fn checked<P: Policy + 'static>(
-        inner: P,
+    fn checked(
+        inner: WaitPolicy,
         factor: fn(&UnitStatics) -> f64,
         wait_term: fn(f64) -> f64,
-        rebuilds: fn(&P) -> u64,
     ) -> Box<dyn Policy> {
         Box::new(ScanChecked {
             inner,
             factor,
             wait_term,
-            rebuilds,
             factors: Vec::new(),
             registrations: 0,
         })
     }
     let policies = [
+        checked(WaitPolicy::bsd(), UnitStatics::bsd_static, |w| w),
+        checked(WaitPolicy::lsf(), UnitStatics::lsf_slope, |w| w),
         checked(
-            BsdPolicy::new(),
-            UnitStatics::bsd_static,
-            |w| w,
-            BsdPolicy::rebuilds,
-        ),
-        checked(
-            LsfPolicy::new(),
-            UnitStatics::lsf_slope,
-            |w| w,
-            LsfPolicy::rebuilds,
-        ),
-        checked(
-            LpPolicy::new(2.5),
+            WaitPolicy::lp(2.5),
             |u| u.selectivity / (u.avg_cost_ns * u.ideal_time_ns.powf(2.5)),
             |w| w.powf(1.5),
-            LpPolicy::rebuilds,
         ),
     ];
     for policy in policies {
