@@ -1,37 +1,32 @@
 //! Differential fuzzing of incremental clustered-BSD maintenance.
 //!
-//! The large-q scheduler core keeps its clusters **incrementally**: a
-//! statics change re-buckets one unit against the frozen `Φ` domain, an
-//! added unit joins an existing cluster, a retirement marks a slot — no
-//! full priority-domain rebuild ever happens. The correctness claim is that
-//! none of this is observable: after *any* mutation sequence, the policy
-//! must behave byte-identically to a from-scratch reconstruction of the
-//! same logical state
+//! The large-q scheduler core keeps its clusters **incrementally**: an
+//! enqueue appends to one cluster FIFO, a shed unlinks one entry, a statics
+//! change re-buckets one unit against the frozen `Φ` domain and drags only
+//! its own entries — no full priority-domain rebuild ever happens. The
+//! correctness claim is that none of this is observable: after *any*
+//! mutation sequence, the policy must behave byte-identically to a
+//! from-scratch reconstruction of the same logical state
 //! ([`ClusteredBsdPolicy::rebuild_reference`]).
 //!
 //! This module fuzzes that claim. Each `(seed, case)` derives a mutation
-//! sequence — interleaved enqueues (single and fanned-out), selects, sheds,
-//! statics updates, unit additions and retirements — applies it to an
-//! incremental policy, rebuilds the reference, and drains both side by
-//! side. Every [`hcq_core::Selection`] must match exactly: units, charged ops, and
-//! the full [`hcq_core::SchedStats`] itemization. A mismatch is reported as
-//! an `incremental-equivalence` violation, after **shrinking** the mutation
-//! sequence to the shortest failing prefix so the artifact names the
-//! smallest reproduction.
+//! sequence from the mix the executors produce — single and fanned-out
+//! enqueues, mid-stream selects, statics updates and tail sheds — applies
+//! it to an incremental policy, rebuilds the reference, and drains both
+//! side by side. Every [`hcq_core::Selection`] must match exactly: units,
+//! charged ops, and the full [`hcq_core::SchedStats`] itemization. A
+//! mismatch is reported as an `incremental-equivalence` violation, after
+//! **shrinking** the mutation sequence to the shortest failing prefix so the
+//! artifact names the smallest reproduction.
 
 use hcq_common::{det, Nanos, TupleId};
-use hcq_core::{
-    ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, QueueView, UnitId, UnitStatics,
-};
+use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, UnitId, UnitStatics};
 
 use crate::invariants::{cluster_variants, label, Violation};
 use crate::policyfuzz::{degenerate_units, FuzzQueues};
 
-/// Hard cap on units after growth, keeping cases tiny and fast to shrink.
-const MAX_UNITS: usize = 12;
-
-/// Fresh statics for growth/update ops: reuse the degenerate generator so
-/// NaN/zero corners also flow through the *incremental* paths.
+/// Fresh statics for update ops: reuse the degenerate generator so NaN/zero
+/// corners also flow through the *incremental* paths.
 fn gen_statics(h: u64) -> UnitStatics {
     let pool = degenerate_units(h, h ^ 0x5eed);
     pool[(det::mix2(h, 77) % pool.len() as u64) as usize]
@@ -42,40 +37,35 @@ fn gen_statics(h: u64) -> UnitStatics {
 fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<String> {
     let base = det::mix3(det::splitmix64(seed ^ 0x1ac4), case, 0x51de);
     let units = degenerate_units(seed, case ^ 0xc105);
-    // The concrete type, not `PolicyKind::build`: the sequence drives the
-    // maintenance API (`add_unit`, `retire_unit`, `rebuild_reference`).
+    // The concrete type, not `PolicyKind::build`: the drain compares it
+    // with its `rebuild_reference`.
     let mut policy = ClusteredBsdPolicy::new(cfg);
     policy.on_register(&units);
-    let mut queues = FuzzQueues::new(units.len());
-    let mut retired = vec![false; units.len()];
+    let n = units.len();
+    let mut queues = FuzzQueues::new(n);
     let mut now = Nanos::ZERO;
     let mut next_tuple = 0u64;
     let gap = det::unit_range(det::mix2(base, 1), 1, 500_000);
 
     for step in 0..steps {
         let h = det::mix2(base, 1000 + step);
-        let n = retired.len();
         let u = (det::mix2(h, 2) % n as u64) as UnitId;
-        match det::unit_range(det::mix2(h, 1), 0, 6) {
+        match det::unit_range(det::mix2(h, 1), 0, 4) {
             0 => {
                 // Single enqueue.
-                if !retired[u as usize] {
-                    let t = TupleId::new(next_tuple);
-                    next_tuple += 1;
-                    queues.push(u, t, now);
-                    policy.on_enqueue(u, t, now, now);
-                }
+                let t = TupleId::new(next_tuple);
+                next_tuple += 1;
+                queues.push(u, t, now);
+                policy.on_enqueue(u, t, now, now);
             }
             1 => {
-                // Fan-out: one source tuple copied to every live unit, the
-                // shape clustered batching collapses.
+                // Fan-out: one source tuple copied to every unit, the shape
+                // clustered batching collapses.
                 let t = TupleId::new(next_tuple);
                 next_tuple += 1;
                 for v in 0..n as UnitId {
-                    if !retired[v as usize] {
-                        queues.push(v, t, now);
-                        policy.on_enqueue(v, t, now, now);
-                    }
+                    queues.push(v, t, now);
+                    policy.on_enqueue(v, t, now, now);
                 }
             }
             2 => {
@@ -90,26 +80,10 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
                 // Statics update (may re-bucket and migrate entries).
                 policy.update_unit_statics(u, &gen_statics(det::mix2(h, 3)));
             }
-            4 => {
-                // Membership growth.
-                if n < MAX_UNITS {
-                    let added = policy.add_unit(gen_statics(det::mix2(h, 4)));
-                    assert_eq!(added as usize, n, "dense unit ids");
-                    queues.add_unit();
-                    retired.push(false);
-                }
-            }
-            5 => {
+            _ => {
                 // Shed the unit's tail tuple, engine-style.
                 if let Some((t, _)) = queues.pop_back(u) {
                     policy.on_shed(u, t);
-                }
-            }
-            _ => {
-                // Retirement of a backlog-free unit.
-                if !retired[u as usize] && queues.len(u) == 0 {
-                    policy.retire_unit(u);
-                    retired[u as usize] = true;
                 }
             }
         }

@@ -67,11 +67,6 @@ impl FuzzQueues {
         }
     }
 
-    pub(crate) fn add_unit(&mut self) {
-        self.queues.push(VecDeque::new());
-        self.heads.push(Nanos::ZERO);
-    }
-
     pub(crate) fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
         let q = &mut self.queues[unit as usize];
         if q.is_empty() {

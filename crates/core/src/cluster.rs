@@ -28,23 +28,25 @@
 //!   intrusive per-cluster FIFOs and per-unit chains — O(1) enqueue, O(1)
 //!   shed, slot reuse, no allocation per decision at steady state;
 //! * the `Φ` **domain is frozen at `on_register`**:
-//!   [`add_unit`](ClusteredBsdPolicy::add_unit),
-//!   [`retire_unit`](ClusteredBsdPolicy::retire_unit) and
 //!   [`update_unit_statics`](ClusteredBsdPolicy::update_unit_statics)
-//!   re-bucket only the affected unit against the frozen ranges (a `Φ`
+//!   re-buckets only the affected unit against the frozen ranges (a `Φ`
 //!   outside the registered domain clamps to the edge cluster), and a unit
 //!   whose bucket changes drags only *its own* pending entries into the
 //!   destination cluster — never a full priority-domain rebuild.
 //!
-//! The incremental path is held to the from-scratch semantics by
-//! [`ClusteredBsdPolicy::rebuild_reference`] plus a fuzzed differential
-//! invariant in `hcq-check`: after any mutation sequence, the incremental
-//! policy and a rebuilt one must produce byte-identical selections and
-//! [`SchedStats`].
+//! The policy is built one way: registration, a
+//! [refreeze](ClusteredBsdPolicy::refreeze_domain) and the
+//! [reference](ClusteredBsdPolicy::rebuild_reference) each bucket the `Φ`
+//! column under a domain and replay the live entries in enqueue order
+//! through one private rebuild. The incremental paths (`on_enqueue`,
+//! `on_shed`, `update_unit_statics`) never call it, and a fuzzed
+//! differential invariant in `hcq-check` holds them to it: after any
+//! mutation sequence, the incremental policy and its rebuilt reference
+//! must produce byte-identical selections and [`SchedStats`].
 
 use hcq_common::{Nanos, TupleId};
 
-use crate::fagin::{fagin_top1_with, FaginScratch};
+use crate::fagin::{fagin_top1, FaginScratch};
 use crate::policy::{Policy, QueueView, SchedStats, Selection, UnitId};
 use crate::unit::UnitStatics;
 use crate::waitlist::{SortedFronts, WaitEntry, WaitLists};
@@ -204,9 +206,6 @@ pub struct ClusteredBsdPolicy {
     phi: Vec<f64>,
     /// Cluster index per unit.
     cluster_of: Vec<u32>,
-    /// Units retired via [`Self::retire_unit`] (backlog-free, no further
-    /// enqueues expected).
-    retired: Vec<bool>,
     /// Pseudo-priority per cluster (the range's lower edge).
     pseudo: Vec<f64>,
     /// Clusters sorted by pseudo-priority, descending (for Fagin's list A).
@@ -241,7 +240,6 @@ impl ClusteredBsdPolicy {
             domain: PhiDomain::default(),
             phi: Vec::new(),
             cluster_of: Vec::new(),
-            retired: Vec::new(),
             pseudo: Vec::new(),
             by_pseudo: Vec::new(),
             lists: WaitLists::default(),
@@ -253,16 +251,6 @@ impl ClusteredBsdPolicy {
         }
     }
 
-    /// The number of clusters actually in use.
-    pub fn cluster_count(&self) -> usize {
-        self.pseudo.len()
-    }
-
-    /// The number of registered units (including retired ones).
-    pub fn unit_count(&self) -> usize {
-        self.cluster_of.len()
-    }
-
     /// The cluster a unit was assigned to.
     pub fn cluster_of(&self, unit: UnitId) -> u32 {
         self.cluster_of[unit as usize]
@@ -271,44 +259,6 @@ impl ClusteredBsdPolicy {
     /// A cluster's pseudo-priority.
     pub fn pseudo_priority(&self, cluster: u32) -> f64 {
         self.pseudo[cluster as usize]
-    }
-
-    /// Register one more unit after `on_register`, bucketing it into the
-    /// *frozen* `Φ` domain (out-of-domain factors clamp to the edge
-    /// clusters). O(1); no other cluster is touched. Returns the new id.
-    pub fn add_unit(&mut self, statics: UnitStatics) -> UnitId {
-        let unit = self.phi.len() as UnitId;
-        self.phi.push(statics.sanitized_phi());
-        let c = self.domain.bucket(
-            self.cfg.clustering,
-            self.cfg.clusters,
-            self.phi[unit as usize],
-        );
-        self.cluster_of.push(c);
-        self.retired.push(false);
-        let from_lists = self.lists.add_unit();
-        debug_assert_eq!(from_lists, unit, "Φ column and wait lists in step");
-        self.pending_cluster_ops += 1;
-        unit
-    }
-
-    /// Retire a unit with an empty backlog: it keeps its id (dense spaces
-    /// stay dense) but is expected never to enqueue again. O(1).
-    ///
-    /// # Panics
-    /// If the unit still has pending entries — drain or shed them first.
-    pub fn retire_unit(&mut self, unit: UnitId) {
-        assert!(
-            self.lists.is_unit_empty(unit),
-            "retire_unit({unit}) with pending entries"
-        );
-        self.retired[unit as usize] = true;
-        self.pending_cluster_ops += 1;
-    }
-
-    /// True when the unit has been retired.
-    pub fn is_retired(&self, unit: UnitId) -> bool {
-        self.retired[unit as usize]
     }
 
     /// Install fresh statics for one unit, re-bucketing it against the
@@ -358,6 +308,38 @@ impl ClusteredBsdPolicy {
         }
     }
 
+    /// Bucket every unit's `Φ` under `domain`, derive the pseudo-priorities
+    /// and list A, empty the wait lists and replay `live` into them in
+    /// global enqueue order, then rebuild list B. Registration, a refreeze
+    /// and the reference all build this way; the incremental paths never
+    /// do.
+    fn rebuild(&mut self, domain: PhiDomain, live: &mut [WaitEntry]) {
+        let (clustering, m) = (self.cfg.clustering, self.cfg.clusters);
+        self.domain = domain;
+        self.cluster_of = self
+            .phi
+            .iter()
+            .map(|&p| domain.bucket(clustering, m, p))
+            .collect();
+        self.pseudo = (0..m).map(|i| domain.pseudo(clustering, m, i)).collect();
+        self.by_pseudo = (0..m as u32).collect();
+        self.by_pseudo
+            .sort_by(|&a, &b| self.pseudo[b as usize].total_cmp(&self.pseudo[a as usize]));
+        self.lists.reset(m, self.phi.len());
+        self.by_wait.clear();
+        self.by_wait.reserve(m);
+        live.sort_by_key(|e| e.seq);
+        for e in live.iter() {
+            let c = self.cluster_of[e.unit as usize];
+            self.lists.push_back(c, e.unit, e.tuple, e.arrival, e.seq);
+        }
+        for c in 0..m as u32 {
+            if let Some(front) = self.lists.front(c) {
+                self.by_wait.insert((front.arrival, c));
+            }
+        }
+    }
+
     /// A from-scratch reconstruction of this policy's observable state: same
     /// frozen domain, memberships recomputed from the stored `Φ` column, and
     /// every live entry replayed in global enqueue order. Counters that feed
@@ -366,36 +348,8 @@ impl ClusteredBsdPolicy {
     /// stats from here on — the differential invariant `hcq-check` fuzzes.
     pub fn rebuild_reference(&self) -> ClusteredBsdPolicy {
         let mut p = ClusteredBsdPolicy::new(self.cfg);
-        let m = self.cfg.clusters;
-        p.domain = self.domain;
         p.phi = self.phi.clone();
-        p.cluster_of = self
-            .phi
-            .iter()
-            .map(|&phi| self.domain.bucket(self.cfg.clustering, m, phi))
-            .collect();
-        p.retired = self.retired.clone();
-        p.pseudo = self.pseudo.clone();
-        p.by_pseudo = self.by_pseudo.clone();
-        p.lists.reset(m, self.phi.len());
-        p.by_wait.reserve(m);
-        let mut live: Vec<WaitEntry> = Vec::with_capacity(self.lists.live());
-        self.lists.collect_live(&mut live);
-        live.sort_by_key(|e| e.seq);
-        for e in &live {
-            p.lists.push_back(
-                p.cluster_of[e.unit as usize],
-                e.unit,
-                e.tuple,
-                e.arrival,
-                e.seq,
-            );
-        }
-        for c in 0..m as u32 {
-            if let Some(front) = p.lists.front(c) {
-                p.by_wait.insert((front.arrival, c));
-            }
-        }
+        p.rebuild(self.domain, &mut self.lists.collect_live());
         p.seq = self.seq;
         p.pending_cluster_ops = self.pending_cluster_ops;
         p
@@ -406,74 +360,35 @@ impl ClusteredBsdPolicy {
     /// the domain — [`Self::update_unit_statics`] clamps drifted `Φ` into
     /// the frozen edge clusters — so after sustained drift many units can
     /// pile up in one edge bucket and the clustering loses its resolution.
-    /// This recomputes the domain, the pseudo-priorities, and every bucket
-    /// assignment, then replays all live entries in global enqueue order
-    /// into their new clusters (the same construction as
-    /// [`Self::rebuild_reference`], in place). O(q + live·log) — callers
-    /// pace it (the engine triggers on observed out-of-domain drift, not
-    /// per update).
+    /// This rebuilds the policy in place under the recomputed domain (the
+    /// construction [`Self::rebuild_reference`] uses). O(q + live·log) —
+    /// callers pace it (the engine triggers on observed out-of-domain
+    /// drift, not per update).
     ///
     /// Returns false — with no state touched beyond installing the
     /// recomputed (identical-assignment) domain — when no membership or
     /// pseudo-priority actually changes, so callers can count effective
     /// refreezes.
     pub fn refreeze_domain(&mut self) -> bool {
-        let m = self.cfg.clusters;
+        let (clustering, m) = (self.cfg.clustering, self.cfg.clusters);
         let domain = PhiDomain::compute(&self.phi);
-        let cluster_of: Vec<u32> = self
-            .phi
-            .iter()
-            .map(|&p| domain.bucket(self.cfg.clustering, m, p))
-            .collect();
-        let pseudo: Vec<f64> = (0..m)
-            .map(|i| domain.pseudo(self.cfg.clustering, m, i))
-            .collect();
-        self.domain = domain;
-        if cluster_of == self.cluster_of && pseudo == self.pseudo {
+        let pseudo = (0..m).map(|i| domain.pseudo(clustering, m, i));
+        let unchanged = self.pseudo.iter().copied().eq(pseudo)
+            && self
+                .phi
+                .iter()
+                .zip(&self.cluster_of)
+                .all(|(&p, &c)| domain.bucket(clustering, m, p) == c);
+        if unchanged {
+            self.domain = domain;
             return false;
         }
-        self.pseudo = pseudo;
-        self.by_pseudo = (0..m as u32).collect();
-        self.by_pseudo
-            .sort_by(|&a, &b| self.pseudo[b as usize].total_cmp(&self.pseudo[a as usize]));
-        let mut live: Vec<WaitEntry> = Vec::with_capacity(self.lists.live());
-        self.lists.collect_live(&mut live);
-        live.sort_by_key(|e| e.seq);
-        self.cluster_of = cluster_of;
-        self.lists.reset(m, self.phi.len());
-        self.by_wait.clear();
-        self.by_wait.reserve(m);
-        for e in &live {
-            self.lists.push_back(
-                self.cluster_of[e.unit as usize],
-                e.unit,
-                e.tuple,
-                e.arrival,
-                e.seq,
-            );
-        }
-        for c in 0..m as u32 {
-            if let Some(front) = self.lists.front(c) {
-                self.by_wait.insert((front.arrival, c));
-            }
-        }
+        let mut live = self.lists.collect_live();
+        self.rebuild(domain, &mut live);
         // Charge the rebuild like the §6 maintenance it is: one op per
         // re-bucketed unit plus one per replayed entry.
         self.pending_cluster_ops += self.phi.len() as u64 + live.len() as u64;
         true
-    }
-
-    /// Heap bytes committed for unit, `Φ`, and wait-list storage — the
-    /// per-query memory figure the large-q bench reports.
-    pub fn memory_footprint(&self) -> usize {
-        self.phi.capacity() * std::mem::size_of::<f64>()
-            + self.lists.heap_bytes()
-            + self.by_wait.heap_bytes()
-            + self.cluster_of.capacity() * std::mem::size_of::<u32>()
-            + self.retired.capacity()
-            + self.pseudo.capacity() * std::mem::size_of::<f64>()
-            + self.by_pseudo.capacity() * std::mem::size_of::<u32>()
-            + self.move_scratch.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Linear scan over non-empty clusters (clustering only, no pruning).
@@ -519,7 +434,7 @@ impl ClusteredBsdPolicy {
         let list_b = by_wait
             .iter()
             .map(|&(arrival, c)| (c, now.saturating_since(arrival).as_nanos() as f64));
-        let top = fagin_top1_with(
+        let top = fagin_top1(
             fagin_scratch,
             list_a,
             list_b,
@@ -545,31 +460,11 @@ impl Policy for ClusteredBsdPolicy {
         // well-defined (see UnitStatics::sanitized_phi). The domain freezes
         // here; later churn re-buckets against these ranges.
         self.phi = units.iter().map(UnitStatics::sanitized_phi).collect();
-        let m = self.cfg.clusters;
-        self.domain = PhiDomain::compute(&self.phi);
-        self.cluster_of = self
-            .phi
-            .iter()
-            .map(|&p| self.domain.bucket(self.cfg.clustering, m, p))
-            .collect();
-        self.retired = vec![false; units.len()];
-        self.pseudo = (0..m)
-            .map(|i| self.domain.pseudo(self.cfg.clustering, m, i))
-            .collect();
-        self.by_pseudo = (0..m as u32).collect();
-        self.by_pseudo
-            .sort_by(|&a, &b| self.pseudo[b as usize].total_cmp(&self.pseudo[a as usize]));
-        self.lists.reset(m, units.len());
-        self.by_wait.clear();
-        self.by_wait.reserve(m);
+        self.rebuild(PhiDomain::compute(&self.phi), &mut []);
         self.seq = 0;
     }
 
     fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, _now: Nanos) {
-        debug_assert!(
-            !self.retired[unit as usize],
-            "enqueue on retired unit {unit}"
-        );
         let c = self.cluster_of[unit as usize];
         if self.lists.is_cluster_empty(c) {
             self.by_wait.insert((arrival, c));
@@ -600,13 +495,11 @@ impl Policy for ClusteredBsdPolicy {
             .remove_unit_tail(unit)
             .expect("unit chain is non-empty");
         let c = entry.cluster;
+        self.pending_cluster_ops += 1;
         if was_front {
             let removed = self.by_wait.remove(&(entry.arrival, c));
             debug_assert!(removed, "front entry tracked in by_wait");
             self.pending_cluster_ops += 1;
-        }
-        self.pending_cluster_ops += 1;
-        if was_front {
             if let Some(front) = self.lists.front(c) {
                 self.by_wait.insert((front.arrival, c));
                 self.pending_cluster_ops += 1;
@@ -625,22 +518,14 @@ impl Policy for ClusteredBsdPolicy {
         // sorted/random accesses, each of which reads one grade and updates
         // the threshold test. Either way the candidate pool is clusters, not
         // queries — that gap is the §6.2 saving `ext_overhead` plots.
-        let mut stats = if self.cfg.use_fagin {
-            SchedStats {
-                candidates_scanned: ops,
-                priority_evals: ops,
-                comparisons: ops,
-                ..SchedStats::default()
-            }
-        } else {
-            SchedStats {
-                candidates_scanned: ops / 2,
-                priority_evals: ops / 2,
-                comparisons: ops / 2,
-                ..SchedStats::default()
-            }
+        let evals = if self.cfg.use_fagin { ops } else { ops / 2 };
+        let mut stats = SchedStats {
+            candidates_scanned: evals,
+            priority_evals: evals,
+            comparisons: evals,
+            cluster_ops: std::mem::take(&mut self.pending_cluster_ops),
+            ..SchedStats::default()
         };
-        stats.cluster_ops = std::mem::take(&mut self.pending_cluster_ops);
         let head = *self
             .lists
             .front(cluster)
@@ -686,8 +571,18 @@ impl Policy for ClusteredBsdPolicy {
         self.update_unit_statics(unit, statics);
     }
 
+    /// Heap bytes committed for unit, `Φ`, and wait-list storage — the
+    /// per-query memory figure the large-q bench reports.
     fn memory_footprint(&self) -> Option<usize> {
-        Some(self.memory_footprint())
+        Some(
+            self.phi.capacity() * std::mem::size_of::<f64>()
+                + self.lists.heap_bytes()
+                + self.by_wait.heap_bytes()
+                + self.cluster_of.capacity() * std::mem::size_of::<u32>()
+                + self.pseudo.capacity() * std::mem::size_of::<f64>()
+                + self.by_pseudo.capacity() * std::mem::size_of::<u32>()
+                + self.move_scratch.capacity() * std::mem::size_of::<u32>(),
+        )
     }
 }
 
@@ -1014,19 +909,29 @@ mod tests {
     }
 
     /// Enqueue one tuple per unit (FIFO arrival order by unit id) and drain
-    /// through the policy, returning the unit execution order. Panics if
-    /// `select` ever wedges while work is pending.
+    /// through the policy, returning the unit execution order.
     fn drain_all(p: &mut ClusteredBsdPolicy, n: usize) -> Vec<UnitId> {
         let mut q = MockQueues::new(n);
+        enqueue_one_each(p, &mut q, n);
+        drain(p, &mut q)
+    }
+
+    /// Enqueue one tuple per unit, in unit-id order.
+    fn enqueue_one_each(p: &mut ClusteredBsdPolicy, q: &mut MockQueues, n: usize) {
         for u in 0..n as u32 {
             let t = TupleId::new(u as u64);
             let a = ms(u as u64 * 3);
             q.push(u, t, a);
             p.on_enqueue(u, t, a, a);
         }
+    }
+
+    /// Drain through the policy, returning the unit execution order. Panics
+    /// if `select` ever wedges while work is pending.
+    fn drain(p: &mut ClusteredBsdPolicy, q: &mut MockQueues) -> Vec<UnitId> {
         let mut order = Vec::new();
         while !q.nonempty().is_empty() {
-            let sel = p.select(&q, ms(100)).expect("work pending, must select");
+            let sel = p.select(q, ms(100)).expect("work pending, must select");
             for &u in sel.units.iter() {
                 q.pop(u);
                 order.push(u);
@@ -1113,19 +1018,19 @@ mod tests {
         });
         pf.on_register(&units);
         assert_eq!(drain_all(&mut pf, 2).len(), 2);
-        // Units added or re-estimated with poisoned statics (Φ = ∞, Φ < 0)
-        // are stored sanitized too: a refreeze over the stored Φ column
-        // equals a fresh registration, and no pseudo-priority is NaN.
+        // Units re-estimated with poisoned statics (Φ = ∞, Φ < 0) are
+        // stored sanitized too: a refreeze over the stored Φ column equals a
+        // fresh registration, and no pseudo-priority is NaN.
         let (mut infinite, mut negative) = (units[1], units[1]);
         infinite.selectivity = f64::INFINITY;
         negative.selectivity = -1.0;
         let mut all = spread_units(6);
         let mut p = ClusteredBsdPolicy::new(ClusterConfig::uniform(4));
         p.on_register(&all);
-        p.add_unit(infinite);
+        p.update_unit_statics(5, &infinite);
         p.update_unit_statics(0, &negative);
         p.refreeze_domain();
-        all.push(infinite);
+        all[5] = infinite;
         all[0] = negative;
         let mut fresh = ClusteredBsdPolicy::new(ClusterConfig::uniform(4));
         fresh.on_register(&all);
@@ -1186,24 +1091,19 @@ mod tests {
     // ---- incremental maintenance ----
 
     #[test]
-    fn added_unit_joins_the_frozen_domain() {
+    fn updated_unit_clamps_into_the_frozen_domain() {
         let units = spread_units(50);
         let mut p = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(8));
         p.on_register(&units);
-        // A clone of unit 7 must land in unit 7's cluster; an off-domain
-        // Φ clamps to an edge cluster.
-        let u = p.add_unit(units[7]);
-        assert_eq!(u, 50);
-        assert_eq!(p.cluster_of(u), p.cluster_of(7));
-        let huge = p.add_unit(UnitStatics::new(
-            1.0,
-            Nanos::from_nanos(1),
-            Nanos::from_nanos(1),
-        ));
-        assert_eq!(p.cluster_of(huge), 7, "off-domain Φ clamps to the top");
-        let zero = p.add_unit(UnitStatics::new(0.0, ms(5), ms(5)));
-        assert_eq!(p.cluster_of(zero), 0, "zero Φ clamps to the bottom");
-        assert_eq!(p.unit_count(), 53);
+        // Unit 0 given unit 8's statics must land in unit 8's cluster; an
+        // off-domain Φ clamps to an edge cluster.
+        p.update_unit_statics(0, &units[8]);
+        assert_eq!(p.cluster_of(0), p.cluster_of(8));
+        let huge = UnitStatics::new(1.0, Nanos::from_nanos(1), Nanos::from_nanos(1));
+        p.update_unit_statics(1, &huge);
+        assert_eq!(p.cluster_of(1), 7, "off-domain Φ clamps to the top");
+        p.update_unit_statics(2, &UnitStatics::new(0.0, ms(5), ms(5)));
+        assert_eq!(p.cluster_of(2), 0, "zero Φ clamps to the bottom");
     }
 
     #[test]
@@ -1354,6 +1254,21 @@ mod tests {
         let r = p.rebuild_reference();
         assert_eq!(r.cluster_of, p.cluster_of);
         assert_eq!(r.pseudo, p.pseudo);
+        // A refreeze that merges clusters replays their backlogs in global
+        // enqueue order: unit 0's Φ jumps a million-fold, every other unit
+        // collapses into cluster 0, and the drain equals a fresh
+        // registration's.
+        let mut widened = units.clone();
+        widened[0].selectivity *= 1e6;
+        let mut merged = ClusteredBsdPolicy::new(ClusterConfig::uniform(4));
+        merged.on_register(&units);
+        let mut qm = MockQueues::new(10);
+        enqueue_one_each(&mut merged, &mut qm, 10);
+        merged.update_unit_statics(0, &widened[0]);
+        assert!(merged.refreeze_domain());
+        let mut fresh = ClusteredBsdPolicy::new(ClusterConfig::uniform(4));
+        fresh.on_register(&widened);
+        assert_eq!(drain(&mut merged, &mut qm), drain_all(&mut fresh, 10));
     }
 
     #[test]
@@ -1389,27 +1304,10 @@ mod tests {
     }
 
     #[test]
-    fn retire_requires_empty_backlog_and_sticks() {
-        let units = spread_units(3);
-        let mut p = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(4));
-        p.on_register(&units);
-        p.retire_unit(1);
-        assert!(p.is_retired(1));
-        assert!(!p.is_retired(0));
-        let mut q = MockQueues::new(3);
-        q.push(0, TupleId::new(0), ms(1));
-        p.on_enqueue(0, TupleId::new(0), ms(1), ms(1));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.retire_unit(0);
-        }));
-        assert!(outcome.is_err(), "retiring a backlogged unit must panic");
-    }
-
-    #[test]
     fn memory_footprint_scales_with_units_not_backlog_squared() {
         let mut p = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(8));
         p.on_register(&spread_units(1000));
-        let empty = p.memory_footprint();
+        let empty = p.memory_footprint().unwrap();
         assert!(empty > 0);
         let mut q = MockQueues::new(1000);
         for u in 0..1000u32 {
@@ -1417,7 +1315,7 @@ mod tests {
             q.push(u, t, ms(1));
             p.on_enqueue(u, t, ms(1), ms(1));
         }
-        let loaded = p.memory_footprint();
+        let loaded = p.memory_footprint().unwrap();
         // Statics (4×8) + entry (48) + links and membership: comfortably
         // under the 200 B/query budget the large-q bench gates.
         assert!(

@@ -27,7 +27,7 @@ pub struct Top1 {
     pub accesses: u64,
 }
 
-/// Reusable working storage for [`fagin_top1_with`].
+/// Reusable working storage for [`fagin_top1`].
 ///
 /// A scheduling point at large `m` must not allocate; callers on the hot
 /// path hold one scratch and pass it to every decision. The vectors keep
@@ -46,30 +46,11 @@ pub struct FaginScratch {
 ///   order; `list_b` likewise for `grade_b`. Both lists must enumerate the
 ///   same object set (every live object appears in each exactly once).
 /// * `grade_a` / `grade_b` provide random access for the second phase.
+/// * `scratch` is caller-owned working storage: allocation-free once its
+///   capacity has warmed up, and its stale contents never change a result.
 ///
 /// Returns `None` when the lists are empty.
-///
-/// Convenience wrapper over [`fagin_top1_with`] that allocates fresh
-/// scratch; hot paths should hold a [`FaginScratch`] instead.
 pub fn fagin_top1(
-    list_a: impl IntoIterator<Item = (u32, f64)>,
-    list_b: impl IntoIterator<Item = (u32, f64)>,
-    grade_a: impl Fn(u32) -> f64,
-    grade_b: impl Fn(u32) -> f64,
-) -> Option<Top1> {
-    fagin_top1_with(
-        &mut FaginScratch::default(),
-        list_a,
-        list_b,
-        grade_a,
-        grade_b,
-    )
-}
-
-/// [`fagin_top1`] with caller-provided working storage — allocation-free
-/// once the scratch capacity has warmed up. Results and access counts are
-/// identical to the allocating wrapper.
-pub fn fagin_top1_with(
     scratch: &mut FaginScratch,
     list_a: impl IntoIterator<Item = (u32, f64)>,
     list_b: impl IntoIterator<Item = (u32, f64)>,
@@ -173,6 +154,7 @@ mod tests {
             .collect();
         by_b.sort_by(|x, y| y.1.total_cmp(&x.1));
         fagin_top1(
+            &mut FaginScratch::default(),
             by_a,
             by_b,
             |o| objects[o as usize].0,
@@ -231,7 +213,7 @@ mod tests {
                 .map(|(i, &(_, b))| (i as u32, b))
                 .collect();
             by_b.sort_by(|x, y| y.1.total_cmp(&x.1));
-            let warm = fagin_top1_with(
+            let warm = fagin_top1(
                 &mut scratch,
                 by_a.clone(),
                 by_b.clone(),
@@ -239,6 +221,7 @@ mod tests {
                 |o| objects[o as usize].1,
             );
             let fresh = fagin_top1(
+                &mut FaginScratch::default(),
                 by_a,
                 by_b,
                 |o| objects[o as usize].0,

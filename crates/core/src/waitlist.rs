@@ -82,19 +82,6 @@ impl WaitLists {
         self.unit_tail.resize(units, NIL);
     }
 
-    /// Register one more unit (empty chain), returning its id.
-    pub fn add_unit(&mut self) -> UnitId {
-        let id = self.unit_head.len() as UnitId;
-        self.unit_head.push(NIL);
-        self.unit_tail.push(NIL);
-        id
-    }
-
-    /// Live (pending) entries across all clusters.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
     /// The cluster's oldest pending entry, if any.
     pub fn front(&self, cluster: u32) -> Option<&WaitEntry> {
         let head = self.cluster_head[cluster as usize];
@@ -292,8 +279,8 @@ impl WaitLists {
 
     /// Copy out every live entry (cluster-list order per cluster; callers
     /// sort by `seq` for the canonical global order).
-    pub fn collect_live(&self, out: &mut Vec<WaitEntry>) {
-        out.clear();
+    pub fn collect_live(&self) -> Vec<WaitEntry> {
+        let mut out = Vec::with_capacity(self.live);
         for &head in &self.cluster_head {
             let mut idx = head;
             while idx != NIL {
@@ -301,6 +288,7 @@ impl WaitLists {
                 idx = self.slots[idx as usize].next;
             }
         }
+        out
     }
 
     /// Heap bytes committed for slots and list heads.
@@ -436,7 +424,7 @@ mod tests {
         l.push_back(0, 0, TupleId::new(2), ms(3), 2);
         l.push_back(1, 2, TupleId::new(3), ms(4), 3);
         l.assert_consistent();
-        assert_eq!(l.live(), 4);
+        assert_eq!(l.live, 4);
         assert_eq!(l.front(0).unwrap().tuple, TupleId::new(0));
         assert_eq!(l.unit_tail_entry(0).unwrap().tuple, TupleId::new(2));
         let e = l.pop_front(0);
@@ -465,7 +453,7 @@ mod tests {
         assert!(was_front);
         l.assert_consistent();
         assert!(l.remove_unit_tail(0).is_none());
-        assert_eq!(l.live(), 1);
+        assert_eq!(l.live, 1);
     }
 
     #[test]
@@ -477,7 +465,7 @@ mod tests {
         }
         // One slot allocated, reused every round.
         assert_eq!(l.slots.len(), 1);
-        assert_eq!(l.live(), 0);
+        assert_eq!(l.live, 0);
     }
 
     #[test]
@@ -514,8 +502,7 @@ mod tests {
             l.push_back(c, (i % 3) as UnitId, TupleId::new(i), ms(i), i);
         }
         l.pop_front(2);
-        let mut out = Vec::new();
-        l.collect_live(&mut out);
+        let mut out = l.collect_live();
         out.sort_by_key(|e| e.seq);
         let seqs: Vec<u64> = out.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 2, 3]);
@@ -543,12 +530,11 @@ mod tests {
         let mut l = lists(2, 2);
         l.push_back(0, 0, TupleId::new(0), ms(1), 0);
         l.reset(4, 3);
-        assert_eq!(l.live(), 0);
+        assert_eq!(l.live, 0);
         for c in 0..4 {
             assert!(l.is_cluster_empty(c));
         }
-        assert_eq!(l.add_unit(), 3);
-        l.push_back(3, 3, TupleId::new(9), ms(9), 7);
+        l.push_back(3, 2, TupleId::new(9), ms(9), 7);
         l.assert_consistent();
     }
 }

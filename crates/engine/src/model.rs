@@ -373,36 +373,6 @@ impl SimModel {
             })
             .collect()
     }
-
-    /// Expected processing cost per source arrival, summed over every entry
-    /// the arrival fans out to — the numerator of §8's utilization formula.
-    pub fn expected_cost_per_arrival(&self, stream: StreamId) -> f64 {
-        let Some(entries) = self.routes.get(stream.index()) else {
-            return 0.0;
-        };
-        entries
-            .iter()
-            .map(|r| {
-                let u = &self.units[r.unit as usize];
-                match &u.kind {
-                    UnitKind::Shared { group } => {
-                        // The group's true expected work: the shared operator
-                        // once, plus every member's remainder scaled by the
-                        // shared selectivity — captured exactly by
-                        // Σ C̄_i − (N−1)·c_x over *all* members.
-                        let g = &self.groups[*group];
-                        let sum: f64 = g
-                            .members
-                            .iter()
-                            .map(|&qi| self.stats[qi].per_leaf[0].avg_cost_ns)
-                            .sum();
-                        sum - (g.members.len() as f64 - 1.0) * g.shared_cost.as_nanos() as f64
-                    }
-                    _ => u.statics.avg_cost_ns,
-                }
-            })
-            .sum()
-    }
 }
 
 /// Build `UnitStatics` for a shared group such that the group's HNR priority
@@ -641,24 +611,6 @@ mod tests {
         let s = synthesize_shared_statics(&member_stats, ms(1), &hnr, bsd.priority);
         assert!((s.hnr_priority() - hnr.priority).abs() / hnr.priority < 1e-9);
         assert!((s.bsd_static() - bsd.priority).abs() / bsd.priority < 1e-9);
-    }
-
-    #[test]
-    fn expected_cost_per_arrival_sums_entries() {
-        let mut plan = GlobalPlan::default();
-        plan.add_query(sjp(0, 1, 0.5));
-        plan.add_query(sjp(0, 1, 0.5));
-        let m = SimModel::build(
-            &plan,
-            &StreamRates::none(),
-            SchedulingLevel::Query,
-            SharingStrategy::Pdt,
-        )
-        .unwrap();
-        // Per query: C̄ = 1 + 0.5·1 + 0.25·1 = 1.75ms; two queries.
-        let expect = 2.0 * 1.75e6;
-        assert!((m.expected_cost_per_arrival(StreamId::new(0)) - expect).abs() < 1.0);
-        assert_eq!(m.expected_cost_per_arrival(StreamId::new(9)), 0.0);
     }
 
     #[test]

@@ -397,27 +397,6 @@ pub fn reconcile(log: &TraceLog, report: &SimReport) -> Reconciliation {
     r
 }
 
-/// Render a reconciliation as fixed-width text.
-pub fn render_reconciliation(r: &Reconciliation) -> String {
-    let mut out = String::new();
-    out.push_str("field                        trace                 report                ok\n");
-    for c in &r.checks {
-        out.push_str(&format!(
-            "{:<28} {:<21} {:<21} {}\n",
-            c.field,
-            c.from_trace,
-            c.from_report,
-            if c.ok { "yes" } else { "NO" }
-        ));
-    }
-    out.push_str(&format!(
-        "reconciliation: {}/{} fields match exactly\n",
-        r.checks.iter().filter(|c| c.ok).count(),
-        r.checks.len()
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,9 @@
 //! The prose points at real files and real benchmark cells: every
 //! backticked repository path in the user-facing documents must exist,
 //! every backticked bare Rust file name must name a source file, every
-//! backticked benchmark cell must be declared in `BENCHMARK.json`, and
-//! every flag of a `repro` command line must be listed by `repro --help`,
+//! backticked benchmark cell must be declared in `BENCHMARK.json`, every
+//! backticked `hcq_<crate>::…` item path must resolve segment by segment,
+//! and every flag of a `repro` command line must be listed by `repro --help`,
 //! so a rename or deletion that leaves a document pointing at nothing fails
 //! here instead of misleading a reader.
 //!
@@ -221,9 +222,11 @@ fn documented_benchmark_cells_exist() {
 }
 
 /// The items a backticked `hcq_<crate>::…` or `hcq-<crate>::…` span names,
-/// as `(crate, last segment)`: `hcq_core::{StaticPolicy::srpt, FcfsPolicy}`
-/// names `srpt` and `FcfsPolicy` in `core`; generic arguments are dropped.
-fn item_paths(span: &str) -> Vec<(&str, &str)> {
+/// as `(crate, segments after the crate)`:
+/// `hcq_core::{StaticPolicy::srpt, FcfsPolicy}` names `StaticPolicy::srpt`
+/// and `FcfsPolicy` in `core`, a list's prefix leads each of its items, and
+/// generic arguments are dropped.
+fn item_paths(span: &str) -> Vec<(&str, Vec<&str>)> {
     let crate_path = span
         .strip_prefix("hcq_")
         .or_else(|| span.strip_prefix("hcq-"));
@@ -231,21 +234,53 @@ fn item_paths(span: &str) -> Vec<(&str, &str)> {
         return Vec::new();
     };
     let list = rest.strip_suffix('}').and_then(|r| r.split_once('{'));
-    let items = match list {
-        Some((_, list)) => list.split(',').map(str::trim).collect(),
-        None => vec![rest],
+    let (prefix, items) = match list {
+        Some((prefix, list)) => (prefix, list.split(',').map(str::trim).collect()),
+        None => ("", vec![rest]),
     };
     items
         .into_iter()
         .filter(|item| !item.contains(char::is_whitespace))
-        .map(|item| (krate, last_segment(item)))
+        .map(|item| {
+            let item = item.split(['<', '(']).next().unwrap_or_default();
+            let segments = prefix.split("::").chain(item.split("::"));
+            (krate, segments.filter(|s| !s.is_empty()).collect())
+        })
         .collect()
 }
 
-/// `queues::UnitQueues<T>` → `UnitQueues`.
-fn last_segment(item: &str) -> &str {
-    let item = item.split(['<', '(']).next().unwrap_or_default();
-    item.rsplit("::").next().unwrap_or_default()
+/// Whether an item path resolves in a crate whose root is `lib` and whose
+/// whole `src/` is `source`: the first segment is reachable from the root
+/// (a `mod` or item declared in `lib`, or a name its `pub use` lists),
+/// every later segment but the last is declared as a module or a type, and
+/// the last is declared anywhere.
+fn resolves_item(lib: &str, source: &str, segments: &[&str]) -> bool {
+    let Some((&last, init)) = segments.split_last() else {
+        return false;
+    };
+    let first = segments[0];
+    let reachable = declares(lib, first) || re_exports(lib).contains(&first);
+    let scopes = init
+        .iter()
+        .skip(1)
+        .all(|s| declares_as(source, s, &["mod", "struct", "enum", "trait", "type"]));
+    reachable && scopes && declares(source, last)
+}
+
+/// Every word of every `pub use` statement in `source`: the names it
+/// re-exports, with their paths.
+fn re_exports(source: &str) -> Vec<&str> {
+    source
+        .split("pub use ")
+        .skip(1)
+        .flat_map(|s| words(s.split(';').next().unwrap_or_default()))
+        .collect()
+}
+
+/// The identifier-shaped words of `text`.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
 }
 
 /// Whether `name` is declared in `source`: a `fn`, `struct`, `enum`,
@@ -263,14 +298,15 @@ fn declares(source: &str, name: &str) -> bool {
         "static",
         "macro_rules",
     ];
-    let words: Vec<&str> = source
-        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty())
-        .collect();
+    declares_as(source, name, &KEYWORDS) || enum_variants(source).contains(&name)
+}
+
+/// Whether `source` declares `name` after one of `keywords`.
+fn declares_as(source: &str, name: &str, keywords: &[&str]) -> bool {
+    let words: Vec<&str> = words(source).collect();
     words
         .windows(2)
-        .any(|w| w[1] == name && KEYWORDS.contains(&w[0]))
-        || enum_variants(source).contains(&name)
+        .any(|w| w[1] == name && keywords.contains(&w[0]))
 }
 
 /// The variants of every `enum` in `source`, as rustfmt lays one out: an
@@ -314,12 +350,12 @@ fn rust_sources(dir: &Path, out: &mut String) {
 }
 
 /// Every backticked `hcq_<crate>::…` or `hcq-<crate>::…` item path names a
-/// crate under `crates/`, and its last segment is declared in that crate's
-/// `src/` (a module file is declared by its `mod`).
+/// crate under `crates/` and resolves there ([`resolves_item`]; a module
+/// file is declared by its `mod`).
 #[test]
 fn documented_item_paths_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut sources = std::collections::HashMap::new();
+    let mut crates = std::collections::HashMap::new();
     let mut checked = 0;
     let mut missing = Vec::new();
     for doc in DOCS {
@@ -327,15 +363,19 @@ fn documented_item_paths_exist() {
             .unwrap_or_else(|e| panic!("reading {doc}: {e}"));
         for (n, line) in text.lines().enumerate() {
             for span in line.split('`').skip(1).step_by(2) {
-                for (krate, name) in item_paths(span) {
+                for (krate, segments) in item_paths(span) {
                     checked += 1;
-                    let source = sources.entry(krate.to_string()).or_insert_with(|| {
-                        let dir = root.join("crates").join(krate);
+                    let sources = crates.entry(krate.to_string()).or_insert_with(|| {
+                        let src = root.join("crates").join(krate).join("src");
+                        let lib = std::fs::read_to_string(src.join("lib.rs")).ok()?;
                         let mut text = String::new();
-                        rust_sources(&dir.join("src"), &mut text);
-                        dir.is_dir().then_some(text)
+                        rust_sources(&src, &mut text);
+                        Some((lib, text))
                     });
-                    if !source.as_deref().is_some_and(|s| declares(s, name)) {
+                    let found = sources
+                        .as_ref()
+                        .is_some_and(|(lib, source)| resolves_item(lib, source, &segments));
+                    if !found {
                         missing.push(format!("{doc}:{}: `{span}`", n + 1));
                     }
                 }
@@ -428,18 +468,52 @@ fn repro_flag_shapes() {
 
 #[test]
 fn item_path_shapes() {
-    assert_eq!(item_paths("hcq_core::PolicyKind"), [("core", "PolicyKind")]);
+    assert_eq!(
+        item_paths("hcq_core::PolicyKind"),
+        [("core", vec!["PolicyKind"])]
+    );
     assert_eq!(
         item_paths("hcq_engine::queues::UnitQueues<T>"),
-        [("engine", "UnitQueues")]
+        [("engine", vec!["queues", "UnitQueues"])]
     );
     assert_eq!(
         item_paths("hcq_core::{StaticPolicy::srpt, FcfsPolicy}"),
-        [("core", "srpt"), ("core", "FcfsPolicy")]
+        [
+            ("core", vec!["StaticPolicy", "srpt"]),
+            ("core", vec!["FcfsPolicy"])
+        ]
     );
     assert_eq!(
         item_paths("hcq-core::cluster::{Uniform,Logarithmic}"),
-        [("core", "Uniform"), ("core", "Logarithmic")]
+        [
+            ("core", vec!["cluster", "Uniform"]),
+            ("core", vec!["cluster", "Logarithmic"])
+        ]
+    );
+    let lib = "pub mod queues;\nmod build;\npub use cluster::{ClusterConfig, \n    \
+               Clustering};\npub fn run() {}";
+    let source = format!(
+        "{lib}\npub struct UnitQueues;\nimpl UnitQueues {{ pub fn shared() {{}} }}\n\
+         pub enum Clustering {{\n    Uniform,\n}}\nimpl Config {{ pub fn paper() {{}} }}"
+    );
+    let resolves = |path: &[&str]| resolves_item(lib, &source, path);
+    assert!(
+        resolves(&["queues", "UnitQueues"]),
+        "a module, then an item"
+    );
+    assert!(
+        resolves(&["Clustering", "Uniform"]),
+        "a re-export's variant"
+    );
+    assert!(resolves(&["run"]), "an item of the root");
+    assert!(!resolves(&["UnitQueues", "shared"]), "not re-exported");
+    assert!(resolves(&["queues", "UnitQueues", "shared"]), "a type's fn");
+    assert!(!resolves(&["paper"]), "an associated fn is not at the root");
+    assert!(!resolves(&["shared"]), "nor is this one");
+    assert!(!resolves(&["build", "paper", "x"]), "a fn is not a scope");
+    assert!(
+        !resolves(&["queues", "Missing"]),
+        "the last segment is checked"
     );
     assert!(item_paths("hcq-core").is_empty(), "a package name");
     assert!(item_paths("hcq-fuzz-v1").is_empty(), "a format name");
