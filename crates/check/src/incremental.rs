@@ -11,16 +11,24 @@
 //!
 //! This module fuzzes that claim. Each `(seed, case)` derives a mutation
 //! sequence from the mix the executors produce — single and fanned-out
-//! enqueues, mid-stream selects, statics updates and tail sheds — applies
+//! enqueues, mid-stream selects, statics updates, tail sheds and domain
+//! refreezes — applies
 //! it to an incremental policy, rebuilds the reference, and drains both
 //! side by side. Every [`hcq_core::Selection`] must match exactly: units,
 //! charged ops, and the full [`hcq_core::SchedStats`] itemization. A
-//! mismatch is reported as an `incremental-equivalence` violation, after
+//! refreeze has a second, independent reference: a policy registered afresh
+//! on the current statics (so under the domain a refreeze computes) and fed
+//! the pending tuples in enqueue order. From the refreeze on it receives
+//! every op the policy does, and must select the same units at every point
+//! (its counters differ: it never paid for the refreeze). A mismatch is
+//! reported as an `incremental-equivalence` violation, after
 //! **shrinking** the mutation sequence to the shortest failing prefix so the
 //! artifact names the smallest reproduction.
 
 use hcq_common::{det, Nanos, TupleId};
-use hcq_core::{ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, UnitId, UnitStatics};
+use hcq_core::{
+    ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, Selection, UnitId, UnitStatics,
+};
 
 use crate::invariants::{cluster_variants, label, Violation};
 use crate::policyfuzz::{degenerate_units, FuzzQueues};
@@ -32,11 +40,34 @@ fn gen_statics(h: u64) -> UnitStatics {
     pool[(det::mix2(h, 77) % pool.len() as u64) as usize]
 }
 
+/// A policy registered on `units` and fed every tuple in `queues` in
+/// enqueue order: tuple ids rise with each enqueue, and a fan-out's copies
+/// (one id) were enqueued in unit order.
+fn registered_afresh(
+    cfg: ClusterConfig,
+    units: &[UnitStatics],
+    queues: &FuzzQueues,
+) -> ClusteredBsdPolicy {
+    let mut policy = ClusteredBsdPolicy::new(cfg);
+    policy.on_register(units);
+    let mut pending: Vec<_> = queues.entries().collect();
+    pending.sort_unstable();
+    for (tuple, unit, arrival) in pending {
+        policy.on_enqueue(unit, tuple, arrival, arrival);
+    }
+    policy
+}
+
+/// The units a selection runs, for comparisons that ignore its counters.
+fn units_of(selection: &Option<Selection>) -> Option<&[UnitId]> {
+    selection.as_ref().map(|s| s.units.as_slice())
+}
+
 /// Apply `steps` mutation ops, then drain the incremental policy against
 /// its rebuilt reference. Returns the first divergence as a detail string.
 fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<String> {
     let base = det::mix3(det::splitmix64(seed ^ 0x1ac4), case, 0x51de);
-    let units = degenerate_units(seed, case ^ 0xc105);
+    let mut units = degenerate_units(seed, case ^ 0xc105);
     // The concrete type, not `PolicyKind::build`: the drain compares it
     // with its `rebuild_reference`.
     let mut policy = ClusteredBsdPolicy::new(cfg);
@@ -46,17 +77,22 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
     let mut now = Nanos::ZERO;
     let mut next_tuple = 0u64;
     let gap = det::unit_range(det::mix2(base, 1), 1, 500_000);
+    // The refreeze reference, from the first refreeze on.
+    let mut afresh: Option<ClusteredBsdPolicy> = None;
 
     for step in 0..steps {
         let h = det::mix2(base, 1000 + step);
         let u = (det::mix2(h, 2) % n as u64) as UnitId;
-        match det::unit_range(det::mix2(h, 1), 0, 4) {
+        match det::unit_range(det::mix2(h, 1), 0, 5) {
             0 => {
                 // Single enqueue.
                 let t = TupleId::new(next_tuple);
                 next_tuple += 1;
                 queues.push(u, t, now);
                 policy.on_enqueue(u, t, now, now);
+                if let Some(p) = &mut afresh {
+                    p.on_enqueue(u, t, now, now);
+                }
             }
             1 => {
                 // Fan-out: one source tuple copied to every unit, the shape
@@ -66,25 +102,51 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
                 for v in 0..n as UnitId {
                     queues.push(v, t, now);
                     policy.on_enqueue(v, t, now, now);
+                    if let Some(p) = &mut afresh {
+                        p.on_enqueue(v, t, now, now);
+                    }
                 }
             }
             2 => {
                 // Scheduling point mid-sequence.
-                if let Some(sel) = policy.select(&queues, now) {
-                    for &su in sel.units.as_slice() {
-                        queues.pop(su);
+                let sel = policy.select(&queues, now);
+                if let Some(p) = &mut afresh {
+                    let other = p.select(&queues, now);
+                    if units_of(&sel) != units_of(&other) {
+                        return Some(format!(
+                            "step {step}: incremental selected {:?}, registered afresh {:?}",
+                            units_of(&sel),
+                            units_of(&other)
+                        ));
                     }
+                }
+                for &su in sel.iter().flat_map(|s| s.units.as_slice()) {
+                    queues.pop(su);
                 }
             }
             3 => {
                 // Statics update (may re-bucket and migrate entries).
-                policy.update_unit_statics(u, &gen_statics(det::mix2(h, 3)));
+                let statics = gen_statics(det::mix2(h, 3));
+                policy.update_unit_statics(u, &statics);
+                if let Some(p) = &mut afresh {
+                    p.update_unit_statics(u, &statics);
+                }
+                units[u as usize] = statics;
             }
-            _ => {
+            4 => {
                 // Shed the unit's tail tuple, engine-style.
                 if let Some((t, _)) = queues.pop_back(u) {
                     policy.on_shed(u, t);
+                    if let Some(p) = &mut afresh {
+                        p.on_shed(u, t);
+                    }
                 }
+            }
+            _ => {
+                // Refreeze the `Φ` domain: clusters can merge, and their
+                // backlogs must replay in enqueue order.
+                policy.refreeze_domain();
+                afresh = Some(registered_afresh(cfg, &units, &queues));
             }
         }
         now += Nanos::from_nanos(1 + det::mix2(h, 9) % gap);
@@ -97,6 +159,17 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
     for round in 0..budget {
         let a = policy.select(&queues, now);
         let b = reference.select(&ref_queues, now);
+        if let Some(p) = &mut afresh {
+            let c = p.select(&queues, now);
+            if units_of(&a) != units_of(&c) {
+                return Some(format!(
+                    "round {round} after {steps} ops: incremental selected {:?}, \
+                     registered afresh {:?}",
+                    units_of(&a),
+                    units_of(&c)
+                ));
+            }
+        }
         match (&a, &b) {
             (None, None) => {
                 if queues.pending() > 0 {

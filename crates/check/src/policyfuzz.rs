@@ -96,6 +96,14 @@ impl FuzzQueues {
     pub(crate) fn pending(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
     }
+
+    /// Every queued `(tuple, unit, arrival)`, unit by unit.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (TupleId, UnitId, Nanos)> + '_ {
+        self.queues.iter().enumerate().flat_map(|(u, q)| {
+            q.iter()
+                .map(move |&(tuple, arrival)| (tuple, u as UnitId, arrival))
+        })
+    }
 }
 
 impl QueueView for FuzzQueues {
@@ -548,14 +556,17 @@ mod tests {
     /// on arrival instants (`W = 0`), tail sheds down to empty and refills,
     /// factor changes, and re-registration with tuples pending. Every
     /// `Selection` must equal the scan's: unit, `ops_counted`, `SchedStats`.
+    /// Cases from 120 on draw 130–200 units, so a fan-out's group spans
+    /// several 64-rank blocks of the kernel's bitmap.
     fn wait_linear_differential(mut policy: WaitPolicy, kind: WaitLinear, case: u64) {
         let tag = format!("{kind:?} case {case}");
         let degenerate = case % 4 == 3;
-        let n = det::unit_range(
-            det::mix2(case, 1),
-            1,
-            if case.is_multiple_of(3) { 40 } else { 8 },
-        );
+        let (lo, hi) = match case {
+            120.. => (130, 200),
+            _ if case.is_multiple_of(3) => (1, 40),
+            _ => (1, 8),
+        };
+        let n = det::unit_range(det::mix2(case, 1), lo, hi);
         let mut units: Vec<UnitStatics> = (0..n)
             .map(|u| tie_statics(det::mix3(case, u, 2), degenerate))
             .collect();
@@ -641,7 +652,7 @@ mod tests {
 
     #[test]
     fn wait_linear_policies_match_the_scan_field_by_field() {
-        for case in 0..120 {
+        for case in 0..132 {
             wait_linear_differential(WaitPolicy::bsd(), WaitLinear::Bsd, case);
             wait_linear_differential(WaitPolicy::lsf(), WaitLinear::Lsf, case);
             for p in [1.0, 1.5, 2.0, 3.0, 16.0] {

@@ -15,18 +15,17 @@
 //! `now` is.
 //!
 //! The units are ranked once in that order (`±0` equal), and each group
-//! keeps the ranks of its members in a sorted `Vec` and caches its top
-//! unit, the top's factor and the runner-up's factor in dense columns;
-//! `select` makes one pass over the groups. (A join or a shed moves up to a
-//! group's size in ranks: one arrival fanned out to k units at one instant
-//! costs O(k²) moves to group, the order of the k scans over ≥ k ready units
-//! that [`scan_argmax`] would spend consuming them.) A product can tie
+//! keeps the ranks of its members as a sparse bitmap (`RankBlocks`: its
+//! non-empty 64-rank blocks) and caches its top unit, the top's factor and
+//! the runner-up's factor in dense columns; `select` makes one pass over the
+//! groups. A join or a shed sets or clears one bit of one block, found at
+//! the group's top block or by binary search over at most ⌈q/64⌉ blocks,
+//! which shift only when a block appears or empties. A product can tie
 //! across groups (equal priorities) and within one (equal factors, `W = 0`,
 //! `Φ = 0`, neighbouring floats that round to one product): the pass keeps
 //! the lowest tied top id, and a group whose top ties the best and whose
 //! runner-up ties its top is then scanned for a lower tied id. The result
-//! is the unit
-//! [`scan_argmax`] returns, and the charge is the scan's:
+//! is the unit [`scan_argmax`] returns, and the charge is the scan's:
 //! `ops_counted = 2·|ready|`, itemized `{n, n, n}` — the §9.2 cost of naive
 //! BSD that Fig. 14 and `ext_overhead` measure, not this kernel's work.
 //!
@@ -47,9 +46,9 @@
 //! negative at some group's wait, makes the point fall back to
 //! [`scan_argmax`], whose order-dependent NaN rule only a scan defines.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hcq_common::{Nanos, TupleId};
 
@@ -59,6 +58,124 @@ use crate::unit::UnitStatics;
 
 /// `group_of` entry of a unit that is in no group.
 const NONE: u32 = u32::MAX;
+
+/// One group's member ranks as a sparse bitmap: its non-empty 64-rank
+/// blocks as `(block, bits)` pairs in descending block order, so the lowest
+/// rank (the group's top) is in the last pair. Rank `r` is bit `r % 64` of
+/// block `r / 64`.
+#[derive(Debug)]
+struct RankBlocks(Vec<(u32, u64)>);
+
+impl RankBlocks {
+    /// The set `{rank}`, in an allocation of one block.
+    fn one(rank: u32) -> Self {
+        RankBlocks(vec![(rank >> 6, 1 << (rank & 63))])
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The slot of `block`, or where it would be inserted. The last block
+    /// (the top's) is tried first.
+    #[inline]
+    fn find(&self, block: u32) -> Result<usize, usize> {
+        let n = self.0.len();
+        match self.0.last() {
+            Some(&(last, _)) if last >= block => {
+                if last == block {
+                    Ok(n - 1)
+                } else {
+                    Err(n)
+                }
+            }
+            _ => {
+                let i = self.0.partition_point(|&(b, _)| b > block);
+                if i < n && self.0[i].0 == block {
+                    Ok(i)
+                } else {
+                    Err(i)
+                }
+            }
+        }
+    }
+
+    fn insert(&mut self, rank: u32) {
+        let (block, bit) = (rank >> 6, 1 << (rank & 63));
+        match self.find(block) {
+            Ok(i) => self.0[i].1 |= bit,
+            Err(i) => self.0.insert(i, (block, bit)),
+        }
+    }
+
+    /// Remove a member `rank`, dropping its block if it empties.
+    fn remove(&mut self, rank: u32) {
+        let i = self.find(rank >> 6).expect("removed ranks are members");
+        let bits = &mut self.0[i].1;
+        debug_assert!(*bits & 1 << (rank & 63) != 0, "removed ranks are members");
+        *bits &= !(1 << (rank & 63));
+        if *bits == 0 {
+            self.0.remove(i);
+        }
+    }
+
+    /// The lowest rank and the second lowest, if any; panics when empty.
+    #[inline]
+    fn top_two(&self) -> (u32, Option<u32>) {
+        let lowest = |(block, bits): (u32, u64)| block << 6 | bits.trailing_zeros();
+        let (&(block, bits), rest) = self.0.split_last().expect("groups are non-empty");
+        let below = bits & (bits - 1);
+        let runner = if below != 0 {
+            Some(lowest((block, below)))
+        } else {
+            rest.last().map(|&b| lowest(b))
+        };
+        (lowest((block, bits)), runner)
+    }
+
+    /// Every member rank (blocks descending, ranks ascending within one).
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().flat_map(|&(block, mut bits)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let r = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    block << 6 | r
+                })
+            })
+        })
+    }
+}
+
+/// The instant map's hasher: one 64×64 → 128-bit multiply by a fixed odd
+/// constant, its halves folded by xor, so both the bucket index (low bits)
+/// and the map's control tag (top bits) depend on every bit of the instant.
+/// It has no per-run key, so the map's capacity, which hash-dependent
+/// tombstones decide, and with it [`Policy::memory_footprint`], repeats
+/// from run to run. Instants crafted to collide would cost a lookup
+/// O(groups) ≤ O(ready units), the scan's own price.
+#[derive(Debug, Default)]
+struct InstantHasher(u64);
+
+impl Hasher for InstantHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
 
 /// Which wait-linear priority `factor · wait_term(W)` to use.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -121,17 +238,14 @@ pub struct WaitPolicy {
     is_dirty: Vec<bool>,
     /// Per group (dense, parallel): head instant, top unit, the top's
     /// factor, the runner-up's factor (NaN for a single member), and the
-    /// members' ranks sorted descending, so the top is last and a selected
-    /// top leaves by a pop.
+    /// members' ranks.
     keys: Vec<Nanos>,
     top: Vec<UnitId>,
     top_factor: Vec<f64>,
     runner_factor: Vec<f64>,
-    ranks: Vec<Vec<u32>>,
-    /// Head instant → group index. The hasher has fixed keys so that the
-    /// map's capacity, which hash-dependent tombstones decide, and so
-    /// [`Policy::memory_footprint`], repeat from run to run.
-    index: HashMap<Nanos, u32, BuildHasherDefault<DefaultHasher>>,
+    ranks: Vec<RankBlocks>,
+    /// Head instant → group index.
+    index: HashMap<Nanos, u32, BuildHasherDefault<InstantHasher>>,
     /// Units in groups.
     members: usize,
     /// Rebuilds from the view since construction.
@@ -178,7 +292,7 @@ impl WaitPolicy {
     }
 
     fn clear_groups(&mut self) {
-        for &rank in self.ranks.iter().flatten() {
+        for rank in self.ranks.iter().flat_map(RankBlocks::iter) {
             self.group_of[self.order[rank as usize] as usize] = NONE;
         }
         self.keys.clear();
@@ -229,7 +343,7 @@ impl WaitPolicy {
     #[cold]
     fn rerank(&mut self) {
         let grouped: Vec<(UnitId, Nanos)> = (0..self.ranks.len())
-            .flat_map(|g| self.ranks[g].iter().map(move |&r| (r, g)))
+            .flat_map(|g| self.ranks[g].iter().map(move |r| (r, g)))
             .map(|(r, g)| (self.order[r as usize], self.keys[g]))
             .collect();
         self.clear_groups();
@@ -257,30 +371,35 @@ impl WaitPolicy {
 
     /// Recompute group `g`'s cached top, top factor and runner-up factor.
     fn refresh(&mut self, g: usize) {
-        let (&top_rank, rest) = self.ranks[g].split_last().expect("groups are non-empty");
+        let (top_rank, runner) = self.ranks[g].top_two();
         let top = self.order[top_rank as usize];
-        let runner = rest.last();
         self.top[g] = top;
         self.top_factor[g] = self.factor[top as usize];
         self.runner_factor[g] =
-            runner.map_or(f64::NAN, |&r| self.factor[self.order[r as usize] as usize]);
+            runner.map_or(f64::NAN, |r| self.factor[self.order[r as usize] as usize]);
     }
 
     /// Put an ungrouped `unit` whose head arrived `at` into its group.
     fn join(&mut self, unit: UnitId, at: Nanos) {
-        let g = *self.index.entry(at).or_insert_with(|| {
-            self.keys.push(at);
-            self.top.push(unit);
-            self.top_factor.push(0.0);
-            self.runner_factor.push(f64::NAN);
-            self.ranks.push(Vec::new());
-            self.keys.len() as u32 - 1
-        }) as usize;
-        self.group_of[unit as usize] = g as u32;
-        let ranks = &mut self.ranks[g];
         let rank = self.rank_of[unit as usize];
-        ranks.insert(ranks.partition_point(|&r| r > rank), rank);
-        self.refresh(g);
+        let g = match self.index.entry(at) {
+            Entry::Occupied(entry) => {
+                let g = *entry.get() as usize;
+                self.ranks[g].insert(rank);
+                self.refresh(g);
+                g
+            }
+            Entry::Vacant(entry) => {
+                entry.insert(self.keys.len() as u32);
+                self.keys.push(at);
+                self.top.push(unit);
+                self.top_factor.push(self.factor[unit as usize]);
+                self.runner_factor.push(f64::NAN);
+                self.ranks.push(RankBlocks::one(rank));
+                self.keys.len() - 1
+            }
+        };
+        self.group_of[unit as usize] = g as u32;
         self.members += 1;
     }
 
@@ -288,10 +407,8 @@ impl WaitPolicy {
     fn leave(&mut self, unit: UnitId) {
         let g = std::mem::replace(&mut self.group_of[unit as usize], NONE) as usize;
         self.members -= 1;
-        let ranks = &mut self.ranks[g];
-        let rank = self.rank_of[unit as usize];
-        ranks.remove(ranks.partition_point(|&r| r > rank));
-        if !ranks.is_empty() {
+        self.ranks[g].remove(self.rank_of[unit as usize]);
+        if !self.ranks[g].is_empty() {
             return self.refresh(g);
         }
         // Swap-remove the group; the last one takes index `g`.
@@ -303,7 +420,7 @@ impl WaitPolicy {
         self.ranks.swap_remove(g);
         if g < self.keys.len() {
             self.index.insert(self.keys[g], g as u32);
-            for &r in &self.ranks[g] {
+            for r in self.ranks[g].iter() {
                 self.group_of[self.order[r as usize] as usize] = g as u32;
             }
         }
@@ -373,7 +490,7 @@ impl WaitPolicy {
             best_u = best_u.min(self.top[g]);
             if term * self.runner_factor[g] == best {
                 // Equal products below the top: the lowest tied id wins.
-                for &r in &self.ranks[g] {
+                for r in self.ranks[g].iter() {
                     let u = self.order[r as usize];
                     if u < best_u && term * self.factor[u as usize] == best {
                         best_u = u;
@@ -458,8 +575,8 @@ impl Policy for WaitPolicy {
         let per_group = self.keys.capacity() * size_of::<Nanos>()
             + self.top.capacity() * size_of::<UnitId>()
             + (self.top_factor.capacity() + self.runner_factor.capacity()) * size_of::<f64>()
-            + self.ranks.capacity() * size_of::<Vec<u32>>()
-            + self.ranks.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
+            + self.ranks.capacity() * size_of::<RankBlocks>()
+            + self.ranks.iter().map(|r| r.0.capacity()).sum::<usize>() * size_of::<(u32, u64)>()
             + self.index.capacity() * (size_of::<(Nanos, u32)>() + 1);
         Some(per_unit + per_group)
     }
@@ -487,6 +604,8 @@ mod tests {
     use super::*;
     use crate::policy::testkit::{drain_order, MockQueues};
     use crate::statics::StaticPolicy;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn ms(n: u64) -> Nanos {
         Nanos::from_millis(n)
@@ -496,6 +615,38 @@ mod tests {
         let at = ms(at_ms);
         q.push(unit, TupleId::new(u64::from(unit)), at);
         p.on_enqueue(unit, TupleId::new(u64::from(unit)), at, at);
+    }
+
+    proptest! {
+        /// A group's bitmap holds the set a `BTreeSet` holds, block by block
+        /// in descending order, through inserts and removes over 8 blocks.
+        #[test]
+        fn rank_blocks_are_a_rank_set(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..512), 1..300)
+        ) {
+            let (mut set, mut reference) = (RankBlocks(Vec::new()), BTreeSet::new());
+            for (insert, rank) in ops {
+                if insert || reference.is_empty() {
+                    set.insert(rank);
+                    reference.insert(rank);
+                } else {
+                    // A member: the first at or above `rank`, else the lowest.
+                    let r = *reference.range(rank..).next().or(reference.first()).unwrap();
+                    set.remove(r);
+                    reference.remove(&r);
+                }
+                let blocks = &set.0;
+                prop_assert!(blocks.windows(2).all(|w| w[0].0 > w[1].0));
+                prop_assert!(blocks.iter().all(|&(_, bits)| bits != 0));
+                let mut members: Vec<u32> = set.iter().collect();
+                members.sort_unstable();
+                prop_assert_eq!(members, reference.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(set.is_empty(), reference.is_empty());
+                if let Some(&top) = reference.first() {
+                    prop_assert_eq!(set.top_two(), (top, reference.range(top + 1..).next().copied()));
+                }
+            }
+        }
     }
 
     /// Enqueues, pops and sheds reported through the callbacks keep the
