@@ -2,9 +2,18 @@
 //! scheduling step is the engine's [`Scheduler`] over records, driving a
 //! [`RuntimePolicy::build`] instance (or one handed to
 //! [`Dsms::with_policy`], such as a contract audit) refreshed through
-//! [`Scheduler::update_statics`], its slowdown [`exec::slowdown`]. Its own:
+//! [`Scheduler::update_statics`], its plan the compiled [`CompiledQuery`]
+//! with its [`PlanStats`], its slowdown [`exec::slowdown`]. Its own:
 //! real records and operators, online monitors, and the whole-fan-out
 //! `max_pending` valve (a stream-level rule, so not a queue admission mode).
+//!
+//! A query is lowered once, at registration: its [`RtPlan`] becomes a
+//! `CompiledQuery` with the declared estimates as specs, and beside the
+//! compiled ops, aligned with them, each op's behaviour and EWMA monitor.
+//! Each leaf is a unit whose op path is resolved then. A refresh writes the
+//! monitors into the specs in place and recomputes each query's stats; a
+//! copy is one walk along its unit's path, which at a join inserts, probes
+//! and walks on once per composite.
 //!
 //! A decision does only the work it needs. The clock is read once per
 //! `push` (the arrival stamp) and once per emission, so every response is
@@ -32,10 +41,12 @@ use hcq_engine::exec;
 use hcq_engine::queues::{Queued, Scheduler};
 use hcq_join::{JoinItem, Side, SymmetricHashJoin};
 use hcq_metrics::{QosAccumulator, QosSummary};
-use hcq_plan::{CompiledQuery, PlanStats, QueryBuilder, StreamRates};
+use hcq_plan::{
+    CompiledOpKind, CompiledQuery, LeafIndex, OpKind, PlanStats, QueryBuilder, StreamRates,
+};
 
 use crate::clock::{Clock, SystemClock};
-use crate::ops::{RtOp, RtPlan};
+use crate::ops::{RtOp, RtOpKind, RtPlan};
 use crate::record::Record;
 
 /// Which scheduling policy drives the runtime: the core's policy spec.
@@ -200,13 +211,13 @@ impl Queued for Pending {
     }
 }
 
-/// Join-table entry.
+/// Join-table entry: the post-chain record, keyed, stamped with its
+/// arrival.
 #[derive(Debug, Clone)]
 struct Keyed {
     key: u64,
-    ts: Nanos,
-    record: Record,
     arrival: Nanos,
+    record: Record,
 }
 
 impl JoinItem for Keyed {
@@ -214,39 +225,51 @@ impl JoinItem for Keyed {
         self.key
     }
     fn timestamp(&self) -> Nanos {
-        self.ts
+        self.arrival
     }
 }
 
-/// Per-operator online monitor slots: one per unary op (in plan order),
-/// plus one for the join where present.
+/// What one compiled operator does to a record.
+enum Step {
+    /// A select or a projection.
+    Unary(RtOpKind),
+    /// The window join: each side's key field, and the window table.
+    Join {
+        fields: [usize; 2],
+        table: Box<SymmetricHashJoin<Keyed>>,
+    },
+}
+
+/// A registered query, lowered once: the compiled plan whose operator
+/// specs each refresh rewrites in place, and beside `cq.ops`, aligned with
+/// it, each operator's behaviour and online monitor (the join's included).
 struct QueryRuntime {
-    plan: RtPlan,
-    monitors: Vec<EwmaEstimator>,
-    join_monitor: Option<EwmaEstimator>,
-    join: Option<SymmetricHashJoin<Keyed>>,
-    /// Estimated ideal processing time (refreshed with priorities).
-    ideal_time: Nanos,
-    /// Estimated alone-path cost per leaf (join queries; single-stream uses
-    /// `ideal_time`).
-    alone: Vec<Nanos>,
+    cq: CompiledQuery,
+    steps: Vec<(Step, EwmaEstimator)>,
+    /// `cq`'s statistics at the last refresh: `T` and each leaf's alone cost.
+    stats: PlanStats,
 }
 
-/// What a schedulable unit executes.
-#[derive(Debug, Clone, Copy)]
-enum RtUnit {
-    Single { query: usize },
-    JoinLeaf { query: usize, side: Side },
+/// What executing a copy in one unit needs, resolved at registration: the
+/// unit's query and leaf, and the operator indices from the leaf's entry
+/// to the root.
+struct UnitPath {
+    query: usize,
+    leaf: LeafIndex,
+    path: Box<[usize]>,
 }
 
-/// The clock and what an emission updates, apart from the queries so that
-/// a join probe can emit while it holds its query's state.
+/// The clock and what a walk updates, apart from the queries so that a
+/// walk can emit while it holds its query's state.
 struct Emitter {
     clock: Box<dyn Clock>,
     /// The last instant read from `clock`.
     now: Nanos,
     emitted: u64,
+    dropped: u64,
     qos: QosAccumulator,
+    /// The current decision's emissions.
+    out: Emissions,
 }
 
 impl Emitter {
@@ -258,7 +281,6 @@ impl Emitter {
     /// Stamp one result with a fresh clock read and account for it.
     fn emit(
         &mut self,
-        out: &mut Emissions,
         query: usize,
         record: Record,
         arrival: Nanos,
@@ -272,7 +294,7 @@ impl Emitter {
         let slowdown = exec::slowdown(now, ideal_depart, ideal);
         self.qos.record(response, slowdown);
         self.emitted += 1;
-        out.push(Emission {
+        self.out.push(Emission {
             query: QueryId::new(query),
             record,
             arrival,
@@ -280,6 +302,168 @@ impl Emitter {
             response,
             slowdown,
         });
+    }
+}
+
+impl QueryRuntime {
+    /// Lower `plan` into the compiled form, with the declared estimates
+    /// as the specs and the monitors' seeds.
+    fn lower(plan: RtPlan, alpha: f64) -> Result<Self> {
+        let unary = |b: QueryBuilder, op: &RtOp| match op.kind {
+            RtOpKind::Select(_) => b.select(op.est_cost, op.est_selectivity),
+            RtOpKind::Project(_) => b.project(op.est_cost),
+        };
+        let ewma = |cost, s| EwmaEstimator::new(alpha, cost, s);
+        let step = |op: RtOp| (Step::Unary(op.kind), ewma(op.est_cost, op.est_selectivity));
+        let (builder, steps): (_, Vec<_>) = match plan {
+            RtPlan::Single { stream, ops } => (
+                ops.iter().fold(QueryBuilder::on(stream), unary),
+                ops.into_iter().map(step).collect(),
+            ),
+            RtPlan::Join {
+                left_stream,
+                right_stream,
+                left_ops,
+                right_ops,
+                join,
+                common_ops,
+            } => {
+                let left = left_ops.iter().fold(QueryBuilder::on(left_stream), unary);
+                let right = right_ops.iter().fold(QueryBuilder::on(right_stream), unary);
+                let joined =
+                    left.window_join(right, join.est_cost, join.est_selectivity, join.window);
+                let join_step = Step::Join {
+                    fields: [join.left_field, join.right_field],
+                    table: Box::new(SymmetricHashJoin::new(join.window)),
+                };
+                (
+                    common_ops.iter().fold(joined, unary),
+                    // Compiled order: the left chain, the right chain, the
+                    // join, the common chain.
+                    left_ops
+                        .into_iter()
+                        .chain(right_ops)
+                        .map(step)
+                        .chain([(join_step, ewma(join.est_cost, join.est_selectivity))])
+                        .chain(common_ops.into_iter().map(step))
+                        .collect(),
+                )
+            }
+        };
+        let cq = CompiledQuery::compile(&builder.build()?);
+        debug_assert!((cq.ops.iter().zip(&steps))
+            .all(|(op, (step, _))| op.is_join() == matches!(step, Step::Join { .. })));
+        Ok(QueryRuntime {
+            cq,
+            steps,
+            // The first refresh, which `register` runs next, fills it in.
+            stats: PlanStats {
+                per_op: Vec::new(),
+                per_leaf: Vec::new(),
+                ideal_time: Nanos::ZERO,
+            },
+        })
+    }
+
+    /// Write each monitor's estimate into its operator's spec, then
+    /// recompute the stats on this query's own stream rates: a join's
+    /// inputs at their measured `τ`, an unmeasured one at the join's window
+    /// (a deliberately conservative guess).
+    fn refresh(&mut self, gaps: &[Option<EwmaEstimator>]) -> Result<()> {
+        let mut rates = StreamRates::none();
+        for (op, (_, monitor)) in self.cq.ops.iter_mut().zip(&self.steps) {
+            match &mut op.kind {
+                CompiledOpKind::Unary(spec) => {
+                    spec.cost = monitor.cost();
+                    // A projection keeps selectivity 1.
+                    if spec.kind == OpKind::Select {
+                        spec.selectivity = monitor.selectivity().min(1.0);
+                    }
+                }
+                CompiledOpKind::Join(join) => {
+                    join.cost = monitor.cost();
+                    // `PlanStats` wants the per-pair predicate selectivity
+                    // in (0, 1]; the monitor tracks matches per probe, which
+                    // the occupancy term already models, so clamp.
+                    join.selectivity = monitor.selectivity().clamp(1e-6, 1.0);
+                    for leaf in &self.cq.leaves {
+                        let measured = gaps.get(leaf.stream.index()).and_then(Option::as_ref);
+                        rates.set(
+                            leaf.stream,
+                            measured.map_or(join.window, EwmaEstimator::cost),
+                        );
+                    }
+                }
+            }
+        }
+        self.stats = PlanStats::compute(&self.cq, &rates)?;
+        Ok(())
+    }
+
+    /// Run `record` along `path`, the rest of `unit`'s path, teaching
+    /// each operator's monitor what passed it, and emit what reaches the
+    /// root. A join inserts and probes its table, then walks on once per
+    /// composite: its arrival is the later constituent's, its ideal
+    /// departure the later of each constituent's arrival plus alone cost
+    /// (§5.1). A borrowed record stays borrowed through selects.
+    fn walk(
+        &mut self,
+        unit: &UnitPath,
+        path: &[usize],
+        mut record: Cow<'_, Record>,
+        (arrival, ideal_depart): (Nanos, Nanos),
+        emitter: &mut Emitter,
+    ) {
+        for (at, &op) in path.iter().enumerate() {
+            let (step, monitor) = &mut self.steps[op];
+            match step {
+                Step::Unary(kind) => {
+                    let next = kind.apply_cow(record);
+                    monitor.observe_selectivity(if next.is_some() { 1.0 } else { 0.0 });
+                    let Some(next) = next else {
+                        return emitter.dropped += 1;
+                    };
+                    record = next;
+                }
+                Step::Join { fields, table } => {
+                    // An RtPlan join's leaves are its left and right inputs.
+                    let (side, key_field, partner_leaf) = match unit.leaf.index() {
+                        0 => (Side::Left, fields[0], 1),
+                        _ => (Side::Right, fields[1], 0),
+                    };
+                    // A record lacking the key field cannot match anything.
+                    let Some(key) = record.get(key_field) else {
+                        return emitter.dropped += 1;
+                    };
+                    let entry = Keyed {
+                        key: key as u64,
+                        arrival,
+                        record: record.into_owned(),
+                    };
+                    let matches = table.insert_probe(side, &entry);
+                    monitor.observe_selectivity(matches.len() as f64);
+                    if matches.is_empty() {
+                        return emitter.dropped += 1;
+                    }
+                    let partner_alone = self.stats.per_leaf[partner_leaf].alone_cost;
+                    let rest = &path[at + 1..];
+                    for partner in matches {
+                        let (left, right) = match side {
+                            Side::Left => (&entry.record, &partner.record),
+                            Side::Right => (&partner.record, &entry.record),
+                        };
+                        let times = (
+                            arrival.max(partner.arrival),
+                            ideal_depart.max(partner.arrival + partner_alone),
+                        );
+                        self.walk(unit, rest, Cow::Owned(left.concat(right)), times, emitter);
+                    }
+                    return;
+                }
+            }
+        }
+        let (record, ideal) = (record.into_owned(), self.stats.ideal_time);
+        emitter.emit(unit.query, record, arrival, ideal_depart, ideal);
     }
 }
 
@@ -295,15 +479,14 @@ pub struct Dsms {
     /// the clock.
     reads_now: bool,
     queries: Vec<QueryRuntime>,
-    units: Vec<RtUnit>,
-    /// `(unit, ...)` fed by each stream index.
+    units: Vec<UnitPath>,
+    /// The units fed by each stream index.
     routes: Vec<Vec<UnitId>>,
     /// Per-stream inter-arrival EWMA (for §5 window-occupancy priorities).
     stream_gaps: Vec<Option<EwmaEstimator>>,
     last_arrival: Vec<Option<Nanos>>,
     tuple_counter: u64,
     pushed: u64,
-    dropped: u64,
     shed: u64,
     decisions: u64,
 }
@@ -330,7 +513,9 @@ impl Dsms {
                 clock: cfg.clock,
                 now: Nanos::ZERO,
                 emitted: 0,
+                dropped: 0,
                 qos: QosAccumulator::new(),
+                out: Emissions::default(),
             },
             ewma_alpha: cfg.ewma_alpha,
             auto_refresh_every: cfg.auto_refresh_every,
@@ -344,7 +529,6 @@ impl Dsms {
             last_arrival: Vec::new(),
             tuple_counter: 0,
             pushed: 0,
-            dropped: 0,
             shed: 0,
             decisions: 0,
         })
@@ -372,81 +556,28 @@ impl Dsms {
                 )));
             }
         }
-        let id = QueryId::new(self.queries.len());
-        let alpha = self.ewma_alpha;
-        let (monitors, join_monitor, join) = match &plan {
-            RtPlan::Single { ops, .. } => (
-                ops.iter()
-                    .map(|op| EwmaEstimator::new(alpha, op.est_cost, op.est_selectivity))
-                    .collect(),
-                None,
-                None,
-            ),
-            RtPlan::Join {
-                left_ops,
-                right_ops,
-                common_ops,
-                join,
-                ..
-            } => (
-                left_ops
-                    .iter()
-                    .chain(right_ops)
-                    .chain(common_ops)
-                    .map(|op| EwmaEstimator::new(alpha, op.est_cost, op.est_selectivity))
-                    .collect(),
-                Some(EwmaEstimator::new(
-                    alpha,
-                    join.est_cost,
-                    join.est_selectivity,
-                )),
-                Some(SymmetricHashJoin::new(join.window)),
-            ),
-        };
-        for stream in plan.streams() {
+        let query = QueryRuntime::lower(plan, self.ewma_alpha)?;
+        for &stream in &streams {
             if self.stream_gaps.len() <= stream.index() {
                 self.stream_gaps.resize_with(stream.index() + 1, || None);
                 self.last_arrival.resize(stream.index() + 1, None);
                 self.routes.resize(stream.index() + 1, Vec::new());
             }
         }
-        // Units and routing.
-        let qi = id.index();
-        match &plan {
-            RtPlan::Single { stream, .. } => {
-                let unit = self.units.len() as UnitId;
-                self.units.push(RtUnit::Single { query: qi });
-                self.routes[stream.index()].push(unit);
-            }
-            RtPlan::Join {
-                left_stream,
-                right_stream,
-                ..
-            } => {
-                let left = self.units.len() as UnitId;
-                self.units.push(RtUnit::JoinLeaf {
-                    query: qi,
-                    side: Side::Left,
-                });
-                self.routes[left_stream.index()].push(left);
-                let right = self.units.len() as UnitId;
-                self.units.push(RtUnit::JoinLeaf {
-                    query: qi,
-                    side: Side::Right,
-                });
-                self.routes[right_stream.index()].push(right);
-            }
+        // One unit per leaf, routed from the leaf's stream.
+        let id = QueryId::new(self.queries.len());
+        for (leaf, entry) in query.cq.leaves.iter().enumerate() {
+            let unit = self.units.len() as UnitId;
+            let leaf = LeafIndex(leaf);
+            self.units.push(UnitPath {
+                query: id.index(),
+                leaf,
+                path: query.cq.path(leaf).collect(),
+            });
+            self.routes[entry.stream.index()].push(unit);
         }
-        self.queries.push(QueryRuntime {
-            plan,
-            monitors,
-            join_monitor,
-            join,
-            ideal_time: Nanos(1),
-            alone: Vec::new(),
-        });
-        // (Re-)derive statics and register with the policy.
-        let statics = self.derive_statics()?;
+        self.queries.push(query);
+        let statics = self.refresh_statics()?;
         self.sched.register(&statics);
         Ok(id)
     }
@@ -498,18 +629,23 @@ impl Dsms {
         if self.sched.queues().pending() == 0 {
             return None;
         }
-        let mut out = Emissions::default();
         // A decision reads the clock only if the policy's choice needs it.
         let (fresh, e) = (self.reads_now, &mut self.emitter);
         let now = || if fresh { e.read_clock() } else { e.now };
         for unit in self.sched.next(now).expect("work pending") {
             let pending = self.sched.pop(unit).expect("selected units are non-empty");
-            match self.units[unit as usize] {
-                RtUnit::Single { query } => self.run_single(query, pending, &mut out),
-                RtUnit::JoinLeaf { query, side } => {
-                    self.run_join_leaf(query, side, pending, &mut out)
-                }
-            }
+            let unit = &self.units[unit as usize];
+            let query = &mut self.queries[unit.query];
+            let arrival = pending.arrival;
+            let ideal_depart = arrival + query.stats.per_leaf[unit.leaf.index()].alone_cost;
+            let record = Cow::Borrowed(&*pending.record);
+            query.walk(
+                unit,
+                &unit.path,
+                record,
+                (arrival, ideal_depart),
+                &mut self.emitter,
+            );
         }
         self.decisions += 1;
         if let Some(every) = self.auto_refresh_every {
@@ -518,7 +654,7 @@ impl Dsms {
                     .expect("registered plans stay valid");
             }
         }
-        Some(out)
+        Some(std::mem::take(&mut self.emitter.out))
     }
 
     /// Run decisions until no work is pending; returns all emissions.
@@ -534,7 +670,7 @@ impl Dsms {
     /// them to the policy (every policy that reads statics after
     /// registration refreshes; FCFS and RR ignore them).
     pub fn refresh_priorities(&mut self) -> Result<()> {
-        let statics = self.derive_statics()?;
+        let statics = self.refresh_statics()?;
         for (unit, s) in statics.iter().enumerate() {
             self.sched.update_statics(unit as UnitId, s);
         }
@@ -546,7 +682,7 @@ impl Dsms {
         RuntimeStats {
             pushed: self.pushed,
             emitted: self.emitter.emitted,
-            dropped: self.dropped,
+            dropped: self.emitter.dropped,
             shed: self.shed,
             decisions: self.decisions,
             qos: self.emitter.qos.summary(),
@@ -563,16 +699,16 @@ impl Dsms {
     /// monitors have learned (introspection / debugging / dashboards).
     pub fn estimates(&self, query: QueryId) -> Option<Vec<(Nanos, f64)>> {
         self.queries.get(query.index()).map(|q| {
-            q.monitors
-                .iter()
-                .map(|m| (m.cost(), m.selectivity()))
+            (q.cq.ops.iter().zip(&q.steps))
+                .filter(|(op, _)| !op.is_join())
+                .map(|(_, (_, m))| (m.cost(), m.selectivity()))
                 .collect()
         })
     }
 
     /// Current estimated ideal processing time `T` for a query.
     pub fn estimated_ideal_time(&self, query: QueryId) -> Option<Nanos> {
-        self.queries.get(query.index()).map(|q| q.ideal_time)
+        self.queries.get(query.index()).map(|q| q.stats.ideal_time)
     }
 
     /// The measured mean inter-arrival time of a stream, once at least two
@@ -586,235 +722,16 @@ impl Dsms {
 
     // ---------------------------------------------------------- internals
 
-    /// Build plan-equivalent statistics from the current monitor estimates
-    /// and derive per-unit statics plus per-query T / alone costs.
-    fn derive_statics(&mut self) -> Result<Vec<UnitStatics>> {
+    /// Refresh every query from its monitors (see [`QueryRuntime::refresh`])
+    /// and return the units' statics, in unit order.
+    fn refresh_statics(&mut self) -> Result<Vec<UnitStatics>> {
         let mut statics = Vec::with_capacity(self.units.len());
-        // Stream rates from monitors (joins need them; fall back to the
-        // window length when unmeasured, a deliberately conservative guess).
-        let mut rates = StreamRates::none();
-        for (s, gap) in self.stream_gaps.iter().enumerate() {
-            if let Some(g) = gap {
-                rates.set(StreamId::new(s), g.cost().max(Nanos(1)));
-            }
-        }
         for q in &mut self.queries {
-            let builder = plan_from_estimates(&q.plan, &q.monitors, &q.join_monitor);
-            let compiled = CompiledQuery::compile(&builder);
-            // For join plans with unmeasured streams, substitute the window
-            // as τ so the occupancy estimate is defined.
-            let mut local_rates = rates.clone();
-            if let RtPlan::Join {
-                left_stream,
-                right_stream,
-                join,
-                ..
-            } = &q.plan
-            {
-                for s in [left_stream, right_stream] {
-                    if local_rates.tau(*s).is_none() {
-                        local_rates.set(*s, join.window);
-                    }
-                }
-            }
-            let stats = PlanStats::compute(&compiled, &local_rates)?;
-            q.ideal_time = stats.ideal_time;
-            q.alone = (0..compiled.leaves.len())
-                .map(|li| compiled.alone_cost(hcq_plan::LeafIndex(li)))
-                .collect();
-            for leaf in &stats.per_leaf {
-                statics.push(UnitStatics::from_leaf(leaf));
-            }
+            q.refresh(&self.stream_gaps)?;
+            statics.extend(q.stats.per_leaf.iter().map(UnitStatics::from_leaf));
         }
         debug_assert_eq!(statics.len(), self.units.len());
         Ok(statics)
-    }
-
-    fn run_single(&mut self, query: usize, pending: Pending, out: &mut Emissions) {
-        let QueryRuntime {
-            plan,
-            monitors,
-            ideal_time,
-            ..
-        } = &mut self.queries[query];
-        let RtPlan::Single { ops, .. } = plan else {
-            unreachable!("unit/plan mismatch");
-        };
-        match run_chain(ops, monitors, Cow::Borrowed(&*pending.record)) {
-            Some(record) => {
-                let (arrival, ideal) = (pending.arrival, *ideal_time);
-                self.emitter.emit(
-                    out,
-                    query,
-                    record.into_owned(),
-                    arrival,
-                    arrival + ideal,
-                    ideal,
-                );
-            }
-            None => self.dropped += 1,
-        }
-    }
-
-    fn run_join_leaf(&mut self, query: usize, side: Side, pending: Pending, out: &mut Emissions) {
-        let QueryRuntime {
-            plan,
-            monitors,
-            join_monitor,
-            join: join_table,
-            ideal_time,
-            alone,
-        } = &mut self.queries[query];
-        let RtPlan::Join {
-            left_ops,
-            right_ops,
-            join,
-            common_ops,
-            ..
-        } = plan
-        else {
-            unreachable!("unit/plan mismatch");
-        };
-        let n_left = left_ops.len();
-        let (own_ops, key_field, mon_base) = match side {
-            Side::Left => (&*left_ops, join.left_field, 0),
-            Side::Right => (&*right_ops, join.right_field, n_left),
-        };
-        let own_chain = Cow::Borrowed(&*pending.record);
-        let Some(record) = run_chain(own_ops, &mut monitors[mon_base..], own_chain) else {
-            self.dropped += 1;
-            return;
-        };
-        // Join: key from the post-chain record. A record lacking the key
-        // field cannot match anything.
-        let Some(key) = record.get(key_field) else {
-            self.dropped += 1;
-            return;
-        };
-        let entry = Keyed {
-            key: key as u64,
-            ts: pending.arrival,
-            record: record.into_owned(),
-            arrival: pending.arrival,
-        };
-        let matches = join_table
-            .as_mut()
-            .expect("join plan has a join table")
-            .insert_probe(side, &entry);
-        if let Some(jm) = join_monitor.as_mut() {
-            jm.observe_selectivity(matches.len() as f64);
-        }
-        if matches.is_empty() {
-            self.dropped += 1;
-            return;
-        }
-        let common_base = n_left + right_ops.len();
-        // Per §5.1: composite arrival = max of constituents; ideal departure
-        // = max over constituents of (arrival + alone-path estimate).
-        let (own_leaf, other_leaf) = match side {
-            Side::Left => (0usize, 1usize),
-            Side::Right => (1, 0),
-        };
-        for partner in matches {
-            let (left_rec, right_rec) = match side {
-                Side::Left => (&entry.record, &partner.record),
-                Side::Right => (&partner.record, &entry.record),
-            };
-            let composite = left_rec.concat(right_rec);
-            let arrival = pending.arrival.max(partner.arrival);
-            let ideal_depart =
-                (pending.arrival + alone[own_leaf]).max(partner.arrival + alone[other_leaf]);
-            match run_chain(
-                common_ops,
-                &mut monitors[common_base..],
-                Cow::Owned(composite),
-            ) {
-                Some(composite) => self.emitter.emit(
-                    out,
-                    query,
-                    composite.into_owned(),
-                    arrival,
-                    ideal_depart,
-                    *ideal_time,
-                ),
-                None => self.dropped += 1,
-            }
-        }
-    }
-}
-
-/// Run `record` through a unary chain, teaching each operator's monitor
-/// whether the record passed it; `None` once an operator filters it out.
-/// A borrowed record stays borrowed through selects.
-fn run_chain<'a>(
-    ops: &[RtOp],
-    monitors: &mut [EwmaEstimator],
-    mut record: Cow<'a, Record>,
-) -> Option<Cow<'a, Record>> {
-    for (op, monitor) in ops.iter().zip(monitors) {
-        let next = op.apply_cow(record);
-        monitor.observe_selectivity(if next.is_some() { 1.0 } else { 0.0 });
-        record = next?;
-    }
-    Some(record)
-}
-
-/// Translate runtime estimates into an `hcq-plan` query so the §2/§5
-/// statistics machinery derives the scheduling priorities.
-fn plan_from_estimates(
-    plan: &RtPlan,
-    monitors: &[EwmaEstimator],
-    join_monitor: &Option<EwmaEstimator>,
-) -> hcq_plan::QueryPlan {
-    let op_spec = |b: QueryBuilder, mon: &EwmaEstimator, op: &RtOp| -> QueryBuilder {
-        match op.kind {
-            crate::ops::RtOpKind::Select(_) => b.map(mon.cost(), mon.selectivity().min(1.0)),
-            crate::ops::RtOpKind::Project(_) => b.project(mon.cost()),
-        }
-    };
-    match plan {
-        RtPlan::Single { stream, ops } => {
-            let mut b = QueryBuilder::on(*stream);
-            for (op, mon) in ops.iter().zip(monitors) {
-                b = op_spec(b, mon, op);
-            }
-            b.build().expect("validated at registration")
-        }
-        RtPlan::Join {
-            left_stream,
-            right_stream,
-            left_ops,
-            right_ops,
-            join,
-            common_ops,
-        } => {
-            let mut left = QueryBuilder::on(*left_stream);
-            for (op, mon) in left_ops.iter().zip(monitors) {
-                left = op_spec(left, mon, op);
-            }
-            let mut right = QueryBuilder::on(*right_stream);
-            for (op, mon) in right_ops.iter().zip(&monitors[left_ops.len()..]) {
-                right = op_spec(right, mon, op);
-            }
-            let jm = join_monitor.as_ref().expect("join plan has a join monitor");
-            let mut b = left.window_join(
-                right,
-                jm.cost(),
-                // PlanStats wants the per-pair predicate selectivity in
-                // (0,1]; the monitor tracks *matches per probe*, which the
-                // occupancy term already models — keep the declared
-                // estimate's role and clamp.
-                jm.selectivity().clamp(1e-6, 1.0),
-                join.window,
-            );
-            for (op, mon) in common_ops
-                .iter()
-                .zip(&monitors[left_ops.len() + right_ops.len()..])
-            {
-                b = op_spec(b, mon, op);
-            }
-            b.build().expect("validated at registration")
-        }
     }
 }
 
@@ -822,7 +739,9 @@ fn plan_from_estimates(
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::ops::RtJoin;
     use crate::record::{Cmp, Predicate};
+    use hcq_core::Selection;
 
     /// A refresh period of zero decisions would never fire (`decisions` is
     /// never a multiple of 0 once positive); like an α outside (0, 1], it
@@ -921,8 +840,12 @@ mod tests {
         assert_eq!(dsms.run_once().unwrap()[0].query, q0);
         assert_eq!(dsms.sched.held(|| Nanos::ZERO), Some(0));
         for _ in 0..200 {
-            dsms.queries[0].monitors[0].observe(Nanos::from_millis(20), 1.0);
-            dsms.queries[1].monitors[0].observe(Nanos::from_millis(1), 1.0);
+            dsms.queries[0].steps[0]
+                .1
+                .observe(Nanos::from_millis(20), 1.0);
+            dsms.queries[1].steps[0]
+                .1
+                .observe(Nanos::from_millis(1), 1.0);
         }
         dsms.refresh_priorities().unwrap();
         assert_eq!(dsms.sched.held(|| Nanos::ZERO), None);
@@ -983,12 +906,74 @@ mod tests {
         // Equal waits: LSF (W/T) runs the query with the smaller T first.
         assert_eq!(first_pick(&mut dsms), q0);
         for _ in 0..200 {
-            dsms.queries[0].monitors[0].observe(Nanos::from_millis(20), 1.0);
-            dsms.queries[1].monitors[0].observe(Nanos::from_millis(1), 1.0);
+            dsms.queries[0].steps[0]
+                .1
+                .observe(Nanos::from_millis(20), 1.0);
+            dsms.queries[1].steps[0]
+                .1
+                .observe(Nanos::from_millis(1), 1.0);
         }
         assert_eq!(first_pick(&mut dsms), q0, "nothing refreshed yet");
         dsms.refresh_priorities().unwrap();
         assert!(dsms.estimated_ideal_time(q0) > dsms.estimated_ideal_time(q1));
         assert_eq!(first_pick(&mut dsms), q1);
+    }
+
+    /// Keeps the statics of the last `on_register`; serves the first
+    /// non-empty unit.
+    struct LastRegistered(Rc<std::cell::RefCell<Vec<UnitStatics>>>);
+
+    impl Policy for LastRegistered {
+        fn name(&self) -> &'static str {
+            "last-registered"
+        }
+        fn on_register(&mut self, units: &[UnitStatics]) {
+            *self.0.borrow_mut() = units.to_vec();
+        }
+        fn on_enqueue(&mut self, _: UnitId, _: TupleId, _: Nanos, _: Nanos) {}
+        fn select(&mut self, queues: &dyn hcq_core::QueueView, _: Nanos) -> Option<Selection> {
+            Some(Selection::one(*queues.nonempty().first()?, 1))
+        }
+    }
+
+    /// On unmeasured streams a join query's occupancy is derived from its
+    /// own window: two join queries on one stream pair get, registered
+    /// together, the statics each gets alone (rates shared across queries
+    /// would give the second the first's window as `τ`, 20 times its
+    /// occupancy). And a join query's estimates
+    /// list its left, right and common unary operators in plan order,
+    /// without the join.
+    #[test]
+    fn each_join_query_derives_its_statics_from_its_own_window() {
+        let us = Nanos::from_micros;
+        let pass = Predicate::new(0, Cmp::Ge, 0);
+        let join = |window_ms| RtPlan::Join {
+            left_stream: StreamId::new(0),
+            right_stream: StreamId::new(1),
+            left_ops: vec![RtOp::select(pass, us(1), 0.5)],
+            right_ops: vec![RtOp::select(pass, us(2), 0.25)],
+            join: RtJoin::new(0, 0, Nanos::from_millis(window_ms))
+                .with_est_cost(us(4))
+                .with_est_selectivity(0.1),
+            common_ops: vec![RtOp::project(vec![0], us(3))],
+        };
+        let registered = |windows: &[u64]| {
+            let log = Rc::default();
+            let cfg = DsmsConfig::new(RuntimePolicy::Fcfs).with_clock(Box::new(ManualClock::new()));
+            let policy = Box::new(LastRegistered(Rc::clone(&log)));
+            let mut dsms = Dsms::with_policy(cfg, policy).unwrap();
+            for &window in windows {
+                dsms.register(join(window)).unwrap();
+            }
+            (dsms, log.take())
+        };
+        let (_, short) = registered(&[100]);
+        let (_, long) = registered(&[2_000]);
+        let (dsms, both) = registered(&[100, 2_000]);
+        assert_eq!(both, [short, long].concat());
+        assert_eq!(
+            dsms.estimates(QueryId::new(1)).unwrap(),
+            vec![(us(1), 0.5), (us(2), 0.25), (us(3), 1.0)]
+        );
     }
 }

@@ -32,6 +32,19 @@ pub enum RtOpKind {
     Project(Vec<usize>),
 }
 
+impl RtOpKind {
+    /// [`RtOp::apply`] without a copy: a select evaluates in place and
+    /// hands on what it was given, borrowed or owned; a projection
+    /// allocates its output. Inlined: it runs per operator per copy.
+    #[inline]
+    pub(crate) fn apply_cow<'a>(&self, record: Cow<'a, Record>) -> Option<Cow<'a, Record>> {
+        match self {
+            RtOpKind::Select(p) => p.eval(&record).then_some(record),
+            RtOpKind::Project(keep) => Some(Cow::Owned(record.project(keep))),
+        }
+    }
+}
+
 impl RtOp {
     /// A select operator.
     pub fn select(predicate: Predicate, est_cost: Nanos, est_selectivity: f64) -> Self {
@@ -53,17 +66,9 @@ impl RtOp {
 
     /// Apply to a record: `None` means filtered out.
     pub fn apply(&self, record: &Record) -> Option<Record> {
-        self.apply_cow(Cow::Borrowed(record)).map(Cow::into_owned)
-    }
-
-    /// [`Self::apply`] without a copy: a select evaluates in place and
-    /// hands on what it was given, borrowed or owned; a projection
-    /// allocates its output.
-    pub(crate) fn apply_cow<'a>(&self, record: Cow<'a, Record>) -> Option<Cow<'a, Record>> {
-        match &self.kind {
-            RtOpKind::Select(p) => p.eval(&record).then_some(record),
-            RtOpKind::Project(keep) => Some(Cow::Owned(record.project(keep))),
-        }
+        self.kind
+            .apply_cow(Cow::Borrowed(record))
+            .map(Cow::into_owned)
     }
 
     fn validate(&self) -> Result<()> {

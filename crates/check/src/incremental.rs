@@ -109,9 +109,9 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
             }
             2 => {
                 // Scheduling point mid-sequence.
-                let sel = policy.select(&queues, now);
+                let sel = policy.select(queues.checked(), now);
                 if let Some(p) = &mut afresh {
-                    let other = p.select(&queues, now);
+                    let other = p.select(queues.checked(), now);
                     if units_of(&sel) != units_of(&other) {
                         return Some(format!(
                             "step {step}: incremental selected {:?}, registered afresh {:?}",
@@ -157,10 +157,10 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
     let mut ref_queues = queues.clone();
     let budget = 4 * (queues.pending() + 1);
     for round in 0..budget {
-        let a = policy.select(&queues, now);
-        let b = reference.select(&ref_queues, now);
+        let a = policy.select(queues.checked(), now);
+        let b = reference.select(ref_queues.checked(), now);
         if let Some(p) = &mut afresh {
-            let c = p.select(&queues, now);
+            let c = p.select(queues.checked(), now);
             if units_of(&a) != units_of(&c) {
                 return Some(format!(
                     "round {round} after {steps} ops: incremental selected {:?}, \

@@ -27,9 +27,10 @@
 //!   window reference checked sample-by-sample against production, plus a
 //!   seeded-miscalibration convergence property.
 //! * [`incremental`] — differential sequences over the large-q maintenance
-//!   API (statics updates, unit add/retire, sheds): after any mutation
-//!   stream, the incrementally-maintained clustered BSD must drain
-//!   byte-identically to a from-scratch rebuild of the same state.
+//!   API (enqueues, fan-outs, selects, statics updates, sheds and
+//!   refreezes): after any mutation stream, the incrementally-maintained
+//!   clustered BSD must drain byte-identically to a from-scratch rebuild of
+//!   the same state.
 //! * [`mod@shrink`] — greedy minimization of failing scenarios to replayable
 //!   `fuzz-repro-<seed>-<case>.json` artifacts.
 //! * [`runner`] — the sweep: a jobs-invariant parallel map whose digest

@@ -37,7 +37,8 @@ use crate::invariants::{cluster_variants, label, Violation};
 
 /// Engine-style queue state for hand-driven policies: one FIFO per unit,
 /// with the head-arrival column kept by the engine's write rule (a push onto
-/// an empty queue, a pop that exposes a new front; never a tail removal).
+/// an empty queue, a pop that exposes a new front; never a tail removal) and
+/// the ready list kept in id order, the order the policies tie-break on.
 /// Cloneable so a reference policy can drain an identical copy.
 #[derive(Clone)]
 pub(crate) struct FuzzQueues {
@@ -55,25 +56,28 @@ impl FuzzQueues {
         }
     }
 
-    /// Re-derive the ready list (id order) and check the column against the
-    /// queues: every fuzzed mutation sequence exercises the write rule.
-    fn refresh(&mut self) {
-        self.nonempty = (0..self.queues.len() as UnitId)
-            .filter(|&u| !self.queues[u as usize].is_empty())
-            .collect();
+    /// The queues, once their ready list and head column are checked
+    /// against a re-derivation: every fuzzed mutation sequence exercises
+    /// the write rule. Each `select` is handed this, so the O(units) check
+    /// runs once per selection, not once per mutation.
+    pub(crate) fn checked(&self) -> &Self {
+        let ready = (0..self.queues.len() as UnitId).filter(|&u| self.len(u) > 0);
+        assert!(ready.eq(self.nonempty.iter().copied()), "ready list");
         for (u, q) in self.queues.iter().enumerate() {
             let front = q.front().map(|&(_, a)| a);
             assert_eq!(self.head_arrival(u as UnitId), front, "head column");
         }
+        self
     }
 
     pub(crate) fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
         let q = &mut self.queues[unit as usize];
         if q.is_empty() {
             self.heads[unit as usize] = arrival;
+            let at = self.nonempty.partition_point(|&u| u < unit);
+            self.nonempty.insert(at, unit);
         }
         q.push_back((tuple, arrival));
-        self.refresh();
     }
 
     pub(crate) fn pop(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
@@ -82,15 +86,23 @@ impl FuzzQueues {
         if let Some(&(_, arrival)) = q.front() {
             self.heads[unit as usize] = arrival;
         }
-        self.refresh();
+        self.leave_if_emptied(unit, head.is_some());
         head
     }
 
     /// Remove the unit's tail tuple (models the engine shedding).
     pub(crate) fn pop_back(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
         let tail = self.queues[unit as usize].pop_back();
-        self.refresh();
+        self.leave_if_emptied(unit, tail.is_some());
         tail
+    }
+
+    /// Take `unit` off the ready list if a removal just emptied its queue.
+    fn leave_if_emptied(&mut self, unit: UnitId, removed: bool) {
+        if removed && self.queues[unit as usize].is_empty() {
+            let at = self.nonempty.binary_search(&unit).expect("was ready");
+            self.nonempty.remove(at);
+        }
     }
 
     pub(crate) fn pending(&self) -> usize {
@@ -256,7 +268,7 @@ fn drain_with_checks(
             );
             return;
         }
-        let Some(selection) = policy.select(&queues, now) else {
+        let Some(selection) = policy.select(queues.checked(), now) else {
             fail(
                 violations,
                 "no-wedge",
@@ -459,7 +471,7 @@ mod tests {
                     oracle.on_enqueue(unit);
                 }
                 _ => {
-                    let got = policy.select(&queues, Nanos::ZERO);
+                    let got = policy.select(queues.checked(), Nanos::ZERO);
                     let want = oracle.select(&queues);
                     assert_eq!(got.is_none(), queues.pending() == 0, "{tag} step {step}");
                     if reprioritise {
@@ -640,7 +652,7 @@ mod tests {
                         _ => now,
                     };
                     let want = scan_argmax(ready, heads, &factor, now, |w| kind.wait_term(w));
-                    let got = policy.select(&queues, now);
+                    let got = policy.select(queues.checked(), now);
                     assert_eq!(got, want, "{tag} step {step}");
                     for &u in got.iter().flat_map(|s| s.units.as_slice()) {
                         queues.pop(u).expect("selected units are non-empty");
@@ -652,7 +664,7 @@ mod tests {
 
     #[test]
     fn wait_linear_policies_match_the_scan_field_by_field() {
-        for case in 0..132 {
+        for case in 0..150 {
             wait_linear_differential(WaitPolicy::bsd(), WaitLinear::Bsd, case);
             wait_linear_differential(WaitPolicy::lsf(), WaitLinear::Lsf, case);
             for p in [1.0, 1.5, 2.0, 3.0, 16.0] {
@@ -695,8 +707,8 @@ mod tests {
                 late.on_enqueue(unit, tuple, latest, latest + late_by);
                 continue;
             }
-            let picked = early.select(&queues, latest);
-            let picked_late = late.select(&queues, latest + late_by);
+            let picked = early.select(queues.checked(), latest);
+            let picked_late = late.select(queues.checked(), latest + late_by);
             let tag = format!("{} case {case} step {step}", label(kind));
             if !kind.reads_now() {
                 assert_eq!(picked, picked_late, "{tag}");
@@ -769,7 +781,7 @@ mod tests {
                 continue;
             }
             let tag = format!("{} case {case} step {step}", label(kind));
-            let mut pick = policy.select(&queues, now);
+            let mut pick = policy.select(queues.checked(), now);
             for link in 0.. {
                 let Some(sel) = &pick else { break };
                 for &u in &sel.units {
@@ -788,7 +800,7 @@ mod tests {
                     units[unit as usize] = statics(det::mix2(hl, 4));
                     policy.on_statics_update(unit, &units[unit as usize]);
                 }
-                let again = policy.select(&queues, now);
+                let again = policy.select(queues.checked(), now);
                 if update {
                     let mut fresh = kind.build();
                     fresh.on_register(&units);
@@ -797,7 +809,7 @@ mod tests {
                             fresh.on_enqueue(u, tuple, arrival, now);
                         }
                     }
-                    let want = fresh.select(&queues, now);
+                    let want = fresh.select(queues.checked(), now);
                     assert_eq!(units_of(&again), units_of(&want), "{tag}: after an update");
                 } else if sel.holds {
                     assert_eq!(
