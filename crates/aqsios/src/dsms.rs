@@ -36,9 +36,9 @@ use std::borrow::Cow;
 use std::rc::Rc;
 
 use hcq_common::{HcqError, Nanos, QueryId, Result, StreamId, TupleId};
-use hcq_core::{EwmaEstimator, Policy, UnitId, UnitStatics};
+use hcq_core::{EwmaEstimator, Policy, Queued, UnitId, UnitStatics};
 use hcq_engine::exec;
-use hcq_engine::queues::{Queued, Scheduler};
+use hcq_engine::queues::Scheduler;
 use hcq_join::{JoinItem, Side, SymmetricHashJoin};
 use hcq_metrics::{QosAccumulator, QosSummary};
 use hcq_plan::{

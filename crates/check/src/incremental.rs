@@ -27,11 +27,12 @@
 
 use hcq_common::{det, Nanos, TupleId};
 use hcq_core::{
-    ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, Selection, UnitId, UnitStatics,
+    ClusterConfig, ClusteredBsdPolicy, Policy, PolicyKind, Selection, UnitId, UnitQueues,
+    UnitStatics,
 };
 
 use crate::invariants::{cluster_variants, label, Violation};
-use crate::policyfuzz::{degenerate_units, FuzzQueues};
+use crate::policyfuzz::degenerate_units;
 
 /// Fresh statics for update ops: reuse the degenerate generator so NaN/zero
 /// corners also flow through the *incremental* paths.
@@ -46,11 +47,14 @@ fn gen_statics(h: u64) -> UnitStatics {
 fn registered_afresh(
     cfg: ClusterConfig,
     units: &[UnitStatics],
-    queues: &FuzzQueues,
+    queues: &UnitQueues<(TupleId, Nanos)>,
 ) -> ClusteredBsdPolicy {
     let mut policy = ClusteredBsdPolicy::new(cfg);
     policy.on_register(units);
-    let mut pending: Vec<_> = queues.entries().collect();
+    let mut pending: Vec<_> = queues
+        .iter()
+        .map(|(unit, &(tuple, arrival))| (tuple, unit, arrival))
+        .collect();
     pending.sort_unstable();
     for (tuple, unit, arrival) in pending {
         policy.on_enqueue(unit, tuple, arrival, arrival);
@@ -73,7 +77,7 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
     let mut policy = ClusteredBsdPolicy::new(cfg);
     policy.on_register(&units);
     let n = units.len();
-    let mut queues = FuzzQueues::new(n);
+    let mut queues = UnitQueues::new(n);
     let mut now = Nanos::ZERO;
     let mut next_tuple = 0u64;
     let gap = det::unit_range(det::mix2(base, 1), 1, 500_000);
@@ -88,7 +92,7 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
                 // Single enqueue.
                 let t = TupleId::new(next_tuple);
                 next_tuple += 1;
-                queues.push(u, t, now);
+                queues.push(u, (t, now));
                 policy.on_enqueue(u, t, now, now);
                 if let Some(p) = &mut afresh {
                     p.on_enqueue(u, t, now, now);
@@ -100,7 +104,7 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
                 let t = TupleId::new(next_tuple);
                 next_tuple += 1;
                 for v in 0..n as UnitId {
-                    queues.push(v, t, now);
+                    queues.push(v, (t, now));
                     policy.on_enqueue(v, t, now, now);
                     if let Some(p) = &mut afresh {
                         p.on_enqueue(v, t, now, now);
@@ -109,9 +113,9 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
             }
             2 => {
                 // Scheduling point mid-sequence.
-                let sel = policy.select(queues.checked(), now);
+                let sel = policy.select(&queues, now);
                 if let Some(p) = &mut afresh {
-                    let other = p.select(queues.checked(), now);
+                    let other = p.select(&queues, now);
                     if units_of(&sel) != units_of(&other) {
                         return Some(format!(
                             "step {step}: incremental selected {:?}, registered afresh {:?}",
@@ -121,7 +125,9 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
                     }
                 }
                 for &su in sel.iter().flat_map(|s| s.units.as_slice()) {
-                    queues.pop(su);
+                    if queues.pop(su).is_err() {
+                        return Some(format!("step {step}: selected unit {su} with empty queue"));
+                    }
                 }
             }
             3 => {
@@ -135,7 +141,7 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
             }
             4 => {
                 // Shed the unit's tail tuple, engine-style.
-                if let Some((t, _)) = queues.pop_back(u) {
+                if let Some((t, _)) = queues.shed_tail(u) {
                     policy.on_shed(u, t);
                     if let Some(p) = &mut afresh {
                         p.on_shed(u, t);
@@ -157,10 +163,10 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
     let mut ref_queues = queues.clone();
     let budget = 4 * (queues.pending() + 1);
     for round in 0..budget {
-        let a = policy.select(queues.checked(), now);
-        let b = reference.select(ref_queues.checked(), now);
+        let a = policy.select(&queues, now);
+        let b = reference.select(&ref_queues, now);
         if let Some(p) = &mut afresh {
-            let c = p.select(queues.checked(), now);
+            let c = p.select(&queues, now);
             if units_of(&a) != units_of(&c) {
                 return Some(format!(
                     "round {round} after {steps} ops: incremental selected {:?}, \
@@ -189,7 +195,7 @@ fn run_sequence(seed: u64, case: u64, cfg: ClusterConfig, steps: u64) -> Option<
                     ));
                 }
                 for &su in x.units.as_slice() {
-                    if queues.pop(su).is_none() || ref_queues.pop(su).is_none() {
+                    if queues.pop(su).is_err() || ref_queues.pop(su).is_err() {
                         return Some(format!(
                             "round {round}: selected unit {su} with empty queue"
                         ));

@@ -18,8 +18,9 @@
 //!   policy: tuple conservation per admission mode, monotone virtual time,
 //!   QoS sanity, virtual-time accounting, bit-exact determinism,
 //!   instrumentation inertness, telemetry reconciliation.
-//! * [`policyfuzz`] — drives policies directly with statics that plan
-//!   validation would reject (exact-zero times, NaN selectivity) and holds
+//! * [`policyfuzz`] — drives policies directly, over the executors' own
+//!   [`hcq_core::UnitQueues`], with statics that plan validation would
+//!   reject (exact-zero times, NaN selectivity) and holds
 //!   clustered BSD to its §6.2.1 `ε = (Φ_max/Φ_min)^(1/m)` approximation
 //!   bound against the exact BSD argmax.
 //! * [`estimator`] — differential oracle for the online statistics

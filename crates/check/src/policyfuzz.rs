@@ -2,10 +2,11 @@
 //!
 //! The engine-level suite ([`crate::invariants`]) can only reach statistics
 //! that survive plan validation (costs ≥ 1 ns, selectivities in `(0, 1]`).
-//! This module drives every policy directly through the [`Policy`] trait
-//! with the statics the validation layer is *protecting* them from — exact
-//! zero costs and ideal times, zero selectivity, NaN selectivity — exactly
-//! the corners the `MIN_TIME_NS` clamp, the NaN-last [`hcq_core::PriorityKey`] order,
+//! This module drives every policy directly through the [`Policy`] trait,
+//! over the queues the executors run ([`UnitQueues`]), with the statics
+//! the validation layer is *protecting* them from — exact zero costs and
+//! ideal times, zero selectivity, NaN selectivity — exactly the corners
+//! the `MIN_TIME_NS` clamp, the NaN-last [`hcq_core::PriorityKey`] order,
 //! and the degenerate-domain clustering guards exist for.
 //!
 //! Checked per scenario and policy:
@@ -28,109 +29,10 @@
 //! tie-heavy statics, non-monotone heads and clocks, factor changes and
 //! re-registrations with tuples pending.
 
-use std::collections::VecDeque;
-
 use hcq_common::{det, Nanos, TupleId};
-use hcq_core::{Clustering, Policy, PolicyKind, QueueView, UnitId, UnitStatics};
+use hcq_core::{Clustering, Policy, PolicyKind, QueueView, UnitId, UnitQueues, UnitStatics};
 
 use crate::invariants::{cluster_variants, label, Violation};
-
-/// Engine-style queue state for hand-driven policies: one FIFO per unit,
-/// with the head-arrival column kept by the engine's write rule (a push onto
-/// an empty queue, a pop that exposes a new front; never a tail removal) and
-/// the ready list kept in id order, the order the policies tie-break on.
-/// Cloneable so a reference policy can drain an identical copy.
-#[derive(Clone)]
-pub(crate) struct FuzzQueues {
-    queues: Vec<VecDeque<(TupleId, Nanos)>>,
-    heads: Vec<Nanos>,
-    nonempty: Vec<UnitId>,
-}
-
-impl FuzzQueues {
-    pub(crate) fn new(n: usize) -> Self {
-        FuzzQueues {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            heads: vec![Nanos::ZERO; n],
-            nonempty: Vec::new(),
-        }
-    }
-
-    /// The queues, once their ready list and head column are checked
-    /// against a re-derivation: every fuzzed mutation sequence exercises
-    /// the write rule. Each `select` is handed this, so the O(units) check
-    /// runs once per selection, not once per mutation.
-    pub(crate) fn checked(&self) -> &Self {
-        let ready = (0..self.queues.len() as UnitId).filter(|&u| self.len(u) > 0);
-        assert!(ready.eq(self.nonempty.iter().copied()), "ready list");
-        for (u, q) in self.queues.iter().enumerate() {
-            let front = q.front().map(|&(_, a)| a);
-            assert_eq!(self.head_arrival(u as UnitId), front, "head column");
-        }
-        self
-    }
-
-    pub(crate) fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
-        let q = &mut self.queues[unit as usize];
-        if q.is_empty() {
-            self.heads[unit as usize] = arrival;
-            let at = self.nonempty.partition_point(|&u| u < unit);
-            self.nonempty.insert(at, unit);
-        }
-        q.push_back((tuple, arrival));
-    }
-
-    pub(crate) fn pop(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
-        let q = &mut self.queues[unit as usize];
-        let head = q.pop_front();
-        if let Some(&(_, arrival)) = q.front() {
-            self.heads[unit as usize] = arrival;
-        }
-        self.leave_if_emptied(unit, head.is_some());
-        head
-    }
-
-    /// Remove the unit's tail tuple (models the engine shedding).
-    pub(crate) fn pop_back(&mut self, unit: UnitId) -> Option<(TupleId, Nanos)> {
-        let tail = self.queues[unit as usize].pop_back();
-        self.leave_if_emptied(unit, tail.is_some());
-        tail
-    }
-
-    /// Take `unit` off the ready list if a removal just emptied its queue.
-    fn leave_if_emptied(&mut self, unit: UnitId, removed: bool) {
-        if removed && self.queues[unit as usize].is_empty() {
-            let at = self.nonempty.binary_search(&unit).expect("was ready");
-            self.nonempty.remove(at);
-        }
-    }
-
-    pub(crate) fn pending(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// Every queued `(tuple, unit, arrival)`, unit by unit.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (TupleId, UnitId, Nanos)> + '_ {
-        self.queues.iter().enumerate().flat_map(|(u, q)| {
-            q.iter()
-                .map(move |&(tuple, arrival)| (tuple, u as UnitId, arrival))
-        })
-    }
-}
-
-impl QueueView for FuzzQueues {
-    fn len(&self, unit: UnitId) -> usize {
-        self.queues[unit as usize].len()
-    }
-
-    fn head_arrivals(&self) -> &[Nanos] {
-        &self.heads
-    }
-
-    fn nonempty(&self) -> &[UnitId] {
-        &self.nonempty
-    }
-}
 
 /// Generate a deliberately degenerate statics vector: NaN and zero
 /// selectivities, zero costs and ideal times, and ordinary units mixed in
@@ -241,14 +143,14 @@ fn drain_with_checks(
         });
     };
     policy.on_register(units);
-    let mut queues = FuzzQueues::new(units.len());
+    let mut queues = UnitQueues::new(units.len());
     let mut now = Nanos::ZERO;
     for t in 0..arrivals {
         let arrival = Nanos::from_nanos(t * gap);
         now = arrival;
         // Engine-style fan-out: one source tuple, one copy per unit.
         for u in 0..units.len() as UnitId {
-            queues.push(u, TupleId::new(t), arrival);
+            queues.push(u, (TupleId::new(t), arrival));
             policy.on_enqueue(u, TupleId::new(t), arrival, now);
         }
     }
@@ -268,7 +170,7 @@ fn drain_with_checks(
             );
             return;
         }
-        let Some(selection) = policy.select(queues.checked(), now) else {
+        let Some(selection) = policy.select(&queues, now) else {
             fail(
                 violations,
                 "no-wedge",
@@ -321,7 +223,7 @@ fn drain_with_checks(
                 fail(violations, "valid-selection", format!("unknown unit {u}"));
                 return;
             }
-            if queues.pop(u).is_none() {
+            if queues.pop(u).is_err() {
                 fail(
                     violations,
                     "valid-selection",
@@ -445,7 +347,7 @@ mod tests {
         };
         policy.on_register(&units);
         let mut oracle = LazyHeapStatic::new(&priorities, evals);
-        let mut queues = FuzzQueues::new(units.len());
+        let mut queues = UnitQueues::new(units.len());
         let tag = format!("{rank:?} case {case}");
         for step in 0..(40 * n).clamp(200, 2_000) {
             let h = det::mix3(case, step, 0x0a11);
@@ -461,17 +363,17 @@ mod tests {
                 }
                 1 if queues.len(unit) > 0 => {
                     // Shed the tail: a unit can empty behind the policy's back.
-                    let (tuple, _) = queues.pop_back(unit).unwrap();
+                    let (tuple, _) = queues.shed_tail(unit).unwrap();
                     policy.on_shed(unit, tuple);
                 }
                 k if (k < 5) == arriving => {
                     let tuple = TupleId::new(step);
-                    queues.push(unit, tuple, Nanos::from_nanos(step));
+                    queues.push(unit, (tuple, Nanos::from_nanos(step)));
                     policy.on_enqueue(unit, tuple, Nanos::from_nanos(step), Nanos::ZERO);
                     oracle.on_enqueue(unit);
                 }
                 _ => {
-                    let got = policy.select(queues.checked(), Nanos::ZERO);
+                    let got = policy.select(&queues, Nanos::ZERO);
                     let want = oracle.select(&queues);
                     assert_eq!(got.is_none(), queues.pending() == 0, "{tag} step {step}");
                     if reprioritise {
@@ -584,17 +486,20 @@ mod tests {
             .collect();
         let mut factor: Vec<f64> = units.iter().map(|u| kind.factor(u)).collect();
         policy.on_register(&units);
-        let mut queues = FuzzQueues::new(n as usize);
+        let mut queues = UnitQueues::new(n as usize);
         let instant = |h: u64| Nanos::from_nanos(1_000 * (h % 6));
         let mut now = Nanos::ZERO;
         let mut next_tuple = 0u64;
-        let mut enqueue =
-            |p: &mut WaitPolicy, q: &mut FuzzQueues, unit: UnitId, at: Nanos, now: Nanos| {
-                let tuple = TupleId::new(next_tuple);
-                next_tuple += 1;
-                q.push(unit, tuple, at);
-                p.on_enqueue(unit, tuple, at, now);
-            };
+        let mut enqueue = |p: &mut WaitPolicy,
+                           q: &mut UnitQueues<(TupleId, Nanos)>,
+                           unit: UnitId,
+                           at: Nanos,
+                           now: Nanos| {
+            let tuple = TupleId::new(next_tuple);
+            next_tuple += 1;
+            q.push(unit, (tuple, at));
+            p.on_enqueue(unit, tuple, at, now);
+        };
         for step in 0..400u64 {
             let h = det::mix3(case, step, 0x0b5d);
             let unit = (det::mix2(h, 1) % n) as UnitId;
@@ -614,7 +519,7 @@ mod tests {
                     // Shed the tail; half the time down to empty and refill
                     // at another instant.
                     let drain = h.is_multiple_of(2);
-                    while let Some((tuple, _)) = queues.pop_back(unit) {
+                    while let Some((tuple, _)) = queues.shed_tail(unit) {
                         policy.on_shed(unit, tuple);
                         if !drain {
                             break;
@@ -652,7 +557,7 @@ mod tests {
                         _ => now,
                     };
                     let want = scan_argmax(ready, heads, &factor, now, |w| kind.wait_term(w));
-                    let got = policy.select(queues.checked(), now);
+                    let got = policy.select(&queues, now);
                     assert_eq!(got, want, "{tag} step {step}");
                     for &u in got.iter().flat_map(|s| s.units.as_slice()) {
                         queues.pop(u).expect("selected units are non-empty");
@@ -693,7 +598,7 @@ mod tests {
         let (mut early, mut late) = (kind.build(), kind.build());
         early.on_register(&units);
         late.on_register(&units);
-        let mut queues = FuzzQueues::new(units.len());
+        let mut queues = UnitQueues::new(units.len());
         let mut latest = Nanos::ZERO;
         for step in 0..200u64 {
             let h = det::mix3(case, step, 0x0c10d);
@@ -702,13 +607,13 @@ mod tests {
                 latest += ms(det::unit_range(det::mix2(h, 1), 0, 4));
                 let unit = (det::mix2(h, 2) % n) as UnitId;
                 let tuple = TupleId::new(step);
-                queues.push(unit, tuple, latest);
+                queues.push(unit, (tuple, latest));
                 early.on_enqueue(unit, tuple, latest, latest);
                 late.on_enqueue(unit, tuple, latest, latest + late_by);
                 continue;
             }
-            let picked = early.select(queues.checked(), latest);
-            let picked_late = late.select(queues.checked(), latest + late_by);
+            let picked = early.select(&queues, latest);
+            let picked_late = late.select(&queues, latest + late_by);
             let tag = format!("{} case {case} step {step}", label(kind));
             if !kind.reads_now() {
                 assert_eq!(picked, picked_late, "{tag}");
@@ -767,7 +672,7 @@ mod tests {
             .collect();
         let mut policy = kind.build();
         policy.on_register(&units);
-        let mut queues = FuzzQueues::new(units.len());
+        let mut queues = UnitQueues::new(units.len());
         let (mut now, mut moved, mut held) = (Nanos::ZERO, false, false);
         let units_of = |s: &Option<Selection>| s.as_ref().map(|s| s.units.to_vec());
         for step in 0..200u64 {
@@ -776,12 +681,12 @@ mod tests {
                 now += ms(det::unit_range(det::mix2(h, 1), 0, 4));
                 let unit = (det::mix2(h, 2) % n) as UnitId;
                 let tuple = TupleId::new(step);
-                queues.push(unit, tuple, now);
+                queues.push(unit, (tuple, now));
                 policy.on_enqueue(unit, tuple, now, now);
                 continue;
             }
             let tag = format!("{} case {case} step {step}", label(kind));
-            let mut pick = policy.select(queues.checked(), now);
+            let mut pick = policy.select(&queues, now);
             for link in 0.. {
                 let Some(sel) = &pick else { break };
                 for &u in &sel.units {
@@ -800,16 +705,14 @@ mod tests {
                     units[unit as usize] = statics(det::mix2(hl, 4));
                     policy.on_statics_update(unit, &units[unit as usize]);
                 }
-                let again = policy.select(queues.checked(), now);
+                let again = policy.select(&queues, now);
                 if update {
                     let mut fresh = kind.build();
                     fresh.on_register(&units);
-                    for (u, q) in (0..).zip(&queues.queues) {
-                        for &(tuple, arrival) in q {
-                            fresh.on_enqueue(u, tuple, arrival, now);
-                        }
+                    for (u, &(tuple, arrival)) in queues.iter() {
+                        fresh.on_enqueue(u, tuple, arrival, now);
                     }
-                    let want = fresh.select(queues.checked(), now);
+                    let want = fresh.select(&queues, now);
                     assert_eq!(units_of(&again), units_of(&want), "{tag}: after an update");
                 } else if sel.holds {
                     assert_eq!(

@@ -589,7 +589,7 @@ impl Policy for ClusteredBsdPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::testkit::MockQueues;
+    use crate::UnitQueues;
     use crate::WaitPolicy;
 
     fn ms(n: u64) -> Nanos {
@@ -657,18 +657,18 @@ mod tests {
             batch: false,
         });
         p.on_register(&units);
-        let mut q = MockQueues::new(4);
+        let mut q = UnitQueues::new(4);
         for (i, &u) in [2u32, 0, 3].iter().enumerate() {
             let t = TupleId::new(i as u64);
             let a = ms(i as u64 * 5);
-            q.push(u, t, a);
+            q.push(u, (t, a));
             p.on_enqueue(u, t, a, a);
         }
         let mut order = Vec::new();
         for _ in 0..3 {
             let sel = p.select(&q, ms(100)).unwrap();
             assert_eq!(sel.units.len(), 1);
-            q.pop(sel.units[0]);
+            q.pop(sel.units[0]).unwrap();
             order.push(sel.units[0]);
         }
         assert_eq!(order, vec![2, 0, 3]);
@@ -683,17 +683,17 @@ mod tests {
             .collect();
         let mut p = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(4));
         p.on_register(&units);
-        let mut q = MockQueues::new(3);
+        let mut q = UnitQueues::new(3);
         for u in 0..3u32 {
-            q.push(u, TupleId::new(0), ms(1));
+            q.push(u, (TupleId::new(0), ms(1)));
             p.on_enqueue(u, TupleId::new(0), ms(1), ms(1));
         }
-        q.push(1, TupleId::new(1), ms(2));
+        q.push(1, (TupleId::new(1), ms(2)));
         p.on_enqueue(1, TupleId::new(1), ms(2), ms(2));
         let sel = p.select(&q, ms(10)).unwrap();
         assert_eq!(sel.units, vec![0, 1, 2], "whole cluster batch on t0");
         for &u in &sel.units {
-            q.pop(u);
+            q.pop(u).unwrap();
         }
         let sel = p.select(&q, ms(10)).unwrap();
         assert_eq!(sel.units, vec![1], "t1 runs alone");
@@ -710,21 +710,21 @@ mod tests {
             batch: false,
         });
         p.on_register(&units);
-        let mut q = MockQueues::new(3);
+        let mut q = UnitQueues::new(3);
         for (i, &u) in [0u32, 1, 0, 2].iter().enumerate() {
             let t = TupleId::new(i as u64);
             let a = ms(i as u64 * 5);
-            q.push(u, t, a);
+            q.push(u, (t, a));
             p.on_enqueue(u, t, a, a);
         }
         // Shed unit 0's tail (tuple 2 — a mid-queue mirror entry, so the
         // by_wait front stays untouched); drain order must skip it.
-        q.pop_back(0);
+        q.shed_tail(0).unwrap();
         p.on_shed(0, TupleId::new(2));
         let mut order = Vec::new();
         while !q.nonempty().is_empty() {
             let sel = p.select(&q, ms(100)).unwrap();
-            q.pop(sel.units[0]);
+            q.pop(sel.units[0]).unwrap();
             order.push(sel.units[0]);
         }
         assert_eq!(order, vec![0, 1, 2]);
@@ -741,18 +741,18 @@ mod tests {
             batch: false,
         });
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         // Unit 0 holds the cluster's single front entry; shedding it must
         // move by_wait to the next entry (unit 1) or select would stall.
-        q.push(0, TupleId::new(0), ms(0));
+        q.push(0, (TupleId::new(0), ms(0)));
         p.on_enqueue(0, TupleId::new(0), ms(0), ms(0));
-        q.push(1, TupleId::new(1), ms(5));
+        q.push(1, (TupleId::new(1), ms(5)));
         p.on_enqueue(1, TupleId::new(1), ms(5), ms(5));
-        q.pop_back(0);
+        q.shed_tail(0).unwrap();
         p.on_shed(0, TupleId::new(0));
         let sel = p.select(&q, ms(100)).unwrap();
         assert_eq!(sel.units, vec![1]);
-        q.pop(1);
+        q.pop(1).unwrap();
         assert!(p.select(&q, ms(100)).is_none());
     }
 
@@ -766,21 +766,21 @@ mod tests {
             batch: false,
         });
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), ms(0));
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), ms(0)));
         p.on_enqueue(0, TupleId::new(0), ms(0), ms(0));
-        q.push(1, TupleId::new(1), ms(5));
+        q.push(1, (TupleId::new(1), ms(5)));
         p.on_enqueue(1, TupleId::new(1), ms(5), ms(5));
         // First shed drains unit 0's only entry; the second hits an already
         // empty mirror and must be tolerated as a no-op (trait contract:
         // idempotent per queue position — no underflow, no panic, and the
         // wait index must not be corrupted for the surviving unit.
-        q.pop_back(0);
+        q.shed_tail(0).unwrap();
         p.on_shed(0, TupleId::new(0));
         p.on_shed(0, TupleId::new(0));
         let sel = p.select(&q, ms(100)).unwrap();
         assert_eq!(sel.units, vec![1]);
-        q.pop(1);
+        q.pop(1).unwrap();
         assert!(p.select(&q, ms(100)).is_none());
     }
 
@@ -791,17 +791,17 @@ mod tests {
     #[test]
     fn many_clusters_match_exact_bsd_decisions() {
         let units = spread_units(5); // 5 distinct Φ
-        let mk_queue_state = |q: &mut MockQueues, p: &mut dyn Policy| {
+        let mk_queue_state = |q: &mut UnitQueues<(TupleId, Nanos)>, p: &mut dyn Policy| {
             for (i, arrival) in [0u64, 3, 6, 9, 12].iter().enumerate() {
                 let t = TupleId::new(i as u64);
                 let a = ms(*arrival);
-                q.push(i as UnitId, t, a);
+                q.push(i as UnitId, (t, a));
                 p.on_enqueue(i as UnitId, t, a, a);
             }
         };
         let mut exact = WaitPolicy::bsd();
         exact.on_register(&units);
-        let mut qe = MockQueues::new(5);
+        let mut qe = UnitQueues::new(5);
         mk_queue_state(&mut qe, &mut exact);
 
         let mut clustered = ClusteredBsdPolicy::new(ClusterConfig {
@@ -811,7 +811,7 @@ mod tests {
             batch: false,
         });
         clustered.on_register(&units);
-        let mut qc = MockQueues::new(5);
+        let mut qc = UnitQueues::new(5);
         mk_queue_state(&mut qc, &mut clustered);
 
         let mut now = ms(20);
@@ -819,8 +819,8 @@ mod tests {
             let se = exact.select(&qe, now).unwrap();
             let sc = clustered.select(&qc, now).unwrap();
             assert_eq!(se.units, sc.units, "decision diverged at {now}");
-            qe.pop(se.units[0]);
-            qc.pop(sc.units[0]);
+            qe.pop(se.units[0]).unwrap();
+            qc.pop(sc.units[0]).unwrap();
             now += ms(5);
         }
     }
@@ -840,14 +840,14 @@ mod tests {
         };
         let mut pf = build(true);
         let mut ps = build(false);
-        let mut qf = MockQueues::new(30);
-        let mut qs = MockQueues::new(30);
+        let mut qf = UnitQueues::new(30);
+        let mut qs = UnitQueues::new(30);
         for i in 0..30u32 {
             let t = TupleId::new(i as u64);
             let a = ms((i as u64 * 7) % 40);
             // Mock requires per-unit order only; arrivals per unit are single.
-            qf.push(i, t, a);
-            qs.push(i, t, a);
+            qf.push(i, (t, a));
+            qs.push(i, (t, a));
         }
         // Re-drive enqueues in arrival order for the policy mirrors.
         let mut order: Vec<u32> = (0..30).collect();
@@ -865,8 +865,8 @@ mod tests {
             // Same cluster priority function ⇒ same cluster; FIFO within
             // cluster ⇒ same unit.
             assert_eq!(sf.units, ss.units);
-            qf.pop(sf.units[0]);
-            qs.pop(ss.units[0]);
+            qf.pop(sf.units[0]).unwrap();
+            qs.pop(ss.units[0]).unwrap();
             now += ms(3);
         }
     }
@@ -888,13 +888,13 @@ mod tests {
         });
         pf.on_register(&units);
         ps.on_register(&units);
-        let mut qf = MockQueues::new(200);
-        let mut qs = MockQueues::new(200);
+        let mut qf = UnitQueues::new(200);
+        let mut qs = UnitQueues::new(200);
         for i in 0..200u32 {
             let t = TupleId::new(i as u64);
             let a = ms(i as u64);
-            qf.push(i, t, a);
-            qs.push(i, t, a);
+            qf.push(i, (t, a));
+            qs.push(i, (t, a));
             pf.on_enqueue(i, t, a, a);
             ps.on_enqueue(i, t, a, a);
         }
@@ -911,29 +911,33 @@ mod tests {
     /// Enqueue one tuple per unit (FIFO arrival order by unit id) and drain
     /// through the policy, returning the unit execution order.
     fn drain_all(p: &mut ClusteredBsdPolicy, n: usize) -> Vec<UnitId> {
-        let mut q = MockQueues::new(n);
+        let mut q = UnitQueues::new(n);
         enqueue_one_each(p, &mut q, n);
         drain(p, &mut q)
     }
 
     /// Enqueue one tuple per unit, in unit-id order.
-    fn enqueue_one_each(p: &mut ClusteredBsdPolicy, q: &mut MockQueues, n: usize) {
+    fn enqueue_one_each(
+        p: &mut ClusteredBsdPolicy,
+        q: &mut UnitQueues<(TupleId, Nanos)>,
+        n: usize,
+    ) {
         for u in 0..n as u32 {
             let t = TupleId::new(u as u64);
             let a = ms(u as u64 * 3);
-            q.push(u, t, a);
+            q.push(u, (t, a));
             p.on_enqueue(u, t, a, a);
         }
     }
 
     /// Drain through the policy, returning the unit execution order. Panics
     /// if `select` ever wedges while work is pending.
-    fn drain(p: &mut ClusteredBsdPolicy, q: &mut MockQueues) -> Vec<UnitId> {
+    fn drain(p: &mut ClusteredBsdPolicy, q: &mut UnitQueues<(TupleId, Nanos)>) -> Vec<UnitId> {
         let mut order = Vec::new();
         while !q.nonempty().is_empty() {
             let sel = p.select(q, ms(100)).expect("work pending, must select");
             for &u in sel.units.iter() {
-                q.pop(u);
+                q.pop(u).unwrap();
                 order.push(u);
             }
         }
@@ -1116,11 +1120,11 @@ mod tests {
             batch: false,
         });
         p.on_register(&units);
-        let mut q = MockQueues::new(10);
+        let mut q = UnitQueues::new(10);
         for u in 0..10u32 {
             let t = TupleId::new(u as u64);
             let a = ms(u as u64);
-            q.push(u, t, a);
+            q.push(u, (t, a));
             p.on_enqueue(u, t, a, a);
         }
         // Give unit 0 the statics of a unit in a different cluster.
@@ -1136,7 +1140,7 @@ mod tests {
         while !q.nonempty().is_empty() {
             let sel = p.select(&q, ms(1000)).expect("no wedge after migration");
             for &u in sel.units.iter() {
-                q.pop(u);
+                q.pop(u).unwrap();
                 served += 1;
             }
         }
@@ -1148,29 +1152,29 @@ mod tests {
         let units = spread_units(12);
         let mut p = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(6));
         p.on_register(&units);
-        let mut q = MockQueues::new(12);
+        let mut q = UnitQueues::new(12);
         for u in 0..12u32 {
             let t = TupleId::new(u as u64);
             let a = ms(u as u64 * 2);
-            q.push(u, t, a);
+            q.push(u, (t, a));
             p.on_enqueue(u, t, a, a);
         }
         // Mutate: one statics change, one shed, one extra arrival.
         p.update_unit_statics(3, &units[8]);
-        q.pop_back(5);
+        q.shed_tail(5).unwrap();
         p.on_shed(5, TupleId::new(5));
-        q.push(2, TupleId::new(20), ms(40));
+        q.push(2, (TupleId::new(20), ms(40)));
         p.on_enqueue(2, TupleId::new(20), ms(40), ms(40));
 
         let mut r = p.rebuild_reference();
-        let mut qr = MockQueues::new(12);
+        let mut qr = UnitQueues::new(12);
         for u in 0..12u32 {
             if u == 5 {
                 continue;
             }
-            qr.push(u, TupleId::new(u as u64), ms(u as u64 * 2));
+            qr.push(u, (TupleId::new(u as u64), ms(u as u64 * 2)));
         }
-        qr.push(2, TupleId::new(20), ms(40));
+        qr.push(2, (TupleId::new(20), ms(40)));
 
         let mut now = ms(50);
         while !q.nonempty().is_empty() {
@@ -1180,8 +1184,8 @@ mod tests {
             assert_eq!(a.ops_counted, b.ops_counted);
             assert_eq!(a.stats, b.stats, "stats diverged at {now}");
             for &u in a.units.iter() {
-                q.pop(u);
-                qr.pop(u);
+                q.pop(u).unwrap();
+                qr.pop(u).unwrap();
             }
             now += ms(3);
         }
@@ -1193,11 +1197,11 @@ mod tests {
         let units = spread_units(10);
         let mut p = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(8));
         p.on_register(&units);
-        let mut q = MockQueues::new(10);
+        let mut q = UnitQueues::new(10);
         for u in 0..10u32 {
             let t = TupleId::new(u as u64);
             let a = ms(u as u64);
-            q.push(u, t, a);
+            q.push(u, (t, a));
             p.on_enqueue(u, t, a, a);
         }
         // Drift every unit far above the frozen domain: incremental updates
@@ -1231,11 +1235,11 @@ mod tests {
             .collect();
         let mut fresh = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(8));
         fresh.on_register(&drifted);
-        let mut qf = MockQueues::new(10);
+        let mut qf = UnitQueues::new(10);
         for u in 0..10u32 {
             let t = TupleId::new(u as u64);
             let a = ms(u as u64);
-            qf.push(u, t, a);
+            qf.push(u, (t, a));
             fresh.on_enqueue(u, t, a, a);
         }
         let mut now = ms(100);
@@ -1244,8 +1248,8 @@ mod tests {
             let b = fresh.select(&qf, now).expect("fresh selects");
             assert_eq!(a.units, b.units, "order diverged from fresh at {now}");
             for &u in a.units.iter() {
-                q.pop(u);
-                qf.pop(u);
+                q.pop(u).unwrap();
+                qf.pop(u).unwrap();
             }
             now += ms(3);
         }
@@ -1262,7 +1266,7 @@ mod tests {
         widened[0].selectivity *= 1e6;
         let mut merged = ClusteredBsdPolicy::new(ClusterConfig::uniform(4));
         merged.on_register(&units);
-        let mut qm = MockQueues::new(10);
+        let mut qm = UnitQueues::new(10);
         enqueue_one_each(&mut merged, &mut qm, 10);
         merged.update_unit_statics(0, &widened[0]);
         assert!(merged.refreeze_domain());
@@ -1276,10 +1280,10 @@ mod tests {
         let units = spread_units(6);
         let mut p = ClusteredBsdPolicy::new(ClusterConfig::logarithmic(4));
         p.on_register(&units);
-        let mut q = MockQueues::new(6);
+        let mut q = UnitQueues::new(6);
         for u in 0..6u32 {
             let t = TupleId::new(u as u64);
-            q.push(u, t, ms(u as u64));
+            q.push(u, (t, ms(u as u64)));
             p.on_enqueue(u, t, ms(u as u64), ms(u as u64));
         }
         let before: Vec<u32> = (0..6u32).map(|u| p.cluster_of(u)).collect();
@@ -1296,7 +1300,7 @@ mod tests {
         while !q.nonempty().is_empty() {
             let sel = p.select(&q, ms(500)).expect("drains after no-op refreeze");
             for &u in sel.units.iter() {
-                q.pop(u);
+                q.pop(u).unwrap();
                 served += 1;
             }
         }
@@ -1309,10 +1313,10 @@ mod tests {
         p.on_register(&spread_units(1000));
         let empty = p.memory_footprint().unwrap();
         assert!(empty > 0);
-        let mut q = MockQueues::new(1000);
+        let mut q = UnitQueues::new(1000);
         for u in 0..1000u32 {
             let t = TupleId::new(u as u64);
-            q.push(u, t, ms(1));
+            q.push(u, (t, ms(1)));
             p.on_enqueue(u, t, ms(1), ms(1));
         }
         let loaded = p.memory_footprint().unwrap();

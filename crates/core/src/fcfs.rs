@@ -96,30 +96,30 @@ mod tests {
     fn empty_select_returns_none() {
         let mut p = FcfsPolicy::new();
         p.on_register(&units(1));
-        let q = crate::policy::testkit::MockQueues::new(1);
+        let q = crate::UnitQueues::<(TupleId, Nanos)>::new(1);
         assert!(p.select(&q, Nanos::ZERO).is_none());
     }
 
     #[test]
     fn shed_forgets_the_units_newest_entry() {
-        use crate::policy::testkit::MockQueues;
+        use crate::UnitQueues;
         let mut p = FcfsPolicy::new();
         p.on_register(&units(2));
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         // Arrivals: unit 0 (t=0), unit 1 (t=1), unit 0 (t=2). Shedding unit
         // 0's tail must drop the t=2 entry, leaving the order [0, 1].
         for (u, t, a) in [(0, 0, 0u64), (1, 1, 1), (0, 2, 2)] {
             let at = Nanos::from_millis(a);
-            q.push(u, TupleId::new(t), at);
+            q.push(u, (TupleId::new(t), at));
             p.on_enqueue(u, TupleId::new(t), at, at);
         }
-        q.pop_back(0);
+        q.shed_tail(0).unwrap();
         p.on_shed(0, TupleId::new(2));
         let mut order = Vec::new();
         while !q.nonempty().is_empty() {
             let sel = p.select(&q, Nanos::from_millis(9)).expect("work pending");
             for u in sel.units {
-                q.pop(u);
+                q.pop(u).unwrap();
                 order.push(u);
             }
         }
@@ -129,24 +129,24 @@ mod tests {
 
     #[test]
     fn double_shed_is_a_noop_on_empty_mirror() {
-        use crate::policy::testkit::MockQueues;
+        use crate::UnitQueues;
         let mut p = FcfsPolicy::new();
         p.on_register(&units(2));
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         for (u, t, a) in [(0, 0, 0u64), (1, 1, 1)] {
             let at = Nanos::from_millis(a);
-            q.push(u, TupleId::new(t), at);
+            q.push(u, (TupleId::new(t), at));
             p.on_enqueue(u, TupleId::new(t), at, at);
         }
         // First shed drains unit 0's only entry; the second hits an already
         // empty mirror and must be tolerated as a no-op (trait contract:
         // idempotent per queue position — no underflow, no panic).
-        q.pop_back(0);
+        q.shed_tail(0).unwrap();
         p.on_shed(0, TupleId::new(0));
         p.on_shed(0, TupleId::new(0));
         let sel = p.select(&q, Nanos::from_millis(9)).expect("unit 1 pending");
         assert_eq!(sel.units, vec![1]);
-        q.pop(1);
+        q.pop(1).unwrap();
         assert!(p.select(&q, Nanos::from_millis(9)).is_none());
     }
 

@@ -602,8 +602,9 @@ impl Policy for WaitPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::testkit::{drain_order, MockQueues};
+    use crate::policy::testkit::drain_order;
     use crate::statics::StaticPolicy;
+    use crate::UnitQueues;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -611,9 +612,9 @@ mod tests {
         Nanos::from_millis(n)
     }
 
-    fn push(q: &mut MockQueues, p: &mut WaitPolicy, unit: UnitId, at_ms: u64) {
+    fn push(q: &mut UnitQueues<(TupleId, Nanos)>, p: &mut WaitPolicy, unit: UnitId, at_ms: u64) {
         let at = ms(at_ms);
-        q.push(unit, TupleId::new(u64::from(unit)), at);
+        q.push(unit, (TupleId::new(u64::from(unit)), at));
         p.on_enqueue(unit, TupleId::new(u64::from(unit)), at, at);
     }
 
@@ -655,20 +656,21 @@ mod tests {
     #[test]
     fn rebuilds_only_when_the_callbacks_missed_a_ready_unit() {
         let factor = vec![1.0, 4.0, 2.0, 4.0];
-        let (mut q, mut g) = (MockQueues::new(4), WaitPolicy::bsd());
+        let (mut q, mut g) = (UnitQueues::new(4), WaitPolicy::bsd());
         g.reset(factor.clone());
         for (unit, at) in [(0, 1), (1, 1), (2, 3), (3, 1)] {
             push(&mut q, &mut g, unit, at);
         }
         let now = ms(5);
-        let scan =
-            |q: &MockQueues| scan_argmax(q.nonempty(), q.head_arrivals(), &factor, now, |w| w);
+        let scan = |q: &UnitQueues<(TupleId, Nanos)>| {
+            scan_argmax(q.nonempty(), q.head_arrivals(), &factor, now, |w| w)
+        };
         for _ in 0..2 {
             let sel = g.select(&q, now).unwrap();
             assert_eq!(Some(&sel), scan(&q).as_ref());
-            q.pop(sel.units[0]);
+            q.pop(sel.units[0]).unwrap();
         }
-        q.pop_back(2);
+        q.shed_tail(2).unwrap();
         g.on_shed(2, TupleId::new(2));
         assert_eq!(g.select(&q, now), scan(&q));
         assert_eq!(g.rebuilds(), 0);
@@ -692,10 +694,10 @@ mod tests {
         let mut p = WaitPolicy::bsd();
         p.on_register(&units);
         assert!(p.factor(0) > p.factor(1));
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         // Fresh tuple on 0, ancient tuple on 1.
-        q.push(1, TupleId::new(0), ms(0));
-        q.push(0, TupleId::new(1), ms(1_000));
+        q.push(1, (TupleId::new(0), ms(0)));
+        q.push(0, (TupleId::new(1), ms(1_000)));
         // Shortly after unit 0's arrival its W is tiny: unit 1 wins on wait.
         let phi0 = p.factor(0);
         let phi1 = p.factor(1);
@@ -704,8 +706,8 @@ mod tests {
         assert!(phi1 * w1 > phi0 * w0, "sanity: aged tuple dominates");
         assert_eq!(p.select(&q, ms(1_001)).unwrap().units, vec![1]);
         // Much later the relative waits even out and Φ dominates.
-        q.pop(1);
-        q.push(1, TupleId::new(2), ms(1_000));
+        q.pop(1).unwrap();
+        q.push(1, (TupleId::new(2), ms(1_000)));
         assert!(phi0 * 99_000.0e6 > phi1 * 99_000.0e6);
         assert_eq!(p.select(&q, ms(100_000)).unwrap().units, vec![0]);
     }
@@ -720,9 +722,9 @@ mod tests {
         ];
         let mut p = WaitPolicy::bsd();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), ms(0));
-        q.push(1, TupleId::new(1), ms(0));
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), ms(0)));
+        q.push(1, (TupleId::new(1), ms(0)));
         assert_eq!(p.select(&q, ms(10)).unwrap().units, vec![1]);
     }
 
@@ -733,9 +735,9 @@ mod tests {
             .collect();
         let mut p = WaitPolicy::bsd();
         p.on_register(&units);
-        let mut q = MockQueues::new(8);
+        let mut q = UnitQueues::new(8);
         for u in 0..5 {
-            q.push(u, TupleId::new(u as u64), ms(u as u64));
+            q.push(u, (TupleId::new(u as u64), ms(u as u64)));
         }
         let sel = p.select(&q, ms(100)).unwrap();
         assert_eq!(sel.ops_counted, 10, "2 ops per ready unit");
@@ -749,9 +751,9 @@ mod tests {
         ];
         let mut p = WaitPolicy::bsd();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), ms(0));
-        q.push(1, TupleId::new(1), ms(0));
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), ms(0)));
+        q.push(1, (TupleId::new(1), ms(0)));
         assert_eq!(p.select(&q, ms(10)).unwrap().units, vec![0], "Φ0 > Φ1");
         // Re-estimate unit 1 as much cheaper: its Φ overtakes.
         p.on_statics_update(
@@ -771,9 +773,9 @@ mod tests {
         ];
         let mut p = WaitPolicy::bsd();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(1, TupleId::new(0), ms(7));
-        q.push(0, TupleId::new(1), ms(7));
+        let mut q = UnitQueues::new(2);
+        q.push(1, (TupleId::new(0), ms(7)));
+        q.push(0, (TupleId::new(1), ms(7)));
         // W = 0 for both -> priorities equal 0 -> tie broken by id.
         assert_eq!(p.select(&q, ms(7)).unwrap().units, vec![0]);
     }
@@ -790,9 +792,9 @@ mod tests {
         ];
         let mut p = WaitPolicy::lsf();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), ms(0));
-        q.push(1, TupleId::new(1), ms(14));
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), ms(0)));
+        q.push(1, (TupleId::new(1), ms(14)));
         let sel = p.select(&q, ms(20)).unwrap();
         assert_eq!(sel.units, vec![1]);
         assert_eq!(sel.ops_counted, 4);
@@ -808,9 +810,9 @@ mod tests {
         ];
         let mut p = WaitPolicy::lsf();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), ms(0));
-        q.push(1, TupleId::new(1), ms(99));
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), ms(0)));
+        q.push(1, (TupleId::new(1), ms(99)));
         // At t=100: unit0 stretch 1.0, unit1 stretch 0.2 -> unit 0.
         assert_eq!(p.select(&q, ms(100)).unwrap().units, vec![0]);
         // At t=125: unit0 stretch 1.25, unit1 stretch 5.2 -> unit 1.
@@ -839,9 +841,9 @@ mod tests {
         let mut p = WaitPolicy::lsf();
         p.on_register(&units);
         assert!(units.iter().all(|u| u.lsf_slope().is_finite()));
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), Nanos::from_nanos(10));
-        q.push(1, TupleId::new(1), Nanos::from_nanos(0));
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), Nanos::from_nanos(10)));
+        q.push(1, (TupleId::new(1), Nanos::from_nanos(0)));
         // At t=12: unit0 stretch = 2ns·(1/1ns) = 2, unit1 stretch =
         // 12ns·(1/2ns) = 6 -> the ordinary unit outranks the degenerate one.
         let sel = p.select(&q, Nanos::from_nanos(12)).unwrap();
@@ -856,9 +858,9 @@ mod tests {
         ];
         let mut p = WaitPolicy::lsf();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), ms(0));
-        q.push(1, TupleId::new(1), ms(0));
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), ms(0)));
+        q.push(1, (TupleId::new(1), ms(0)));
         assert_eq!(p.select(&q, ms(20)).unwrap().units, vec![0], "tie → id");
         // Unit 1 is re-estimated much shorter: its stretch slope dominates.
         p.on_statics_update(1, &UnitStatics::new(1.0, ms(1), ms(1)));
@@ -874,9 +876,9 @@ mod tests {
         ];
         let mut p = WaitPolicy::lsf();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(1, TupleId::new(0), ms(5));
-        q.push(0, TupleId::new(1), ms(5));
+        let mut q = UnitQueues::new(2);
+        q.push(1, (TupleId::new(0), ms(5)));
+        q.push(0, (TupleId::new(1), ms(5)));
         assert_eq!(p.select(&q, ms(5)).unwrap().units, vec![0]);
     }
 
@@ -890,11 +892,11 @@ mod tests {
         ]
     }
 
-    fn loaded(policy: &mut dyn Policy) -> MockQueues {
+    fn loaded(policy: &mut dyn Policy) -> UnitQueues<(TupleId, Nanos)> {
         policy.on_register(&lp_units());
-        let mut q = MockQueues::new(3);
+        let mut q = UnitQueues::new(3);
         for (u, arrival) in [(0u32, 0u64), (1, 40), (2, 15)] {
-            q.push(u, TupleId::new(u as u64), ms(arrival));
+            q.push(u, (TupleId::new(u as u64), ms(arrival)));
             policy.on_enqueue(u, TupleId::new(u as u64), ms(arrival), ms(arrival));
         }
         q
@@ -953,7 +955,7 @@ mod tests {
     fn empty_select_none() {
         let mut lp = WaitPolicy::lp(2.0);
         lp.on_register(&lp_units());
-        let q = MockQueues::new(3);
+        let q = UnitQueues::<(TupleId, Nanos)>::new(3);
         assert!(lp.select(&q, ms(1)).is_none());
     }
 }

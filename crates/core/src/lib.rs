@@ -20,7 +20,10 @@
 //! Policies interact with the engine through the [`Policy`] trait: the engine
 //! reports enqueues, the policy answers `select` with the unit(s) to run and
 //! the number of priority computations/comparisons it spent (so the engine
-//! can charge scheduling overhead in virtual time, as §9.2 does). Callers
+//! can charge scheduling overhead in virtual time, as §9.2 does). `select`
+//! reads the queues through [`QueueView`], whose one implementation is
+//! [`UnitQueues`]: every executor runs it, and every policy test and fuzz
+//! case drives it, so all of them see one ready-list order. Callers
 //! name a policy by a [`PolicyKind`] value and build it with
 //! [`PolicyKind::build`].
 //!
@@ -50,6 +53,7 @@ pub mod fcfs;
 mod headgroups;
 pub mod pdt;
 pub mod policy;
+pub mod queues;
 pub mod rr;
 pub mod soa;
 pub mod statics;
@@ -62,6 +66,7 @@ pub use fcfs::FcfsPolicy;
 pub use headgroups::{WaitPolicy, WaitRank};
 pub use pdt::{shared_priority, PdtSelection, SharingStrategy};
 pub use policy::{Policy, PolicyKind, QueueView, SchedStats, Selection, SelectionUnits, UnitId};
+pub use queues::{Queued, UnitQueues};
 pub use rr::RoundRobinPolicy;
 pub use statics::{StaticPolicy, StaticRank};
 pub use unit::{PriorityKey, UnitStatics, MIN_TIME_NS};

@@ -485,68 +485,10 @@ impl PolicyKind {
 
 #[cfg(test)]
 pub(crate) mod testkit {
-    //! A minimal hand-driven queue model shared by policy unit tests.
+    //! Drives a policy over the production queues by hand.
 
     use super::*;
-    use std::collections::VecDeque;
-
-    #[derive(Default)]
-    pub struct MockQueues {
-        queues: Vec<VecDeque<(TupleId, Nanos)>>,
-        heads: Vec<Nanos>,
-        nonempty: Vec<UnitId>,
-    }
-
-    impl MockQueues {
-        pub fn new(n: usize) -> Self {
-            MockQueues {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                heads: vec![Nanos::ZERO; n],
-                nonempty: Vec::new(),
-            }
-        }
-
-        pub fn push(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos) {
-            let q = &mut self.queues[unit as usize];
-            if q.is_empty() {
-                self.nonempty.push(unit);
-                self.heads[unit as usize] = arrival;
-            }
-            q.push_back((tuple, arrival));
-        }
-
-        pub fn pop(&mut self, unit: UnitId) -> (TupleId, Nanos) {
-            let q = &mut self.queues[unit as usize];
-            let item = q.pop_front().expect("pop from empty queue");
-            match q.front() {
-                Some(&(_, arrival)) => self.heads[unit as usize] = arrival,
-                None => self.nonempty.retain(|&u| u != unit),
-            }
-            item
-        }
-
-        /// Remove the unit's tail tuple (models the engine shedding).
-        pub fn pop_back(&mut self, unit: UnitId) -> (TupleId, Nanos) {
-            let q = &mut self.queues[unit as usize];
-            let item = q.pop_back().expect("shed from empty queue");
-            if q.is_empty() {
-                self.nonempty.retain(|&u| u != unit);
-            }
-            item
-        }
-    }
-
-    impl QueueView for MockQueues {
-        fn len(&self, unit: UnitId) -> usize {
-            self.queues[unit as usize].len()
-        }
-        fn head_arrivals(&self) -> &[Nanos] {
-            &self.heads
-        }
-        fn nonempty(&self) -> &[UnitId] {
-            &self.nonempty
-        }
-    }
+    use crate::UnitQueues;
 
     /// Drive a policy: enqueue tuples, then repeatedly select+pop until
     /// drained, returning the unit execution order.
@@ -555,13 +497,13 @@ pub(crate) mod testkit {
         units: &[UnitStatics],
         enqueues: &[(UnitId, u64, u64)], // (unit, tuple, arrival_ms)
     ) -> Vec<UnitId> {
-        let mut q = MockQueues::new(units.len());
+        let mut q = UnitQueues::new(units.len());
         policy.on_register(units);
         let mut now = Nanos::ZERO;
         for &(u, t, a) in enqueues {
             let arrival = Nanos::from_millis(a);
             now = now.max(arrival);
-            q.push(u, TupleId::new(t), arrival);
+            q.push(u, (TupleId::new(t), arrival));
             policy.on_enqueue(u, TupleId::new(t), arrival, now);
         }
         let mut order = Vec::new();
@@ -569,7 +511,7 @@ pub(crate) mod testkit {
             let sel = policy.select(&q, now).expect("work pending");
             assert!(!sel.units.is_empty());
             for u in sel.units {
-                q.pop(u);
+                q.pop(u).expect("selected unit has work");
                 order.push(u);
                 now += Nanos::from_millis(1); // nominal execution time
             }

@@ -102,8 +102,8 @@ mod tests {
     fn counts_inspections_as_overhead() {
         let mut p = RoundRobinPolicy::new();
         p.on_register(&units(5));
-        let mut q = crate::policy::testkit::MockQueues::new(5);
-        q.push(4, TupleId::new(0), Nanos::ZERO);
+        let mut q = crate::UnitQueues::new(5);
+        q.push(4, (TupleId::new(0), Nanos::ZERO));
         p.on_enqueue(4, TupleId::new(0), Nanos::ZERO, Nanos::ZERO);
         let sel = p.select(&q, Nanos::ZERO).unwrap();
         assert_eq!(sel.units, vec![4]);
@@ -114,7 +114,7 @@ mod tests {
     fn empty_system_returns_none() {
         let mut p = RoundRobinPolicy::new();
         p.on_register(&units(2));
-        let q = crate::policy::testkit::MockQueues::new(2);
+        let q = crate::UnitQueues::<(TupleId, Nanos)>::new(2);
         assert!(p.select(&q, Nanos::ZERO).is_none());
     }
 }

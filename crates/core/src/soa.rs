@@ -72,9 +72,9 @@ pub fn naive_charge(unit: UnitId, ready: usize) -> Selection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::testkit::MockQueues;
     use crate::policy::{Policy, QueueView};
     use crate::unit::UnitStatics;
+    use crate::UnitQueues;
     use crate::WaitPolicy;
     use hcq_common::TupleId;
     use proptest::prelude::*;
@@ -138,13 +138,13 @@ mod tests {
                 UnitStatics::new(0.25, ms(1), ms(3)),
             ];
             let units: Vec<UnitStatics> = cells.iter().map(|c| classes[c.0]).collect();
-            let mut q = MockQueues::new(units.len());
+            let mut q = UnitQueues::new(units.len());
             let mut order: Vec<UnitId> = (0..units.len() as UnitId).collect();
             order.sort_by_key(|&u| cells[u as usize].3);
             for u in order {
                 if let Some(a) = cells[u as usize].1 {
-                    q.push(u, TupleId::new(u as u64), ms(a));
-                    q.push(u, TupleId::new(100 + u as u64), ms(a + 1));
+                    q.push(u, (TupleId::new(u as u64), ms(a)));
+                    q.push(u, (TupleId::new(100 + u as u64), ms(a + 1)));
                 }
             }
             let now = ms(now_ms);

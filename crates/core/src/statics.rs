@@ -368,7 +368,8 @@ impl Policy for StaticPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::testkit::{drain_order, MockQueues};
+    use crate::policy::testkit::drain_order;
+    use crate::UnitQueues;
     use hcq_common::det;
 
     fn ms(n: u64) -> Nanos {
@@ -429,14 +430,14 @@ mod tests {
         let mut p = StaticPolicy::hnr();
         let units = example1();
         p.on_register(&units);
-        let mut q = MockQueues::new(2);
-        q.push(0, TupleId::new(0), Nanos::ZERO);
+        let mut q = UnitQueues::new(2);
+        q.push(0, (TupleId::new(0), Nanos::ZERO));
         p.on_enqueue(0, TupleId::new(0), Nanos::ZERO, Nanos::ZERO);
         let sel = p.select(&q, Nanos::ZERO).unwrap();
         assert_eq!(sel.units, vec![0]);
-        q.pop(0);
+        q.pop(0).unwrap();
         assert!(p.select(&q, Nanos::ZERO).is_none());
-        q.push(0, TupleId::new(1), Nanos::ZERO);
+        q.push(0, (TupleId::new(1), Nanos::ZERO));
         p.on_enqueue(0, TupleId::new(1), Nanos::ZERO, Nanos::ZERO);
         assert_eq!(p.select(&q, Nanos::ZERO).unwrap().units, vec![0]);
     }
@@ -447,9 +448,9 @@ mod tests {
         p.on_register(&example1());
         // Boost Q1 above Q2 manually (as the shared-operator path does).
         p.set_priority(0, 1.0);
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         for u in 0..2 {
-            q.push(u, TupleId::new(u as u64), Nanos::ZERO);
+            q.push(u, (TupleId::new(u as u64), Nanos::ZERO));
             p.on_enqueue(u, TupleId::new(u as u64), Nanos::ZERO, Nanos::ZERO);
         }
         assert_eq!(p.select(&q, Nanos::ZERO).unwrap().units, vec![0]);
@@ -463,9 +464,9 @@ mod tests {
         // up in SchedStats instead of reading 0.00 forever.
         let mut p = StaticPolicy::hnr();
         p.on_register(&example1());
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         for u in 0..2 {
-            q.push(u, TupleId::new(u as u64), Nanos::ZERO);
+            q.push(u, (TupleId::new(u as u64), Nanos::ZERO));
             p.on_enqueue(u, TupleId::new(u as u64), Nanos::ZERO, Nanos::ZERO);
         }
         let first = p.select(&q, Nanos::ZERO).unwrap();
@@ -473,13 +474,13 @@ mod tests {
             first.stats.priority_evals, 2,
             "one eval per registered unit"
         );
-        q.pop(first.units[0]);
+        q.pop(first.units[0]).unwrap();
         // No new evals between points: the next decision reports zero.
         let second = p.select(&q, Nanos::ZERO).unwrap();
         assert_eq!(second.stats.priority_evals, 0);
         // A statics update re-evaluates exactly one formula.
         p.on_statics_update(0, &UnitStatics::new(0.9, ms(1), ms(1)));
-        q.push(0, TupleId::new(9), Nanos::ZERO);
+        q.push(0, (TupleId::new(9), Nanos::ZERO));
         p.on_enqueue(0, TupleId::new(9), Nanos::ZERO, Nanos::ZERO);
         let third = p.select(&q, Nanos::ZERO).unwrap();
         assert_eq!(third.stats.priority_evals, 1);
@@ -490,9 +491,9 @@ mod tests {
     fn statics_update_reorders_rank_policies() {
         let mut p = StaticPolicy::srpt();
         p.on_register(&example1());
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         for u in 0..2 {
-            q.push(u, TupleId::new(u as u64), Nanos::ZERO);
+            q.push(u, (TupleId::new(u as u64), Nanos::ZERO));
             p.on_enqueue(u, TupleId::new(u as u64), Nanos::ZERO, Nanos::ZERO);
         }
         // SRPT prefers unit 1 (T=2ms); re-estimate unit 0 shorter.
@@ -504,9 +505,9 @@ mod tests {
     fn override_while_queued_reorders() {
         let mut p = StaticPolicy::hnr();
         p.on_register(&example1());
-        let mut q = MockQueues::new(2);
+        let mut q = UnitQueues::new(2);
         for u in 0..2 {
-            q.push(u, TupleId::new(u as u64), Nanos::ZERO);
+            q.push(u, (TupleId::new(u as u64), Nanos::ZERO));
             p.on_enqueue(u, TupleId::new(u as u64), Nanos::ZERO, Nanos::ZERO);
         }
         // Initially Q2 (unit 1) wins under HNR; demote it below Q1.
@@ -528,10 +529,10 @@ mod tests {
         };
         let mut p = StaticPolicy::hnr();
         p.on_register(&(0..UNITS).map(|u| statics(0, u)).collect::<Vec<_>>());
-        let mut q = MockQueues::new(UNITS);
+        let mut q = UnitQueues::new(UNITS);
         let mut next = 0;
-        let mut feed = |p: &mut StaticPolicy, q: &mut MockQueues, u: UnitId| {
-            q.push(u, TupleId::new(next), Nanos::ZERO);
+        let mut feed = |p: &mut StaticPolicy, q: &mut UnitQueues<(TupleId, Nanos)>, u: UnitId| {
+            q.push(u, (TupleId::new(next), Nanos::ZERO));
             p.on_enqueue(u, TupleId::new(next), Nanos::ZERO, Nanos::ZERO);
             next += 1;
         };
@@ -552,7 +553,7 @@ mod tests {
                 .unwrap();
             let sel = p.select(&q, Nanos::ZERO).unwrap();
             assert_eq!(sel.units, vec![expect.1], "round {round}");
-            q.pop(expect.1);
+            q.pop(expect.1).unwrap();
             // The first ten units are permanently ready; the rest drain and
             // refill at random, so emptied units sit in the set too.
             let refill = det::mix2(round, 99) % UNITS as u64;

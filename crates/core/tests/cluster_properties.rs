@@ -4,12 +4,10 @@
 
 use hcq_common::{Nanos, TupleId};
 use hcq_core::{
-    ClusterConfig, ClusteredBsdPolicy, Clustering, Policy, QueueView, UnitId, UnitStatics,
+    ClusterConfig, ClusteredBsdPolicy, Clustering, Policy, QueueView, UnitId, UnitQueues,
+    UnitStatics,
 };
 use proptest::prelude::*;
-
-mod common;
-use common::Queues;
 
 fn units(n: usize) -> Vec<UnitStatics> {
     (0..n)
@@ -48,8 +46,8 @@ proptest! {
         };
         let mut pf = mk(true);
         let mut ps = mk(false);
-        let mut qf = Queues::new(n);
-        let mut qs = Queues::new(n);
+        let mut qf = UnitQueues::new(n);
+        let mut qs = UnitQueues::new(n);
         let mut now = Nanos::ZERO;
         let mut tid = 0u64;
         for step in script {
@@ -58,14 +56,14 @@ proptest! {
                     now += Nanos::from_millis(gap);
                     let t = TupleId::new(tid);
                     tid += 1;
-                    qf.push(unit, t, now);
-                    qs.push(unit, t, now);
+                    qf.push(unit, (t, now));
+                    qs.push(unit, (t, now));
                     pf.on_enqueue(unit, t, now, now);
                     ps.on_enqueue(unit, t, now, now);
                 }
                 None => {
                     now += Nanos::from_millis(1);
-                    if qf.nonempty.is_empty() {
+                    if qf.nonempty().is_empty() {
                         prop_assert!(pf.select(&qf, now).is_none());
                         prop_assert!(ps.select(&qs, now).is_none());
                         continue;
@@ -80,7 +78,7 @@ proptest! {
                     let chosen_cluster = cluster_of(chosen);
                     let cluster_priority = |c: u32| -> f64 {
                         let oldest = qf
-                            .nonempty
+                            .nonempty()
                             .iter()
                             .filter(|&&u| cluster_of(u) == c)
                             .filter_map(|&u| qf.head_arrival(u))
@@ -101,12 +99,14 @@ proptest! {
                             "cluster {c} (p={p}) beats chosen {chosen_cluster} (p={chosen_p})"
                         );
                     }
-                    // The executed unit is its cluster's oldest head.
+                    // The executed unit is its cluster's oldest head; fan-outs
+                    // tie heads often, and the lower unit id breaks a tie
+                    // whatever order the ready list is in.
                     let oldest = qf
-                        .nonempty
+                        .nonempty()
                         .iter()
                         .filter(|&&u| cluster_of(u) == chosen_cluster)
-                        .min_by_key(|&&u| qf.head_arrival(u).unwrap())
+                        .min_by_key(|&&u| (qf.head_arrival(u).unwrap(), u))
                         .copied()
                         .unwrap();
                     prop_assert_eq!(
@@ -114,8 +114,8 @@ proptest! {
                         qf.head_arrival(oldest),
                         "not the cluster's oldest pending tuple"
                     );
-                    qf.pop(chosen);
-                    qs.pop(chosen);
+                    qf.pop(chosen).unwrap();
+                    qs.pop(chosen).unwrap();
                 }
             }
         }

@@ -18,12 +18,9 @@
 use hcq_common::{Nanos, TupleId};
 use hcq_core::{
     ClusterConfig, ClusteredBsdPolicy, Clustering, Policy, QueueView, SchedStats, UnitId,
-    UnitStatics, WaitPolicy,
+    UnitQueues, UnitStatics, WaitPolicy,
 };
 use proptest::prelude::*;
-
-mod common;
-use common::Queues;
 
 /// Units whose `Φ` values span several decades.
 fn units(n: usize) -> Vec<UnitStatics> {
@@ -47,8 +44,8 @@ fn epsilon(us: &[UnitStatics], m: usize) -> f64 {
 }
 
 /// The exact BSD objective: `max_u Φ(u) · W(u)` over ready units.
-fn exact_argmax(us: &[UnitStatics], q: &Queues, now: Nanos) -> f64 {
-    q.nonempty
+fn exact_argmax(us: &[UnitStatics], q: &UnitQueues<(TupleId, Nanos)>, now: Nanos) -> f64 {
+    q.nonempty()
         .iter()
         .map(|&u| {
             let wait = now.saturating_since(q.head_arrival(u).unwrap()).as_nanos() as f64;
@@ -80,7 +77,7 @@ proptest! {
             batch: false,
         });
         p.on_register(&us);
-        let mut q = Queues::new(n);
+        let mut q = UnitQueues::new(n);
         let mut now = Nanos::ZERO;
         let mut tid = 0u64;
         for step in script {
@@ -89,13 +86,13 @@ proptest! {
                     now += Nanos::from_millis(gap);
                     let t = TupleId::new(tid);
                     tid += 1;
-                    q.push(unit, t, now);
+                    q.push(unit, (t, now));
                     p.on_enqueue(unit, t, now, now);
                 }
                 None => {
                     now += Nanos::from_millis(1);
                     let Some(sel) = p.select(&q, now) else {
-                        prop_assert!(q.nonempty.is_empty());
+                        prop_assert!(q.nonempty().is_empty());
                         continue;
                     };
                     let chosen = sel.units[0];
@@ -109,7 +106,7 @@ proptest! {
                         "chosen {chosen} at priority {chosen_priority} trails exact argmax \
                          {best} by more than ε = {eps} (m = {m}, fagin = {fagin})"
                     );
-                    q.pop(chosen);
+                    q.pop(chosen).unwrap();
                 }
             }
         }
@@ -121,11 +118,11 @@ proptest! {
 fn drain_stats(policy: &mut dyn Policy, us: &[UnitStatics], rounds: usize) -> SchedStats {
     let n = us.len();
     policy.on_register(us);
-    let mut q = Queues::new(n);
+    let mut q = UnitQueues::new(n);
     for i in 0..n {
         let t = TupleId::new(i as u64);
         let a = Nanos::from_millis((i as u64 * 7) % 50);
-        q.push(i as UnitId, t, a);
+        q.push(i as UnitId, (t, a));
         policy.on_enqueue(i as UnitId, t, a, a);
     }
     let mut total = SchedStats::default();
@@ -133,7 +130,7 @@ fn drain_stats(policy: &mut dyn Policy, us: &[UnitStatics], rounds: usize) -> Sc
     for _ in 0..rounds {
         let sel = policy.select(&q, now).expect("units remain ready");
         total += sel.stats;
-        q.pop(sel.units[0]);
+        q.pop(sel.units[0]).unwrap();
         now += Nanos::from_millis(1);
     }
     total

@@ -2,11 +2,8 @@
 //! on randomized queue states, across arbitrary enqueue/execute interleavings.
 
 use hcq_common::{Nanos, TupleId};
-use hcq_core::{FcfsPolicy, Policy, QueueView, StaticPolicy, UnitStatics, WaitPolicy};
+use hcq_core::{FcfsPolicy, Policy, QueueView, StaticPolicy, UnitQueues, UnitStatics, WaitPolicy};
 use proptest::prelude::*;
-
-mod common;
-use common::Queues;
 
 /// Random unit populations: cost ms in 1..=32, selectivity 0.05..1,
 /// ideal time = 1–3× cost.
@@ -38,7 +35,7 @@ fn check_against_oracle(
 ) -> Result<(), TestCaseError> {
     let n = units.len();
     policy.on_register(units);
-    let mut q = Queues::new(n);
+    let mut q = UnitQueues::new(n);
     let mut now = Nanos::ZERO;
     let mut tuple = 0u64;
     for step in script {
@@ -46,13 +43,13 @@ fn check_against_oracle(
             Some((unit, gap)) => {
                 now += Nanos::from_millis(*gap);
                 let unit = unit % n as u32;
-                q.push(unit, TupleId::new(tuple), now);
+                q.push(unit, (TupleId::new(tuple), now));
                 policy.on_enqueue(unit, TupleId::new(tuple), now, now);
                 tuple += 1;
             }
             None => {
                 now += Nanos::from_millis(1);
-                if q.nonempty.is_empty() {
+                if q.nonempty().is_empty() {
                     prop_assert!(policy.select(&q, now).is_none());
                     continue;
                 }
@@ -72,7 +69,7 @@ fn check_against_oracle(
                         "unit {u} (p={p}) beats chosen {chosen} (p={chosen_p})"
                     );
                 }
-                q.pop(chosen);
+                q.pop(chosen).unwrap();
             }
         }
     }

@@ -1,22 +1,16 @@
-//! Per-unit FIFO input queues with an O(1) non-empty index, generic over
-//! the payload, the workspace's one admission function, and the
-//! [`Scheduler`] every executor drives them through.
-
-use std::collections::VecDeque;
+//! The [`Scheduler`] every executor drives its queues through, and the
+//! workspace's one admission function. The queues themselves are
+//! [`hcq_core::UnitQueues`], beside the [`QueueView`] they implement.
 
 use hcq_common::{EngineError, Nanos, TupleId};
-use hcq_core::{Policy, QueueView, Selection, SelectionUnits, UnitId, UnitStatics};
+use hcq_core::{Policy, QueueView, Queued, Selection, SelectionUnits, UnitId, UnitStatics};
 
 use crate::config::{AdmissionMode, OverloadConfig};
 use crate::exec;
 use crate::tuple::SimTuple;
 
-/// What a queue payload must expose: its system arrival, which feeds the
-/// head column.
-pub trait Queued {
-    /// System-arrival time (the `W` origin of every policy).
-    fn arrival(&self) -> Nanos;
-}
+/// Kept at this path for the benchmark's isolated push/pop timing.
+pub use hcq_core::UnitQueues;
 
 impl Queued for SimTuple {
     fn arrival(&self) -> Nanos {
@@ -51,169 +45,6 @@ pub enum Admission<T> {
         /// The tuple it lost.
         shed: T,
     },
-}
-
-/// The queue state of every executor (simulator, wall-clock runtime,
-/// `Dsms`); implements [`QueueView`] for policies.
-#[derive(Debug)]
-pub struct UnitQueues<T = SimTuple> {
-    queues: Vec<VecDeque<T>>,
-    /// `heads[u]` is the arrival of `queues[u]`'s front tuple — the dense
-    /// column behind [`QueueView::head_arrivals`]. Written when a push makes
-    /// the queue non-empty and when a pop exposes a new front; an emptied
-    /// queue leaves its last value behind (unspecified by contract), and
-    /// `shed_tail` never moves a front, so it never writes.
-    heads: Vec<Nanos>,
-    /// Unordered list of units with pending tuples.
-    nonempty: Vec<UnitId>,
-    /// `pos[u] = i+1` when `nonempty[i] == u`; 0 when absent.
-    pos: Vec<u32>,
-    pending: usize,
-}
-
-impl<T: Queued> UnitQueues<T> {
-    /// Unbounded queues for `n` units.
-    ///
-    /// Each queue gets a small initial capacity and keeps whatever it grows
-    /// to for the rest of the run (`pop` never shrinks), so after a brief
-    /// warm-up the steady-state hot path performs no queue allocations.
-    pub fn new(n: usize) -> Self {
-        UnitQueues {
-            queues: (0..n).map(|_| VecDeque::with_capacity(4)).collect(),
-            heads: vec![Nanos::ZERO; n],
-            nonempty: Vec::with_capacity(n),
-            pos: vec![0; n],
-            pending: 0,
-        }
-    }
-
-    /// Grow the unit space by one (empty) unit, as the `Dsms` registers
-    /// queries one at a time.
-    fn add_unit(&mut self) {
-        self.queues.push(VecDeque::with_capacity(4));
-        self.heads.push(Nanos::ZERO);
-        self.pos.push(0);
-    }
-
-    /// Enqueue a tuple.
-    ///
-    /// Out of line on purpose: inlined into the simulator's admission path
-    /// (with the column store) it changes the event loop's code generation
-    /// enough to cost the emission-heavy join workload about 10 % (benchmark
-    /// `sim_join`, 30 alternating slices); the call itself is not measurable
-    /// on `sim_hnr` or `sim_bsd`.
-    #[inline(never)]
-    pub fn push(&mut self, unit: UnitId, tuple: T) {
-        let q = &mut self.queues[unit as usize];
-        if q.is_empty() {
-            self.heads[unit as usize] = tuple.arrival();
-            self.nonempty.push(unit);
-            self.pos[unit as usize] = self.nonempty.len() as u32;
-        }
-        q.push_back(tuple);
-        self.pending += 1;
-    }
-
-    /// Remove `unit` from the non-empty index once its queue has drained.
-    /// Swap-remove: O(1), order not preserved.
-    ///
-    /// Errors (instead of underflowing `pos - 1` or panicking on an empty
-    /// index) when the index slot disagrees with the queue contents — state
-    /// corruption, not a caller mistake.
-    fn unindex(&mut self, unit: UnitId) -> Result<(), EngineError> {
-        let corrupt = EngineError::QueueIndexCorrupt { unit };
-        let i = self
-            .pos
-            .get(unit as usize)
-            .copied()
-            .and_then(|p| p.checked_sub(1))
-            .map(|i| i as usize)
-            .filter(|&i| self.nonempty.get(i) == Some(&unit))
-            .ok_or(corrupt)?;
-        let last = self.nonempty.pop().ok_or(corrupt)?;
-        if last != unit {
-            self.nonempty[i] = last;
-            self.pos[last as usize] = i as u32 + 1;
-        }
-        self.pos[unit as usize] = 0;
-        Ok(())
-    }
-
-    /// Reconstruct the non-empty index from the queue contents — the
-    /// self-healing path taken when [`UnitQueues::unindex`] detects
-    /// corruption on a call that cannot surface an error.
-    fn rebuild_index(&mut self) {
-        self.nonempty.clear();
-        self.pos.iter_mut().for_each(|p| *p = 0);
-        for (u, q) in self.queues.iter().enumerate() {
-            if !q.is_empty() {
-                self.nonempty.push(u as UnitId);
-                self.pos[u] = self.nonempty.len() as u32;
-            }
-        }
-    }
-
-    /// Dequeue the unit's head tuple.
-    ///
-    /// Errors (instead of panicking) on an empty queue or an out-of-range
-    /// unit id — both are policy/engine contract violations that a robust
-    /// engine surfaces as values.
-    pub fn pop(&mut self, unit: UnitId) -> Result<T, EngineError> {
-        let q = self
-            .queues
-            .get_mut(unit as usize)
-            .ok_or(EngineError::UnknownUnit {
-                unit,
-                unit_count: self.pos.len(),
-            })?;
-        let t = q.pop_front().ok_or(EngineError::EmptyQueuePop { unit })?;
-        self.pending -= 1;
-        match q.front() {
-            Some(front) => self.heads[unit as usize] = front.arrival(),
-            None => self.unindex(unit)?,
-        }
-        Ok(t)
-    }
-
-    /// Remove and return the unit's *tail* tuple (load shedding: the newest
-    /// tuple has waited least, so dropping it costs the least sunk QoS).
-    /// Returns `None` when the queue is empty.
-    fn shed_tail(&mut self, unit: UnitId) -> Option<T> {
-        let t = self.queues.get_mut(unit as usize)?.pop_back()?;
-        self.pending -= 1;
-        if self.queues[unit as usize].is_empty() && self.unindex(unit).is_err() {
-            // `shed_tail` has no error channel; a corrupt index slot heals
-            // by rebuilding the whole index from the queues.
-            self.rebuild_index();
-        }
-        Some(t)
-    }
-
-    /// Corrupt the unit's index slot — regression-test hook for the
-    /// [`EngineError::QueueIndexCorrupt`] paths.
-    #[cfg(test)]
-    fn corrupt_pos_for_tests(&mut self, unit: UnitId, pos: u32) {
-        self.pos[unit as usize] = pos;
-    }
-
-    /// Total pending tuples across all units.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-}
-
-impl<T> QueueView for UnitQueues<T> {
-    fn len(&self, unit: UnitId) -> usize {
-        self.queues[unit as usize].len()
-    }
-
-    fn head_arrivals(&self) -> &[Nanos] {
-        &self.heads
-    }
-
-    fn nonempty(&self) -> &[UnitId] {
-        &self.nonempty
-    }
 }
 
 /// The scheduling step every executor (simulator, runtime shard, `Dsms`)
@@ -306,7 +137,7 @@ impl<T: Queued> Scheduler<T> {
     #[inline]
     pub fn select(&mut self, now: Nanos) -> Result<Selection, EngineError> {
         self.selections += 1;
-        let pending = self.queues.pending;
+        let pending = self.queues.pending();
         let selection = self.policy.select(&self.queues, now);
         selection.ok_or(EngineError::NoSelection { pending })
     }
@@ -351,8 +182,8 @@ impl<T: Identified> Scheduler<T> {
         let full = rule.mode != AdmissionMode::Unbounded && queues.len(unit) >= rule.capacity;
         let outcome = match rule.mode {
             AdmissionMode::DropTail if full => return Admission::Rejected(t),
-            AdmissionMode::QosShed if full && queues.pending >= rule.watermark => {
-                let Some(victim) = exec::shed_victim(&queues.nonempty, &self.shed_priority, unit)
+            AdmissionMode::QosShed if full && queues.pending() >= rule.watermark => {
+                let Some(victim) = exec::shed_victim(queues.nonempty(), &self.shed_priority, unit)
                 else {
                     return Admission::Rejected(t);
                 };
@@ -381,10 +212,11 @@ impl<T: Identified> Scheduler<T> {
         now: Nanos,
     ) -> Box<dyn Policy> {
         next.on_register(statics);
-        let mut backlog: Vec<(Nanos, UnitId, TupleId)> = Vec::new();
-        for (unit, q) in (0..).zip(&self.queues.queues) {
-            backlog.extend(q.iter().map(|t| (t.arrival(), unit, t.id())));
-        }
+        let mut backlog: Vec<(Nanos, UnitId, TupleId)> = self
+            .queues
+            .iter()
+            .map(|(unit, t)| (t.arrival(), unit, t.id()))
+            .collect();
         backlog.sort_by_key(|&(arrival, unit, _)| (arrival, unit));
         for (arrival, unit, id) in backlog {
             next.on_enqueue(unit, id, arrival, now);
@@ -441,46 +273,6 @@ mod tests {
             capacity,
             watermark,
         }
-    }
-
-    #[test]
-    fn fifo_order_and_index() {
-        let mut q = UnitQueues::new(3);
-        assert_eq!(q.pending(), 0);
-        q.push(1, tuple(1, 10));
-        q.push(1, tuple(2, 20));
-        q.push(0, tuple(3, 30));
-        assert_eq!(q.pending(), 3);
-        assert_eq!(q.len(1), 2);
-        assert_eq!(q.head_arrival(1), Some(Nanos::from_millis(10)));
-        let mut ne: Vec<_> = q.nonempty().to_vec();
-        ne.sort();
-        assert_eq!(ne, vec![0, 1]);
-        assert_eq!(q.pop(1).unwrap().id, TupleId::new(1));
-        assert_eq!(q.head_arrival(1), Some(Nanos::from_millis(20)));
-        assert_eq!(q.pop(1).unwrap().id, TupleId::new(2));
-        assert_eq!(q.nonempty(), &[0]);
-        q.pop(0).unwrap();
-        assert_eq!(q.pending(), 0);
-        assert!(q.nonempty().is_empty());
-    }
-
-    #[test]
-    fn popping_empty_is_a_typed_error() {
-        let mut q = UnitQueues::<SimTuple>::new(1);
-        assert_eq!(q.pop(0), Err(EngineError::EmptyQueuePop { unit: 0 }));
-    }
-
-    #[test]
-    fn popping_unknown_unit_is_a_typed_error() {
-        let mut q = UnitQueues::<SimTuple>::new(2);
-        assert_eq!(
-            q.pop(7),
-            Err(EngineError::UnknownUnit {
-                unit: 7,
-                unit_count: 2
-            })
-        );
     }
 
     /// `admit` over mode × arriving-queue-full × load-at-watermark ×
@@ -554,68 +346,6 @@ mod tests {
         }
     }
 
-    /// A victim named by the index whose queue turns out empty (index
-    /// corruption) rejects the arrival — in every executor, and loudly where
-    /// debug assertions are on.
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "non-empty index"))]
-    fn admit_rejects_when_the_victim_has_no_tail() {
-        let mut s = sched(&[2.0, 1.0], &Rc::default());
-        s.queues.push(0, tuple(1, 10));
-        s.queues.nonempty.push(1);
-        let item = tuple(2, 20);
-        let got = s.admit(overload(AdmissionMode::QosShed, 1, 0), 0, item, Nanos::ZERO);
-        assert_eq!(got, Admission::Rejected(item));
-        assert_eq!((s.queues.pending(), s.queues.len(0)), (1, 1));
-    }
-
-    #[test]
-    fn shed_tail_removes_newest_and_maintains_index() {
-        let mut q = UnitQueues::new(2);
-        q.push(0, tuple(1, 10));
-        q.push(0, tuple(2, 20));
-        q.push(1, tuple(3, 30));
-        let shed = q.shed_tail(0).unwrap();
-        assert_eq!(shed.id, TupleId::new(2));
-        assert_eq!(q.pending(), 2);
-        assert_eq!(q.head_arrival(0), Some(Nanos::from_millis(10)));
-        // Shedding a queue's last tuple must clear it from the index.
-        let shed = q.shed_tail(1).unwrap();
-        assert_eq!(shed.id, TupleId::new(3));
-        assert_eq!(q.nonempty(), &[0]);
-        assert_eq!(q.shed_tail(1), None);
-        assert_eq!(q.shed_tail(9), None, "out-of-range unit sheds nothing");
-        assert_eq!(q.pop(0).unwrap().id, TupleId::new(1));
-        assert_eq!(q.pending(), 0);
-    }
-
-    #[test]
-    fn corrupt_index_pop_is_a_typed_error() {
-        // A zeroed slot (claims "absent" while the queue holds a tuple)
-        // used to underflow `pos - 1`; an out-of-range slot used to panic
-        // or clobber a neighbour. Both now surface as a typed error.
-        for bad_pos in [0u32, 99] {
-            let mut q = UnitQueues::new(2);
-            q.push(0, tuple(1, 10));
-            q.corrupt_pos_for_tests(0, bad_pos);
-            assert_eq!(q.pop(0), Err(EngineError::QueueIndexCorrupt { unit: 0 }));
-        }
-    }
-
-    #[test]
-    fn corrupt_index_shed_self_heals() {
-        let mut q = UnitQueues::new(3);
-        q.push(0, tuple(1, 10));
-        q.push(2, tuple(2, 20));
-        q.corrupt_pos_for_tests(0, 0);
-        // `shed_tail` has no error channel: it rebuilds the index instead.
-        assert_eq!(q.shed_tail(0).unwrap().id, TupleId::new(1));
-        assert_eq!(q.nonempty(), &[2]);
-        assert_eq!(q.pop(2).unwrap().id, TupleId::new(2));
-        assert_eq!(q.pending(), 0);
-        assert!(q.nonempty().is_empty());
-    }
-
     /// Drive `ops` (unit, op) against queues of `make`-built payloads and
     /// check, after every step, that the non-empty index, the pending count
     /// and the head-arrival column match the actual queue contents.
@@ -659,8 +389,11 @@ mod tests {
             let total: usize = (0..n).map(|u| q.len(u)).sum();
             prop_assert_eq!(total, q.pending());
             prop_assert_eq!(q.head_arrivals().len(), n as usize);
-            for u in 0..n {
-                let front = q.queues[u as usize].front().map(|t| t.arrival());
+            let mut fronts = vec![None; n as usize];
+            for (u, t) in q.iter() {
+                fronts[u as usize].get_or_insert(t.arrival());
+            }
+            for (u, front) in (0..).zip(fronts) {
                 prop_assert_eq!(q.head_arrival(u), front);
                 prop_assert!(front.is_none_or(|a| q.head_arrivals()[u as usize] == a));
             }

@@ -1,12 +1,11 @@
 //! Configuration-error paths: the engine must reject unusable setups with
 //! actionable messages rather than misbehave — and runtime contract
-//! violations (queue misuse, broken policies) must come back as typed
-//! [`EngineError`]s, never panics.
+//! violations (broken policies) must come back as typed [`EngineError`]s,
+//! never panics. Queue misuse is `hcq_core::UnitQueues`'s own test.
 
 use hcq_common::{EngineError, HcqError, Nanos, StreamId, TupleId};
 use hcq_core::{Policy, PolicyKind, QueueView, Selection, UnitId, UnitStatics};
-use hcq_engine::queues::UnitQueues;
-use hcq_engine::{simulate, AdaptConfig, AdmissionMode, GovernorConfig, SimConfig, SimTuple};
+use hcq_engine::{simulate, AdaptConfig, AdmissionMode, GovernorConfig, SimConfig};
 use hcq_plan::{GlobalPlan, QueryBuilder, StreamRates};
 use hcq_streams::{PoissonSource, TraceReplay};
 
@@ -127,17 +126,6 @@ fn zero_arrival_budget_is_a_clean_noop() {
     assert_eq!(r.end_time, Nanos::ZERO);
 }
 
-fn base_tuple(id: u64) -> SimTuple {
-    SimTuple {
-        id: TupleId::new(id),
-        arrival: Nanos::ZERO,
-        ts: Nanos::ZERO,
-        key: 1,
-        ideal_depart: ms(1),
-        lineage: TupleId::new(id),
-    }
-}
-
 fn tiny_plan() -> GlobalPlan {
     let mut plan = GlobalPlan::default();
     plan.add_query(
@@ -147,27 +135,6 @@ fn tiny_plan() -> GlobalPlan {
             .unwrap(),
     );
     plan
-}
-
-#[test]
-fn popping_an_empty_queue_is_a_typed_error() {
-    let mut q = UnitQueues::new(3);
-    q.push(1, base_tuple(0));
-    assert_eq!(q.pop(0), Err(EngineError::EmptyQueuePop { unit: 0 }));
-    assert!(q.pop(1).is_ok());
-    assert_eq!(q.pop(1), Err(EngineError::EmptyQueuePop { unit: 1 }));
-}
-
-#[test]
-fn popping_an_unknown_unit_is_a_typed_error() {
-    let mut q = UnitQueues::<SimTuple>::new(2);
-    assert_eq!(
-        q.pop(9),
-        Err(EngineError::UnknownUnit {
-            unit: 9,
-            unit_count: 2
-        })
-    );
 }
 
 /// A policy that answers "nothing to run" despite pending work.

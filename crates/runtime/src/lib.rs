@@ -70,10 +70,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
-use hcq_core::{Policy, PolicyKind, UnitId};
+use hcq_core::{Policy, PolicyKind, Queued, UnitId};
 use hcq_engine::exec::{self, UnaryGate};
 use hcq_engine::model::EntryRoute;
-use hcq_engine::queues::{Admission, Identified, Queued, Scheduler};
+use hcq_engine::queues::{Admission, Identified, Scheduler};
 use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitDesc, UnitKind};
 use hcq_metrics::{QosAccumulator, QosSummary};
 use hcq_plan::{CompiledOpKind, GlobalPlan, StreamRates};
