@@ -346,6 +346,21 @@ mod tests {
         }
     }
 
+    /// A victim named by the index whose queue turns out empty (index
+    /// corruption) rejects the arrival — in every executor, and loudly where
+    /// debug assertions are on.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "non-empty index"))]
+    fn admit_rejects_when_the_victim_has_no_tail() {
+        let mut s = sched(&[2.0, 1.0], &Rc::default());
+        s.queues.push(0, tuple(1, 10));
+        s.queues.corrupt_index_for_tests(1);
+        let item = tuple(2, 20);
+        let got = s.admit(overload(AdmissionMode::QosShed, 1, 0), 0, item, Nanos::ZERO);
+        assert_eq!(got, Admission::Rejected(item));
+        assert_eq!((s.queues.pending(), s.queues.len(0)), (1, 1));
+    }
+
     /// Drive `ops` (unit, op) against queues of `make`-built payloads and
     /// check, after every step, that the non-empty index, the pending count
     /// and the head-arrival column match the actual queue contents.
