@@ -36,9 +36,9 @@ use std::borrow::Cow;
 use std::rc::Rc;
 
 use hcq_common::{HcqError, Nanos, QueryId, Result, StreamId, TupleId};
-use hcq_core::{EwmaEstimator, Policy, Queued, UnitId, UnitStatics};
+use hcq_core::{EwmaEstimator, Policy, Queued, SelectionUnits, UnitId, UnitStatics};
 use hcq_engine::exec;
-use hcq_engine::queues::Scheduler;
+use hcq_engine::queues::{Point, Scheduler};
 use hcq_join::{JoinItem, Side, SymmetricHashJoin};
 use hcq_metrics::{QosAccumulator, QosSummary};
 use hcq_plan::{
@@ -632,7 +632,11 @@ impl Dsms {
         // A decision reads the clock only if the policy's choice needs it.
         let (fresh, e) = (self.reads_now, &mut self.emitter);
         let now = || if fresh { e.read_clock() } else { e.now };
-        for unit in self.sched.next(now).expect("work pending") {
+        let units = match self.sched.point(now).expect("work pending") {
+            Point::Held(unit, _) => SelectionUnits::from_iter([unit]),
+            Point::Asked(selection) => selection.units,
+        };
+        for unit in units {
             let pending = self.sched.pop(unit).expect("selected units are non-empty");
             let unit = &self.units[unit as usize];
             let query = &mut self.queries[unit.query];

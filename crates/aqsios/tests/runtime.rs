@@ -9,9 +9,8 @@ use hcq_aqsios::{
     Clock, Cmp, Dsms, DsmsConfig, Emission, ManualClock, Predicate, Record, RtJoin, RtOp, RtPlan,
     RuntimePolicy,
 };
-use hcq_check::ContractAudit;
-use hcq_common::{Nanos, StreamId, TupleId};
-use hcq_core::{Policy, QueueView, Selection, UnitId, UnitStatics};
+use hcq_check::{ContractAudit, HoldProbe, Selects};
+use hcq_common::{Nanos, StreamId};
 
 fn us(n: u64) -> Nanos {
     Nanos::from_micros(n)
@@ -641,82 +640,13 @@ fn dsms_serves_what_its_policy_selects() {
     }
 }
 
-/// How often a [`HoldProbe`] was asked.
-#[derive(Default)]
-struct Selects {
-    /// Every `select` call.
-    all: Cell<u64>,
-    /// Calls while a hold the probe passed on was live: the debug-build
-    /// check on a held pop.
-    during_hold: Cell<u64>,
-}
-
-impl Selects {
-    /// The decisions the executor could not serve from a hold.
-    fn needed(&self) -> u64 {
-        self.all.get() - self.during_hold.get()
-    }
-}
-
-/// A test-local policy wrapper that passes [`Selection::holds`] on, or
-/// clears it so that its `Dsms` asks at every decision, and counts the
-/// `select` calls. A hold it passed on is live while the held unit has
-/// work and no callback that ends a hold has arrived.
-struct HoldProbe {
-    inner: Box<dyn Policy>,
-    keep_holds: bool,
-    live: Option<UnitId>,
-    selects: Rc<Selects>,
-}
-
-impl Policy for HoldProbe {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn on_register(&mut self, units: &[UnitStatics]) {
-        self.live = None;
-        self.inner.on_register(units);
-    }
-
-    fn on_enqueue(&mut self, unit: UnitId, tuple: TupleId, arrival: Nanos, now: Nanos) {
-        self.live = None;
-        self.inner.on_enqueue(unit, tuple, arrival, now);
-    }
-
-    fn on_shed(&mut self, unit: UnitId, tuple: TupleId) {
-        self.live = None;
-        self.inner.on_shed(unit, tuple);
-    }
-
-    fn on_statics_update(&mut self, unit: UnitId, statics: &UnitStatics) {
-        self.live = None;
-        self.inner.on_statics_update(unit, statics);
-    }
-
-    fn select(&mut self, queues: &dyn QueueView, now: Nanos) -> Option<Selection> {
-        let all = &self.selects.all;
-        all.set(all.get() + 1);
-        if self.live.take().is_some_and(|unit| queues.len(unit) > 0) {
-            let during = &self.selects.during_hold;
-            during.set(during.get() + 1);
-        }
-        let mut selection = self.inner.select(queues, now)?;
-        selection.holds &= self.keep_holds;
-        if selection.holds {
-            self.live = selection.units.first().copied();
-        }
-        Some(selection)
-    }
-}
-
 /// A `Dsms` on a manual clock around a [`HoldProbe`] of `kind`.
 fn probed_dsms(
     kind: RuntimePolicy,
     cap: Option<usize>,
     refresh: Option<u64>,
     keep_holds: bool,
-) -> (Dsms, ManualClock, Rc<Selects>) {
+) -> (Dsms, ManualClock, Arc<Selects>) {
     let clock = ManualClock::new();
     let mut cfg = DsmsConfig::new(kind).with_clock(Box::new(clock.clone()));
     if let Some(cap) = cap {
@@ -725,13 +655,7 @@ fn probed_dsms(
     if let Some(every) = refresh {
         cfg = cfg.with_auto_refresh(every);
     }
-    let selects = Rc::new(Selects::default());
-    let probe = HoldProbe {
-        inner: kind.build(),
-        keep_holds,
-        live: None,
-        selects: Rc::clone(&selects),
-    };
+    let (probe, selects) = HoldProbe::new(kind.build(), keep_holds);
     let dsms = Dsms::with_policy(cfg, Box::new(probe)).unwrap();
     (dsms, clock, selects)
 }
@@ -810,6 +734,6 @@ fn only_static_choices_skip_select() {
         } else {
             selects.needed()
         };
-        assert_eq!(selects.all.get(), asked, "{kind:?}");
+        assert_eq!(selects.all(), asked, "{kind:?}");
     }
 }

@@ -10,6 +10,9 @@
 //!   `select` that the executor's queues match what the policy was told
 //!   (run through the simulator here, through the runtime's shards in
 //!   `hcq-runtime`'s tests).
+//! * [`hold`] — [`HoldProbe`], a policy wrapper that passes holds on or
+//!   clears them and counts `select` calls: an executor that holds against
+//!   the same executor asking at every decision.
 //! * [`scenario`] — seeded random workloads: query plans with extreme
 //!   costs/selectivities, bursty and stalling sources, every admission
 //!   mode, engine-side fault injection. Pure functions of
@@ -44,6 +47,7 @@
 
 pub mod audit;
 pub mod estimator;
+pub mod hold;
 pub mod incremental;
 pub mod invariants;
 pub mod policyfuzz;
@@ -53,6 +57,7 @@ pub mod shrink;
 
 pub use audit::ContractAudit;
 pub use estimator::fuzz_estimators;
+pub use hold::{HoldProbe, Selects};
 pub use incremental::fuzz_incremental;
 pub use invariants::{check_scenario, check_scenario_full, fingerprint, ScenarioCheck, Violation};
 pub use policyfuzz::fuzz_policies;

@@ -240,7 +240,9 @@ fn drain_with_checks(
 mod tests {
     use super::*;
     use hcq_core::soa::scan_argmax;
-    use hcq_core::{PriorityKey, SchedStats, Selection, StaticPolicy, StaticRank, WaitPolicy};
+    use hcq_core::{
+        PriorityKey, Reask, SchedStats, Selection, StaticPolicy, StaticRank, WaitPolicy,
+    };
     use std::collections::BinaryHeap;
 
     /// The lazy max-heap behind HR/HNR/SRPT before the rank-ordered ready
@@ -309,8 +311,19 @@ mod tests {
                     heap_ops: heap_ops + std::mem::take(&mut self.pending_heap_ops),
                     ..SchedStats::default()
                 };
-                // The heap's top stays on top while it has work: it holds.
-                return Some(Selection::one(unit, ops).with_stats(stats).held());
+                // The heap's top stays on top while it has work: it holds,
+                // and asking again peeks it once.
+                const REASK: Reask = Reask {
+                    ops_counted: 1,
+                    stats: SchedStats {
+                        candidates_scanned: 1,
+                        priority_evals: 0,
+                        comparisons: 1,
+                        cluster_ops: 0,
+                        heap_ops: 1,
+                    },
+                };
+                return Some(Selection::one(unit, ops).with_stats(stats).held(&REASK));
             }
         }
     }
@@ -654,7 +667,8 @@ mod tests {
     /// Run one seeded enqueue / select / pop script on `kind`. After a pop
     /// that leaves the picked units non-empty, select again at a later
     /// `now` with no callback in between, and keep doing so while the pick
-    /// holds: a held pick must be repeated. Now and then a statics update
+    /// holds: a held pick must be repeated, at the charge its `reask`
+    /// names. Now and then a statics update
     /// comes between; that ends the hold, and the re-select must be the
     /// pick of a fresh instance on the same queues. Returns whether some
     /// re-select after a pick that did not hold picked differently, and
@@ -719,6 +733,13 @@ mod tests {
                         units_of(&again),
                         units_of(&pick),
                         "{tag}: a held pick moved"
+                    );
+                    let charged = again.as_ref().map(|s| (s.ops_counted, s.stats));
+                    let reask = (sel.reask.ops_counted, sel.reask.stats);
+                    assert_eq!(
+                        charged,
+                        Some(reask),
+                        "{tag}: a re-ask cost other than `reask`"
                     );
                 } else {
                     moved |= units_of(&again) != units_of(&pick);

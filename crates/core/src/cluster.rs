@@ -47,7 +47,7 @@
 use hcq_common::{Nanos, TupleId};
 
 use crate::fagin::{fagin_top1, FaginScratch};
-use crate::policy::{Policy, QueueView, SchedStats, Selection, UnitId};
+use crate::policy::{Policy, QueueView, Reask, SchedStats, Selection, UnitId};
 use crate::unit::UnitStatics;
 use crate::waitlist::{SortedFronts, WaitEntry, WaitLists};
 
@@ -560,6 +560,7 @@ impl Policy for ClusteredBsdPolicy {
             ops_counted: ops,
             stats,
             holds: false,
+            reask: &Reask::NONE,
         })
     }
 

@@ -65,7 +65,9 @@ pub use cluster::{ClusterConfig, ClusteredBsdPolicy, Clustering};
 pub use fcfs::FcfsPolicy;
 pub use headgroups::{WaitPolicy, WaitRank};
 pub use pdt::{shared_priority, PdtSelection, SharingStrategy};
-pub use policy::{Policy, PolicyKind, QueueView, SchedStats, Selection, SelectionUnits, UnitId};
+pub use policy::{
+    Policy, PolicyKind, QueueView, Reask, SchedStats, Selection, SelectionUnits, UnitId,
+};
 pub use queues::{Queued, UnitQueues};
 pub use rr::RoundRobinPolicy;
 pub use statics::{StaticPolicy, StaticRank};

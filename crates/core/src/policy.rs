@@ -104,11 +104,40 @@ pub struct Selection {
     /// again, for as long as the unit's queue is non-empty, until it next
     /// receives `on_enqueue`, `on_shed`, `on_statics_update` or
     /// `on_register`, or has its priorities changed. An executor may then
-    /// serve the unit's following heads without calling `select`. Only
-    /// the static-priority policies set it (serving the top-ranked unit's
-    /// head leaves it on top); the simulator ignores it, because §9.2
-    /// charges every scheduling point.
+    /// serve the unit's following heads without calling `select`, charging
+    /// each such scheduling point [`Selection::reask`]. Only the
+    /// static-priority policies set it (serving the top-ranked unit's head
+    /// leaves it on top).
     pub holds: bool,
+    /// While the choice holds: the `ops_counted` and `stats` the policy's
+    /// next `select` would return, so a held point is charged (§9.2) and
+    /// traced exactly as if the policy had been asked. Zero otherwise. A
+    /// reference, so that a selection stays small.
+    pub reask: &'static Reask,
+}
+
+/// The charge of asking a policy again while its choice holds
+/// ([`Selection::reask`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reask {
+    /// As [`Selection::ops_counted`].
+    pub ops_counted: u64,
+    /// As [`Selection::stats`].
+    pub stats: SchedStats,
+}
+
+impl Reask {
+    /// No charge: the [`Selection::reask`] of a choice that does not hold.
+    pub const NONE: Reask = Reask {
+        ops_counted: 0,
+        stats: SchedStats {
+            candidates_scanned: 0,
+            priority_evals: 0,
+            comparisons: 0,
+            cluster_ops: 0,
+            heap_ops: 0,
+        },
+    };
 }
 
 impl Selection {
@@ -121,6 +150,7 @@ impl Selection {
             ops_counted,
             stats: SchedStats::default(),
             holds: false,
+            reask: &Reask::NONE,
         }
     }
 
@@ -130,9 +160,11 @@ impl Selection {
         self
     }
 
-    /// Mark the choice as holding (builder-style; see [`Selection::holds`]).
-    pub fn held(mut self) -> Self {
+    /// Mark the choice as holding, each re-ask costing `reask`
+    /// (builder-style; see [`Selection::holds`]).
+    pub fn held(mut self, reask: &'static Reask) -> Self {
         self.holds = true;
+        self.reask = reask;
         self
     }
 }

@@ -20,11 +20,27 @@
 //! rank whose queue is non-empty, every rank before it was just cleared, and
 //! popping the pick's head clears nothing, so until the next callback or
 //! priority change the same unit comes first for as long as it has work.
+//! Asking again then costs [`REASK`].
 
 use hcq_common::{Nanos, TupleId};
 
-use crate::policy::{Policy, QueueView, SchedStats, Selection, UnitId};
+use crate::policy::{Policy, QueueView, Reask, SchedStats, Selection, UnitId};
 use crate::unit::{PriorityKey, UnitStatics};
+
+/// A `select` while a choice holds: the first set rank is the held unit,
+/// non-empty, so one candidate, one comparison and one ready-set peek.
+/// Pending evaluations and ready-set inserts come only from callbacks that
+/// end the hold, so none rides on it.
+const REASK: Reask = Reask {
+    ops_counted: 1,
+    stats: SchedStats {
+        candidates_scanned: 1,
+        priority_evals: 0,
+        comparisons: 1,
+        cluster_ops: 0,
+        heap_ops: 1,
+    },
+};
 
 /// Which static priority function to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,7 +376,7 @@ impl Policy for StaticPolicy {
             };
             // Popping the unit's head leaves every higher rank clear and
             // this one set: the next `select` finds the same first bit.
-            return Some(Selection::one(unit, ops).with_stats(stats).held());
+            return Some(Selection::one(unit, ops).with_stats(stats).held(&REASK));
         }
     }
 }

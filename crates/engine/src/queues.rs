@@ -3,7 +3,7 @@
 //! [`hcq_core::UnitQueues`], beside the [`QueueView`] they implement.
 
 use hcq_common::{EngineError, Nanos, TupleId};
-use hcq_core::{Policy, QueueView, Queued, Selection, SelectionUnits, UnitId, UnitStatics};
+use hcq_core::{Policy, QueueView, Queued, Reask, Selection, UnitId, UnitStatics};
 
 use crate::config::{AdmissionMode, OverloadConfig};
 use crate::exec;
@@ -47,6 +47,16 @@ pub enum Admission<T> {
     },
 }
 
+/// What a [`Scheduler::point`] serves.
+#[derive(Debug)]
+pub enum Point {
+    /// The unit of a standing hold, and the charge of the `select` that
+    /// was not called ([`Selection::reask`]).
+    Held(UnitId, &'static Reask),
+    /// The policy's selection.
+    Asked(Selection),
+}
+
 /// The scheduling step every executor (simulator, runtime shard, `Dsms`)
 /// shares: admit → policy callbacks → select or hold → pop. It owns the
 /// policy, the queues and the unit of a choice that holds
@@ -58,7 +68,8 @@ pub struct Scheduler<T> {
     /// Per-unit HNR priority `S/(C̄·T)` of the statics last registered or
     /// updated: the QoS-shedding victim metric.
     shed_priority: Vec<f64>,
-    held: Option<UnitId>,
+    /// The held unit and what asking again would cost.
+    held: Option<(UnitId, &'static Reask)>,
     /// Decisions the policy made (debug re-selects aside).
     selections: u64,
 }
@@ -81,22 +92,34 @@ impl<T: Queued> Scheduler<T> {
     }
 
     /// The unit a standing hold serves next, if any. Debug builds ask the
-    /// policy at `now()` anyway and assert the same answer: only this can
-    /// see a hold that outlived a change to the queues.
+    /// policy at `now()` anyway and assert the same unit at the held
+    /// charge: only this can see a hold that outlived a change to the
+    /// queues, or a [`Selection::reask`] that misstates the policy's cost.
     #[inline]
     pub fn held(&mut self, now: impl FnOnce() -> Nanos) -> Option<UnitId> {
-        let unit = self.held?;
-        debug_assert_eq!(
-            self.policy
-                .select(&self.queues, now())
-                .map(|s| s.units.to_vec()),
-            Some(vec![unit]),
-            "a held choice changed"
-        );
-        Some(unit)
+        self.hold(now).map(|(unit, _)| unit)
     }
 
-    /// Decisions the policy made (the simulator's scheduling points).
+    /// The standing hold and its re-ask charge, checked as in
+    /// [`Scheduler::held`].
+    #[inline]
+    fn hold(&mut self, now: impl FnOnce() -> Nanos) -> Option<(UnitId, &'static Reask)> {
+        let (unit, reask) = self.held?;
+        debug_assert_eq!(
+            self.policy.select(&self.queues, now()).map(|s| (
+                s.units.to_vec(),
+                s.ops_counted,
+                s.stats
+            )),
+            Some((vec![unit], reask.ops_counted, reask.stats)),
+            "a held choice changed"
+        );
+        Some((unit, reask))
+    }
+
+    /// Decisions the policy made: the scheduling points that
+    /// [`Scheduler::point`] did not serve from a hold. The simulator
+    /// counts every point apart from these.
     pub fn selections(&self) -> u64 {
         self.selections
     }
@@ -132,29 +155,25 @@ impl<T: Queued> Scheduler<T> {
         self.policy.on_enqueue(unit, id, arrival, now);
     }
 
-    /// Ask the policy, never holding: the simulator's path, because §9.2
-    /// charges every scheduling point.
+    /// One scheduling point, in every executor: while a hold stands, the
+    /// [`Scheduler::held`] unit, without asking the policy; else the
+    /// policy's selection at `now()`, kept when it holds.
     #[inline]
-    pub fn select(&mut self, now: Nanos) -> Result<Selection, EngineError> {
+    pub fn point(&mut self, mut now: impl FnMut() -> Nanos) -> Result<Point, EngineError> {
+        if let Some((unit, reask)) = self.hold(&mut now) {
+            return Ok(Point::Held(unit, reask));
+        }
         self.selections += 1;
-        let pending = self.queues.pending();
-        let selection = self.policy.select(&self.queues, now);
-        selection.ok_or(EngineError::NoSelection { pending })
-    }
-
-    /// The units to serve next: the [`Scheduler::held`] unit while its
-    /// hold stands, else the policy's selection at `now()`, kept when it
-    /// holds.
-    #[inline]
-    pub fn next(&mut self, mut now: impl FnMut() -> Nanos) -> Result<SelectionUnits, EngineError> {
-        if let Some(unit) = self.held(&mut now) {
-            return Ok(SelectionUnits::from_iter([unit]));
-        }
-        let selection = self.select(now())?;
+        // Matched, not `ok_or(…)?`: wrapping the selection in a `Result`
+        // first copies it once more, ≈ ×0.9 on `sim_hnr`.
+        let Some(selection) = self.policy.select(&self.queues, now()) else {
+            let pending = self.queues.pending();
+            return Err(EngineError::NoSelection { pending });
+        };
         if selection.holds {
-            self.held = selection.units.first().copied();
+            self.held = selection.units.first().map(|&unit| (unit, selection.reask));
         }
-        Ok(selection.units)
+        Ok(Point::Asked(selection))
     }
 
     /// Dequeue `unit`'s head; emptying the unit ends the hold.
@@ -425,7 +444,7 @@ mod tests {
     }
 
     /// Logs every `on_enqueue` and `on_shed`; selects the first non-empty
-    /// unit, holding.
+    /// unit, holding, at no charge.
     struct Recorder(Rc<RefCell<Vec<Told>>>);
 
     impl Policy for Recorder {
@@ -443,7 +462,7 @@ mod tests {
         }
         fn select(&mut self, queues: &dyn QueueView, _now: Nanos) -> Option<Selection> {
             let unit = *queues.nonempty().first()?;
-            Some(Selection::one(unit, 1).held())
+            Some(Selection::one(unit, 0).held(&Reask::NONE))
         }
     }
 
@@ -457,7 +476,7 @@ mod tests {
         for (unit, id, arrival_ms) in [(2, 1, 30), (0, 2, 20), (2, 3, 40), (1, 4, 30), (0, 5, 50)] {
             s.enqueue(unit, TupleId::new(id), tuple(id, arrival_ms), Nanos::ZERO);
         }
-        assert!(s.next(|| Nanos::ZERO).is_ok());
+        assert!(s.point(|| Nanos::ZERO).is_ok());
         assert!(s.held(|| Nanos::ZERO).is_some());
         let replayed = Rc::default();
         let next = Box::new(Recorder(Rc::clone(&replayed)));

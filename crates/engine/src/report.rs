@@ -64,9 +64,11 @@ pub struct SimReport {
     /// Base arrivals lost inside source downtime windows. These never
     /// reached the engine and are *not* part of `arrivals`.
     pub source_lost_arrivals: u64,
-    /// Scheduling points taken.
+    /// Scheduling points taken, held ones included (a point served from a
+    /// choice that holds asks no policy; see `Selection::holds`).
     pub sched_points: u64,
-    /// Priority computations/comparisons reported by the policy.
+    /// Priority computations/comparisons reported by the policy; a held
+    /// point counts its `Selection::reask`.
     pub sched_ops: u64,
     /// The same scheduler work itemized by kind (§6 overhead accounting):
     /// candidates scanned, priority evaluations, comparisons, cluster

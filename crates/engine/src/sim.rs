@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use hcq_common::{det, EngineError, HcqError, Nanos, Result, StreamId, TupleId};
-use hcq_core::{EwmaEstimator, Policy, QueueView, UnitStatics, WindowedEstimator};
+use hcq_core::{EwmaEstimator, Policy, QueueView, SchedStats, UnitStatics, WindowedEstimator};
 use hcq_join::{Side, SymmetricHashJoin};
 use hcq_metrics::{ClassBreakdown, OverheadTotals, QosAccumulator, SlowdownHistogram};
 use hcq_plan::{CompiledOp, CompiledOpKind, GlobalPlan, Port, StreamRates};
@@ -16,7 +16,7 @@ use crate::config::{
 use crate::exec::{self, UnaryGate};
 use crate::governor::{Governor, Switch};
 use crate::model::{SimModel, UnitKind};
-use crate::queues::{Admission, Scheduler};
+use crate::queues::{Admission, Point, Scheduler};
 use crate::report::SimReport;
 use crate::telemetry::{EngineTelemetry, MetricsSink, NoTelemetry};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
@@ -654,38 +654,18 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             if !self.cfg.drain && self.arrivals_injected >= self.cfg.max_arrivals {
                 break;
             }
-            let selection = self.sched.select(self.clock)?;
-            self.sched_ops += selection.ops_counted;
-            let st = selection.stats;
-            self.overhead.record(
-                st.candidates_scanned,
-                st.priority_evals,
-                st.comparisons,
-                st.cluster_ops,
-                st.heap_ops,
-            );
-            let charged = if self.cfg.charge_overhead {
-                self.sched_cost * selection.ops_counted
-            } else {
-                Nanos::ZERO
-            };
-            if S::ENABLED {
-                self.trace(TraceEvent::SchedulingPoint {
-                    at: self.clock,
-                    candidates_scanned: st.candidates_scanned,
-                    priority_evals: st.priority_evals,
-                    comparisons: st.comparisons,
-                    cluster_ops: st.cluster_ops,
-                    heap_ops: st.heap_ops,
-                    charged,
-                });
-            }
-            if self.cfg.charge_overhead {
-                self.advance_clock(self.clock + charged);
-                self.overhead_time += charged;
-            }
-            for unit in selection.units {
-                self.execute_unit(unit)?;
+            let clock = self.clock;
+            match self.sched.point(|| clock)? {
+                Point::Held(unit, reask) => {
+                    self.account(reask.ops_counted, reask.stats);
+                    self.execute_unit(unit)?;
+                }
+                Point::Asked(selection) => {
+                    self.account(selection.ops_counted, selection.stats);
+                    for unit in selection.units {
+                        self.execute_unit(unit)?;
+                    }
+                }
             }
         }
         if M::ENABLED {
@@ -734,7 +714,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             source_disconnects: source_stats.disconnects,
             source_retry_attempts: source_stats.retry_attempts,
             source_lost_arrivals: source_stats.lost_arrivals,
-            sched_points: self.sched.selections(),
+            sched_points: self.overhead.sched_points,
             sched_ops: self.sched_ops,
             overhead: self.overhead,
             overhead_time: self.overhead_time,
@@ -752,6 +732,40 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             pending_end: self.sched.queues().pending() + self.parked.len(),
         };
         Ok((report, self.sink, self.metrics))
+    }
+
+    /// Count, trace and (§9.2, when overhead is on) charge one scheduling
+    /// point's work, whether the policy was asked or its choice held.
+    #[inline]
+    fn account(&mut self, ops_counted: u64, st: SchedStats) {
+        self.sched_ops += ops_counted;
+        self.overhead.record(
+            st.candidates_scanned,
+            st.priority_evals,
+            st.comparisons,
+            st.cluster_ops,
+            st.heap_ops,
+        );
+        let charged = if self.cfg.charge_overhead {
+            self.sched_cost * ops_counted
+        } else {
+            Nanos::ZERO
+        };
+        if S::ENABLED {
+            self.trace(TraceEvent::SchedulingPoint {
+                at: self.clock,
+                candidates_scanned: st.candidates_scanned,
+                priority_evals: st.priority_evals,
+                comparisons: st.comparisons,
+                cluster_ops: st.cluster_ops,
+                heap_ops: st.heap_ops,
+                charged,
+            });
+        }
+        if self.cfg.charge_overhead {
+            self.advance_clock(self.clock + charged);
+            self.overhead_time += charged;
+        }
     }
 
     /// Emit a snapshot for every cadence boundary the clock has reached.
@@ -792,7 +806,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         reg.set_counter(t.emitted, self.emitted);
         reg.set_counter(t.dropped, self.dropped);
         reg.set_counter(t.shed, self.shed);
-        reg.set_counter(t.sched_points, self.sched.selections());
+        reg.set_counter(t.sched_points, self.overhead.sched_points);
         reg.set_counter(t.busy_ns, self.busy_time.as_nanos());
         reg.set_counter(t.overhead_ns, self.overhead_time.as_nanos());
         reg.set_counter(t.overload_ns, self.overload_time.as_nanos());

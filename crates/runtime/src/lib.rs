@@ -21,9 +21,9 @@
 //!   `unit % threads`. A shard owns a private [`Scheduler`] (its own policy
 //!   instance over its own queues), so the scheduling hot path (enqueue
 //!   callbacks, `select`, pop) is single-threaded per shard — the same
-//!   step the simulator and the `Dsms` take, replicated per thread. The
-//!   shard serves [`Scheduler::held`] before asking [`Scheduler::next`], so
-//!   a choice that holds ([`hcq_core::Selection::holds`], the
+//!   step the simulator and the `Dsms` take, replicated per thread. At
+//!   each [`Scheduler::point`] a choice that holds
+//!   ([`hcq_core::Selection::holds`], the
 //!   static-priority policies) is served without asking again until the
 //!   `Scheduler` ends the hold: its unit empties or the shard admits
 //!   anything. Debug builds ask anyway and assert the same answer.
@@ -73,7 +73,7 @@ use hcq_common::{EngineError, HcqError, Nanos, Result, TupleId};
 use hcq_core::{Policy, PolicyKind, Queued, UnitId};
 use hcq_engine::exec::{self, UnaryGate};
 use hcq_engine::model::EntryRoute;
-use hcq_engine::queues::{Admission, Identified, Scheduler};
+use hcq_engine::queues::{Admission, Identified, Point, Scheduler};
 use hcq_engine::{AdmissionMode, OverloadConfig, SimModel, SimTuple, UnitDesc, UnitKind};
 use hcq_metrics::{QosAccumulator, QosSummary};
 use hcq_plan::{CompiledOpKind, GlobalPlan, StreamRates};
@@ -423,19 +423,24 @@ impl<'a> Shard<'a> {
         self.watermark = now;
     }
 
-    /// One scheduling point: a held unit on its own path (through `next`'s
-    /// loop it read slower on `rt_saturate`), else each unit the policy names.
+    /// One scheduling point: a held unit on its own path (through the
+    /// selection's unit loop it read slower on `rt_saturate`), else each
+    /// unit the policy names.
     fn schedule_once(&mut self) -> Result<(), EngineError> {
         let watermark = self.watermark;
-        if let Some(unit) = self.sched.held(|| watermark) {
-            let item = self.sched.pop(unit)?;
-            return self.execute(unit, item);
+        match self.sched.point(|| watermark)? {
+            Point::Held(unit, _) => {
+                let item = self.sched.pop(unit)?;
+                self.execute(unit, item)
+            }
+            Point::Asked(selection) => {
+                for unit in selection.units {
+                    let item = self.sched.pop(unit)?;
+                    self.execute(unit, item)?;
+                }
+                Ok(())
+            }
         }
-        for unit in self.sched.next(|| watermark)? {
-            let item = self.sched.pop(unit)?;
-            self.execute(unit, item)?;
-        }
-        Ok(())
     }
 
     /// Pop one arrival from a sibling inbox (MPMC pop by a non-owner) and

@@ -1,5 +1,6 @@
 //! Cross-crate invariants: workload → engine → metrics plumbing.
 
+use hcq::check::HoldProbe;
 use hcq::common::Nanos;
 use hcq::core::{ClusterConfig, ClusteredBsdPolicy, PolicyKind};
 use hcq::engine::{simulate, SimConfig, SimReport};
@@ -215,7 +216,9 @@ fn governed_faulty_trace_reparses_to_its_bytes_and_reconciles() {
 /// overhead charging on, so the counted ops feed back into virtual time
 /// and the slowdowns. Constants captured on the lazy max-heap these
 /// policies used before the rank-ordered ready bitmap; any change to which
-/// units a scheduling point looks at, or in what order, moves them.
+/// units a scheduling point looks at, or in what order, moves them. The
+/// last pin is the number of points at which the simulator asked the
+/// policy: the rest were served from a held choice without `select`.
 #[test]
 fn static_policy_counted_ops_are_pinned() {
     let w = single_stream(&SingleStreamConfig {
@@ -227,7 +230,7 @@ fn static_policy_counted_ops_are_pinned() {
     })
     .unwrap();
     // Per policy: (sched_points, sched_ops, heap_ops, overhead ns, emitted,
-    // avg_slowdown bits, l2_slowdown bits).
+    // avg_slowdown bits, l2_slowdown bits), then the `select` calls needed.
     let pins = [
         (
             PolicyKind::Hnr,
@@ -240,6 +243,7 @@ fn static_policy_counted_ops_are_pinned() {
                 0x4066_2c9b_7e9b_4f30,
                 0x4119_d644_02ed_86d1,
             ),
+            181_641,
         ),
         (
             PolicyKind::Srpt,
@@ -252,14 +256,16 @@ fn static_policy_counted_ops_are_pinned() {
                 0x4084_7e8f_8a19_b1d1,
                 0x4131_0f42_8d26_87a0,
             ),
+            195_087,
         ),
     ];
-    for (kind, want) in pins {
+    for (kind, want, selects_needed) in pins {
+        let (probe, selects) = HoldProbe::new(kind.build(), true);
         let r = simulate(
             &w.plan,
             &w.rates,
             vec![Box::new(PoissonSource::new(Nanos::from_millis(10), 24))],
-            kind.build(),
+            Box::new(probe),
             SimConfig::new(2_000).with_seed(24).with_overhead(true),
         )
         .unwrap();
@@ -273,6 +279,14 @@ fn static_policy_counted_ops_are_pinned() {
             r.qos.l2_slowdown.to_bits(),
         );
         assert_eq!(got, want, "{}", kind.name());
+        assert_eq!(selects.needed(), selects_needed, "{}", kind.name());
+        // Debug builds also ask at every held point, to check the hold.
+        let asked = if cfg!(debug_assertions) {
+            r.sched_points
+        } else {
+            selects_needed
+        };
+        assert_eq!(selects.all(), asked, "{}", kind.name());
     }
 }
 
