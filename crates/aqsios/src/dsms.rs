@@ -52,12 +52,14 @@ use crate::record::Record;
 /// Which scheduling policy drives the runtime: the core's policy spec.
 pub use hcq_core::PolicyKind as RuntimePolicy;
 
+/// EWMA smoothing factor of the online cost, selectivity and
+/// inter-arrival monitors.
+const EWMA_ALPHA: f64 = 0.05;
+
 /// Runtime configuration.
 pub struct DsmsConfig {
     /// The scheduling policy.
     pub policy: RuntimePolicy,
-    /// EWMA smoothing factor for online cost/selectivity monitoring.
-    pub ewma_alpha: f64,
     /// Refresh scheduling priorities from the monitors automatically every
     /// N ≥ 1 scheduling decisions (`None` = only on explicit
     /// [`Dsms::refresh_priorities`] calls).
@@ -72,11 +74,10 @@ pub struct DsmsConfig {
 }
 
 impl DsmsConfig {
-    /// Defaults: α = 0.05, no auto-refresh, wall clock.
+    /// Defaults: no auto-refresh, unbounded queues, wall clock.
     pub fn new(policy: RuntimePolicy) -> Self {
         DsmsConfig {
             policy,
-            ewma_alpha: 0.05,
             auto_refresh_every: None,
             max_pending: None,
             clock: Box::new(SystemClock::new()),
@@ -308,12 +309,12 @@ impl Emitter {
 impl QueryRuntime {
     /// Lower `plan` into the compiled form, with the declared estimates
     /// as the specs and the monitors' seeds.
-    fn lower(plan: RtPlan, alpha: f64) -> Result<Self> {
+    fn lower(plan: RtPlan) -> Result<Self> {
         let unary = |b: QueryBuilder, op: &RtOp| match op.kind {
             RtOpKind::Select(_) => b.select(op.est_cost, op.est_selectivity),
             RtOpKind::Project(_) => b.project(op.est_cost),
         };
-        let ewma = |cost, s| EwmaEstimator::new(alpha, cost, s);
+        let ewma = |cost, s| EwmaEstimator::new(EWMA_ALPHA, cost, s);
         let step = |op: RtOp| (Step::Unary(op.kind), ewma(op.est_cost, op.est_selectivity));
         let (builder, steps): (_, Vec<_>) = match plan {
             RtPlan::Single { stream, ops } => (
@@ -470,7 +471,6 @@ impl QueryRuntime {
 /// The online DSMS.
 pub struct Dsms {
     emitter: Emitter,
-    ewma_alpha: f64,
     auto_refresh_every: Option<u64>,
     max_pending: Option<usize>,
     /// The policy, the per-unit queues of records and the hold.
@@ -502,9 +502,6 @@ impl Dsms {
     /// as a contract audit. `cfg.policy` must name its kind: whether a
     /// decision reads the clock is derived from it.
     pub fn with_policy(cfg: DsmsConfig, policy: Box<dyn Policy>) -> Result<Self> {
-        if !(cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0) {
-            return Err(HcqError::config("ewma_alpha must be in (0, 1]"));
-        }
         if cfg.auto_refresh_every == Some(0) {
             return Err(HcqError::config("auto_refresh_every must be at least 1"));
         }
@@ -517,7 +514,6 @@ impl Dsms {
                 qos: QosAccumulator::new(),
                 out: Emissions::default(),
             },
-            ewma_alpha: cfg.ewma_alpha,
             auto_refresh_every: cfg.auto_refresh_every,
             max_pending: cfg.max_pending,
             sched: Scheduler::new(policy),
@@ -556,7 +552,7 @@ impl Dsms {
                 )));
             }
         }
-        let query = QueryRuntime::lower(plan, self.ewma_alpha)?;
+        let query = QueryRuntime::lower(plan)?;
         for &stream in &streams {
             if self.stream_gaps.len() <= stream.index() {
                 self.stream_gaps.resize_with(stream.index() + 1, || None);
@@ -591,9 +587,7 @@ impl Dsms {
             if let Some(last) = self.last_arrival[stream.index()] {
                 let gap = now.saturating_since(last);
                 self.stream_gaps[stream.index()]
-                    .get_or_insert_with(|| {
-                        EwmaEstimator::new(self.ewma_alpha, gap.max(Nanos(1)), 1.0)
-                    })
+                    .get_or_insert_with(|| EwmaEstimator::new(EWMA_ALPHA, gap.max(Nanos(1)), 1.0))
                     .observe(gap.max(Nanos(1)), 1.0);
             }
             self.last_arrival[stream.index()] = Some(now);
@@ -748,18 +742,12 @@ mod tests {
     use hcq_core::Selection;
 
     /// A refresh period of zero decisions would never fire (`decisions` is
-    /// never a multiple of 0 once positive); like an α outside (0, 1], it
-    /// is a configuration error, not a silent no-op.
+    /// never a multiple of 0 once positive): it is a configuration error,
+    /// not a silent no-op.
     #[test]
     fn rejects_degenerate_monitoring_config() {
-        let alpha_zero = DsmsConfig {
-            ewma_alpha: 0.0,
-            ..DsmsConfig::new(RuntimePolicy::Hnr)
-        };
         let never = DsmsConfig::new(RuntimePolicy::Hnr).with_auto_refresh(0);
-        for cfg in [alpha_zero, never] {
-            assert!(matches!(Dsms::new(cfg), Err(HcqError::InvalidConfig(_))));
-        }
+        assert!(matches!(Dsms::new(never), Err(HcqError::InvalidConfig(_))));
         assert!(Dsms::new(DsmsConfig::new(RuntimePolicy::Hnr).with_auto_refresh(1)).is_ok());
     }
 

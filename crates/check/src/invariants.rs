@@ -542,18 +542,36 @@ fn check_policy(
                     "monitored run produced no snapshots".into(),
                 ),
                 Some(snap) => {
+                    // Every engine counter, listed here by hand rather than
+                    // read from the engine's own table.
                     for (counter, expect) in [
                         ("hcq_arrivals_total", report.arrivals),
                         ("hcq_emitted_total", report.emitted),
                         ("hcq_dropped_total", report.dropped),
                         ("hcq_shed_total", report.shed),
+                        ("hcq_sched_points_total", report.sched_points),
+                        ("hcq_busy_time_ns_total", report.busy_time.as_nanos()),
+                        (
+                            "hcq_sched_overhead_ns_total",
+                            report.overhead_time.as_nanos(),
+                        ),
+                        (
+                            "hcq_overload_time_ns_total",
+                            report.overload_time.as_nanos(),
+                        ),
                         ("hcq_expired_total", report.expired),
                         ("hcq_op_failures_total", report.op_failures),
+                        (
+                            "hcq_quarantine_time_ns_total",
+                            report.quarantine_time.as_nanos(),
+                        ),
                         (
                             "hcq_governor_transitions_total",
                             report.governor_transitions,
                         ),
-                        ("hcq_sched_points_total", report.sched_points),
+                        ("hcq_policy_switches_total", report.policy_switches),
+                        ("hcq_statics_updates_total", report.statics_updates),
+                        ("hcq_domain_refreezes_total", report.domain_refreezes),
                     ] {
                         let got = snap.counter(counter);
                         if got != Some(expect) {

@@ -61,12 +61,6 @@ impl Nanos {
         Nanos((s * 1e9).round() as u64)
     }
 
-    /// Construct from fractional milliseconds, rounding to the nearest nanosecond.
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms * 1e-3)
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -230,7 +224,6 @@ mod tests {
         assert_eq!(Nanos::from_millis(1), Nanos(1_000_000));
         assert_eq!(Nanos::from_secs(1), Nanos(1_000_000_000));
         assert_eq!(Nanos::from_secs_f64(1.5), Nanos(1_500_000_000));
-        assert_eq!(Nanos::from_millis_f64(0.5), Nanos(500_000));
     }
 
     #[test]

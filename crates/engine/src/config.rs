@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use hcq_common::Nanos;
+use hcq_common::{HcqError, Nanos, Result};
 use hcq_core::SharingStrategy;
 
 use crate::governor::GovernorConfig;
@@ -77,6 +77,20 @@ pub struct OverloadConfig {
     /// [`AdmissionMode::QosShed`] arms its shedder. `0` disables both (no
     /// overload accounting, shedding armed whenever a queue fills).
     pub watermark: usize,
+}
+
+impl OverloadConfig {
+    /// Check the admission rule as every executor does: a bounded mode
+    /// needs a per-unit capacity of at least 1.
+    pub fn validate(&self) -> Result<()> {
+        if self.mode != AdmissionMode::Unbounded && self.capacity == 0 {
+            return Err(HcqError::config(format!(
+                "admission mode {:?} requires a per-unit capacity of at least 1",
+                self.mode
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Deterministic fault injection (engine side). Source-side faults — bursts

@@ -131,8 +131,6 @@ pub struct Governor {
     /// When `window_overload` was last zeroed. A window is *complete* once a
     /// full cadence has elapsed since; caught-up boundaries see empty ones.
     window_start: Nanos,
-    /// Mode transitions taken so far.
-    transitions: u64,
     /// Consecutive complete windows with overload share at or above
     /// [`GovernorConfig::switch_share`].
     high_streak: u32,
@@ -143,8 +141,6 @@ pub struct Governor {
     engaged: bool,
     /// Instant of the last policy switch (`None` before the first).
     last_switch: Option<Nanos>,
-    /// Policy switches taken so far (engage and disengage each count).
-    switches: u64,
 }
 
 impl Governor {
@@ -158,28 +154,16 @@ impl Governor {
             level: base.rung(),
             window_overload: Nanos::ZERO,
             window_start: Nanos::ZERO,
-            transitions: 0,
             high_streak: 0,
             low_streak: 0,
             engaged: false,
             last_switch: None,
-            switches: 0,
         }
     }
 
     /// Account `span` of time spent at or above the overload watermark.
     pub fn overloaded(&mut self, span: Nanos) {
         self.window_overload += span;
-    }
-
-    /// Mode transitions taken so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Policy switches taken so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
     }
 
     /// The decision at the next cadence boundary `now` has reached, or `None`
@@ -219,7 +203,6 @@ impl Governor {
                     self.level - 1
                 };
                 self.last_transition = Some(at);
-                self.transitions += 1;
                 mode = Some(AdmissionMode::from_rung(self.level));
             }
         }
@@ -271,7 +254,6 @@ impl Governor {
         };
         self.engaged = !self.engaged;
         self.last_switch = Some(at);
-        self.switches += 1;
         self.high_streak = 0;
         self.low_streak = 0;
         Some(switch)
@@ -302,8 +284,11 @@ mod tests {
         &'a [(Option<AdmissionMode>, Option<Switch>)],
     );
 
-    fn drive(cfg: GovernorConfig, base: AdmissionMode, script: &[Visit<'_>]) -> Governor {
+    /// Run the script and return the mode transitions and policy switches
+    /// the returned decisions carry.
+    fn drive(cfg: GovernorConfig, base: AdmissionMode, script: &[Visit<'_>]) -> (usize, usize) {
         let mut g = Governor::new(cfg, base);
+        let (mut transitions, mut switches) = (0, 0);
         for (i, &(overloaded, now, pending, expected)) in script.iter().enumerate() {
             g.overloaded(Nanos::from_nanos(overloaded));
             let now = Nanos::from_nanos(now);
@@ -311,8 +296,10 @@ mod tests {
                 .map(|d| (d.mode, d.switch))
                 .collect();
             assert_eq!(got, expected, "visit {i} at {now:?}");
+            transitions += got.iter().filter(|(mode, _)| mode.is_some()).count();
+            switches += got.iter().filter(|(_, switch)| switch.is_some()).count();
         }
-        g
+        (transitions, switches)
     }
 
     const NONE: (Option<AdmissionMode>, Option<Switch>) = (None, None);
@@ -335,7 +322,7 @@ mod tests {
 
     #[test]
     fn the_ladder_rule_by_table() {
-        let g = drive(
+        let counts = drive(
             ladder(),
             Unbounded,
             &[
@@ -364,13 +351,12 @@ mod tests {
                 (0, 140, 0, &[NONE, NONE, NONE]),
             ],
         );
-        assert_eq!(g.transitions(), 4);
-        assert_eq!(g.switches(), 0);
+        assert_eq!(counts, (4, 0));
     }
 
     #[test]
     fn the_base_mode_is_the_floor() {
-        let g = drive(
+        let counts = drive(
             ladder(),
             DropTail,
             &[
@@ -381,7 +367,7 @@ mod tests {
                 (0, 100, 0, &[NONE; 6]),
             ],
         );
-        assert_eq!(g.transitions(), 2);
+        assert_eq!(counts, (2, 0));
     }
 
     #[test]
@@ -402,7 +388,7 @@ mod tests {
         };
         let engage = (None, Some(Switch::Engage(PolicyKind::Lsf)));
         let disengage = (None, Some(Switch::Disengage));
-        let g = drive(
+        let counts = drive(
             cfg,
             Unbounded,
             &[
@@ -425,8 +411,7 @@ mod tests {
                 (7, 100, 0, &[engage]),
             ],
         );
-        assert_eq!(g.switches(), 3);
-        assert_eq!(g.transitions(), 0);
+        assert_eq!(counts, (0, 3));
     }
 
     #[test]

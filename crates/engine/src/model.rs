@@ -310,6 +310,18 @@ impl SimModel {
         self.units.iter().map(|u| u.statics).collect()
     }
 
+    /// Check that every stream the plan reads has a source, given
+    /// `sources` sources feeding streams `0..sources`.
+    pub fn check_sources(&self, sources: usize) -> Result<()> {
+        match self.routes.iter().skip(sources).position(|r| !r.is_empty()) {
+            Some(i) => Err(HcqError::config(format!(
+                "stream {} is referenced by the plan but has no source",
+                StreamId::new(sources + i)
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Number of schedulable units.
     pub fn unit_count(&self) -> usize {
         self.units.len()

@@ -4,8 +4,10 @@ use hcq_common::Nanos;
 use hcq_core::UnitStatics;
 use hcq_metrics::{ClassBreakdown, OverheadTotals, QosSummary, SlowdownHistogram};
 
-/// Everything a simulation run reports.
-#[derive(Debug)]
+/// Everything a simulation run reports. The simulator keeps one as its
+/// books during the run: every count here is added to in place, and
+/// telemetry samples it (`crate::telemetry`).
+#[derive(Debug, Default)]
 pub struct SimReport {
     /// Headline QoS over all emitted tuples (Definitions 1–4).
     pub qos: QosSummary,
@@ -143,26 +145,10 @@ mod tests {
     #[test]
     fn derived_ratios() {
         let r = SimReport {
-            qos: QosSummary::default(),
-            classes: ClassBreakdown::new(),
-            histogram: SlowdownHistogram::default(),
             arrivals: 10,
             emitted: 5,
             dropped: 5,
             shed: 5,
-            expired: 0,
-            op_failures: 0,
-            quarantine_time: Nanos::ZERO,
-            governor_transitions: 0,
-            policy_switches: 0,
-            statics_updates: 0,
-            domain_refreezes: 0,
-            estimates: None,
-            fault_stall_time: Nanos::ZERO,
-            fault_stall_truncated: Nanos::ZERO,
-            source_disconnects: 0,
-            source_retry_attempts: 0,
-            source_lost_arrivals: 0,
             sched_points: 4,
             sched_ops: 12,
             overhead: {
@@ -179,6 +165,7 @@ mod tests {
             avg_pending: 2.0,
             peak_pending: 5,
             pending_end: 5,
+            ..SimReport::default()
         };
         assert!((r.measured_utilization() - 0.5).abs() < 1e-12);
         assert!((r.ops_per_sched_point() - 3.0).abs() < 1e-12);
@@ -189,38 +176,7 @@ mod tests {
 
     #[test]
     fn zero_guards() {
-        let r = SimReport {
-            qos: QosSummary::default(),
-            classes: ClassBreakdown::new(),
-            histogram: SlowdownHistogram::default(),
-            arrivals: 0,
-            emitted: 0,
-            dropped: 0,
-            shed: 0,
-            expired: 0,
-            op_failures: 0,
-            quarantine_time: Nanos::ZERO,
-            governor_transitions: 0,
-            policy_switches: 0,
-            statics_updates: 0,
-            domain_refreezes: 0,
-            estimates: None,
-            fault_stall_time: Nanos::ZERO,
-            fault_stall_truncated: Nanos::ZERO,
-            source_disconnects: 0,
-            source_retry_attempts: 0,
-            source_lost_arrivals: 0,
-            sched_points: 0,
-            sched_ops: 0,
-            overhead: OverheadTotals::new(),
-            overhead_time: Nanos::ZERO,
-            busy_time: Nanos::ZERO,
-            overload_time: Nanos::ZERO,
-            end_time: Nanos::ZERO,
-            avg_pending: 0.0,
-            peak_pending: 0,
-            pending_end: 0,
-        };
+        let r = SimReport::default();
         assert_eq!(r.measured_utilization(), 0.0);
         assert_eq!(r.ops_per_sched_point(), 0.0);
         assert_eq!(r.evals_per_sched_point(), 0.0);

@@ -6,12 +6,12 @@ use std::collections::{BinaryHeap, HashMap};
 use hcq_common::{det, EngineError, HcqError, Nanos, Result, StreamId, TupleId};
 use hcq_core::{EwmaEstimator, Policy, QueueView, SchedStats, UnitStatics, WindowedEstimator};
 use hcq_join::{Side, SymmetricHashJoin};
-use hcq_metrics::{ClassBreakdown, OverheadTotals, QosAccumulator, SlowdownHistogram};
+use hcq_metrics::QosAccumulator;
 use hcq_plan::{CompiledOp, CompiledOpKind, GlobalPlan, Port, StreamRates};
 use hcq_streams::{ArrivalSource, SourceFaultStats};
 
 use crate::config::{
-    AdaptConfig, AdaptMode, AdmissionMode, FaultConfig, OverloadConfig, SchedulingLevel, SimConfig,
+    AdaptConfig, AdaptMode, FaultConfig, OverloadConfig, SchedulingLevel, SimConfig,
 };
 use crate::exec::{self, UnaryGate};
 use crate::governor::{Governor, Switch};
@@ -50,7 +50,9 @@ pub fn simulate_traced<S: TraceSink>(
     cfg: SimConfig,
     sink: S,
 ) -> Result<(SimReport, S)> {
-    Simulator::with_sink(plan, rates, sources, policy, cfg, sink)?.run_with_sink()
+    Simulator::with_instrumentation(plan, rates, sources, policy, cfg, sink, NoTelemetry)?
+        .run_instrumented()
+        .map(|(report, sink, _)| (report, sink))
 }
 
 /// Run a complete simulation sampling [`hcq_metrics::TelemetrySnapshot`]s
@@ -98,10 +100,6 @@ struct AdaptState {
     /// estimates drifting outside `[lo/f, hi·f]` trigger a refreeze.
     phi_lo: f64,
     phi_hi: f64,
-    /// Statics publications forwarded to the policy.
-    statics_updates: u64,
-    /// Priority-domain refreezes the policy acknowledged.
-    refreezes: u64,
 }
 
 impl AdaptState {
@@ -265,35 +263,18 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     /// Ids for composite tuples (top bit set, so they never collide with
     /// arrival ids and are minted independently of arrival numbering).
     composite_counter: u64,
-    arrivals_injected: u64,
 
+    /// The run's books: every count, class and histogram the run returns,
+    /// counted here as it happens and sampled from here by telemetry.
+    /// [`Self::run_instrumented`] fills only the derived fields at the end.
+    report: SimReport,
     qos: QosAccumulator,
-    classes: ClassBreakdown,
-    /// `class_slots[query]`: the query's slot in `classes`, resolved once.
+    /// `class_slots[query]`: the query's slot in `report.classes`, resolved
+    /// once.
     class_slots: Vec<usize>,
-    histogram: SlowdownHistogram,
-    emitted: u64,
-    dropped: u64,
-    shed: u64,
-    /// Tuples expired at dequeue past their query's deadline.
-    expired: u64,
-    /// Transient operator failures injected.
-    op_failures: u64,
-    /// Total virtual time tuples spent quarantined after failures.
-    quarantine_time: Nanos,
-    sched_ops: u64,
-    /// Itemized scheduler work (per-kind counters), always accumulated —
-    /// five integer adds per scheduling point, independent of tracing.
-    overhead: OverheadTotals,
-    overhead_time: Nanos,
-    busy_time: Nanos,
-    /// Virtual time spent with total pending load at or above the
-    /// configured watermark (0 when no watermark is set).
-    overload_time: Nanos,
     /// Integral of pending-tuple count over virtual time (tuple·ns), for
     /// time-averaged memory; updated whenever the clock advances.
     pending_area: f64,
-    peak_pending: usize,
 
     sink: S,
     /// Emit/Shed events produced while a unit executes, replayed after the
@@ -321,21 +302,7 @@ impl Simulator<NoTrace, NoTelemetry> {
         policy: Box<dyn Policy>,
         cfg: SimConfig,
     ) -> Result<Self> {
-        Self::with_sink(plan, rates, sources, policy, cfg, NoTrace)
-    }
-}
-
-impl<S: TraceSink> Simulator<S, NoTelemetry> {
-    /// Build a simulator that streams [`TraceEvent`]s into `sink`.
-    pub fn with_sink(
-        plan: &GlobalPlan,
-        rates: &StreamRates,
-        sources: Vec<Box<dyn ArrivalSource>>,
-        policy: Box<dyn Policy>,
-        cfg: SimConfig,
-        sink: S,
-    ) -> Result<Self> {
-        Self::with_instrumentation(plan, rates, sources, policy, cfg, sink, NoTelemetry)
+        Self::with_instrumentation(plan, rates, sources, policy, cfg, NoTrace, NoTelemetry)
     }
 }
 
@@ -351,12 +318,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         sink: S,
         metrics: M,
     ) -> Result<Self> {
-        if cfg.overload.mode != AdmissionMode::Unbounded && cfg.overload.capacity == 0 {
-            return Err(HcqError::config(format!(
-                "admission mode {:?} requires a per-unit capacity of at least 1",
-                cfg.overload.mode
-            )));
-        }
+        cfg.overload.validate()?;
         if let Some(g) = &cfg.governor {
             g.validate(&cfg.overload)?;
         }
@@ -383,14 +345,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             ));
         }
         let model = SimModel::build(plan, rates, cfg.level, cfg.sharing)?;
-        for (s, routes) in model.routes.iter().enumerate() {
-            if !routes.is_empty() && s >= sources.len() {
-                return Err(HcqError::config(format!(
-                    "stream {} is referenced by the plan but has no source",
-                    StreamId::new(s)
-                )));
-            }
-        }
+        model.check_sources(sources.len())?;
         let mut upcoming = BinaryHeap::new();
         for (s, src) in sources.iter_mut().enumerate() {
             if let Some(t) = src.next_arrival() {
@@ -450,8 +405,10 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let sched_cost = model.min_op_cost;
         let unit_statics = model.unit_statics();
         let ideal_times = model.stats.iter().map(|s| s.ideal_time).collect();
-        let mut classes = ClassBreakdown::new();
-        let class_slots = model.tags.iter().map(|&tag| classes.slot(tag)).collect();
+        let mut report = SimReport::default();
+        let class_slots = (model.tags.iter())
+            .map(|&tag| report.classes.slot(tag))
+            .collect();
         let deadlines: Vec<Option<Nanos>> = plan.queries.iter().map(|q| q.deadline).collect();
         let any_deadline = deadlines.iter().any(|d| d.is_some());
         let governor = cfg.governor.map(|mut g| {
@@ -481,8 +438,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 fresh: vec![0; unit_statics.len()],
                 phi_lo: 0.0,
                 phi_hi: 0.0,
-                statics_updates: 0,
-                refreezes: 0,
             });
             state.reanchor_phi_span();
             state
@@ -522,24 +477,10 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             fail_attempts: HashMap::new(),
             clock: Nanos::ZERO,
             composite_counter: 0,
-            arrivals_injected: 0,
+            report,
             qos: QosAccumulator::new(),
-            classes,
             class_slots,
-            histogram: SlowdownHistogram::default(),
-            emitted: 0,
-            dropped: 0,
-            shed: 0,
-            expired: 0,
-            op_failures: 0,
-            quarantine_time: Nanos::ZERO,
-            sched_ops: 0,
-            overhead: OverheadTotals::new(),
-            overhead_time: Nanos::ZERO,
-            busy_time: Nanos::ZERO,
-            overload_time: Nanos::ZERO,
             pending_area: 0.0,
-            peak_pending: 0,
             sink,
             trace_buf: Vec::new(),
             trace_buffering: false,
@@ -583,14 +524,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     /// queue. The built-in policies never trigger these; external
     /// embeddings and fault harnesses get a value instead of a panic.
     pub fn run(self) -> Result<SimReport> {
-        self.run_with_sink().map(|(report, _)| report)
-    }
-
-    /// [`run`](Self::run), but also hand back the trace sink so buffered
-    /// events can be inspected or flushed.
-    pub fn run_with_sink(self) -> Result<(SimReport, S)> {
-        self.run_instrumented()
-            .map(|(report, sink, _)| (report, sink))
+        self.run_instrumented().map(|(report, _, _)| report)
     }
 
     /// [`run`](Self::run), handing back both instrumentation sinks.
@@ -626,7 +560,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             if self.sched.queues().pending() == 0 {
                 // Idle: jump to the next event — an arrival or a parked
                 // release — or finish.
-                let next_arrival = if self.arrivals_injected < self.cfg.max_arrivals {
+                let next_arrival = if self.report.arrivals < self.cfg.max_arrivals {
                     self.peek_next_arrival()
                 } else {
                     None
@@ -651,7 +585,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     None => break,
                 }
             }
-            if !self.cfg.drain && self.arrivals_injected >= self.cfg.max_arrivals {
+            if !self.cfg.drain && self.report.arrivals >= self.cfg.max_arrivals {
                 break;
             }
             let clock = self.clock;
@@ -691,19 +625,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         }
         let report = SimReport {
             qos: self.qos.summary(),
-            classes: self.classes,
-            histogram: self.histogram,
-            arrivals: self.arrivals_injected,
-            emitted: self.emitted,
-            dropped: self.dropped,
-            shed: self.shed,
-            expired: self.expired,
-            op_failures: self.op_failures,
-            quarantine_time: self.quarantine_time,
-            governor_transitions: self.governor.as_ref().map_or(0, |g| g.transitions()),
-            policy_switches: self.governor.as_ref().map_or(0, |g| g.switches()),
-            statics_updates: self.adapt.as_ref().map_or(0, |a| a.statics_updates),
-            domain_refreezes: self.adapt.as_ref().map_or(0, |a| a.refreezes),
             estimates: self.adapt.as_ref().map(|a| {
                 (0..self.model.unit_count())
                     .map(|u| a.estimate_of(u))
@@ -714,22 +635,17 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             source_disconnects: source_stats.disconnects,
             source_retry_attempts: source_stats.retry_attempts,
             source_lost_arrivals: source_stats.lost_arrivals,
-            sched_points: self.overhead.sched_points,
-            sched_ops: self.sched_ops,
-            overhead: self.overhead,
-            overhead_time: self.overhead_time,
-            busy_time: self.busy_time,
-            overload_time: self.overload_time,
+            sched_points: self.report.overhead.sched_points,
             end_time: self.clock,
             avg_pending: if self.clock.is_zero() {
                 0.0
             } else {
                 self.pending_area / self.clock.as_nanos() as f64
             },
-            peak_pending: self.peak_pending,
             // Quarantined tuples are still in flight: they count as pending
             // so conservation holds when a run ends mid-cooldown.
             pending_end: self.sched.queues().pending() + self.parked.len(),
+            ..self.report
         };
         Ok((report, self.sink, self.metrics))
     }
@@ -738,8 +654,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     /// point's work, whether the policy was asked or its choice held.
     #[inline]
     fn account(&mut self, ops_counted: u64, st: SchedStats) {
-        self.sched_ops += ops_counted;
-        self.overhead.record(
+        self.report.sched_ops += ops_counted;
+        self.report.overhead.record(
             st.candidates_scanned,
             st.priority_evals,
             st.comparisons,
@@ -764,7 +680,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         }
         if self.cfg.charge_overhead {
             self.advance_clock(self.clock + charged);
-            self.overhead_time += charged;
+            self.report.overhead_time += charged;
         }
     }
 
@@ -798,44 +714,19 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         self.telemetry = Some(t);
     }
 
-    /// Load every counter and gauge from live simulator state. Summary
-    /// instruments are fed incrementally by [`Self::emit`] instead.
+    /// Load every counter from the books and every gauge from live
+    /// simulator state. Summary instruments are fed incrementally by
+    /// [`Self::emit`] instead.
     fn record_state(&self, t: &mut EngineTelemetry) {
+        t.load_counters(&self.report);
         let reg = &mut t.registry;
-        reg.set_counter(t.arrivals, self.arrivals_injected);
-        reg.set_counter(t.emitted, self.emitted);
-        reg.set_counter(t.dropped, self.dropped);
-        reg.set_counter(t.shed, self.shed);
-        reg.set_counter(t.sched_points, self.overhead.sched_points);
-        reg.set_counter(t.busy_ns, self.busy_time.as_nanos());
-        reg.set_counter(t.overhead_ns, self.overhead_time.as_nanos());
-        reg.set_counter(t.overload_ns, self.overload_time.as_nanos());
-        reg.set_counter(t.expired, self.expired);
-        reg.set_counter(t.op_failures, self.op_failures);
-        reg.set_counter(t.quarantine_ns, self.quarantine_time.as_nanos());
-        reg.set_counter(
-            t.governor_transitions,
-            self.governor.as_ref().map_or(0, |g| g.transitions()),
-        );
-        reg.set_counter(
-            t.policy_switches,
-            self.governor.as_ref().map_or(0, |g| g.switches()),
-        );
-        reg.set_counter(
-            t.statics_updates,
-            self.adapt.as_ref().map_or(0, |a| a.statics_updates),
-        );
-        reg.set_counter(
-            t.domain_refreezes,
-            self.adapt.as_ref().map_or(0, |a| a.refreezes),
-        );
         reg.set_gauge(t.pending, self.sched.queues().pending() as f64);
-        reg.set_gauge(t.peak_pending, self.peak_pending as f64);
+        reg.set_gauge(t.peak_pending, self.report.peak_pending as f64);
         reg.set_gauge(t.governor_mode, f64::from(self.overload.mode.rung()));
         let utilization = if self.clock.is_zero() {
             0.0
         } else {
-            (self.busy_time + self.overhead_time).ratio(self.clock)
+            (self.report.busy_time + self.report.overhead_time).ratio(self.clock)
         };
         reg.set_gauge(t.utilization, utilization);
         for u in 0..t.queue_depth.len() {
@@ -857,7 +748,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         self.pending_area += pending as f64 * span.as_nanos() as f64;
         let watermark = self.cfg.overload.watermark;
         if watermark > 0 && pending >= watermark {
-            self.overload_time += span;
+            self.report.overload_time += span;
             if let Some(g) = self.governor.as_mut() {
                 g.overloaded(span);
             }
@@ -872,6 +763,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let (now, pending) = (self.clock, self.sched.queues().pending());
         while let Some(d) = self.governor.as_mut().and_then(|g| g.decide(now, pending)) {
             if let Some(to) = d.mode {
+                self.report.governor_transitions += 1;
                 let from = std::mem::replace(&mut self.overload.mode, to);
                 if S::ENABLED {
                     // Stamped with the clock, not the (possibly caught-up
@@ -893,6 +785,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     .expect("the governor disengages only after an engage"),
                 None => continue,
             };
+            self.report.policy_switches += 1;
             let statics = match self.adapt.as_ref() {
                 Some(a) => a.current.clone(),
                 None => self.model.unit_statics(),
@@ -955,7 +848,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 continue;
             }
             a.current[u] = estimate;
-            a.statics_updates += 1;
+            self.report.statics_updates += 1;
             self.sched.update_statics(u as u32, &estimate);
             if a.phi_hi > 0.0 {
                 let phi = estimate.sanitized_phi();
@@ -968,7 +861,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         }
         if drifted {
             if self.sched.refreeze() {
-                a.refreezes += 1;
+                self.report.domain_refreezes += 1;
             }
             // Re-anchor even when the policy declined (static policies
             // have no frozen domain): the span check should not re-fire
@@ -998,7 +891,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     }
 
     fn deliver_due_arrivals(&mut self) {
-        while self.arrivals_injected < self.cfg.max_arrivals {
+        while self.report.arrivals < self.cfg.max_arrivals {
             let Some(&Reverse((t, stream))) = self.upcoming.peek() else {
                 break;
             };
@@ -1017,8 +910,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         // The arrival's id is its global arrival ordinal: identical across
         // policies, so attribute keys and selectivity coins are a pure
         // function of the workload, never of scheduling decisions.
-        let id = TupleId::new(self.arrivals_injected);
-        self.arrivals_injected += 1;
+        let id = TupleId::new(self.report.arrivals);
+        self.report.arrivals += 1;
         // The §8 extra attribute: uniform in [1,100], shared by every copy.
         let key = exec::arrival_key(self.cfg.seed, id);
         // Routes are read through an index to satisfy the borrow checker;
@@ -1041,12 +934,13 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             Admission::Rejected(arrival) => return self.count_shed(unit, arrival),
             Admission::Displaced { victim, shed } => self.count_shed(victim, shed),
         }
-        self.peak_pending = self.peak_pending.max(self.sched.queues().pending());
+        let pending = self.sched.queues().pending();
+        self.report.peak_pending = self.report.peak_pending.max(pending);
     }
 
     /// Count and trace one tuple lost to admission control.
     fn count_shed(&mut self, unit: u32, tuple: SimTuple) {
-        self.shed += 1;
+        self.report.shed += 1;
         if S::ENABLED {
             self.trace(TraceEvent::Shed {
                 at: self.clock,
@@ -1088,7 +982,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 if let Some(d) = self.deadlines[q] {
                     let due = tuple.arrival + d;
                     if self.clock > due {
-                        self.expired += 1;
+                        self.report.expired += 1;
                         if S::ENABLED {
                             self.trace(TraceEvent::Expire {
                                 at: self.clock,
@@ -1121,7 +1015,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 let cost = self.entry_cost(kind);
                 let at = self.clock;
                 self.charge(cost);
-                self.op_failures += 1;
+                self.report.op_failures += 1;
                 let retrying = attempt < self.cfg.faults.op_failure_retries;
                 if S::ENABLED {
                     self.trace(TraceEvent::OpFailure {
@@ -1136,7 +1030,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 if retrying {
                     self.fail_attempts.insert(key, attempt + 1);
                     let cooldown = self.cfg.faults.op_failure_cooldown;
-                    self.quarantine_time += cooldown;
+                    self.report.quarantine_time += cooldown;
                     self.parked.push(Reverse(Parked {
                         release: self.clock + cooldown,
                         seq: self.park_seq,
@@ -1146,7 +1040,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     self.park_seq += 1;
                 } else {
                     self.fail_attempts.remove(&key);
-                    self.dropped += 1;
+                    self.report.dropped += 1;
                 }
                 return Ok(());
             }
@@ -1154,7 +1048,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 self.fail_attempts.remove(&key);
             }
         }
-        let (start, busy0, emitted0) = (self.clock, self.busy_time, self.emitted);
+        let (start, busy0, emitted0) = (self.clock, self.report.busy_time, self.report.emitted);
         let (tuple_id, tuple_arrival) = (tuple.id, tuple.arrival);
         if S::ENABLED {
             // Buffer the run's Emit/Shed children so the UnitRun — whose
@@ -1180,8 +1074,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             // cost and tuples emitted for this input. Expired and failed
             // tuples return before this point — a suppressed output is not
             // evidence about selectivity.
-            let cost = self.busy_time.saturating_since(busy0);
-            let produced = self.emitted - emitted0;
+            let cost = self.report.busy_time.saturating_since(busy0);
+            let produced = self.report.emitted - emitted0;
             if let Some(a) = self.adapt.as_mut() {
                 a.observe(unit, cost, produced as f64);
             }
@@ -1193,8 +1087,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                 unit,
                 tuple: tuple_id.raw(),
                 arrival: tuple_arrival,
-                cost: self.busy_time.saturating_since(busy0),
-                tuples: self.emitted - emitted0,
+                cost: self.report.busy_time.saturating_since(busy0),
+                tuples: self.report.emitted - emitted0,
             });
             let buf = std::mem::take(&mut self.trace_buf);
             for e in &buf {
@@ -1238,7 +1132,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     let RunOp { gate, cost } = self.ops[query][oi];
                     self.charge(cost);
                     if !gate.passes(&tuple) {
-                        self.dropped += 1;
+                        self.report.dropped += 1;
                         return Ok(());
                     }
                     cursor = downstream;
@@ -1275,7 +1169,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
                     }
                     self.probe_buf = matches;
                     if !produced {
-                        self.dropped += 1;
+                        self.report.dropped += 1;
                     }
                     return Ok(());
                 }
@@ -1295,7 +1189,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         self.charge(cost);
         // The shared operator is physically one operator: one outcome.
         if !gate.passes(&tuple) {
-            self.dropped += n_members as u64;
+            self.report.dropped += n_members as u64;
             return Ok(());
         }
         for i in 0..self.model.groups[group].inline_members.len() {
@@ -1334,7 +1228,7 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let RunOp { gate, cost } = self.ops[query][op];
         self.charge(cost);
         if !gate.passes(&tuple) {
-            self.dropped += 1;
+            self.report.dropped += 1;
             return Ok(());
         }
         match downstream {
@@ -1349,11 +1243,11 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
 
     fn charge(&mut self, cost: Nanos) {
         self.advance_clock(self.clock + cost);
-        self.busy_time += cost;
+        self.report.busy_time += cost;
     }
 
     fn emit(&mut self, query: usize, t: SimTuple) {
-        self.emitted += 1;
+        self.report.emitted += 1;
         let ideal = self.ideal_times[query];
         let response = self.clock.saturating_since(t.arrival);
         // H = 1 + (D_actual − D_ideal)/T (§5.1.2); for single-stream tuples
@@ -1362,9 +1256,9 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         // then clamps at 1 (the tuple was served ideally).
         let slowdown = exec::slowdown(self.clock, t.ideal_depart, ideal);
         self.qos.record(response, slowdown);
-        self.classes
-            .record_slot(self.class_slots[query], response, slowdown);
-        self.histogram.record(slowdown);
+        let slot = self.class_slots[query];
+        self.report.classes.record_slot(slot, response, slowdown);
+        self.report.histogram.record(slowdown);
         if M::ENABLED {
             if let Some(t) = self.telemetry.as_mut() {
                 t.observe_emit(query, response, slowdown);

@@ -31,6 +31,86 @@ use hcq_common::Nanos;
 use hcq_metrics::{InstrumentId, TelemetryRegistry, TelemetrySnapshot};
 
 use crate::config::SimConfig;
+use crate::report::SimReport;
+
+/// A counter: its name, its help text, and the count it reads from the
+/// simulator's books.
+type Counter = (&'static str, &'static str, fn(&SimReport) -> u64);
+
+/// Every engine counter, in registration order. The simulator counts into
+/// its [`SimReport`] and each sample loads these from it, so the final
+/// snapshot's counters equal the report's by construction.
+const COUNTERS: [Counter; 15] = [
+    ("hcq_arrivals_total", "Source tuples injected", |r| {
+        r.arrivals
+    }),
+    ("hcq_emitted_total", "Tuples emitted at query roots", |r| {
+        r.emitted
+    }),
+    (
+        "hcq_dropped_total",
+        "Tuples dropped by operator predicates",
+        |r| r.dropped,
+    ),
+    (
+        "hcq_shed_total",
+        "Tuples shed by overload management",
+        |r| r.shed,
+    ),
+    ("hcq_sched_points_total", "Scheduling decisions", |r| {
+        r.overhead.sched_points
+    }),
+    (
+        "hcq_busy_time_ns_total",
+        "Virtual nanoseconds spent executing operators",
+        |r| r.busy_time.as_nanos(),
+    ),
+    (
+        "hcq_sched_overhead_ns_total",
+        "Virtual nanoseconds charged as scheduling overhead",
+        |r| r.overhead_time.as_nanos(),
+    ),
+    (
+        "hcq_overload_time_ns_total",
+        "Virtual nanoseconds spent at or above the overload watermark",
+        |r| r.overload_time.as_nanos(),
+    ),
+    (
+        "hcq_expired_total",
+        "Tuples expired at dequeue past their query deadline",
+        |r| r.expired,
+    ),
+    (
+        "hcq_op_failures_total",
+        "Transient operator failures (run charged, output suppressed)",
+        |r| r.op_failures,
+    ),
+    (
+        "hcq_quarantine_time_ns_total",
+        "Virtual nanoseconds of tuple quarantine after operator failures",
+        |r| r.quarantine_time.as_nanos(),
+    ),
+    (
+        "hcq_governor_transitions_total",
+        "Admission-mode transitions taken by the overload governor",
+        |r| r.governor_transitions,
+    ),
+    (
+        "hcq_policy_switches_total",
+        "Policy switches taken by the governor's meta-scheduler",
+        |r| r.policy_switches,
+    ),
+    (
+        "hcq_statics_updates_total",
+        "Re-estimated statics publications forwarded to the policy",
+        |r| r.statics_updates,
+    ),
+    (
+        "hcq_domain_refreezes_total",
+        "Priority-domain refreezes acknowledged by the policy",
+        |r| r.domain_refreezes,
+    ),
+];
 
 /// Receiver of [`TelemetrySnapshot`]s.
 ///
@@ -125,21 +205,8 @@ pub(crate) struct EngineTelemetry {
     pub cadence: Nanos,
     /// Next cadence boundary to stamp a snapshot at.
     pub next_sample: Nanos,
-    pub arrivals: InstrumentId,
-    pub emitted: InstrumentId,
-    pub dropped: InstrumentId,
-    pub shed: InstrumentId,
-    pub sched_points: InstrumentId,
-    pub busy_ns: InstrumentId,
-    pub overhead_ns: InstrumentId,
-    pub overload_ns: InstrumentId,
-    pub expired: InstrumentId,
-    pub op_failures: InstrumentId,
-    pub quarantine_ns: InstrumentId,
-    pub governor_transitions: InstrumentId,
-    pub policy_switches: InstrumentId,
-    pub statics_updates: InstrumentId,
-    pub domain_refreezes: InstrumentId,
+    /// One id per [`COUNTERS`] row, in the same order.
+    counters: Vec<InstrumentId>,
     pub pending: InstrumentId,
     pub peak_pending: InstrumentId,
     pub utilization: InstrumentId,
@@ -164,69 +231,9 @@ impl EngineTelemetry {
         // A zero cadence would loop forever at the first sample point.
         let cadence = cfg.telemetry_cadence.max(Nanos(1));
         let mut reg = TelemetryRegistry::new();
-        let arrivals = reg.counter("hcq_arrivals_total", "Source tuples injected", vec![]);
-        let emitted = reg.counter("hcq_emitted_total", "Tuples emitted at query roots", vec![]);
-        let dropped = reg.counter(
-            "hcq_dropped_total",
-            "Tuples dropped by operator predicates",
-            vec![],
-        );
-        let shed = reg.counter(
-            "hcq_shed_total",
-            "Tuples shed by overload management",
-            vec![],
-        );
-        let sched_points = reg.counter("hcq_sched_points_total", "Scheduling decisions", vec![]);
-        let busy_ns = reg.counter(
-            "hcq_busy_time_ns_total",
-            "Virtual nanoseconds spent executing operators",
-            vec![],
-        );
-        let overhead_ns = reg.counter(
-            "hcq_sched_overhead_ns_total",
-            "Virtual nanoseconds charged as scheduling overhead",
-            vec![],
-        );
-        let overload_ns = reg.counter(
-            "hcq_overload_time_ns_total",
-            "Virtual nanoseconds spent at or above the overload watermark",
-            vec![],
-        );
-        let expired = reg.counter(
-            "hcq_expired_total",
-            "Tuples expired at dequeue past their query deadline",
-            vec![],
-        );
-        let op_failures = reg.counter(
-            "hcq_op_failures_total",
-            "Transient operator failures (run charged, output suppressed)",
-            vec![],
-        );
-        let quarantine_ns = reg.counter(
-            "hcq_quarantine_time_ns_total",
-            "Virtual nanoseconds of tuple quarantine after operator failures",
-            vec![],
-        );
-        let governor_transitions = reg.counter(
-            "hcq_governor_transitions_total",
-            "Admission-mode transitions taken by the overload governor",
-            vec![],
-        );
-        let policy_switches = reg.counter(
-            "hcq_policy_switches_total",
-            "Policy switches taken by the governor's meta-scheduler",
-            vec![],
-        );
-        let statics_updates = reg.counter(
-            "hcq_statics_updates_total",
-            "Re-estimated statics publications forwarded to the policy",
-            vec![],
-        );
-        let domain_refreezes = reg.counter(
-            "hcq_domain_refreezes_total",
-            "Priority-domain refreezes acknowledged by the policy",
-            vec![],
-        );
+        let counters = (COUNTERS.iter())
+            .map(|&(name, help, _)| reg.counter(name, help, vec![]))
+            .collect();
         let pending = reg.gauge(
             "hcq_pending_tuples",
             "Tuples pending across all queues",
@@ -303,21 +310,7 @@ impl EngineTelemetry {
             registry: reg,
             cadence,
             next_sample: cadence,
-            arrivals,
-            emitted,
-            dropped,
-            shed,
-            sched_points,
-            busy_ns,
-            overhead_ns,
-            overload_ns,
-            expired,
-            op_failures,
-            quarantine_ns,
-            governor_transitions,
-            policy_switches,
-            statics_updates,
-            domain_refreezes,
+            counters,
             pending,
             peak_pending,
             utilization,
@@ -328,6 +321,13 @@ impl EngineTelemetry {
             response_ns,
             query_slowdown,
             query_response,
+        }
+    }
+
+    /// Load every counter from the books.
+    pub fn load_counters(&mut self, report: &SimReport) {
+        for (&id, (_, _, read)) in self.counters.iter().zip(&COUNTERS) {
+            self.registry.set_counter(id, read(report));
         }
     }
 

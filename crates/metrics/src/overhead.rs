@@ -78,11 +78,6 @@ impl OverheadTotals {
         self.per_point(self.priority_evals)
     }
 
-    /// Average candidates inspected per scheduling point.
-    pub fn scans_per_point(&self) -> f64 {
-        self.per_point(self.candidates_scanned)
-    }
-
     /// Average total work per scheduling point.
     pub fn work_per_point(&self) -> f64 {
         self.per_point(self.total_work())
@@ -106,7 +101,6 @@ mod tests {
         let t = OverheadTotals::new();
         assert_eq!(t.total_work(), 0);
         assert_eq!(t.evals_per_point(), 0.0);
-        assert_eq!(t.scans_per_point(), 0.0);
         assert_eq!(t.work_per_point(), 0.0);
     }
 
@@ -119,7 +113,6 @@ mod tests {
         assert_eq!(t.priority_evals, 16);
         assert_eq!(t.cluster_ops, 4);
         assert_eq!(t.evals_per_point(), 8.0);
-        assert_eq!(t.scans_per_point(), 8.0);
         assert_eq!(t.total_work(), 54);
         assert_eq!(t.work_per_point(), 27.0);
     }

@@ -570,11 +570,7 @@ fn run_with(
     if cfg.threads == 0 {
         return Err(HcqError::config("runtime needs at least one thread"));
     }
-    if cfg.overload.mode != AdmissionMode::Unbounded && cfg.overload.capacity == 0 {
-        return Err(HcqError::config(
-            "bounded admission needs a per-unit capacity of at least 1",
-        ));
-    }
+    cfg.overload.validate()?;
     if plan.queries.iter().any(|q| q.deadline.is_some()) {
         return Err(HcqError::config(
             "the wall-clock runtime does not expire tuples past a query deadline yet",
@@ -600,13 +596,7 @@ fn run_with(
             "the wall-clock runtime does not execute window joins yet",
         ));
     }
-    for (s, routes) in model.routes.iter().enumerate() {
-        if !routes.is_empty() && s >= sources.len() {
-            return Err(HcqError::config(format!(
-                "stream {s} is referenced by the plan but has no source"
-            )));
-        }
-    }
+    model.check_sources(sources.len())?;
 
     let (arrivals, schedule) = build_schedule(&model, sources, cfg.seed, cfg.max_arrivals);
     let shared = Shared::new(&model, cfg)?;

@@ -40,11 +40,6 @@ impl<S: ArrivalSource> TimeScale<S> {
             last_out: Nanos::ZERO,
         }
     }
-
-    /// The wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: ArrivalSource> ArrivalSource for TimeScale<S> {

@@ -77,11 +77,6 @@ impl TraceReplay {
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
-
-    /// Rewind to the start of the trace.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 impl ArrivalSource for TraceReplay {
@@ -121,8 +116,6 @@ mod tests {
             ]
         );
         assert_eq!(replay.remaining(), 0);
-        replay.rewind();
-        assert_eq!(replay.remaining(), 3);
     }
 
     #[test]
